@@ -29,8 +29,8 @@ import numpy as np
 from .envelope import (cap_decompose, kappa_max, sq_norm_from_sq2,
                        verify_weighted_sq, window_profile)
 from .decomp import broad_narrow, bilinear_trials, write_constants_csv
-from .geometry import mode_cap_index, theta_scale
-from .measures import make_weight
+from .geometry import dyadic_scales, mode_cap_index, theta_scale
+from .measures import _lattice_sites, make_weight
 from .schrodinger import (FLS_DEFAULT_R, MEASURE_FAMILIES, fit_exponent,
                           fls_experiment, measure_family, nikodym_experiment,
                           rescale_measure)
@@ -396,10 +396,50 @@ def _verify_peak_bytes(R: int, weight_family: str) -> float:
     # the full-grid quadrature against a dense weight holds the synthesis
     # array and its transform at once
     dense = 32 * M * M if weight_family == "constant" else 0
-    # the dual-tube support scan walks the full grid in blocks
-    tube = 64 * min(_BLOCK_CELLS, M * M) + M * M / 8 \
-        if weight_family == "dual-tube" else 0
-    return max(cap_pass, dense, tube)
+    return max(cap_pass, dense)
+
+
+# kappa-scan: traced allocation peaks run about 120 bytes per candidate
+# atom of the weight (building it, then locating its atoms in one cap),
+# plus the envelope tables cached on the weight: a few hundred bytes per cap
+# and about 3R entries of 24 bytes for the slab-shaped supports (dual tube,
+# truncated lattice), the widest-spread of the scanned families.
+_SCAN_ATOM_BYTES = 128
+_SCAN_BYTES_PER_R = 80
+_SCAN_CAP_BYTES = 600
+
+
+def _scan_atoms(cfg: "ExperimentConfig", R: int) -> float:
+    """Candidate atoms the kappa-scan weight of cfg builds at R."""
+    spec = GridSpec(R)
+    fam, d = cfg.family, spec.delta
+    if fam == "ball":
+        rho = cfg.c if cfg.c is not None else 1.0
+        if rho >= 0.5 * spec.L:
+            return 0.0
+        return min(2 * math.ceil(rho / d) + 3, spec.M) ** 2
+    if fam == "dual-tube":
+        return (R / d + 5) * (math.isqrt(R) / d + 5)
+    if fam == "lattice":
+        c = cfg.c if cfg.c is not None else 0.125
+        sites = len(_lattice_sites(R, cfg.kappa, c, "ball"))
+        return sites * (math.pi * (c / d) ** 2 + 1)
+    if fam == "truncated-lattice":
+        c = cfg.c if cfg.c is not None else 0.25
+        return len(_lattice_sites(R, (2.0 - cfg.alpha) / 6.0, c, "corner"))
+    return 0.0
+
+
+def _kappa_scan_peak_bytes(cfg: "ExperimentConfig") -> float:
+    est = 0.0
+    for R in cfg.R:
+        atoms = _scan_atoms(cfg, R)
+        if atoms == 0:
+            continue
+        caps = sum(2 * round(1 / s) + 1 for s in dyadic_scales(R))
+        est = max(est, _SCAN_ATOM_BYTES * atoms + _SCAN_BYTES_PER_R * R
+                  + _SCAN_CAP_BYTES * caps)
+    return est
 
 
 def preflight_mb(cfg: "ExperimentConfig") -> float:
@@ -411,7 +451,7 @@ def preflight_mb(cfg: "ExperimentConfig") -> float:
     elif exp == "examples-suite":
         est = max(_verify_peak_bytes(1024, ""), 4e8)
     elif exp == "kappa-scan":
-        est = 6e7
+        est = _kappa_scan_peak_bytes(cfg)
     elif exp == "broad-narrow":
         # point evaluation streams 2e7-entry phase blocks
         est = 5e8
@@ -519,7 +559,7 @@ def _pair_rows(cfg, ratio_key: str):
             fit = fit_exponent(
                 f"{cfg.experiment}-{cfg.family}-p{p:g}", "gamma", cfg.R,
                 ratios, 0.0, band=cfg.band, sided="upper")
-            fits.append(fit)
+            fits.append(fit.to_dict())
             checks.append(_fit_check(fit))
     return rows, fits, checks
 
@@ -705,7 +745,7 @@ _DEFAULTS = {
                    "family": "constant"},
     "square-verify": {"R": (64, 256), "family": "random:constant"},
     "envelope-verify": {"R": (64, 256), "family": "random:constant"},
-    "broad-narrow": {"R": (64, 256), "p": (4.0,), "trials": 10},
+    "broad-narrow": {"R": (64, 256), "p": (4.0,)},
     "bilinear": {"R": (64, 256)},
     "schrodinger-fls": {"p": (3.0, 4.0)},
     "certificates": {"R": (64, 256)},

@@ -178,31 +178,58 @@ def envelope_area(R: int, s: float) -> float:
     return float(R) * R * s
 
 
+# A wrapped key space at most this many times the key count is aggregated
+# with a dense bincount; a sparser one is sorted with np.unique.
+DENSE_KEYS_PER_ATOM = 8
+
+
+def _group_sums(keys: np.ndarray, weights: np.ndarray, size: int):
+    """(distinct keys ascending, per-key weight sums) for keys in [0, size).
+
+    Both branches add the weights of one key in input order, so their sums
+    agree bit for bit.
+    """
+    if size <= DENSE_KEYS_PER_ATOM * len(keys):
+        uniq = np.flatnonzero(np.bincount(keys, minlength=size))
+        return uniq, np.bincount(keys, weights=weights, minlength=size)[uniq]
+    uniq, inv = np.unique(keys, return_inverse=True)
+    return uniq, np.bincount(inv, weights=weights)
+
+
 def envelope_stats(H: GridMeasure, cap: Cap):
     """(flat envelope keys, H(U), max_T H(T)) for envelopes charged by H.
 
-    Streams the atoms once: tube masses by bincount on wrapped tube keys,
-    then envelope masses and per-envelope tube maxima via the exact
-    nesting (an envelope is a union of whole tubes).
+    Streams the atoms once: tube masses on wrapped tube keys, then
+    envelope masses and per-envelope tube maxima via the exact nesting (an
+    envelope is a union of whole tubes).  None of it depends on p, so the
+    result is computed once per (H, cap) and kept, read-only, on H.
     """
+    if H.is_full_constant:
+        raise ValueError("constant weights take the closed-form path")
+    hit = H._envelope_stats.get(cap)
+    if hit is not None:
+        return hit
     spec = H.spec
     N1, N2, _ = tube_lattice_dims(cap, spec)
     N1U, N2U, _ = envelope_lattice_dims(cap, spec)
-    if H.is_full_constant:
-        raise ValueError("constant weights take the closed-form path")
     if H.n_atoms == 0:
-        return (np.empty(0, np.int64), np.empty(0), np.empty(0), (N1U, N2U))
-    z1, z2 = locate_grid_tubes(H.ij[:, 0], H.ij[:, 1], cap, spec)
-    tkeys, inv = np.unique(z1 * N2 + z2, return_inverse=True)
-    HT = np.bincount(inv, weights=np.asarray(H.mass))
-    e1, e2 = envelope_index_of_tube(tkeys // N2, tkeys % N2,
-                                    envelope_factor(cap, spec))
-    e1, e2 = wrap_envelope_index(e1, e2, cap, spec)
-    ekeys, einv = np.unique(e1 * N2U + e2, return_inverse=True)
-    HU = np.bincount(einv, weights=HT)
-    maxT = np.zeros(len(ekeys))
-    np.maximum.at(maxT, einv, HT)
-    return ekeys, HU, maxT, (N1U, N2U)
+        ekeys, HU, maxT = np.empty(0, np.int64), np.empty(0), np.empty(0)
+    else:
+        z1, z2 = locate_grid_tubes(H.ij[:, 0], H.ij[:, 1], cap, spec)
+        tkeys, HT = _group_sums(z1 * N2 + z2, np.asarray(H.mass), N1 * N2)
+        del z1, z2
+        e1, e2 = envelope_index_of_tube(tkeys // N2, tkeys % N2,
+                                        envelope_factor(cap, spec))
+        e1, e2 = wrap_envelope_index(e1, e2, cap, spec)
+        eflat = e1 * N2U + e2
+        ekeys, HU = _group_sums(eflat, HT, N1U * N2U)
+        maxT = np.zeros(len(ekeys))
+        np.maximum.at(maxT, np.searchsorted(ekeys, eflat), HT)
+    for arr in (ekeys, HU, maxT):
+        arr.setflags(write=False)
+    stats = (ekeys, HU, maxT, (N1U, N2U))
+    H._envelope_stats[cap] = stats
+    return stats
 
 
 def kappa_table(H: GridMeasure, p: float, cap: Cap):

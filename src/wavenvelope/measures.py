@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,6 +42,10 @@ class GridMeasure:
     ij is None for the full-grid constant weight (every grid point carries
     the same scalar mass); consumers special-case that representation so a
     dense weight at large R never materializes M^2 explicit atoms.
+
+    The p-independent envelope statistics of envelope.envelope_stats are
+    cached on the instance, one read-only entry per cap, so kappa at any
+    number of exponents locates and sums the atoms once per cap.
     """
 
     spec: GridSpec
@@ -49,6 +53,8 @@ class GridMeasure:
     mass: np.ndarray | float   # (n,) float64, or a scalar when ij is None
     kind: str = "measure"      # "weight" densities obey h <= 1
     label: str = ""
+    _envelope_stats: dict = field(default_factory=dict, init=False,
+                                  repr=False)
 
     def __post_init__(self):
         M = self.spec.M
@@ -145,12 +151,14 @@ def ball_weight(spec: GridSpec, rho: float = 1.0, center=(0.0, 0.0)) -> GridMeas
     r_cells = int(math.ceil(rho / d))
     cz = np.asarray(center, dtype=float)
     c_idx = np.rint(cz / d).astype(np.int64)
-    jj = np.arange(-r_cells - 1, r_cells + 2, dtype=np.int64)
+    # at most M consecutive offsets per axis, so the candidates are
+    # distinct mod M
+    lo = min(r_cells + 1, M // 2)
+    jj = np.arange(-lo, min(r_cells + 2, M - lo), dtype=np.int64)
     J1, J2 = np.meshgrid(jj + c_idx[0], jj + c_idx[1], indexing="ij")
     ij = np.stack([J1.ravel(), J2.ravel()], axis=1)
     dd = _torus_disp(d * ij.astype(float), cz, spec.L)
     ij = ij[np.hypot(dd[:, 0], dd[:, 1]) <= rho * (1 + 1e-12)] % M
-    ij = np.unique(ij, axis=0)
     return GridMeasure(spec, ij, np.full(len(ij), d * d), "weight",
                        f"ball({rho})")
 
@@ -167,17 +175,21 @@ def dual_tube_weight(spec: GridSpec, alpha: float = 1.0, k: int = 0) -> GridMeas
         raise ValueError("alpha in [0, 2]")
     M = spec.M
     cap = Cap(theta_scale(spec.R), k)
-    rows = []
-    jj = np.arange(M, dtype=np.int64)
-    block = max(1, int(4e6) // M)
-    for j0 in range(0, M, block):
-        nb = min(block, M - j0)
-        j1v = np.repeat(jj[j0:j0 + nb], M)
-        j2v = np.tile(jj, nb)
-        z1, z2 = locate_grid_tubes(j1v, j2v, cap, spec)
-        keep = (z1 == 0) & (z2 == 0)
-        rows.append(np.stack([j1v[keep], j2v[keep]], axis=1))
-    ij = np.concatenate(rows)
+    # The unwrapped z = 0 tube is |j2| <= R/(2 Delta), |j1 + 2k j2/P| <=
+    # P/(2 Delta) in grid units (P = R^(1/2)); scan that parallelogram,
+    # padded by two cells, and keep the points the exact location puts in
+    # the wrapped tube (0, 0).  The tube is shorter than the period, so
+    # the candidates are distinct mod M.
+    P = int(round(1.0 / cap.s))
+    invd = int(round(1.0 / spec.delta))
+    h2, h1 = (spec.R * invd) // 2 + 2, (P * invd) // 2 + 2
+    j2 = np.arange(-h2, h2 + 1, dtype=np.int64)
+    j1 = (-2 * k * j2 // P)[:, None] + np.arange(-h1, h1 + 1)
+    j2 = np.broadcast_to(j2[:, None], j1.shape)
+    j1, j2 = j1.ravel() % M, j2.ravel() % M
+    z1, z2 = locate_grid_tubes(j1, j2, cap, spec)
+    keep = (z1 == 0) & (z2 == 0)
+    ij = np.stack([j1[keep], j2[keep]], axis=1)
     h = spec.R ** (0.5 * (alpha - 2.0))
     return GridMeasure(spec, ij, np.full(len(ij), h * spec.delta ** 2),
                        "weight", f"dual_tube(alpha={alpha},k={k})")

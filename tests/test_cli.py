@@ -294,6 +294,19 @@ def test_preflight_within_factor_two(R, pair):
     assert peak_mb / 2 <= est <= peak_mb * 2
 
 
+@pytest.mark.parametrize("R", [64, 256])
+def test_kappa_scan_preflight_within_factor_two(R):
+    cfg = resolve(ExperimentConfig(experiment="kappa-scan", R=(R,),
+                                   p=(2.0, 4.0), family="dual-tube"))
+    est = preflight_mb(cfg)
+    tracemalloc.start()
+    run(cfg)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    peak_mb = peak / 2 ** 20
+    assert peak_mb / 2 <= est <= peak_mb * 2
+
+
 # ---------------------------------------------------------------------------
 # command line
 
@@ -306,6 +319,23 @@ def test_main_pass_and_files(tmp_path, capsys):
     assert "PASS kappa-constant-identity" in captured.out
     assert os.path.exists(os.path.join(out, "kappa-scan.json"))
     assert os.path.exists(os.path.join(out, "kappa-scan.md"))
+
+
+def test_main_verify_with_growth_fit_writes_files(tmp_path, capsys):
+    # three R make a growth fit, which the json and csv reports must hold
+    out = str(tmp_path / "r")
+    code = cli.main(["envelope-verify", "--R", "4,16,64",
+                     "--family", "random:constant", "--out", out,
+                     "--format", "json,csv"])
+    assert "PASS fit:envelope-verify-random:constant-p4" in \
+        capsys.readouterr().out
+    assert code == 0
+    with open(os.path.join(out, "envelope-verify.json")) as fh:
+        fits = json.load(fh)["fits"]
+    assert [f["name"] for f in fits] == ["envelope-verify-random:constant-p4"]
+    with open(os.path.join(out, "envelope-verify_fits.csv")) as fh:
+        lines = fh.read().splitlines()
+    assert len(lines) == 2 and "slope" in lines[0]
 
 
 def test_main_config_file_with_overrides(tmp_path, capsys):

@@ -219,6 +219,57 @@ def test_kappa_rejects_bad_p():
             env.kappa(H, bad, Cap(1.0, 0), (0, 0))
 
 
+def test_kappa_max_locates_atoms_once_per_cap(monkeypatch):
+    # the p-independent envelope statistics are cached on the weight, so a
+    # scan over three exponents locates the atoms once per cap
+    calls = []
+    real = env.locate_grid_tubes
+
+    def counting(j1, j2, cap, spec, wrap=True):
+        calls.append(cap)
+        return real(j1, j2, cap, spec, wrap)
+
+    monkeypatch.setattr(env, "locate_grid_tubes", counting)
+    H = ball_weight(SPEC64, 3.0, center=(7.0, 2.0))
+    for p in (2.0, 3.0, 4.0):
+        env.kappa_max(H, p)
+    n_caps = sum(len(caps_at_scale(s)) for s in dyadic_scales(SPEC64.R))
+    assert len(calls) == len(set(calls)) == n_caps
+    # a new weight, even with the same atoms, starts with an empty cache
+    env.kappa_max(H.scaled(0.5), 2.0)
+    assert len(calls) == 2 * n_caps
+
+
+def test_envelope_stats_cache_is_read_only():
+    H = ball_weight(SPEC64, 3.0)
+    ekeys, HU, maxT, _ = env.envelope_stats(H, Cap(0.5, 1))
+    assert env.envelope_stats(H, Cap(0.5, 1))[0] is ekeys
+    for arr in (ekeys, HU, maxT):
+        with pytest.raises(ValueError):
+            arr[...] = 0
+
+
+def test_envelope_stats_branches_agree(monkeypatch):
+    # dense bincount and sort aggregate the same tubes in the same order
+    spec = SPEC64
+    rng = np.random.default_rng(4)
+    ij = rng.integers(0, spec.M, size=(3000, 2))
+    ij = np.unique(ij, axis=0)
+    mass = rng.uniform(0.0, 1.0, len(ij)) * spec.delta ** 2
+    mass[::7] = 0.0   # zero-mass atoms still mark their envelopes
+    caps = [cap for s in dyadic_scales(spec.R) for cap in caps_at_scale(s)]
+    runs = []
+    for ratio in (0, 10 ** 12):
+        monkeypatch.setattr(env, "DENSE_KEYS_PER_ATOM", ratio)
+        H = custom_weight(spec, ij, mass)
+        runs.append([env.envelope_stats(H, cap) for cap in caps])
+    for sort, dense in zip(*runs):
+        for a, b in zip(sort[:3], dense[:3]):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+        assert sort[3] == dense[3]
+
+
 def brute_kappa_max(H, p):
     """Independent float-path enumeration over every (s, cap, U, T).
 

@@ -15,6 +15,8 @@ from wavenvelope.torus import GridSpec
 from wavenvelope.geometry import Cap, locate_grid_tubes, theta_scale
 from wavenvelope import measures as ms
 
+from oracles import full_grid_ball, full_grid_dual_tube
+
 SPEC = GridSpec(64)
 SPEC4 = GridSpec(4)
 
@@ -53,6 +55,21 @@ def test_ball_count_matches_full_scan():
     assert w.total == pytest.approx(oracle * SPEC.delta ** 2)
 
 
+@pytest.mark.parametrize("R,rho,center", [
+    (64, 0.49 * 256.0, (250.3, 3.7)),
+    (64, 127.9, (255.75, 255.75)),
+    (16, 0.499 * 64.0, (1.0, 63.2)),
+])
+def test_wrapped_ball_near_half_period_matches_full_scan(R, rho, center):
+    # the candidate box is clipped to one period; every grid point within
+    # the wrapped radius must still come out exactly once
+    spec = GridSpec(R)
+    w = ms.ball_weight(spec, rho, center)
+    oracle = full_grid_ball(spec, rho, center)
+    assert np.array_equal(w.ij, oracle)
+    assert np.all(w.mass == spec.delta ** 2)
+
+
 def test_ball_translation_invariance_with_wrap():
     a = ms.make_weight("ball", SPEC, rho=2.0, center=(0.0, 0.0))
     b = ms.make_weight("ball", SPEC, rho=2.0, center=(SPEC.L - 1.0, 3.0))
@@ -71,6 +88,19 @@ def test_dual_tube_support():
         wt = ms.make_weight("dual-tube", spec, alpha=1.0)
         cert = ms.dimension_certificate(wt, "alpha-ball", 1.0)
         assert cert.value <= 8.0
+
+
+@pytest.mark.parametrize("R", [16, 64, 256])
+def test_dual_tube_matches_full_grid_scan(R):
+    spec = GridSpec(R)
+    P = int(round(R ** 0.5))
+    for k in (0, 3, -5, P, -P):
+        if abs(k) > P:
+            continue
+        w = ms.dual_tube_weight(spec, alpha=0.8, k=k)
+        oracle = full_grid_dual_tube(spec, k)
+        assert np.array_equal(w.ij, oracle), k
+        assert np.all(w.mass == R ** (0.5 * (0.8 - 2.0)) * spec.delta ** 2)
 
 
 def test_lattice_support_oracle():
