@@ -30,7 +30,7 @@ from .envelope import (cap_decompose, kappa_max, sq_norm_from_sq2,
                        verify_weighted_sq, window_profile)
 from .decomp import broad_narrow, bilinear_trials, write_constants_csv
 from .geometry import dyadic_scales, mode_cap_index, theta_scale
-from .measures import _lattice_sites, make_weight
+from .measures import candidate_atoms, make_weight
 from .schrodinger import (FLS_DEFAULT_R, MEASURE_FAMILIES, fit_exponent,
                           fls_experiment, measure_family, nikodym_experiment,
                           rescale_measure)
@@ -409,31 +409,10 @@ _SCAN_BYTES_PER_R = 80
 _SCAN_CAP_BYTES = 600
 
 
-def _scan_atoms(cfg: "ExperimentConfig", R: int) -> float:
-    """Candidate atoms the kappa-scan weight of cfg builds at R."""
-    spec = GridSpec(R)
-    fam, d = cfg.family, spec.delta
-    if fam == "ball":
-        rho = cfg.c if cfg.c is not None else 1.0
-        if rho >= 0.5 * spec.L:
-            return 0.0
-        return min(2 * math.ceil(rho / d) + 3, spec.M) ** 2
-    if fam == "dual-tube":
-        return (R / d + 5) * (math.isqrt(R) / d + 5)
-    if fam == "lattice":
-        c = cfg.c if cfg.c is not None else 0.125
-        sites = len(_lattice_sites(R, cfg.kappa, c, "ball"))
-        return sites * (math.pi * (c / d) ** 2 + 1)
-    if fam == "truncated-lattice":
-        c = cfg.c if cfg.c is not None else 0.25
-        return len(_lattice_sites(R, (2.0 - cfg.alpha) / 6.0, c, "corner"))
-    return 0.0
-
-
 def _kappa_scan_peak_bytes(cfg: "ExperimentConfig") -> float:
     est = 0.0
     for R in cfg.R:
-        atoms = _scan_atoms(cfg, R)
+        atoms = candidate_atoms(cfg.family, GridSpec(R), **_scan_params(cfg))
         if atoms == 0:
             continue
         caps = sum(2 * round(1 / s) + 1 for s in dyadic_scales(R))
@@ -484,7 +463,7 @@ def _run_kappa_scan(cfg):
     worst = 0.0
     for R in cfg.R:
         spec = GridSpec(R)
-        H = _scan_weight(cfg, spec)
+        H = make_weight(cfg.family, spec, **_scan_params(cfg))
         for p in cfg.p:
             val, wit = kappa_max(H, p)
             row = {"R": R, "p": p, "family": cfg.family, "measured": val,
@@ -508,25 +487,24 @@ def _run_kappa_scan(cfg):
     return rows, [], checks
 
 
-def _scan_weight(cfg, spec):
-    fam = cfg.family
-    if fam == "constant":
-        return make_weight(fam, spec, lam=cfg.lam)
-    if fam == "ball":
-        return make_weight(fam, spec, rho=cfg.c if cfg.c is not None else 1.0)
-    if fam == "dual-tube":
-        return make_weight(fam, spec, alpha=cfg.alpha)
-    if fam == "lattice":
-        kw = {"kappa": cfg.kappa}
-        if cfg.c is not None:
-            kw["c"] = cfg.c
-        return make_weight(fam, spec, **kw)
-    if fam == "truncated-lattice":
-        kw = {"alpha": cfg.alpha}
-        if cfg.c is not None:
-            kw["c"] = cfg.c
-        return make_weight(fam, spec, **kw)
-    raise ValueError(f"kappa-scan has no weight family {fam!r}")
+# kappa-scan families and the config fields their builders take, by
+# builder keyword; an unset field leaves the builder's default.
+_SCAN_PARAMS = {
+    "constant": {"lam": "lam"},
+    "ball": {"rho": "c"},
+    "dual-tube": {"alpha": "alpha"},
+    "lattice": {"kappa": "kappa", "c": "c"},
+    "truncated-lattice": {"alpha": "alpha", "c": "c"},
+}
+
+
+def _scan_params(cfg) -> dict:
+    """Builder keywords of the kappa-scan weight of cfg."""
+    if cfg.family not in _SCAN_PARAMS:
+        raise ValueError(f"kappa-scan has no weight family {cfg.family!r}")
+    fields = _SCAN_PARAMS[cfg.family].items()
+    return {kw: getattr(cfg, f) for kw, f in fields
+            if getattr(cfg, f) is not None}
 
 
 def _pair_rows(cfg, ratio_key: str):

@@ -19,6 +19,7 @@ the fundamental-domain boundary keep their geometry.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from dataclasses import dataclass, field
@@ -248,6 +249,11 @@ def _fatten_sites(spec: GridSpec, sites: np.ndarray, c: float,
     return GridMeasure(spec, ij, np.full(len(ij), d * d), "weight", label)
 
 
+def _truncated_sites(R: int, alpha: float, c: float) -> np.ndarray:
+    """Corner-window sites of the truncated lattice, kappa = (2 - alpha)/6."""
+    return _lattice_sites(R, (2.0 - alpha) / 6.0, c, "corner")
+
+
 def truncated_lattice_weight(spec: GridSpec, alpha: float = 1.5,
                              c: float = 0.25) -> GridMeasure:
     """Corner-window parabolic lattice with each B_c ball lumped to one atom.
@@ -260,8 +266,7 @@ def truncated_lattice_weight(spec: GridSpec, alpha: float = 1.5,
     """
     if not 1.0 < alpha < 2.0:
         raise ValueError("alpha in (1, 2)")
-    kappa = (2.0 - alpha) / 6.0
-    sites = _lattice_sites(spec.R, kappa, c, "corner")
+    sites = _truncated_sites(spec.R, alpha, c)
     ij = np.unique(np.rint(sites / spec.delta).astype(np.int64) % spec.M, axis=0)
     mass = np.full(len(ij), math.pi * c * c)
     return GridMeasure(spec, ij, mass, "weight",
@@ -307,6 +312,34 @@ def make_weight(family: str, spec: GridSpec, **params) -> GridMeasure:
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}; have {sorted(_FAMILIES)}")
     return _FAMILIES[family](spec, **params)
+
+
+def candidate_atoms(family: str, spec: GridSpec, **params) -> float:
+    """Grid points the builder of family holds at once, without building it.
+
+    A ball or dual tube tests a box of candidates; a lattice keeps about
+    pi (c/Delta)^2 + 1 points per site and a truncated lattice one.  The
+    parameters, and their defaults, are the builder's; the constant weight
+    holds no atoms.
+    """
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown family {family!r}; have {sorted(_FAMILIES)}")
+    args = inspect.signature(_FAMILIES[family]).bind(spec, **params)
+    args.apply_defaults()
+    kw, d = args.arguments, spec.delta
+    if family == "constant" or (family == "ball"
+                                and kw["rho"] >= 0.5 * spec.L):
+        return 0.0
+    if family == "ball":
+        return float(min(2 * math.ceil(kw["rho"] / d) + 3, spec.M) ** 2)
+    if family == "dual-tube":
+        return (spec.R / d + 5) * (math.isqrt(spec.R) / d + 5)
+    if family == "lattice":
+        sites = _lattice_sites(spec.R, kw["kappa"], kw["c"], "ball")
+        return len(sites) * (math.pi * (kw["c"] / d) ** 2 + 1)
+    if family == "truncated-lattice":
+        return float(len(_truncated_sites(spec.R, kw["alpha"], kw["c"])))
+    raise ValueError(f"no candidate count for family {family!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -294,10 +294,16 @@ def test_preflight_within_factor_two(R, pair):
     assert peak_mb / 2 <= est <= peak_mb * 2
 
 
-@pytest.mark.parametrize("R", [64, 256])
-def test_kappa_scan_preflight_within_factor_two(R):
+@pytest.mark.parametrize("family,R,params", [
+    ("dual-tube", 64, {}),
+    ("dual-tube", 256, {}),
+    ("ball", 256, {"c": 20.0}),
+    ("lattice", 1024, {"c": 0.45}),
+    ("truncated-lattice", 4096, {}),
+])
+def test_kappa_scan_preflight_within_factor_two(family, R, params):
     cfg = resolve(ExperimentConfig(experiment="kappa-scan", R=(R,),
-                                   p=(2.0, 4.0), family="dual-tube"))
+                                   p=(2.0, 4.0), family=family, **params))
     est = preflight_mb(cfg)
     tracemalloc.start()
     run(cfg)

@@ -103,6 +103,22 @@ def test_dual_tube_matches_full_grid_scan(R):
         assert np.all(w.mass == R ** (0.5 * (0.8 - 2.0)) * spec.delta ** 2)
 
 
+def test_candidate_atoms_follow_the_builders():
+    # the count reads the builder's own parameters and defaults
+    for fam, kw in (("ball", {}), ("ball", {"rho": 5.0}), ("lattice", {}),
+                    ("dual-tube", {}), ("dual-tube", {"k": 3})):
+        built = ms.make_weight(fam, SPEC, **kw).n_atoms
+        assert built <= ms.candidate_atoms(fam, SPEC, **kw)
+    assert ms.candidate_atoms("ball", SPEC, rho=0.5 * SPEC.L) == 0.0
+    assert ms.candidate_atoms("constant", SPEC) == 0.0
+    R = 4096
+    spec = GridSpec(R)
+    assert ms.candidate_atoms("truncated-lattice", spec) \
+        == ms.make_weight("truncated-lattice", spec).n_atoms
+    with pytest.raises(TypeError):
+        ms.candidate_atoms("ball", SPEC, radius=1.0)
+
+
 def test_lattice_support_oracle():
     kappa, c = 1.0 / 3.0, 0.6
     w = ms.make_weight("lattice", SPEC, kappa=kappa, c=c)
