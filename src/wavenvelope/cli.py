@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields as dataclass_fields, replace
 import numpy as np
 
 from .envelope import (cap_decompose, kappa_max, sq_norm_from_sq2,
-                       verify_weighted_sq, window_profile)
+                       square_sum_samples, verify_weighted_sq, window_profile)
 from .decomp import broad_narrow, bilinear_trials, write_constants_csv
 from .geometry import dyadic_scales, mode_cap_index, theta_scale
 from .measures import candidate_atoms, make_weight
@@ -94,11 +94,16 @@ class ExperimentConfig:
         return "\n".join(lines) + "\n"
 
     def content_hash(self) -> str:
-        return hashlib.sha256(self.canonical().encode()).hexdigest()
+        """Hash of the inputs a report depends on; out is left out."""
+        text = replace(self, out="").canonical()
+        return hashlib.sha256(text.encode()).hexdigest()
 
     def to_dict(self) -> dict:
+        """The config as a report embeds it: every field but out."""
         out = {}
         for f in dataclass_fields(self):
+            if f.name == "out":
+                continue
             v = getattr(self, f.name)
             out[f.name] = list(v) if isinstance(v, tuple) else v
         out["tol"] = [[k, v] for k, v in self.tol]
@@ -301,12 +306,9 @@ def unit_ball_fits(p_values=(2.0, 3.0, 4.0), R_values=(64, 256, 1024),
         spec = GridSpec(R)
         f = flat_field(spec)
         H = make_weight("ball", spec)
-        m = min(spec.M, 2 * R)
-        S2 = np.zeros((m, m))
-        dec = cap_decompose(f, theta_scale(R))
-        for k in dec.caps():
-            a = np.abs(dec.pieces[k].samples_on(m, cache=False))
-            S2 += a * a
+        S2 = square_sum_samples(
+            cap_decompose(f, theta_scale(R)).pieces.values(), spec,
+            min(spec.M, 2 * R))
         for p in p_values:
             lhs = lp_norm(f, p, measure=H)
             ratios[p].append(lhs / sq_norm_from_sq2(S2, spec.L, p))
@@ -380,23 +382,20 @@ class PreflightError(RuntimeError):
             f"cap {cap_mb:.0f} MiB")
 
 
-# Bytes per subgrid cell in the verification pass (pieces, squares, one
-# accumulator per scale) and per streamed block cell; both calibrated
-# against traced allocation peaks at R = 64..1024.
-_VERIFY_CELL_BYTES = 104
-_BLOCK_CELL_BYTES = 48
-_BLOCK_CELLS = 4e6
+# Bytes per cell of the sq_norm grid m = min(M, 2R): the coefficient
+# array of S^2 and its inverse transform, both complex.  Traced allocation
+# peaks of envelope-verify on non-constant weights at R = 64..1024 run
+# 32.0-35.6 bytes per cell; the envelope integrals need no grid.
+_VERIFY_CELL_BYTES = 32
 
 
 def _verify_peak_bytes(R: int, weight_family: str) -> float:
     M = 8 * R
     m = min(M, 2 * R)
-    cap_pass = _VERIFY_CELL_BYTES * m * m \
-        + _BLOCK_CELL_BYTES * min(_BLOCK_CELLS, m * m)
     # the full-grid quadrature against a dense weight holds the synthesis
     # array and its transform at once
     dense = 32 * M * M if weight_family == "constant" else 0
-    return max(cap_pass, dense)
+    return max(_VERIFY_CELL_BYTES * m * m, dense)
 
 
 # kappa-scan: traced allocation peaks run about 120 bytes per candidate
@@ -748,6 +747,10 @@ def resolve(cfg: ExperimentConfig) -> ExperimentConfig:
 
 @dataclass
 class Report:
+    """One run's results.  preflight_mb, the memory estimate the run was
+    admitted with, stays out of the report's bytes (to_dict, markdown),
+    so a recalibrated estimate leaves reports unchanged."""
+
     experiment: str
     config: dict
     config_hash: str
@@ -764,7 +767,6 @@ class Report:
     def to_dict(self) -> dict:
         return {"schema": self.schema, "experiment": self.experiment,
                 "config": self.config, "config_hash": self.config_hash,
-                "preflight_mb": round(self.preflight_mb, 3),
                 "rows": self.rows, "fits": self.fits, "checks": self.checks,
                 "passed": self.passed}
 
@@ -855,8 +857,8 @@ def _csv_cell(value) -> str:
 
 def _render_md(report: Report) -> str:
     lines = [f"# {report.experiment}", "",
-             f"config `{report.config_hash[:16]}`, schema {report.schema}, "
-             f"preflight {report.preflight_mb:.1f} MiB", ""]
+             f"config `{report.config_hash[:16]}`, schema {report.schema}",
+             ""]
     lines += ["| " + " | ".join(_MD_COLUMNS) + " |",
               "|" + "---|" * len(_MD_COLUMNS)]
     for row in report.rows:

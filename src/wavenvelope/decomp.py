@@ -25,12 +25,16 @@ from .geometry import (
 )
 from .measures import ball_weight, lattice_weight
 from .envelope import (
-    WINDOW_DELTA, _cell_sums, cap_decompose, envelope_area, kappa_table,
-    weighted_cell_integrals,
+    WINDOW_DELTA, cap_decompose, envelope_area, envelope_cell_integrals,
+    kappa_table, weighted_cell_integrals,
 )
 
 # the "locally constant on unit cubes" mollifier exponent
 MOLLIFIER_N = 10
+
+
+class CertificateError(ArithmeticError):
+    """A certified inequality failed on the computed numbers."""
 
 
 # ---------------------------------------------------------------------------
@@ -46,7 +50,7 @@ def bg_split(a, neighborhoods, p: float):
 
         (sum a_i)^p <= C (max term + bilinear term)
 
-    is asserted, not just returned.
+    is checked, not just returned: a violation raises CertificateError.
     """
     a = np.asarray(a, dtype=float)
     n = len(a)
@@ -74,8 +78,9 @@ def bg_split(a, neighborhoods, p: float):
     bilinear = float(n) ** p * pairmax ** (0.5 * p)
     lhs = float(a.sum()) ** p
     slack = 1.0 + 1e-12
-    assert lhs <= C * (max_term + bilinear) * slack, \
-        f"split bound violated: {lhs} > {C * (max_term + bilinear)}"
+    if not lhs <= C * (max_term + bilinear) * slack:
+        raise CertificateError(
+            f"split bound violated: {lhs} > {C * (max_term + bilinear)}")
     return max_term, bilinear, C
 
 
@@ -134,7 +139,8 @@ def broad_narrow(field: TorusField, points, p: float, K: int,
     with per-stage C = 2^(p-1) C1^p from bg_split, C1 the neighborhood
     count excluded by the separation threshold.  The honest certificate
     replaces K^p by each level's actual children count and the pair sum
-    by the per-parent maximum; that bound is asserted pointwise.
+    by the per-parent maximum; that bound is checked pointwise
+    (CertificateError on a violation).
     """
     if p < 1:
         raise ValueError("p >= 1 required")
@@ -190,8 +196,9 @@ def broad_narrow(field: TorusField, points, p: float, K: int,
     bilinear = float(K) ** p * pair_sum
     bound = C_stage ** tree.m * (narrow + cert_pairs)
     bad = lhs > bound * (1 + 1e-9)
-    assert not np.any(bad), \
-        f"iteration bound violated at {pts[np.argmax(bad)]}"
+    if np.any(bad):
+        raise CertificateError(
+            f"iteration bound violated at {pts[np.argmax(bad)]}")
     denom = narrow + bilinear
     empirical = np.divide(lhs, denom, out=np.zeros(npts),
                           where=denom > 0)
@@ -453,8 +460,9 @@ def bilinear_check(pair: BilinearPair, Y=None, center=(0.0, 0.0),
       C_l4   : same with int_{B and Y-tilde} and the max cell ratio
       C_orth : ||g_i||_w / ||(sum_theta |g_theta|^2)^(1/2)||_w
 
-    The orthogonality ratios are asserted against their Cauchy-Schwarz
-    ceilings; everything else is recorded with witnesses.
+    The orthogonality ratios are checked against their Cauchy-Schwarz
+    ceilings (CertificateError if above); everything else is recorded
+    with witnesses.
     """
     if pair.separation < pair.threshold * pair.child1.s - 1e-12:
         raise ValueError("pair not separated")
@@ -515,8 +523,9 @@ def bilinear_check(pair: BilinearPair, Y=None, center=(0.0, 0.0),
     C_o2 = n2w / sq_norm_w if sq_norm_w > 0 else 0.0
     for C_o, g in ((C_o1, pair.g1), (C_o2, pair.g2)):
         n_th = sum(1 for gt in pair.g_thetas if gt.n_modes)
-        assert C_o <= np.sqrt(max(n_th, 1)) * (1 + 1e-9), \
-            "orthogonality ratio above Cauchy-Schwarz ceiling"
+        if not C_o <= np.sqrt(max(n_th, 1)) * (1 + 1e-9):
+            raise CertificateError(
+                "orthogonality ratio above Cauchy-Schwarz ceiling")
 
     i_w = int(np.argmax(prod2))
     witness = (float(pts[i_w, 0]), float(pts[i_w, 1]))
@@ -564,23 +573,18 @@ class PairEnvelopeSum:
 
 
 def bilinear_envelope_sum(field: TorusField, H, p: float, parent: Cap,
-                          child1: Cap, child2: Cap,
-                          m: int | None = None) -> PairEnvelopeSum:
+                          child1: Cap, child2: Cap) -> PairEnvelopeSum:
     """Sum the local bilinear bound over every envelope of the parent.
 
     lhs = integral of |f_1 f_2|^(p/2) against H (exact atomic sum; for
     the constant weight, a full-grid quadrature -- small R only).
     rhs = sum over U of kappa_{p,H}(U)^p |U|^(1-p/2) (int S^2 w_U)^(p/2)
-    with S^2 the square sum over every theta inside the parent.
+    with S^2 the square sum over every theta inside the parent; the
+    envelope integrals are exact (envelope_cell_integrals).
     """
     if not 2.0 <= p <= 4.0:
         raise ValueError("p in [2, 4]")
     spec = field.spec
-    if m is None:
-        m = min(spec.M, 2 * spec.R)
-    if spec.M % m:
-        raise ValueError("m must divide M")
-    stride = spec.M // m
     in_parent, per_child = _collect_children(field, parent, child1, child2)
     f1 = _merge_pieces(per_child[child1.k], spec, field.band)
     f2 = _merge_pieces(per_child[child2.k], spec, field.band)
@@ -596,14 +600,9 @@ def bilinear_envelope_sum(field: TorusField, H, p: float, parent: Cap,
         v2 = np.abs(np.atleast_1d(point_eval(f2, pts)))
         lhs = float(np.sum(np.asarray(H.mass) * (v1 * v2) ** (0.5 * p)))
 
-    S2 = np.zeros((m, m))
-    for piece in in_parent:
-        a = np.abs(piece.samples_on(m, cache=False))
-        S2 += a * a
     N1U, N2U, shearU = envelope_lattice_dims(parent, spec)
     wint = weighted_cell_integrals(
-        _cell_sums(S2, parent, spec, stride).reshape(N1U, N2U),
-        shearU).ravel()
+        envelope_cell_integrals(in_parent, parent, spec), shearU).ravel()
     geom = envelope_area(spec.R, parent.s) ** (1.0 - 0.5 * p)
     if H.is_full_constant:
         kap = (float(H.mass) / spec.delta ** 2) ** (1.0 / p)

@@ -9,9 +9,13 @@ relative to their envelopes,
 
 Everything feeding kappa is exact: H(T) and H(U) are finite sums of atom
 masses, |T| = s^-3 and |U| = R^2 s are dyadic, and the tube/envelope keys
-come from the integer location path.  The quadratures of the square
-function are the only approximate ingredient, and for p in {2, 4} they
-are exact too (the grid clears the doubled and quadrupled bandwidth).
+come from the integer location path.  The envelope integrals of the
+square functions are exact too: |f_theta|^2 has its Fourier support in
+theta - theta, so S_tau^2 = sum_{theta in tau} |f_theta|^2 is a small
+trigonometric polynomial, and its integral over an envelope has a closed
+form (envelope_cell_integrals).  The one quadrature left is ||S||_p on an
+m x m grid, built from one FFT of the coefficients of S^2; for p in
+{2, 4} it is exact as well (the grid clears twice the offsets of S^2).
 """
 
 from __future__ import annotations
@@ -21,12 +25,11 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .torus import TorusField, lp_norm, synthesize
+from .torus import TWO_PI, TorusField, lp_norm, synthesize
 from .geometry import (
     Cap, cap_index_for_abscissa, caps_at_scale, dyadic_scales,
     envelope_factor, envelope_index_of_tube, envelope_lattice_dims,
-    locate_grid_envelopes, locate_grid_tubes, theta_scale,
-    tube_lattice_dims, wrap_envelope_index, wrap_tube_index,
+    locate_grid_tubes, theta_scale, tube_lattice_dims, wrap_envelope_index,
 )
 from .measures import GRID_FLOOR_EXP, GridMeasure
 
@@ -149,16 +152,50 @@ def cap_decompose(field: TorusField, scale: float) -> CapDecomposition:
     return CapDecomposition(scale, dict(sorted(pieces.items())))
 
 
+def square_sum(pieces, spec) -> TorusField:
+    """sum over pieces of |f_piece|^2, as a trigonometric polynomial.
+
+    |f|^2 = sum_{n, n'} a_n conj(a_n') e^{i (2pi/L)(n - n').x}, so its
+    coefficient at the lattice offset D is the autocorrelation sum over
+    n - n' = D.  A cap piece has its offsets in the small box theta -
+    theta, whatever its position on the parabola.  Returns a free-band
+    field whose modes are the distinct offsets, ascending; pieces add in
+    the order given.
+    """
+    diffs, prods = [np.empty((0, 2), np.int64)], [np.empty(0, complex)]
+    for piece in pieces:
+        n, a = piece.freqs, piece.amps
+        diffs.append((n[:, None, :] - n[None, :, :]).reshape(-1, 2))
+        prods.append(np.outer(a, a.conj()).ravel())
+    d = np.concatenate(diffs)
+    c = np.concatenate(prods)
+    B = int(np.abs(d).max(initial=0))
+    keys, inv = np.unique((d[:, 0] + B) * (2 * B + 1) + d[:, 1] + B,
+                          return_inverse=True)
+    coef = np.bincount(inv, weights=c.real) \
+        + 1j * np.bincount(inv, weights=c.imag)
+    delta = np.stack([keys // (2 * B + 1) - B, keys % (2 * B + 1) - B],
+                     axis=1)
+    return TorusField(spec, delta, coef, band="free")
+
+
+def square_sum_samples(pieces, spec, m: int) -> np.ndarray:
+    """sum over pieces of |f_piece|^2 on the m x m grid of spacing L/m.
+
+    One inverse FFT of the summed coefficients; samples_on rejects an m
+    that does not exceed twice the largest offset, which is also what
+    keeps the p = 4 grid sum of the square exact.
+    """
+    vals = square_sum(pieces, spec).samples_on(m, cache=False).real
+    # the sum is real and >= 0; clip the roundoff below zero
+    return np.maximum(vals, 0.0)
+
+
 def square_function(field: TorusField, scale: float,
                     m: int | None = None) -> np.ndarray:
     """Pointwise (sum_tau |f_tau|^2)^(1/2) on the m x m grid."""
-    m = m or field.spec.M
-    dec = cap_decompose(field, scale)
-    S2 = np.zeros((m, m))
-    for k in dec.caps():
-        a = np.abs(dec.pieces[k].samples_on(m, cache=False))
-        S2 += a * a
-    return np.sqrt(S2)
+    pieces = cap_decompose(field, scale).pieces.values()
+    return np.sqrt(square_sum_samples(pieces, field.spec, m or field.spec.M))
 
 
 def sq_norm_from_sq2(S2: np.ndarray, L: float, p: float) -> float:
@@ -307,6 +344,40 @@ def _env_shift(C: np.ndarray, d1: int, d2: int, shear: int) -> np.ndarray:
     return C[(z1 + d1 + m * shear) % N1U, t2 - m * N2U]
 
 
+def envelope_cell_integrals(pieces, cap: Cap, spec) -> np.ndarray:
+    """integral of P = sum over pieces of |f_piece|^2 over every envelope
+    of cap, exactly, as an (N1U, N2U) array.
+
+    P = sum_D c_D e^{i xi_D . x} with xi_D = (2pi/L) D (square_sum).  In
+    tube coordinates y = L_tau^{-1} x the envelope with index z is the
+    box of side E = R s^2 centred at E z + o, o = -1/2 for even E and 0
+    for E = 1 (the shifted rounding of envelope_index_of_tube), so
+
+        int_U e^{i xi.x} dx = |U| prod_j e^{i eta_j (E z_j + o)}
+                              sinc(eta_j E / 2),   eta = L_tau^T xi,
+
+    i.e. eta_1 = xi_1 / s and eta_2 = (xi_2 - 2 c xi_1) / s^2.  A wrapped
+    envelope is the image of one plane envelope, so its torus integral is
+    this plane integral.  Every cell is one contraction of the two
+    per-axis factors against the coefficients.
+    """
+    P = square_sum(pieces, spec)
+    N1U, N2U, _ = envelope_lattice_dims(cap, spec)
+    E = envelope_factor(cap, spec)
+    o = 0.0 if E == 1 else -0.5
+    xi = spec.freq_step * P.freqs
+    eta1 = xi[:, 0] / cap.s
+    eta2 = (xi[:, 1] - 2.0 * cap.c * xi[:, 0]) / (cap.s * cap.s)
+
+    def axis(eta, n):
+        y = E * np.arange(n, dtype=float) + o
+        return np.exp(1j * np.outer(y, eta)) * np.sinc(eta * (E / TWO_PI))
+
+    C = np.einsum("ad,bd->ab", axis(eta1, N1U) * P.amps, axis(eta2, N2U))
+    # P >= 0, so its integrals are; clip the roundoff below zero
+    return envelope_area(spec.R, cap.s) * np.maximum(C.real, 0.0)
+
+
 def weighted_cell_integrals(C: np.ndarray, shear: int) -> np.ndarray:
     """integral of S^2 w_U for every envelope U, from per-cell integrals C.
 
@@ -373,27 +444,6 @@ class RatioReport:
                 fh.write(f"{s:.17g},{cap_id},{z1},{z2},{kap:.17g},{term:.17g}\n")
 
 
-def _cell_sums(P: np.ndarray, cap: Cap, spec, stride: int) -> np.ndarray:
-    """Quadrature of P over each envelope cell of cap, on the subgrid.
-
-    P lives on the m x m subgrid (m = M / stride); subgrid points are
-    grid points, so the exact integer location path applies.
-    """
-    m = P.shape[0]
-    N1U, N2U, _ = envelope_lattice_dims(cap, spec)
-    out = np.zeros(N1U * N2U)
-    jj = np.arange(m, dtype=np.int64) * stride
-    rows = max(1, int(4e6) // m)
-    for i0 in range(0, m, rows):
-        nb = min(rows, m - i0)
-        j1 = np.repeat(jj[i0:i0 + nb], m)
-        j2 = np.tile(jj, nb)
-        e1, e2 = locate_grid_envelopes(j1, j2, cap, spec)
-        out += np.bincount(e1 * N2U + e2, weights=P[i0:i0 + nb].ravel(),
-                           minlength=N1U * N2U)
-    return out * (spec.L / m) ** 2
-
-
 def verify_weighted_sq(field: TorusField, H: GridMeasure, p: float,
                        m: int | None = None) -> RatioReport:
     """Evaluate both weighted square-function inequalities.
@@ -403,11 +453,12 @@ def verify_weighted_sq(field: TorusField, H: GridMeasure, p: float,
     env_rhs = sum over (s, tau, U) of
               kappa(U)^p |U|^(1-p/2) (int S_tau^2 w_U)^(p/2)
 
-    m defaults to min(M, 2R): f is still alias-free there, and the
-    square function is low-frequency (each |f_theta|^2 has bandwidth
-    O(R^1/2)), so the p in {2, 4} quadratures of S^2 and S^4 remain
-    exact while the envelope accumulation runs 16x cheaper than on the
-    full grid.
+    The envelope integrals int_U S_tau^2 are exact: S_tau^2 is a trig
+    polynomial whose coefficients come from the theta pieces, and each
+    cell integral has a closed form (envelope_cell_integrals).  m is
+    only the grid of the sq_norm quadrature; it defaults to min(M, 2R),
+    which clears twice the offsets of every |f_theta|^2 (O(R^1/2)), so
+    the p in {2, 4} quadratures of S^2 and S^4 are exact.
     """
     spec = field.spec
     R = spec.R
@@ -415,7 +466,6 @@ def verify_weighted_sq(field: TorusField, H: GridMeasure, p: float,
         m = min(spec.M, 2 * R)
     if spec.M % m != 0:
         raise ValueError("m must divide M")
-    stride = spec.M // m
     floor = float(R) ** -GRID_FLOOR_EXP
     scales = dyadic_scales(R)
     s_theta = theta_scale(R)
@@ -427,36 +477,16 @@ def verify_weighted_sq(field: TorusField, H: GridMeasure, p: float,
     lam = float(H.mass) / spec.delta ** 2 if constant else 0.0
 
     dec = cap_decompose(field, s_theta)
-
-    # one pass over theta pieces: the theta-scale square function and the
-    # per-(s, tau) envelope cell integrals of S_tau^2.  Theta indices are
-    # ascending, so parent indices per scale are non-decreasing; S_tau^2
-    # accumulates until the parent advances, then one cell pass flushes it.
-    S2 = np.zeros((m, m))
+    S2 = square_sum_samples(dec.pieces.values(), spec, m)
     cell = {}
-    open_k = dict.fromkeys(scales)
-    acc = dict.fromkeys(scales)
-
-    def _flush(s):
-        if open_k[s] is not None:
-            cell[(s, open_k[s])] = _cell_sums(
-                acc[s], Cap(s, open_k[s]), spec, stride)
-
-    for k_theta in dec.caps():
-        a = np.abs(dec.pieces[k_theta].samples_on(m, cache=False))
-        P = a * a
-        S2 += P
-        for s in scales:
-            k_tau = int(cap_index_for_abscissa(k_theta * s_theta, s))
-            if open_k[s] != k_tau:
-                _flush(s)
-                open_k[s] = k_tau
-                acc[s] = P.copy()
-            else:
-                acc[s] += P
     for s in scales:
-        _flush(s)
-    del acc
+        by_tau = {}
+        for k_theta, piece in dec.pieces.items():
+            k_tau = int(cap_index_for_abscissa(k_theta * s_theta, s))
+            by_tau.setdefault(k_tau, []).append(piece)
+        for k_tau, pieces in by_tau.items():
+            cell[(s, k_tau)] = envelope_cell_integrals(pieces, Cap(s, k_tau),
+                                                       spec)
 
     sq_norm = sq_norm_from_sq2(S2, spec.L, p)
     kmax, kwitness = kappa_max(H, p)
@@ -473,8 +503,7 @@ def verify_weighted_sq(field: TorusField, H: GridMeasure, p: float,
             if key not in cell:
                 continue
             N1U, N2U, shearU = envelope_lattice_dims(cap, spec)
-            wint = weighted_cell_integrals(
-                cell[key].reshape(N1U, N2U), shearU).ravel()
+            wint = weighted_cell_integrals(cell[key], shearU).ravel()
             if constant:
                 kap = lam ** (1.0 / p)
                 if kap == 0.0:

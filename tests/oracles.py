@@ -2,7 +2,12 @@
 
 import numpy as np
 
-from wavenvelope.geometry import Cap, locate_grid_tubes, theta_scale
+from wavenvelope.envelope import (cap_decompose, envelope_area,
+                                  weighted_cell_integrals)
+from wavenvelope.geometry import (Cap, cap_index_for_abscissa, dyadic_scales,
+                                  envelope_lattice_dims,
+                                  locate_grid_envelopes, locate_grid_tubes,
+                                  theta_scale)
 
 
 def full_grid_dual_tube(spec, k: int) -> np.ndarray:
@@ -34,3 +39,54 @@ def full_grid_ball(spec, rho: float, center) -> np.ndarray:
     d = (spec.delta * ij - np.asarray(center, dtype=float) + 0.5 * spec.L) \
         % spec.L - 0.5 * spec.L
     return ij[np.hypot(d[:, 0], d[:, 1]) <= rho * (1 + 1e-12)]
+
+
+def cell_sums(P: np.ndarray, cap, spec) -> np.ndarray:
+    """Riemann sum of P over each envelope of cap, as (N1U, N2U).
+
+    P holds samples on the m x m grid of spacing L/m (m dividing M); its
+    points are grid points, so the exact integer location path sorts them
+    into envelopes.  The error is first order in L/m (cell boundaries cut
+    through the grid).
+    """
+    m = P.shape[0]
+    stride = spec.M // m
+    N1U, N2U, _ = envelope_lattice_dims(cap, spec)
+    jj = np.arange(m, dtype=np.int64) * stride
+    j1 = np.repeat(jj, m)
+    j2 = np.tile(jj, m)
+    e1, e2 = locate_grid_envelopes(j1, j2, cap, spec)
+    out = np.bincount(e1 * N2U + e2, weights=P.ravel(),
+                      minlength=N1U * N2U)
+    return (out * (spec.L / m) ** 2).reshape(N1U, N2U)
+
+
+def subgrid_cell_integrals(field, m: int) -> dict:
+    """{(s, k): cell_sums of S_tau^2} for every cap tau carrying theta
+    pieces, with S_tau^2 summed from per-theta samples on the m grid."""
+    spec = field.spec
+    s_theta = theta_scale(spec.R)
+    dec = cap_decompose(field, s_theta)
+    sq = {k: np.abs(pc.samples_on(m, cache=False)) ** 2
+          for k, pc in dec.pieces.items()}
+    out = {}
+    for s in dyadic_scales(spec.R):
+        acc = {}
+        for k, P in sq.items():
+            tau = int(cap_index_for_abscissa(k * s_theta, s))
+            acc[tau] = acc[tau] + P if tau in acc else P
+        for tau, P in acc.items():
+            out[(s, tau)] = cell_sums(P, Cap(s, tau), spec)
+    return out
+
+
+def constant_env_rhs(cells: dict, spec, p: float) -> float:
+    """env_rhs of verify_weighted_sq for the constant weight of density 1,
+    from per-cap envelope cell integrals."""
+    total = 0.0
+    for (s, k), C in sorted(cells.items()):
+        shear = envelope_lattice_dims(Cap(s, k), spec)[2]
+        wint = weighted_cell_integrals(C, shear)
+        geom = envelope_area(spec.R, s) ** (1.0 - 0.5 * p)
+        total += geom * float(np.sum(wint ** (0.5 * p)))
+    return total

@@ -241,6 +241,24 @@ def test_two_runs_byte_identical():
     assert _tiny_report().to_json() == _tiny_report().to_json()
 
 
+def test_report_bytes_independent_of_out_dir(tmp_path):
+    # out says where the files go; it enters neither the embedded config
+    # nor its hash, and the memory estimate stays out of the bytes
+    files = []
+    for name in ("a", "b"):
+        out = str(tmp_path / name)
+        rep = run(ExperimentConfig(experiment="kappa-scan", R=(64,),
+                                   p=(2.0,), out=out))
+        for fmt in ("json", "md"):
+            emit(rep, fmt, out)
+        files.append([(tmp_path / name / f"kappa-scan.{ext}").read_bytes()
+                      for ext in ("json", "md")])
+    assert files[0] == files[1]
+    data = json.loads(files[0][0])
+    assert "out" not in data["config"] and "preflight_mb" not in data
+    assert b"MiB" not in files[0][1]
+
+
 def test_emit_all_formats(tmp_path):
     rep = _tiny_report()
     for fmt in ("json", "csv", "md"):

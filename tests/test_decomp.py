@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -283,6 +287,39 @@ def test_bilinear_check_single_modes_closed_form():
     assert rep.C_bil == pytest.approx((2 / np.pi) ** 2, rel=1e-12)
     assert rep.C_bil <= 4.0
     assert rep.C_orth1 <= 1.0 + 1e-12 and rep.C_orth2 <= 1.0 + 1e-12
+
+
+_FORCED_VIOLATION = """
+import numpy as np
+from wavenvelope import decomp as dc
+from wavenvelope.geometry import Cap
+from wavenvelope.torus import GridSpec, synthesize
+
+assert False, "asserts run"  # -O must strip this line
+spec = GridSpec(64)
+step = spec.freq_step
+modes = [(n1, round((n1 * step) ** 2 / step))
+         for n1 in (round(0.26 / step), round(-0.51 / step))]
+f = synthesize(np.array(modes), np.ones(2, dtype=complex), spec)
+pair = dc.bilinear_pair(f, Cap(1.0, 0), Cap(0.25, 1), Cap(0.25, -2))
+# the child norms far above the theta square sum break Cauchy-Schwarz
+dc._gauss_weighted_l2sq = lambda g, c, s: 1e6 if g is pair.g1 else 1.0
+try:
+    dc.bilinear_check(pair)
+except dc.CertificateError as exc:
+    print("raised:", exc)
+"""
+
+
+def test_certificate_violation_raises_under_optimize():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    paths = [os.path.abspath(src), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    out = subprocess.run([sys.executable, "-O", "-c", _FORCED_VIOLATION],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert "raised: orthogonality ratio above Cauchy-Schwarz ceiling" \
+        in out.stdout
 
 
 def test_bilinear_check_full_plane_reduces_to_plain():

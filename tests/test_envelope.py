@@ -5,10 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavenvelope.torus import GridSpec, random_band_field, synthesize, lp_norm
-from wavenvelope.geometry import Cap, caps_at_scale, dyadic_scales, theta_scale
+from wavenvelope.torus import (GridSpec, point_eval, random_band_field,
+                               synthesize, lp_norm)
+from wavenvelope.geometry import (Cap, cap_index_for_abscissa, caps_at_scale,
+                                  dyadic_scales, envelope_factor,
+                                  envelope_lattice_dims, theta_scale)
 from wavenvelope.measures import ball_weight, constant_weight, custom_weight
 from wavenvelope import envelope as env
+
+from oracles import constant_env_rhs, subgrid_cell_integrals
 
 SPEC64 = GridSpec(64)
 
@@ -121,6 +126,100 @@ def test_square_function_l2_within_window_slack():
                 for pc in dec.pieces.values())
     assert split <= total * (1 + 1e-12)
     assert split >= 0.93 * total
+
+
+def test_square_sum_rejects_aliasing_grid():
+    f = random_band_field(SPEC64, seed=1, density=0.5)
+    with pytest.raises(ValueError, match="aliases"):
+        env.square_function(f, theta_scale(64), m=8)
+    with pytest.raises(ValueError, match="aliases"):
+        env.verify_weighted_sq(f, constant_weight(SPEC64, 1.0), 4.0, m=8)
+
+
+# ---------------------------------------------------------------------------
+# envelope cell integrals
+
+def _tau_pieces(field, cap):
+    s_theta = theta_scale(field.spec.R)
+    dec = env.cap_decompose(field, s_theta)
+    return [pc for k, pc in dec.pieces.items()
+            if int(cap_index_for_abscissa(k * s_theta, cap.s)) == cap.k]
+
+
+def _cells(field, cap):
+    return env.envelope_cell_integrals(_tau_pieces(field, cap), cap,
+                                       field.spec)
+
+
+def test_cell_integrals_add_up_to_l2_mass():
+    # the envelopes tile the torus: sum_U int_U S_tau^2 = ||S_tau||_2^2,
+    # Parseval's L^2 sum |a|^2 over the theta pieces; every cap at R = 64
+    # (E = 1 at the theta scale, E = 4 .. 64 above, sheared seams k != 0)
+    f = random_band_field(SPEC64, seed=4, density=0.5)
+    seen_E = set()
+    for s in dyadic_scales(64):
+        for cap in caps_at_scale(s):
+            pieces = _tau_pieces(f, cap)
+            if not pieces:
+                continue
+            seen_E.add(envelope_factor(cap, SPEC64))
+            want = SPEC64.L ** 2 * sum(float(np.vdot(pc.amps, pc.amps).real)
+                                       for pc in pieces)
+            got = float(np.sum(_cells(f, cap)))
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+    assert seen_E == {1, 4, 16, 64}
+
+
+@pytest.mark.parametrize("s,k,E", [(0.125, 3, 1), (0.25, -2, 4),
+                                   (0.5, 1, 16)])
+def test_cell_integral_matches_gauss_legendre(s, k, E):
+    # one cell in tube coordinates y = L_tau^{-1} x: the box of side E
+    # centred at E z + o, integrated by a tensor Gauss-Legendre rule
+    # (dx = s^-3 dy); z2 = 0 cells straddle the x2 = 0 seam
+    f = random_band_field(SPEC64, seed=8, density=0.5)
+    cap = Cap(s, k)
+    assert envelope_factor(cap, SPEC64) == E
+    pieces = _tau_pieces(f, cap)
+    cells = _cells(f, cap)
+    L = cap.transforms()[2]
+    o = 0.0 if E == 1 else -0.5
+    nodes, weights = np.polynomial.legendre.leggauss(48)
+    N1U, N2U, _ = envelope_lattice_dims(cap, SPEC64)
+    for z in ((0, 0), (N1U - 1, 0), (N1U // 2, N2U - 1)):
+        y1 = E * z[0] + o + 0.5 * E * nodes
+        y2 = E * z[1] + o + 0.5 * E * nodes
+        Y = np.stack(np.meshgrid(y1, y2, indexing="ij"), axis=-1)
+        x = Y.reshape(-1, 2) @ L.T
+        P = sum(np.abs(point_eval(pc, x)) ** 2 for pc in pieces)
+        want = s ** -3 * (0.5 * E) ** 2 * float(
+            np.outer(weights, weights).ravel() @ P)
+        assert cells[z] == pytest.approx(want, rel=1e-11)
+
+
+def test_cell_integrals_are_the_subgrid_limit():
+    # the subgrid Riemann sums are first order: per-cell differences to
+    # the closed form halve along m = 2R -> 4R -> 8R
+    spec = GridSpec(16)
+    f = random_band_field(spec, seed=3)
+    gaps = []
+    for m in (32, 64, 128):
+        worst = 0.0
+        for (s, k), C in subgrid_cell_integrals(f, m).items():
+            exact = _cells(f, Cap(s, k))
+            worst = max(worst, float(np.max(np.abs(C - exact))
+                                     / np.max(np.abs(exact))))
+        gaps.append(worst)
+    assert gaps[0] < 0.2
+    for a, b in zip(gaps, gaps[1:]):
+        assert 1.7 <= a / b <= 2.4
+
+
+@pytest.mark.parametrize("p", [3.0, 4.0])
+def test_env_rhs_matches_finest_subgrid(p):
+    f = random_band_field(SPEC64, seed=3)
+    got = env.verify_weighted_sq(f, constant_weight(SPEC64, 1.0), p).env_rhs
+    want = constant_env_rhs(subgrid_cell_integrals(f, SPEC64.M), SPEC64, p)
+    assert got == pytest.approx(want, rel=5e-4)
 
 
 # ---------------------------------------------------------------------------
