@@ -4,10 +4,12 @@ A run resolves an ExperimentConfig (key = value file plus command-line
 overrides), preflights its memory footprint against a cap, executes the
 named pipeline, and reports a JSON summary with CSV sidecars and one
 PASS/FAIL line per checked property.  Exit status is 0 iff every check
-passed, 1 on a failed check, 2 on a rejected config.  In deterministic
-mode two identical runs produce byte-identical reports: nothing
-time- or path-dependent enters a report, and every random stream is
-seeded from the config.
+passed, 1 on a failed check, 2 on a rejected config.  Two runs of one
+config produce byte-identical reports, whatever the output directory
+and the BLAS thread count: nothing time- or path-dependent enters a
+report, every random stream is seeded from the config, and no reduction
+order follows the thread count.  The deterministic flag only records
+that promise in the config.
 
 The module also owns the built-in example families: the field families
 paired with weight families for the two-sided inequality sweeps, and the
@@ -28,12 +30,13 @@ import numpy as np
 
 from .envelope import (cap_decompose, kappa_max, sq_norm_from_sq2,
                        square_sum_samples, verify_weighted_sq, window_profile)
-from .decomp import broad_narrow, bilinear_trials, write_constants_csv
+from .decomp import (bilinear_peak_bytes, bilinear_trials, broad_narrow,
+                     broad_narrow_peak_bytes, write_constants_csv)
 from .geometry import dyadic_scales, mode_cap_index, theta_scale
 from .measures import candidate_atoms, make_weight
 from .schrodinger import (FLS_DEFAULT_R, MEASURE_FAMILIES, fit_exponent,
-                          fls_experiment, measure_family, nikodym_experiment,
-                          rescale_measure)
+                          fls_fits, fls_peak_bytes, measure_family,
+                          nikodym_fits, rescale_measure)
 from .torus import (GridSpec, lp_norm, parabola_band_modes, random_band_field,
                     synthesize)
 
@@ -420,6 +423,14 @@ def _kappa_scan_peak_bytes(cfg: "ExperimentConfig") -> float:
     return est
 
 
+def _fls_peak_bytes(cfg: "ExperimentConfig") -> float:
+    est = 0.0
+    for name in _fls_names(cfg):
+        for R in cfg.R or _FLS_FAMILIES[name]:
+            est = max(est, fls_peak_bytes(name, R, cfg.kappa))
+    return est
+
+
 def preflight_mb(cfg: "ExperimentConfig") -> float:
     """Estimated peak allocation for the resolved config, in MiB."""
     R_max = max(cfg.R) if cfg.R else 1024
@@ -431,12 +442,12 @@ def preflight_mb(cfg: "ExperimentConfig") -> float:
     elif exp == "kappa-scan":
         est = _kappa_scan_peak_bytes(cfg)
     elif exp == "broad-narrow":
-        # point evaluation streams 2e7-entry phase blocks
-        est = 5e8
+        est = max(broad_narrow_peak_bytes(R, cfg.K, cfg.points)
+                  for R in cfg.R)
     elif exp == "bilinear":
-        est = 2e8
+        est = max(bilinear_peak_bytes(R_s, cfg.K) for R_s in cfg.R)
     elif exp == "schrodinger-fls":
-        est = 4e8
+        est = _fls_peak_bytes(cfg)
     elif exp == "certificates":
         est = 2e8
     else:
@@ -593,7 +604,7 @@ def _run_bilinear(cfg):
             all_finite = all_finite and ok
             denom = rep.max_cell_ratio * (rep.norm1_w * rep.norm2_w) ** 2 \
                 / rep.R_s ** 2
-            holds = rep.int_BY <= rep.C_l4 * denom * (1 + 1e-9) + 1e-12
+            holds = bool(rep.int_BY <= rep.C_l4 * denom * (1 + 1e-9) + 1e-12)
             l4_ok = l4_ok and holds
             c_l4.append(rep.C_l4)
             rows.append({"R": R_s, "K": cfg.K, "pair_id": rep.pair_id,
@@ -616,27 +627,30 @@ def _run_bilinear(cfg):
     return rows, [], checks
 
 
+# the lower-bound families of schrodinger-fls and their default scales
+_FLS_FAMILIES = {**FLS_DEFAULT_R, "nikodym": (64, 256, 1024)}
+
+
+def _fls_names(cfg) -> tuple:
+    names = (cfg.family,) if cfg.family else tuple(_FLS_FAMILIES)
+    for name in names:
+        if name not in _FLS_FAMILIES:
+            raise ValueError(f"unknown lower-bound family {name!r}")
+    return names
+
+
 def _run_schrodinger_fls(cfg):
     rows, fits, checks = [], [], []
-    names = (cfg.family,) if cfg.family else \
-        ("chirp", "packet", "lattice", "nikodym")
-    for name in names:
+    for name in _fls_names(cfg):
+        R_values = cfg.R or _FLS_FAMILIES[name]
         if name == "nikodym":
-            for q in cfg.p:
-                fits.append(nikodym_experiment(
-                    q, cfg.R or (64, 256, 1024), seed=cfg.seed))
+            fits += nikodym_fits(cfg.p, R_values, seed=cfg.seed)
         elif name == "packet":
-            for p in cfg.p:
-                fits.append(fls_experiment(
-                    "packet", p, R_values=cfg.R or None, alpha=cfg.alpha,
-                    band=cfg.band, seed=cfg.seed))
-        elif name in ("chirp", "lattice"):
-            for p in cfg.p:
-                fits.append(fls_experiment(
-                    name, p, R_values=cfg.R or None, kappa=cfg.kappa,
-                    band=cfg.band, seed=cfg.seed))
+            fits += fls_fits("packet", cfg.p, R_values=R_values,
+                             alpha=cfg.alpha, band=cfg.band)
         else:
-            raise ValueError(f"unknown lower-bound family {name!r}")
+            fits += fls_fits(name, cfg.p, R_values=R_values,
+                             kappa=cfg.kappa, band=cfg.band)
     for fit in fits:
         checks.append(_fit_check(fit))
         for R, lr in zip(fit.R_values, fit.log_ratios):
@@ -686,16 +700,11 @@ def _run_examples_suite(cfg):
     fits += alpha_lattice_fits(p_main, R_kappa, kappa=1.0 / 3.0, c=0.45,
                                band=cfg.band)
     fits += y_lattice_fits(band=cfg.band)
-    for p in (3.0, 4.0):
-        fits.append(fls_experiment("chirp", p, band=cfg.band, seed=cfg.seed))
+    fits += fls_fits("chirp", (3.0, 4.0), band=cfg.band)
     for alpha in (0.5, 1.5):
-        fits.append(fls_experiment("packet", 4.0, alpha=alpha, band=cfg.band,
-                                   seed=cfg.seed))
-    for p in (3.0, 4.0):
-        fits.append(fls_experiment("lattice", p, band=cfg.band,
-                                   seed=cfg.seed))
-    for q in (2.0, 4.0):
-        fits.append(nikodym_experiment(q, (64, 256, 1024), seed=cfg.seed))
+        fits += fls_fits("packet", (4.0,), alpha=alpha, band=cfg.band)
+    fits += fls_fits("lattice", (3.0, 4.0), band=cfg.band)
+    fits += nikodym_fits((2.0, 4.0), (64, 256, 1024), seed=cfg.seed)
     rows, checks = [], []
     for fit in fits:
         checks.append(_fit_check(fit))
@@ -945,8 +954,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = config_from_args(args)
-        if cfg.deterministic:
-            os.environ["OMP_NUM_THREADS"] = "1"
         report = run(cfg)
     except (OSError, ValueError, PreflightError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,17 +13,19 @@ witnesses so drift across R is visible in regression sweeps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import fftconvolve
 
-from .torus import GridSpec, TorusField, point_eval, synthesize
+from .torus import (GridSpec, TorusField, point_eval, synthesize, trig_sum,
+                    trig_sum_bytes)
 from .geometry import (
     Cap, build_cap_tree, cap_index_for_abscissa, envelope_lattice_dims,
     theta_scale,
 )
-from .measures import ball_weight, lattice_weight
+from .measures import ball_weight, candidate_atoms, lattice_weight
 from .envelope import (
     WINDOW_DELTA, cap_decompose, envelope_area, envelope_cell_integrals,
     kappa_table, weighted_cell_integrals,
@@ -70,17 +72,21 @@ def bg_split(a, neighborhoods, p: float):
             raise ValueError(f"neighborhood {i} indexes outside the set")
     C1 = max(len(I) for I in hoods)
     C = 2.0 ** (p - 1) * max(float(C1) ** p, 1.0)
-    max_term = float(a.max()) ** p
-    pairmax = 0.0
+    # the bound is homogeneous of degree p, so it is checked on a / max a,
+    # where pair products of tiny entries cannot underflow to zero
+    top = float(a.max())
+    b = a / top if top > 0.0 else a
+    pair_b = 0.0
     for i, I in enumerate(hoods):
-        far = max((a[j] for j in range(n) if j not in I), default=0.0)
-        pairmax = max(pairmax, a[i] * far)
-    bilinear = float(n) ** p * pairmax ** (0.5 * p)
-    lhs = float(a.sum()) ** p
-    slack = 1.0 + 1e-12
-    if not lhs <= C * (max_term + bilinear) * slack:
+        far = max((b[j] for j in range(n) if j not in I), default=0.0)
+        pair_b = max(pair_b, b[i] * far)
+    lhs = float(b.sum()) ** p
+    rhs = C * (float(top > 0.0) + float(n) ** p * pair_b ** (0.5 * p))
+    if not lhs <= rhs * (1.0 + 1e-12):
         raise CertificateError(
-            f"split bound violated: {lhs} > {C * (max_term + bilinear)}")
+            f"split bound violated: {lhs} > {rhs} (in units of max a^p)")
+    max_term = top ** p
+    bilinear = float(n) ** p * pair_b ** (0.5 * p) * max_term
     return max_term, bilinear, C
 
 
@@ -208,6 +214,23 @@ def broad_narrow(field: TorusField, points, p: float, K: int,
         bound=bound, empirical=empirical)
 
 
+def broad_narrow_peak_bytes(R: int, K: int, n_points: int) -> float:
+    """Estimated peak allocation of broad_narrow at n_points points.
+
+    The values of every cap piece of the tree at every point are held at
+    once; the theta pieces come from trig_sum blocks over a window's
+    modes: its frequency columns, widened by the smooth window edges, hold
+    4/pi band modes on average (the band is 2/R thick, the frequency step
+    pi/(2R)).
+    """
+    scales = build_cap_tree(R, K).scales
+    caps = sum(2 * round(1 / s) + 1 for s in scales)
+    columns = (1 + 2 * WINDOW_DELTA) * scales[-1] / GridSpec(R).freq_step
+    window_modes = math.ceil(4 / math.pi * (columns + 1))
+    return 16 * n_points * caps \
+        + trig_sum_bytes(window_modes, n_points=n_points)
+
+
 # ---------------------------------------------------------------------------
 # parabolic rescaling
 
@@ -230,13 +253,11 @@ class RescaledField:
     def n_modes(self) -> int:
         return len(self.amps)
 
-    def point_eval(self, points) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.zeros(len(pts), dtype=np.complex128)
-        step = max(1, int(4e6) // max(1, self.n_modes))
-        for i0 in range(0, len(pts), step):
-            ph = pts[i0:i0 + step] @ self.freqs.T
-            out[i0:i0 + step] = np.exp(1j * ph) @ self.amps
+    def point_eval(self, points=None, axes=None) -> np.ndarray:
+        """g at scattered points, or on the grid x1 x x2 of axes (trig_sum)."""
+        if axes is not None:
+            return trig_sum(self.freqs, self.amps, axes=axes)
+        out = trig_sum(self.freqs, self.amps, np.atleast_2d(points))
         return out if np.ndim(points) > 1 else out[0]
 
     def modulation(self, points) -> np.ndarray:
@@ -472,12 +493,11 @@ def bilinear_check(pair: BilinearPair, Y=None, center=(0.0, 0.0),
     n = n_cells * npq
     h = side / n
     ax = (np.arange(n) + 0.5) * h - side / 2
-    X1 = np.repeat(ax + center[0], n)
-    X2 = np.tile(ax + center[1], n)
-    pts = np.column_stack([X1, X2])
+    axes = (ax + center[0], ax + center[1])
+    pts = np.column_stack([np.repeat(axes[0], n), np.tile(axes[1], n)])
 
-    v1 = pair.g1.point_eval(pts)
-    v2 = pair.g2.point_eval(pts)
+    v1 = pair.g1.point_eval(axes=axes).ravel()
+    v2 = pair.g2.point_eval(axes=axes).ravel()
     prod2 = (np.abs(v1) * np.abs(v2)) ** 2
     int_B = float(prod2.sum()) * h * h
 
@@ -644,6 +664,29 @@ def _trial_modes(rng, spec: GridSpec, s_c: float, kc: int):
     return modes
 
 
+# Traced peaks of bilinear_check run 119-149 bytes per point of its
+# quadrature grid: the trig_sum grid values, their moduli, the Y mask, the
+# cell indices and the mollified copy.  Building a ball weight peaks at
+# about 90 bytes per candidate atom, to which the run adds its other
+# arrays.
+_BILINEAR_POINT_BYTES = 128
+_BALL_CANDIDATE_BYTES = 128
+
+
+def _default_quad_per_unit(R_s: int) -> int:
+    return 4 if R_s <= 64 else 2
+
+
+def bilinear_peak_bytes(R_s: int, K: int) -> float:
+    """Estimated peak allocation of bilinear_trials at R_s: the n x n
+    quadrature grid of one check, or the largest ball weight a trial may
+    build, on the 4 R_s grid of the half parents that K >= 4 draws."""
+    n = R_s * _default_quad_per_unit(R_s)
+    spec = GridSpec(4 * R_s if K >= 4 else R_s)
+    atoms = candidate_atoms("ball", spec, rho=spec.L / 8.0)
+    return max(_BILINEAR_POINT_BYTES * n * n, _BALL_CANDIDATE_BYTES * atoms)
+
+
 def bilinear_trials(R_s: int, K: int, n_trials: int, seed=0,
                     quad_per_unit: int | None = None,
                     weights: str = "mixed"):
@@ -656,7 +699,7 @@ def bilinear_trials(R_s: int, K: int, n_trials: int, seed=0,
     (write_constants_csv serializes them).
     """
     if quad_per_unit is None:
-        quad_per_unit = 4 if R_s <= 64 else 2
+        quad_per_unit = _default_quad_per_unit(R_s)
     rng = np.random.default_rng(seed)
     reports = []
     for _ in range(n_trials):

@@ -28,7 +28,7 @@ import numpy as np
 
 from .geometry import cap_index_for_abscissa, theta_scale
 from .measures import Certificate, certificate_core
-from .torus import TorusField, synthesize
+from .torus import TorusField, synthesize, trig_sum, trig_sum_bytes
 
 ETA_NAME = "squared half-sinc (sin(t/2)/(t/2))^2"
 
@@ -192,18 +192,18 @@ def propagate(freqs, amps, R: float, length: float, n_x: int,
                        defect)
 
 
-def propagator_at(freqs, amps, R: float, points) -> np.ndarray:
-    """Direct evaluation of eta(t/R) e^{it dxx} f at (x, t) points."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+def propagator_at(freqs, amps, R: float, points=None,
+                  axes=None) -> np.ndarray:
+    """Direct evaluation of eta(t/R) e^{it dxx} f at (x, t) points, or on
+    the grid x x t of axes = (x, t), as a trig_sum over modes (xi, xi^2)."""
     freqs = np.atleast_1d(np.asarray(freqs, dtype=float))
-    amps = np.atleast_1d(np.asarray(amps, dtype=complex))
-    out = np.empty(len(pts), dtype=complex)
-    block = max(1, int(4e6) // max(len(freqs), 1))
-    for i in range(0, len(pts), block):
-        ph = pts[i:i + block, 0:1] * freqs[None, :] \
-            + pts[i:i + block, 1:2] * freqs[None, :] ** 2
-        out[i:i + block] = np.exp(1j * ph) @ amps
-    return out * eta(pts[:, 1] / R)
+    modes = np.column_stack([freqs, freqs ** 2])
+    amps = np.atleast_1d(amps)
+    if axes is not None:
+        t = np.asarray(axes[1], dtype=float)
+        return trig_sum(modes, amps, axes=axes) * eta(t / R)
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    return trig_sum(modes, amps, pts) * eta(pts[:, 1] / R)
 
 
 def band_check(prop: Propagation) -> dict:
@@ -345,10 +345,11 @@ def nikodym_max(g, R: int, dx: float):
     return np.arange(margin, margin + n_y), best / denom
 
 
-def nikodym_experiment(q: float, R_values, seed: int = 0,
-                       n_t: int = 33) -> "ExponentFit":
-    """Slope of ||max average||_q / ||g||_q against R for random g."""
-    ratios = []
+def nikodym_fits(q_values, R_values, seed: int = 0,
+                 n_t: int = 33) -> list:
+    """Slopes of ||max average||_q / ||g||_q against R for random g, one
+    fit per q; g and its maximal average are computed once per R."""
+    ratios = {q: [] for q in q_values}
     for R in R_values:
         rng = np.random.default_rng([seed, int(R)])
         x, t = nikodym_grid(int(R), n_t=n_t)
@@ -356,11 +357,19 @@ def nikodym_experiment(q: float, R_values, seed: int = 0,
         idx, vals = nikodym_max(g, int(R), 1.0 / R)
         dy = 1.0 / R
         dt = 2.0 / len(t)
-        num = float(np.sum(vals ** q) * dy) ** (1.0 / q)
-        den = float(np.sum(np.abs(g) ** q) * dy * dt) ** (1.0 / q)
-        ratios.append(num / den)
-    return fit_exponent(f"tube-maximal-q{q:g}", "gamma", R_values, ratios,
-                        prediction=0.0, band=0.1, sided="upper")
+        for q in q_values:
+            num = float(np.sum(vals ** q) * dy) ** (1.0 / q)
+            den = float(np.sum(np.abs(g) ** q) * dy * dt) ** (1.0 / q)
+            ratios[q].append(num / den)
+    return [fit_exponent(f"tube-maximal-q{q:g}", "gamma", R_values,
+                         ratios[q], prediction=0.0, band=0.1, sided="upper")
+            for q in q_values]
+
+
+def nikodym_experiment(q: float, R_values, seed: int = 0,
+                       n_t: int = 33) -> "ExponentFit":
+    """nikodym_fits for one exponent q."""
+    return nikodym_fits((q,), R_values, seed=seed, n_t=n_t)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -594,31 +603,40 @@ def fit_exponent(name: str, exponent: str, R_values, ratios,
 # ---------------------------------------------------------------------------
 # slope families
 
-def chirp_ratio(R: int, p: float, c: float = 0.25, n_side: int = 9) -> float:
-    """Restricted norm of the propagated chirp over the coherence square.
-
-    The initial spectrum e^{-i R xi^2} bump(xi) concentrates the modulus
-    near t = R, |x| <= c once the quadratic phases cancel; the ratio
-    against ||f||_p grows like R^{1/2 - 1/p}.
-    """
-    R = int(R)
+def _chirp_setup(R: int):
+    """Lattice modes and amplitudes of the chirp, and its period."""
     length = 8.0 * R
     step = 2.0 * np.pi / length
     n = np.arange(int(math.ceil(0.25 / step)), int(math.floor(1.0 / step)) + 1)
     xi = n * step
     amps = smooth_bump(xi, 0.25, 1.0) * np.exp(-1j * R * xi ** 2) \
         * (step / (2.0 * np.pi))
+    return xi, amps, length
+
+
+def chirp_ratio(R: int, p_values, c: float = 0.25,
+                n_side: int = 9) -> list:
+    """Restricted norms of the propagated chirp over the coherence square.
+
+    The initial spectrum e^{-i R xi^2} bump(xi) concentrates the modulus
+    near t = R, |x| <= c once the quadratic phases cancel; the ratio
+    against ||f||_p grows like R^{1/2 - 1/p}.  One ratio per p.
+    """
+    R = int(R)
+    xi, amps, length = _chirp_setup(R)
     prop = propagate(xi, amps, R, length, 16 * R, [0.0])
     dx = length / prop.n_x
-    fnorm = float(np.sum(np.abs(prop.samples[0]) ** p) * dx) ** (1.0 / p)
+    f_abs = np.abs(prop.samples[0])
 
     grid = c * (2.0 * (np.arange(n_side) + 0.5) / n_side - 1.0)
-    X, T = np.meshgrid(grid, R + grid, indexing="ij")
-    pts = np.column_stack([X.ravel(), T.ravel()])
-    vals = propagator_at(xi, amps, R, pts)
+    vals = np.abs(propagator_at(xi, amps, R, axes=(grid, R + grid))).ravel()
     dA = (2.0 * c / n_side) ** 2
-    lhs = float(np.sum(np.abs(vals) ** p) * dA) ** (1.0 / p)
-    return lhs / fnorm
+    ratios = []
+    for p in p_values:
+        fnorm = float(np.sum(f_abs ** p) * dx) ** (1.0 / p)
+        lhs = float(np.sum(vals ** p) * dA) ** (1.0 / p)
+        ratios.append(lhs / fnorm)
+    return ratios
 
 
 def _packet_setup(R: int):
@@ -655,97 +673,107 @@ def packet_band(R: int, c: float = 0.5, n_t: int = 65):
     return float(np.min(vals)), float(np.max(vals))
 
 
-def packet_ratio(R: int, p: float, alpha: float, c: float = 0.5,
-                 n_t: int = 129) -> float:
-    """Restricted norm of the packet against the slab measure.
+def packet_ratio(R: int, p_values, alpha: float, c: float = 0.5,
+                 n_t: int = 129) -> list:
+    """Restricted norms of the packet against the slab measure.
 
     The measure weights the slab by min(R^{(a-2)/2}, R^{a-3/2}); the
-    ratio against ||g||_p then grows like R^{min(a, 2a-1)/(2p)}.
+    ratio against ||g||_p then grows like R^{min(a, 2a-1)/(2p)}.  One
+    ratio per p.
     """
     R = int(R)
     prop, mask = _packet_slab(R, c, n_t)
     dx = prop.length / prop.n_x
     dt = 2.0 * R / n_t
     weight = min(R ** ((alpha - 2.0) / 2.0), R ** (alpha - 1.5))
-    lhs = (weight * float(np.sum(np.abs(prop.samples[mask]) ** p)) * dx * dt) \
-        ** (1.0 / p)
+    slab = np.abs(prop.samples[mask])
     xi, amps = prop.freqs, prop.amps
-    g0 = propagate(xi, amps, R, prop.length, prop.n_x, [0.0]).samples[0]
-    gnorm = float(np.sum(np.abs(g0) ** p) * dx) ** (1.0 / p)
-    return lhs / gnorm
+    g0 = np.abs(
+        propagate(xi, amps, R, prop.length, prop.n_x, [0.0]).samples[0])
+    ratios = []
+    for p in p_values:
+        lhs = (weight * float(np.sum(slab ** p)) * dx * dt) ** (1.0 / p)
+        gnorm = float(np.sum(g0 ** p) * dx) ** (1.0 / p)
+        ratios.append(lhs / gnorm)
+    return ratios
 
 
-def _lattice_sites(R: float, kappa: float, c: float) -> np.ndarray:
-    """Separated lattice (2 pi R^kappa Z) x (2 pi R^{2 kappa} Z) in the c R ball."""
+def _lattice_sites(R: float, kappa: float, c: float):
+    """Separated lattice (2 pi R^kappa Z) x (2 pi R^{2 kappa} Z) in the c R
+    ball: the axes a, b and the mask of the grid a x b inside the ball."""
     ax = 2.0 * np.pi * R ** kappa
     at = 2.0 * np.pi * R ** (2.0 * kappa)
     amax = int(math.floor(c * R / ax))
     bmax = int(math.floor(c * R / at))
     a = np.arange(-amax, amax + 1) * ax
     b = np.arange(-bmax, bmax + 1) * at
-    X, T = np.meshgrid(a, b, indexing="ij")
-    keep = X ** 2 + T ** 2 <= (c * R) ** 2
-    return np.column_stack([X[keep], T[keep]])
+    keep = a[:, None] ** 2 + b[None, :] ** 2 <= (c * R) ** 2
+    return a, b, keep
 
 
-def lattice_ratio(R: float, p: float, kappa: float = 1.0 / 3.0,
+def _lattice_modes(R: float, kappa: float, n_quad: int):
+    """Modes (xi, xi^2) of the lattice sum, (block, node, 2), and the node
+    weights: Gauss-Legendre over [-1/R, 1/R] around each block center
+    l R^{-kappa} in [-1/2, 1/2]."""
+    n_half = int(math.floor(0.5 * R ** kappa))
+    ells = np.arange(-n_half, n_half + 1) * R ** -kappa
+    nodes, wts = np.polynomial.legendre.leggauss(n_quad)
+    xi = ells[:, None] + (nodes / R)[None, :]
+    return np.stack([xi, xi ** 2], axis=-1), wts / R
+
+
+def lattice_ratio(R: float, p_values, kappa: float = 1.0 / 3.0,
                   c: float = 0.45, n_quad: int = 8,
-                  sq_grid: int = 65) -> float:
-    """Modulated lattice sum against its square function.
+                  sq_grid: int = 65) -> list:
+    """Modulated lattice sum against its square function, one ratio per p.
 
     f sums frequency blocks of width 2/R at spacings R^{-kappa} in
     [-1/2, 1/2], each damped by eta in both x/R and t/R.  On the sparse
     lattice whose spacings undo every phase the blocks add coherently, so
     the restricted norm over the fattened lattice beats the square
     function by R^{kappa(1/2 - 3/p)}.
+
+    Both sides are tensor grids: the lattice sites are the grid a x b
+    masked by the c R ball, and each of the five cell-average offsets o
+    shifts that grid, which is the phase e^{i xi . o} on each mode's
+    amplitude.
     """
     R = float(R)
-    n_half = int(math.floor(0.5 * R ** kappa))
-    ells = np.arange(-n_half, n_half + 1) * R ** -kappa
-    nodes, wts = np.polynomial.legendre.leggauss(n_quad)
-    u = nodes / R                      # quadrature over [-1/R, 1/R]
-    w = wts / R
-    xi = (ells[:, None] + u[None, :]).ravel()
-    weights = np.tile(w, len(ells)).astype(complex)
+    modes, w = _lattice_modes(R, kappa, n_quad)
 
-    def eval_sum(pts, per_block=False):
-        out = np.empty((len(pts), len(ells)) if per_block else len(pts),
-                       dtype=complex)
-        block = max(1, int(6e6) // max(len(xi), 1))
-        for i in range(0, len(pts), block):
-            ph = pts[i:i + block, 0:1] * xi[None, :] \
-                + pts[i:i + block, 1:2] * xi[None, :] ** 2
-            E = np.exp(1j * ph)
-            if per_block:
-                out[i:i + block] = E.reshape(len(E), len(ells), n_quad) \
-                    @ (w.astype(complex))
-            else:
-                out[i:i + block] = E @ weights
-        env = R * eta(pts[:, 0] / R) * eta(pts[:, 1] / R)
-        return out * (env[:, None] if per_block else env)
+    def envelope(x, t):
+        return (R * eta(x / R))[:, None] * eta(t / R)[None, :]
 
     # restricted norm: five-point cell average over each fattening ball
-    sites = _lattice_sites(R, kappa, c)
-    if len(sites) < 8:
+    a, b, keep = _lattice_sites(R, kappa, c)
+    if np.count_nonzero(keep) < 8:
         raise ValueError("lattice window too small: fewer than 8 sites")
     r5 = c / math.sqrt(2.0)
     offsets = np.array([[0.0, 0.0], [r5, 0.0], [-r5, 0.0],
                         [0.0, r5], [0.0, -r5]])
-    pts = (sites[:, None, :] + offsets[None, :, :]).reshape(-1, 2)
-    vals = np.abs(eval_sum(pts)) ** p
+    flat = modes.reshape(-1, 2)
+    shifted = np.tile(w, len(modes)) * np.exp(1j * (offsets @ flat.T))
+    sums = trig_sum(flat, shifted, axes=(a, b))
+    site_abs = np.stack(
+        [np.abs(f * envelope(a + o[0], b + o[1]))[keep]
+         for f, o in zip(sums, offsets)], axis=1)
     cell = np.pi * c * c
-    lhs = (cell * float(np.sum(vals.reshape(len(sites), 5).mean(axis=1)))) \
-        ** (1.0 / p)
 
     # square function on a coarse grid: every block varies on scale R
     grid = 4.0 * R * (2.0 * (np.arange(sq_grid) + 0.5) / sq_grid - 1.0)
-    X, T = np.meshgrid(grid, grid, indexing="ij")
-    gpts = np.column_stack([X.ravel(), T.ravel()])
-    blocks = eval_sum(gpts, per_block=True)
-    sq = np.sqrt(np.sum(np.abs(blocks) ** 2, axis=1))
+    sq2 = np.zeros((sq_grid, sq_grid))
+    for block in modes:
+        sq2 += np.abs(trig_sum(block, w, axes=(grid, grid))) ** 2
+    sq = (np.sqrt(sq2) * envelope(grid, grid)).ravel()
     dA = (8.0 * R / sq_grid) ** 2
-    sq_norm = float(np.sum(sq ** p) * dA) ** (1.0 / p)
-    return lhs / sq_norm
+
+    ratios = []
+    for p in p_values:
+        lhs = (cell * float(np.sum((site_abs ** p).mean(axis=1)))) \
+            ** (1.0 / p)
+        sq_norm = float(np.sum(sq ** p) * dA) ** (1.0 / p)
+        ratios.append(lhs / sq_norm)
+    return ratios
 
 
 FLS_DEFAULT_R = {
@@ -755,41 +783,88 @@ FLS_DEFAULT_R = {
 }
 
 
-def fls_experiment(family: str, p: float, R_values=None,
-                   alpha: float | None = None, kappa: float = 1.0 / 3.0,
-                   band: float = 0.1, sided: str | None = None,
-                   seed: int = 0) -> ExponentFit:
+# Traced peak bytes per sample of the arrays a family holds: the one
+# propagated chirp slice with its FFT bins and moduli, the packet slab with
+# its distance mask, and the nikodym samples with their prefix sums.
+_CHIRP_SAMPLE_BYTES = 72
+_PACKET_SAMPLE_BYTES = 64
+_NIKODYM_SAMPLE_BYTES = 24
+
+
+def fls_peak_bytes(family: str, R, kappa: float = 1.0 / 3.0) -> float:
+    """Estimated peak allocation of one scale R of a lower-bound family.
+
+    The lattice holds the trig_sum exponential tables over the site axes
+    (its square-function grid is smaller); chirp, packet and nikodym hold
+    their sample arrays (16 R points, the 129-row packet slab, the
+    nikodym_grid).
+    """
+    if family == "lattice":
+        modes, _ = _lattice_modes(float(R), kappa, 8)
+        a, b, _ = _lattice_sites(float(R), kappa, 0.45)
+        return trig_sum_bytes(modes.size // 2, axes=(len(a), len(b)),
+                              rows=5)
+    if family == "chirp":
+        return _CHIRP_SAMPLE_BYTES * 16 * int(R)
+    if family == "packet":
+        return _PACKET_SAMPLE_BYTES * 129 * _packet_setup(int(R))[3]
+    if family == "nikodym":
+        x, t = nikodym_grid(int(R))
+        return _NIKODYM_SAMPLE_BYTES * len(x) * len(t)
+    raise ValueError(f"unknown family {family!r}")
+
+
+def fls_fits(family: str, p_values, R_values=None,
+             alpha: float | None = None, kappa: float = 1.0 / 3.0,
+             band: float = 0.1, sided: str | None = None) -> list:
     """Fit the restricted-norm growth of a built-in family against R.
 
     chirp    ratio ||U f||_{L^p(F)} / ||f||_p, slope 1/2 - 1/p;
     packet   slab measure at ball parameter alpha, slope min(a, 2a-1)/(2p);
     lattice  fattened-lattice norm over the square function,
              slope kappa(1/2 - 3/p).
+
+    One fit per p, in the order of p_values; each R is evaluated once for
+    all of them, since only the final sums depend on p.
     """
-    del seed  # the families are deterministic; kept for a uniform call shape
     if family not in FLS_DEFAULT_R:
         raise ValueError(f"unknown family {family!r}")
     if R_values is None:
         R_values = FLS_DEFAULT_R[family]
     if family == "chirp":
-        prediction = 0.5 - 1.0 / p
-        ratios = [chirp_ratio(int(R), p) for R in R_values]
-        name, exponent = f"chirp-p{p:g}", "zeta"
+        per_R = [chirp_ratio(int(R), p_values) for R in R_values]
         default_sided = "lower"
     elif family == "packet":
         if alpha is None:
             raise ValueError("the packet family needs a ball parameter alpha")
-        prediction = min(alpha, 2.0 * alpha - 1.0) / (2.0 * p)
-        ratios = [packet_ratio(int(R), p, alpha) for R in R_values]
-        name, exponent = f"packet-p{p:g}-alpha{alpha:g}", "zeta"
+        per_R = [packet_ratio(int(R), p_values, alpha) for R in R_values]
         default_sided = "lower"
-    elif family == "lattice":
-        prediction = kappa * (0.5 - 3.0 / p)
-        ratios = [lattice_ratio(float(R), p, kappa) for R in R_values]
-        name, exponent = f"lattice-p{p:g}", "sigma"
-        default_sided = "two"
     else:
-        raise ValueError(f"unknown family {family!r}")
-    return fit_exponent(name, exponent, R_values, ratios, prediction,
-                        band=band, sided=default_sided if sided is None
-                        else sided, notes=f"eta = {ETA_NAME}")
+        per_R = [lattice_ratio(float(R), p_values, kappa) for R in R_values]
+        default_sided = "two"
+    fits = []
+    for i, p in enumerate(p_values):
+        if family == "chirp":
+            prediction = 0.5 - 1.0 / p
+            name, exponent = f"chirp-p{p:g}", "zeta"
+        elif family == "packet":
+            prediction = min(alpha, 2.0 * alpha - 1.0) / (2.0 * p)
+            name, exponent = f"packet-p{p:g}-alpha{alpha:g}", "zeta"
+        else:
+            prediction = kappa * (0.5 - 3.0 / p)
+            name, exponent = f"lattice-p{p:g}", "sigma"
+        fits.append(fit_exponent(
+            name, exponent, R_values, [r[i] for r in per_R], prediction,
+            band=band, sided=default_sided if sided is None else sided,
+            notes=f"eta = {ETA_NAME}"))
+    return fits
+
+
+def fls_experiment(family: str, p: float, R_values=None,
+                   alpha: float | None = None, kappa: float = 1.0 / 3.0,
+                   band: float = 0.1, sided: str | None = None,
+                   seed: int = 0) -> ExponentFit:
+    """fls_fits for one exponent p."""
+    del seed  # the families are deterministic; kept for a uniform call shape
+    return fls_fits(family, (p,), R_values=R_values, alpha=alpha,
+                    kappa=kappa, band=band, sided=sided)[0]

@@ -238,6 +238,72 @@ def circle_band_modes(spec: GridSpec) -> np.ndarray:
     return cand[keep]
 
 
+# (point, mode) entries of one block of the scattered trig_sum path.  Peak
+# bytes per table entry: a scattered entry holds its real phase, that phase
+# times i and its exponential; a grid entry the exponential, then its copy
+# scaled by the amplitudes.
+TRIG_BLOCK = 2 ** 20
+TRIG_ENTRY_BYTES = 40
+TRIG_GRID_ENTRY_BYTES = 32
+
+
+def trig_sum(freqs, amps, points=None, axes=None) -> np.ndarray:
+    """sum_k a_k exp(i (xi_k^1 x_1 + xi_k^2 x_2)) at points or on a grid.
+
+    freqs is (n, 2) real, amps (n,) complex.  Give exactly one of
+
+      points  (m, 2) scattered points; returns (m,).  A direct sum in
+              blocks of TRIG_BLOCK (point, mode) entries: one complex
+              exponential per entry.
+      axes    (x1, x2), the tensor grid x1 x x2; returns (n1, n2).  The
+              exponential factors into e^{i xi^1 x_1} e^{i xi^2 x_2}, so
+              each mode takes n1 + n2 exponentials, contracted as
+              (E1 a) E2^T.  amps may also be (r, n), r coefficient
+              vectors over the same modes; the result is then
+              (r, n1, n2) from one pair of exponential tables.
+
+    Either way each output entry is one product reduced over the modes,
+    and BLAS splits such products across threads by output entries, never
+    along the modes, so the bits do not depend on the thread count (a CLI
+    test compares reports under 1 and 2 OpenBLAS threads).
+    """
+    freqs = np.asarray(freqs, dtype=float).reshape(-1, 2)
+    amps = np.asarray(amps, dtype=np.complex128)
+    if (points is None) == (axes is None):
+        raise ValueError("trig_sum takes either points or axes")
+    if amps.shape[-1] != len(freqs):
+        raise ValueError("freqs must be (n, 2) with matching amps")
+    if axes is not None:
+        x1, x2 = (np.asarray(x, dtype=float).ravel() for x in axes)
+        E1 = np.exp(1j * np.multiply.outer(x1, freqs[:, 0]))
+        E2T = np.exp(1j * np.multiply.outer(freqs[:, 1], x2))
+        if amps.ndim == 1:
+            return (E1 * amps) @ E2T
+        return np.stack([(E1 * a) @ E2T for a in amps])
+    if amps.ndim != 1:
+        raise ValueError("scattered points take one amplitude vector")
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    out = np.empty(len(pts), dtype=np.complex128)
+    fT = freqs.T
+    block = max(1, TRIG_BLOCK // max(1, len(amps)))
+    for i in range(0, len(pts), block):
+        out[i:i + block] = np.exp(1j * (pts[i:i + block] @ fT)) @ amps
+    return out
+
+
+def trig_sum_bytes(n_modes: int, n_points: int = 0, axes=None,
+                   rows: int = 1) -> int:
+    """Peak bytes of one trig_sum call over n_modes: at n_points scattered
+    points, or on a grid of axis lengths axes = (n1, n2) with rows
+    amplitude vectors (the outputs are listed, then stacked)."""
+    if axes is not None:
+        n1, n2 = axes
+        return TRIG_GRID_ENTRY_BYTES * (n1 + n2) * n_modes \
+            + 32 * rows * n1 * n2
+    return TRIG_ENTRY_BYTES * min(n_points * n_modes, TRIG_BLOCK) \
+        + 16 * n_points
+
+
 def point_eval(field: TorusField, points) -> np.ndarray:
     """Direct trigonometric summation at arbitrary points, O(modes) each.
 
@@ -245,15 +311,8 @@ def point_eval(field: TorusField, points) -> np.ndarray:
     atomic integrals where a full grid would be wasteful.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    n = len(pts)
-    out = np.empty(n, dtype=np.complex128)
-    fT = field.freqs.T.astype(float)
-    step = field.spec.freq_step
-    block = max(1, int(2e7) // max(1, field.n_modes))
-    for i in range(0, n, block):
-        phase = (step * pts[i:i + block]) @ fT
-        out[i:i + block] = np.exp(1j * phase) @ field.amps
-    return out if np.ndim(points) == 2 else out[0] if n == 1 else out
+    out = trig_sum(field.freqs, field.amps, field.spec.freq_step * pts)
+    return out if np.ndim(points) == 2 else out[0] if len(pts) == 1 else out
 
 
 def l2sq_coeff(field: TorusField) -> float:

@@ -1,5 +1,7 @@
 """Slow reference computations the fast package paths are tested against."""
 
+import math
+
 import numpy as np
 
 from wavenvelope.envelope import (cap_decompose, envelope_area,
@@ -8,6 +10,7 @@ from wavenvelope.geometry import (Cap, cap_index_for_abscissa, dyadic_scales,
                                   envelope_lattice_dims,
                                   locate_grid_envelopes, locate_grid_tubes,
                                   theta_scale)
+from wavenvelope.schrodinger import eta
 
 
 def full_grid_dual_tube(spec, k: int) -> np.ndarray:
@@ -90,3 +93,61 @@ def constant_env_rhs(cells: dict, spec, p: float) -> float:
         geom = envelope_area(spec.R, s) ** (1.0 - 0.5 * p)
         total += geom * float(np.sum(wint ** (0.5 * p)))
     return total
+
+
+def direct_trig_sum(freqs, amps, points) -> np.ndarray:
+    """sum_k a_k exp(i (x_1 xi_k^1 + x_2 xi_k^2)) with one phase and one
+    exponential per (point, mode): the per-point sum the tensor-grid
+    evaluations replaced."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    freqs = np.asarray(freqs, dtype=float).reshape(-1, 2)
+    ph = pts[:, 0:1] * freqs[None, :, 0] + pts[:, 1:2] * freqs[None, :, 1]
+    return np.exp(1j * ph) @ np.asarray(amps, dtype=complex)
+
+
+def grid_points(x1, x2) -> np.ndarray:
+    """The tensor grid x1 x x2 as (n1 n2, 2) points, x1 varying slowest."""
+    X1, X2 = np.meshgrid(x1, x2, indexing="ij")
+    return np.column_stack([X1.ravel(), X2.ravel()])
+
+
+def pointwise_lattice_ratio(R: float, p: float, kappa: float = 1.0 / 3.0,
+                            c: float = 0.45, n_quad: int = 8,
+                            sq_grid: int = 65) -> float:
+    """schrodinger.lattice_ratio for one p, every site, offset and square-
+    function grid point summed by direct_trig_sum."""
+    R = float(R)
+    n_half = int(math.floor(0.5 * R ** kappa))
+    ells = np.arange(-n_half, n_half + 1) * R ** -kappa
+    nodes, wts = np.polynomial.legendre.leggauss(n_quad)
+    w = wts / R
+    xi = (ells[:, None] + (nodes / R)[None, :]).ravel()
+    modes = np.column_stack([xi, xi ** 2])
+
+    def env(pts):
+        return R * eta(pts[:, 0] / R) * eta(pts[:, 1] / R)
+
+    ax = 2.0 * np.pi * R ** kappa
+    at = 2.0 * np.pi * R ** (2.0 * kappa)
+    amax = int(math.floor(c * R / ax))
+    bmax = int(math.floor(c * R / at))
+    a = np.arange(-amax, amax + 1) * ax
+    b = np.arange(-bmax, bmax + 1) * at
+    sites = grid_points(a, b)
+    sites = sites[np.sum(sites ** 2, axis=1) <= (c * R) ** 2]
+    r5 = c / math.sqrt(2.0)
+    offsets = np.array([[0.0, 0.0], [r5, 0.0], [-r5, 0.0],
+                        [0.0, r5], [0.0, -r5]])
+    pts = (sites[:, None, :] + offsets[None, :, :]).reshape(-1, 2)
+    vals = np.abs(direct_trig_sum(modes, np.tile(w, len(ells)), pts)
+                  * env(pts)) ** p
+    lhs = (np.pi * c * c * float(np.sum(vals.reshape(-1, 5).mean(axis=1)))) \
+        ** (1.0 / p)
+
+    grid = 4.0 * R * (2.0 * (np.arange(sq_grid) + 0.5) / sq_grid - 1.0)
+    gpts = grid_points(grid, grid)
+    sq2 = sum(np.abs(direct_trig_sum(modes[i:i + n_quad], w, gpts)
+                     * env(gpts)) ** 2
+              for i in range(0, len(modes), n_quad))
+    dA = (8.0 * R / sq_grid) ** 2
+    return lhs / float(np.sum(np.sqrt(sq2) ** p) * dA) ** (1.0 / p)

@@ -6,6 +6,8 @@ grids live in test_acceptance.py.
 
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -331,6 +333,23 @@ def test_kappa_scan_preflight_within_factor_two(family, R, params):
     assert peak_mb / 2 <= est <= peak_mb * 2
 
 
+@pytest.mark.parametrize("params", [
+    dict(experiment="schrodinger-fls", family="lattice",
+         R=(4096, 32768, 262144)),
+    dict(experiment="bilinear", R=(64,)),
+    dict(experiment="broad-narrow", R=(256,), trials=5),
+])
+def test_pointwise_preflight_within_factor_two(params):
+    cfg = resolve(ExperimentConfig(**params))
+    est = preflight_mb(cfg)
+    tracemalloc.start()
+    run(cfg)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    peak_mb = peak / 2 ** 20
+    assert peak_mb / 2 <= est <= peak_mb * 2
+
+
 # ---------------------------------------------------------------------------
 # command line
 
@@ -381,6 +400,28 @@ def test_main_preflight_exits_2(capsys):
                      "--family", "random:constant", "--mem-cap-mb", "50"])
     assert code == 2
     assert "exceeds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["schrodinger-fls", "--family", "lattice", "--R", "4096,16384,32768"],
+    ["bilinear", "--R", "16"],
+])
+def test_report_bytes_independent_of_blas_threads(tmp_path, argv):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    paths = [os.path.abspath(src), os.environ.get("PYTHONPATH", "")]
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "wavenvelope.cli", *argv, "--out",
+             str(out), "--format", "json"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        reports.append((out / f"{argv[0]}.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ from wavenvelope.geometry import Cap, theta_scale
 from wavenvelope.measures import ball_weight, constant_weight
 from wavenvelope import decomp as dc
 
+from oracles import direct_trig_sum, grid_points
+
 SPEC64 = GridSpec(64)
 
 
@@ -81,6 +83,13 @@ def test_bg_split_rejections():
         dc.bg_split([1.0, 1.0], [{0, 5}, {1}], p=2)  # out of range
     with pytest.raises(ValueError):
         dc.bg_split([1.0, 1.0], [{0}], p=2)  # one hood missing
+
+
+def test_bg_split_tiny_entries_do_not_underflow():
+    # a_0 a_1 underflows to 0 in double; the bound must still hold
+    tiny = 3.663676782435874e-209
+    max_term, bilinear, C = dc.bg_split([tiny, tiny], [{0}, {1}], p=1.0)
+    assert C == 1.0 and max_term == tiny and bilinear == 2 * tiny
 
 
 @given(st.lists(st.floats(0.0, 1e3), min_size=1, max_size=12),
@@ -198,6 +207,27 @@ def test_rescale_modulus_identity_on_grid():
     assert np.max(np.abs(np.abs(gv) - np.abs(fv))) <= 1e-8
     # the full identity g = c_tau . (f o L_tau), not just the modulus
     assert np.max(np.abs(gv - g.modulation(x_model) * fv)) <= 1e-10
+
+
+@pytest.mark.parametrize("R_s", [16, 64])
+def test_bilinear_grid_matches_direct_sum(R_s):
+    # bilinear_check's quadrature grid on B, for a unit parent at R = R_s
+    # and a half parent rescaled from R = 4 R_s
+    n = 4 * R_s
+    ax = (np.arange(n) + 0.5) * (R_s / n) - R_s / 2
+    axes = (ax + 3.0, ax - 5.0)
+    pts = grid_points(*axes)
+    for R, parent, kids in ((R_s, Cap(1.0, 0), (1, -2)),
+                            (4 * R_s, Cap(0.5, 0), (-2, 1))):
+        f = random_band_field(GridSpec(R), seed=R_s, density=0.5)
+        s_c = parent.s / 4
+        pair = dc.bilinear_pair(f, parent, Cap(s_c, kids[0]),
+                                Cap(s_c, kids[1]))
+        assert pair.R_s == R_s
+        for g in (pair.g1, pair.g2):
+            got = g.point_eval(axes=axes).ravel()
+            want = direct_trig_sum(g.freqs, g.amps, pts)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_rescale_rejects_outside_modes():

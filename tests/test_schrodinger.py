@@ -6,9 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavenvelope.torus import GridSpec, lp_norm, random_band_field, synthesize
+from wavenvelope.torus import (GridSpec, lp_norm, random_band_field,
+                               synthesize, trig_sum)
 from wavenvelope.geometry import cap_index_for_abscissa
 from wavenvelope import schrodinger as sch
+
+from oracles import direct_trig_sum, grid_points, pointwise_lattice_ratio
 
 
 # ---------------------------------------------------------------------------
@@ -415,3 +418,89 @@ def test_family_validations():
         sch.fls_experiment("packet", 4.0)
     with pytest.raises(ValueError, match="unknown family"):
         sch.fls_experiment("sawtooth", 4.0)
+
+
+# ---------------------------------------------------------------------------
+# tensor-grid evaluation against the per-point sum
+
+def _max_rel(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+def test_chirp_grid_matches_direct_sum():
+    grid = 0.25 * (2.0 * (np.arange(9) + 0.5) / 9 - 1.0)
+    for R in (256, 1024, 4096):
+        xi, amps, _ = sch._chirp_setup(R)
+        axes = (grid, R + grid)
+        got = sch.propagator_at(xi, amps, R, axes=axes)
+        pts = grid_points(*axes)
+        want = direct_trig_sum(np.column_stack([xi, xi ** 2]), amps, pts) \
+            * sch.eta(pts[:, 1] / R)
+        assert got.shape == (9, 9)
+        assert _max_rel(got.ravel(), want) <= 1e-12, R
+
+
+# The square-function grid at R = 32768 reaches phases x xi + t xi^2 of
+# 1e5 rad, where one rounding of a double phase is 1.5e-11 rad: there the
+# factored and the direct sum each sit 3e-12 to 5e-12 from a long-double
+# reference, so they are compared at 1e-11.
+@pytest.mark.parametrize("R,sq_tol", [(4096, 1e-12), (32768, 1e-11)])
+def test_lattice_grids_match_direct_sum(R, sq_tol):
+    R = float(R)
+    modes, w = sch._lattice_modes(R, 1.0 / 3.0, 8)
+    flat, amps = modes.reshape(-1, 2), np.tile(w, len(modes))
+    a, b, keep = sch._lattice_sites(R, 1.0 / 3.0, 0.45)
+    r5 = 0.45 / math.sqrt(2.0)
+    for o1, o2 in ((0.0, 0.0), (r5, 0.0), (-r5, 0.0), (0.0, r5), (0.0, -r5)):
+        axes = (a + o1, b + o2)
+        got = trig_sum(flat, amps, axes=axes)[keep]
+        want = direct_trig_sum(flat, amps, grid_points(*axes)[keep.ravel()])
+        assert _max_rel(got, want) <= 1e-12, (o1, o2)
+    grid = 4.0 * R * (2.0 * (np.arange(65) + 0.5) / 65 - 1.0)
+    pts = grid_points(grid, grid)
+    for block in modes:
+        got = trig_sum(block, w, axes=(grid, grid)).ravel()
+        assert _max_rel(got, direct_trig_sum(block, w, pts)) <= sq_tol
+
+
+def test_trig_sum_amplitude_rows_and_points():
+    rng = np.random.default_rng(2)
+    freqs = rng.uniform(-1.0, 1.0, size=(7, 2))
+    amps = rng.standard_normal((3, 7)) + 1j * rng.standard_normal((3, 7))
+    x1, x2 = rng.uniform(-20, 20, size=5), rng.uniform(-20, 20, size=4)
+    grids = trig_sum(freqs, amps, axes=(x1, x2))
+    assert grids.shape == (3, 5, 4)
+    pts = grid_points(x1, x2)
+    for row, grid in zip(amps, grids):
+        want = direct_trig_sum(freqs, row, pts)
+        assert _max_rel(grid.ravel(), want) <= 1e-13
+        assert _max_rel(trig_sum(freqs, row, pts), want) <= 1e-13
+    with pytest.raises(ValueError, match="either"):
+        trig_sum(freqs, amps[0])
+    with pytest.raises(ValueError, match="either"):
+        trig_sum(freqs, amps[0], pts, axes=(x1, x2))
+    with pytest.raises(ValueError, match="one amplitude"):
+        trig_sum(freqs, amps, pts)
+
+
+@pytest.mark.parametrize("R", [4096, 32768, 262144])
+def test_lattice_ratio_matches_pointwise_sum(R):
+    got = sch.lattice_ratio(R, (3.0, 4.0))
+    for p, val in zip((3.0, 4.0), got):
+        want = pointwise_lattice_ratio(R, p)
+        assert abs(val - want) <= 1e-13 * want, (R, p)
+
+
+def test_fits_over_p_equal_single_p_fits():
+    cases = [("chirp", (64, 256, 1024), {}),
+             ("packet", (64, 256, 1024), {"alpha": 1.5}),
+             ("lattice", (4096, 32768, 262144), {})]
+    for family, R_values, kw in cases:
+        both = sch.fls_fits(family, (3.0, 4.0), R_values=R_values, **kw)
+        one = [sch.fls_experiment(family, p, R_values=R_values, **kw)
+               for p in (3.0, 4.0)]
+        assert [f.to_dict() for f in both] == [f.to_dict() for f in one]
+    both = sch.nikodym_fits((2.0, 4.0), (16, 64, 256), seed=3)
+    one = [sch.nikodym_experiment(q, (16, 64, 256), seed=3)
+           for q in (2.0, 4.0)]
+    assert [f.to_dict() for f in both] == [f.to_dict() for f in one]
