@@ -268,11 +268,16 @@ PAIR_FAMILIES = {
 }
 
 
-def pair_report(pair: str, R: int, p: float | None = None, seed=0):
-    """verify_weighted_sq for one built-in (field, weight) pair."""
+def _pair_family(pair: str):
+    """(field family, weight family, weight params, default p) of a pair."""
     if pair not in PAIR_FAMILIES:
         raise ValueError(f"unknown pair {pair!r}; have {sorted(PAIR_FAMILIES)}")
-    ffam, wfam, params, p_default = PAIR_FAMILIES[pair]
+    return PAIR_FAMILIES[pair]
+
+
+def pair_report(pair: str, R: int, p: float | None = None, seed=0):
+    """verify_weighted_sq for one built-in (field, weight) pair."""
+    ffam, wfam, params, p_default = _pair_family(pair)
     spec = GridSpec(R)
     field = make_field(ffam, spec, seed)
     H = make_weight(wfam, spec, **params)
@@ -391,14 +396,28 @@ class PreflightError(RuntimeError):
 # 32.0-35.6 bytes per cell; the envelope integrals need no grid.
 _VERIFY_CELL_BYTES = 32
 
+# Bytes per (mode, mode) pair of the whole-field autocorrelation that the
+# constant-weight lhs takes at p = 4 (torus.square_sum): the offsets, the
+# products, their keys and the sort.  Traced peaks of random:constant at
+# p = 4: 19.4 MiB for 415 modes (R = 256), 301.6 MiB for 1637 (R = 1024).
+_AUTOCORR_PAIR_BYTES = 118
 
-def _verify_peak_bytes(R: int, weight_family: str) -> float:
+
+def _verify_peak_bytes(cfg: "ExperimentConfig", R: int) -> float:
+    ffam, wfam, _, p_default = _pair_family(cfg.family)
+    p_values = cfg.p or (p_default,)
     M = 8 * R
-    m = min(M, 2 * R)
-    # the full-grid quadrature against a dense weight holds the synthesis
-    # array and its transform at once
-    dense = 32 * M * M if weight_family == "constant" else 0
-    return max(_VERIFY_CELL_BYTES * m * m, dense)
+    est = _VERIFY_CELL_BYTES * min(M, 2 * R) ** 2
+    if wfam != "constant":
+        return est
+    if any(p not in (2.0, 4.0) for p in p_values):
+        # the full-grid quadrature of the lhs holds the synthesis array and
+        # its transform at once
+        return max(est, 32 * M * M)
+    if 4.0 in p_values:
+        n = make_field(ffam, GridSpec(R), cfg.seed).n_modes
+        return max(est, _AUTOCORR_PAIR_BYTES * n * n)
+    return est
 
 
 # kappa-scan: traced allocation peaks run about 120 bytes per candidate
@@ -436,9 +455,9 @@ def preflight_mb(cfg: "ExperimentConfig") -> float:
     R_max = max(cfg.R) if cfg.R else 1024
     exp = cfg.experiment
     if exp in ("square-verify", "envelope-verify"):
-        est = _verify_peak_bytes(R_max, cfg.family.partition(":")[2])
+        est = _verify_peak_bytes(cfg, R_max)
     elif exp == "examples-suite":
-        est = max(_verify_peak_bytes(1024, ""), 4e8)
+        est = 4e8
     elif exp == "kappa-scan":
         est = _kappa_scan_peak_bytes(cfg)
     elif exp == "broad-narrow":
@@ -519,11 +538,8 @@ def _scan_params(cfg) -> dict:
 
 def _pair_rows(cfg, ratio_key: str):
     """Shared body of the two verification experiments."""
-    if cfg.family not in PAIR_FAMILIES:
-        raise ValueError(
-            f"unknown pair {cfg.family!r}; have {sorted(PAIR_FAMILIES)}")
     rows, fits, checks = [], [], []
-    p_values = cfg.p or (PAIR_FAMILIES[cfg.family][3],)
+    p_values = cfg.p or (_pair_family(cfg.family)[3],)
     for p in p_values:
         ratios = []
         for R in cfg.R:

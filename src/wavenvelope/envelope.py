@@ -25,7 +25,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .torus import TWO_PI, TorusField, lp_norm, synthesize
+from .torus import TWO_PI, TorusField, lp_norm, square_sum, synthesize
 from .geometry import (
     Cap, cap_index_for_abscissa, caps_at_scale, dyadic_scales,
     envelope_factor, envelope_index_of_tube, envelope_lattice_dims,
@@ -150,33 +150,6 @@ def cap_decompose(field: TorusField, scale: float) -> CapDecomposition:
                                  band=field.band)
             pieces[int(k)] = fld
     return CapDecomposition(scale, dict(sorted(pieces.items())))
-
-
-def square_sum(pieces, spec) -> TorusField:
-    """sum over pieces of |f_piece|^2, as a trigonometric polynomial.
-
-    |f|^2 = sum_{n, n'} a_n conj(a_n') e^{i (2pi/L)(n - n').x}, so its
-    coefficient at the lattice offset D is the autocorrelation sum over
-    n - n' = D.  A cap piece has its offsets in the small box theta -
-    theta, whatever its position on the parabola.  Returns a free-band
-    field whose modes are the distinct offsets, ascending; pieces add in
-    the order given.
-    """
-    diffs, prods = [np.empty((0, 2), np.int64)], [np.empty(0, complex)]
-    for piece in pieces:
-        n, a = piece.freqs, piece.amps
-        diffs.append((n[:, None, :] - n[None, :, :]).reshape(-1, 2))
-        prods.append(np.outer(a, a.conj()).ravel())
-    d = np.concatenate(diffs)
-    c = np.concatenate(prods)
-    B = int(np.abs(d).max(initial=0))
-    keys, inv = np.unique((d[:, 0] + B) * (2 * B + 1) + d[:, 1] + B,
-                          return_inverse=True)
-    coef = np.bincount(inv, weights=c.real) \
-        + 1j * np.bincount(inv, weights=c.imag)
-    delta = np.stack([keys // (2 * B + 1) - B, keys % (2 * B + 1) - B],
-                     axis=1)
-    return TorusField(spec, delta, coef, band="free")
 
 
 def square_sum_samples(pieces, spec, m: int) -> np.ndarray:
@@ -330,20 +303,6 @@ def kappa_max(H: GridMeasure, p: float):
 # ---------------------------------------------------------------------------
 # the envelope weight w_U and the theorem evaluation
 
-def _env_shift(C: np.ndarray, d1: int, d2: int, shear: int) -> np.ndarray:
-    """C[zU + d] on the wrapped envelope lattice, as an array over zU.
-
-    The z2 axis wraps with a shear in z1 (the lattice is a sheared torus),
-    so a straight np.roll is wrong across the z2 seam.
-    """
-    N1U, N2U = C.shape
-    z1 = np.arange(N1U)[:, None]
-    z2 = np.arange(N2U)[None, :]
-    t2 = z2 + d2
-    m = t2 // N2U
-    return C[(z1 + d1 + m * shear) % N1U, t2 - m * N2U]
-
-
 def envelope_cell_integrals(pieces, cap: Cap, spec) -> np.ndarray:
     """integral of P = sum over pieces of |f_piece|^2 over every envelope
     of cap, exactly, as an (N1U, N2U) array.
@@ -384,12 +343,23 @@ def weighted_cell_integrals(C: np.ndarray, shear: int) -> np.ndarray:
     w_U is cell-constant: (1 + |d|_inf)^-10 on the 5x5 block of envelope
     neighbors (periodized by the wrap), plus the exact lattice tail mass
     spread uniformly (far cells at their average).
+
+    The z2 axis wraps with a shear in z1 (the lattice is a sheared torus),
+    so a straight np.roll is wrong across the z2 seam.  One padded copy
+    holds C[z + d] for every z and |d|_inf <= W_BLOCK, wrapped that way,
+    and each neighbor d is a view into it.
     """
+    N1U, N2U = C.shape
+    b = W_BLOCK
+    t1 = np.arange(-b, N1U + b)[:, None]
+    t2 = np.arange(-b, N2U + b)[None, :]
+    m = t2 // N2U
+    padded = C[(t1 + m * shear) % N1U, t2 - m * N2U]
     out = np.zeros_like(C)
-    for d1 in range(-W_BLOCK, W_BLOCK + 1):
-        for d2 in range(-W_BLOCK, W_BLOCK + 1):
+    for d1 in range(-b, b + 1):
+        for d2 in range(-b, b + 1):
             w = (1.0 + max(abs(d1), abs(d2))) ** -W_EXPONENT
-            out += w * _env_shift(C, d1, d2, shear)
+            out += w * padded[b + d1:b + d1 + N1U, b + d2:b + d2 + N2U]
     return out + W_TAIL * C.mean()
 
 
@@ -448,7 +418,8 @@ def verify_weighted_sq(field: TorusField, H: GridMeasure, p: float,
                        m: int | None = None) -> RatioReport:
     """Evaluate both weighted square-function inequalities.
 
-    lhs     = ||f||_{L^p(H)}                       (exact atomic sum)
+    lhs     = ||f||_{L^p(H)}    (exact atomic sum; a coefficient
+              identity for the constant weight at p in {2, 4}, lp_norm)
     sq_rhs  = (kappa_max + R^-40) ||S_theta||_p    (first-power side)
     env_rhs = sum over (s, tau, U) of
               kappa(U)^p |U|^(1-p/2) (int S_tau^2 w_U)^(p/2)

@@ -316,8 +316,13 @@ def point_eval(field: TorusField, points) -> np.ndarray:
 
 
 def l2sq_coeff(field: TorusField) -> float:
-    """||f||_2^2 from coefficients: L^2 sum |a|^2 (Parseval, exact)."""
-    return field.spec.L ** 2 * float(np.vdot(field.amps, field.amps).real)
+    """||f||_2^2 from coefficients: L^2 sum |a|^2 (Parseval, exact).
+
+    A numpy sum, not the BLAS dot product: OpenBLAS splits a long dot
+    product across threads, so its bits would follow the thread count.
+    """
+    a = field.amps
+    return field.spec.L ** 2 * float(np.sum(a.real * a.real + a.imag * a.imag))
 
 
 def grid_lp(samples: np.ndarray, L: float, p: float) -> float:
@@ -335,25 +340,64 @@ def grid_lp(samples: np.ndarray, L: float, p: float) -> float:
     return (delta2 * acc) ** (1.0 / p)
 
 
-def lp_norm(field: TorusField, p: float, measure=None, m: int | None = None) -> float:
-    """L^p norm; unweighted grid quadrature or exact atomic sum.
+def square_sum(pieces, spec) -> TorusField:
+    """sum over pieces of |f_piece|^2, as a trigonometric polynomial.
 
-    Unweighted: (Delta^2 sum_grid |f|^p)^(1/p) on the m x m grid
-    (default the spec's M).  Exact for p in {2, 4} by bandwidth counting;
-    for other p the oversampling keeps the error ~1e-6 (checked by
-    refinement in the tests).
+    |f|^2 = sum_{n, n'} a_n conj(a_n') e^{i (2pi/L)(n - n').x}, so its
+    coefficient at the lattice offset D is the autocorrelation sum over
+    n - n' = D.  A cap piece has its offsets in the small box theta -
+    theta, whatever its position on the parabola.  Returns a free-band
+    field whose modes are the distinct offsets, ascending; pieces add in
+    the order given.
+    """
+    diffs, prods = [np.empty((0, 2), np.int64)], [np.empty(0, complex)]
+    for piece in pieces:
+        n, a = piece.freqs, piece.amps
+        diffs.append((n[:, None, :] - n[None, :, :]).reshape(-1, 2))
+        prods.append(np.outer(a, a.conj()).ravel())
+    d = np.concatenate(diffs)
+    c = np.concatenate(prods)
+    B = int(np.abs(d).max(initial=0))
+    keys, inv = np.unique((d[:, 0] + B) * (2 * B + 1) + d[:, 1] + B,
+                          return_inverse=True)
+    coef = np.bincount(inv, weights=c.real) \
+        + 1j * np.bincount(inv, weights=c.imag)
+    delta = np.stack([keys // (2 * B + 1) - B, keys % (2 * B + 1) - B],
+                     axis=1)
+    return TorusField(spec, delta, coef, band="free")
 
-    Weighted: measure supplies grid atoms (ij indices and masses); the
+
+def lp_norm(field: TorusField, p: float, measure=None) -> float:
+    """L^p norm of f, unweighted or against a grid measure.
+
+    Unweighted: (Delta^2 sum_grid |f|^p)^(1/p) on the spec's M x M grid.
+    Exact for p in {2, 4} by bandwidth counting; for other p the
+    oversampling keeps the error ~1e-6 (checked by refinement in the
+    tests).
+
+    Constant weight of density lam = mass / Delta^2 on every grid cell:
+    lam^(1/p) ||f||_p.  For p in {2, 4} this is an identity in the
+    coefficients and needs no grid: ||f||_2^2 = L^2 sum |a|^2 (Parseval),
+    and ||f||_4^4 = || |f|^2 ||_2^2 = L^2 sum_D |c_D|^2, where c holds the
+    autocorrelation coefficients of |f|^2 (square_sum), O(modes^2) work and
+    memory.  Other p sum |f|^p over the M x M synthesis, which is held
+    whole; the row blocks bound only the temporaries of |f|^p.
+
+    Other weights: measure supplies grid atoms (ij indices and masses); the
     weighted integral is by definition the atomic sum, so it is exact.
     """
     if not 2.0 <= p <= 4.0:
         raise ValueError(f"p must lie in [2, 4], got {p}")
     if measure is None:
-        return grid_lp(field.samples_on(m or field.spec.M), field.spec.L, p)
+        return grid_lp(field.samples, field.spec.L, p)
     if measure.spec != field.spec:
         raise ValueError("measure defined on a different GridSpec")
     if measure.is_full_constant:
-        # one atom per grid cell: sum row blocks to bound peak memory
+        lam = float(measure.mass) / field.spec.delta ** 2
+        if p == 2.0:
+            return (lam * l2sq_coeff(field)) ** 0.5
+        if p == 4.0:
+            return (lam * l2sq_coeff(square_sum([field], field.spec))) ** 0.25
         S = field.samples_on(field.spec.M, cache=False)
         step = max(1, 2 ** 22 // field.spec.M)
         acc = 0.0

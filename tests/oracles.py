@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 
-from wavenvelope.envelope import (cap_decompose, envelope_area,
+from wavenvelope.envelope import (W_BLOCK, W_EXPONENT, W_TAIL,
+                                  cap_decompose, envelope_area,
                                   weighted_cell_integrals)
 from wavenvelope.geometry import (Cap, cap_index_for_abscissa, dyadic_scales,
                                   envelope_lattice_dims,
@@ -42,6 +43,44 @@ def full_grid_ball(spec, rho: float, center) -> np.ndarray:
     d = (spec.delta * ij - np.asarray(center, dtype=float) + 0.5 * spec.L) \
         % spec.L - 0.5 * spec.L
     return ij[np.hypot(d[:, 0], d[:, 1]) <= rho * (1 + 1e-12)]
+
+
+def env_shift(C: np.ndarray, d1: int, d2: int, shear: int) -> np.ndarray:
+    """C[zU + d] on the wrapped envelope lattice, as an array over zU, by
+    one gather per neighbor d.
+
+    The z2 axis wraps with a shear in z1 (the lattice is a sheared torus),
+    so a straight np.roll is wrong across the z2 seam.
+    """
+    N1U, N2U = C.shape
+    z1 = np.arange(N1U)[:, None]
+    z2 = np.arange(N2U)[None, :]
+    t2 = z2 + d2
+    m = t2 // N2U
+    return C[(z1 + d1 + m * shear) % N1U, t2 - m * N2U]
+
+
+def gathered_weighted_cell_integrals(C: np.ndarray, shear: int) -> np.ndarray:
+    """envelope.weighted_cell_integrals with one env_shift gather per
+    neighbor, added in the same (d1, d2) order."""
+    out = np.zeros_like(C)
+    for d1 in range(-W_BLOCK, W_BLOCK + 1):
+        for d2 in range(-W_BLOCK, W_BLOCK + 1):
+            w = (1.0 + max(abs(d1), abs(d2))) ** -W_EXPONENT
+            out += w * env_shift(C, d1, d2, shear)
+    return out + W_TAIL * C.mean()
+
+
+def grid_constant_lp(field, p: float, mass: float) -> float:
+    """||f||_{L^p(H)} for the constant weight of atom mass `mass`, summed
+    over the full M x M synthesis in row blocks of 2^22 / M rows."""
+    M = field.spec.M
+    S = field.samples_on(M, cache=False)
+    step = max(1, 2 ** 22 // M)
+    acc = 0.0
+    for i0 in range(0, M, step):
+        acc += float(np.sum(np.abs(S[i0:i0 + step]) ** p))
+    return (float(mass) * acc) ** (1.0 / p)
 
 
 def cell_sums(P: np.ndarray, cap, spec) -> np.ndarray:

@@ -405,6 +405,8 @@ def test_main_preflight_exits_2(capsys):
 @pytest.mark.parametrize("argv", [
     ["schrodinger-fls", "--family", "lattice", "--R", "4096,16384,32768"],
     ["bilinear", "--R", "16"],
+    ["envelope-verify", "--R", "256", "--family", "random:constant",
+     "--p", "2,4"],
 ])
 def test_report_bytes_independent_of_blas_threads(tmp_path, argv):
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")

@@ -1,19 +1,21 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavenvelope.torus import (GridSpec, point_eval, random_band_field,
-                               synthesize, lp_norm)
+from wavenvelope.torus import (GridSpec, TorusField, point_eval,
+                               random_band_field, synthesize, lp_norm)
 from wavenvelope.geometry import (Cap, cap_index_for_abscissa, caps_at_scale,
                                   dyadic_scales, envelope_factor,
                                   envelope_lattice_dims, theta_scale)
 from wavenvelope.measures import ball_weight, constant_weight, custom_weight
 from wavenvelope import envelope as env
 
-from oracles import constant_env_rhs, subgrid_cell_integrals
+from oracles import (constant_env_rhs, env_shift,
+                     gathered_weighted_cell_integrals, subgrid_cell_integrals)
 
 SPEC64 = GridSpec(64)
 
@@ -500,8 +502,59 @@ def test_weighted_cell_integrals_mass_conserving_weights():
 def test_env_shift_wraps_with_shear():
     N1U, N2U, shear = 8, 4, 2
     C = np.arange(32, dtype=float).reshape(N1U, N2U)
-    out = env._env_shift(C, 0, 1, shear)
+    out = env_shift(C, 0, 1, shear)
     # interior columns shift plainly
     assert np.array_equal(out[:, 0], C[:, 1])
     # the wrapped column picks up the shear in the first axis
     assert np.array_equal(out[:, 3], C[(np.arange(N1U) + shear) % N1U, 0])
+
+
+@pytest.mark.parametrize("N1U,N2U", [(1, 1), (1, 3), (3, 1), (2, 4), (4, 2),
+                                     (5, 5), (8, 4), (16, 6), (7, 13)])
+def test_weighted_cell_integrals_match_gather_oracle(N1U, N2U):
+    # the padded-view sum against one gather per neighbor, bit for bit,
+    # including lattices narrower than the 5x5 block and every shear
+    C = np.random.default_rng(N1U * 31 + N2U).random((N1U, N2U))
+    for shear in range(8):
+        assert np.array_equal(env.weighted_cell_integrals(C, shear),
+                              gathered_weighted_cell_integrals(C, shear))
+
+
+def test_weighted_cell_integrals_match_gather_oracle_on_caps():
+    f = random_band_field(SPEC64, seed=2, density=0.5)
+    dec = env.cap_decompose(f, theta_scale(64))
+    for s in dyadic_scales(64):
+        for cap in caps_at_scale(s):
+            pieces = [pc for k, pc in dec.pieces.items()
+                      if cap_index_for_abscissa(k * theta_scale(64), s)
+                      == cap.k]
+            if not pieces:
+                continue
+            C = env.envelope_cell_integrals(pieces, cap, SPEC64)
+            shear = envelope_lattice_dims(cap, SPEC64)[2]
+            assert np.array_equal(env.weighted_cell_integrals(C, shear),
+                                  gathered_weighted_cell_integrals(C, shear))
+
+
+def test_constant_weight_verify_never_synthesizes_full_grid(monkeypatch):
+    # the constant-weight lhs at p = 4 takes the coefficient identity: no
+    # M x M synthesis, and the peak stays far below its 32 M^2 bytes
+    spec = GridSpec(256)
+    real = TorusField.samples_on
+
+    def guarded(self, m, cache=True):
+        if m == self.spec.M:
+            raise AssertionError("full M x M synthesis")
+        return real(self, m, cache)
+
+    monkeypatch.setattr(TorusField, "samples_on", guarded)
+    f = random_band_field(spec, 0)
+    H = constant_weight(spec, 1.0)
+    tracemalloc.start()
+    try:
+        rep = env.verify_weighted_sq(f, H, 4.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.lhs > 0 and rep.env_rhs > 0
+    assert peak < 48 * 2 ** 20

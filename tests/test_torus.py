@@ -17,7 +17,10 @@ from wavenvelope.torus import (
     random_band_field, read_back_coeffs, read_field, read_spectrum_csv,
     synthesize, write_field, write_spectrum_csv,
 )
+from wavenvelope.cli import make_field
 from wavenvelope.measures import GridMeasure, constant_weight
+
+from oracles import grid_constant_lp
 
 SPEC4 = GridSpec(4)
 SPEC16 = GridSpec(16)
@@ -223,3 +226,27 @@ def test_synthesis_analyze_roundtrip_property(data):
     lookup = {tuple(fr): a for fr, a in zip(freqs, back)}
     for fr, a in zip(f.freqs, f.amps):
         assert abs(lookup.get(tuple(fr), 0.0) - a) < 1e-9 * max(1, abs(a))
+
+
+@pytest.mark.parametrize("R", [16, 64, 256])
+@pytest.mark.parametrize("family", ["random", "flat", "knapp", "spread"])
+def test_constant_weight_lhs_coefficient_identity(R, family):
+    # p = 2 and 4 take the coefficient identity; the oracle is the full
+    # M x M grid quadrature, exact for these p
+    spec = GridSpec(R)
+    f = make_field(family, spec, seed=R)
+    S = f.samples_on(spec.M, cache=False)
+    for p in (2.0, 4.0):
+        grid = grid_lp(S, spec.L, p)
+        for lam in (0.0, 0.25, 1.0):
+            got = lp_norm(f, p, measure=constant_weight(spec, lam=lam))
+            assert got == pytest.approx(lam ** (1 / p) * grid, rel=1e-13,
+                                        abs=0.0)
+
+
+@pytest.mark.parametrize("R", [16, 64])
+def test_constant_weight_lhs_other_p_is_grid_sum(R):
+    f = random_band_field(GridSpec(R), seed=8)
+    for lam in (0.25, 1.0):
+        w = constant_weight(f.spec, lam=lam)
+        assert lp_norm(f, 3.0, measure=w) == grid_constant_lp(f, 3.0, w.mass)
