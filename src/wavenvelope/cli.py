@@ -397,10 +397,10 @@ class PreflightError(RuntimeError):
 _VERIFY_CELL_BYTES = 32
 
 # Bytes per (mode, mode) pair of the whole-field autocorrelation that the
-# constant-weight lhs takes at p = 4 (torus.square_sum): the offsets, the
-# products, their keys and the sort.  Traced peaks of random:constant at
-# p = 4: 19.4 MiB for 415 modes (R = 256), 301.6 MiB for 1637 (R = 1024).
-_AUTOCORR_PAIR_BYTES = 118
+# constant-weight lhs takes at p = 4 (torus.square_sum): the products, their
+# offset keys and the sort.  Traced peaks of random:constant at p = 4:
+# 11.5 MiB for 415 modes (R = 256), 179.0 MiB for 1637 (R = 1024).
+_AUTOCORR_PAIR_BYTES = 70
 
 
 def _verify_peak_bytes(cfg: "ExperimentConfig", R: int) -> float:
@@ -467,8 +467,6 @@ def preflight_mb(cfg: "ExperimentConfig") -> float:
         est = max(bilinear_peak_bytes(R_s, cfg.K) for R_s in cfg.R)
     elif exp == "schrodinger-fls":
         est = _fls_peak_bytes(cfg)
-    elif exp == "certificates":
-        est = 2e8
     else:
         est = 2e8
     return est / 2 ** 20

@@ -1,11 +1,11 @@
 """Broad-narrow decomposition, parabolic rescaling, bilinear tracking.
 
-Three layers of the multiscale reduction.  First, an elementary split of
-(sum a_i)^p into a max term plus a separated bilinear term, with the
-constant carried explicitly.  Second, the pointwise iteration of that
-split down a cap tree, certified at every sample point.  Third, the
-rescaling of a cap to unit scale and the measured constants of the local
-bilinear estimate on balls of the new radius R_s = R s^2.
+Two layers of the multiscale reduction.  First, the pointwise iteration
+down a cap tree of the elementary split of (sum a_i)^p into a max term
+plus a separated bilinear term, with the constant carried explicitly and
+certified at every sample point.  Second, the rescaling of a cap to unit
+scale and the measured constants of the local bilinear estimate on balls
+of the new radius R_s = R s^2.
 
 Constants here are measured, never proved: each report records the
 witnesses so drift across R is visible in regression sweeps.
@@ -21,15 +21,9 @@ from scipy.signal import fftconvolve
 
 from .torus import (GridSpec, TorusField, point_eval, synthesize, trig_sum,
                     trig_sum_bytes)
-from .geometry import (
-    Cap, build_cap_tree, cap_index_for_abscissa, envelope_lattice_dims,
-    theta_scale,
-)
+from .geometry import Cap, build_cap_tree, cap_index_for_abscissa, theta_scale
 from .measures import ball_weight, candidate_atoms, lattice_weight
-from .envelope import (
-    WINDOW_DELTA, cap_decompose, envelope_area, envelope_cell_integrals,
-    kappa_table, weighted_cell_integrals,
-)
+from .envelope import WINDOW_DELTA, cap_decompose
 
 # the "locally constant on unit cubes" mollifier exponent
 MOLLIFIER_N = 10
@@ -37,57 +31,6 @@ MOLLIFIER_N = 10
 
 class CertificateError(ArithmeticError):
     """A certified inequality failed on the computed numbers."""
-
-
-# ---------------------------------------------------------------------------
-# the elementary split
-
-def bg_split(a, neighborhoods, p: float):
-    """Split (sum a_i)^p into max + separated-bilinear with certified C.
-
-    neighborhoods[i] lists the indices near i (including i itself); the
-    bilinear max runs over pairs (i, j) with j outside neighborhoods[i].
-    Returns (max_i a_i^p, (#I)^p max_pairs (a_i a_j)^(p/2), C) where
-    C = 2^(p-1) max(C1^p, 1) and C1 = max |I_i|; the inequality
-
-        (sum a_i)^p <= C (max term + bilinear term)
-
-    is checked, not just returned: a violation raises CertificateError.
-    """
-    a = np.asarray(a, dtype=float)
-    n = len(a)
-    if n == 0:
-        raise ValueError("empty sequence")
-    if np.any(a < 0):
-        raise ValueError("negative entries")
-    if p < 1:
-        raise ValueError("p >= 1 required")
-    if len(neighborhoods) != n:
-        raise ValueError("one neighborhood per entry")
-    hoods = [frozenset(int(j) for j in I) for I in neighborhoods]
-    for i, I in enumerate(hoods):
-        if i not in I:
-            raise ValueError(f"neighborhood {i} does not contain itself")
-        if any(j < 0 or j >= n for j in I):
-            raise ValueError(f"neighborhood {i} indexes outside the set")
-    C1 = max(len(I) for I in hoods)
-    C = 2.0 ** (p - 1) * max(float(C1) ** p, 1.0)
-    # the bound is homogeneous of degree p, so it is checked on a / max a,
-    # where pair products of tiny entries cannot underflow to zero
-    top = float(a.max())
-    b = a / top if top > 0.0 else a
-    pair_b = 0.0
-    for i, I in enumerate(hoods):
-        far = max((b[j] for j in range(n) if j not in I), default=0.0)
-        pair_b = max(pair_b, b[i] * far)
-    lhs = float(b.sum()) ** p
-    rhs = C * (float(top > 0.0) + float(n) ** p * pair_b ** (0.5 * p))
-    if not lhs <= rhs * (1.0 + 1e-12):
-        raise CertificateError(
-            f"split bound violated: {lhs} > {rhs} (in units of max a^p)")
-    max_term = top ** p
-    bilinear = float(n) ** p * pair_b ** (0.5 * p) * max_term
-    return max_term, bilinear, C
 
 
 # ---------------------------------------------------------------------------
@@ -124,11 +67,6 @@ class BroadNarrowReport:
     def max_empirical(self) -> float:
         return float(self.empirical.max()) if len(self.empirical) else 0.0
 
-    @property
-    def witness(self):
-        i = int(np.argmax(self.empirical))
-        return tuple(self.points[i])
-
 
 def _pair_gap_ok(dk: int, threshold: float) -> bool:
     # caps k, k' at scale s_c are (|dk|-1) s_c apart edge to edge
@@ -142,8 +80,10 @@ def broad_narrow(field: TorusField, points, p: float, K: int,
     |f(x)|^p <= C^m sum_theta |f_theta(x)|^p
                 + C^m K^p sum_stages sum_parents sum_pairs |f_1 f_2|^(p/2)
 
-    with per-stage C = 2^(p-1) C1^p from bg_split, C1 the neighborhood
-    count excluded by the separation threshold.  The honest certificate
+    with per-stage C = 2^(p-1) C1^p, the constant of the elementary split
+    (sum a_i)^p <= C (max_i a_i^p + N^p max_pairs (a_i a_j)^(p/2)) over N
+    entries, C1 the neighborhood count excluded by the separation
+    threshold.  The honest certificate
     replaces K^p by each level's actual children count and the pair sum
     by the per-parent maximum; that bound is checked pointwise
     (CertificateError on a violation).
@@ -155,7 +95,6 @@ def broad_narrow(field: TorusField, points, p: float, K: int,
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     dec = cap_decompose(field, theta_scale(spec.R))
 
-    from .torus import point_eval
     vals = {}  # level -> {k: complex values at pts}
     vals[tree.m] = {k: np.atleast_1d(point_eval(pc, pts))
                     for k, pc in dec.pieces.items()}
@@ -259,22 +198,6 @@ class RescaledField:
             return trig_sum(self.freqs, self.amps, axes=axes)
         out = trig_sum(self.freqs, self.amps, np.atleast_2d(points))
         return out if np.ndim(points) > 1 else out[0]
-
-    def modulation(self, points) -> np.ndarray:
-        """c_tau(x) with g(x) = c_tau(x) f_tau(L_tau x), |c_tau| = 1."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        s, c = self.cap.s, self.cap.c
-        ph = -(c / s) * pts[:, 0] + (c * c / (s * s)) * pts[:, 1]
-        out = np.exp(1j * ph)
-        return out if np.ndim(points) > 1 else out[0]
-
-    def spectrum(self):
-        """(model frequencies, continuum-density amplitudes s^3 a)."""
-        return self.freqs, self.cap.s ** 3 * self.amps
-
-    def l2sq(self) -> float:
-        """Mean of |g|^2 over large boxes (frequencies are distinct)."""
-        return float(np.sum(np.abs(self.amps) ** 2))
 
 
 def parabolic_rescale(field: TorusField, cap: Cap) -> RescaledField:
@@ -573,69 +496,7 @@ def _in_measure_cells(points: np.ndarray, Y) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the summed form and the trial sweeps
-
-@dataclass(frozen=True)
-class PairEnvelopeSum:
-    """Global bilinear bound for one pair, summed over the parent's
-    envelopes: lhs is the weighted p-th power of the geometric mean,
-    rhs the kappa-weighted envelope sum it should be dominated by."""
-
-    pair_id: str
-    p: float
-    lhs: float
-    rhs: float
-    n_envelopes: int
-
-    @property
-    def ratio(self) -> float:
-        return self.lhs / self.rhs if self.rhs > 0 else 0.0
-
-
-def bilinear_envelope_sum(field: TorusField, H, p: float, parent: Cap,
-                          child1: Cap, child2: Cap) -> PairEnvelopeSum:
-    """Sum the local bilinear bound over every envelope of the parent.
-
-    lhs = integral of |f_1 f_2|^(p/2) against H (exact atomic sum; for
-    the constant weight, a full-grid quadrature -- small R only).
-    rhs = sum over U of kappa_{p,H}(U)^p |U|^(1-p/2) (int S^2 w_U)^(p/2)
-    with S^2 the square sum over every theta inside the parent; the
-    envelope integrals are exact (envelope_cell_integrals).
-    """
-    if not 2.0 <= p <= 4.0:
-        raise ValueError("p in [2, 4]")
-    spec = field.spec
-    in_parent, per_child = _collect_children(field, parent, child1, child2)
-    f1 = _merge_pieces(per_child[child1.k], spec, field.band)
-    f2 = _merge_pieces(per_child[child2.k], spec, field.band)
-
-    if H.is_full_constant:
-        v1 = np.abs(f1.samples_on(spec.M, cache=False))
-        v2 = np.abs(f2.samples_on(spec.M, cache=False))
-        lhs = float(H.mass) / spec.delta ** 2 * \
-            float(np.sum((v1 * v2) ** (0.5 * p))) * spec.delta ** 2
-    else:
-        pts = H.positions()
-        v1 = np.abs(np.atleast_1d(point_eval(f1, pts)))
-        v2 = np.abs(np.atleast_1d(point_eval(f2, pts)))
-        lhs = float(np.sum(np.asarray(H.mass) * (v1 * v2) ** (0.5 * p)))
-
-    N1U, N2U, shearU = envelope_lattice_dims(parent, spec)
-    wint = weighted_cell_integrals(
-        envelope_cell_integrals(in_parent, parent, spec), shearU).ravel()
-    geom = envelope_area(spec.R, parent.s) ** (1.0 - 0.5 * p)
-    if H.is_full_constant:
-        kap = (float(H.mass) / spec.delta ** 2) ** (1.0 / p)
-        rhs = kap ** p * geom * float(np.sum(wint ** (0.5 * p)))
-        n_env = int(N1U * N2U)
-    else:
-        ekeys, kvals, _ = kappa_table(H, p, parent)
-        rhs = float(np.sum(kvals ** p * geom * wint[ekeys] ** (0.5 * p)))
-        n_env = len(ekeys)
-    pid = f"{parent.cap_id}:{child1.k}:{child2.k}"
-    return PairEnvelopeSum(pair_id=pid, p=p, lhs=lhs, rhs=rhs,
-                           n_envelopes=n_env)
-
+# the trial sweeps
 
 def _trial_modes(rng, spec: GridSpec, s_c: float, kc: int):
     """Random parabola modes whose windows stay inside child (s_c, kc).
@@ -687,19 +548,16 @@ def bilinear_peak_bytes(R_s: int, K: int) -> float:
     return max(_BILINEAR_POINT_BYTES * n * n, _BALL_CANDIDATE_BYTES * atoms)
 
 
-def bilinear_trials(R_s: int, K: int, n_trials: int, seed=0,
-                    quad_per_unit: int | None = None,
-                    weights: str = "mixed"):
+def bilinear_trials(R_s: int, K: int, n_trials: int, seed=0):
     """Measured bilinear constants for random separated pairs at R_s.
 
     For K >= 4 half the trials start from physical scale R = 4 R_s with
     an s = 1/2 parent, exercising the rescaling; the rest use the unit
-    parent at R = R_s directly.  weights: "none" keeps Y full; "mixed"
-    alternates with a ball through the pullback.  Returns the reports
-    (write_constants_csv serializes them).
+    parent at R = R_s directly.  Each trial draws its Y: the full plane,
+    a ball through the pullback, or isolated lattice cells.  Returns the
+    reports (write_constants_csv serializes them).
     """
-    if quad_per_unit is None:
-        quad_per_unit = _default_quad_per_unit(R_s)
+    quad_per_unit = _default_quad_per_unit(R_s)
     rng = np.random.default_rng(seed)
     reports = []
     for _ in range(n_trials):
@@ -726,7 +584,7 @@ def bilinear_trials(R_s: int, K: int, n_trials: int, seed=0,
             1j * rng.standard_normal(len(modes))
         field = synthesize(np.array(modes, dtype=np.int64), amps, spec)
         pair = bilinear_pair(field, parent, Cap(s_c, k1), Cap(s_c, k2))
-        draw = rng.random() if weights == "mixed" else 0.0
+        draw = rng.random()
         if draw < 0.4:
             Y = None
         elif draw < 0.7:

@@ -111,15 +111,6 @@ class CapDecomposition:
     def caps(self):
         return sorted(self.pieces)
 
-    def reconstruction(self, spec):
-        """Coefficient-space sum of the pieces, for exactness checks."""
-        acc = {}
-        for piece in self.pieces.values():
-            for fr, a in zip(piece.freqs, piece.amps):
-                key = (int(fr[0]), int(fr[1]))
-                acc[key] = acc.get(key, 0.0) + a
-        return acc
-
 
 def cap_decompose(field: TorusField, scale: float) -> CapDecomposition:
     """Split a parabola-band field into cap pieces at a dyadic scale.
@@ -162,13 +153,6 @@ def square_sum_samples(pieces, spec, m: int) -> np.ndarray:
     vals = square_sum(pieces, spec).samples_on(m, cache=False).real
     # the sum is real and >= 0; clip the roundoff below zero
     return np.maximum(vals, 0.0)
-
-
-def square_function(field: TorusField, scale: float,
-                    m: int | None = None) -> np.ndarray:
-    """Pointwise (sum_tau |f_tau|^2)^(1/2) on the m x m grid."""
-    pieces = cap_decompose(field, scale).pieces.values()
-    return np.sqrt(square_sum_samples(pieces, field.spec, m or field.spec.M))
 
 
 def sq_norm_from_sq2(S2: np.ndarray, L: float, p: float) -> float:
@@ -255,21 +239,6 @@ def kappa_table(H: GridMeasure, p: float, cap: Cap):
     vals = (maxT / tube_area(s)) ** 0.25 * \
         (HU / envelope_area(R, s)) ** (1.0 / p - 0.25)
     return ekeys, vals, dims
-
-
-def kappa(H: GridMeasure, p: float, cap: Cap, z) -> float:
-    """kappa_{p,H}(U) for the envelope U = (cap, z), z wrapped."""
-    if not 2.0 <= p <= 4.0:
-        raise ValueError("p in [2, 4]")
-    if H.is_full_constant:
-        lam = float(H.mass) / H.spec.delta ** 2
-        return lam ** (1.0 / p)
-    ekeys, vals, (N1U, N2U) = kappa_table(H, p, cap)
-    flat = int(z[0]) * N2U + int(z[1])
-    hit = np.searchsorted(ekeys, flat)
-    if hit < len(ekeys) and ekeys[hit] == flat:
-        return float(vals[hit])
-    return 0.0
 
 
 def kappa_max(H: GridMeasure, p: float):

@@ -46,13 +46,11 @@ class Cap:
     s: float
     k: int
     level: int = 0
-    kind: str = "parabola"
 
     def __post_init__(self):
         inv = 1.0 / self.s
-        if self.kind == "parabola":
-            if inv != int(inv) or not abs(self.k) <= int(inv):
-                raise ValueError(f"bad cap: s={self.s}, k={self.k}")
+        if inv != int(inv) or not abs(self.k) <= int(inv):
+            raise ValueError(f"bad cap: s={self.s}, k={self.k}")
 
     @property
     def c(self) -> float:
@@ -184,41 +182,6 @@ def locate_grid_envelopes(j1, j2, cap: Cap, spec: GridSpec,
     return wrap_envelope_index(zU1, zU2, cap, spec)
 
 
-def locate_points(points, cap: Cap, kind: str = "tube",
-                  R: int | None = None) -> np.ndarray:
-    """Float-path point location for arbitrary (not-on-grid) points.
-
-    kind 'tube': z = floor(L_tau^{-1} x + 1/2); kind 'envelope': the tube
-    index divided by the dyadic integer R s^2 with the same shifted
-    rounding (the point's envelope is its tube's envelope, keeping the
-    nesting exact).  No torus wrap (callers wrap if they work on the
-    torus).  Returns an (n, 2) int array.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    L_inv = cap.transforms()[3]
-    y = pts @ L_inv.T
-    z = np.floor(y + 0.5).astype(np.int64)
-    if kind == "envelope":
-        if R is None:
-            raise ValueError("envelope location needs R")
-        E = R * cap.s * cap.s
-        if E != int(E) or E < 1:
-            raise ValueError(f"Rs^2 = {E} not a positive integer")
-        z1, z2 = envelope_index_of_tube(z[:, 0], z[:, 1], int(E))
-        z = np.stack([z1, z2], axis=1)
-    elif kind != "tube":
-        raise ValueError(f"kind must be tube or envelope, got {kind!r}")
-    return z
-
-
-def tube_local_coords(points, z, cap: Cap) -> np.ndarray:
-    """y - z in tube coordinates y = L_tau^{-1} x; inside means
-    max-norm <= 1/2."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    L_inv = cap.transforms()[3]
-    return pts @ L_inv.T - np.atleast_2d(z)
-
-
 # ---------------------------------------------------------------------------
 # the broad--narrow cap tree
 
@@ -280,78 +243,3 @@ def build_cap_tree(R: int, K: int) -> CapTree:
     for j in range(1, m + 1):
         scales.append(max(float(K) ** (-j), 1.0 / sqrtR))
     return CapTree(R, K, m, tuple(scales), mismatch=K ** m / sqrtR)
-
-
-# ---------------------------------------------------------------------------
-# circle-arc caps (for the S_R multiplier experiments; no torus wrap)
-
-@dataclass(frozen=True)
-class ArcCap:
-    """Angular block of width s on the lower unit-circle arc.
-
-    Center angle phi = -pi/2 + k*s; L_tau stretches the tangent direction
-    by 1/s and the normal by 1/s^2, so dual tubes again have dims
-    s^-1 x s^-2.
-    """
-
-    s: float
-    k: int
-    level: int = 0
-    kind: str = "circle"
-
-    @property
-    def angle(self) -> float:
-        return -0.5 * np.pi + self.k * self.s
-
-    @property
-    def cap_id(self) -> str:
-        return f"A{self.level}C{self.k}"
-
-    @property
-    def center(self) -> np.ndarray:
-        return np.array([np.cos(self.angle), np.sin(self.angle)])
-
-    def transforms(self):
-        s, phi = self.s, self.angle
-        tangent = np.array([-np.sin(phi), np.cos(phi)])
-        normal = np.array([np.cos(phi), np.sin(phi)])
-        frame = np.stack([tangent, normal], axis=1)
-        L = frame @ np.diag([1.0 / s, 1.0 / (s * s)]) @ frame.T
-        L_inv = frame @ np.diag([s, s * s]) @ frame.T
-        return self.center, frame, L, L_inv
-
-
-def arc_caps_at_scale(s: float, level: int = 0) -> list[ArcCap]:
-    """Arc caps covering the lower sector |phi + pi/2| <= pi/4."""
-    n = int(np.floor(0.25 * np.pi / s))
-    return [ArcCap(s, k, level) for k in range(-n, n + 1)]
-
-
-def arc_cap_index(angles, s: float):
-    rel = np.asarray(angles, dtype=float) + 0.5 * np.pi  # offset from arc center
-    k = np.floor(rel / s + 0.5).astype(np.int64)
-    n = int(np.floor(0.25 * np.pi / s))
-    return np.clip(k, -n, n)
-
-
-# ---------------------------------------------------------------------------
-# CSV export
-
-_CSV_HEADER = "cap_id,s,c,z1,z2,kind\n"
-
-
-def write_caps_csv(caps, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(_CSV_HEADER)
-        for cap in caps:
-            c = cap.c if isinstance(cap, Cap) else cap.angle
-            fh.write(f"{cap.cap_id},{cap.s:.17g},{c:.17g},,,{cap.kind}\n")
-
-
-def write_tubes_csv(rows, path) -> None:
-    """rows: iterable of (cap, z1, z2, kind) with kind tube|envelope."""
-    with open(path, "w") as fh:
-        fh.write(_CSV_HEADER)
-        for cap, z1, z2, kind in rows:
-            c = cap.c if isinstance(cap, Cap) else cap.angle
-            fh.write(f"{cap.cap_id},{cap.s:.17g},{c:.17g},{z1},{z2},{kind}\n")

@@ -1,4 +1,4 @@
-"""Atomic weights and measures on the grid, with dimension certificates.
+"""Atomic weights and measures on the grid, and dyadic dimension certificates.
 
 A GridMeasure is a finite list of atoms (grid point, mass >= 0).  Weights
 H: R^2 -> [0,1] are the special case mass = h * Delta^2 with density
@@ -7,10 +7,11 @@ of atom masses in E.  All downstream quantities (kappa, theorem sides)
 consume measures through that sum, which removes every quadrature
 ambiguity from the inequalities being tested.
 
-Certificates approximate sup_{z, rho} rho^(-a) mu(B_rho(z)) over dyadic
-radii with centers restricted to atom locations.  The standard doubling
-argument (any ball meeting the support sits inside the double of an
-atom-centered ball of the next dyadic radius) pins the true supremum
+Certificates (certificate_core, which schrodinger.rescale_measure runs on
+explicit point sets) approximate sup_{z, rho} rho^(-a) mu(B_rho(z)) over
+dyadic radii with centers restricted to atom locations.  The standard
+doubling argument (any ball meeting the support sits inside the double of
+an atom-centered ball of the next dyadic radius) pins the true supremum
 within a factor 4^a of the certified value.
 
 Atoms live on the torus, so distances are wrapped; families placed across
@@ -20,7 +21,6 @@ the fundamental-domain boundary keep their geometry.
 from __future__ import annotations
 
 import inspect
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -29,11 +29,7 @@ import numpy as np
 from .torus import GridSpec
 from .geometry import Cap, locate_grid_tubes, theta_scale
 
-# Schwartz-tail exponent of the smoothing kernel.  10 matches the envelope
-# weights used elsewhere; anything > 3 integrates.
-PHI_EXPONENT = 10
-
-GRID_FLOOR_EXP = 40  # level sets and pointwise floors cut at R^-40
+GRID_FLOOR_EXP = 40  # pointwise floors cut at R^-40
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,10 +99,6 @@ class GridMeasure:
         if self.ij is None:
             return float(self.mass) * self.spec.M ** 2
         return float(self.mass.sum())
-
-    def density(self):
-        """Pointwise density h = mass / Delta^2 at the atoms."""
-        return self.mass / self.spec.delta ** 2
 
     def positions(self) -> np.ndarray:
         if self.ij is None:
@@ -343,78 +335,12 @@ def candidate_atoms(family: str, spec: GridSpec, **params) -> float:
 
 
 # ---------------------------------------------------------------------------
-# smoothing H = mu * phi
-
-def phi_decay(r2, exponent: int = PHI_EXPONENT):
-    """Unit-integral kernel c_N (1 + |y|)^-N at squared radii r2.
-
-    c_N = (N-1)(N-2) / (2 pi) since int_R2 (1+|y|)^-N = 2 pi / ((N-1)(N-2)).
-    """
-    c = (exponent - 1) * (exponent - 2) / (2.0 * math.pi)
-    return c * (1.0 + np.sqrt(r2)) ** (-float(exponent))
-
-
-def smooth_measure(mu: GridMeasure, exponent: int = PHI_EXPONENT,
-                   clamp: bool = False, support_tol: float = 0.0) -> GridMeasure:
-    """H = mu * phi with phi(y) = c_N (1 + |y|)^-N, dense direct sum.
-
-    The convolution uses the torus metric.  support_tol > 0 drops cells
-    with density below tol * max to keep the atom list short; clamp caps
-    the density at 1 so the result is always a legal weight.
-    """
-    src = mu.materialize()
-    M, d, L = mu.spec.M, mu.spec.delta, mu.spec.L
-    h = np.zeros((M, M))
-    ax = d * np.arange(M)
-    for (px, py), m in zip(src.positions(), src.mass):
-        dx = _torus_disp(ax, px, L)
-        dy = _torus_disp(ax, py, L)
-        h += m * phi_decay(dx[:, None] ** 2 + dy[None, :] ** 2, exponent)
-    if clamp:
-        np.minimum(h, 1.0, out=h)
-    keep = h > (support_tol * h.max() if support_tol > 0 else 0.0)
-    ij = np.argwhere(keep).astype(np.int64)
-    kind = "weight" if (clamp or h.max() <= 1 + 1e-12) else "measure"
-    return GridMeasure(mu.spec, ij, h[keep] * d * d, kind,
-                       f"smooth({src.label})")
-
-
-# ---------------------------------------------------------------------------
-# dyadic level sets
-
-def dyadic_level_sets(H: GridMeasure, floor: float | None = None):
-    """Split a weight into dyadic levels Y_lam = {lam <= h < 2 lam}.
-
-    Returns (levels, below): levels is a list of (lam, atom indices) for
-    lam = 2^-j from 1 down to the floor (default R^-40); `below` indexes
-    leftover atoms with 0 < h below the last level.
-    """
-    if H.kind != "weight":
-        raise ValueError("level sets are defined for weights")
-    H = H.materialize()
-    floor = float(H.spec.R) ** (-GRID_FLOOR_EXP) if floor is None else floor
-    e_floor = int(math.floor(math.log2(floor)))
-    h = np.asarray(H.density())
-    pos = h > 0
-    e = np.zeros(len(h), dtype=np.int64)
-    e[pos] = np.floor(np.log2(h[pos])).astype(np.int64)
-    np.minimum(e, 0, out=e)  # tolerance overage above h = 1 stays in lam = 1
-    levels = []
-    for ex in range(0, e_floor - 1, -1):
-        idx = np.nonzero(pos & (e == ex))[0]
-        if len(idx):
-            levels.append((2.0 ** ex, idx))
-    below = np.nonzero(pos & (e < e_floor))[0]
-    return levels, below
-
-
-# ---------------------------------------------------------------------------
 # dimension certificates
 
 @dataclass(frozen=True)
 class Certificate:
-    mode: str                  # alpha-ball | alpha-ball-all | beta-par | mc
-    param: tuple               # (alpha,) | (beta,) | (delta, q)
+    mode: str                  # alpha-ball | beta-par
+    param: tuple               # (alpha,) | (beta,)
     value: float
     witness_center: tuple      # (x, t)
     witness_radius: float
@@ -427,11 +353,6 @@ class Certificate:
             "witness": {"center": [float(c) for c in self.witness_center],
                         "radius": float(self.witness_radius)},
         }
-
-    def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True, indent=1)
-            fh.write("\n")
 
 
 def _dyadic_radii(r_min: float, r_max: float) -> np.ndarray:
@@ -481,10 +402,15 @@ def certificate_core(positions: np.ndarray, masses: np.ndarray, mode: str,
                      param, r_min: float, r_max: float,
                      centers: np.ndarray | None = None,
                      L: float | None = None) -> Certificate:
-    """Shared dyadic-supremum evaluator over explicit points.
+    """Dyadic-radius certificate of a dimension norm over explicit points.
 
-    For mode "mc" the masses must already be the per-cell integrals
-    h^q * Delta^2 (dimension_certificate prepares them).
+    mode "alpha-ball"  sup rho^-alpha mu(B_rho) over closed balls;
+    mode "beta-par"    sup rho^-beta mu over boxes rho x rho^2.
+
+    The radii run over the powers of two from r_min to r_max; centers
+    default to the atom positions, and the unrestricted supremum is at
+    most 4^param times the certified value.  L gives the torus metric,
+    None the Euclidean one.
     """
     param_t = tuple(float(p) for p in np.atleast_1d(param))
     if centers is None:
@@ -492,18 +418,12 @@ def certificate_core(positions: np.ndarray, masses: np.ndarray, mode: str,
     if len(positions) == 0 or len(centers) == 0:
         return Certificate(mode, param_t, 0.0, (0.0, 0.0), 1.0)
     radii = _dyadic_radii(r_min, r_max)
-    if mode in ("alpha-ball", "alpha-ball-all"):
+    if mode == "alpha-ball":
         table = ball_masses_at(centers, positions, masses, radii, L)
         vals = table * radii[None, :] ** (-param_t[0])
     elif mode == "beta-par":
         table = parbox_masses_at(centers, positions, masses, radii, L)
         vals = table * radii[None, :] ** (-param_t[0])
-    elif mode == "mc":
-        delta, q = param_t
-        if not (delta > 0 and 1 <= q <= 3.0 / delta):
-            raise ValueError(f"need delta > 0 and 1 <= q <= 3/delta, got {param_t}")
-        table = parbox_masses_at(centers, positions, masses, radii, L)
-        vals = table ** (1.0 / q) * radii[None, :] ** (delta - 3.0 / q)
     else:
         raise ValueError(f"unknown certificate mode {mode!r}")
     flat = int(np.argmax(vals))
@@ -511,75 +431,3 @@ def certificate_core(positions: np.ndarray, masses: np.ndarray, mode: str,
     return Certificate(mode, param_t, float(vals[ci, ri]),
                        (float(centers[ci][0]), float(centers[ci][1])),
                        float(radii[ri]))
-
-
-def dimension_certificate(measure: GridMeasure, mode: str, param,
-                          centers: np.ndarray | None = None) -> Certificate:
-    """Dyadic-radius certificate of a dimension norm.
-
-    mode "alpha-ball"      sup over radii rho >= 1 of rho^-alpha mu(B_rho);
-    mode "alpha-ball-all"  the same with radii down to the cell size (the
-        atomic model carries no information below one cell);
-    mode "beta-par"        sup rho^-beta mu over boxes rho x rho^2;
-    mode "mc"              Morrey-Campanato (delta, q): sup over the same
-        boxes of rho^delta (rho^-3 int_box h^q)^(1/q).
-
-    Centers default to the atom locations (callers may subsample for large
-    supports); the unrestricted supremum is at most 4^param times the
-    certified value.
-    """
-    mzd = measure.materialize() if measure.is_full_constant else measure
-    masses = np.asarray(mzd.mass, dtype=float)
-    if mode == "mc":
-        if measure.kind != "weight":
-            raise ValueError("mc certificates need a weight")
-        cell = mzd.spec.delta ** 2
-        masses = (masses / cell) ** float(param[1]) * cell
-    r_min = 1.0 if mode == "alpha-ball" else mzd.spec.delta
-    return certificate_core(mzd.positions(), masses, mode, param,
-                            r_min, mzd.spec.L, centers, mzd.spec.L)
-
-
-def evaluate_at_witness(measure: GridMeasure, cert: Certificate) -> float:
-    """Recompute the certified ratio at the stored witness (reproducibility)."""
-    mzd = measure.materialize() if measure.is_full_constant else measure
-    center = np.asarray([cert.witness_center], dtype=float)
-    radii = np.asarray([cert.witness_radius], dtype=float)
-    masses = np.asarray(mzd.mass, dtype=float)
-    L = mzd.spec.L
-    if cert.mode in ("alpha-ball", "alpha-ball-all"):
-        table = ball_masses_at(center, mzd.positions(), masses, radii, L)
-        return float(table[0, 0]) * cert.witness_radius ** (-cert.param[0])
-    if cert.mode == "beta-par":
-        table = parbox_masses_at(center, mzd.positions(), masses, radii, L)
-        return float(table[0, 0]) * cert.witness_radius ** (-cert.param[0])
-    if cert.mode == "mc":
-        delta, q = cert.param
-        cell = mzd.spec.delta ** 2
-        masses = (masses / cell) ** q * cell
-        table = parbox_masses_at(center, mzd.positions(), masses, radii, L)
-        return float(table[0, 0]) ** (1.0 / q) * \
-            cert.witness_radius ** (delta - 3.0 / q)
-    raise ValueError(f"no witness evaluation for mode {cert.mode!r}")
-
-
-# ---------------------------------------------------------------------------
-# import/export
-
-def write_measure_csv(measure: GridMeasure, path) -> None:
-    m = measure.materialize() if measure.is_full_constant else measure
-    with open(path, "w") as fh:
-        fh.write("i,j,mass\n")
-        for (i, j), w in zip(m.ij, m.mass):
-            fh.write(f"{i},{j},{w:.17g}\n")
-
-
-def read_measure_csv(path, spec: GridSpec, kind: str = "measure") -> GridMeasure:
-    with open(path) as fh:
-        body = fh.read().strip().splitlines()[1:]
-    if body:
-        raw = np.loadtxt(body, delimiter=",", ndmin=2)
-    else:
-        raw = np.empty((0, 3))
-    return GridMeasure(spec, raw[:, :2].astype(np.int64), raw[:, 2], kind,
-                       label=str(path))

@@ -10,25 +10,22 @@ half-sinc
 so the cutoff transform is supported on [-1, 1] exactly and eta stays
 above 0.91 on [-1, 1].  The choice is recorded in every exported report.
 
-Alongside the propagator live the annulus multiplier for circle-band
-torus fields, a maximal average along tilted tubes, anisotropic atom
-rescaling (x, t) -> (Rx, R^2 t) with dimension-certificate comparisons,
-and the slope experiments (chirp, traveling packet, modulated lattice
-sum) fitted through ExponentFit.
+Alongside the propagator live a maximal average along tilted tubes,
+anisotropic atom rescaling (x, t) -> (Rx, R^2 t) with dimension-
+certificate comparisons, and the slope experiments (chirp, traveling
+packet, modulated lattice sum) fitted through ExponentFit.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import cap_index_for_abscissa, theta_scale
-from .measures import Certificate, certificate_core
-from .torus import TorusField, synthesize, trig_sum, trig_sum_bytes
+from .measures import certificate_core
+from .torus import trig_sum, trig_sum_bytes
 
 ETA_NAME = "squared half-sinc (sin(t/2)/(t/2))^2"
 
@@ -43,13 +40,6 @@ def eta(t):
     return float(out) if out.ndim == 0 else out
 
 
-def eta_hat(w):
-    """Transform of eta: the triangle 2*pi*(1 - |w|)_+."""
-    w = np.asarray(w, dtype=float)
-    out = 2.0 * np.pi * np.maximum(1.0 - np.abs(w), 0.0)
-    return float(out) if out.ndim == 0 else out
-
-
 def smooth_bump(u, lo: float, hi: float):
     """C^inf bump supported on [lo, hi] with peak value 1 at the midpoint."""
     v = (np.asarray(u, dtype=float) - lo) / (hi - lo)
@@ -57,16 +47,6 @@ def smooth_bump(u, lo: float, hi: float):
     inside = (v > 0.0) & (v < 1.0)
     vi = v[inside]
     out[inside] = np.exp(4.0 - 1.0 / (vi * (1.0 - vi)))
-    return float(out) if out.ndim == 0 else out
-
-
-def psi_ring(u):
-    """Annulus profile: even C^inf bump on (-2, 2) with psi_ring(0) = 1."""
-    u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
-    inside = np.abs(u) < 2.0
-    ui = u[inside]
-    out[inside] = np.exp(-ui * ui / (4.0 - ui * ui))
     return float(out) if out.ndim == 0 else out
 
 
@@ -99,41 +79,6 @@ class Propagation:
     @property
     def x(self) -> np.ndarray:
         return np.arange(self.n_x) * (self.length / self.n_x)
-
-    @property
-    def window(self) -> tuple:
-        return (float(np.min(self.times)), float(np.max(self.times)))
-
-    def write_slab(self, path) -> None:
-        with open(path, "wb") as fh:
-            fh.write(_SLAB_HEADER.pack(float(self.R), float(self.length),
-                                       len(self.times), self.n_x))
-            fh.write(np.ascontiguousarray(self.times, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(self.samples, dtype="<c16").tobytes())
-
-    def write_slices_csv(self, path, t_stride: int = 1, x_stride: int = 1) -> None:
-        x = self.x[::x_stride]
-        with open(path, "w") as fh:
-            fh.write(f"# eta = {self.eta_name}\n")
-            fh.write("t,x,re,im\n")
-            for i in range(0, len(self.times), t_stride):
-                row = self.samples[i, ::x_stride]
-                t = self.times[i]
-                for xj, val in zip(x, row):
-                    fh.write("%.17g,%.17g,%.17g,%.17g\n"
-                             % (t, xj, val.real, val.imag))
-
-
-_SLAB_HEADER = struct.Struct("<ddQQ")
-
-
-def read_slab(path):
-    """Inverse of Propagation.write_slab: (R, length, times, samples)."""
-    with open(path, "rb") as fh:
-        R, length, n_t, n_x = _SLAB_HEADER.unpack(fh.read(_SLAB_HEADER.size))
-        times = np.frombuffer(fh.read(8 * n_t), dtype="<f8").copy()
-        samples = np.frombuffer(fh.read(16 * n_t * n_x), dtype="<c16")
-    return R, length, times, samples.reshape(n_t, n_x).copy()
 
 
 def _line_lattice(freqs, length: float):
@@ -204,91 +149,6 @@ def propagator_at(freqs, amps, R: float, points=None,
         return trig_sum(modes, amps, axes=axes) * eta(t / R)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     return trig_sum(modes, amps, pts) * eta(pts[:, 1] / R)
-
-
-def band_check(prop: Propagation) -> dict:
-    """Support of the space-time spectrum around w = xi^2.
-
-    On the (xi, w) lattice the spectrum is amps * R * eta_hat(R(w - xi^2)),
-    which vanishes for |w - xi^2| > 1/R because the cutoff transform is the
-    triangle; `lattice_outside` evaluates that maximum (exactly zero).  The
-    windowed DFT of the sampled slices leaks across the band edge, so the
-    measured out-of-band fraction is reported, not asserted.
-    """
-    times = prop.times
-    if len(times) < 4:
-        raise ValueError("band check needs at least 4 time samples")
-    dt = np.diff(times)
-    if np.ptp(dt) > 1e-9 * abs(dt[0]):
-        raise ValueError("band check needs a uniform time grid")
-    dt = float(dt[0])
-    w_max = float(np.max(prop.freqs ** 2) + 1.0 / prop.R)
-    if np.pi / dt <= w_max:
-        raise ValueError(
-            f"time grid too coarse to resolve the band: need dt <= "
-            f"{np.pi / w_max:.6g}, got {dt:.6g}")
-
-    omega = 2.0 * np.pi * np.fft.fftfreq(len(times), d=dt)
-    gap = np.abs(omega[None, :] - prop.freqs[:, None] ** 2)
-    lattice_vals = np.abs(prop.amps)[:, None] * prop.R \
-        * eta_hat(prop.R * gap)
-    outside = gap > 1.0 / prop.R
-    lattice_outside = float(np.max(lattice_vals[outside], initial=0.0))
-
-    # windowed measurement: per-mode time series eta(t/R) e^{it xi^2}
-    z = eta(times / prop.R)[None, :] \
-        * np.exp(1j * times[None, :] * prop.freqs[:, None] ** 2)
-    spec = np.abs(np.fft.fft(z, axis=1)) ** 2
-    slack = 1.0 / prop.R + 2.0 * (2.0 * np.pi / (len(times) * dt))
-    out_mask = gap > slack
-    weights = np.abs(prop.amps) ** 2
-    tot = float(np.sum(weights[:, None] * spec))
-    leak = float(np.sum(weights[:, None] * spec * out_mask)) / max(tot, 1e-300)
-    return {"eta": prop.eta_name, "lattice_outside": lattice_outside,
-            "window_leak": leak, "band_halfwidth": 1.0 / prop.R}
-
-
-# ---------------------------------------------------------------------------
-# annulus multiplier
-
-def apply_SR(fld: TorusField, R: float | None = None) -> TorusField:
-    """Multiply circle-band coefficients by psi_ring(R(1 - |xi|)).
-
-    The field must live in one sector of the annulus (the one around
-    (0, -1), which is what the circle band provides); modes further than
-    2/R from the unit circle are rejected.
-    """
-    spec = fld.spec
-    R = float(spec.R if R is None else R)
-    xi = spec.freq_step * fld.freqs.astype(float)
-    r = np.hypot(xi[:, 0], xi[:, 1])
-    sector = (xi[:, 1] < 0) & (np.abs(xi[:, 0]) <= -xi[:, 1] * (1 + 1e-12))
-    if not np.all(sector):
-        raise ValueError("all modes must lie in the lower sector of the annulus")
-    dev = R * (1.0 - r)
-    worst = float(np.max(np.abs(dev), initial=0.0))
-    if worst > 2.0 * (1.0 + 1e-9):
-        raise ValueError(
-            f"mode outside the annulus: R(1-|xi|) = {worst:.6g} exceeds 2")
-    return synthesize(fld.freqs, fld.amps * psi_ring(dev), spec, band="circle")
-
-
-def arc_caps(fld: TorusField, s: float | None = None) -> dict:
-    """Group annulus modes into tangent-scale windows of xi_1.
-
-    Near (0, -1) the arc graphs as xi_2 = -1 + xi_1^2/2 + O(xi_1^4), so
-    windows in the first coordinate at scale s (default R^{-1/2}) play the
-    role the parabola windows play for the square-function step.  Returns
-    {window index: mode indices}.
-    """
-    spec = fld.spec
-    s = theta_scale(spec.R) if s is None else float(s)
-    xi1 = spec.freq_step * fld.freqs[:, 0].astype(float)
-    keys = cap_index_for_abscissa(xi1, s)
-    out = {}
-    for i, k in enumerate(np.asarray(keys, dtype=np.int64).ravel()):
-        out.setdefault(int(k), []).append(i)
-    return {k: np.asarray(v, dtype=np.int64) for k, v in sorted(out.items())}
 
 
 # ---------------------------------------------------------------------------
@@ -504,28 +364,6 @@ def measure_family(name: str):
 MEASURE_FAMILIES = ("delta", "line", "square", "sqrt-profile")
 
 
-def reduction_identity_defect(freqs, amps, R: float, positions, masses,
-                              p: float) -> float:
-    """Change-of-variables identity for atomic measures.
-
-    Integrating |U f|^p against the rescaled atoms equals integrating
-    the composed samples |U f(Rx, R^2 t)|^p against the original atoms;
-    both sides are the same finite sum, so the defect must vanish and is
-    asserted to.
-    """
-    positions = np.atleast_2d(np.asarray(positions, dtype=float))
-    masses = np.atleast_1d(np.asarray(masses, dtype=float))
-    pos_R, _ = rescale_measure(positions, masses, R)
-    vals_lhs = propagator_at(freqs, amps, R, pos_R)
-    mapped = positions * np.array([R, R * R])
-    vals_rhs = propagator_at(freqs, amps, R, mapped)
-    lhs = float(np.sum(masses * np.abs(vals_lhs) ** p))
-    rhs = float(np.sum(masses * np.abs(vals_rhs) ** p))
-    defect = abs(lhs - rhs)
-    assert defect == 0.0, f"change-of-variables identity broke: {defect}"
-    return defect
-
-
 # ---------------------------------------------------------------------------
 # exponent fits
 
@@ -664,13 +502,6 @@ def _packet_slab(R: int, c: float, n_t: int):
     dist = np.abs(np.mod(x[None, :] - centers[:, None] + half, length) - half)
     mask = dist <= c * math.sqrt(R)
     return prop, mask
-
-
-def packet_band(R: int, c: float = 0.5, n_t: int = 65):
-    """Measured (min, max) of sqrt(R) |U g| over the traveling slab."""
-    prop, mask = _packet_slab(int(R), c, n_t)
-    vals = math.sqrt(R) * np.abs(prop.samples[mask])
-    return float(np.min(vals)), float(np.max(vals))
 
 
 def packet_ratio(R: int, p_values, alpha: float, c: float = 0.5,

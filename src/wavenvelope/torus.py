@@ -16,11 +16,10 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import fft2, ifft2
+from scipy.fft import ifft2
 
 TWO_PI = 2.0 * np.pi
 
@@ -85,10 +84,6 @@ class GridSpec:
         m = self.M if m is None else m
         return (self.L / m) * np.arange(m)
 
-    @property
-    def samples_nbytes(self) -> int:
-        return 16 * self.M * self.M
-
 
 def parabola_band_modes(spec: GridSpec) -> np.ndarray:
     """All lattice modes n with (2pi/L)n inside N_{1/R} of the parabola.
@@ -117,11 +112,6 @@ def _band_violations(freqs: np.ndarray, spec: GridSpec, band: str) -> np.ndarray
     if band == "parabola":
         return (np.abs(xi[:, 0]) > 1.0 + _BAND_TOL) | (
             np.abs(xi[:, 1] - xi[:, 0] ** 2) > (1.0 + _BAND_TOL) / spec.R)
-    if band == "circle":
-        r = np.hypot(xi[:, 0], xi[:, 1])
-        in_annulus = np.abs(1.0 - r) <= 2.0 / spec.R * (1.0 + _BAND_TOL)
-        in_sector = (xi[:, 1] < 0) & (np.abs(xi[:, 0]) <= -xi[:, 1] * (1 + 1e-12))
-        return ~(in_annulus & in_sector)
     if band == "free":
         return np.zeros(len(freqs), dtype=bool)
     raise ValueError(f"unknown band {band!r}")
@@ -203,39 +193,17 @@ def synthesize(freqs, amps, spec: GridSpec, band: str = "parabola") -> TorusFiel
     return TorusField(spec, freqs, amps, band)
 
 
-def constant_field(spec: GridSpec, value: complex = 1.0) -> TorusField:
-    return synthesize(np.zeros((1, 2), dtype=np.int64), [value], spec)
-
-
-def random_band_field(spec: GridSpec, seed, density: float = 1.0,
-                      band: str = "parabola") -> TorusField:
+def random_band_field(spec: GridSpec, seed, density: float = 1.0) -> TorusField:
     """Unit-modulus amplitudes with iid uniform phases, one per band mode.
 
     density < 1 keeps each mode independently with that probability.
     """
-    if band == "parabola":
-        modes = parabola_band_modes(spec)
-    elif band == "circle":
-        modes = circle_band_modes(spec)
-    else:
-        raise ValueError(f"no random family for band {band!r}")
+    modes = parabola_band_modes(spec)
     rng = np.random.default_rng(seed)
     if density < 1.0:
         modes = modes[rng.random(len(modes)) < density]
     phases = rng.uniform(0.0, TWO_PI, size=len(modes))
-    return synthesize(modes, np.exp(1j * phases), spec, band=band)
-
-
-def circle_band_modes(spec: GridSpec) -> np.ndarray:
-    """Lattice modes in the lower-sector annulus |1 - |xi|| <= 2/R."""
-    step = spec.freq_step
-    n_max = int(np.floor((1.0 + 2.0 / spec.R) / step + _BAND_TOL))
-    n1 = np.arange(-n_max, n_max + 1)
-    n2 = np.arange(-n_max, 0)
-    N1, N2 = np.meshgrid(n1, n2, indexing="ij")
-    cand = np.stack([N1.ravel(), N2.ravel()], axis=1)
-    keep = ~_band_violations(cand, spec, "circle")
-    return cand[keep]
+    return synthesize(modes, np.exp(1j * phases), spec)
 
 
 # (point, mode) entries of one block of the scattered trig_sum path.  Peak
@@ -349,21 +317,38 @@ def square_sum(pieces, spec) -> TorusField:
     theta, whatever its position on the parabola.  Returns a free-band
     field whose modes are the distinct offsets, ascending; pieces add in
     the order given.
+
+    The products and the offset keys (D1 + B) W + D2 + B, W = 2B + 1 with
+    B the largest |D|, are written piece by piece into two arrays of one
+    entry per (mode, mode) pair, so no per-piece copy outlives its slot.
     """
-    diffs, prods = [np.empty((0, 2), np.int64)], [np.empty(0, complex)]
-    for piece in pieces:
-        n, a = piece.freqs, piece.amps
-        diffs.append((n[:, None, :] - n[None, :, :]).reshape(-1, 2))
-        prods.append(np.outer(a, a.conj()).ravel())
-    d = np.concatenate(diffs)
-    c = np.concatenate(prods)
-    B = int(np.abs(d).max(initial=0))
-    keys, inv = np.unique((d[:, 0] + B) * (2 * B + 1) + d[:, 1] + B,
-                          return_inverse=True)
+    pieces = list(pieces)
+    B = max((int(np.ptp(pc.freqs, axis=0).max()) for pc in pieces
+             if pc.n_modes), default=0)
+    W = 2 * B + 1
+    total = sum(pc.n_modes ** 2 for pc in pieces)
+    key = np.empty(total, np.int64)
+    c = np.empty(total, np.complex128)
+    o = 0
+    for pc in pieces:
+        n, a = pc.freqs, pc.amps
+        end = o + len(a) ** 2
+        k = key[o:end].reshape(len(a), len(a))
+        np.subtract.outer(n[:, 0], n[:, 0], out=k)
+        k *= W
+        k += n[:, 1, None]
+        k -= n[None, :, 1]
+        k += B * W + B
+        # a broadcast product, as np.outer takes it: np.multiply.outer
+        # rounds the products differently (a conj(a) comes out exactly real)
+        np.multiply(a[:, None], a.conj()[None, :],
+                    out=c[o:end].reshape(len(a), len(a)))
+        o = end
+    keys, inv = np.unique(key, return_inverse=True)
+    del key  # freed before the bincounts copy out the real and imaginary parts
     coef = np.bincount(inv, weights=c.real) \
         + 1j * np.bincount(inv, weights=c.imag)
-    delta = np.stack([keys // (2 * B + 1) - B, keys % (2 * B + 1) - B],
-                     axis=1)
+    delta = np.stack([keys // W - B, keys % W - B], axis=1)
     return TorusField(spec, delta, coef, band="free")
 
 
@@ -421,67 +406,3 @@ def eval_at_atoms(field: TorusField, measure) -> np.ndarray:
     if len(measure.ij) * max(field.n_modes, 1) > 4 * M * M:
         return field.samples[measure.ij[:, 0], measure.ij[:, 1]]
     return point_eval(field, field.spec.delta * measure.ij.astype(float))
-
-
-def read_back_coeffs(field: TorusField) -> np.ndarray:
-    """Forward FFT of the samples, gathered at the field's own modes."""
-    M = field.spec.M
-    A = fft2(field.samples, workers=1) / (M * M)
-    return A[field.freqs[:, 0] % M, field.freqs[:, 1] % M]
-
-
-def analyze(samples: np.ndarray, spec: GridSpec, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
-    """Extract (freqs, amps) of all modes with |a| > tol * max|a|."""
-    M = samples.shape[0]
-    A = fft2(samples, workers=1) / (M * M)
-    mags = np.abs(A)
-    cut = tol * mags.max(initial=0.0)
-    idx = np.argwhere(mags > cut)
-    amps = A[idx[:, 0], idx[:, 1]]
-    # map FFT bins to signed lattice coordinates
-    freqs = np.where(idx >= M // 2, idx - M, idx).astype(np.int64)
-    order = np.lexsort((freqs[:, 1], freqs[:, 0]))
-    return freqs[order], amps[order]
-
-
-# ---------------------------------------------------------------------------
-# import/export
-
-_HEADER = struct.Struct("<ddQQ")  # R, L, M, mode count; 32 bytes
-
-
-def write_field(field: TorusField, path) -> None:
-    """Binary export: 32-byte header then M^2 little-endian (re, im) pairs."""
-    spec = field.spec
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(float(spec.R), spec.L, spec.M, field.n_modes))
-        fh.write(np.ascontiguousarray(field.samples, dtype="<c16").tobytes())
-
-
-def read_field(path) -> tuple[GridSpec, np.ndarray, int]:
-    """Binary import; returns (spec, samples, mode count)."""
-    with open(path, "rb") as fh:
-        R, L, M, n_modes = _HEADER.unpack(fh.read(_HEADER.size))
-        M = int(M)
-        data = np.frombuffer(fh.read(16 * M * M), dtype="<c16")
-    if len(data) != M * M:
-        raise ValueError(f"truncated field file {path}")
-    return GridSpec(int(R), L, M), data.reshape(M, M), int(n_modes)
-
-
-def write_spectrum_csv(field: TorusField, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("n1,n2,re,im\n")
-        for (n1, n2), a in zip(field.freqs, field.amps):
-            fh.write(f"{n1},{n2},{a.real:.17g},{a.imag:.17g}\n")
-
-
-def read_spectrum_csv(path, spec: GridSpec, band: str = "parabola") -> TorusField:
-    with open(path) as fh:
-        body = fh.read().strip().splitlines()[1:]
-    if body:
-        raw = np.loadtxt(body, delimiter=",", ndmin=2)
-    else:
-        raw = np.empty((0, 4))
-    freqs = raw[:, :2].astype(np.int64)
-    return synthesize(freqs, raw[:, 2] + 1j * raw[:, 3], spec, band=band)

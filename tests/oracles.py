@@ -3,15 +3,124 @@
 import math
 
 import numpy as np
+from scipy.fft import fft2
 
+from wavenvelope.decomp import CertificateError
 from wavenvelope.envelope import (W_BLOCK, W_EXPONENT, W_TAIL,
-                                  cap_decompose, envelope_area,
-                                  weighted_cell_integrals)
+                                  cap_decompose, envelope_area, kappa_table,
+                                  square_sum_samples, weighted_cell_integrals)
 from wavenvelope.geometry import (Cap, cap_index_for_abscissa, dyadic_scales,
+                                  envelope_index_of_tube,
                                   envelope_lattice_dims,
                                   locate_grid_envelopes, locate_grid_tubes,
                                   theta_scale)
 from wavenvelope.schrodinger import eta
+
+
+def read_back_coeffs(field) -> np.ndarray:
+    """Forward FFT of the samples, gathered at the field's own modes."""
+    M = field.spec.M
+    A = fft2(field.samples, workers=1) / (M * M)
+    return A[field.freqs[:, 0] % M, field.freqs[:, 1] % M]
+
+
+def analyze(samples: np.ndarray, spec, tol: float = 1e-12):
+    """Extract (freqs, amps) of all modes with |a| > tol * max|a|."""
+    M = samples.shape[0]
+    A = fft2(samples, workers=1) / (M * M)
+    mags = np.abs(A)
+    cut = tol * mags.max(initial=0.0)
+    idx = np.argwhere(mags > cut)
+    amps = A[idx[:, 0], idx[:, 1]]
+    # map FFT bins to signed lattice coordinates
+    freqs = np.where(idx >= M // 2, idx - M, idx).astype(np.int64)
+    order = np.lexsort((freqs[:, 1], freqs[:, 0]))
+    return freqs[order], amps[order]
+
+
+def locate_points(points, cap, kind: str = "tube", R: int | None = None):
+    """Float-path point location for arbitrary (not-on-grid) points.
+
+    kind 'tube': z = floor(L_tau^{-1} x + 1/2); kind 'envelope': the tube
+    index divided by the dyadic integer R s^2 with the same shifted
+    rounding (the point's envelope is its tube's envelope, keeping the
+    nesting exact).  No torus wrap.  Returns an (n, 2) int array.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    L_inv = cap.transforms()[3]
+    y = pts @ L_inv.T
+    z = np.floor(y + 0.5).astype(np.int64)
+    if kind == "envelope":
+        if R is None:
+            raise ValueError("envelope location needs R")
+        E = R * cap.s * cap.s
+        if E != int(E) or E < 1:
+            raise ValueError(f"Rs^2 = {E} not a positive integer")
+        z1, z2 = envelope_index_of_tube(z[:, 0], z[:, 1], int(E))
+        z = np.stack([z1, z2], axis=1)
+    elif kind != "tube":
+        raise ValueError(f"kind must be tube or envelope, got {kind!r}")
+    return z
+
+
+def tube_local_coords(points, z, cap) -> np.ndarray:
+    """y - z in tube coordinates y = L_tau^{-1} x; inside means
+    max-norm <= 1/2."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    L_inv = cap.transforms()[3]
+    return pts @ L_inv.T - np.atleast_2d(z)
+
+
+def reconstruction(dec) -> dict:
+    """Coefficient-space sum of a CapDecomposition's pieces."""
+    acc = {}
+    for piece in dec.pieces.values():
+        for fr, a in zip(piece.freqs, piece.amps):
+            key = (int(fr[0]), int(fr[1]))
+            acc[key] = acc.get(key, 0.0) + a
+    return acc
+
+
+def square_function(field, scale: float, m: int | None = None) -> np.ndarray:
+    """Pointwise (sum_tau |f_tau|^2)^(1/2) on the m x m grid."""
+    pieces = cap_decompose(field, scale).pieces.values()
+    return np.sqrt(square_sum_samples(pieces, field.spec, m or field.spec.M))
+
+
+def kappa(H, p: float, cap, z) -> float:
+    """kappa_{p,H}(U) for the single envelope U = (cap, z), z wrapped."""
+    if not 2.0 <= p <= 4.0:
+        raise ValueError("p in [2, 4]")
+    if H.is_full_constant:
+        lam = float(H.mass) / H.spec.delta ** 2
+        return lam ** (1.0 / p)
+    ekeys, vals, (N1U, N2U) = kappa_table(H, p, cap)
+    flat = int(z[0]) * N2U + int(z[1])
+    hit = np.searchsorted(ekeys, flat)
+    if hit < len(ekeys) and ekeys[hit] == flat:
+        return float(vals[hit])
+    return 0.0
+
+
+def modulation(g, points) -> np.ndarray:
+    """c_tau(x) with g(x) = c_tau(x) f_tau(L_tau x), |c_tau| = 1, for a
+    decomp.RescaledField g."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    s, c = g.cap.s, g.cap.c
+    ph = -(c / s) * pts[:, 0] + (c * c / (s * s)) * pts[:, 1]
+    out = np.exp(1j * ph)
+    return out if np.ndim(points) > 1 else out[0]
+
+
+def spectrum(g):
+    """(model frequencies, continuum-density amplitudes s^3 a) of a
+    decomp.RescaledField g."""
+    return g.freqs, g.cap.s ** 3 * g.amps
+
+
+def l2sq(g) -> float:
+    """Mean of |g|^2 over large boxes (the frequencies are distinct)."""
+    return float(np.sum(np.abs(g.amps) ** 2))
 
 
 def full_grid_dual_tube(spec, k: int) -> np.ndarray:
@@ -190,3 +299,73 @@ def pointwise_lattice_ratio(R: float, p: float, kappa: float = 1.0 / 3.0,
               for i in range(0, len(modes), n_quad))
     dA = (8.0 * R / sq_grid) ** 2
     return lhs / float(np.sum(np.sqrt(sq2) ** p) * dA) ** (1.0 / p)
+
+
+def concatenated_square_sum(pieces):
+    """(offsets, coefficients) of torus.square_sum, from per-piece offset and
+    product lists concatenated whole, keys built from full-length
+    temporaries (about 118 bytes per mode pair at its peak)."""
+    diffs, prods = [np.empty((0, 2), np.int64)], [np.empty(0, complex)]
+    for piece in pieces:
+        n, a = piece.freqs, piece.amps
+        diffs.append((n[:, None, :] - n[None, :, :]).reshape(-1, 2))
+        prods.append(np.outer(a, a.conj()).ravel())
+    d = np.concatenate(diffs)
+    c = np.concatenate(prods)
+    B = int(np.abs(d).max(initial=0))
+    keys, inv = np.unique((d[:, 0] + B) * (2 * B + 1) + d[:, 1] + B,
+                          return_inverse=True)
+    coef = np.bincount(inv, weights=c.real) \
+        + 1j * np.bincount(inv, weights=c.imag)
+    delta = np.stack([keys // (2 * B + 1) - B, keys % (2 * B + 1) - B],
+                     axis=1)
+    return delta, coef
+
+
+def bg_split(a, neighborhoods, p: float):
+    """Split (sum a_i)^p into max + separated-bilinear with certified C.
+
+    The elementary split that decomp.broad_narrow iterates down a cap
+    tree.  neighborhoods[i] lists the indices near i (including i itself);
+    the bilinear max runs over pairs (i, j) with j outside neighborhoods[i].
+    Returns (max_i a_i^p, (#I)^p max_pairs (a_i a_j)^(p/2), C) where
+    C = 2^(p-1) max(C1^p, 1) and C1 = max |I_i|; the inequality
+
+        (sum a_i)^p <= C (max term + bilinear term)
+
+    is checked, not just returned: a violation raises CertificateError.
+    """
+    a = np.asarray(a, dtype=float)
+    n = len(a)
+    if n == 0:
+        raise ValueError("empty sequence")
+    if np.any(a < 0):
+        raise ValueError("negative entries")
+    if p < 1:
+        raise ValueError("p >= 1 required")
+    if len(neighborhoods) != n:
+        raise ValueError("one neighborhood per entry")
+    hoods = [frozenset(int(j) for j in I) for I in neighborhoods]
+    for i, I in enumerate(hoods):
+        if i not in I:
+            raise ValueError(f"neighborhood {i} does not contain itself")
+        if any(j < 0 or j >= n for j in I):
+            raise ValueError(f"neighborhood {i} indexes outside the set")
+    C1 = max(len(I) for I in hoods)
+    C = 2.0 ** (p - 1) * max(float(C1) ** p, 1.0)
+    # the bound is homogeneous of degree p, so it is checked on a / max a,
+    # where pair products of tiny entries cannot underflow to zero
+    top = float(a.max())
+    b = a / top if top > 0.0 else a
+    pair_b = 0.0
+    for i, I in enumerate(hoods):
+        far = max((b[j] for j in range(n) if j not in I), default=0.0)
+        pair_b = max(pair_b, b[i] * far)
+    lhs = float(b.sum()) ** p
+    rhs = C * (float(top > 0.0) + float(n) ** p * pair_b ** (0.5 * p))
+    if not lhs <= rhs * (1.0 + 1e-12):
+        raise CertificateError(
+            f"split bound violated: {lhs} > {rhs} (in units of max a^p)")
+    max_term = top ** p
+    bilinear = float(n) ** p * pair_b ** (0.5 * p) * max_term
+    return max_term, bilinear, C

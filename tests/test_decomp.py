@@ -11,10 +11,11 @@ from wavenvelope.torus import (
     GridSpec, point_eval, random_band_field, synthesize,
 )
 from wavenvelope.geometry import Cap, theta_scale
-from wavenvelope.measures import ball_weight, constant_weight
+from wavenvelope.measures import ball_weight
 from wavenvelope import decomp as dc
 
-from oracles import direct_trig_sum, grid_points
+from oracles import (bg_split, direct_trig_sum, grid_points, l2sq,
+                     modulation, spectrum)
 
 SPEC64 = GridSpec(64)
 
@@ -37,7 +38,7 @@ def parabola_mode(spec, xi1):
 # the elementary split
 
 def test_bg_split_worked_example():
-    max_term, bilinear, C = dc.bg_split([4, 2, 1], [{0}, {1}, {2}], p=2)
+    max_term, bilinear, C = bg_split([4, 2, 1], [{0}, {1}, {2}], p=2)
     assert max_term == 16.0
     assert bilinear == 9 * 8.0
     assert C == 2.0
@@ -45,7 +46,7 @@ def test_bg_split_worked_example():
 
 
 def test_bg_split_single_element():
-    max_term, bilinear, C = dc.bg_split([3.0], [{0}], p=2.5)
+    max_term, bilinear, C = bg_split([3.0], [{0}], p=2.5)
     assert bilinear == 0.0
     assert max_term == 3.0 ** 2.5
     assert C >= 1.0
@@ -54,8 +55,7 @@ def test_bg_split_single_element():
 @pytest.mark.parametrize("n", [2, 5, 10])
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_bg_split_all_equal(n, p):
-    max_term, bilinear, C = dc.bg_split(
-        np.ones(n), [{i} for i in range(n)], p)
+    max_term, bilinear, C = bg_split(np.ones(n), [{i} for i in range(n)], p)
     assert max_term == 1.0
     assert float(n) ** p <= C * (1.0 + bilinear)
 
@@ -64,7 +64,7 @@ def test_bg_split_wide_neighborhoods_kill_bilinear():
     # every index near every other: no separated pair, C1 = n
     a = [1.0, 2.0, 3.0]
     hood = [set(range(3))] * 3
-    max_term, bilinear, C = dc.bg_split(a, hood, p=2)
+    max_term, bilinear, C = bg_split(a, hood, p=2)
     assert bilinear == 0.0
     assert C == 2.0 * 3 ** 2
     assert 36.0 <= C * max_term
@@ -72,23 +72,23 @@ def test_bg_split_wide_neighborhoods_kill_bilinear():
 
 def test_bg_split_rejections():
     with pytest.raises(ValueError):
-        dc.bg_split([], [], p=2)
+        bg_split([], [], p=2)
     with pytest.raises(ValueError):
-        dc.bg_split([1.0, -0.5], [{0}, {1}], p=2)
+        bg_split([1.0, -0.5], [{0}, {1}], p=2)
     with pytest.raises(ValueError):
-        dc.bg_split([1.0], [{0}], p=0.5)
+        bg_split([1.0], [{0}], p=0.5)
     with pytest.raises(ValueError):
-        dc.bg_split([1.0, 1.0], [{1}, {1}], p=2)  # 0 not in its own hood
+        bg_split([1.0, 1.0], [{1}, {1}], p=2)  # 0 not in its own hood
     with pytest.raises(ValueError):
-        dc.bg_split([1.0, 1.0], [{0, 5}, {1}], p=2)  # out of range
+        bg_split([1.0, 1.0], [{0, 5}, {1}], p=2)  # out of range
     with pytest.raises(ValueError):
-        dc.bg_split([1.0, 1.0], [{0}], p=2)  # one hood missing
+        bg_split([1.0, 1.0], [{0}], p=2)  # one hood missing
 
 
 def test_bg_split_tiny_entries_do_not_underflow():
     # a_0 a_1 underflows to 0 in double; the bound must still hold
     tiny = 3.663676782435874e-209
-    max_term, bilinear, C = dc.bg_split([tiny, tiny], [{0}, {1}], p=1.0)
+    max_term, bilinear, C = bg_split([tiny, tiny], [{0}, {1}], p=1.0)
     assert C == 1.0 and max_term == tiny and bilinear == 2 * tiny
 
 
@@ -101,10 +101,23 @@ def test_bg_split_certificate_property(a, p, rnd):
     for i in range(n):
         extra = {j for j in range(n) if rnd.random() < 0.3}
         hoods.append({i} | extra)
-    # the inequality is asserted inside; C must match the stated formula
-    _, _, C = dc.bg_split(a, hoods, p)
+    # the inequality is checked inside; C must match the stated formula
+    _, _, C = bg_split(a, hoods, p)
     C1 = max(len(I) for I in hoods)
     assert C == 2.0 ** (p - 1) * max(C1 ** p, 1.0)
+
+
+@pytest.mark.parametrize("threshold", [0.5, 1.0, 1.5, 2.5])
+def test_broad_narrow_stage_constant_is_the_split_constant(threshold):
+    # neighborhoods of a row of sibling caps under the separation rule that
+    # broad_narrow pairs by; its per-stage constant is the split's C
+    f = random_band_field(GridSpec(16), seed=0)
+    rep = dc.broad_narrow(f, [[0.0, 0.0]], p=3, K=4, threshold=threshold)
+    n = 12
+    hoods = [{j for j in range(n) if not dc._pair_gap_ok(j - i, threshold)}
+             for i in range(n)]
+    a = np.random.default_rng(0).uniform(0.0, 1.0, n)
+    assert bg_split(a, hoods, p=3)[2] == rep.C_stage
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +200,7 @@ def test_rescale_single_mode_pullback():
     step = spec.freq_step
     assert abs(xi1 - n1 * step) <= 1e-14
     assert abs(xi2 - n2 * step) <= 1e-14
-    _, dens = g.spectrum()
+    _, dens = spectrum(g)
     assert dens[0] == pytest.approx(s ** 3 * (2.0 - 1.0j), rel=1e-15)
     assert abs(eta2 - eta1 ** 2) <= 1.0 / g.R_new + 1e-12
 
@@ -206,7 +219,7 @@ def test_rescale_modulus_identity_on_grid():
     fv = point_eval(f, x_phys)
     assert np.max(np.abs(np.abs(gv) - np.abs(fv))) <= 1e-8
     # the full identity g = c_tau . (f o L_tau), not just the modulus
-    assert np.max(np.abs(gv - g.modulation(x_model) * fv)) <= 1e-10
+    assert np.max(np.abs(gv - modulation(g, x_model) * fv)) <= 1e-10
 
 
 @pytest.mark.parametrize("R_s", [16, 64])
@@ -242,7 +255,7 @@ def test_rescale_l2_bookkeeping():
     modes = [parabola_mode(spec, x) for x in (0.23, 0.28)]
     f = cap_field(spec, modes, [1.0, 2.0])
     g = dc.parabolic_rescale(f, Cap(0.25, 1))
-    assert g.l2sq() == pytest.approx(5.0)
+    assert l2sq(g) == pytest.approx(5.0)
 
 
 # ---------------------------------------------------------------------------
@@ -407,36 +420,3 @@ def test_bilinear_trials_deterministic_and_sane():
 def test_bilinear_trials_k2_uses_unit_parent():
     reps = dc.bilinear_trials(64, 2, 4, seed=0)
     assert all(r.K == 2 and r.s == 1.0 for r in reps)
-
-
-# ---------------------------------------------------------------------------
-# summed over envelopes
-
-@pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
-def test_envelope_sum_dominates_weighted_product(p):
-    f = random_band_field(SPEC64, seed=7, density=0.6)
-    H = ball_weight(SPEC64, rho=SPEC64.L / 8.0, center=(40.0, 60.0))
-    es = dc.bilinear_envelope_sum(f, H, p, Cap(1.0, 0),
-                                  Cap(0.25, 1), Cap(0.25, -2))
-    assert es.lhs <= es.rhs
-    assert es.ratio <= 4.0
-    assert es.n_envelopes > 0
-
-
-def test_envelope_sum_constant_weight():
-    spec = GridSpec(16)
-    f = random_band_field(spec, seed=9)
-    es = dc.bilinear_envelope_sum(f, constant_weight(spec, 0.25), 4.0,
-                                  Cap(1.0, 0), Cap(0.5, 1), Cap(0.5, -1))
-    assert 0.0 < es.lhs <= es.rhs
-    assert es.pair_id == "L0C0:1:-1"
-
-
-def test_envelope_sum_subcap_parent():
-    spec = SPEC64
-    xs = [0.36, 0.39, 0.61, 0.64]
-    f = cap_field(spec, [parabola_mode(spec, x) for x in xs])
-    H = ball_weight(spec, rho=SPEC64.L / 8.0, center=(128.0, 128.0))
-    es = dc.bilinear_envelope_sum(f, H, 4.0, Cap(0.5, 1),
-                                  Cap(0.125, 3), Cap(0.125, 5))
-    assert es.lhs <= es.rhs

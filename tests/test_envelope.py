@@ -15,7 +15,8 @@ from wavenvelope.measures import ball_weight, constant_weight, custom_weight
 from wavenvelope import envelope as env
 
 from oracles import (constant_env_rhs, env_shift,
-                     gathered_weighted_cell_integrals, subgrid_cell_integrals)
+                     gathered_weighted_cell_integrals, kappa, reconstruction,
+                     square_function, subgrid_cell_integrals)
 
 SPEC64 = GridSpec(64)
 
@@ -79,7 +80,7 @@ def test_window_weights_partition_property(xs, s):
 def test_decompose_reconstructs_exactly():
     f = random_band_field(SPEC64, seed=7, density=0.5)
     dec = env.cap_decompose(f, 0.25)
-    acc = dec.reconstruction(SPEC64)
+    acc = reconstruction(dec)
     orig = {(int(a), int(b)): amp for (a, b), amp in zip(f.freqs, f.amps)}
     assert set(acc) == set(orig)
     for key in orig:
@@ -107,14 +108,14 @@ def test_square_function_two_distant_caps():
     # one unit mode in each of two well-separated caps: S is sqrt(2)
     fr = np.array([[0, 0], [36, 32]])
     f = synthesize(fr, np.array([1.0 + 0j, 1.0 + 0j]), SPEC64)
-    S = env.square_function(f, theta_scale(64), m=256)
+    S = square_function(f, theta_scale(64), m=256)
     assert np.allclose(S, np.sqrt(2.0), atol=1e-12)
 
 
 def test_square_function_single_cap_is_abs():
     fr = np.array([[0, 0], [1, 0]])
     f = synthesize(fr, np.array([1.0 + 0j, 0.5 + 0j]), SPEC64)
-    S = env.square_function(f, theta_scale(64), m=256)
+    S = square_function(f, theta_scale(64), m=256)
     assert np.allclose(S, np.abs(f.samples_on(256)), atol=1e-12)
 
 
@@ -133,7 +134,7 @@ def test_square_function_l2_within_window_slack():
 def test_square_sum_rejects_aliasing_grid():
     f = random_band_field(SPEC64, seed=1, density=0.5)
     with pytest.raises(ValueError, match="aliases"):
-        env.square_function(f, theta_scale(64), m=8)
+        square_function(f, theta_scale(64), m=8)
     with pytest.raises(ValueError, match="aliases"):
         env.verify_weighted_sq(f, constant_weight(SPEC64, 1.0), 4.0, m=8)
 
@@ -241,7 +242,7 @@ def test_kappa_materialized_constant_matches_sentinel():
     # the full streaming path over all-cell atoms reproduces the closed form
     H = constant_weight(SPEC64, 1.0).materialize()
     for cap in (Cap(1.0, 0), Cap(0.25, 2), Cap(0.125, -5)):
-        assert env.kappa(H, 2.0, cap, (0, 0)) == 1.0
+        assert kappa(H, 2.0, cap, (0, 0)) == 1.0
     val, _ = env.kappa_max(H, 4.0)
     assert val == 1.0
 
@@ -259,15 +260,15 @@ def test_kappa_witness_reproduces_max():
     H = ball_weight(SPEC64, 2.0, center=(3.0, 5.0))
     for p in (2.0, 8.0 / 3.0, 4.0):
         val, wit = env.kappa_max(H, p)
-        got = env.kappa(H, p, Cap(wit["s"], wit["k"]), (wit["z1"], wit["z2"]))
+        got = kappa(H, p, Cap(wit["s"], wit["k"]), (wit["z1"], wit["z2"]))
         assert got == val
-    assert env.kappa(H, 2.0, Cap(1.0, 0), (3, 3)) >= 0.0
+    assert kappa(H, 2.0, Cap(1.0, 0), (3, 3)) >= 0.0
 
 
 def test_kappa_empty_envelope_is_zero():
     H = custom_weight(SPEC64, np.array([[0, 0]]), np.array([0.25]))
     # an envelope far from the single atom carries nothing
-    assert env.kappa(H, 2.0, Cap(1.0, 0), (40, 2)) == 0.0
+    assert kappa(H, 2.0, Cap(1.0, 0), (40, 2)) == 0.0
 
 
 def test_kappa_zero_measure():
@@ -304,7 +305,7 @@ def test_kappa_log_affine_in_inverse_p():
     assert len(ekeys) > 0
     z = (int(ekeys[0] // N2U), int(ekeys[0] % N2U))
     ps = [2.0, 2.5, 4.0]
-    logs = [np.log(env.kappa(H, p, cap, z)) for p in ps]
+    logs = [np.log(kappa(H, p, cap, z)) for p in ps]
     x = [1.0 / p for p in ps]
     slope = (logs[2] - logs[0]) / (x[2] - x[0])
     pred = logs[0] + slope * (x[1] - x[0])
@@ -317,7 +318,7 @@ def test_kappa_rejects_bad_p():
         with pytest.raises(ValueError):
             env.kappa_max(H, bad)
         with pytest.raises(ValueError):
-            env.kappa(H, bad, Cap(1.0, 0), (0, 0))
+            kappa(H, bad, Cap(1.0, 0), (0, 0))
 
 
 def test_kappa_max_locates_atoms_once_per_cap(monkeypatch):

@@ -6,21 +6,20 @@ holds E^2 tubes' worth, and the float point-location path agrees with
 the integer path on the nose.
 """
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from wavenvelope.torus import GridSpec, parabola_band_modes
 from wavenvelope.geometry import (
-    ArcCap, Cap, arc_cap_index, arc_caps_at_scale, build_cap_tree,
-    cap_index_for_abscissa, caps_at_scale, dyadic_scales, envelope_factor,
-    envelope_lattice_dims, envelope_index_of_tube, locate_grid_envelopes,
-    locate_grid_tubes, locate_points, mode_cap_index, theta_scale,
-    tube_lattice_dims, tube_local_coords, wrap_envelope_index,
-    wrap_tube_index, write_caps_csv, write_tubes_csv,
+    Cap, build_cap_tree, cap_index_for_abscissa, caps_at_scale,
+    dyadic_scales, envelope_factor, envelope_lattice_dims,
+    envelope_index_of_tube, locate_grid_envelopes, locate_grid_tubes,
+    mode_cap_index, theta_scale, tube_lattice_dims, wrap_envelope_index,
+    wrap_tube_index,
 )
+
+from oracles import locate_points, tube_local_coords
 
 SPEC = GridSpec(64)
 
@@ -182,31 +181,6 @@ def test_cap_tree_parent_of_every_cap():
         # child lists partition the level
         seen = np.concatenate([t.children_index(level - 1, int(k)) for k in up])
         assert sorted(seen.tolist()) == sorted(ks.tolist())
-
-
-def test_arc_caps():
-    s = 0.125
-    arcs = arc_caps_at_scale(s)
-    assert len(arcs) > 0
-    for arc in arcs:
-        assert abs(arc.angle + math.pi / 2) <= math.pi / 4 + s
-        _, _, Lm, L_inv = arc.transforms()
-        assert abs(abs(np.linalg.det(Lm)) - s ** -3) / s ** -3 < 1e-12
-        assert np.allclose(Lm @ L_inv, np.eye(2))
-        assert arc_cap_index(arc.angle, s) == arc.k
-
-
-def test_csv_exports(tmp_path):
-    caps = caps_at_scale(0.5)
-    p1 = tmp_path / "caps.csv"
-    write_caps_csv(caps, p1)
-    lines = p1.read_text().splitlines()
-    assert lines[0] == "cap_id,s,c,z1,z2,kind"
-    assert len(lines) == 1 + len(caps)
-    rows = [(caps[0], 0, 0, "tube"), (caps[1], 3, 1, "tube")]
-    p2 = tmp_path / "tubes.csv"
-    write_tubes_csv(rows, p2)
-    assert len(p2.read_text().splitlines()) == 3
 
 
 CAPS_POOL = [cap for s in dyadic_scales(64) for cap in caps_at_scale(s)]

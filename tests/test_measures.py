@@ -1,4 +1,4 @@
-"""Weight families, smoothing, level sets, and dimension certificates.
+"""Weight families and dimension certificates.
 
 Certificates are checked against exhaustive brute force at small R: the
 dyadic atom-centered supremum must bracket the all-grid-center supremum
@@ -30,6 +30,15 @@ def brute_ball_sup(measure, alpha, spec, stride=1, r_min=1.0):
     table = ms.ball_masses_at(centers, measure.positions(),
                               np.asarray(measure.mass), radii, spec.L)
     return float((table * radii[None, :] ** -alpha).max())
+
+
+def certify(mu, mode, param):
+    """certificate_core over a measure's atoms: atom centres, the torus
+    metric, dyadic radii from 1 (balls) or one cell (parabolic boxes) to L."""
+    mu = mu.materialize()
+    r_min = 1.0 if mode == "alpha-ball" else mu.spec.delta
+    return ms.certificate_core(mu.positions(), np.asarray(mu.mass), mode,
+                               param, r_min, mu.spec.L, L=mu.spec.L)
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +95,7 @@ def test_dual_tube_support():
     # alpha-dimensional: certificate bounded, uniformly over R
     for spec in (SPEC4, GridSpec(16)):
         wt = ms.make_weight("dual-tube", spec, alpha=1.0)
-        cert = ms.dimension_certificate(wt, "alpha-ball", 1.0)
+        cert = certify(wt, "alpha-ball", 1.0)
         assert cert.value <= 8.0
 
 
@@ -144,7 +153,7 @@ def test_lattice_support_oracle():
 def test_lattice_empty_support_is_legal():
     w = ms.make_weight("lattice", GridSpec(16), kappa=1.0 / 3.0, c=1e-6)
     assert w.n_atoms >= 0  # empty allowed, flagged by the count
-    cert = ms.dimension_certificate(w, "alpha-ball", 1.0)
+    cert = certify(w, "alpha-ball", 1.0)
     assert cert.value >= 0.0
 
 
@@ -186,114 +195,19 @@ def test_materialize_matches_constant():
 
 
 # ---------------------------------------------------------------------------
-# smoothing
-
-def test_smooth_single_atom_profile():
-    mu = ms.GridMeasure(SPEC, np.array([[100, 100]]), np.array([1.0]))
-    H = ms.smooth_measure(mu)
-    h = np.zeros((SPEC.M, SPEC.M))
-    h[H.ij[:, 0], H.ij[:, 1]] = H.density()
-    c_N = 36.0 / math.pi
-    assert h[100, 100] == pytest.approx(c_N)
-    for r_cells in (2, 8, 32):
-        r = SPEC.delta * r_cells
-        assert h[100 + r_cells, 100] == pytest.approx(c_N * (1 + r) ** -10)
-
-
-def test_smooth_two_atoms_midpoint():
-    # atoms 2 apart (4 cells at Delta=1/2); midpoint sees phi(1) twice
-    mu = ms.GridMeasure(SPEC, np.array([[96, 100], [100, 100]]),
-                        np.array([1.0, 1.0]))
-    H = ms.smooth_measure(mu)
-    h = np.zeros((SPEC.M, SPEC.M))
-    h[H.ij[:, 0], H.ij[:, 1]] = H.density()
-    c_N = 36.0 / math.pi
-    assert h[98, 100] == pytest.approx(2 * c_N * 2.0 ** -10, rel=1e-12)
-
-
-def test_smooth_clamp_makes_weight():
-    mu = ms.GridMeasure(SPEC4, np.array([[0, 0]]), np.array([5.0]))
-    H = ms.smooth_measure(mu, clamp=True)
-    assert H.kind == "weight"
-    assert np.max(H.density()) <= 1.0 + 1e-12
-
-
-def test_smooth_certificate_transfer():
-    # <mu>_alpha = 1 after normalization; smoothing keeps it O(1)
-    mu0 = ms.make_weight("lattice", SPEC, kappa=1.0 / 3.0, c=0.6)
-    alpha = 1.0  # 2 - 3*kappa
-    cert0 = ms.dimension_certificate(mu0, "alpha-ball", alpha)
-    mu = mu0.scaled(1.0 / cert0.value)
-    assert ms.dimension_certificate(mu, "alpha-ball", alpha).value == \
-        pytest.approx(1.0, rel=1e-9)
-    H = ms.smooth_measure(mu, support_tol=1e-12)
-    rng = np.random.default_rng(0)
-    sub = rng.choice(H.n_atoms, size=min(H.n_atoms, 1024), replace=False)
-    certH = ms.certificate_core(H.positions()[sub], np.asarray(H.mass)[sub],
-                                "alpha-ball", alpha, 1.0, SPEC.L, L=SPEC.L)
-    # lower bound on the smoothed certificate already certifies growth;
-    # the full value is checked to stay under the transfer constant
-    certH_full = ms.dimension_certificate(H, "alpha-ball", alpha,
-                                          centers=H.positions()[sub])
-    assert certH.value <= certH_full.value + 1e-12
-    assert certH_full.value <= 16.0
-
-
-# ---------------------------------------------------------------------------
-# level sets
-
-def test_level_sets_constant_weight():
-    w = ms.make_weight("constant", SPEC4, lam=1.0)
-    levels, below = ms.dyadic_level_sets(w)
-    assert len(levels) == 1 and levels[0][0] == 1.0
-    assert len(levels[0][1]) == SPEC4.M ** 2
-    assert len(below) == 0
-
-
-def test_level_sets_two_valued():
-    d2 = SPEC.delta ** 2
-    ij = np.array([[0, 0], [1, 0], [2, 0]])
-    w = ms.GridMeasure(SPEC, ij, d2 * np.array([1.0, 0.25, 0.25]), "weight")
-    levels, below = ms.dyadic_level_sets(w)
-    assert [lam for lam, _ in levels] == [1.0, 0.25]
-    assert len(levels[0][1]) == 1 and len(levels[1][1]) == 2
-    assert len(below) == 0
-
-
-def test_level_sets_floor():
-    d2 = SPEC.delta ** 2
-    ij = np.array([[0, 0], [1, 0]])
-    w = ms.GridMeasure(SPEC, ij, d2 * np.array([0.5, 1e-90]), "weight")
-    levels, below = ms.dyadic_level_sets(w)
-    assert [lam for lam, _ in levels] == [0.5]
-    assert len(below) == 1  # below the R^-40 floor, kept separately
-
-
-def test_level_sets_partition_integral():
-    # sum over levels of lam |Y_lam| brackets the integral of h
-    mu = ms.GridMeasure(SPEC, np.array([[50, 50]]), np.array([1.0]))
-    H = ms.smooth_measure(mu, clamp=True, support_tol=0.0)
-    levels, below = ms.dyadic_level_sets(H)
-    d2 = SPEC.delta ** 2
-    boxed = sum(lam * len(idx) * d2 for lam, idx in levels)
-    integral = H.total - float(np.sum(np.asarray(H.mass)[below]))
-    assert 0.5 * integral <= boxed <= integral + 1e-12
-
-
-# ---------------------------------------------------------------------------
 # certificates
 
 def test_point_mass_certificate():
     mu = ms.GridMeasure(SPEC, np.array([[7, 9]]), np.array([1.0]))
     for alpha in (0.5, 1.0, 2.0):
-        cert = ms.dimension_certificate(mu, "alpha-ball", alpha)
+        cert = certify(mu, "alpha-ball", alpha)
         assert cert.value == pytest.approx(1.0)
         assert cert.witness_radius == 1.0
 
 
 def test_constant_weight_alpha2_is_disk_area():
     w = ms.make_weight("constant", SPEC4, lam=1.0)
-    cert = ms.dimension_certificate(w, "alpha-ball", 2.0)
+    cert = certify(w, "alpha-ball", 2.0)
     assert math.pi / 4 <= cert.value <= 4 * math.pi
 
 
@@ -304,7 +218,7 @@ def test_certificate_brackets_brute_force():
         ij = np.unique(rng.integers(0, SPEC4.M, size=(n, 2)), axis=0)
         mu = ms.GridMeasure(SPEC4, ij, rng.uniform(0.2, 2.0, size=len(ij)))
         for alpha in (0.7, 1.5):
-            cert = ms.dimension_certificate(mu, "alpha-ball", alpha)
+            cert = certify(mu, "alpha-ball", alpha)
             brute = brute_ball_sup(mu, alpha, SPEC4)
             assert cert.value <= brute * (1 + 1e-9)
             assert brute <= 2.0 ** alpha * cert.value * (1 + 1e-9)
@@ -312,24 +226,17 @@ def test_certificate_brackets_brute_force():
 
 def test_witness_reproduces_value():
     w = ms.make_weight("ball", SPEC, rho=1.5)
-    for mode, param in [("alpha-ball", 1.0), ("alpha-ball-all", 1.0),
-                        ("beta-par", 2.0), ("mc", (1.0, 2.0))]:
-        cert = ms.dimension_certificate(w, mode, param)
-        assert ms.evaluate_at_witness(w, cert) == pytest.approx(cert.value,
-                                                                rel=1e-9)
+    for mode, param, masses_at in [("alpha-ball", 1.0, ms.ball_masses_at),
+                                   ("beta-par", 2.0, ms.parbox_masses_at)]:
+        cert = certify(w, mode, param)
+        # the certified ratio, recomputed at the stored witness alone
+        table = masses_at(np.asarray([cert.witness_center]), w.positions(),
+                          np.asarray(w.mass), np.asarray([cert.witness_radius]),
+                          SPEC.L)
+        at_witness = float(table[0, 0]) * cert.witness_radius ** -param
+        assert at_witness == pytest.approx(cert.value, rel=1e-9)
         d = cert.to_dict()
         assert d["mode"] == mode and "witness" in d
-
-
-def test_certificate_json(tmp_path):
-    w = ms.make_weight("ball", SPEC4, rho=1.0)
-    cert = ms.dimension_certificate(w, "alpha-ball", 1.0)
-    path = tmp_path / "cert.json"
-    cert.write_json(path)
-    import json
-    back = json.loads(path.read_text())
-    assert back["value"] == cert.value
-    assert back["param"] == [1.0]
 
 
 def test_parabolic_mode_sees_anisotropy():
@@ -351,24 +258,13 @@ def test_parabolic_mode_sees_anisotropy():
         assert cv[0, 0] == pytest.approx(rho * rho + SPEC.delta, abs=SPEC.delta)
 
 
-def test_mc_mode_constant_density():
-    # h = 1 everywhere: r^delta (r^-3 int h^q)^(1/q) = r^delta (4 r^3/r^3)^(1/q)
-    w = ms.make_weight("constant", SPEC4, lam=1.0)
-    delta, q = 1.0, 2.0
-    cert = ms.dimension_certificate(w, "mc", (delta, q))
-    r = cert.witness_radius
-    assert cert.value >= r ** delta  # at least the box-volume prediction
-    with pytest.raises(ValueError):
-        ms.dimension_certificate(w, "mc", (1.0, 4.0))  # q > 3/delta
-
-
 @settings(max_examples=20, deadline=None)
 @given(st.floats(0.1, 10.0), st.sampled_from(["alpha-ball", "beta-par"]))
 def test_certificate_scaling_property(c, mode):
     ij = np.array([[0, 0], [3, 1], [10, 200], [40, 40]])
     mu = ms.GridMeasure(SPEC, ij, np.array([1.0, 0.5, 2.0, 0.25]))
-    base = ms.dimension_certificate(mu, mode, 1.2)
-    scaled = ms.dimension_certificate(mu.scaled(c), mode, 1.2)
+    base = certify(mu, mode, 1.2)
+    scaled = certify(mu.scaled(c), mode, 1.2)
     assert scaled.value == pytest.approx(c * base.value, rel=1e-12)
     assert scaled.witness_radius == base.witness_radius
 
@@ -379,23 +275,3 @@ def test_monotonicity_of_atomic_evaluation():
     radii = np.array([1.0, 2.0, 4.0])
     table = ms.ball_masses_at(np.zeros((1, 2)), pos, mass, radii, SPEC.L)
     assert table[0, 0] <= table[0, 1] <= table[0, 2]
-
-
-# ---------------------------------------------------------------------------
-# IO
-
-def test_measure_csv_roundtrip(tmp_path):
-    w = ms.make_weight("truncated-lattice", SPEC, alpha=1.5, c=0.25)
-    path = tmp_path / "m.csv"
-    ms.write_measure_csv(w, path)
-    back = ms.read_measure_csv(path, SPEC, kind="weight")
-    assert np.array_equal(back.ij, w.ij)
-    assert np.array_equal(back.mass, w.mass)
-
-
-def test_measure_csv_empty(tmp_path):
-    w = ms.GridMeasure(SPEC, np.empty((0, 2), np.int64), np.empty(0))
-    path = tmp_path / "empty.csv"
-    ms.write_measure_csv(w, path)
-    back = ms.read_measure_csv(path, SPEC)
-    assert back.n_atoms == 0

@@ -1,0 +1,70 @@
+"""Static hygiene of the package source, read with ast and never imported.
+
+Every top-level function and class of src/wavenvelope must be used by the
+package itself, or carry a reason here for existing without a caller in
+src/.  And src/ holds no assert statement: python -O strips them, so a
+check that matters has to raise.
+"""
+
+import ast
+import os
+
+import pytest
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                   "src", "wavenvelope")
+
+# top-level names with no caller in src/, each with the reason it stays
+NO_CALLER_IN_SRC = {
+    "pair_growth_fit": "acceptance criterion 9 fits each pair's growth",
+    "fls_experiment": "acceptance criterion 10 fits one family at one p",
+    "locate_grid_envelopes": "the benchmark's span counters trace it",
+    "nikodym_experiment": "the benchmark's span counters trace it",
+    "read_config": "the public reader of key = value config files",
+}
+
+
+def _modules():
+    out = {}
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name)) as fh:
+                out[name] = ast.parse(fh.read(), filename=name)
+    return out
+
+
+MODULES = _modules()
+
+
+def _used_names() -> set:
+    """Names read anywhere in src/: bare names and attribute names."""
+    used = set()
+    for tree in MODULES.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return used
+
+
+def test_every_top_level_definition_has_a_caller():
+    used = _used_names()
+    defined, orphans = set(), []
+    for fname, tree in MODULES.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            defined.add(node.name)
+            if node.name not in used and node.name not in NO_CALLER_IN_SRC:
+                orphans.append(f"{fname}:{node.lineno} {node.name}")
+    assert orphans == []
+    # a stale reason outlives the definition it excused
+    assert set(NO_CALLER_IN_SRC) <= defined
+
+
+@pytest.mark.parametrize("fname", sorted(MODULES))
+def test_no_assert_statements(fname):
+    asserts = [node.lineno for node in ast.walk(MODULES[fname])
+               if isinstance(node, ast.Assert)]
+    assert asserts == []

@@ -6,16 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavenvelope.torus import (GridSpec, lp_norm, random_band_field,
-                               synthesize, trig_sum)
-from wavenvelope.geometry import cap_index_for_abscissa
+from wavenvelope.torus import trig_sum
 from wavenvelope import schrodinger as sch
 
 from oracles import direct_trig_sum, grid_points, pointwise_lattice_ratio
 
 
 # ---------------------------------------------------------------------------
-# time cutoff and multiplier profiles
+# time cutoff and bump profile
 
 def test_eta_values():
     assert sch.eta(0.0) == 1.0
@@ -30,21 +28,13 @@ def test_eta_transform_matches_triangle():
     t = np.linspace(-3000.0, 3000.0, 600001)
     for w in (0.0, 0.3, 0.9, 1.2, 2.0):
         numeric = np.trapezoid(sch.eta(t) * np.exp(-1j * w * t), t)
-        assert abs(numeric - sch.eta_hat(w)) < 3e-3
-    assert sch.eta_hat(1.0) == 0.0
-    assert sch.eta_hat(0.0) == 2.0 * np.pi
+        assert abs(numeric - 2.0 * np.pi * max(1.0 - abs(w), 0.0)) < 3e-3
 
 
 def test_bump_and_ring_profiles():
     assert sch.smooth_bump(0.625, 0.25, 1.0) == 1.0
     assert sch.smooth_bump(0.25, 0.25, 1.0) == 0.0
     assert sch.smooth_bump(1.0, 0.25, 1.0) == 0.0
-    u = np.linspace(-3, 3, 601)
-    vals = sch.psi_ring(u)
-    assert sch.psi_ring(0.0) == 1.0
-    assert sch.psi_ring(2.0) == 0.0 and sch.psi_ring(-2.0) == 0.0
-    assert np.all((vals >= 0.0) & (vals <= 1.0))
-    assert np.all(vals[np.abs(u) >= 2.0] == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -103,95 +93,6 @@ def test_unitarity_of_random_spectra(seed):
     times = rng.uniform(-R, R, size=5)
     prop = sch.propagate(n * step, amps, R, L, 192, times)
     assert prop.unitarity_defect <= 1e-10
-
-
-def test_band_check_lattice_exact_and_leak():
-    R, L = 64, 512.0
-    step = 2 * np.pi / L
-    times = np.linspace(-R, R, 256, endpoint=False)
-    prop = sch.propagate(step * np.array([40, 70]), [1.0, 0.5j],
-                         R, L, 256, times)
-    report = sch.band_check(prop)
-    assert report["lattice_outside"] == 0.0
-    assert report["window_leak"] < 0.02
-    assert report["band_halfwidth"] == 1.0 / R
-    assert "sinc" in report["eta"]
-
-
-def test_band_check_rejections():
-    R, L = 64, 512.0
-    step = 2 * np.pi / L
-    prop = sch.propagate([40 * step], [1.0], R, L, 128,
-                         np.array([0.0, 1.0, 3.0, 6.0]))
-    with pytest.raises(ValueError, match="uniform"):
-        sch.band_check(prop)
-    coarse = sch.propagate([80 * step], [1.0], R, L, 256,
-                           np.arange(32) * 4.0)
-    with pytest.raises(ValueError, match="too coarse"):
-        sch.band_check(coarse)
-
-
-def test_slab_roundtrip_and_csv(tmp_path):
-    R, L = 64, 512.0
-    step = 2 * np.pi / L
-    times = np.linspace(0, R, 8)
-    prop = sch.propagate(step * np.array([-3, 12]), [1.0, 2j], R, L, 64, times)
-    pth = tmp_path / "slab.bin"
-    prop.write_slab(pth)
-    R2, L2, t2, s2 = sch.read_slab(pth)
-    assert R2 == R and L2 == L
-    assert np.array_equal(t2, prop.times)
-    assert np.array_equal(s2, prop.samples)
-
-    cp = tmp_path / "slices.csv"
-    prop.write_slices_csv(cp, t_stride=4, x_stride=16)
-    lines = cp.read_text().splitlines()
-    assert lines[0].startswith("# eta =")
-    assert lines[1] == "t,x,re,im"
-    row = lines[2].split(",")
-    assert len(row) == 4
-    assert float(row[0]) == prop.times[0]
-    # strided rows: 2 time slices x 4 columns
-    assert len(lines) - 2 == 2 * 4
-
-
-# ---------------------------------------------------------------------------
-# annulus multiplier
-
-def test_apply_SR_matches_profile():
-    spec = GridSpec(64)
-    fld = random_band_field(spec, seed=5, band="circle")
-    out = sch.apply_SR(fld)
-    xi = spec.freq_step * fld.freqs.astype(float)
-    dev = spec.R * (1.0 - np.hypot(xi[:, 0], xi[:, 1]))
-    assert np.max(np.abs(out.amps - fld.amps * sch.psi_ring(dev))) == 0.0
-    assert lp_norm(out, 2) <= 1.0000001 * lp_norm(fld, 2)
-
-
-def test_apply_SR_rejects_outside_annulus():
-    spec = GridSpec(64)
-    # sector is right but the radius is half a unit: far from the circle
-    bad = synthesize(np.array([[0, -spec.L / (4 * np.pi) // 1]], dtype=np.int64),
-                     np.array([1.0 + 0j]), spec, band="free")
-    with pytest.raises(ValueError, match="annulus"):
-        sch.apply_SR(bad)
-    up = synthesize(np.array([[0, 5]], dtype=np.int64),
-                    np.array([1.0 + 0j]), spec, band="free")
-    with pytest.raises(ValueError, match="sector"):
-        sch.apply_SR(up)
-
-
-def test_arc_caps_grouping():
-    spec = GridSpec(64)
-    fld = random_band_field(spec, seed=9, band="circle")
-    groups = sch.arc_caps(fld)
-    xi1 = spec.freq_step * fld.freqs[:, 0].astype(float)
-    s = spec.R ** -0.5
-    total = 0
-    for k, idx in groups.items():
-        assert np.all(cap_index_for_abscissa(xi1[idx], s) == k)
-        total += len(idx)
-    assert total == len(fld.freqs)
 
 
 # ---------------------------------------------------------------------------
@@ -342,12 +243,20 @@ def test_rescale_validations():
 
 
 def test_reduction_identity_is_exact():
+    # integrating |U f|^p against the rescaled atoms equals integrating the
+    # composed samples |U f(Rx, R^2 t)|^p against the original atoms: both
+    # sides are the same finite sum
     step = 2 * np.pi / 512.0
     freqs = step * np.array([10, 40, 70])
     amps = np.array([1.0, 0.5j, -0.25])
     pos = np.array([[0.1, 0.2], [0.5, -0.3], [1.0, 0.7]])
     m = np.array([0.2, 0.3, 0.5])
-    assert sch.reduction_identity_defect(freqs, amps, 64.0, pos, m, 3.0) == 0.0
+    R = 64.0
+    pos_R, _ = sch.rescale_measure(pos, m, R)
+    lhs = np.sum(m * np.abs(sch.propagator_at(freqs, amps, R, pos_R)) ** 3.0)
+    mapped = pos * np.array([R, R * R])
+    rhs = np.sum(m * np.abs(sch.propagator_at(freqs, amps, R, mapped)) ** 3.0)
+    assert lhs == rhs
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +308,10 @@ def test_packet_family_slope_and_band():
                              R_values=(64, 256, 1024))
     assert fit.prediction == pytest.approx(3.0 / 16.0)
     assert abs(fit.slope - fit.prediction) < 0.1
-    lo, hi = sch.packet_band(256)
+    # sqrt(R) |U g| stays within a factor 2 over the traveling slab
+    prop, mask = sch._packet_slab(256, 0.5, 65)
+    vals = math.sqrt(256) * np.abs(prop.samples[mask])
+    lo, hi = float(np.min(vals)), float(np.max(vals))
     assert 0.0 < lo <= hi
     assert hi / lo < 2.0
 

@@ -1,4 +1,4 @@
-"""Band-limited synthesis, norms, and IO against independent oracles.
+"""Band-limited synthesis and norms against independent oracles.
 
 The load-bearing checks are the ones with a second computational route:
 point_eval (direct trig sums) against the FFT grid, Parseval against the
@@ -6,21 +6,23 @@ grid quadrature, and the quartic norm against coefficient convolution.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from wavenvelope.torus import (
-    GridSpec, TorusField, analyze, circle_band_modes, constant_field,
-    grid_lp, l2sq_coeff, lp_norm, parabola_band_modes, point_eval,
-    random_band_field, read_back_coeffs, read_field, read_spectrum_csv,
-    synthesize, write_field, write_spectrum_csv,
+    GridSpec, grid_lp, l2sq_coeff, lp_norm, parabola_band_modes, point_eval,
+    random_band_field, square_sum, synthesize,
 )
 from wavenvelope.cli import make_field
+from wavenvelope.envelope import cap_decompose
+from wavenvelope.geometry import theta_scale
 from wavenvelope.measures import GridMeasure, constant_weight
 
-from oracles import grid_constant_lp
+from oracles import (analyze, concatenated_square_sum, grid_constant_lp,
+                     read_back_coeffs)
 
 SPEC4 = GridSpec(4)
 SPEC16 = GridSpec(16)
@@ -69,16 +71,6 @@ def test_parabola_band_count_oracle():
     assert len(parabola_band_modes(SPEC4)) == count
 
 
-def test_circle_band_membership():
-    modes = circle_band_modes(SPEC16)
-    assert len(modes) > 0
-    xi = SPEC16.freq_step * modes
-    r = np.hypot(xi[:, 0], xi[:, 1])
-    assert np.all(np.abs(1.0 - r) <= 2.0 / SPEC16.R + 1e-9)
-    assert np.all(xi[:, 1] < 0)
-    assert np.all(np.abs(xi[:, 0]) <= -xi[:, 1] + 1e-9)
-
-
 def test_synthesize_rejections():
     with pytest.raises(ValueError, match="duplicate"):
         synthesize([[0, 0], [0, 0]], [1.0, 1.0], SPEC16)
@@ -118,7 +110,7 @@ def test_quartic_norm_by_coefficient_convolution():
 
 
 def test_lp_norm_p_range():
-    f = constant_field(SPEC4)
+    f = synthesize(np.zeros((1, 2), dtype=np.int64), [1.0], SPEC4)
     with pytest.raises(ValueError):
         lp_norm(f, 1.5)
     with pytest.raises(ValueError):
@@ -166,26 +158,6 @@ def test_analyze_inverts_synthesize():
 def test_analyze_zero_field():
     freqs, amps = analyze(np.zeros((SPEC4.M, SPEC4.M), dtype=complex), SPEC4)
     assert len(freqs) == 0 and len(amps) == 0
-
-
-def test_binary_roundtrip(tmp_path):
-    f = random_band_field(SPEC4, seed=10)
-    path = tmp_path / "field.bin"
-    write_field(f, path)
-    spec, samples, n_modes = read_field(path)
-    assert spec == SPEC4 and n_modes == f.n_modes
-    assert np.array_equal(samples, f.samples)
-    # header is 32 bytes, payload M^2 c16
-    assert path.stat().st_size == 32 + 16 * SPEC4.M ** 2
-
-
-def test_spectrum_csv_roundtrip(tmp_path):
-    f = random_band_field(SPEC4, seed=11)
-    path = tmp_path / "spec.csv"
-    write_spectrum_csv(f, path)
-    g = read_spectrum_csv(path, SPEC4)
-    assert np.array_equal(g.freqs, f.freqs)
-    assert np.array_equal(g.amps, f.amps)  # %.17g round-trips doubles
 
 
 def test_random_field_determinism():
@@ -250,3 +222,34 @@ def test_constant_weight_lhs_other_p_is_grid_sum(R):
     for lam in (0.25, 1.0):
         w = constant_weight(f.spec, lam=lam)
         assert lp_norm(f, 3.0, measure=w) == grid_constant_lp(f, 3.0, w.mass)
+
+
+@pytest.mark.parametrize("family", ["random", "flat", "knapp", "spread"])
+@pytest.mark.parametrize("whole", [True, False])
+def test_square_sum_matches_concatenated_oracle(family, whole):
+    # bit for bit, on the whole field and on its theta pieces
+    spec = GridSpec(64)
+    f = make_field(family, spec, seed=5)
+    pieces = [f] if whole else \
+        list(cap_decompose(f, theta_scale(spec.R)).pieces.values())
+    delta, coef = concatenated_square_sum(pieces)
+    got = square_sum(pieces, spec)
+    assert np.array_equal(got.freqs, delta)
+    assert np.array_equal(got.amps, coef)
+
+
+def test_square_sum_peak_per_mode_pair():
+    # the whole-field autocorrelation of the constant-weight lhs at p = 4:
+    # at most 80 bytes per (mode, mode) pair at its traced peak
+    spec = GridSpec(256)
+    f = random_band_field(spec, seed=0)
+    tracemalloc.start()
+    try:
+        got = square_sum([f], spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 80 * f.n_modes ** 2
+    delta, coef = concatenated_square_sum([f])
+    assert np.array_equal(got.freqs, delta)
+    assert np.array_equal(got.amps, coef)
