@@ -48,10 +48,9 @@ SCHEMA_VERSION = 1
 
 _LIST_KEYS = {"R", "p"}
 _INT_KEYS = {"K", "seed", "trials", "points"}
-_FLOAT_KEYS = {"kappa", "alpha", "beta", "lam", "band", "mem_cap_mb"}
+_FLOAT_KEYS = {"kappa", "alpha", "lam", "band", "mem_cap_mb"}
 _OPT_FLOAT_KEYS = {"c"}
 _BOOL_KEYS = {"deterministic"}
-_STR_KEYS = {"experiment", "family", "out"}
 _PAIR_KEYS = {"tol"}
 
 
@@ -72,7 +71,6 @@ class ExperimentConfig:
     family: str = ""
     kappa: float = 1.0 / 3.0
     alpha: float = 1.5
-    beta: float = 1.0
     c: float | None = None
     lam: float = 1.0
     seed: int = 0
@@ -914,7 +912,6 @@ def _add_flags(sp):
     sp.add_argument("--out")
     sp.add_argument("--kappa", type=float)
     sp.add_argument("--alpha", type=float)
-    sp.add_argument("--beta", type=float)
     sp.add_argument("--c", type=float)
     sp.add_argument("--lam", type=float)
     sp.add_argument("--trials", type=int)
@@ -944,8 +941,8 @@ def config_from_args(args) -> ExperimentConfig:
         with open(args.config) as fh:
             base = parse_config_text(fh.read())
     base["experiment"] = args.experiment
-    for key in ("K", "family", "seed", "out", "kappa", "alpha", "beta",
-                "c", "lam", "trials", "points", "band", "mem_cap_mb"):
+    for key in ("K", "family", "seed", "out", "kappa", "alpha", "c", "lam",
+                "trials", "points", "band", "mem_cap_mb"):
         val = getattr(args, key)
         if val is not None:
             base[key] = val

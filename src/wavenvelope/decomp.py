@@ -17,16 +17,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .torus import (GridSpec, TorusField, point_eval, synthesize, trig_sum,
                     trig_sum_bytes)
 from .geometry import Cap, build_cap_tree, cap_index_for_abscissa, theta_scale
 from .measures import ball_weight, candidate_atoms, lattice_weight
 from .envelope import WINDOW_DELTA, cap_decompose
-
-# the "locally constant on unit cubes" mollifier exponent
-MOLLIFIER_N = 10
 
 
 class CertificateError(ArithmeticError):
@@ -272,7 +268,7 @@ class BilinearPair:
         return f"{self.parent.cap_id}:{self.child1.k}:{self.child2.k}"
 
 
-def _merge_pieces(pieces, spec, band) -> TorusField:
+def _merge_pieces(pieces, spec) -> TorusField:
     # adjacent theta windows share boundary modes; sum their halves
     acc = {}
     for pc in pieces:
@@ -281,7 +277,7 @@ def _merge_pieces(pieces, spec, band) -> TorusField:
             acc[key] = acc.get(key, 0.0) + a
     fr = np.array(sorted(acc), dtype=np.int64).reshape(-1, 2)
     am = np.array([acc[key] for key in sorted(acc)])
-    return synthesize(fr, am, spec, band=band)
+    return synthesize(fr, am, spec)
 
 
 def _collect_children(field: TorusField, parent: Cap, child1: Cap,
@@ -316,10 +312,8 @@ def bilinear_pair(field: TorusField, parent: Cap, child1: Cap, child2: Cap,
     """Assemble a separated pair from a field's theta pieces."""
     spec = field.spec
     in_parent, per_child = _collect_children(field, parent, child1, child2)
-    g1 = parabolic_rescale(
-        _merge_pieces(per_child[child1.k], spec, field.band), parent)
-    g2 = parabolic_rescale(
-        _merge_pieces(per_child[child2.k], spec, field.band), parent)
+    g1 = parabolic_rescale(_merge_pieces(per_child[child1.k], spec), parent)
+    g2 = parabolic_rescale(_merge_pieces(per_child[child2.k], spec), parent)
     gth = tuple(parabolic_rescale(pc, parent) for pc in in_parent)
     return BilinearPair(parent, child1, child2, g1, g2, gth,
                         spec.R, threshold)
@@ -341,15 +335,6 @@ def _gauss_weighted_l2sq(g: RescaledField, center, sigma: float) -> float:
     return float(2 * np.pi * sigma ** 2 * quad.real)
 
 
-def _mollifier_kernel(h: float, radius: float = 3.0) -> np.ndarray:
-    """phi_N on the quadrature grid, truncated and unit-normalized."""
-    r = int(np.ceil(radius / h))
-    ax = np.arange(-r, r + 1) * h
-    X, Y = np.meshgrid(ax, ax, indexing="ij")
-    k = (1.0 + np.sqrt(X * X + Y * Y)) ** -MOLLIFIER_N
-    return k / k.sum()
-
-
 @dataclass
 class BilinearReport:
     """Measured constants of the local bilinear estimate on one ball."""
@@ -369,7 +354,6 @@ class BilinearReport:
     C_l4: float
     C_orth1: float
     C_orth2: float
-    loc_const_ratio: float
     quad_per_unit: int
     sigma: float
     witness: tuple
@@ -433,7 +417,7 @@ def bilinear_check(pair: BilinearPair, Y=None, center=(0.0, 0.0),
         mask = _in_measure_cells(phys, Y)
     int_BY = float(prod2[mask].sum()) * h * h
 
-    # per-unit-cell occupancy of Y-tilde and the locally-constant check
+    # per-unit-cell occupancy of Y-tilde
     cell_i = np.minimum((np.repeat(np.arange(n), n) // npq), n_cells - 1)
     cell_j = np.minimum((np.tile(np.arange(n), n) // npq), n_cells - 1)
     cid = cell_i * n_cells + cell_j
@@ -441,14 +425,6 @@ def bilinear_check(pair: BilinearPair, Y=None, center=(0.0, 0.0),
     counts = np.bincount(cid, weights=mask.astype(float),
                          minlength=n_cells * n_cells)
     max_cell_ratio = float(counts.max()) / per_cell
-
-    grid = prod2.reshape(n, n)
-    kern = _mollifier_kernel(h)
-    smooth = fftconvolve(grid, kern, mode="same")
-    peaks = np.bincount(cid, weights=grid.ravel(), minlength=n_cells ** 2)
-    bases = np.bincount(cid, weights=smooth.ravel(), minlength=n_cells ** 2)
-    live = bases > 1e-300 * max(1.0, float(peaks.max()))
-    loc_const = float((peaks[live] / bases[live]).max()) if live.any() else 0.0
 
     sigma = side / 2
     n1w = np.sqrt(max(_gauss_weighted_l2sq(pair.g1, center, sigma), 0.0))
@@ -477,8 +453,8 @@ def bilinear_check(pair: BilinearPair, Y=None, center=(0.0, 0.0),
         center=tuple(center), int_B=int_B, int_BY=int_BY,
         max_cell_ratio=max_cell_ratio, norm1_w=n1w, norm2_w=n2w,
         sq_norm_w=sq_norm_w, C_bil=C_bil, C_l4=C_l4,
-        C_orth1=C_o1, C_orth2=C_o2, loc_const_ratio=loc_const,
-        quad_per_unit=npq, sigma=sigma, witness=witness)
+        C_orth1=C_o1, C_orth2=C_o2, quad_per_unit=npq, sigma=sigma,
+        witness=witness)
 
 
 def _in_measure_cells(points: np.ndarray, Y) -> np.ndarray:
@@ -525,11 +501,11 @@ def _trial_modes(rng, spec: GridSpec, s_c: float, kc: int):
     return modes
 
 
-# Traced peaks of bilinear_check run 119-149 bytes per point of its
-# quadrature grid: the trig_sum grid values, their moduli, the Y mask, the
-# cell indices and the mollified copy.  Building a ball weight peaks at
-# about 90 bytes per candidate atom, to which the run adds its other
-# arrays.
+# Traced peaks of bilinear_check run 90-120 bytes per point of its
+# quadrature grid: the trig_sum grid values, their moduli, the Y mask and
+# the cell indices (a ball Y on the 4 R_s grid adds the sorted keys of its
+# atoms).  Building a ball weight peaks at about 90 bytes per candidate
+# atom, to which the run adds its other arrays.
 _BILINEAR_POINT_BYTES = 128
 _BALL_CANDIDATE_BYTES = 128
 

@@ -129,16 +129,14 @@ def cap_decompose(field: TorusField, scale: float) -> CapDecomposition:
         live = w > 0.0
         for k in np.unique(k_arr[live]):
             sel = live & (k_arr == k)
-            fld = synthesize(field.freqs[sel], field.amps[sel] * w[sel],
-                             spec, band=field.band)
+            fld = synthesize(field.freqs[sel], field.amps[sel] * w[sel], spec)
             if int(k) in pieces:
                 prev = pieces[int(k)]
                 merged_freqs = np.concatenate([prev.freqs, fld.freqs])
                 merged_amps = np.concatenate([prev.amps, fld.amps])
                 # a mode can reach the same cap only once per branch, so
                 # concatenation never duplicates
-                fld = synthesize(merged_freqs, merged_amps, spec,
-                                 band=field.band)
+                fld = synthesize(merged_freqs, merged_amps, spec)
             pieces[int(k)] = fld
     return CapDecomposition(scale, dict(sorted(pieces.items())))
 

@@ -188,26 +188,30 @@ def dual_tube_weight(spec: GridSpec, alpha: float = 1.0, k: int = 0) -> GridMeas
                        "weight", f"dual_tube(alpha={alpha},k={k})")
 
 
-def _lattice_sites(R: int, kappa: float, c: float, window: str) -> np.ndarray:
+def lattice_sites(R: float, kappa: float, c: float, window: str):
     """Sites of 2 pi R^kappa Z x 2 pi R^(2 kappa) Z inside the window.
 
     window "ball": |gamma| <= c R;  window "corner": [0, R^(1/2)] x [0, R].
+    Returns the axes a, b of the smallest tensor grid a x b holding the
+    window's sites and the mask keep of those sites in it.
     """
     g1 = 2.0 * math.pi * R ** kappa
     g2 = 2.0 * math.pi * R ** (2.0 * kappa)
     if window == "ball":
-        ii = np.arange(-int(c * R / g1), int(c * R / g1) + 1)
-        jj = np.arange(-int(c * R / g2), int(c * R / g2) + 1)
-    elif window == "corner":
-        ii = np.arange(0, int(R ** 0.5 / g1) + 1)
-        jj = np.arange(0, int(R / g2) + 1)
-    else:
-        raise ValueError(f"unknown window {window!r}")
-    I, J = np.meshgrid(ii, jj, indexing="ij")
-    pts = np.stack([g1 * I.ravel(), g2 * J.ravel()], axis=1)
-    if window == "ball":
-        pts = pts[np.hypot(pts[:, 0], pts[:, 1]) <= c * R]
-    return pts
+        a = np.arange(-int(c * R / g1), int(c * R / g1) + 1) * g1
+        b = np.arange(-int(c * R / g2), int(c * R / g2) + 1) * g2
+        return a, b, np.hypot(a[:, None], b[None, :]) <= c * R
+    if window == "corner":
+        a = np.arange(0, int(R ** 0.5 / g1) + 1) * g1
+        b = np.arange(0, int(R / g2) + 1) * g2
+        return a, b, np.ones((len(a), len(b)), dtype=bool)
+    raise ValueError(f"unknown window {window!r}")
+
+
+def _site_points(a, b, keep) -> np.ndarray:
+    """The kept sites of the grid a x b as (n, 2) points, a varying slowest."""
+    A, B = np.meshgrid(a, b, indexing="ij")
+    return np.stack([A[keep], B[keep]], axis=1)
 
 
 def lattice_weight(spec: GridSpec, kappa: float = 1.0 / 3.0,
@@ -218,7 +222,7 @@ def lattice_weight(spec: GridSpec, kappa: float = 1.0 / 3.0,
     below the cell size most sites trap no grid point at all; an empty
     result is legal and signalled by n_atoms == 0.
     """
-    sites = _lattice_sites(spec.R, kappa, c, "ball")
+    sites = _site_points(*lattice_sites(spec.R, kappa, c, "ball"))
     return _fatten_sites(spec, sites, c, f"lattice(kappa={kappa},c={c})")
 
 
@@ -241,9 +245,9 @@ def _fatten_sites(spec: GridSpec, sites: np.ndarray, c: float,
     return GridMeasure(spec, ij, np.full(len(ij), d * d), "weight", label)
 
 
-def _truncated_sites(R: int, alpha: float, c: float) -> np.ndarray:
+def _truncated_sites(R: int, alpha: float, c: float):
     """Corner-window sites of the truncated lattice, kappa = (2 - alpha)/6."""
-    return _lattice_sites(R, (2.0 - alpha) / 6.0, c, "corner")
+    return lattice_sites(R, (2.0 - alpha) / 6.0, c, "corner")
 
 
 def truncated_lattice_weight(spec: GridSpec, alpha: float = 1.5,
@@ -258,7 +262,7 @@ def truncated_lattice_weight(spec: GridSpec, alpha: float = 1.5,
     """
     if not 1.0 < alpha < 2.0:
         raise ValueError("alpha in (1, 2)")
-    sites = _truncated_sites(spec.R, alpha, c)
+    sites = _site_points(*_truncated_sites(spec.R, alpha, c))
     ij = np.unique(np.rint(sites / spec.delta).astype(np.int64) % spec.M, axis=0)
     mass = np.full(len(ij), math.pi * c * c)
     return GridMeasure(spec, ij, mass, "weight",
@@ -327,10 +331,10 @@ def candidate_atoms(family: str, spec: GridSpec, **params) -> float:
     if family == "dual-tube":
         return (spec.R / d + 5) * (math.isqrt(spec.R) / d + 5)
     if family == "lattice":
-        sites = _lattice_sites(spec.R, kw["kappa"], kw["c"], "ball")
-        return len(sites) * (math.pi * (kw["c"] / d) ** 2 + 1)
+        _, _, keep = lattice_sites(spec.R, kw["kappa"], kw["c"], "ball")
+        return np.count_nonzero(keep) * (math.pi * (kw["c"] / d) ** 2 + 1)
     if family == "truncated-lattice":
-        return float(len(_truncated_sites(spec.R, kw["alpha"], kw["c"])))
+        return float(_truncated_sites(spec.R, kw["alpha"], kw["c"])[2].size)
     raise ValueError(f"no candidate count for family {family!r}")
 
 

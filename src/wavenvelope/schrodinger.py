@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import certificate_core
+from .measures import certificate_core, lattice_sites
 from .torus import trig_sum, trig_sum_bytes
 
 ETA_NAME = "squared half-sinc (sin(t/2)/(t/2))^2"
@@ -529,19 +529,6 @@ def packet_ratio(R: int, p_values, alpha: float, c: float = 0.5,
     return ratios
 
 
-def _lattice_sites(R: float, kappa: float, c: float):
-    """Separated lattice (2 pi R^kappa Z) x (2 pi R^{2 kappa} Z) in the c R
-    ball: the axes a, b and the mask of the grid a x b inside the ball."""
-    ax = 2.0 * np.pi * R ** kappa
-    at = 2.0 * np.pi * R ** (2.0 * kappa)
-    amax = int(math.floor(c * R / ax))
-    bmax = int(math.floor(c * R / at))
-    a = np.arange(-amax, amax + 1) * ax
-    b = np.arange(-bmax, bmax + 1) * at
-    keep = a[:, None] ** 2 + b[None, :] ** 2 <= (c * R) ** 2
-    return a, b, keep
-
-
 def _lattice_modes(R: float, kappa: float, n_quad: int):
     """Modes (xi, xi^2) of the lattice sum, (block, node, 2), and the node
     weights: Gauss-Legendre over [-1/R, 1/R] around each block center
@@ -576,7 +563,7 @@ def lattice_ratio(R: float, p_values, kappa: float = 1.0 / 3.0,
         return (R * eta(x / R))[:, None] * eta(t / R)[None, :]
 
     # restricted norm: five-point cell average over each fattening ball
-    a, b, keep = _lattice_sites(R, kappa, c)
+    a, b, keep = lattice_sites(R, kappa, c, "ball")
     if np.count_nonzero(keep) < 8:
         raise ValueError("lattice window too small: fewer than 8 sites")
     r5 = c / math.sqrt(2.0)
@@ -632,7 +619,7 @@ def fls_peak_bytes(family: str, R, kappa: float = 1.0 / 3.0) -> float:
     """
     if family == "lattice":
         modes, _ = _lattice_modes(float(R), kappa, 8)
-        a, b, _ = _lattice_sites(float(R), kappa, 0.45)
+        a, b, _ = lattice_sites(float(R), kappa, 0.45, "ball")
         return trig_sum_bytes(modes.size // 2, axes=(len(a), len(b)),
                               rows=5)
     if family == "chirp":

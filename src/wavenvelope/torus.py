@@ -11,7 +11,8 @@ being tested, not in the quadrature.
 Conventions used throughout the package:
   * samples[j1, j2] = f(Delta * (j1, j2)), first axis is x1;
   * a mode is an integer lattice point n, its frequency is (2pi/L) * n;
-  * all FFTs run single threaded (workers=1) so runs are bit reproducible.
+  * every FFT is numpy.fft's, which runs single threaded, so runs are bit
+    reproducible.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import ifft2
 
 TWO_PI = 2.0 * np.pi
 
@@ -106,15 +106,11 @@ def parabola_band_modes(spec: GridSpec) -> np.ndarray:
     return out
 
 
-def _band_violations(freqs: np.ndarray, spec: GridSpec, band: str) -> np.ndarray:
-    """Boolean mask of modes outside the admissible region."""
+def _band_violations(freqs: np.ndarray, spec: GridSpec) -> np.ndarray:
+    """Boolean mask of modes outside the parabola band."""
     xi = spec.freq_step * freqs.astype(float)
-    if band == "parabola":
-        return (np.abs(xi[:, 0]) > 1.0 + _BAND_TOL) | (
-            np.abs(xi[:, 1] - xi[:, 0] ** 2) > (1.0 + _BAND_TOL) / spec.R)
-    if band == "free":
-        return np.zeros(len(freqs), dtype=bool)
-    raise ValueError(f"unknown band {band!r}")
+    return (np.abs(xi[:, 0]) > 1.0 + _BAND_TOL) | (
+        np.abs(xi[:, 1] - xi[:, 0] ** 2) > (1.0 + _BAND_TOL) / spec.R)
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,7 +120,6 @@ class TorusField:
     spec: GridSpec
     freqs: np.ndarray          # (n, 2) int64 lattice modes
     amps: np.ndarray           # (n,) complex128
-    band: str = "parabola"
     _samples: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -150,7 +145,7 @@ class TorusField:
             raise ValueError(f"grid m={m} aliases modes of bandwidth {bw}")
         A = np.zeros((m, m), dtype=np.complex128)
         A[self.freqs[:, 0] % m, self.freqs[:, 1] % m] = self.amps
-        out = ifft2(A, workers=1)
+        out = np.fft.ifft2(A)
         out *= m * m
         out.setflags(write=False)
         if cache:
@@ -162,14 +157,14 @@ class TorusField:
         return self.samples_on(self.spec.M)
 
     def scaled(self, c: complex) -> "TorusField":
-        return TorusField(self.spec, self.freqs, c * self.amps, self.band)
+        return TorusField(self.spec, self.freqs, c * self.amps)
 
 
-def synthesize(freqs, amps, spec: GridSpec, band: str = "parabola") -> TorusField:
+def synthesize(freqs, amps, spec: GridSpec) -> TorusField:
     """Build a TorusField from integer lattice modes and amplitudes.
 
     Rejects off-lattice input (freqs must be integers), duplicate modes,
-    aliasing modes, and frequencies outside the requested band.
+    aliasing modes, and frequencies outside the parabola band.
     """
     freqs = np.asarray(freqs)
     amps = np.asarray(amps, dtype=np.complex128).ravel()
@@ -186,11 +181,11 @@ def synthesize(freqs, amps, spec: GridSpec, band: str = "parabola") -> TorusFiel
         raise ValueError("duplicate modes in spectrum")
     if 2 * int(np.abs(freqs).max(initial=0)) >= spec.M:
         raise ValueError("mode bandwidth exceeds Nyquist for this M")
-    bad = _band_violations(freqs, spec, band)
+    bad = _band_violations(freqs, spec)
     if bad.any():
         xi = spec.freq_step * freqs[bad][0]
-        raise ValueError(f"frequency outside {band} band: xi = {tuple(xi)}")
-    return TorusField(spec, freqs, amps, band)
+        raise ValueError(f"frequency outside parabola band: xi = {tuple(xi)}")
+    return TorusField(spec, freqs, amps)
 
 
 def random_band_field(spec: GridSpec, seed, density: float = 1.0) -> TorusField:
@@ -314,9 +309,10 @@ def square_sum(pieces, spec) -> TorusField:
     |f|^2 = sum_{n, n'} a_n conj(a_n') e^{i (2pi/L)(n - n').x}, so its
     coefficient at the lattice offset D is the autocorrelation sum over
     n - n' = D.  A cap piece has its offsets in the small box theta -
-    theta, whatever its position on the parabola.  Returns a free-band
-    field whose modes are the distinct offsets, ascending; pieces add in
-    the order given.
+    theta, whatever its position on the parabola.  Returns the field
+    whose modes are the distinct offsets, ascending (they lie off the
+    parabola band, so it is built directly, not through synthesize);
+    pieces add in the order given.
 
     The products and the offset keys (D1 + B) W + D2 + B, W = 2B + 1 with
     B the largest |D|, are written piece by piece into two arrays of one
@@ -349,7 +345,7 @@ def square_sum(pieces, spec) -> TorusField:
     coef = np.bincount(inv, weights=c.real) \
         + 1j * np.bincount(inv, weights=c.imag)
     delta = np.stack([keys // W - B, keys % W - B], axis=1)
-    return TorusField(spec, delta, coef, band="free")
+    return TorusField(spec, delta, coef)
 
 
 def lp_norm(field: TorusField, p: float, measure=None) -> float:

@@ -402,6 +402,20 @@ def test_main_preflight_exits_2(capsys):
     assert "exceeds" in capsys.readouterr().err
 
 
+def test_cli_import_loads_no_scipy():
+    """numpy is the only runtime dependency: the CLI loads no scipy."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    paths = [os.path.abspath(src), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, wavenvelope.cli; print(sorted(m for m in sys.modules"
+         " if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("argv", [
     ["schrodinger-fls", "--family", "lattice", "--R", "4096,16384,32768"],
     ["bilinear", "--R", "16"],

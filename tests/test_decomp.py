@@ -382,7 +382,6 @@ def test_bilinear_check_restriction_shrinks():
     assert rep.int_BY < rep.int_B
     assert 0.0 < rep.max_cell_ratio <= 1.0
     assert np.isfinite(rep.C_l4)
-    assert rep.loc_const_ratio > 0.0
 
 
 def test_constants_csv_format(tmp_path):

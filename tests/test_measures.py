@@ -131,7 +131,7 @@ def test_candidate_atoms_follow_the_builders():
 def test_lattice_support_oracle():
     kappa, c = 1.0 / 3.0, 0.6
     w = ms.make_weight("lattice", SPEC, kappa=kappa, c=c)
-    sites = ms._lattice_sites(SPEC.R, kappa, c, "ball")
+    sites = ms._site_points(*ms.lattice_sites(SPEC.R, kappa, c, "ball"))
     # every atom within c of a site (wrapped), every near-site point present
     pos = w.positions()
     got = set(map(tuple, w.ij))

@@ -3,7 +3,8 @@
 Every top-level function and class of src/wavenvelope must be used by the
 package itself, or carry a reason here for existing without a caller in
 src/.  And src/ holds no assert statement: python -O strips them, so a
-check that matters has to raise.
+check that matters has to raise.  And src/ imports no scipy: numpy is the
+package's only runtime dependency.
 """
 
 import ast
@@ -68,3 +69,14 @@ def test_no_assert_statements(fname):
     asserts = [node.lineno for node in ast.walk(MODULES[fname])
                if isinstance(node, ast.Assert)]
     assert asserts == []
+
+
+@pytest.mark.parametrize("fname", sorted(MODULES))
+def test_no_scipy_imports(fname):
+    imported = []
+    for node in ast.walk(MODULES[fname]):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.append(node.module)
+    assert [m for m in imported if m.split(".")[0] == "scipy"] == []

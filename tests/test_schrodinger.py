@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wavenvelope.measures import lattice_sites
 from wavenvelope.torus import trig_sum
 from wavenvelope import schrodinger as sch
 
@@ -361,7 +362,7 @@ def test_lattice_grids_match_direct_sum(R, sq_tol):
     R = float(R)
     modes, w = sch._lattice_modes(R, 1.0 / 3.0, 8)
     flat, amps = modes.reshape(-1, 2), np.tile(w, len(modes))
-    a, b, keep = sch._lattice_sites(R, 1.0 / 3.0, 0.45)
+    a, b, keep = lattice_sites(R, 1.0 / 3.0, 0.45, "ball")
     r5 = 0.45 / math.sqrt(2.0)
     for o1, o2 in ((0.0, 0.0), (r5, 0.0), (-r5, 0.0), (0.0, r5), (0.0, -r5)):
         axes = (a + o1, b + o2)
