@@ -46,27 +46,20 @@ SCHEMA_VERSION = 1
 # ---------------------------------------------------------------------------
 # configuration
 
-_LIST_KEYS = {"R", "p"}
-_INT_KEYS = {"K", "seed", "trials", "points"}
-_FLOAT_KEYS = {"kappa", "alpha", "lam", "band", "mem_cap_mb"}
-_OPT_FLOAT_KEYS = {"c"}
-_BOOL_KEYS = {"deterministic"}
-_PAIR_KEYS = {"tol"}
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One run's resolved inputs; canonical text form hashes stably.
 
     Empty R/p/family fall back to per-experiment defaults during
     resolution, and the resolved values are what the report embeds.
-    c = None lets each weight family keep its own size default.  tol
-    holds named tolerance overrides as (name, value) pairs.
+    c = None lets each weight family keep its own size default.  Each
+    field's annotation is its kind in _KINDS, which parses and formats
+    its config text and its command-line flag.
     """
 
     experiment: str = ""
-    R: tuple = ()
-    p: tuple = ()
+    R: tuple[int, ...] = ()
+    p: tuple[float, ...] = ()
     K: int = 4
     family: str = ""
     kappa: float = 1.0 / 3.0
@@ -77,21 +70,15 @@ class ExperimentConfig:
     trials: int = 25
     points: int = 10000
     band: float = 0.1
-    tol: tuple = ()
     out: str = ""
     deterministic: bool = False
     mem_cap_mb: float = 3500.0
 
-    def tol_value(self, name: str, default: float) -> float:
-        for key, val in self.tol:
-            if key == name:
-                return float(val)
-        return default
-
     def canonical(self) -> str:
         lines = []
         for f in dataclass_fields(self):
-            lines.append(f"{f.name} = {_format_value(f.name, getattr(self, f.name))}")
+            text = _FIELD_KINDS[f.name][1](getattr(self, f.name))
+            lines.append(f"{f.name} = {text}")
         return "\n".join(lines) + "\n"
 
     def content_hash(self) -> str:
@@ -107,7 +94,6 @@ class ExperimentConfig:
                 continue
             v = getattr(self, f.name)
             out[f.name] = list(v) if isinstance(v, tuple) else v
-        out["tol"] = [[k, v] for k, v in self.tol]
         return out
 
     def write(self, path) -> None:
@@ -115,53 +101,42 @@ class ExperimentConfig:
             fh.write(self.canonical())
 
 
-def _format_value(key: str, v) -> str:
-    if key in _LIST_KEYS:
-        return ",".join(repr(x) if isinstance(x, float) else str(x) for x in v)
-    if key in _PAIR_KEYS:
-        return ",".join(f"{k}:{repr(float(x))}" for k, x in v) or "none"
-    if key in _OPT_FLOAT_KEYS:
-        return "none" if v is None else repr(float(v))
-    if key in _BOOL_KEYS:
-        return "true" if v else "false"
-    if key in _FLOAT_KEYS:
-        return repr(float(v))
-    return str(v)
+def _parse_list(convert):
+    return lambda text: tuple(convert(float(x)) for x in text.split(",")) \
+        if text else ()
+
+
+def _format_list(v) -> str:
+    return ",".join(repr(x) if isinstance(x, float) else str(x) for x in v)
+
+
+def _parse_bool(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(f"must be true or false, got {text!r}")
+    return text == "true"
+
+
+# (parse, format) of each field annotation of ExperimentConfig
+_KINDS = {
+    tuple[int, ...]: (_parse_list(int), _format_list),
+    tuple[float, ...]: (_parse_list(float), _format_list),
+    float | None: (lambda t: None if t == "none" else float(t),
+                   lambda v: "none" if v is None else repr(float(v))),
+    int: (int, str),
+    float: (float, lambda v: repr(float(v))),
+    bool: (_parse_bool, lambda v: "true" if v else "false"),
+    str: (str, str),
+}
+
+_FIELD_KINDS = {f.name: _KINDS[f.type]
+                for f in dataclass_fields(ExperimentConfig)}
 
 
 def _parse_value(key: str, text: str):
-    text = text.strip()
-    if key in _LIST_KEYS:
-        if not text:
-            return ()
-        vals = [float(x) for x in text.split(",")]
-        if key == "R":
-            return tuple(int(x) for x in vals)
-        return tuple(vals)
-    if key in _PAIR_KEYS:
-        if text == "none" or not text:
-            return ()
-        pairs = []
-        for item in text.split(","):
-            name, _, val = item.partition(":")
-            if not _:
-                raise ValueError(f"tolerance override needs name:value, got {item!r}")
-            pairs.append((name.strip(), float(val)))
-        return tuple(sorted(pairs))
-    if key in _OPT_FLOAT_KEYS:
-        return None if text == "none" else float(text)
-    if key in _BOOL_KEYS:
-        if text not in ("true", "false"):
-            raise ValueError(f"{key} must be true or false, got {text!r}")
-        return text == "true"
-    if key in _INT_KEYS:
-        return int(text)
-    if key in _FLOAT_KEYS:
-        return float(text)
-    return text
-
-
-_CONFIG_KEYS = {f.name for f in dataclass_fields(ExperimentConfig)}
+    try:
+        return _FIELD_KINDS[key][0](text.strip())
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
 
 
 def parse_config_text(text: str) -> dict:
@@ -175,7 +150,7 @@ def parse_config_text(text: str) -> dict:
         key = key.strip()
         if not eq:
             raise ValueError(f"line {ln}: expected key = value, got {raw!r}")
-        if key not in _CONFIG_KEYS:
+        if key not in _FIELD_KINDS:
             raise ValueError(f"line {ln}: unknown config key {key!r}")
         out[key] = _parse_value(key, val)
     return out
@@ -329,6 +304,18 @@ def unit_ball_fits(p_values=(2.0, 3.0, 4.0), R_values=(64, 256, 1024),
     return fits
 
 
+def _kappa_fits(name, family, params, p_values, R_values, pred, band, sided):
+    """One fit per p of the functional maximum of one weight family over R;
+    pred(p) is the predicted slope."""
+    weights = {R: make_weight(family, GridSpec(R), **params) for R in R_values}
+    fits = []
+    for p in p_values:
+        vals = [kappa_max(weights[R], p)[0] for R in R_values]
+        fits.append(fit_exponent(f"{name}-kappa-p{p:g}", "sigma", R_values,
+                                 vals, pred(p), band=band, sided=sided))
+    return fits
+
+
 def alpha_lattice_fits(p_values=(2.0, 3.0, 4.0), R_values=(64, 256, 1024),
                        kappa: float = 1.0 / 3.0, c: float = 0.45,
                        band: float = 0.1):
@@ -340,16 +327,10 @@ def alpha_lattice_fits(p_values=(2.0, 3.0, 4.0), R_values=(64, 256, 1024),
     slower, so the comparison is one-sided.
     """
     alpha = 2.0 - 3.0 * kappa
-    weights = {R: make_weight("lattice", GridSpec(R), kappa=kappa, c=c)
-               for R in R_values}
-    fits = []
-    for p in p_values:
-        vals = [kappa_max(weights[R], p)[0] for R in R_values]
-        pred = -(2.0 - alpha) * (1.0 / p - 0.25)
-        fits.append(fit_exponent(f"alpha-lattice-kappa-p{p:g}", "sigma",
-                                 R_values, vals, pred, band=band,
-                                 sided="upper"))
-    return fits
+    return _kappa_fits("alpha-lattice", "lattice", {"kappa": kappa, "c": c},
+                       p_values, R_values,
+                       lambda p: -(2.0 - alpha) * (1.0 / p - 0.25),
+                       band, "upper")
 
 
 def y_lattice_fits(p_values=(2.0, 2.5, 3.0, 4.0),
@@ -361,19 +342,16 @@ def y_lattice_fits(p_values=(2.0, 2.5, 3.0, 4.0),
     functional and the slope is -(2 - alpha)/(2p); above it the ball
     piece takes over with -((3 - alpha)/2)(1/p - 1/4).
     """
-    weights = {R: make_weight("truncated-lattice", GridSpec(R), alpha=alpha,
-                              c=c) for R in R_values}
     p_cross = 4.0 / (3.0 - alpha)
-    fits = []
-    for p in p_values:
-        vals = [kappa_max(weights[R], p)[0] for R in R_values]
+
+    def pred(p):
         if p <= p_cross:
-            pred = -(2.0 - alpha) / (2.0 * p)
-        else:
-            pred = -((3.0 - alpha) / 2.0) * (1.0 / p - 0.25)
-        fits.append(fit_exponent(f"y-lattice-kappa-p{p:g}", "sigma", R_values,
-                                 vals, pred, band=band))
-    return fits
+            return -(2.0 - alpha) / (2.0 * p)
+        return -((3.0 - alpha) / 2.0) * (1.0 / p - 0.25)
+
+    return _kappa_fits("y-lattice", "truncated-lattice",
+                       {"alpha": alpha, "c": c}, p_values, R_values, pred,
+                       band, "two")
 
 
 # ---------------------------------------------------------------------------
@@ -501,8 +479,7 @@ def _run_kappa_scan(cfg):
                 worst = max(worst, abs(val - pred))
             rows.append(row)
     if cfg.family == "constant":
-        tol = cfg.tol_value("kappa-identity", 1e-12)
-        checks.append(_check("kappa-constant-identity", worst <= tol,
+        checks.append(_check("kappa-constant-identity", worst <= 1e-12,
                              f"max |kappa - lam^(1/p)| = {worst:.3g}"))
     else:
         finite = all(math.isfinite(r["measured"]) for r in rows)
@@ -632,10 +609,9 @@ def _run_bilinear(cfg):
     if len(cfg.R) >= 2:
         meds = [by_scale[R] for R in cfg.R]
         var = max(meds) / min(meds) if min(meds) > 0 else math.inf
-        factor = cfg.tol_value("variation-factor", 4.0)
-        checks.append(_check("bilinear-variation", var <= factor,
+        checks.append(_check("bilinear-variation", var <= 4.0,
                              f"median constant varies x{var:.2f} across "
-                             f"R (cap x{factor:g})"))
+                             "R (cap x4)"))
     return rows, [], checks
 
 
@@ -651,32 +627,38 @@ def _fls_names(cfg) -> tuple:
     return names
 
 
+def _fit_report(cfg, fits):
+    """Rows, fit dicts and checks of a run made of exponent fits; with an
+    out directory each fit also goes to fit_<name>.json."""
+    rows, checks = [], []
+    for fit in fits:
+        checks.append(_fit_check(fit))
+        for R, lr in zip(fit.R_values, fit.log_ratios):
+            rows.append({"R": R, "family": fit.name, "measured": math.exp(lr)})
+        if cfg.out:
+            fit.write_json(os.path.join(cfg.out, f"fit_{fit.name}.json"))
+    return rows, [fit.to_dict() for fit in fits], checks
+
+
 def _run_schrodinger_fls(cfg):
-    rows, fits, checks = [], [], []
+    fits = []
     for name in _fls_names(cfg):
         R_values = cfg.R or _FLS_FAMILIES[name]
         if name == "nikodym":
-            fits += nikodym_fits(cfg.p, R_values, seed=cfg.seed)
+            fits += nikodym_fits(cfg.p, R_values, seed=cfg.seed,
+                                 band=cfg.band)
         elif name == "packet":
             fits += fls_fits("packet", cfg.p, R_values=R_values,
                              alpha=cfg.alpha, band=cfg.band)
         else:
             fits += fls_fits(name, cfg.p, R_values=R_values,
                              kappa=cfg.kappa, band=cfg.band)
-    for fit in fits:
-        checks.append(_fit_check(fit))
-        for R, lr in zip(fit.R_values, fit.log_ratios):
-            rows.append({"R": R, "family": fit.name,
-                         "measured": math.exp(lr)})
-        if cfg.out:
-            fit.write_json(os.path.join(cfg.out, f"fit_{fit.name}.json"))
-    return rows, [fit.to_dict() for fit in fits], checks
+    return _fit_report(cfg, fits)
 
 
 def _run_certificates(cfg):
     rows, checks = [], []
     names = (cfg.family,) if cfg.family else MEASURE_FAMILIES
-    factor = cfg.tol_value("measure-factor", 8.0)
     ok = True
     for name in names:
         pos, masses, beta, alpha, spacing = measure_family(name)
@@ -684,7 +666,7 @@ def _run_certificates(cfg):
             _, comps = rescale_measure(pos, masses, R, beta=beta, alpha=alpha,
                                        spacing=spacing)
             for comp in comps:
-                good = 0.0 < comp["ratio"] <= factor
+                good = 0.0 < comp["ratio"] <= 8.0
                 ok = ok and good
                 rows.append({"family": name, "R": R, "kind": comp["kind"],
                              "param": comp["param"],
@@ -698,8 +680,8 @@ def _run_certificates(cfg):
                     json.dump(comps, fh, sort_keys=True, indent=1)
                     fh.write("\n")
     checks.append(_check("measure-bounds", ok,
-                         f"{len(rows)} comparisons within x{factor:g}" if ok
-                         else f"a comparison left (0, {factor:g}]"))
+                         f"{len(rows)} comparisons within x8" if ok
+                         else "a comparison left (0, 8]"))
     return rows, [], checks
 
 
@@ -716,38 +698,36 @@ def _run_examples_suite(cfg):
     for alpha in (0.5, 1.5):
         fits += fls_fits("packet", (4.0,), alpha=alpha, band=cfg.band)
     fits += fls_fits("lattice", (3.0, 4.0), band=cfg.band)
-    fits += nikodym_fits((2.0, 4.0), (64, 256, 1024), seed=cfg.seed)
-    rows, checks = [], []
-    for fit in fits:
-        checks.append(_fit_check(fit))
-        for R, lr in zip(fit.R_values, fit.log_ratios):
-            rows.append({"R": R, "family": fit.name, "measured": math.exp(lr)})
-        if cfg.out:
-            fit.write_json(os.path.join(cfg.out, f"fit_{fit.name}.json"))
-    return rows, [fit.to_dict() for fit in fits], checks
+    fits += nikodym_fits((2.0, 4.0), (64, 256, 1024), seed=cfg.seed,
+                         band=cfg.band)
+    return _fit_report(cfg, fits)
 
 
+# name: (runner, help, defaults of the fields left empty)
 EXPERIMENTS = {
-    "kappa-scan": _run_kappa_scan,
-    "square-verify": _run_square_verify,
-    "envelope-verify": _run_envelope_verify,
-    "broad-narrow": _run_broad_narrow,
-    "bilinear": _run_bilinear,
-    "schrodinger-fls": _run_schrodinger_fls,
-    "certificates": _run_certificates,
-    "examples-suite": _run_examples_suite,
-}
-
-_DEFAULTS = {
-    "kappa-scan": {"R": (64, 256), "p": (2.0, 3.0, 4.0),
-                   "family": "constant"},
-    "square-verify": {"R": (64, 256), "family": "random:constant"},
-    "envelope-verify": {"R": (64, 256), "family": "random:constant"},
-    "broad-narrow": {"R": (64, 256), "p": (4.0,)},
-    "bilinear": {"R": (64, 256)},
-    "schrodinger-fls": {"p": (3.0, 4.0)},
-    "certificates": {"R": (64, 256)},
-    "examples-suite": {},
+    "kappa-scan": (_run_kappa_scan,
+                   "weight functional maxima over a weight family",
+                   {"R": (64, 256), "p": (2.0, 3.0, 4.0),
+                    "family": "constant"}),
+    "square-verify": (_run_square_verify,
+                      "first-power square-function inequality ratios",
+                      {"R": (64, 256), "family": "random:constant"}),
+    "envelope-verify": (_run_envelope_verify,
+                        "envelope-sum inequality ratios and growth",
+                        {"R": (64, 256), "family": "random:constant"}),
+    "broad-narrow": (_run_broad_narrow,
+                     "pointwise split certificate on random fields",
+                     {"R": (64, 256), "p": (4.0,)}),
+    "bilinear": (_run_bilinear,
+                 "bilinear constants over random separated pairs",
+                 {"R": (64, 256)}),
+    "schrodinger-fls": (_run_schrodinger_fls,
+                        "propagator lower-bound slope families",
+                        {"p": (3.0, 4.0)}),
+    "certificates": (_run_certificates, "rescaled-measure dimension bounds",
+                     {"R": (64, 256)}),
+    "examples-suite": (_run_examples_suite,
+                       "every example family as one exponent fit", {}),
 }
 
 
@@ -757,7 +737,7 @@ def resolve(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ValueError(f"unknown experiment {cfg.experiment!r}; have "
                          f"{sorted(EXPERIMENTS)}")
     updates = {}
-    for key, val in _DEFAULTS[cfg.experiment].items():
+    for key, val in EXPERIMENTS[cfg.experiment][2].items():
         if not getattr(cfg, key):
             updates[key] = val
     return replace(cfg, **updates) if updates else cfg
@@ -806,7 +786,7 @@ def run(cfg: ExperimentConfig) -> Report:
         raise PreflightError(est, cfg.mem_cap_mb)
     if cfg.out:
         os.makedirs(cfg.out, exist_ok=True)
-    rows, fits, checks = EXPERIMENTS[cfg.experiment](cfg)
+    rows, fits, checks = EXPERIMENTS[cfg.experiment][0](cfg)
     return Report(experiment=cfg.experiment, config=cfg.to_dict(),
                   config_hash=cfg.content_hash(), preflight_mb=est,
                   rows=rows, fits=fits, checks=checks)
@@ -902,56 +882,31 @@ def _render_md(report: Report) -> str:
 # command line
 
 def _add_flags(sp):
+    """--config, --format and one flag per config field but experiment."""
     sp.add_argument("--config", help="key = value config file")
-    sp.add_argument("--R", help="comma-separated scale list")
-    sp.add_argument("--p", help="comma-separated exponent list")
-    sp.add_argument("--K", type=int)
-    sp.add_argument("--family")
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--deterministic", action="store_true")
-    sp.add_argument("--out")
-    sp.add_argument("--kappa", type=float)
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--c", type=float)
-    sp.add_argument("--lam", type=float)
-    sp.add_argument("--trials", type=int)
-    sp.add_argument("--points", type=int)
-    sp.add_argument("--band", type=float)
-    sp.add_argument("--tol", help="name:value,... tolerance overrides")
-    sp.add_argument("--mem-cap-mb", type=float, dest="mem_cap_mb")
     sp.add_argument("--format", default="json,csv",
                     help="any of json,csv,md (comma-separated)")
-
-
-_EXPERIMENT_HELP = {
-    "kappa-scan": "weight functional maxima over a weight family",
-    "square-verify": "first-power square-function inequality ratios",
-    "envelope-verify": "envelope-sum inequality ratios and growth",
-    "broad-narrow": "pointwise split certificate on random fields",
-    "bilinear": "bilinear constants over random separated pairs",
-    "schrodinger-fls": "propagator lower-bound slope families",
-    "certificates": "rescaled-measure dimension bounds",
-    "examples-suite": "every example family as one exponent fit",
-}
+    for f in dataclass_fields(ExperimentConfig):
+        if f.name == "experiment":
+            continue
+        flag = "--" + f.name.replace("_", "-")
+        if f.type is bool:
+            sp.add_argument(flag, action="store_const", const="true")
+        else:
+            sp.add_argument(flag)
 
 
 def config_from_args(args) -> ExperimentConfig:
+    """The config file, if any, overridden by every flag given; the
+    subcommand sets experiment."""
     base = {}
     if args.config:
         with open(args.config) as fh:
             base = parse_config_text(fh.read())
-    base["experiment"] = args.experiment
-    for key in ("K", "family", "seed", "out", "kappa", "alpha", "c", "lam",
-                "trials", "points", "band", "mem_cap_mb"):
-        val = getattr(args, key)
-        if val is not None:
-            base[key] = val
-    for key in ("R", "p", "tol"):
-        val = getattr(args, key)
-        if val is not None:
-            base[key] = _parse_value(key, val)
-    if args.deterministic:
-        base["deterministic"] = True
+    for f in dataclass_fields(ExperimentConfig):
+        text = getattr(args, f.name)
+        if text is not None:
+            base[f.name] = _parse_value(f.name, text)
     return ExperimentConfig(**base)
 
 
@@ -960,7 +915,7 @@ def main(argv=None) -> int:
         prog="wavenvelope",
         description="experiment runner for the envelope toolkit")
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name, text in _EXPERIMENT_HELP.items():
+    for name, (_, text, _) in EXPERIMENTS.items():
         _add_flags(sub.add_parser(name, help=text))
     args = parser.parse_args(argv)
     try:

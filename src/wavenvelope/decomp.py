@@ -466,7 +466,8 @@ def _in_measure_cells(points: np.ndarray, Y) -> np.ndarray:
     spec = Y.spec
     jj = np.floor(points / spec.delta + 0.5).astype(np.int64) % spec.M
     keys = jj[:, 0] * spec.M + jj[:, 1]
-    occupied = np.sort(Y.ij[:, 0] * spec.M + Y.ij[:, 1])
+    # Y.ij is lexsorted, so its keys i * M + j are already ascending
+    occupied = Y.ij[:, 0] * spec.M + Y.ij[:, 1]
     pos = np.minimum(np.searchsorted(occupied, keys), len(occupied) - 1)
     return occupied[pos] == keys
 

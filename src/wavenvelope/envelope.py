@@ -412,7 +412,6 @@ def verify_weighted_sq(field: TorusField, H: GridMeasure, p: float,
     zero_field = not np.any(np.abs(field.amps) > 0)
 
     constant = H.is_full_constant
-    lam = float(H.mass) / spec.delta ** 2 if constant else 0.0
 
     dec = cap_decompose(field, s_theta)
     S2 = square_sum_samples(dec.pieces.values(), spec, m)
@@ -443,15 +442,14 @@ def verify_weighted_sq(field: TorusField, H: GridMeasure, p: float,
             N1U, N2U, shearU = envelope_lattice_dims(cap, spec)
             wint = weighted_cell_integrals(cell[key], shearU).ravel()
             if constant:
-                kap = lam ** (1.0 / p)
-                if kap == 0.0:
+                if kmax == 0.0:
                     continue
-                contrib = kap ** p * geom * np.sum(wint ** (0.5 * p))
+                contrib = kmax ** p * geom * np.sum(wint ** (0.5 * p))
                 env_rhs += contrib
                 env_by_scale[s] += contrib
                 top = int(np.argmax(wint))
-                terms.append((s, cap.cap_id, top // N2U, top % N2U, kap,
-                              kap ** p * geom * wint[top] ** (0.5 * p)))
+                terms.append((s, cap.cap_id, top // N2U, top % N2U, kmax,
+                              kmax ** p * geom * wint[top] ** (0.5 * p)))
                 continue
             ekeys, kvals, _ = kappa_table(H, p, cap)
             if len(ekeys) == 0:

@@ -206,7 +206,7 @@ def nikodym_max(g, R: int, dx: float):
 
 
 def nikodym_fits(q_values, R_values, seed: int = 0,
-                 n_t: int = 33) -> list:
+                 n_t: int = 33, band: float = 0.1) -> list:
     """Slopes of ||max average||_q / ||g||_q against R for random g, one
     fit per q; g and its maximal average are computed once per R."""
     ratios = {q: [] for q in q_values}
@@ -222,7 +222,7 @@ def nikodym_fits(q_values, R_values, seed: int = 0,
             den = float(np.sum(np.abs(g) ** q) * dy * dt) ** (1.0 / q)
             ratios[q].append(num / den)
     return [fit_exponent(f"tube-maximal-q{q:g}", "gamma", R_values,
-                         ratios[q], prediction=0.0, band=0.1, sided="upper")
+                         ratios[q], prediction=0.0, band=band, sided="upper")
             for q in q_values]
 
 

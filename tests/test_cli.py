@@ -4,6 +4,8 @@ The heavier pipelines run at reduced scales here; the full acceptance
 grids live in test_acceptance.py.
 """
 
+import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -29,8 +31,7 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 def test_config_round_trip_byte_identical():
     cfg = ExperimentConfig(experiment="kappa-scan", R=(64, 256),
-                           p=(2.0, 2.5), c=0.3, tol=(("growth", 0.2),),
-                           deterministic=True)
+                           p=(2.0, 2.5), c=0.3, deterministic=True)
     text = cfg.canonical()
     again = ExperimentConfig(**parse_config_text(text))
     assert again == cfg
@@ -57,10 +58,36 @@ def test_config_parse_rejections():
         parse_config_text("wat = 3")
     with pytest.raises(ValueError, match="true or false"):
         parse_config_text("deterministic = maybe")
-    with pytest.raises(ValueError, match="name:value"):
-        parse_config_text("tol = growth")
     with pytest.raises(ValueError, match="key = value"):
         parse_config_text("just words")
+
+
+# a non-default value of every field but experiment, as config text
+_FIELD_TEXT = {
+    "R": "16,64", "p": "2.5,3", "K": "3", "family": "ball",
+    "kappa": "0.25", "alpha": "1.25", "c": "0.3", "lam": "0.5", "seed": "7",
+    "trials": "3", "points": "50", "band": "0.05", "out": "runs/x",
+    "deterministic": "true", "mem_cap_mb": "100.5",
+}
+
+
+def test_flags_parse_like_config_lines():
+    names = [f.name for f in dataclasses.fields(ExperimentConfig)]
+    assert sorted(_FIELD_TEXT) == sorted(n for n in names
+                                         if n != "experiment")
+    parser = argparse.ArgumentParser()
+    cli._add_flags(parser)
+    default = ExperimentConfig(experiment="kappa-scan")
+    for key, text in _FIELD_TEXT.items():
+        flag = "--" + key.replace("_", "-")
+        argv = [flag] if key == "deterministic" else [flag, text]
+        args = parser.parse_args(argv)
+        args.experiment = "kappa-scan"
+        got = cli.config_from_args(args)
+        want = ExperimentConfig(experiment="kappa-scan",
+                                **parse_config_text(f"{key} = {text}"))
+        assert got == want, key
+        assert getattr(got, key) != getattr(default, key), key
 
 
 def test_config_comments_and_blanks():
@@ -210,6 +237,14 @@ def test_schrodinger_fls_nikodym_family():
                                family="nikodym", p=(2.0,), R=(16, 64, 256)))
     assert rep.passed
     assert rep.fits[0]["name"] == "tube-maximal-q2"
+
+
+def test_schrodinger_fls_nikodym_fits_carry_band():
+    rep = run(ExperimentConfig(experiment="schrodinger-fls",
+                               family="nikodym", p=(2.0, 4.0),
+                               R=(16, 64, 256), band=0.05))
+    assert [f["band"] for f in rep.fits] == [0.05, 0.05]
+    assert all("band 0.05" in c["detail"] for c in rep.checks)
 
 
 def test_certificates_experiment(tmp_path):
