@@ -28,8 +28,8 @@ from dataclasses import dataclass, fields as dataclass_fields, replace
 
 import numpy as np
 
-from .envelope import (cap_decompose, kappa_max, sq_norm_from_sq2,
-                       square_sum_samples, verify_weighted_sq, window_profile)
+from .envelope import (cap_decompose, kappa_max, verify_weighted_sq,
+                       window_profile)
 from .decomp import (bilinear_peak_bytes, bilinear_trials, broad_narrow,
                      broad_narrow_peak_bytes, write_constants_csv)
 from .geometry import dyadic_scales, mode_cap_index, theta_scale
@@ -37,8 +37,8 @@ from .measures import candidate_atoms, make_weight
 from .schrodinger import (FLS_DEFAULT_R, MEASURE_FAMILIES, fit_exponent,
                           fls_fits, fls_peak_bytes, measure_family,
                           nikodym_fits, rescale_measure)
-from .torus import (GridSpec, lp_norm, parabola_band_modes, random_band_field,
-                    synthesize)
+from .torus import (GridSpec, lp_norm, parabola_band_modes, power_integral,
+                    random_band_field, synthesize, trig_sum_bytes)
 
 SCHEMA_VERSION = 1
 
@@ -287,12 +287,10 @@ def unit_ball_fits(p_values=(2.0, 3.0, 4.0), R_values=(64, 256, 1024),
         spec = GridSpec(R)
         f = flat_field(spec)
         H = make_weight("ball", spec)
-        S2 = square_sum_samples(
-            cap_decompose(f, theta_scale(R)).pieces.values(), spec,
-            min(spec.M, 2 * R))
+        pieces = cap_decompose(f, theta_scale(R)).pieces.values()
         for p in p_values:
-            lhs = lp_norm(f, p, measure=H)
-            ratios[p].append(lhs / sq_norm_from_sq2(S2, spec.L, p))
+            sq_norm = power_integral(pieces, spec, p, 2 * R) ** (1.0 / p)
+            ratios[p].append(lp_norm(f, p, measure=H) / sq_norm)
             kappas[p].append(kappa_max(H, p)[0])
     fits = []
     for p in p_values:
@@ -366,34 +364,42 @@ class PreflightError(RuntimeError):
             f"cap {cap_mb:.0f} MiB")
 
 
-# Bytes per cell of the sq_norm grid m = min(M, 2R): the coefficient
-# array of S^2 and its inverse transform, both complex.  Traced allocation
-# peaks of envelope-verify on non-constant weights at R = 64..1024 run
-# 32.0-35.6 bytes per cell; the envelope integrals need no grid.
-_VERIFY_CELL_BYTES = 32
+# Bytes per cell of a sampled grid: the coefficients, their inverse
+# transform and the copy numpy's ifft2 makes, all complex.  Traced peaks run
+# 48 bytes per cell on the sq_norm grid m = 2R at p = 3 (R = 64..1024) and
+# on the M x M synthesis of the constant-weight lhs at p = 3.
+_GRID_CELL_BYTES = 48
 
-# Bytes per (mode, mode) pair of the whole-field autocorrelation that the
-# constant-weight lhs takes at p = 4 (torus.square_sum): the products, their
-# offset keys and the sort.  Traced peaks of random:constant at p = 4:
-# 11.5 MiB for 415 modes (R = 256), 179.0 MiB for 1637 (R = 1024).
+# Bytes per (mode, mode) pair of an autocorrelation (torus.square_sum): the
+# products, their offset keys and the sort.  Traced peaks of random:constant
+# at p = 4: 11.5 MiB for 415 modes (R = 256), 179.0 MiB for 1637 (R = 1024).
 _AUTOCORR_PAIR_BYTES = 70
 
 
 def _verify_peak_bytes(cfg: "ExperimentConfig", R: int) -> float:
-    ffam, wfam, _, p_default = _pair_family(cfg.family)
+    """The largest of the lhs, the sq_norm grid and the theta-piece
+    autocorrelation (sq_norm at p = 4, the envelope integrals), plus the
+    per-cap envelope cell integrals, 8 bytes for each of the 16/s
+    envelopes of every cap, all held until the envelope sum."""
+    ffam, wfam, params, p_default = _pair_family(cfg.family)
     p_values = cfg.p or (p_default,)
-    M = 8 * R
-    est = _VERIFY_CELL_BYTES * min(M, 2 * R) ** 2
+    spec = GridSpec(R)
+    field = make_field(ffam, spec, cfg.seed)
+    pieces = cap_decompose(field, theta_scale(R)).pieces.values()
+    est = [_AUTOCORR_PAIR_BYTES * sum(pc.n_modes ** 2 for pc in pieces)]
+    grid = any(p not in (2.0, 4.0) for p in p_values)
+    if grid:
+        est.append(_GRID_CELL_BYTES * (2 * R) ** 2)
     if wfam != "constant":
-        return est
-    if any(p not in (2.0, 4.0) for p in p_values):
-        # the full-grid quadrature of the lhs holds the synthesis array and
-        # its transform at once
-        return max(est, 32 * M * M)
-    if 4.0 in p_values:
-        n = make_field(ffam, GridSpec(R), cfg.seed).n_modes
-        return max(est, _AUTOCORR_PAIR_BYTES * n * n)
-    return est
+        atoms = candidate_atoms(wfam, spec, **params)
+        est.append(trig_sum_bytes(field.n_modes, n_points=int(atoms)))
+    elif grid:
+        est.append(_GRID_CELL_BYTES * spec.M ** 2)
+    elif 4.0 in p_values:
+        est.append(_AUTOCORR_PAIR_BYTES * field.n_modes ** 2)
+    cells = sum(16 * round(1 / s) * (2 * round(1 / s) + 1)
+                for s in dyadic_scales(R))
+    return 8 * cells + max(est)
 
 
 # kappa-scan: traced allocation peaks run about 120 bytes per candidate

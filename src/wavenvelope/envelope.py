@@ -13,9 +13,10 @@ come from the integer location path.  The envelope integrals of the
 square functions are exact too: |f_theta|^2 has its Fourier support in
 theta - theta, so S_tau^2 = sum_{theta in tau} |f_theta|^2 is a small
 trigonometric polynomial, and its integral over an envelope has a closed
-form (envelope_cell_integrals).  The one quadrature left is ||S||_p on an
-m x m grid, built from one FFT of the coefficients of S^2; for p in
-{2, 4} it is exact as well (the grid clears twice the offsets of S^2).
+form (envelope_cell_integrals).  ||S||_p is exact at p in {2, 4}, an
+identity in the coefficients of S^2 (torus.power_integral); other p take
+the one quadrature left, on an m x m grid built from one FFT of those
+coefficients.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .torus import TWO_PI, TorusField, lp_norm, square_sum, synthesize
+from .torus import (TWO_PI, TorusField, lp_norm, power_integral, square_sum,
+                    synthesize)
 from .geometry import (
     Cap, cap_index_for_abscissa, caps_at_scale, dyadic_scales,
     envelope_factor, envelope_index_of_tube, envelope_lattice_dims,
@@ -139,24 +141,6 @@ def cap_decompose(field: TorusField, scale: float) -> CapDecomposition:
                 fld = synthesize(merged_freqs, merged_amps, spec)
             pieces[int(k)] = fld
     return CapDecomposition(scale, dict(sorted(pieces.items())))
-
-
-def square_sum_samples(pieces, spec, m: int) -> np.ndarray:
-    """sum over pieces of |f_piece|^2 on the m x m grid of spacing L/m.
-
-    One inverse FFT of the summed coefficients; samples_on rejects an m
-    that does not exceed twice the largest offset, which is also what
-    keeps the p = 4 grid sum of the square exact.
-    """
-    vals = square_sum(pieces, spec).samples_on(m, cache=False).real
-    # the sum is real and >= 0; clip the roundoff below zero
-    return np.maximum(vals, 0.0)
-
-
-def sq_norm_from_sq2(S2: np.ndarray, L: float, p: float) -> float:
-    """L^p norm of sqrt(S2) by grid quadrature."""
-    m = S2.shape[0]
-    return float((L / m) ** 2 * np.sum(S2 ** (p / 2))) ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +320,8 @@ class RatioReport:
 
     ratio_sq compares first powers (lhs vs the square-function side);
     ratio_env compares p-th powers (lhs^p vs the envelope sum).  terms
-    rows are (s, cap_id, z1, z2, kappa, term).
+    rows are (s, cap_id, z1, z2, kappa, term).  m_grid is the grid of
+    the sq_norm quadrature, used only for p not in {2, 4}.
     """
 
     p: float
@@ -381,8 +366,8 @@ class RatioReport:
                 fh.write(f"{s:.17g},{cap_id},{z1},{z2},{kap:.17g},{term:.17g}\n")
 
 
-def verify_weighted_sq(field: TorusField, H: GridMeasure, p: float,
-                       m: int | None = None) -> RatioReport:
+def verify_weighted_sq(field: TorusField, H: GridMeasure,
+                       p: float) -> RatioReport:
     """Evaluate both weighted square-function inequalities.
 
     lhs     = ||f||_{L^p(H)}    (exact atomic sum; a coefficient
@@ -393,17 +378,14 @@ def verify_weighted_sq(field: TorusField, H: GridMeasure, p: float,
 
     The envelope integrals int_U S_tau^2 are exact: S_tau^2 is a trig
     polynomial whose coefficients come from the theta pieces, and each
-    cell integral has a closed form (envelope_cell_integrals).  m is
-    only the grid of the sq_norm quadrature; it defaults to min(M, 2R),
-    which clears twice the offsets of every |f_theta|^2 (O(R^1/2)), so
-    the p in {2, 4} quadratures of S^2 and S^4 are exact.
+    cell integral has a closed form (envelope_cell_integrals).
+    ||S_theta||_p is exact at p in {2, 4} (power_integral); other p take
+    the grid m = 2R, which clears twice the offsets of every |f_theta|^2
+    (O(R^1/2)).
     """
     spec = field.spec
     R = spec.R
-    if m is None:
-        m = min(spec.M, 2 * R)
-    if spec.M % m != 0:
-        raise ValueError("m must divide M")
+    m = 2 * R
     floor = float(R) ** -GRID_FLOOR_EXP
     scales = dyadic_scales(R)
     s_theta = theta_scale(R)
@@ -414,7 +396,6 @@ def verify_weighted_sq(field: TorusField, H: GridMeasure, p: float,
     constant = H.is_full_constant
 
     dec = cap_decompose(field, s_theta)
-    S2 = square_sum_samples(dec.pieces.values(), spec, m)
     cell = {}
     for s in scales:
         by_tau = {}
@@ -425,7 +406,7 @@ def verify_weighted_sq(field: TorusField, H: GridMeasure, p: float,
             cell[(s, k_tau)] = envelope_cell_integrals(pieces, Cap(s, k_tau),
                                                        spec)
 
-    sq_norm = sq_norm_from_sq2(S2, spec.L, p)
+    sq_norm = power_integral(dec.pieces.values(), spec, p, m) ** (1.0 / p)
     kmax, kwitness = kappa_max(H, p)
     sq_rhs = (kmax + floor) * sq_norm
 

@@ -314,9 +314,10 @@ def candidate_atoms(family: str, spec: GridSpec, **params) -> float:
     """Grid points the builder of family holds at once, without building it.
 
     A ball or dual tube tests a box of candidates; a lattice keeps about
-    pi (c/Delta)^2 + 1 points per site and a truncated lattice one.  The
-    parameters, and their defaults, are the builder's; the constant weight
-    holds no atoms.
+    pi (c/Delta)^2 + 1 points per site and a truncated lattice one; a
+    parabolic box of side rho covers at most ceil(rho/Delta) x
+    ceil(rho^2/Delta) points.  The parameters, and their defaults, are the
+    builder's; the constant weight holds no atoms.
     """
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}; have {sorted(_FAMILIES)}")
@@ -335,6 +336,9 @@ def candidate_atoms(family: str, spec: GridSpec, **params) -> float:
         return np.count_nonzero(keep) * (math.pi * (kw["c"] / d) ** 2 + 1)
     if family == "truncated-lattice":
         return float(_truncated_sites(spec.R, kw["alpha"], kw["c"])[2].size)
+    if family == "parabolic-box":
+        return float(sum(math.ceil(rho / d) * math.ceil(rho * rho / d)
+                         for _, _, rho in kw["boxes"]))
     raise ValueError(f"no candidate count for family {family!r}")
 
 

@@ -3,7 +3,7 @@
 The continuum statements live on R^2; here every function is an honest
 trigonometric polynomial on the torus [0,L)^2.  Frequencies sit on the
 lattice (2pi/L)Z^2 and samples on an M x M grid of spacing Delta = L/M.
-With the default oversampling (M = 8R = 2L) grid sums of |f|^2 and |f|^4
+With the oversampling M = 8R = 2L grid sums of |f|^2 and |f|^4
 are exact integrals, which is what makes the downstream inequality
 comparisons trustworthy: any discrepancy we see is in the mathematics
 being tested, not in the quadrature.
@@ -27,49 +27,34 @@ TWO_PI = 2.0 * np.pi
 _BAND_TOL = 1e-9
 
 
-def _is_pow2(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
 def is_power_of_four(n: int) -> bool:
-    return _is_pow2(n) and (n.bit_length() - 1) % 2 == 0
+    return n >= 1 and (n & (n - 1)) == 0 and (n.bit_length() - 1) % 2 == 0
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Discretization parameters: scale R, period L, samples per side M.
+    """Discretization at scale R: period L = 4R, M = 8R samples per side.
 
-    Defaults L = 4R (envelopes of dimensions up to R x R fit with margin)
-    and M = 8R.  M > 5L/pi guarantees that grid sums of fourth powers of
-    admissible band-limited fields are exact, see lp_norm.
+    L = 4R fits envelopes of dimensions up to R x R with margin, and its
+    frequency step 2pi/L <= 2/R puts a lattice point in every window of
+    length 2/R, so each theta has a frequency column.  M = 2L > 5L/pi
+    makes grid sums of fourth powers of admissible band-limited fields
+    exact, see lp_norm.
     """
 
     R: int
-    L: float = 0.0  # 0 means "use the default 4R"
-    M: int = 0      # 0 means "use the default 8R"
 
     def __post_init__(self):
         if not isinstance(self.R, int) or not is_power_of_four(self.R) or self.R < 4:
             raise ValueError(f"R must be a power of 4, >= 4; got {self.R!r}")
-        if self.L == 0.0:
-            object.__setattr__(self, "L", float(4 * self.R))
-        if self.M == 0:
-            object.__setattr__(self, "M", 8 * self.R)
-        object.__setattr__(self, "L", float(self.L))
-        if self.L <= 0:
-            raise ValueError("period L must be positive")
-        if not _is_pow2(self.M):
-            raise ValueError(f"M must be a power of 2, got {self.M}")
-        # one frequency column per theta needs lattice spacing <= 2/R: a
-        # window of length 2/R then always contains a lattice point
-        if TWO_PI / self.L > 2.0 / self.R + 1e-12:
-            raise ValueError(
-                f"frequency spacing 2pi/L = {TWO_PI / self.L:.3g} exceeds 2/R; "
-                f"increase L (default 4R)")
-        if self.M <= 5.0 * self.L / np.pi:
-            raise ValueError(
-                f"M = {self.M} too small for exact quartic quadrature; "
-                f"need M > 5L/pi = {5.0 * self.L / np.pi:.1f}")
+
+    @property
+    def L(self) -> float:
+        return float(4 * self.R)
+
+    @property
+    def M(self) -> int:
+        return 8 * self.R
 
     @property
     def delta(self) -> float:
@@ -348,6 +333,25 @@ def square_sum(pieces, spec) -> TorusField:
     return TorusField(spec, delta, coef)
 
 
+def power_integral(pieces, spec, p: float, m: int) -> float:
+    """integral over the torus of (sum over pieces of |f_piece|^2)^(p/2).
+
+    p = 2 is Parseval on each piece; p = 4 is Parseval on the sum of
+    squares P (square_sum): int P^2 = L^2 sum_D |c_D|^2, O(modes^2) work
+    and memory per piece.  Other p sum P^(p/2) on the m x m grid of
+    spacing L/m, from one inverse FFT of the coefficients of P; samples_on
+    rejects an m that does not exceed twice the largest offset.
+    """
+    if p == 2.0:
+        return sum(l2sq_coeff(pc) for pc in pieces)
+    P = square_sum(pieces, spec)
+    if p == 4.0:
+        return l2sq_coeff(P)
+    # P is real and >= 0; clip the roundoff below zero
+    P2 = np.maximum(P.samples_on(m, cache=False).real, 0.0)
+    return (spec.L / m) ** 2 * float(np.sum(P2 ** (p / 2)))
+
+
 def lp_norm(field: TorusField, p: float, measure=None) -> float:
     """L^p norm of f, unweighted or against a grid measure.
 
@@ -358,47 +362,31 @@ def lp_norm(field: TorusField, p: float, measure=None) -> float:
 
     Constant weight of density lam = mass / Delta^2 on every grid cell:
     lam^(1/p) ||f||_p.  For p in {2, 4} this is an identity in the
-    coefficients and needs no grid: ||f||_2^2 = L^2 sum |a|^2 (Parseval),
-    and ||f||_4^4 = || |f|^2 ||_2^2 = L^2 sum_D |c_D|^2, where c holds the
-    autocorrelation coefficients of |f|^2 (square_sum), O(modes^2) work and
-    memory.  Other p sum |f|^p over the M x M synthesis, which is held
-    whole; the row blocks bound only the temporaries of |f|^p.
+    coefficients and needs no grid (power_integral of the one piece f).
+    Other p sum |f|^p over the M x M synthesis, which is held whole; the
+    row blocks bound only the temporaries of |f|^p.
 
     Other weights: measure supplies grid atoms (ij indices and masses); the
-    weighted integral is by definition the atomic sum, so it is exact.
+    weighted integral is by definition the atomic sum (point_eval at the
+    atoms), so it is exact.
     """
     if not 2.0 <= p <= 4.0:
         raise ValueError(f"p must lie in [2, 4], got {p}")
     if measure is None:
         return grid_lp(field.samples, field.spec.L, p)
-    if measure.spec != field.spec:
+    spec = field.spec
+    if measure.spec != spec:
         raise ValueError("measure defined on a different GridSpec")
     if measure.is_full_constant:
-        lam = float(measure.mass) / field.spec.delta ** 2
-        if p == 2.0:
-            return (lam * l2sq_coeff(field)) ** 0.5
-        if p == 4.0:
-            return (lam * l2sq_coeff(square_sum([field], field.spec))) ** 0.25
-        S = field.samples_on(field.spec.M, cache=False)
-        step = max(1, 2 ** 22 // field.spec.M)
+        if p in (2.0, 4.0):
+            lam = float(measure.mass) / spec.delta ** 2
+            return (lam * power_integral([field], spec, p, spec.M)) ** (1.0 / p)
+        S = field.samples_on(spec.M, cache=False)
+        step = max(1, 2 ** 22 // spec.M)
         acc = 0.0
-        for i0 in range(0, field.spec.M, step):
+        for i0 in range(0, spec.M, step):
             a = np.abs(S[i0:i0 + step])
             acc += float(np.sum(a ** p))
         return (float(measure.mass) * acc) ** (1.0 / p)
-    vals = eval_at_atoms(field, measure)
+    vals = point_eval(field, spec.delta * measure.ij.astype(float))
     return float(np.sum(measure.mass * np.abs(vals) ** p)) ** (1.0 / p)
-
-
-def eval_at_atoms(field: TorusField, measure) -> np.ndarray:
-    """Field values at a measure's atom locations.
-
-    Uses cached full-grid samples when already synthesized, otherwise
-    direct summation (cheaper for sparse measures than an M x M FFT).
-    """
-    M = field.spec.M
-    if M in field._samples:
-        return field._samples[M][measure.ij[:, 0], measure.ij[:, 1]]
-    if len(measure.ij) * max(field.n_modes, 1) > 4 * M * M:
-        return field.samples[measure.ij[:, 0], measure.ij[:, 1]]
-    return point_eval(field, field.spec.delta * measure.ij.astype(float))

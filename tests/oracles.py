@@ -8,13 +8,14 @@ from scipy.fft import fft2
 from wavenvelope.decomp import CertificateError
 from wavenvelope.envelope import (W_BLOCK, W_EXPONENT, W_TAIL,
                                   cap_decompose, envelope_area, kappa_table,
-                                  square_sum_samples, weighted_cell_integrals)
+                                  weighted_cell_integrals)
 from wavenvelope.geometry import (Cap, cap_index_for_abscissa, dyadic_scales,
                                   envelope_index_of_tube,
                                   envelope_lattice_dims,
                                   locate_grid_envelopes, locate_grid_tubes,
                                   theta_scale)
 from wavenvelope.schrodinger import eta
+from wavenvelope.torus import square_sum
 
 
 def read_back_coeffs(field) -> np.ndarray:
@@ -79,6 +80,19 @@ def reconstruction(dec) -> dict:
             key = (int(fr[0]), int(fr[1]))
             acc[key] = acc.get(key, 0.0) + a
     return acc
+
+
+def square_sum_samples(pieces, spec, m: int) -> np.ndarray:
+    """sum over pieces of |f_piece|^2 on the m x m grid of spacing L/m,
+    from one inverse FFT of the summed coefficients, clipped at 0."""
+    vals = square_sum(pieces, spec).samples_on(m, cache=False).real
+    return np.maximum(vals, 0.0)
+
+
+def sq_norm_from_sq2(S2: np.ndarray, L: float, p: float) -> float:
+    """L^p norm of sqrt(S2) by grid quadrature."""
+    m = S2.shape[0]
+    return float((L / m) ** 2 * np.sum(S2 ** (p / 2))) ** (1.0 / p)
 
 
 def square_function(field, scale: float, m: int | None = None) -> np.ndarray:

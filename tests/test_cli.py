@@ -336,7 +336,8 @@ def test_preflight_rejects_oversized_run():
 @pytest.mark.parametrize("R,pair", [(64, "knapp:dual-tube"),
                                     (64, "knapp:constant"),
                                     (256, "random:ball"),
-                                    (256, "random:constant")])
+                                    (256, "random:constant"),
+                                    (1024, "knapp:dual-tube")])
 def test_preflight_within_factor_two(R, pair):
     cfg = resolve(ExperimentConfig(experiment="envelope-verify", R=(R,),
                                    family=pair))

@@ -7,16 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavenvelope.torus import (GridSpec, TorusField, point_eval,
-                               random_band_field, synthesize, lp_norm)
+                               power_integral, random_band_field, synthesize,
+                               lp_norm)
 from wavenvelope.geometry import (Cap, cap_index_for_abscissa, caps_at_scale,
                                   dyadic_scales, envelope_factor,
                                   envelope_lattice_dims, theta_scale)
-from wavenvelope.measures import ball_weight, constant_weight, custom_weight
+from wavenvelope.measures import (ball_weight, constant_weight, custom_weight,
+                                  make_weight)
+from wavenvelope.cli import make_field
 from wavenvelope import envelope as env
 
 from oracles import (constant_env_rhs, env_shift,
                      gathered_weighted_cell_integrals, kappa, reconstruction,
-                     square_function, subgrid_cell_integrals)
+                     sq_norm_from_sq2, square_function, square_sum_samples,
+                     subgrid_cell_integrals)
 
 SPEC64 = GridSpec(64)
 
@@ -135,8 +139,9 @@ def test_square_sum_rejects_aliasing_grid():
     f = random_band_field(SPEC64, seed=1, density=0.5)
     with pytest.raises(ValueError, match="aliases"):
         square_function(f, theta_scale(64), m=8)
+    pieces = env.cap_decompose(f, theta_scale(64)).pieces.values()
     with pytest.raises(ValueError, match="aliases"):
-        env.verify_weighted_sq(f, constant_weight(SPEC64, 1.0), 4.0, m=8)
+        power_integral(pieces, SPEC64, 3.0, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -442,29 +447,12 @@ def test_verify_env_sum_dominates_each_term():
     assert rep.env_rhs >= max(t[-1] for t in rep.terms) > 0.0
 
 
-def test_verify_quadrature_grid_consistency():
-    # S^2 and S^4 are band limited well inside every admissible grid
-    f = random_band_field(SPEC64, seed=3, density=0.3)
-    H = constant_weight(SPEC64, 1.0)
-    a = env.verify_weighted_sq(f, H, 4.0, m=128)
-    b = env.verify_weighted_sq(f, H, 4.0, m=512)
-    assert a.sq_norm == pytest.approx(b.sq_norm, rel=1e-12)
-    assert a.env_rhs == pytest.approx(b.env_rhs, rel=1e-3)
-
-
 def test_verify_zero_field_flagged():
     f = synthesize(np.array([[0, 0]]), np.array([0.0 + 0j]), SPEC64)
     rep = env.verify_weighted_sq(f, constant_weight(SPEC64, 1.0), 2.0)
     assert rep.zero_field
     assert rep.lhs == 0.0
     assert rep.ratio_sq == 0.0 and rep.ratio_env == 0.0
-
-
-def test_verify_rejects_bad_grid():
-    f = random_band_field(SPEC64, seed=1, density=0.2)
-    H = constant_weight(SPEC64, 1.0)
-    with pytest.raises(ValueError):
-        env.verify_weighted_sq(f, H, 2.0, m=100)
 
 
 def test_verify_single_packet_ratio_bounded():
@@ -559,3 +547,37 @@ def test_constant_weight_verify_never_synthesizes_full_grid(monkeypatch):
         tracemalloc.stop()
     assert rep.lhs > 0 and rep.env_rhs > 0
     assert peak < 48 * 2 ** 20
+
+
+def test_atomic_weight_verify_takes_no_grid_at_p2_p4(monkeypatch):
+    # ||S||_p at p in {2, 4} and the atomic lhs need no sample grid; the
+    # m = 2R grid of S^2 alone would trace 192 MiB at R = 1024
+    spec = GridSpec(1024)
+    f = make_field("random", spec, 0)
+    H = make_weight("ball", spec)
+
+    def guarded(self, m, cache=True):
+        raise AssertionError(f"{m} x {m} synthesis")
+
+    monkeypatch.setattr(TorusField, "samples_on", guarded)
+    for p in (2.0, 4.0):
+        tracemalloc.start()
+        try:
+            rep = env.verify_weighted_sq(f, H, p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.lhs > 0 and rep.sq_norm > 0 and rep.env_rhs > 0
+        if p == 4.0:
+            assert peak < 16 * 2 ** 20
+
+
+def test_verify_sq_norm_other_p_is_grid_quadrature():
+    # away from p in {2, 4}, ||S||_p is the m = 2R grid sum, bit for bit
+    f = random_band_field(SPEC64, seed=4, density=0.5)
+    pieces = env.cap_decompose(f, theta_scale(64)).pieces.values()
+    want = sq_norm_from_sq2(square_sum_samples(pieces, SPEC64, 128),
+                            SPEC64.L, 3.0)
+    rep = env.verify_weighted_sq(f, ball_weight(SPEC64, 4.0), 3.0)
+    assert rep.m_grid == 128
+    assert rep.sq_norm == want

@@ -115,7 +115,9 @@ def test_dual_tube_matches_full_grid_scan(R):
 def test_candidate_atoms_follow_the_builders():
     # the count reads the builder's own parameters and defaults
     for fam, kw in (("ball", {}), ("ball", {"rho": 5.0}), ("lattice", {}),
-                    ("dual-tube", {}), ("dual-tube", {"k": 3})):
+                    ("dual-tube", {}), ("dual-tube", {"k": 3}),
+                    ("parabolic-box",
+                     {"boxes": ((0.0, 0.0, 2.0), (8.3, 3.1, 1.7))})):
         built = ms.make_weight(fam, SPEC, **kw).n_atoms
         assert built <= ms.candidate_atoms(fam, SPEC, **kw)
     assert ms.candidate_atoms("ball", SPEC, rho=0.5 * SPEC.L) == 0.0

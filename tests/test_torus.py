@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from wavenvelope.torus import (
     GridSpec, grid_lp, l2sq_coeff, lp_norm, parabola_band_modes, point_eval,
-    random_band_field, square_sum, synthesize,
+    power_integral, random_band_field, square_sum, synthesize,
 )
 from wavenvelope.cli import make_field
 from wavenvelope.envelope import cap_decompose
@@ -22,7 +22,8 @@ from wavenvelope.geometry import theta_scale
 from wavenvelope.measures import GridMeasure, constant_weight
 
 from oracles import (analyze, concatenated_square_sum, grid_constant_lp,
-                     read_back_coeffs)
+                     read_back_coeffs, sq_norm_from_sq2, square_function,
+                     square_sum_samples)
 
 SPEC4 = GridSpec(4)
 SPEC16 = GridSpec(16)
@@ -40,15 +41,6 @@ def test_gridspec_defaults():
 def test_gridspec_rejects_non_power_of_four(bad):
     with pytest.raises(ValueError):
         GridSpec(bad)
-
-
-def test_gridspec_rejects_bad_grid():
-    with pytest.raises(ValueError):
-        GridSpec(16, M=100)           # not a power of two
-    with pytest.raises(ValueError):
-        GridSpec(16, M=64)            # quartic quadrature needs M > 5L/pi
-    with pytest.raises(ValueError):
-        GridSpec(16, L=8.0)           # frequency step above 2/R
 
 
 def test_parabola_band_membership():
@@ -222,6 +214,37 @@ def test_constant_weight_lhs_other_p_is_grid_sum(R):
     for lam in (0.25, 1.0):
         w = constant_weight(f.spec, lam=lam)
         assert lp_norm(f, 3.0, measure=w) == grid_constant_lp(f, 3.0, w.mass)
+
+
+@pytest.mark.parametrize("R", [16, 64, 256])
+@pytest.mark.parametrize("family", ["random", "flat", "knapp", "spread"])
+def test_power_integral_exact_forms_match_grid(R, family):
+    # p = 2 and 4 take Parseval; the oracle is the M x M grid quadrature of
+    # the sum of squares, exact for these p, on the theta pieces and on the
+    # whole field
+    spec = GridSpec(R)
+    f = make_field(family, spec, seed=R)
+    pieces = list(cap_decompose(f, theta_scale(R)).pieces.values())
+    cases = ((pieces, square_function(f, theta_scale(R))),
+             ([f], np.abs(f.samples_on(spec.M, cache=False))))
+    for pcs, S in cases:
+        for p in (2.0, 4.0):
+            got = power_integral(pcs, spec, p, spec.M)
+            want = grid_lp(S, spec.L, p) ** p
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("R", [16, 64, 256])
+def test_power_integral_other_p_is_grid_sum(R):
+    # bit for bit the m-grid quadrature of the sampled sum of squares
+    spec = GridSpec(R)
+    f = random_band_field(spec, seed=R)
+    pieces = list(cap_decompose(f, theta_scale(R)).pieces.values())
+    for m in (2 * R, spec.M):
+        S2 = square_sum_samples(pieces, spec, m)
+        for p in (2.5, 3.0):
+            assert power_integral(pieces, spec, p, m) ** (1.0 / p) \
+                == sq_norm_from_sq2(S2, spec.L, p)
 
 
 @pytest.mark.parametrize("family", ["random", "flat", "knapp", "spread"])
