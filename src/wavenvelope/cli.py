@@ -403,12 +403,14 @@ def _verify_peak_bytes(cfg: "ExperimentConfig", R: int) -> float:
 
 
 # kappa-scan: traced allocation peaks run about 120 bytes per candidate
-# atom of the weight (building it, then locating its atoms in one cap),
-# plus the envelope tables cached on the weight: a few hundred bytes per cap
-# and about 3R entries of 24 bytes for the slab-shaped supports (dual tube,
-# truncated lattice), the widest-spread of the scanned families.
+# atom of the weight (building it, then the per-scale location terms a, b
+# and z2, held across the caps of the scale, and one key buffer), plus the
+# envelope tables cached on the weight: a few hundred bytes per cap and
+# about 4R entries of 24 bytes for the slab-shaped supports (dual tube,
+# truncated lattice), the widest-spread of the scanned families; a scale's
+# per-cap tables and their concatenation are briefly alive together.
 _SCAN_ATOM_BYTES = 128
-_SCAN_BYTES_PER_R = 80
+_SCAN_BYTES_PER_R = 96
 _SCAN_CAP_BYTES = 600
 
 
@@ -597,9 +599,10 @@ def _run_bilinear(cfg):
             ok = all(math.isfinite(v) for v in
                      (rep.C_bil, rep.C_l4, rep.C_orth1, rep.C_orth2))
             all_finite = all_finite and ok
-            denom = rep.max_cell_ratio * (rep.norm1_w * rep.norm2_w) ** 2 \
-                / rep.R_s ** 2
-            holds = bool(rep.int_BY <= rep.C_l4 * denom * (1 + 1e-9) + 1e-12)
+            # C_l4 * max_cell_ratio and C_bil share their denominator, and
+            # restricting the integral over B to Y-tilde cannot raise it
+            holds = bool(rep.C_l4 * rep.max_cell_ratio
+                         <= rep.C_bil * (1 + 1e-9))
             l4_ok = l4_ok and holds
             c_l4.append(rep.C_l4)
             rows.append({"R": R_s, "K": cfg.K, "pair_id": rep.pair_id,

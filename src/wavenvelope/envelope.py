@@ -9,7 +9,8 @@ relative to their envelopes,
 
 Everything feeding kappa is exact: H(T) and H(U) are finite sums of atom
 masses, |T| = s^-3 and |U| = R^2 s are dyadic, and the tube/envelope keys
-come from the integer location path.  The envelope integrals of the
+come from the integer location path, which locates a weight's atoms once
+per scale (envelope_stats).  The envelope integrals of the
 square functions are exact too: |f_theta|^2 has its Fourier support in
 theta - theta, so S_tau^2 = sum_{theta in tau} |f_theta|^2 is a small
 trigonometric polynomial, and its integral over an envelope has a closed
@@ -28,10 +29,12 @@ import numpy as np
 
 from .torus import (TWO_PI, TorusField, lp_norm, power_integral, square_sum,
                     synthesize)
+# locate_grid_tubes is not called here; the benchmark's self-test
+# (perfbench/test_harness.py) reads it as envelope.locate_grid_tubes
 from .geometry import (
     Cap, cap_index_for_abscissa, caps_at_scale, dyadic_scales,
     envelope_factor, envelope_index_of_tube, envelope_lattice_dims,
-    locate_grid_tubes, theta_scale, tube_lattice_dims, wrap_envelope_index,
+    locate_grid_tubes, locate_scale_tubes, theta_scale, wrap_envelope_index,
 )
 from .measures import GRID_FLOOR_EXP, GridMeasure
 
@@ -174,39 +177,80 @@ def _group_sums(keys: np.ndarray, weights: np.ndarray, size: int):
     return uniq, np.bincount(inv, weights=weights)
 
 
-def envelope_stats(H: GridMeasure, cap: Cap):
-    """(flat envelope keys, H(U), max_T H(T)) for envelopes charged by H.
+@dataclass(frozen=True, eq=False)
+class ScaleStats:
+    """The p-independent envelope statistics of one weight at one scale.
 
-    Streams the atoms once: tube masses on wrapped tube keys, then
-    envelope masses and per-envelope tube maxima via the exact nesting (an
-    envelope is a union of whole tubes).  None of it depends on p, so the
-    result is computed once per (H, cap) and kept, read-only, on H.
+    ekeys, HU and maxT hold, for every cap k = -1/s .. 1/s in turn, the
+    flat keys of the envelopes the weight charges (ascending), their H(U)
+    and their max_T H(T).  Cap k owns the entries offsets[i]:offsets[i+1],
+    i = k + 1/s.  dims is (N1U, N2U), the same for every cap of the scale.
+    """
+
+    ekeys: np.ndarray
+    HU: np.ndarray
+    maxT: np.ndarray
+    offsets: np.ndarray
+    dims: tuple
+
+    def cap_slice(self, k: int) -> slice:
+        i = k + (len(self.offsets) - 2) // 2
+        return slice(int(self.offsets[i]), int(self.offsets[i + 1]))
+
+    def cap_of(self, i: int) -> int:
+        """k of the cap that owns entry i."""
+        c = int(np.searchsorted(self.offsets, i, side="right")) - 1
+        return c - (len(self.offsets) - 2) // 2
+
+
+def envelope_stats(H: GridMeasure, s: float) -> ScaleStats:
+    """Envelope keys, H(U) and max_T H(T) of every cap at scale s.
+
+    The atoms are located once for the scale (geometry.locate_scale_tubes);
+    each cap then makes its wrapped tube keys with a multiply-add and a
+    shift, sums tube masses on them, and gets envelope masses and
+    per-envelope tube maxima via the exact nesting (an envelope is a union
+    of whole tubes).  None of it depends on p or on the cap's level, so
+    the result is kept, read-only, on H, one entry per scale.
     """
     if H.is_full_constant:
         raise ValueError("constant weights take the closed-form path")
-    hit = H._envelope_stats.get(cap)
+    hit = H._envelope_stats.get(s)
     if hit is not None:
         return hit
     spec = H.spec
-    N1, N2, _ = tube_lattice_dims(cap, spec)
-    N1U, N2U, _ = envelope_lattice_dims(cap, spec)
-    if H.n_atoms == 0:
-        ekeys, HU, maxT = np.empty(0, np.int64), np.empty(0), np.empty(0)
-    else:
-        z1, z2 = locate_grid_tubes(H.ij[:, 0], H.ij[:, 1], cap, spec)
-        tkeys, HT = _group_sums(z1 * N2 + z2, np.asarray(H.mass), N1 * N2)
-        e1, e2 = envelope_index_of_tube(tkeys // N2, tkeys % N2,
-                                        envelope_factor(cap, spec))
-        e1, e2 = wrap_envelope_index(e1, e2, cap, spec)
-        eflat = e1 * N2U + e2
-        ekeys, HU = _group_sums(eflat, HT, N1U * N2U)
-        maxT = np.zeros(len(ekeys))
-        np.maximum.at(maxT, np.searchsorted(ekeys, eflat), HT)
-    for arr in (ekeys, HU, maxT):
+    caps = caps_at_scale(s)
+    dims = envelope_lattice_dims(caps[0], spec)[:2]
+    E = envelope_factor(caps[0], spec)
+    parts = [(np.empty(0, np.int64), np.empty(0), np.empty(0))] * len(caps)
+    if H.n_atoms:
+        tubes = locate_scale_tubes(H.ij[:, 0], H.ij[:, 1], s, spec)
+        N2, n_tubes = tubes.N2, tubes.N1 * tubes.N2
+        mass = np.asarray(H.mass)
+        keys = np.empty(H.n_atoms, dtype=np.int64)
+        for i, cap in enumerate(caps):
+            tkeys, HT = _group_sums(tubes.keys(cap.k, out=keys), mass,
+                                    n_tubes)
+            e1, e2 = envelope_index_of_tube(tkeys // N2, tkeys % N2, E)
+            e1, e2 = wrap_envelope_index(e1, e2, cap, spec)
+            eflat = e1 * dims[1] + e2
+            ekeys, HU = _group_sums(eflat, HT, dims[0] * dims[1])
+            maxT = np.zeros(len(ekeys))
+            np.maximum.at(maxT, np.searchsorted(ekeys, eflat), HT)
+            parts[i] = (ekeys, HU, maxT)
+    ekeys, HU, maxT = (np.concatenate(col) for col in zip(*parts))
+    offsets = np.cumsum([0] + [len(part[0]) for part in parts])
+    for arr in (ekeys, HU, maxT, offsets):
         arr.setflags(write=False)
-    stats = (ekeys, HU, maxT, (N1U, N2U))
-    H._envelope_stats[cap] = stats
+    stats = ScaleStats(ekeys, HU, maxT, offsets, dims)
+    H._envelope_stats[s] = stats
     return stats
+
+
+def _kappa_values(maxT: np.ndarray, HU: np.ndarray, s: float, R: int,
+                  p: float) -> np.ndarray:
+    return (maxT / tube_area(s)) ** 0.25 * \
+        (HU / envelope_area(R, s)) ** (1.0 / p - 0.25)
 
 
 def kappa_table(H: GridMeasure, p: float, cap: Cap):
@@ -214,21 +258,22 @@ def kappa_table(H: GridMeasure, p: float, cap: Cap):
 
     Returns (flat envelope keys, kappa values, (N1U, N2U)).  Envelopes
     with H(U) = 0 are absent (kappa = 0 by convention: H(T) = 0 for all
-    their tubes kills the product).
+    their tubes kills the product).  The keys are a read-only view into
+    the scale's cached statistics.
     """
-    ekeys, HU, maxT, dims = envelope_stats(H, cap)
-    s, R = cap.s, H.spec.R
-    vals = (maxT / tube_area(s)) ** 0.25 * \
-        (HU / envelope_area(R, s)) ** (1.0 / p - 0.25)
-    return ekeys, vals, dims
+    st = envelope_stats(H, cap.s)
+    sl = st.cap_slice(cap.k)
+    return (st.ekeys[sl],
+            _kappa_values(st.maxT[sl], st.HU[sl], cap.s, H.spec.R, p),
+            st.dims)
 
 
 def kappa_max(H: GridMeasure, p: float):
     """(max kappa over all scales, caps, envelopes; witness dict).
 
     Scan order is coarse to fine, cap index ascending, envelope key
-    ascending; ties keep the first witness, so the result is
-    deterministic.
+    ascending (the order of each scale's statistics); ties keep the first
+    witness, so the result is deterministic.
     """
     if not 2.0 <= p <= 4.0:
         raise ValueError("p in [2, 4]")
@@ -238,16 +283,17 @@ def kappa_max(H: GridMeasure, p: float):
         return lam ** (1.0 / p), {"s": 1.0, "k": 0, "z1": 0, "z2": 0}
     best, witness = 0.0, {"s": 1.0, "k": 0, "z1": 0, "z2": 0}
     for s in dyadic_scales(R):
-        for cap in caps_at_scale(s):
-            ekeys, vals, (N1U, N2U) = kappa_table(H, p, cap)
-            if len(vals) == 0:
-                continue
-            i = int(np.argmax(vals))
-            if vals[i] > best:
-                best = float(vals[i])
-                witness = {"s": s, "k": cap.k,
-                           "z1": int(ekeys[i] // N2U),
-                           "z2": int(ekeys[i] % N2U)}
+        st = envelope_stats(H, s)
+        if len(st.ekeys) == 0:
+            continue
+        vals = _kappa_values(st.maxT, st.HU, s, R, p)
+        i = int(np.argmax(vals))
+        if vals[i] > best:
+            best = float(vals[i])
+            N2U = st.dims[1]
+            witness = {"s": s, "k": st.cap_of(i),
+                       "z1": int(st.ekeys[i] // N2U),
+                       "z2": int(st.ekeys[i] % N2U)}
     return best, witness
 
 

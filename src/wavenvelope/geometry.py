@@ -15,6 +15,15 @@ Index conventions (P = 1/s, grid point x = Delta*(j1, j2)):
     y = L_tau^{-1} x,  z = floor(y + 1/2)  componentwise (half open cells);
     torus wrap: z2 lives mod N2 = s^2 L, and reducing z2 by m*N2 drags z1 by
     m*shear with shear = 2*c*s*L, then z1 lives mod N1 = s*L.
+On the grid y = (j1*P + 2k*j2, j2) / D with D = P^2/Delta, so with
+shear = 2k*N2 the wrapped index is
+    z2 = (2*j2 + D) // 2D,  m = z2 // N2,  z2 - m*N2,
+    z1 - m*shear = (a + k*b) // 2D,  a = 2P*j1 + D,  b = 4*(j2 - m*N2*D).
+Only the last line depends on the cap, and only through k: a weight's atoms
+are located once per scale (locate_scale_tubes), and each cap then costs a
+multiply-add and a shift, since 2D and N1 are powers of two for the
+power-of-four R of GridSpec.  This is the one place tube indices are made.
+
 Envelope indices divide tube indices by the dyadic integer E = R s^2 with
 the same shifted rounding, so each envelope is a block of exactly E^2 whole
 tubes and nesting is exact by construction.
@@ -125,33 +134,80 @@ def envelope_lattice_dims(cap: Cap, spec: GridSpec) -> tuple[int, int, int]:
     return N1 // E, N2 // E, shear // E
 
 
-def locate_grid_tubes(j1, j2, cap: Cap, spec: GridSpec,
-                      wrap: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """Tube index of grid points x = Delta*(j1, j2), exact integers.
+@dataclass(frozen=True, eq=False)
+class ScaleTubes:
+    """Tube indices of fixed grid points for every cap of one scale.
 
-    With P = 1/s and Delta = 2^-d, y + 1/2 has the common denominator
-    2 P^2 / Delta, so z = floor(y + 1/2) is one integer floor-division.
+    z2 does not depend on the cap, and z1 is affine in the cap index k
+    before one floor division by 2D, a power of two: z1 = (a + k b) >> shift
+    (see the module docstring).  With wrap, z1 is then reduced mod N1 (also
+    a power of two) and z2 is already reduced mod N2.
+    """
+
+    N1: int
+    N2: int
+    shift: int
+    a: np.ndarray
+    b: np.ndarray
+    z2: np.ndarray
+    wrap: bool
+
+    def z1(self, k: int, out: np.ndarray | None = None) -> np.ndarray:
+        out = np.multiply(self.b, k, out=out)
+        out += self.a
+        out >>= self.shift
+        if self.wrap:
+            out &= self.N1 - 1
+        return out
+
+    def keys(self, k: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Flat wrapped tube keys z1 * N2 + z2 of cap k, in [0, N1 N2)."""
+        if not self.wrap:
+            raise ValueError("flat tube keys need wrapped indices")
+        out = self.z1(k, out)
+        out *= self.N2
+        out += self.z2
+        return out
+
+
+def _is_power_of_two(n: int) -> bool:
+    return n >= 1 and n & (n - 1) == 0
+
+
+def locate_scale_tubes(j1, j2, s: float, spec: GridSpec,
+                       wrap: bool = True) -> ScaleTubes:
+    """Locate grid points x = Delta*(j1, j2) in the tubes of scale s.
+
+    All the per-point work that does not depend on the cap is done here,
+    once; ScaleTubes.z1 and .keys then cost one multiply-add and one shift
+    per point and cap.
     """
     j1 = np.asarray(j1, dtype=np.int64)
     j2 = np.asarray(j2, dtype=np.int64)
-    P = int(round(1.0 / cap.s))
+    P = int(round(1.0 / s))
     invd = int(round(1.0 / spec.delta))
-    if invd != 1.0 / spec.delta or P != 1.0 / cap.s:
+    if invd != 1.0 / spec.delta or P != 1.0 / s:
         raise ValueError("integer tube location needs dyadic s and Delta")
-    # y1 = (j1*P + 2k*j2)/D and y2 = j2/D with D = P^2/Delta
+    N1, N2, _ = tube_lattice_dims(Cap(s, 0), spec)
     D = P * P * invd
-    z1 = (2 * (j1 * P + 2 * cap.k * j2) + D) // (2 * D)
-    z2 = (2 * j2 + D) // (2 * D)
-    if not wrap:
-        return z1, z2
-    return wrap_tube_index(z1, z2, cap, spec)
+    if not (_is_power_of_two(2 * D) and _is_power_of_two(N1)):
+        raise ValueError(f"2D = {2 * D} and N1 = {N1} must be powers of two")
+    shift = (2 * D).bit_length() - 1
+    z2 = (2 * j2 + D) >> shift
+    if wrap:
+        m = z2 // N2
+        z2 = z2 - m * N2
+        b = 4 * (j2 - m * (N2 * D))
+    else:
+        b = 4 * j2
+    return ScaleTubes(N1, N2, shift, 2 * P * j1 + D, b, z2, wrap)
 
 
-def wrap_tube_index(z1, z2, cap: Cap, spec: GridSpec):
-    """Reduce an unwrapped tube index to the fundamental torus domain."""
-    N1, N2, shear = tube_lattice_dims(cap, spec)
-    m = z2 // N2
-    return (z1 - m * shear) % N1, z2 - m * N2
+def locate_grid_tubes(j1, j2, cap: Cap, spec: GridSpec,
+                      wrap: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Tube index (z1, z2) of grid points x = Delta*(j1, j2) in one cap."""
+    tubes = locate_scale_tubes(j1, j2, cap.s, spec, wrap)
+    return tubes.z1(cap.k), tubes.z2
 
 
 def envelope_index_of_tube(z1, z2, E: int):

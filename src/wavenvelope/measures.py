@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .torus import GridSpec
-from .geometry import Cap, locate_grid_tubes, theta_scale
+from .geometry import Cap, locate_scale_tubes, theta_scale
 
 GRID_FLOOR_EXP = 40  # pointwise floors cut at R^-40
 
@@ -41,8 +41,9 @@ class GridMeasure:
     dense weight at large R never materializes M^2 explicit atoms.
 
     The p-independent envelope statistics of envelope.envelope_stats are
-    cached on the instance, one read-only entry per cap, so kappa at any
-    number of exponents locates and sums the atoms once per cap.
+    cached on the instance, one read-only entry per scale holding every cap
+    of it, so kappa at any number of exponents locates the atoms once per
+    scale and sums their masses once per cap.
     """
 
     spec: GridSpec
@@ -180,8 +181,7 @@ def dual_tube_weight(spec: GridSpec, alpha: float = 1.0, k: int = 0) -> GridMeas
     j1 = (-2 * k * j2 // P)[:, None] + np.arange(-h1, h1 + 1)
     j2 = np.broadcast_to(j2[:, None], j1.shape)
     j1, j2 = j1.ravel() % M, j2.ravel() % M
-    z1, z2 = locate_grid_tubes(j1, j2, cap, spec)
-    keep = (z1 == 0) & (z2 == 0)
+    keep = locate_scale_tubes(j1, j2, cap.s, spec).keys(k) == 0
     ij = np.stack([j1[keep], j2[keep]], axis=1)
     h = spec.R ** (0.5 * (alpha - 2.0))
     return GridMeasure(spec, ij, np.full(len(ij), h * spec.delta ** 2),

@@ -64,11 +64,6 @@ class GridSpec:
     def freq_step(self) -> float:
         return TWO_PI / self.L
 
-    def axis(self, m: int | None = None) -> np.ndarray:
-        """Sample coordinates along one axis, spacing L/m."""
-        m = self.M if m is None else m
-        return (self.L / m) * np.arange(m)
-
 
 def parabola_band_modes(spec: GridSpec) -> np.ndarray:
     """All lattice modes n with (2pi/L)n inside N_{1/R} of the parabola.
@@ -140,9 +135,6 @@ class TorusField:
     @property
     def samples(self) -> np.ndarray:
         return self.samples_on(self.spec.M)
-
-    def scaled(self, c: complex) -> "TorusField":
-        return TorusField(self.spec, self.freqs, c * self.amps)
 
 
 def synthesize(freqs, amps, spec: GridSpec) -> TorusField:

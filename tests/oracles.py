@@ -6,14 +6,15 @@ import numpy as np
 from scipy.fft import fft2
 
 from wavenvelope.decomp import CertificateError
-from wavenvelope.envelope import (W_BLOCK, W_EXPONENT, W_TAIL,
+from wavenvelope.envelope import (W_BLOCK, W_EXPONENT, W_TAIL, _group_sums,
                                   cap_decompose, envelope_area, kappa_table,
                                   weighted_cell_integrals)
 from wavenvelope.geometry import (Cap, cap_index_for_abscissa, dyadic_scales,
-                                  envelope_index_of_tube,
+                                  envelope_factor, envelope_index_of_tube,
                                   envelope_lattice_dims,
-                                  locate_grid_envelopes, locate_grid_tubes,
-                                  theta_scale)
+                                  locate_grid_envelopes,
+                                  theta_scale, tube_lattice_dims,
+                                  wrap_envelope_index)
 from wavenvelope.schrodinger import eta
 from wavenvelope.torus import square_sum
 
@@ -62,6 +63,45 @@ def locate_points(points, cap, kind: str = "tube", R: int | None = None):
     elif kind != "tube":
         raise ValueError(f"kind must be tube or envelope, got {kind!r}")
     return z
+
+
+def wrap_tube_index(z1, z2, cap, spec):
+    """Reduce an unwrapped tube index to the fundamental torus domain."""
+    N1, N2, shear = tube_lattice_dims(cap, spec)
+    m = z2 // N2
+    return (z1 - m * shear) % N1, z2 - m * N2
+
+
+def grid_tube_index(j1, j2, cap, spec, wrap: bool = True):
+    """Tube index of grid points, one cap at a time: the floor divisions
+    of y + 1/2 over the common denominator 2D, then the sheared wrap."""
+    j1 = np.asarray(j1, dtype=np.int64)
+    j2 = np.asarray(j2, dtype=np.int64)
+    P = int(round(1.0 / cap.s))
+    D = P * P * int(round(1.0 / spec.delta))
+    z1 = (2 * (j1 * P + 2 * cap.k * j2) + D) // (2 * D)
+    z2 = (2 * j2 + D) // (2 * D)
+    return wrap_tube_index(z1, z2, cap, spec) if wrap else (z1, z2)
+
+
+def per_cap_envelope_stats(H, cap):
+    """(flat envelope keys, H(U), max_T H(T), (N1U, N2U)) of one cap,
+    locating and wrapping every atom for this cap alone."""
+    spec = H.spec
+    N1, N2, _ = tube_lattice_dims(cap, spec)
+    N1U, N2U, _ = envelope_lattice_dims(cap, spec)
+    if H.n_atoms == 0:
+        return np.empty(0, np.int64), np.empty(0), np.empty(0), (N1U, N2U)
+    z1, z2 = grid_tube_index(H.ij[:, 0], H.ij[:, 1], cap, spec)
+    tkeys, HT = _group_sums(z1 * N2 + z2, np.asarray(H.mass), N1 * N2)
+    e1, e2 = envelope_index_of_tube(tkeys // N2, tkeys % N2,
+                                    envelope_factor(cap, spec))
+    e1, e2 = wrap_envelope_index(e1, e2, cap, spec)
+    eflat = e1 * N2U + e2
+    ekeys, HU = _group_sums(eflat, HT, N1U * N2U)
+    maxT = np.zeros(len(ekeys))
+    np.maximum.at(maxT, np.searchsorted(ekeys, eflat), HT)
+    return ekeys, HU, maxT, (N1U, N2U)
 
 
 def tube_local_coords(points, z, cap) -> np.ndarray:
@@ -152,7 +192,7 @@ def full_grid_dual_tube(spec, k: int) -> np.ndarray:
         nb = min(block, M - j0)
         j1v = np.repeat(jj[j0:j0 + nb], M)
         j2v = np.tile(jj, nb)
-        z1, z2 = locate_grid_tubes(j1v, j2v, cap, spec)
+        z1, z2 = grid_tube_index(j1v, j2v, cap, spec)
         keep = (z1 == 0) & (z2 == 0)
         rows.append(np.stack([j1v[keep], j2v[keep]], axis=1))
     return np.concatenate(rows)

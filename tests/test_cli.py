@@ -221,6 +221,28 @@ def test_bilinear_experiment(tmp_path):
     assert "bilinear-variation" not in names  # single scale
 
 
+def test_bilinear_l4_check_fails_on_a_violation(monkeypatch):
+    # C_l4 * max_cell_ratio above C_bil would mean the integral over
+    # B and Y-tilde exceeds the one over B; the check must catch it
+    real = cli.bilinear_trials
+
+    def inflated(*args, **kwargs):
+        reps = real(*args, **kwargs)
+        rep = next(r for r in reps if r.max_cell_ratio > 0)
+        bad = dataclasses.replace(
+            rep, C_l4=1.01 * rep.C_bil / rep.max_cell_ratio)
+        return [bad if r is rep else r for r in reps]
+
+    cfg = ExperimentConfig(experiment="bilinear", R=(16,), K=2, trials=4)
+    assert run(cfg).passed
+    monkeypatch.setattr(cli, "bilinear_trials", inflated)
+    rep = run(cfg)
+    check = next(c for c in rep.checks
+                 if c["name"] == "bilinear-l4-inequality")
+    assert not check["passed"] and not rep.passed
+    assert sum(not r["l4_holds"] for r in rep.rows) == 1
+
+
 def test_schrodinger_fls_experiment(tmp_path):
     cfg = ExperimentConfig(experiment="schrodinger-fls", family="chirp",
                            p=(3.0,), R=(64, 256, 1024), out=str(tmp_path))

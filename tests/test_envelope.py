@@ -18,7 +18,8 @@ from wavenvelope.cli import make_field
 from wavenvelope import envelope as env
 
 from oracles import (constant_env_rhs, env_shift,
-                     gathered_weighted_cell_integrals, kappa, reconstruction,
+                     gathered_weighted_cell_integrals, kappa,
+                     per_cap_envelope_stats, reconstruction,
                      sq_norm_from_sq2, square_function, square_sum_samples,
                      subgrid_cell_integrals)
 
@@ -326,34 +327,49 @@ def test_kappa_rejects_bad_p():
             kappa(H, bad, Cap(1.0, 0), (0, 0))
 
 
-def test_kappa_max_locates_atoms_once_per_cap(monkeypatch):
+def test_kappa_max_locates_atoms_once_per_scale(monkeypatch):
     # the p-independent envelope statistics are cached on the weight, so a
-    # scan over three exponents locates the atoms once per cap
+    # scan over three exponents locates the atoms once per scale
     calls = []
-    real = env.locate_grid_tubes
+    real = env.locate_scale_tubes
 
-    def counting(j1, j2, cap, spec, wrap=True):
-        calls.append(cap)
-        return real(j1, j2, cap, spec, wrap)
+    def counting(j1, j2, s, spec, wrap=True):
+        calls.append(s)
+        return real(j1, j2, s, spec, wrap)
 
-    monkeypatch.setattr(env, "locate_grid_tubes", counting)
+    monkeypatch.setattr(env, "locate_scale_tubes", counting)
     H = ball_weight(SPEC64, 3.0, center=(7.0, 2.0))
     for p in (2.0, 3.0, 4.0):
         env.kappa_max(H, p)
-    n_caps = sum(len(caps_at_scale(s)) for s in dyadic_scales(SPEC64.R))
-    assert len(calls) == len(set(calls)) == n_caps
+    scales = dyadic_scales(SPEC64.R)
+    assert calls == scales
     # a new weight, even with the same atoms, starts with an empty cache
     env.kappa_max(H.scaled(0.5), 2.0)
-    assert len(calls) == 2 * n_caps
+    assert calls == 2 * scales
 
 
 def test_envelope_stats_cache_is_read_only():
     H = ball_weight(SPEC64, 3.0)
-    ekeys, HU, maxT, _ = env.envelope_stats(H, Cap(0.5, 1))
-    assert env.envelope_stats(H, Cap(0.5, 1))[0] is ekeys
-    for arr in (ekeys, HU, maxT):
+    st = env.envelope_stats(H, 0.5)
+    assert env.envelope_stats(H, 0.5) is st
+    ekeys = env.kappa_table(H, 2.0, Cap(0.5, 1))[0]
+    assert np.shares_memory(ekeys, st.ekeys)
+    for arr in (st.ekeys, st.HU, st.maxT, st.offsets, ekeys):
         with pytest.raises(ValueError):
             arr[...] = 0
+
+
+def test_kappa_table_ignores_cap_level():
+    # the cache is keyed by scale, so a tree cap (level 2) reads the entry
+    # that caps_at_scale (level 0) filled, and gets the same arrays
+    H = ball_weight(SPEC64, 3.0, center=(7.0, 2.0))
+    for cap in caps_at_scale(0.25):
+        flat = env.kappa_table(H, 3.0, cap)
+        tree = env.kappa_table(H, 3.0, Cap(cap.s, cap.k, level=2))
+        assert np.array_equal(flat[0], tree[0])
+        assert np.array_equal(flat[1], tree[1])
+        assert flat[2] == tree[2]
+    assert list(H._envelope_stats) == [0.25]
 
 
 def test_envelope_stats_branches_agree(monkeypatch):
@@ -364,17 +380,85 @@ def test_envelope_stats_branches_agree(monkeypatch):
     ij = np.unique(ij, axis=0)
     mass = rng.uniform(0.0, 1.0, len(ij)) * spec.delta ** 2
     mass[::7] = 0.0   # zero-mass atoms still mark their envelopes
-    caps = [cap for s in dyadic_scales(spec.R) for cap in caps_at_scale(s)]
     runs = []
     for ratio in (0, 10 ** 12):
         monkeypatch.setattr(env, "DENSE_KEYS_PER_ATOM", ratio)
         H = custom_weight(spec, ij, mass)
-        runs.append([env.envelope_stats(H, cap) for cap in caps])
+        runs.append([env.envelope_stats(H, s)
+                     for s in dyadic_scales(spec.R)])
     for sort, dense in zip(*runs):
-        for a, b in zip(sort[:3], dense[:3]):
+        for name in ("ekeys", "HU", "maxT", "offsets"):
+            a, b = getattr(sort, name), getattr(dense, name)
             assert a.dtype == b.dtype
             assert np.array_equal(a, b)
-        assert sort[3] == dense[3]
+        assert sort.dims == dense.dims
+
+
+def _oracle_weights(spec):
+    R, L, M = spec.R, spec.L, spec.M
+    mid = 0.5 * L
+    rng = np.random.default_rng(R)
+    # custom atoms on the z2 seam: j2 >= M - D/2 at the finest scale
+    D = 2 * R
+    seam = np.stack([rng.integers(0, M, 400),
+                     rng.integers(M - D // 2, M, 400)], axis=1)
+    ij = np.unique(np.concatenate([seam, rng.integers(0, M, (400, 2))]),
+                   axis=0)
+    weights = [
+        make_weight("ball", spec, rho=3.0, center=(L - 1.0, L - 0.5)),
+        make_weight("lattice", spec, kappa=1.0 / 3.0, c=0.45),
+        make_weight("truncated-lattice", spec, alpha=1.5, c=0.25),
+        make_weight("dual-tube", spec, alpha=1.0, k=1),
+        make_weight("parabolic-box", spec,
+                    boxes=((mid, mid, 2.0), (L - 2.0, L - 3.0, 3.0))),
+        make_weight("custom", spec, ij=ij,
+                    mass=spec.delta ** 2 * rng.uniform(0.0, 1.0, len(ij))),
+        custom_weight(spec, np.empty((0, 2), dtype=np.int64), np.empty(0)),
+    ]
+    if R <= 64:
+        weights.append(constant_weight(spec, 0.5).materialize())
+    return weights
+
+
+@pytest.mark.parametrize("R", [16, 64, 256])
+def test_kappa_tables_bit_equal_per_cap_oracle(R):
+    spec = GridSpec(R)
+    for H in _oracle_weights(spec):
+        for s in dyadic_scales(R):
+            for cap in caps_at_scale(s):
+                ekeys, HU, maxT, dims = per_cap_envelope_stats(H, cap)
+                st = env.envelope_stats(H, s)
+                sl = st.cap_slice(cap.k)
+                assert st.dims == dims
+                for got, want in ((st.ekeys[sl], ekeys), (st.HU[sl], HU),
+                                  (st.maxT[sl], maxT)):
+                    assert got.dtype == want.dtype
+                    assert np.array_equal(got, want), (H.label, s, cap.k)
+                for p in (2.0, 3.0, 4.0):
+                    vals = env.kappa_table(H, p, cap)[1]
+                    want = (maxT / env.tube_area(s)) ** 0.25 * \
+                        (HU / env.envelope_area(R, s)) ** (1.0 / p - 0.25)
+                    assert np.array_equal(vals, want)
+
+
+@pytest.mark.parametrize("R", [16, 64])
+def test_kappa_max_is_the_first_per_cap_maximum(R):
+    # the per-scale argmax keeps the per-cap scan's value and witness:
+    # coarse to fine, cap ascending, key ascending, first tie wins
+    spec = GridSpec(R)
+    for H in _oracle_weights(spec):
+        for p in (2.0, 3.0, 4.0):
+            best, witness = 0.0, {"s": 1.0, "k": 0, "z1": 0, "z2": 0}
+            for s in dyadic_scales(R):
+                for cap in caps_at_scale(s):
+                    ekeys, vals, (_, N2U) = env.kappa_table(H, p, cap)
+                    if len(vals) and vals.max() > best:
+                        i = int(np.argmax(vals))
+                        best = float(vals[i])
+                        witness = {"s": s, "k": cap.k,
+                                   "z1": int(ekeys[i] // N2U),
+                                   "z2": int(ekeys[i] % N2U)}
+            assert env.kappa_max(H, p) == (best, witness)
 
 
 def brute_kappa_max(H, p):

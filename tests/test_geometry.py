@@ -6,6 +6,8 @@ holds E^2 tubes' worth, and the float point-location path agrees with
 the integer path on the nose.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,11 +17,12 @@ from wavenvelope.geometry import (
     Cap, build_cap_tree, cap_index_for_abscissa, caps_at_scale,
     dyadic_scales, envelope_factor, envelope_lattice_dims,
     envelope_index_of_tube, locate_grid_envelopes, locate_grid_tubes,
-    mode_cap_index, theta_scale, tube_lattice_dims, wrap_envelope_index,
-    wrap_tube_index,
+    locate_scale_tubes, mode_cap_index, theta_scale, tube_lattice_dims,
+    wrap_envelope_index,
 )
 
-from oracles import locate_points, tube_local_coords
+from oracles import (grid_tube_index, locate_points, tube_local_coords,
+                     wrap_tube_index)
 
 SPEC = GridSpec(64)
 
@@ -100,6 +103,40 @@ def test_tube_partition_is_uniform():
             assert z2.min() >= 0 and z2.max() < N2
             counts = np.bincount(z1 * N2 + z2, minlength=N1 * N2)
             assert counts.min() == counts.max() == per_tube
+
+
+@pytest.mark.parametrize("R", [4, 16, 64, 256])
+def test_scale_locator_matches_per_cap_oracle(R):
+    # atoms on both sides of the z2 seam (j2 >= M - D/2, where m = 1 and
+    # b < 0), and negative grid indices for the unwrapped path
+    spec = GridSpec(R)
+    rng = np.random.default_rng(R)
+    j1 = rng.integers(0, spec.M, 3000)
+    j2 = np.concatenate([rng.integers(0, spec.M, 2000),
+                         spec.M - 1 - np.arange(1000) % spec.M])
+    for s in dyadic_scales(R):
+        tubes = locate_scale_tubes(j1, j2, s, spec)
+        raw = locate_scale_tubes(j1 - spec.M, j2 - spec.M, s, spec,
+                                 wrap=False)
+        for cap in caps_at_scale(s):
+            z1, z2 = grid_tube_index(j1, j2, cap, spec)
+            assert np.array_equal(tubes.z1(cap.k), z1)
+            assert np.array_equal(tubes.z2, z2)
+            assert np.array_equal(tubes.keys(cap.k), z1 * tubes.N2 + z2)
+            u1, u2 = grid_tube_index(j1 - spec.M, j2 - spec.M, cap, spec,
+                                     wrap=False)
+            assert np.array_equal(raw.z1(cap.k), u1)
+            assert np.array_equal(raw.z2, u2)
+        with pytest.raises(ValueError):
+            raw.keys(0)
+
+
+@pytest.mark.parametrize("L,delta", [(12.0, 1.0 / 3.0), (12.0, 0.5)])
+def test_scale_locator_needs_powers_of_two(L, delta):
+    # 2D = 24 in the first grid, N1 = 6 in the second
+    grid = SimpleNamespace(L=L, delta=delta)
+    with pytest.raises(ValueError, match="powers of two"):
+        locate_scale_tubes([0], [0], 0.5, grid)
 
 
 def test_envelope_partition_and_nesting():
