@@ -448,7 +448,7 @@ def preflight_mb(cfg: "ExperimentConfig") -> float:
         est = max(broad_narrow_peak_bytes(R, cfg.K, cfg.points)
                   for R in cfg.R)
     elif exp == "bilinear":
-        est = max(bilinear_peak_bytes(R_s, cfg.K) for R_s in cfg.R)
+        est = max(bilinear_peak_bytes(R_s) for R_s in cfg.R)
     elif exp == "schrodinger-fls":
         est = _fls_peak_bytes(cfg)
     else:

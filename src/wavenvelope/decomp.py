@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .torus import (GridSpec, TorusField, point_eval, synthesize, trig_sum,
                     trig_sum_bytes)
 from .geometry import Cap, build_cap_tree, cap_index_for_abscissa, theta_scale
-from .measures import ball_weight, candidate_atoms, lattice_weight
+from .measures import in_ball, lattice_weight
 from .envelope import WINDOW_DELTA, cap_decompose
 
 
@@ -378,11 +379,15 @@ def bilinear_check(pair: BilinearPair, Y=None, center=(0.0, 0.0),
                    quad_per_unit: int = 4) -> BilinearReport:
     """Measure the bilinear constants of a pair on one R_s ball.
 
-    B is the axis cube of side R_s at center.  Y (an atomic set on the
-    parent grid, or None for the full plane) enters through its pullback
-    by L_tau: a quadrature point x lands in Y-tilde when L_tau x falls in
-    an occupied cell.  The weighted norms use a Gaussian w_B with
-    sigma = R_s / 2, evaluated in closed form.
+    B is the axis cube of side R_s at center.  Y is None for the full
+    plane, or a membership function taking physical points (n, 2) to a
+    bool mask, such as GridMeasure.contains or a bound measures.in_ball;
+    it enters through its pullback by L_tau: a quadrature point x lands in
+    Y-tilde when Y(L_tau x) holds.  int_B and int_BY are midpoint rules
+    on quad_per_unit^2 points per unit cell, not exact: at 4 points per
+    unit they are 5.5e-7 to 1.9e-5 relative off the values at 16 (8 trials
+    at R_s = 64), about 4x less per halving.  The weighted norms use a
+    Gaussian w_B with sigma = R_s / 2, evaluated in closed form.
 
       C_bil  : int_B |g1 g2|^2 * |B| / (||g1||_w^2 ||g2||_w^2)
       C_l4   : same with int_{B and Y-tilde} and the max cell ratio
@@ -401,30 +406,23 @@ def bilinear_check(pair: BilinearPair, Y=None, center=(0.0, 0.0),
     h = side / n
     ax = (np.arange(n) + 0.5) * h - side / 2
     axes = (ax + center[0], ax + center[1])
-    pts = np.column_stack([np.repeat(axes[0], n), np.tile(axes[1], n)])
-
-    v1 = pair.g1.point_eval(axes=axes).ravel()
-    v2 = pair.g2.point_eval(axes=axes).ravel()
-    prod2 = (np.abs(v1) * np.abs(v2)) ** 2
+    # point i * n + j of the grid is (axes[0][i], axes[1][j])
+    prod2 = (np.abs(pair.g1.point_eval(axes=axes).ravel())
+             * np.abs(pair.g2.point_eval(axes=axes).ravel())) ** 2
     int_B = float(prod2.sum()) * h * h
 
     if Y is None:
-        mask = np.ones(len(pts), dtype=bool)
+        mask = np.ones(n * n, dtype=bool)
     else:
         # physical point is L_tau x; Y-tilde = L_tau^{-1}(Y)
         L = pair.parent.transforms()[2]
-        phys = pts @ np.asarray(L).T
-        mask = _in_measure_cells(phys, Y)
+        mask = Y(np.column_stack([np.repeat(axes[0], n), np.tile(axes[1], n)])
+                 @ np.asarray(L).T)
     int_BY = float(prod2[mask].sum()) * h * h
 
     # per-unit-cell occupancy of Y-tilde
-    cell_i = np.minimum((np.repeat(np.arange(n), n) // npq), n_cells - 1)
-    cell_j = np.minimum((np.tile(np.arange(n), n) // npq), n_cells - 1)
-    cid = cell_i * n_cells + cell_j
-    per_cell = npq * npq
-    counts = np.bincount(cid, weights=mask.astype(float),
-                         minlength=n_cells * n_cells)
-    max_cell_ratio = float(counts.max()) / per_cell
+    counts = mask.reshape(n_cells, npq, n_cells, npq).sum(axis=(1, 3))
+    max_cell_ratio = float(counts.max()) / (npq * npq)
 
     sigma = side / 2
     n1w = np.sqrt(max(_gauss_weighted_l2sq(pair.g1, center, sigma), 0.0))
@@ -446,8 +444,8 @@ def bilinear_check(pair: BilinearPair, Y=None, center=(0.0, 0.0),
             raise CertificateError(
                 "orthogonality ratio above Cauchy-Schwarz ceiling")
 
-    i_w = int(np.argmax(prod2))
-    witness = (float(pts[i_w, 0]), float(pts[i_w, 1]))
+    i_w, j_w = divmod(int(np.argmax(prod2)), n)
+    witness = (float(axes[0][i_w]), float(axes[1][j_w]))
     return BilinearReport(
         pair_id=pair.pair_id, R_s=side, K=pair.K, s=pair.parent.s,
         center=tuple(center), int_B=int_B, int_BY=int_BY,
@@ -455,21 +453,6 @@ def bilinear_check(pair: BilinearPair, Y=None, center=(0.0, 0.0),
         sq_norm_w=sq_norm_w, C_bil=C_bil, C_l4=C_l4,
         C_orth1=C_o1, C_orth2=C_o2, quad_per_unit=npq, sigma=sigma,
         witness=witness)
-
-
-def _in_measure_cells(points: np.ndarray, Y) -> np.ndarray:
-    """Membership of physical points in a measure's occupied grid cells."""
-    if Y.is_full_constant:
-        return np.ones(len(points), dtype=bool)
-    if Y.n_atoms == 0:
-        return np.zeros(len(points), dtype=bool)
-    spec = Y.spec
-    jj = np.floor(points / spec.delta + 0.5).astype(np.int64) % spec.M
-    keys = jj[:, 0] * spec.M + jj[:, 1]
-    # Y.ij is lexsorted, so its keys i * M + j are already ascending
-    occupied = Y.ij[:, 0] * spec.M + Y.ij[:, 1]
-    pos = np.minimum(np.searchsorted(occupied, keys), len(occupied) - 1)
-    return occupied[pos] == keys
 
 
 # ---------------------------------------------------------------------------
@@ -502,27 +485,21 @@ def _trial_modes(rng, spec: GridSpec, s_c: float, kc: int):
     return modes
 
 
-# Traced peaks of bilinear_check run 90-120 bytes per point of its
-# quadrature grid: the trig_sum grid values, their moduli, the Y mask and
-# the cell indices (a ball Y on the 4 R_s grid adds the sorted keys of its
-# atoms).  Building a ball weight peaks at about 90 bytes per candidate
-# atom, to which the run adds its other arrays.
-_BILINEAR_POINT_BYTES = 128
-_BALL_CANDIDATE_BYTES = 128
+# Traced peaks of bilinear_check run 72 bytes per point of its quadrature
+# grid with a ball Y, 65 with a lattice Y and 32 with none: |g1 g2|^2, the
+# physical images of the points, the temporaries of the Y test and the mask.
+_BILINEAR_POINT_BYTES = 80
 
 
 def _default_quad_per_unit(R_s: int) -> int:
     return 4 if R_s <= 64 else 2
 
 
-def bilinear_peak_bytes(R_s: int, K: int) -> float:
+def bilinear_peak_bytes(R_s: int) -> float:
     """Estimated peak allocation of bilinear_trials at R_s: the n x n
-    quadrature grid of one check, or the largest ball weight a trial may
-    build, on the 4 R_s grid of the half parents that K >= 4 draws."""
+    quadrature grid of one check."""
     n = R_s * _default_quad_per_unit(R_s)
-    spec = GridSpec(4 * R_s if K >= 4 else R_s)
-    atoms = candidate_atoms("ball", spec, rho=spec.L / 8.0)
-    return max(_BILINEAR_POINT_BYTES * n * n, _BALL_CANDIDATE_BYTES * atoms)
+    return _BILINEAR_POINT_BYTES * n * n
 
 
 def bilinear_trials(R_s: int, K: int, n_trials: int, seed=0):
@@ -569,11 +546,11 @@ def bilinear_trials(R_s: int, K: int, n_trials: int, seed=0):
             L = np.asarray(pair.parent.transforms()[2])
             u = rng.uniform(-0.25, 0.25, size=2) * pair.R_s
             cx = L @ u
-            Y = ball_weight(spec, rho=spec.L / 8.0,
-                            center=(float(cx[0]), float(cx[1])))
+            Y = partial(in_ball, spec=spec, rho=spec.L / 8.0,
+                        center=(float(cx[0]), float(cx[1])))
         else:
             # isolated cells: the pullback cell ratio is genuinely < 1
-            Y = lattice_weight(spec, kappa=1.0 / 3.0, c=0.45)
+            Y = lattice_weight(spec, kappa=1.0 / 3.0, c=0.45).contains
         reports.append(bilinear_check(pair, Y=Y,
                                       quad_per_unit=quad_per_unit))
     return reports

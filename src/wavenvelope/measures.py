@@ -106,6 +106,20 @@ class GridMeasure:
             raise ValueError("constant measure has no atom list; materialize first")
         return self.spec.delta * self.ij.astype(float)
 
+    def contains(self, points) -> np.ndarray:
+        """Whether the grid cell of each physical point holds an atom."""
+        if self.is_full_constant:
+            return np.ones(len(points), dtype=bool)
+        if self.n_atoms == 0:
+            return np.zeros(len(points), dtype=bool)
+        M = self.spec.M
+        jj = np.floor(points / self.spec.delta + 0.5).astype(np.int64) % M
+        keys = jj[:, 0] * M + jj[:, 1]
+        # ij is lexsorted, so its keys i * M + j are already ascending
+        occupied = self.ij[:, 0] * M + self.ij[:, 1]
+        pos = np.minimum(np.searchsorted(occupied, keys), len(occupied) - 1)
+        return occupied[pos] == keys
+
     def materialize(self) -> "GridMeasure":
         """Explicit atom list for the constant representation (small R only)."""
         if self.ij is not None:
@@ -137,6 +151,21 @@ def constant_weight(spec: GridSpec, lam: float = 1.0) -> GridMeasure:
                        f"constant({lam})")
 
 
+def _in_ball_cells(cells, spec: GridSpec, rho: float, center) -> np.ndarray:
+    """The ball test of ball_weight on grid cells, given as one array of
+    exact integers per axis (any dtype; they broadcast).  Each cell is
+    taken to the builder's candidate, the center cell plus an offset in
+    [-M/2, M/2), and kept when its wrapped distance to center is at most
+    rho."""
+    M, d = spec.M, spec.delta
+    disp = []
+    for j, c in zip(cells, center):
+        c_idx = np.rint(c / d)
+        j = c_idx + (j - c_idx + M // 2) % M - M // 2
+        disp.append(_torus_disp(d * j, c, spec.L))
+    return np.hypot(*disp) <= rho * (1 + 1e-12)
+
+
 def ball_weight(spec: GridSpec, rho: float = 1.0, center=(0.0, 0.0)) -> GridMeasure:
     """1 on the torus ball B_rho(center), atom mass Delta^2."""
     M, d = spec.M, spec.delta
@@ -149,12 +178,23 @@ def ball_weight(spec: GridSpec, rho: float = 1.0, center=(0.0, 0.0)) -> GridMeas
     # distinct mod M
     lo = min(r_cells + 1, M // 2)
     jj = np.arange(-lo, min(r_cells + 2, M - lo), dtype=np.int64)
-    J1, J2 = np.meshgrid(jj + c_idx[0], jj + c_idx[1], indexing="ij")
-    ij = np.stack([J1.ravel(), J2.ravel()], axis=1)
-    dd = _torus_disp(d * ij.astype(float), cz, spec.L)
-    ij = ij[np.hypot(dd[:, 0], dd[:, 1]) <= rho * (1 + 1e-12)] % M
+    j1, j2 = jj + c_idx[0], jj + c_idx[1]
+    i1, i2 = np.nonzero(_in_ball_cells((j1[:, None], j2), spec, rho, cz))
+    ij = np.stack([j1[i1], j2[i2]], axis=1) % M
     return GridMeasure(spec, ij, np.full(len(ij), d * d), "weight",
                        f"ball({rho})")
+
+
+def in_ball(points, spec: GridSpec, rho: float, center=(0.0, 0.0)) -> np.ndarray:
+    """Whether the grid cell floor(x/Delta + 1/2) of each physical point x
+    is an atom of ball_weight(spec, rho, center), bit for bit, without
+    building the ball."""
+    points = np.asarray(points, dtype=float)
+    if rho >= 0.5 * spec.L:
+        return np.ones(len(points), dtype=bool)
+    # one axis at a time, so no (n, 2) temporary is held
+    cells = (np.floor(x / spec.delta + 0.5) for x in points.T)
+    return _in_ball_cells(cells, spec, rho, np.asarray(center, dtype=float))
 
 
 def dual_tube_weight(spec: GridSpec, alpha: float = 1.0, k: int = 0) -> GridMeasure:

@@ -396,6 +396,10 @@ def test_kappa_scan_preflight_within_factor_two(family, R, params):
          R=(4096, 32768, 262144)),
     dict(experiment="bilinear", R=(64,)),
     dict(experiment="broad-narrow", R=(256,), trials=5),
+    # four trials of seed 0 draw a ball or lattice Y at each (R, K)
+    dict(experiment="bilinear", R=(64,), K=2, trials=4),
+    dict(experiment="bilinear", R=(256,), K=2, trials=4),
+    dict(experiment="bilinear", R=(256,), K=4, trials=4),
 ])
 def test_pointwise_preflight_within_factor_two(params):
     cfg = resolve(ExperimentConfig(**params))

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from wavenvelope.torus import (
     GridSpec, point_eval, random_band_field, synthesize,
 )
 from wavenvelope.geometry import Cap, theta_scale
-from wavenvelope.measures import ball_weight
+from wavenvelope.measures import in_ball
 from wavenvelope import decomp as dc
 
 from oracles import (bg_split, direct_trig_sum, grid_points, l2sq,
@@ -377,7 +378,8 @@ def test_bilinear_check_full_plane_reduces_to_plain():
 def test_bilinear_check_restriction_shrinks():
     f = two_child_field(SPEC64)
     pair = dc.bilinear_pair(f, Cap(1.0, 0), Cap(0.25, 1), Cap(0.25, -2))
-    Y = ball_weight(SPEC64, rho=SPEC64.L / 16.0, center=(10.0, 20.0))
+    Y = partial(in_ball, spec=SPEC64, rho=SPEC64.L / 16.0,
+                center=(10.0, 20.0))
     rep = dc.bilinear_check(pair, Y=Y)
     assert rep.int_BY < rep.int_B
     assert 0.0 < rep.max_cell_ratio <= 1.0

@@ -79,6 +79,26 @@ def test_wrapped_ball_near_half_period_matches_full_scan(R, rho, center):
     assert np.all(w.mass == spec.delta ** 2)
 
 
+@pytest.mark.parametrize("R", [16, 64, 256])
+def test_in_ball_matches_built_ball(R):
+    # the predicate answers for points anywhere in the plane what the
+    # built ball's atom list answers, ball by ball
+    spec = GridSpec(R)
+    L = spec.L
+    rng = np.random.default_rng(R)
+    far = rng.uniform(-2 * L, 3 * L, size=(4000, 2))
+    for rho in (1.5, L / 8, 0.49 * L, 0.5 * L, 0.7 * L):
+        for center in ((0.3, -0.2), (L - 0.4, L - 0.1), (L / 2, L / 2)):
+            # points near the center or one of its periodic images
+            near = np.asarray(center) + rng.uniform(-1.2, 1.2, (4000, 2)) \
+                * rho + L * rng.integers(-2, 3, (4000, 1))
+            pts = np.concatenate([far, near])
+            got = ms.in_ball(pts, spec, rho, center)
+            assert np.array_equal(got, ms.ball_weight(spec, rho, center)
+                                  .contains(pts)), (rho, center)
+            assert got.all() == (rho >= 0.5 * L)
+
+
 def test_ball_translation_invariance_with_wrap():
     a = ms.make_weight("ball", SPEC, rho=2.0, center=(0.0, 0.0))
     b = ms.make_weight("ball", SPEC, rho=2.0, center=(SPEC.L - 1.0, 3.0))

@@ -109,6 +109,18 @@ def test_lp_norm_p_range():
         lp_norm(f, 5.0)
 
 
+@pytest.mark.parametrize("R,tol", [(16, 1e-5), (64, 1e-6)])
+def test_lp_norm_other_p_refines(R, tol):
+    # off p in {2, 4} the M grid sum is a quadrature: against the 2M grid
+    # it was measured 3.1e-7 to 4.1e-6 off at R = 16, 8.8e-8 to 4.0e-7 at 64
+    spec = GridSpec(R)
+    for seed in range(3):
+        f = random_band_field(spec, seed=seed)
+        for p in (2.5, 3.0, 3.5):
+            fine = grid_lp(f.samples_on(2 * spec.M), spec.L, p) ** p
+            assert lp_norm(f, p) ** p == pytest.approx(fine, rel=tol)
+
+
 def test_weighted_norm_is_atomic_sum():
     f = random_band_field(SPEC4, seed=4)
     rng = np.random.default_rng(5)
