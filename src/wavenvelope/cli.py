@@ -38,7 +38,8 @@ from .schrodinger import (FLS_DEFAULT_R, MEASURE_FAMILIES, fit_exponent,
                           fls_fits, fls_peak_bytes, measure_family,
                           nikodym_fits, rescale_measure)
 from .torus import (GridSpec, lp_norm, parabola_band_modes, power_integral,
-                    random_band_field, synthesize, trig_sum_bytes)
+                    power_integral_bytes, random_band_field, synthesize,
+                    trig_sum_bytes)
 
 SCHEMA_VERSION = 1
 
@@ -364,39 +365,24 @@ class PreflightError(RuntimeError):
             f"cap {cap_mb:.0f} MiB")
 
 
-# Bytes per cell of a sampled grid: the coefficients, their inverse
-# transform and the copy numpy's ifft2 makes, all complex.  Traced peaks run
-# 48 bytes per cell on the sq_norm grid m = 2R at p = 3 (R = 64..1024) and
-# on the M x M synthesis of the constant-weight lhs at p = 3.
-_GRID_CELL_BYTES = 48
-
-# Bytes per (mode, mode) pair of an autocorrelation (torus.square_sum): the
-# products, their offset keys and the sort.  Traced peaks of random:constant
-# at p = 4: 11.5 MiB for 415 modes (R = 256), 179.0 MiB for 1637 (R = 1024).
-_AUTOCORR_PAIR_BYTES = 70
-
-
-def _verify_peak_bytes(cfg: "ExperimentConfig", R: int) -> float:
-    """The largest of the lhs, the sq_norm grid and the theta-piece
-    autocorrelation (sq_norm at p = 4, the envelope integrals), plus the
-    per-cap envelope cell integrals, 8 bytes for each of the 16/s
-    envelopes of every cap, all held until the envelope sum."""
+def _verify_peak_bytes(cfg: "ExperimentConfig") -> float:
+    """At the largest R, the largest of the envelope integrals' theta-piece
+    autocorrelation (power_integral_bytes at p = 4), ||S||_p on the 2R
+    grid and the lhs (the atomic trig sum, or the constant weight's
+    power_integral on the M grid), plus 8 bytes for each of the 16/s
+    envelopes of every cap, held until the envelope sum."""
     ffam, wfam, params, p_default = _pair_family(cfg.family)
     p_values = cfg.p or (p_default,)
+    R = max(cfg.R)
     spec = GridSpec(R)
     field = make_field(ffam, spec, cfg.seed)
     pieces = cap_decompose(field, theta_scale(R)).pieces.values()
-    est = [_AUTOCORR_PAIR_BYTES * sum(pc.n_modes ** 2 for pc in pieces)]
-    grid = any(p not in (2.0, 4.0) for p in p_values)
-    if grid:
-        est.append(_GRID_CELL_BYTES * (2 * R) ** 2)
+    est = [power_integral_bytes(pieces, p, 2 * R) for p in (4.0, *p_values)]
     if wfam != "constant":
         atoms = candidate_atoms(wfam, spec, **params)
         est.append(trig_sum_bytes(field.n_modes, n_points=int(atoms)))
-    elif grid:
-        est.append(_GRID_CELL_BYTES * spec.M ** 2)
-    elif 4.0 in p_values:
-        est.append(_AUTOCORR_PAIR_BYTES * field.n_modes ** 2)
+    else:
+        est += [power_integral_bytes([field], p, spec.M) for p in p_values]
     cells = sum(16 * round(1 / s) * (2 * round(1 / s) + 1)
                 for s in dyadic_scales(R))
     return 8 * cells + max(est)
@@ -418,42 +404,16 @@ def _kappa_scan_peak_bytes(cfg: "ExperimentConfig") -> float:
     est = 0.0
     for R in cfg.R:
         atoms = candidate_atoms(cfg.family, GridSpec(R), **_scan_params(cfg))
-        if atoms == 0:
-            continue
-        caps = sum(2 * round(1 / s) + 1 for s in dyadic_scales(R))
-        est = max(est, _SCAN_ATOM_BYTES * atoms + _SCAN_BYTES_PER_R * R
-                  + _SCAN_CAP_BYTES * caps)
-    return est
-
-
-def _fls_peak_bytes(cfg: "ExperimentConfig") -> float:
-    est = 0.0
-    for name in _fls_names(cfg):
-        for R in cfg.R or _FLS_FAMILIES[name]:
-            est = max(est, fls_peak_bytes(name, R, cfg.kappa))
+        if atoms:
+            caps = sum(2 * round(1 / s) + 1 for s in dyadic_scales(R))
+            est = max(est, _SCAN_ATOM_BYTES * atoms + _SCAN_BYTES_PER_R * R
+                      + _SCAN_CAP_BYTES * caps)
     return est
 
 
 def preflight_mb(cfg: "ExperimentConfig") -> float:
     """Estimated peak allocation for the resolved config, in MiB."""
-    R_max = max(cfg.R) if cfg.R else 1024
-    exp = cfg.experiment
-    if exp in ("square-verify", "envelope-verify"):
-        est = _verify_peak_bytes(cfg, R_max)
-    elif exp == "examples-suite":
-        est = 4e8
-    elif exp == "kappa-scan":
-        est = _kappa_scan_peak_bytes(cfg)
-    elif exp == "broad-narrow":
-        est = max(broad_narrow_peak_bytes(R, cfg.K, cfg.points)
-                  for R in cfg.R)
-    elif exp == "bilinear":
-        est = max(bilinear_peak_bytes(R_s) for R_s in cfg.R)
-    elif exp == "schrodinger-fls":
-        est = _fls_peak_bytes(cfg)
-    else:
-        est = 2e8
-    return est / 2 ** 20
+    return EXPERIMENTS[cfg.experiment][3](cfg) / 2 ** 20
 
 
 # ---------------------------------------------------------------------------
@@ -547,14 +507,6 @@ def _pair_rows(cfg, ratio_key: str):
             fits.append(fit.to_dict())
             checks.append(_fit_check(fit))
     return rows, fits, checks
-
-
-def _run_square_verify(cfg):
-    return _pair_rows(cfg, "ratio_sq")
-
-
-def _run_envelope_verify(cfg):
-    return _pair_rows(cfg, "ratio_env")
 
 
 def _run_broad_narrow(cfg):
@@ -712,31 +664,42 @@ def _run_examples_suite(cfg):
     return _fit_report(cfg, fits)
 
 
-# name: (runner, help, defaults of the fields left empty)
+# name: (runner, help, defaults of the fields left empty, peak bytes)
 EXPERIMENTS = {
     "kappa-scan": (_run_kappa_scan,
                    "weight functional maxima over a weight family",
                    {"R": (64, 256), "p": (2.0, 3.0, 4.0),
-                    "family": "constant"}),
-    "square-verify": (_run_square_verify,
+                    "family": "constant"},
+                   _kappa_scan_peak_bytes),
+    "square-verify": (lambda cfg: _pair_rows(cfg, "ratio_sq"),
                       "first-power square-function inequality ratios",
-                      {"R": (64, 256), "family": "random:constant"}),
-    "envelope-verify": (_run_envelope_verify,
+                      {"R": (64, 256), "family": "random:constant"},
+                      _verify_peak_bytes),
+    "envelope-verify": (lambda cfg: _pair_rows(cfg, "ratio_env"),
                         "envelope-sum inequality ratios and growth",
-                        {"R": (64, 256), "family": "random:constant"}),
+                        {"R": (64, 256), "family": "random:constant"},
+                        _verify_peak_bytes),
     "broad-narrow": (_run_broad_narrow,
                      "pointwise split certificate on random fields",
-                     {"R": (64, 256), "p": (4.0,)}),
+                     {"R": (64, 256), "p": (4.0,)},
+                     lambda cfg: max(broad_narrow_peak_bytes(
+                         R, cfg.K, cfg.points) for R in cfg.R)),
     "bilinear": (_run_bilinear,
                  "bilinear constants over random separated pairs",
-                 {"R": (64, 256)}),
+                 {"R": (64, 256)},
+                 lambda cfg: max(bilinear_peak_bytes(R_s) for R_s in cfg.R)),
     "schrodinger-fls": (_run_schrodinger_fls,
                         "propagator lower-bound slope families",
-                        {"p": (3.0, 4.0)}),
+                        {"p": (3.0, 4.0)},
+                        lambda cfg: max(
+                            fls_peak_bytes(name, R, cfg.kappa)
+                            for name in _fls_names(cfg)
+                            for R in cfg.R or _FLS_FAMILIES[name])),
     "certificates": (_run_certificates, "rescaled-measure dimension bounds",
-                     {"R": (64, 256)}),
+                     {"R": (64, 256)}, lambda cfg: 2e8),
     "examples-suite": (_run_examples_suite,
-                       "every example family as one exponent fit", {}),
+                       "every example family as one exponent fit", {},
+                       lambda cfg: 4e8),
 }
 
 
@@ -924,7 +887,7 @@ def main(argv=None) -> int:
         prog="wavenvelope",
         description="experiment runner for the envelope toolkit")
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name, (_, text, _) in EXPERIMENTS.items():
+    for name, (_, text, _, _) in EXPERIMENTS.items():
         _add_flags(sub.add_parser(name, help=text))
     args = parser.parse_args(argv)
     try:

@@ -16,8 +16,8 @@ theta - theta, so S_tau^2 = sum_{theta in tau} |f_theta|^2 is a small
 trigonometric polynomial, and its integral over an envelope has a closed
 form (envelope_cell_integrals).  ||S||_p is exact at p in {2, 4}, an
 identity in the coefficients of S^2 (torus.power_integral); other p take
-the one quadrature left, on an m x m grid built from one FFT of those
-coefficients.
+the one quadrature left, on the m = 2R grid, whose inverse FFT of those
+coefficients runs one axis at a time and never holds the grid whole.
 """
 
 from __future__ import annotations
@@ -416,8 +416,9 @@ def verify_weighted_sq(field: TorusField, H: GridMeasure,
                        p: float) -> RatioReport:
     """Evaluate both weighted square-function inequalities.
 
-    lhs     = ||f||_{L^p(H)}    (exact atomic sum; a coefficient
-              identity for the constant weight at p in {2, 4}, lp_norm)
+    lhs     = ||f||_{L^p(H)}    (exact atomic sum; for the constant
+              weight power_integral on the M grid, a coefficient identity
+              at p in {2, 4}; lp_norm)
     sq_rhs  = (kappa_max + R^-40) ||S_theta||_p    (first-power side)
     env_rhs = sum over (s, tau, U) of
               kappa(U)^p |U|^(1-p/2) (int S_tau^2 w_U)^(p/2)

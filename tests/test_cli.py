@@ -355,14 +355,19 @@ def test_preflight_rejects_oversized_run():
     assert err.value.estimate_mb > 100.0
 
 
-@pytest.mark.parametrize("R,pair", [(64, "knapp:dual-tube"),
-                                    (64, "knapp:constant"),
-                                    (256, "random:ball"),
-                                    (256, "random:constant"),
-                                    (1024, "knapp:dual-tube")])
-def test_preflight_within_factor_two(R, pair):
+# (R, pair, p); an empty p runs the pair's default exponent
+PREFLIGHT_CASES = [(64, "knapp:dual-tube", ()), (64, "knapp:constant", ()),
+                   (256, "random:ball", ()), (256, "random:constant", ()),
+                   (1024, "knapp:dual-tube", ()),
+                   (256, "random:constant", (3.0,))]
+
+
+@pytest.mark.parametrize("R,pair,p", PREFLIGHT_CASES, ids=[
+    f"{R}-{pair}" + "".join(f"-p{x:g}" for x in p)
+    for R, pair, p in PREFLIGHT_CASES])
+def test_preflight_within_factor_two(R, pair, p):
     cfg = resolve(ExperimentConfig(experiment="envelope-verify", R=(R,),
-                                   family=pair))
+                                   p=p, family=pair))
     est = preflight_mb(cfg)
     tracemalloc.start()
     run(cfg)

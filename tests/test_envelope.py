@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -461,17 +462,20 @@ def test_kappa_max_is_the_first_per_cap_maximum(R):
             assert env.kappa_max(H, p) == (best, witness)
 
 
-def brute_kappa_max(H, p):
-    """Independent float-path enumeration over every (s, cap, U, T).
+# weight -> [(t_area, u_area, [(H(U), max_T H(T)) per envelope]) per cap]
+_BRUTE_TABLES = weakref.WeakKeyDictionary()
 
-    Tube coordinates from the inverse affine map, indices by rounding;
-    no wrapping, so callers pass weights supported away from the seam.
-    """
+
+def _brute_envelope_tables(H):
+    """brute_kappa_max's p-independent tube and envelope sums of H, built
+    once per weight object."""
+    if H in _BRUTE_TABLES:
+        return _BRUTE_TABLES[H]
     spec = H.spec
     R = spec.R
     pos = H.positions()
     mass = np.asarray(H.mass, dtype=float)
-    best = 0.0
+    tables = []
     for s in dyadic_scales(R):
         E = R * s * s
         t_area = s ** -3
@@ -490,9 +494,24 @@ def brute_kappa_max(H, p):
                 key = (int(np.floor(a / E + 0.5)), int(np.floor(b / E + 0.5)))
                 tot, mx = envs.get(key, (0.0, 0.0))
                 envs[key] = (tot + w, max(mx, w))
-            for tot, mx in envs.values():
-                val = (mx / t_area) ** 0.25 * (tot / u_area) ** (1 / p - 0.25)
-                best = max(best, val)
+            tables.append((t_area, u_area, list(envs.values())))
+    _BRUTE_TABLES[H] = tables
+    return tables
+
+
+def brute_kappa_max(H, p):
+    """Independent float-path enumeration over every (s, cap, U, T).
+
+    Tube coordinates from the inverse affine map, indices by rounding;
+    no wrapping, so callers pass weights supported away from the seam.
+    The tube and envelope sums do not depend on p and are built once per
+    weight (_brute_envelope_tables); each p visits them in build order.
+    """
+    best = 0.0
+    for t_area, u_area, envs in _brute_envelope_tables(H):
+        for tot, mx in envs:
+            val = (mx / t_area) ** 0.25 * (tot / u_area) ** (1 / p - 0.25)
+            best = max(best, val)
     return best
 
 
@@ -611,7 +630,8 @@ def test_weighted_cell_integrals_match_gather_oracle_on_caps():
 
 def test_constant_weight_verify_never_synthesizes_full_grid(monkeypatch):
     # the constant-weight lhs at p = 4 takes the coefficient identity: no
-    # M x M synthesis, and the peak stays far below its 32 M^2 bytes
+    # M x M synthesis, no grid pass of power_integral (its np.fft.ifft
+    # calls), and the peak stays far below its 32 M^2 bytes
     spec = GridSpec(256)
     real = TorusField.samples_on
 
@@ -620,7 +640,11 @@ def test_constant_weight_verify_never_synthesizes_full_grid(monkeypatch):
             raise AssertionError("full M x M synthesis")
         return real(self, m, cache)
 
+    def grid_pass(*args, **kwargs):
+        raise AssertionError("grid pass of power_integral")
+
     monkeypatch.setattr(TorusField, "samples_on", guarded)
+    monkeypatch.setattr(np.fft, "ifft", grid_pass)
     f = random_band_field(spec, 0)
     H = constant_weight(spec, 1.0)
     tracemalloc.start()
@@ -643,7 +667,11 @@ def test_atomic_weight_verify_takes_no_grid_at_p2_p4(monkeypatch):
     def guarded(self, m, cache=True):
         raise AssertionError(f"{m} x {m} synthesis")
 
+    def grid_pass(*args, **kwargs):
+        raise AssertionError("grid pass of power_integral")
+
     monkeypatch.setattr(TorusField, "samples_on", guarded)
+    monkeypatch.setattr(np.fft, "ifft", grid_pass)
     for p in (2.0, 4.0):
         tracemalloc.start()
         try:

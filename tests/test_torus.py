@@ -112,13 +112,17 @@ def test_lp_norm_p_range():
 @pytest.mark.parametrize("R,tol", [(16, 1e-5), (64, 1e-6)])
 def test_lp_norm_other_p_refines(R, tol):
     # off p in {2, 4} the M grid sum is a quadrature: against the 2M grid
-    # it was measured 3.1e-7 to 4.1e-6 off at R = 16, 8.8e-8 to 4.0e-7 at 64
+    # it was measured 3.1e-7 to 4.1e-6 off at R = 16, 8.8e-8 to 4.0e-7 at
+    # 64; the constant weight lam = 1 sums (|f|^2)^(p/2) on the same grid
     spec = GridSpec(R)
+    one = constant_weight(spec, lam=1.0)
     for seed in range(3):
         f = random_band_field(spec, seed=seed)
         for p in (2.5, 3.0, 3.5):
             fine = grid_lp(f.samples_on(2 * spec.M), spec.L, p) ** p
             assert lp_norm(f, p) ** p == pytest.approx(fine, rel=tol)
+            assert lp_norm(f, p, measure=one) ** p == \
+                pytest.approx(fine, rel=tol)
 
 
 def test_weighted_norm_is_atomic_sum():
@@ -220,12 +224,31 @@ def test_constant_weight_lhs_coefficient_identity(R, family):
                                         abs=0.0)
 
 
-@pytest.mark.parametrize("R", [16, 64])
+@pytest.mark.parametrize("R", [16, 64, 256])
 def test_constant_weight_lhs_other_p_is_grid_sum(R):
+    # the M grid sum of (|f|^2)^(p/2) from power_integral against the sum
+    # of |f|^p over the sampled field: the same quadrature up to roundoff
     f = random_band_field(GridSpec(R), seed=8)
     for lam in (0.25, 1.0):
         w = constant_weight(f.spec, lam=lam)
-        assert lp_norm(f, 3.0, measure=w) == grid_constant_lp(f, 3.0, w.mass)
+        assert lp_norm(f, 3.0, measure=w) == \
+            pytest.approx(grid_constant_lp(f, 3.0, w.mass), rel=1e-13, abs=0)
+
+
+def test_constant_weight_lhs_grid_pass_memory():
+    # the grid pass holds P's occupied rows and one column block, never
+    # the M x M grid: the M = 8192 synthesis and its transform alone would
+    # trace 2 GiB
+    spec = GridSpec(1024)
+    f = random_band_field(spec, seed=0)
+    tracemalloc.start()
+    try:
+        val = power_integral([f], spec, 3.0, spec.M)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert val > 0
+    assert peak < 2 ** 29
 
 
 @pytest.mark.parametrize("R", [16, 64, 256])
@@ -257,6 +280,20 @@ def test_power_integral_other_p_is_grid_sum(R):
         for p in (2.5, 3.0):
             assert power_integral(pieces, spec, p, m) ** (1.0 / p) \
                 == sq_norm_from_sq2(S2, spec.L, p)
+
+
+@pytest.mark.parametrize("R", [64, 256])
+def test_power_integral_other_p_refines(R):
+    # S^2 = sum |f_theta|^2 is a positive trigonometric polynomial, so S^p
+    # is analytic and the periodic rule converges geometrically: the 2R
+    # grid matches the 8R grid to roundoff
+    spec = GridSpec(R)
+    f = random_band_field(spec, seed=0)
+    pieces = list(cap_decompose(f, theta_scale(R)).pieces.values())
+    for p in (2.5, 3.0, 3.5):
+        fine = power_integral(pieces, spec, p, 8 * R)
+        assert power_integral(pieces, spec, p, 2 * R) == \
+            pytest.approx(fine, rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("family", ["random", "flat", "knapp", "spread"])
