@@ -1,0 +1,64 @@
+#!/usr/bin/env python3
+"""sha256 of every report file of a fixed sweep, one `digest  path` line each.
+
+The sweep writes json, csv and md reports with their sidecars into a
+temporary directory, one subdirectory per run:
+  * the eight experiments at their default config;
+  * envelope-verify and square-verify on every registered pair at
+    R = 16, 64, 256 and p = 2, 3, 4;
+  * kappa-scan on each of its weight families.
+Lines are sorted by path, so the output of two checkouts can be compared
+with diff.  About 25 s on a 2-vCPU VM.  Run from the repository root:
+
+    PYTHONPATH=src python3 scripts/report_digests.py > digests.txt
+"""
+
+import os
+
+# before numpy loads: the reports must not depend on the BLAS thread count
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+
+from wavenvelope.cli import (EXPERIMENTS, PAIR_FAMILIES,  # noqa: E402
+                             _SCAN_PARAMS, main)
+
+
+def sweep():
+    """(run directory, argv) of every run of the sweep."""
+    for name in EXPERIMENTS:
+        yield f"default/{name}", [name]
+    for name in ("envelope-verify", "square-verify"):
+        for pair in PAIR_FAMILIES:
+            yield (f"{name}/{pair.replace(':', '-')}",
+                   [name, "--family", pair, "--R", "16,64,256",
+                    "--p", "2,3,4"])
+    for family in _SCAN_PARAMS:
+        yield f"kappa-scan/{family}", ["kappa-scan", "--family", family]
+
+
+if __name__ == "__main__":
+    failed = []
+    with tempfile.TemporaryDirectory() as root:
+        for rel, argv in sweep():
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv + ["--out", os.path.join(root, rel),
+                                    "--format", "json,csv,md"])
+            if code == 2:
+                failed.append(rel)
+        lines = []
+        for dirpath, _, files in os.walk(root):
+            for name in files:
+                path = os.path.join(dirpath, name)
+                with open(path, "rb") as fh:
+                    digest = hashlib.sha256(fh.read()).hexdigest()
+                lines.append((os.path.relpath(path, root), digest))
+    for rel, digest in sorted(lines):
+        print(f"{digest}  {rel}")
+    for rel in failed:
+        print(f"error: run {rel} was rejected", file=sys.stderr)
+    sys.exit(1 if failed else 0)

@@ -36,7 +36,7 @@ from .geometry import dyadic_scales, mode_cap_index, theta_scale
 from .measures import candidate_atoms, make_weight
 from .schrodinger import (FLS_DEFAULT_R, MEASURE_FAMILIES, fit_exponent,
                           fls_fits, fls_peak_bytes, measure_family,
-                          nikodym_fits, rescale_measure)
+                          rescale_measure)
 from .torus import (GridSpec, lp_norm, parabola_band_modes, power_integral,
                     power_integral_bytes, random_band_field, synthesize,
                     trig_sum_bytes)
@@ -227,6 +227,9 @@ def make_field(family: str, spec: GridSpec, seed=0):
     raise ValueError(f"unknown field family {family!r}; have {FIELD_FAMILIES}")
 
 
+# the dilated lattice of the random:lattice pair and of alpha_lattice_fits
+_ALPHA_LATTICE = {"kappa": 1.0 / 3.0, "c": 0.45}
+
 # Each pair fixes its weight parameters so a sweep is reproducible without
 # extra knobs.  p is the default exponent for the pair's ratio run.
 PAIR_FAMILIES = {
@@ -236,7 +239,7 @@ PAIR_FAMILIES = {
     "knapp:constant": ("knapp", "constant", {}, 4.0),
     "knapp:dual-tube": ("knapp", "dual-tube", {"alpha": 1.0, "k": 0}, 4.0),
     "spread:constant": ("spread", "constant", {}, 4.0),
-    "random:lattice": ("random", "lattice", {"kappa": 1.0 / 3.0, "c": 0.45}, 3.0),
+    "random:lattice": ("random", "lattice", _ALPHA_LATTICE, 3.0),
     "random:parabolic-box": ("random", "parabolic-box",
                              {"boxes": ((0.0, 0.0, 2.0), (8.0, 3.0, 1.0))}, 4.0),
 }
@@ -258,17 +261,15 @@ def pair_report(pair: str, R: int, p: float | None = None, seed=0):
     return verify_weighted_sq(field, H, p if p is not None else p_default)
 
 
-def pair_growth_fit(pair: str, R_values=(64, 256, 1024), p: float | None = None,
-                    seed=0, band: float = 0.1):
-    """Growth exponent of lhs^p / envelope sum for one pair.
+def pair_growth_fit(pair: str, R_values=(64, 256, 1024)):
+    """Growth exponent of lhs^p / envelope sum for one pair at its own p.
 
     The theorem allows at most logarithmic growth, so the fitted slope
     is compared one-sidedly against 0.
     """
-    ratios = [pair_report(pair, R, p, seed).ratio_env for R in R_values]
-    p_eff = p if p is not None else PAIR_FAMILIES[pair][3]
-    return fit_exponent(f"weighted-env-{pair}-p{p_eff:g}", "gamma", R_values,
-                        ratios, 0.0, band=band, sided="upper")
+    ratios = [pair_report(pair, R).ratio_env for R in R_values]
+    return fit_exponent(f"weighted-env-{pair}-p{PAIR_FAMILIES[pair][3]:g}",
+                        "gamma", R_values, ratios, 0.0, sided="upper")
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +317,6 @@ def _kappa_fits(name, family, params, p_values, R_values, pred, band, sided):
 
 
 def alpha_lattice_fits(p_values=(2.0, 3.0, 4.0), R_values=(64, 256, 1024),
-                       kappa: float = 1.0 / 3.0, c: float = 0.45,
                        band: float = 0.1):
     """Dilated-lattice weight: functional decay bounded by the dimension.
 
@@ -325,22 +325,22 @@ def alpha_lattice_fits(p_values=(2.0, 3.0, 4.0), R_values=(64, 256, 1024),
     maximum may fall faster than R^(-(2 - alpha)(1/p - 1/4)) but not
     slower, so the comparison is one-sided.
     """
-    alpha = 2.0 - 3.0 * kappa
-    return _kappa_fits("alpha-lattice", "lattice", {"kappa": kappa, "c": c},
+    alpha = 2.0 - 3.0 * _ALPHA_LATTICE["kappa"]
+    return _kappa_fits("alpha-lattice", "lattice", _ALPHA_LATTICE,
                        p_values, R_values,
                        lambda p: -(2.0 - alpha) * (1.0 / p - 0.25),
                        band, "upper")
 
 
-def y_lattice_fits(p_values=(2.0, 2.5, 3.0, 4.0),
-                   R_values=(4096, 16384, 65536), alpha: float = 1.5,
-                   c: float = 0.25, band: float = 0.1):
-    """Two-branch exponents of the truncated corner-window lattice.
+def y_lattice_fits(R_values=(4096, 16384, 65536), band: float = 0.1):
+    """Two-branch exponents of the truncated corner-window lattice at
+    alpha = 3/2 and p in {2, 2.5, 3, 4}.
 
     Below the crossover p = 4/(3 - alpha) the tube piece drives the
     functional and the slope is -(2 - alpha)/(2p); above it the ball
     piece takes over with -((3 - alpha)/2)(1/p - 1/4).
     """
+    alpha, c = 1.5, 0.25
     p_cross = 4.0 / (3.0 - alpha)
 
     def pred(p):
@@ -349,8 +349,8 @@ def y_lattice_fits(p_values=(2.0, 2.5, 3.0, 4.0),
         return -((3.0 - alpha) / 2.0) * (1.0 / p - 0.25)
 
     return _kappa_fits("y-lattice", "truncated-lattice",
-                       {"alpha": alpha, "c": c}, p_values, R_values, pred,
-                       band, "two")
+                       {"alpha": alpha, "c": c}, (2.0, 2.5, 3.0, 4.0),
+                       R_values, pred, band, "two")
 
 
 # ---------------------------------------------------------------------------
@@ -576,14 +576,10 @@ def _run_bilinear(cfg):
     return rows, [], checks
 
 
-# the lower-bound families of schrodinger-fls and their default scales
-_FLS_FAMILIES = {**FLS_DEFAULT_R, "nikodym": (64, 256, 1024)}
-
-
 def _fls_names(cfg) -> tuple:
-    names = (cfg.family,) if cfg.family else tuple(_FLS_FAMILIES)
+    names = (cfg.family,) if cfg.family else tuple(FLS_DEFAULT_R)
     for name in names:
-        if name not in _FLS_FAMILIES:
+        if name not in FLS_DEFAULT_R:
             raise ValueError(f"unknown lower-bound family {name!r}")
     return names
 
@@ -604,16 +600,9 @@ def _fit_report(cfg, fits):
 def _run_schrodinger_fls(cfg):
     fits = []
     for name in _fls_names(cfg):
-        R_values = cfg.R or _FLS_FAMILIES[name]
-        if name == "nikodym":
-            fits += nikodym_fits(cfg.p, R_values, seed=cfg.seed,
-                                 band=cfg.band)
-        elif name == "packet":
-            fits += fls_fits("packet", cfg.p, R_values=R_values,
-                             alpha=cfg.alpha, band=cfg.band)
-        else:
-            fits += fls_fits(name, cfg.p, R_values=R_values,
-                             kappa=cfg.kappa, band=cfg.band)
+        fits += fls_fits(name, cfg.p, R_values=cfg.R or None,
+                         alpha=cfg.alpha, kappa=cfg.kappa, band=cfg.band,
+                         seed=cfg.seed)
     return _fit_report(cfg, fits)
 
 
@@ -652,15 +641,13 @@ def _run_examples_suite(cfg):
     p_main = cfg.p or (2.0, 3.0, 4.0)
     fits = []
     fits += unit_ball_fits(p_main, R_kappa, band=cfg.band)
-    fits += alpha_lattice_fits(p_main, R_kappa, kappa=1.0 / 3.0, c=0.45,
-                               band=cfg.band)
+    fits += alpha_lattice_fits(p_main, R_kappa, band=cfg.band)
     fits += y_lattice_fits(band=cfg.band)
     fits += fls_fits("chirp", (3.0, 4.0), band=cfg.band)
     for alpha in (0.5, 1.5):
         fits += fls_fits("packet", (4.0,), alpha=alpha, band=cfg.band)
     fits += fls_fits("lattice", (3.0, 4.0), band=cfg.band)
-    fits += nikodym_fits((2.0, 4.0), (64, 256, 1024), seed=cfg.seed,
-                         band=cfg.band)
+    fits += fls_fits("nikodym", (2.0, 4.0), band=cfg.band, seed=cfg.seed)
     return _fit_report(cfg, fits)
 
 
@@ -694,7 +681,7 @@ EXPERIMENTS = {
                         lambda cfg: max(
                             fls_peak_bytes(name, R, cfg.kappa)
                             for name in _fls_names(cfg)
-                            for R in cfg.R or _FLS_FAMILIES[name])),
+                            for R in cfg.R or FLS_DEFAULT_R[name])),
     "certificates": (_run_certificates, "rescaled-measure dimension bounds",
                      {"R": (64, 256)}, lambda cfg: 2e8),
     "examples-suite": (_run_examples_suite,

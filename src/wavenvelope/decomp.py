@@ -375,13 +375,13 @@ def write_constants_csv(reports, path) -> None:
             fh.write(rep.csv_row())
 
 
-def bilinear_check(pair: BilinearPair, Y=None, center=(0.0, 0.0),
+def bilinear_check(pair: BilinearPair, Y=None,
                    quad_per_unit: int = 4) -> BilinearReport:
     """Measure the bilinear constants of a pair on one R_s ball.
 
-    B is the axis cube of side R_s at center.  Y is None for the full
-    plane, or a membership function taking physical points (n, 2) to a
-    bool mask, such as GridMeasure.contains or a bound measures.in_ball;
+    B is the axis cube of side R_s centered at the origin.  Y is None for
+    the full plane, or a membership function taking physical points (n, 2)
+    to a bool mask, such as GridMeasure.contains or a bound measures.in_ball;
     it enters through its pullback by L_tau: a quadrature point x lands in
     Y-tilde when Y(L_tau x) holds.  int_B and int_BY are midpoint rules
     on quad_per_unit^2 points per unit cell, not exact: at 4 points per
@@ -405,7 +405,8 @@ def bilinear_check(pair: BilinearPair, Y=None, center=(0.0, 0.0),
     n = n_cells * npq
     h = side / n
     ax = (np.arange(n) + 0.5) * h - side / 2
-    axes = (ax + center[0], ax + center[1])
+    axes = (ax, ax)
+    center = (0.0, 0.0)
     # point i * n + j of the grid is (axes[0][i], axes[1][j])
     prod2 = (np.abs(pair.g1.point_eval(axes=axes).ravel())
              * np.abs(pair.g2.point_eval(axes=axes).ravel())) ** 2

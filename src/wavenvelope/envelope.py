@@ -47,10 +47,10 @@ W_EXPONENT = 10
 W_BLOCK = 2
 
 
-def _w_tail(exponent: int = W_EXPONENT, block: int = W_BLOCK) -> float:
-    total, r = 0.0, block + 1
+def _w_tail() -> float:
+    total, r = 0.0, W_BLOCK + 1
     while True:
-        term = 8.0 * r * (1.0 + r) ** -exponent
+        term = 8.0 * r * (1.0 + r) ** -W_EXPONENT
         total += term
         if term < 1e-25:
             return total
@@ -72,9 +72,9 @@ def smooth_step(u):
     return a / (a + b)
 
 
-def step_profile(t, half_width: float = WINDOW_DELTA):
-    """Smooth step: 0 for t <= -hw, 1 for t >= hw."""
-    return smooth_step(0.5 * (np.asarray(t, dtype=float) / half_width + 1.0))
+def step_profile(t):
+    """Smooth step: 0 for t <= -hw, 1 for t >= hw, hw = WINDOW_DELTA."""
+    return smooth_step(0.5 * (np.asarray(t, dtype=float) / WINDOW_DELTA + 1.0))
 
 
 def window_profile(t):

@@ -448,34 +448,31 @@ def parbox_masses_at(centers: np.ndarray, positions: np.ndarray,
 
 def certificate_core(positions: np.ndarray, masses: np.ndarray, mode: str,
                      param, r_min: float, r_max: float,
-                     centers: np.ndarray | None = None,
                      L: float | None = None) -> Certificate:
     """Dyadic-radius certificate of a dimension norm over explicit points.
 
     mode "alpha-ball"  sup rho^-alpha mu(B_rho) over closed balls;
     mode "beta-par"    sup rho^-beta mu over boxes rho x rho^2.
 
-    The radii run over the powers of two from r_min to r_max; centers
-    default to the atom positions, and the unrestricted supremum is at
+    The radii run over the powers of two from r_min to r_max and the
+    centers over the atom positions; the unrestricted supremum is at
     most 4^param times the certified value.  L gives the torus metric,
     None the Euclidean one.
     """
     param_t = tuple(float(p) for p in np.atleast_1d(param))
-    if centers is None:
-        centers = positions
-    if len(positions) == 0 or len(centers) == 0:
+    if len(positions) == 0:
         return Certificate(mode, param_t, 0.0, (0.0, 0.0), 1.0)
     radii = _dyadic_radii(r_min, r_max)
     if mode == "alpha-ball":
-        table = ball_masses_at(centers, positions, masses, radii, L)
+        table = ball_masses_at(positions, positions, masses, radii, L)
         vals = table * radii[None, :] ** (-param_t[0])
     elif mode == "beta-par":
-        table = parbox_masses_at(centers, positions, masses, radii, L)
+        table = parbox_masses_at(positions, positions, masses, radii, L)
         vals = table * radii[None, :] ** (-param_t[0])
     else:
         raise ValueError(f"unknown certificate mode {mode!r}")
     flat = int(np.argmax(vals))
     ci, ri = divmod(flat, len(radii))
     return Certificate(mode, param_t, float(vals[ci, ri]),
-                       (float(centers[ci][0]), float(centers[ci][1])),
+                       (float(positions[ci][0]), float(positions[ci][1])),
                        float(radii[ri]))

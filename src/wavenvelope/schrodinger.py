@@ -13,7 +13,8 @@ above 0.91 on [-1, 1].  The choice is recorded in every exported report.
 Alongside the propagator live a maximal average along tilted tubes,
 anisotropic atom rescaling (x, t) -> (Rx, R^2 t) with dimension-
 certificate comparisons, and the slope experiments (chirp, traveling
-packet, modulated lattice sum) fitted through ExponentFit.
+packet, modulated lattice sum, tube-maximal average) fitted through
+ExponentFit.
 """
 
 from __future__ import annotations
@@ -205,31 +206,26 @@ def nikodym_max(g, R: int, dx: float):
     return np.arange(margin, margin + n_y), best / denom
 
 
-def nikodym_fits(q_values, R_values, seed: int = 0,
-                 n_t: int = 33, band: float = 0.1) -> list:
-    """Slopes of ||max average||_q / ||g||_q against R for random g, one
-    fit per q; g and its maximal average are computed once per R."""
-    ratios = {q: [] for q in q_values}
-    for R in R_values:
-        rng = np.random.default_rng([seed, int(R)])
-        x, t = nikodym_grid(int(R), n_t=n_t)
-        g = rng.standard_normal((len(t), len(x)))
-        idx, vals = nikodym_max(g, int(R), 1.0 / R)
-        dy = 1.0 / R
-        dt = 2.0 / len(t)
-        for q in q_values:
-            num = float(np.sum(vals ** q) * dy) ** (1.0 / q)
-            den = float(np.sum(np.abs(g) ** q) * dy * dt) ** (1.0 / q)
-            ratios[q].append(num / den)
-    return [fit_exponent(f"tube-maximal-q{q:g}", "gamma", R_values,
-                         ratios[q], prediction=0.0, band=band, sided="upper")
-            for q in q_values]
+def nikodym_ratio(R: int, q_values, seed: int) -> list:
+    """||max average||_q / ||g||_q for one random g on the nikodym_grid,
+    one ratio per q; g and its maximal average are computed once."""
+    rng = np.random.default_rng([seed, R])
+    x, t = nikodym_grid(R)
+    g = rng.standard_normal((len(t), len(x)))
+    _, vals = nikodym_max(g, R, 1.0 / R)
+    dy = 1.0 / R
+    dt = 2.0 / len(t)
+    ratios = []
+    for q in q_values:
+        num = float(np.sum(vals ** q) * dy) ** (1.0 / q)
+        den = float(np.sum(np.abs(g) ** q) * dy * dt) ** (1.0 / q)
+        ratios.append(num / den)
+    return ratios
 
 
-def nikodym_experiment(q: float, R_values, seed: int = 0,
-                       n_t: int = 33) -> "ExponentFit":
-    """nikodym_fits for one exponent q."""
-    return nikodym_fits((q,), R_values, seed=seed, n_t=n_t)[0]
+def nikodym_experiment(q: float, R_values, seed: int = 0) -> "ExponentFit":
+    """The tube-maximal fit for one exponent q."""
+    return fls_fits("nikodym", (q,), R_values, seed=seed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -313,14 +309,20 @@ def delta_atoms():
     return np.zeros((1, 2)), np.ones(1)
 
 
-def line_atoms(n: int = 256):
+# atoms of the line family, and per side of the two square families
+LINE_ATOMS = 256
+SQUARE_ATOMS = 32
+
+
+def line_atoms():
     """Unit mass spread over the horizontal segment [0, 1] x {0}."""
+    n = LINE_ATOMS
     x = (np.arange(n) + 0.5) / n
     pos = np.column_stack([x, np.zeros(n)])
     return pos, np.full(n, 1.0 / n)
 
 
-def unit_square_atoms(n: int = 32):
+def unit_square_atoms(n: int = SQUARE_ATOMS):
     """Cell-center atomization of Lebesgue measure on [0, 1]^2."""
     c = (np.arange(n) + 0.5) / n
     X, T = np.meshgrid(c, c, indexing="ij")
@@ -328,13 +330,14 @@ def unit_square_atoms(n: int = 32):
     return pos, np.full(n * n, 1.0 / (n * n))
 
 
-def sqrt_profile_atoms(n: int = 32):
+def sqrt_profile_atoms():
     """Atoms on [0,1]^2 with the |t|^{-1/2}/2 column profile.
 
     Per-cell masses integrate the profile exactly, so a box of height
     rho^2 captures mass ~ rho * width: a parabolic-norm parameter 2
     family whose ball dimension is 3/2.
     """
+    n = SQUARE_ATOMS
     c = (np.arange(n) + 0.5) / n
     edges = np.arange(n + 1) / n
     col = np.sqrt(edges[1:]) - np.sqrt(edges[:-1])  # int of t^{-1/2}/2
@@ -351,13 +354,13 @@ def measure_family(name: str):
         return pos, m, 0.0, 0.0, None
     if name == "line":
         pos, m = line_atoms()
-        return pos, m, 1.0, 1.0, (1.0 / 256, 0.0)
+        return pos, m, 1.0, 1.0, (1.0 / LINE_ATOMS, 0.0)
     if name == "square":
         pos, m = unit_square_atoms()
-        return pos, m, 3.0, 2.0, (1.0 / 32, 1.0 / 32)
+        return pos, m, 3.0, 2.0, (1.0 / SQUARE_ATOMS, 1.0 / SQUARE_ATOMS)
     if name == "sqrt-profile":
         pos, m = sqrt_profile_atoms()
-        return pos, m, 2.0, 1.5, (1.0 / 32, 1.0 / 32)
+        return pos, m, 2.0, 1.5, (1.0 / SQUARE_ATOMS, 1.0 / SQUARE_ATOMS)
     raise ValueError(f"unknown measure family {name!r}")
 
 
@@ -441,19 +444,29 @@ def fit_exponent(name: str, exponent: str, R_values, ratios,
 # ---------------------------------------------------------------------------
 # slope families
 
+# The chirp is measured on CHIRP_SIDE^2 midpoints of its coherence square
+# |x|, |t - R| <= CHIRP_C; the packet on PACKET_ROWS time rows of its slab
+# |x - 2t| <= PACKET_C sqrt(R); the lattice fattens its sites by LATTICE_C,
+# integrates each frequency block with LATTICE_NODES Gauss nodes and
+# samples its square function on a LATTICE_SQ_GRID^2 grid.
+CHIRP_C, CHIRP_SIDE = 0.25, 9
+PACKET_C, PACKET_ROWS = 0.5, 129
+LATTICE_C, LATTICE_NODES, LATTICE_SQ_GRID = 0.45, 8, 65
+
+
 def _chirp_setup(R: int):
-    """Lattice modes and amplitudes of the chirp, and its period."""
+    """Lattice modes and amplitudes of the chirp, its period and the
+    16 R samples of one period."""
     length = 8.0 * R
     step = 2.0 * np.pi / length
     n = np.arange(int(math.ceil(0.25 / step)), int(math.floor(1.0 / step)) + 1)
     xi = n * step
     amps = smooth_bump(xi, 0.25, 1.0) * np.exp(-1j * R * xi ** 2) \
         * (step / (2.0 * np.pi))
-    return xi, amps, length
+    return xi, amps, length, 16 * R
 
 
-def chirp_ratio(R: int, p_values, c: float = 0.25,
-                n_side: int = 9) -> list:
+def chirp_ratio(R: int, p_values) -> list:
     """Restricted norms of the propagated chirp over the coherence square.
 
     The initial spectrum e^{-i R xi^2} bump(xi) concentrates the modulus
@@ -461,11 +474,12 @@ def chirp_ratio(R: int, p_values, c: float = 0.25,
     against ||f||_p grows like R^{1/2 - 1/p}.  One ratio per p.
     """
     R = int(R)
-    xi, amps, length = _chirp_setup(R)
-    prop = propagate(xi, amps, R, length, 16 * R, [0.0])
+    xi, amps, length, n_x = _chirp_setup(R)
+    prop = propagate(xi, amps, R, length, n_x, [0.0])
     dx = length / prop.n_x
     f_abs = np.abs(prop.samples[0])
 
+    c, n_side = CHIRP_C, CHIRP_SIDE
     grid = c * (2.0 * (np.arange(n_side) + 0.5) / n_side - 1.0)
     vals = np.abs(propagator_at(xi, amps, R, axes=(grid, R + grid))).ravel()
     dA = (2.0 * c / n_side) ** 2
@@ -504,8 +518,7 @@ def _packet_slab(R: int, c: float, n_t: int):
     return prop, mask
 
 
-def packet_ratio(R: int, p_values, alpha: float, c: float = 0.5,
-                 n_t: int = 129) -> list:
+def packet_ratio(R: int, p_values, alpha: float) -> list:
     """Restricted norms of the packet against the slab measure.
 
     The measure weights the slab by min(R^{(a-2)/2}, R^{a-3/2}); the
@@ -513,9 +526,9 @@ def packet_ratio(R: int, p_values, alpha: float, c: float = 0.5,
     ratio per p.
     """
     R = int(R)
-    prop, mask = _packet_slab(R, c, n_t)
+    prop, mask = _packet_slab(R, PACKET_C, PACKET_ROWS)
     dx = prop.length / prop.n_x
-    dt = 2.0 * R / n_t
+    dt = 2.0 * R / PACKET_ROWS
     weight = min(R ** ((alpha - 2.0) / 2.0), R ** (alpha - 1.5))
     slab = np.abs(prop.samples[mask])
     xi, amps = prop.freqs, prop.amps
@@ -540,9 +553,7 @@ def _lattice_modes(R: float, kappa: float, n_quad: int):
     return np.stack([xi, xi ** 2], axis=-1), wts / R
 
 
-def lattice_ratio(R: float, p_values, kappa: float = 1.0 / 3.0,
-                  c: float = 0.45, n_quad: int = 8,
-                  sq_grid: int = 65) -> list:
+def lattice_ratio(R: float, p_values, kappa: float = 1.0 / 3.0) -> list:
     """Modulated lattice sum against its square function, one ratio per p.
 
     f sums frequency blocks of width 2/R at spacings R^{-kappa} in
@@ -557,7 +568,8 @@ def lattice_ratio(R: float, p_values, kappa: float = 1.0 / 3.0,
     amplitude.
     """
     R = float(R)
-    modes, w = _lattice_modes(R, kappa, n_quad)
+    c, sq_grid = LATTICE_C, LATTICE_SQ_GRID
+    modes, w = _lattice_modes(R, kappa, LATTICE_NODES)
 
     def envelope(x, t):
         return (R * eta(x / R))[:, None] * eta(t / R)[None, :]
@@ -594,10 +606,12 @@ def lattice_ratio(R: float, p_values, kappa: float = 1.0 / 3.0,
     return ratios
 
 
+# the lower-bound families and their default scales
 FLS_DEFAULT_R = {
     "chirp": (256, 1024, 4096),
     "packet": (256, 1024, 4096),
     "lattice": (8 ** 6, 10 ** 6, 12 ** 6),
+    "nikodym": (64, 256, 1024),
 }
 
 
@@ -614,18 +628,17 @@ def fls_peak_bytes(family: str, R, kappa: float = 1.0 / 3.0) -> float:
 
     The lattice holds the trig_sum exponential tables over the site axes
     (its square-function grid is smaller); chirp, packet and nikodym hold
-    their sample arrays (16 R points, the 129-row packet slab, the
-    nikodym_grid).
+    their sample arrays (one period, the packet slab, the nikodym_grid).
     """
     if family == "lattice":
-        modes, _ = _lattice_modes(float(R), kappa, 8)
-        a, b, _ = lattice_sites(float(R), kappa, 0.45, "ball")
+        modes, _ = _lattice_modes(float(R), kappa, LATTICE_NODES)
+        a, b, _ = lattice_sites(float(R), kappa, LATTICE_C, "ball")
         return trig_sum_bytes(modes.size // 2, axes=(len(a), len(b)),
                               rows=5)
     if family == "chirp":
-        return _CHIRP_SAMPLE_BYTES * 16 * int(R)
+        return _CHIRP_SAMPLE_BYTES * _chirp_setup(int(R))[3]
     if family == "packet":
-        return _PACKET_SAMPLE_BYTES * 129 * _packet_setup(int(R))[3]
+        return _PACKET_SAMPLE_BYTES * PACKET_ROWS * _packet_setup(int(R))[3]
     if family == "nikodym":
         x, t = nikodym_grid(int(R))
         return _NIKODYM_SAMPLE_BYTES * len(x) * len(t)
@@ -634,55 +647,54 @@ def fls_peak_bytes(family: str, R, kappa: float = 1.0 / 3.0) -> float:
 
 def fls_fits(family: str, p_values, R_values=None,
              alpha: float | None = None, kappa: float = 1.0 / 3.0,
-             band: float = 0.1, sided: str | None = None) -> list:
+             band: float = 0.1, seed: int = 0) -> list:
     """Fit the restricted-norm growth of a built-in family against R.
 
-    chirp    ratio ||U f||_{L^p(F)} / ||f||_p, slope 1/2 - 1/p;
-    packet   slab measure at ball parameter alpha, slope min(a, 2a-1)/(2p);
+    chirp    ratio ||U f||_{L^p(F)} / ||f||_p, slope 1/2 - 1/p, one-sided;
+    packet   slab measure at ball parameter alpha, slope min(a, 2a-1)/(2p),
+             one-sided;
     lattice  fattened-lattice norm over the square function,
-             slope kappa(1/2 - 3/p).
+             slope kappa(1/2 - 3/p);
+    nikodym  maximal tube average of a seeded random g over g, at most
+             logarithmic growth (slope <= 0 + band).
 
     One fit per p, in the order of p_values; each R is evaluated once for
-    all of them, since only the final sums depend on p.
+    all of them, since only the final sums depend on p.  Each family reads
+    only its own parameters.
     """
     if family not in FLS_DEFAULT_R:
         raise ValueError(f"unknown family {family!r}")
     if R_values is None:
         R_values = FLS_DEFAULT_R[family]
+    notes = f"eta = {ETA_NAME}"
     if family == "chirp":
         per_R = [chirp_ratio(int(R), p_values) for R in R_values]
-        default_sided = "lower"
+        specs = [(f"chirp-p{p:g}", "zeta", 0.5 - 1.0 / p, "lower")
+                 for p in p_values]
     elif family == "packet":
         if alpha is None:
             raise ValueError("the packet family needs a ball parameter alpha")
         per_R = [packet_ratio(int(R), p_values, alpha) for R in R_values]
-        default_sided = "lower"
-    else:
+        specs = [(f"packet-p{p:g}-alpha{alpha:g}", "zeta",
+                  min(alpha, 2.0 * alpha - 1.0) / (2.0 * p), "lower")
+                 for p in p_values]
+    elif family == "lattice":
         per_R = [lattice_ratio(float(R), p_values, kappa) for R in R_values]
-        default_sided = "two"
-    fits = []
-    for i, p in enumerate(p_values):
-        if family == "chirp":
-            prediction = 0.5 - 1.0 / p
-            name, exponent = f"chirp-p{p:g}", "zeta"
-        elif family == "packet":
-            prediction = min(alpha, 2.0 * alpha - 1.0) / (2.0 * p)
-            name, exponent = f"packet-p{p:g}-alpha{alpha:g}", "zeta"
-        else:
-            prediction = kappa * (0.5 - 3.0 / p)
-            name, exponent = f"lattice-p{p:g}", "sigma"
-        fits.append(fit_exponent(
-            name, exponent, R_values, [r[i] for r in per_R], prediction,
-            band=band, sided=default_sided if sided is None else sided,
-            notes=f"eta = {ETA_NAME}"))
-    return fits
+        specs = [(f"lattice-p{p:g}", "sigma", kappa * (0.5 - 3.0 / p), "two")
+                 for p in p_values]
+    else:
+        per_R = [nikodym_ratio(int(R), p_values, seed) for R in R_values]
+        specs = [(f"tube-maximal-q{q:g}", "gamma", 0.0, "upper")
+                 for q in p_values]
+        notes = ""
+    return [fit_exponent(name, exponent, R_values, [r[i] for r in per_R],
+                         prediction, band=band, sided=sided, notes=notes)
+            for i, (name, exponent, prediction, sided) in enumerate(specs)]
 
 
 def fls_experiment(family: str, p: float, R_values=None,
                    alpha: float | None = None, kappa: float = 1.0 / 3.0,
-                   band: float = 0.1, sided: str | None = None,
-                   seed: int = 0) -> ExponentFit:
+                   band: float = 0.1, seed: int = 0) -> ExponentFit:
     """fls_fits for one exponent p."""
-    del seed  # the families are deterministic; kept for a uniform call shape
     return fls_fits(family, (p,), R_values=R_values, alpha=alpha,
-                    kappa=kappa, band=band, sided=sided)[0]
+                    kappa=kappa, band=band, seed=seed)[0]

@@ -39,7 +39,7 @@ class GridSpec:
     frequency step 2pi/L <= 2/R puts a lattice point in every window of
     length 2/R, so each theta has a frequency column.  M = 2L > 5L/pi
     makes grid sums of fourth powers of admissible band-limited fields
-    exact (grid_lp); at other p the M grid is lp_norm's quadrature,
+    exact; at p outside {2, 4} the M grid is lp_norm's quadrature,
     unweighted and against the constant weight.
     """
 
@@ -271,21 +271,6 @@ def l2sq_coeff(field: TorusField) -> float:
     return field.spec.L ** 2 * float(np.sum(a.real * a.real + a.imag * a.imag))
 
 
-def grid_lp(samples: np.ndarray, L: float, p: float) -> float:
-    """(Delta^2 sum |f|^p)^(1/p) on an m x m grid of period L."""
-    m = samples.shape[0]
-    delta2 = (L / m) ** 2
-    a = np.abs(samples)
-    if p == 2.0:
-        acc = float(np.sum(a * a))
-    elif p == 4.0:
-        a *= a
-        acc = float(np.sum(a * a))
-    else:
-        acc = float(np.sum(a ** p))
-    return (delta2 * acc) ** (1.0 / p)
-
-
 def square_sum(pieces, spec) -> TorusField:
     """sum over pieces of |f_piece|^2, as a trigonometric polynomial.
 
@@ -391,16 +376,14 @@ def power_integral_bytes(pieces, p: float, m: int) -> int:
 def lp_norm(field: TorusField, p: float, measure=None) -> float:
     """L^p norm of f, unweighted or against a grid measure.
 
-    Unweighted: (Delta^2 sum_grid |f|^p)^(1/p) on the spec's M x M grid.
-    Exact for p in {2, 4} by bandwidth counting.  Other p are a quadrature:
-    against the 2M grid, ||f||_p^p of random band fields (p = 2.5, 3, 3.5)
-    is off by 3.1e-7 to 4.1e-6 relative at R = 16 and by 8.8e-8 to 4.0e-7
-    at R = 64, pinned by a refinement test.
-
-    Constant weight of density lam = mass / Delta^2 on every grid cell:
-    lam^(1/p) ||f||_p, with ||f||_p^p the power_integral of the one piece
-    f: a coefficient identity at p in {2, 4}, else the sum of (|f|^2)^(p/2)
-    on the M grid, the unweighted quadrature.
+    Unweighted, or a constant weight of density lam = mass / Delta^2 on
+    every grid cell (lam = 1 unweighted): lam^(1/p) ||f||_p, with
+    ||f||_p^p the power_integral of the one piece f.  That is a
+    coefficient identity at p in {2, 4}, else the sum of (|f|^2)^(p/2)
+    on the spec's M x M grid, a quadrature: against the 2M grid,
+    ||f||_p^p of random band fields (p = 2.5, 3, 3.5) is off by 3.1e-7 to
+    4.1e-6 relative at R = 16 and by 8.8e-8 to 4.0e-7 at R = 64, pinned by
+    a refinement test.
 
     Other weights: measure supplies grid atoms (ij indices and masses); the
     weighted integral is by definition the atomic sum (point_eval at the
@@ -408,13 +391,11 @@ def lp_norm(field: TorusField, p: float, measure=None) -> float:
     """
     if not 2.0 <= p <= 4.0:
         raise ValueError(f"p must lie in [2, 4], got {p}")
-    if measure is None:
-        return grid_lp(field.samples, field.spec.L, p)
     spec = field.spec
-    if measure.spec != spec:
+    if measure is not None and measure.spec != spec:
         raise ValueError("measure defined on a different GridSpec")
-    if measure.is_full_constant:
-        lam = float(measure.mass) / spec.delta ** 2
+    if measure is None or measure.is_full_constant:
+        lam = 1.0 if measure is None else float(measure.mass) / spec.delta ** 2
         return (lam * power_integral([field], spec, p, spec.M)) ** (1.0 / p)
     vals = point_eval(field, spec.delta * measure.ij.astype(float))
     return float(np.sum(measure.mass * np.abs(vals) ** p)) ** (1.0 / p)

@@ -234,6 +234,21 @@ def gathered_weighted_cell_integrals(C: np.ndarray, shear: int) -> np.ndarray:
     return out + W_TAIL * C.mean()
 
 
+def grid_lp(samples: np.ndarray, L: float, p: float) -> float:
+    """(Delta^2 sum |f|^p)^(1/p) on an m x m grid of period L."""
+    m = samples.shape[0]
+    delta2 = (L / m) ** 2
+    a = np.abs(samples)
+    if p == 2.0:
+        acc = float(np.sum(a * a))
+    elif p == 4.0:
+        a *= a
+        acc = float(np.sum(a * a))
+    else:
+        acc = float(np.sum(a ** p))
+    return (delta2 * acc) ** (1.0 / p)
+
+
 def grid_constant_lp(field, p: float, mass: float) -> float:
     """||f||_{L^p(H)} for the constant weight of atom mass `mass`, summed
     over the full M x M synthesis in row blocks of 2^22 / M rows."""

@@ -2,7 +2,8 @@
 
 Each test is independent and prints a single pass/fail line under
 pytest -v.  Numbered to match the criteria list in the README; the whole
-file runs in about a minute on a 2-vCPU VM, half of it criterion 3.
+file runs in 26-29 s on a 2-vCPU Xeon VM, about 8 s of it criterion 3,
+5-6 s criterion 2 and 3-4 s criterion 12.
 """
 
 import math

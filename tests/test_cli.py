@@ -405,6 +405,10 @@ def test_kappa_scan_preflight_within_factor_two(family, R, params):
     dict(experiment="bilinear", R=(64,), K=2, trials=4),
     dict(experiment="bilinear", R=(256,), K=2, trials=4),
     dict(experiment="bilinear", R=(256,), K=4, trials=4),
+    # the other lower-bound families at their default R
+    dict(experiment="schrodinger-fls", family="chirp"),
+    dict(experiment="schrodinger-fls", family="packet"),
+    dict(experiment="schrodinger-fls", family="nikodym"),
 ])
 def test_pointwise_preflight_within_factor_two(params):
     cfg = resolve(ExperimentConfig(**params))

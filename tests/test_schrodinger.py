@@ -343,7 +343,7 @@ def _max_rel(got, want):
 def test_chirp_grid_matches_direct_sum():
     grid = 0.25 * (2.0 * (np.arange(9) + 0.5) / 9 - 1.0)
     for R in (256, 1024, 4096):
-        xi, amps, _ = sch._chirp_setup(R)
+        xi, amps, _, _ = sch._chirp_setup(R)
         axes = (grid, R + grid)
         got = sch.propagator_at(xi, amps, R, axes=axes)
         pts = grid_points(*axes)
@@ -413,7 +413,7 @@ def test_fits_over_p_equal_single_p_fits():
         one = [sch.fls_experiment(family, p, R_values=R_values, **kw)
                for p in (3.0, 4.0)]
         assert [f.to_dict() for f in both] == [f.to_dict() for f in one]
-    both = sch.nikodym_fits((2.0, 4.0), (16, 64, 256), seed=3)
+    both = sch.fls_fits("nikodym", (2.0, 4.0), (16, 64, 256), seed=3)
     one = [sch.nikodym_experiment(q, (16, 64, 256), seed=3)
            for q in (2.0, 4.0)]
     assert [f.to_dict() for f in both] == [f.to_dict() for f in one]

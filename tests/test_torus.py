@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wavenvelope.torus import (
-    GridSpec, grid_lp, l2sq_coeff, lp_norm, parabola_band_modes, point_eval,
+    GridSpec, l2sq_coeff, lp_norm, parabola_band_modes, point_eval,
     power_integral, random_band_field, square_sum, synthesize,
 )
 from wavenvelope.cli import make_field
@@ -22,8 +22,8 @@ from wavenvelope.geometry import theta_scale
 from wavenvelope.measures import GridMeasure, constant_weight
 
 from oracles import (analyze, concatenated_square_sum, grid_constant_lp,
-                     read_back_coeffs, sq_norm_from_sq2, square_function,
-                     square_sum_samples)
+                     grid_lp, read_back_coeffs, sq_norm_from_sq2,
+                     square_function, square_sum_samples)
 
 SPEC4 = GridSpec(4)
 SPEC16 = GridSpec(16)
