@@ -11,6 +11,5 @@ import sys
 from wavenvelope.cli import main
 
 if __name__ == "__main__":
-    argv = ["examples-suite", "--deterministic",
-            "--out", "runs/suite", "--format", "json,csv,md"]
+    argv = ["examples-suite", "--out", "runs/suite", "--format", "json,csv,md"]
     sys.exit(main(argv + sys.argv[1:]))

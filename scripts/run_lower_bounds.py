@@ -10,6 +10,5 @@ import sys
 from wavenvelope.cli import main
 
 if __name__ == "__main__":
-    argv = ["schrodinger-fls", "--deterministic",
-            "--out", "runs/fls", "--format", "json,csv,md"]
+    argv = ["schrodinger-fls", "--out", "runs/fls", "--format", "json,csv,md"]
     sys.exit(main(argv + sys.argv[1:]))

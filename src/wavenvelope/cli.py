@@ -8,8 +8,7 @@ passed, 1 on a failed check, 2 on a rejected config.  Two runs of one
 config produce byte-identical reports, whatever the output directory
 and the BLAS thread count: nothing time- or path-dependent enters a
 report, every random stream is seeded from the config, and no reduction
-order follows the thread count.  The deterministic flag only records
-that promise in the config.
+order follows the thread count.
 
 The module also owns the built-in example families: the field families
 paired with weight families for the two-sided inequality sweeps, and the
@@ -72,7 +71,6 @@ class ExperimentConfig:
     points: int = 10000
     band: float = 0.1
     out: str = ""
-    deterministic: bool = False
     mem_cap_mb: float = 3500.0
 
     def canonical(self) -> str:
@@ -111,12 +109,6 @@ def _format_list(v) -> str:
     return ",".join(repr(x) if isinstance(x, float) else str(x) for x in v)
 
 
-def _parse_bool(text: str) -> bool:
-    if text not in ("true", "false"):
-        raise ValueError(f"must be true or false, got {text!r}")
-    return text == "true"
-
-
 # (parse, format) of each field annotation of ExperimentConfig
 _KINDS = {
     tuple[int, ...]: (_parse_list(int), _format_list),
@@ -125,7 +117,6 @@ _KINDS = {
                    lambda v: "none" if v is None else repr(float(v))),
     int: (int, str),
     float: (float, lambda v: repr(float(v))),
-    bool: (_parse_bool, lambda v: "true" if v else "false"),
     str: (str, str),
 }
 
@@ -212,19 +203,20 @@ def spread_field(spec: GridSpec, seed):
     return synthesize(modes[idx], phases, spec)
 
 
-FIELD_FAMILIES = ("random", "flat", "knapp", "spread")
+# name: builder(spec, seed)
+FIELD_FAMILIES = {
+    "random": random_band_field,
+    "flat": lambda spec, seed: flat_field(spec),
+    "knapp": lambda spec, seed: knapp_field(spec),
+    "spread": spread_field,
+}
 
 
 def make_field(family: str, spec: GridSpec, seed=0):
-    if family == "random":
-        return random_band_field(spec, seed)
-    if family == "flat":
-        return flat_field(spec)
-    if family == "knapp":
-        return knapp_field(spec)
-    if family == "spread":
-        return spread_field(spec, seed)
-    raise ValueError(f"unknown field family {family!r}; have {FIELD_FAMILIES}")
+    if family not in FIELD_FAMILIES:
+        raise ValueError(f"unknown field family {family!r}; "
+                         f"have {tuple(FIELD_FAMILIES)}")
+    return FIELD_FAMILIES[family](spec, seed)
 
 
 # the dilated lattice of the random:lattice pair and of alpha_lattice_fits
@@ -289,7 +281,7 @@ def unit_ball_fits(p_values=(2.0, 3.0, 4.0), R_values=(64, 256, 1024),
         spec = GridSpec(R)
         f = flat_field(spec)
         H = make_weight("ball", spec)
-        pieces = cap_decompose(f, theta_scale(R)).pieces.values()
+        pieces = cap_decompose(f, theta_scale(R)).values()
         for p in p_values:
             sq_norm = power_integral(pieces, spec, p, 2 * R) ** (1.0 / p)
             ratios[p].append(lp_norm(f, p, measure=H) / sq_norm)
@@ -376,7 +368,7 @@ def _verify_peak_bytes(cfg: "ExperimentConfig") -> float:
     R = max(cfg.R)
     spec = GridSpec(R)
     field = make_field(ffam, spec, cfg.seed)
-    pieces = cap_decompose(field, theta_scale(R)).pieces.values()
+    pieces = cap_decompose(field, theta_scale(R)).values()
     est = [power_integral_bytes(pieces, p, 2 * R) for p in (4.0, *p_values)]
     if wfam != "constant":
         atoms = candidate_atoms(wfam, spec, **params)
@@ -848,11 +840,7 @@ def _add_flags(sp):
     for f in dataclass_fields(ExperimentConfig):
         if f.name == "experiment":
             continue
-        flag = "--" + f.name.replace("_", "-")
-        if f.type is bool:
-            sp.add_argument(flag, action="store_const", const="true")
-        else:
-            sp.add_argument(flag)
+        sp.add_argument("--" + f.name.replace("_", "-"))
 
 
 def config_from_args(args) -> ExperimentConfig:

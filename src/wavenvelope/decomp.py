@@ -90,11 +90,11 @@ def broad_narrow(field: TorusField, points, p: float, K: int,
     spec = field.spec
     tree = build_cap_tree(spec.R, K)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    dec = cap_decompose(field, theta_scale(spec.R))
+    thetas = cap_decompose(field, theta_scale(spec.R))
 
     vals = {}  # level -> {k: complex values at pts}
     vals[tree.m] = {k: np.atleast_1d(point_eval(pc, pts))
-                    for k, pc in dec.pieces.items()}
+                    for k, pc in thetas.items()}
     for level in range(tree.m, 0, -1):
         up = {}
         for k, v in vals[level].items():
@@ -270,15 +270,14 @@ class BilinearPair:
 
 
 def _merge_pieces(pieces, spec) -> TorusField:
-    # adjacent theta windows share boundary modes; sum their halves
-    acc = {}
-    for pc in pieces:
-        for (n1, n2), a in zip(pc.freqs, pc.amps):
-            key = (int(n1), int(n2))
-            acc[key] = acc.get(key, 0.0) + a
-    fr = np.array(sorted(acc), dtype=np.int64).reshape(-1, 2)
-    am = np.array([acc[key] for key in sorted(acc)])
-    return synthesize(fr, am, spec)
+    """One field from theta pieces: adjacent windows share boundary modes,
+    whose halves add in piece order; modes come out ascending."""
+    freqs = np.concatenate([pc.freqs for pc in pieces])
+    amps = np.concatenate([pc.amps for pc in pieces])
+    modes, inv = np.unique(freqs, axis=0, return_inverse=True)
+    coef = np.bincount(inv, weights=amps.real) \
+        + 1j * np.bincount(inv, weights=amps.imag)
+    return TorusField(spec, modes, coef)
 
 
 def _collect_children(field: TorusField, parent: Cap, child1: Cap,
@@ -291,10 +290,9 @@ def _collect_children(field: TorusField, parent: Cap, child1: Cap,
     """
     spec = field.spec
     s_theta = theta_scale(spec.R)
-    dec = cap_decompose(field, s_theta)
     full_band = parent.s >= 1.0
     in_parent, per_child = [], {child1.k: [], child2.k: []}
-    for k, piece in dec.pieces.items():
+    for k, piece in cap_decompose(field, s_theta).items():
         c_th = k * s_theta
         if not full_band and \
                 int(cap_index_for_abscissa(c_th, parent.s)) != parent.k:

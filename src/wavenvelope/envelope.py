@@ -27,8 +27,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .torus import (TWO_PI, TorusField, lp_norm, power_integral, square_sum,
-                    synthesize)
+from .torus import TWO_PI, TorusField, lp_norm, power_integral, square_sum
 # locate_grid_tubes is not called here; the benchmark's self-test
 # (perfbench/test_harness.py) reads it as envelope.locate_grid_tubes
 from .geometry import (
@@ -105,45 +104,34 @@ def _window_weights(xi1: np.ndarray, s: float):
     return k_mid, w_left, w_mid, w_right
 
 
-@dataclass(frozen=True)
-class CapDecomposition:
-    """f = sum over caps of f_tau at one scale; pieces keyed by cap index."""
-
-    scale: float
-    pieces: dict
-    window: str = f"step(delta={WINDOW_DELTA})"
-
-    def caps(self):
-        return sorted(self.pieces)
-
-
-def cap_decompose(field: TorusField, scale: float) -> CapDecomposition:
+def cap_decompose(field: TorusField, scale: float) -> dict:
     """Split a parabola-band field into cap pieces at a dyadic scale.
 
-    Multiplication by the chi windows in coefficient space; a mode within
-    the transition zone of a cap boundary is shared between the two
-    adjacent caps with weights summing to 1 exactly.
+    Returns {k: f_k}, cap index ascending.  Multiplication by the chi
+    windows in coefficient space; a mode within the transition zone of a
+    cap boundary is shared between the two adjacent caps with weights
+    summing to 1 exactly.  A piece is a selection of the field's already
+    validated modes, built directly.  Piece k lists its modes branch by
+    branch (those cap k + 1 hands on, its own, those cap k - 1 hands on),
+    each branch in field order: the order square_sum and trig_sum add
+    them in.
     """
     spec = field.spec
     if scale not in dyadic_scales(spec.R):
         raise ValueError(f"scale {scale} not dyadic in [R^-1/2, 1]")
     xi1 = spec.freq_step * field.freqs[:, 0].astype(float)
     k_mid, w_left, w_mid, w_right = _window_weights(xi1, scale)
+    k = np.concatenate([k_mid - 1, k_mid, k_mid + 1])
+    w = np.concatenate([w_left, w_mid, w_right])
+    live = np.flatnonzero(w > 0.0)
+    order = live[np.argsort(k[live], kind="stable")]
+    caps, starts = np.unique(k[order], return_index=True)
     pieces = {}
-    for k_arr, w in ((k_mid - 1, w_left), (k_mid, w_mid), (k_mid + 1, w_right)):
-        live = w > 0.0
-        for k in np.unique(k_arr[live]):
-            sel = live & (k_arr == k)
-            fld = synthesize(field.freqs[sel], field.amps[sel] * w[sel], spec)
-            if int(k) in pieces:
-                prev = pieces[int(k)]
-                merged_freqs = np.concatenate([prev.freqs, fld.freqs])
-                merged_amps = np.concatenate([prev.amps, fld.amps])
-                # a mode can reach the same cap only once per branch, so
-                # concatenation never duplicates
-                fld = synthesize(merged_freqs, merged_amps, spec)
-            pieces[int(k)] = fld
-    return CapDecomposition(scale, dict(sorted(pieces.items())))
+    for cap_k, sel in zip(caps, np.split(order, starts[1:])):
+        i = sel % field.n_modes
+        pieces[int(cap_k)] = TorusField(spec, field.freqs[i],
+                                        field.amps[i] * w[sel])
+    return pieces
 
 
 # ---------------------------------------------------------------------------
@@ -442,18 +430,18 @@ def verify_weighted_sq(field: TorusField, H: GridMeasure,
 
     constant = H.is_full_constant
 
-    dec = cap_decompose(field, s_theta)
+    thetas = cap_decompose(field, s_theta)
     cell = {}
     for s in scales:
         by_tau = {}
-        for k_theta, piece in dec.pieces.items():
+        for k_theta, piece in thetas.items():
             k_tau = int(cap_index_for_abscissa(k_theta * s_theta, s))
             by_tau.setdefault(k_tau, []).append(piece)
         for k_tau, pieces in by_tau.items():
             cell[(s, k_tau)] = envelope_cell_integrals(pieces, Cap(s, k_tau),
                                                        spec)
 
-    sq_norm = power_integral(dec.pieces.values(), spec, p, m) ** (1.0 / p)
+    sq_norm = power_integral(thetas.values(), spec, p, m) ** (1.0 / p)
     kmax, kwitness = kappa_max(H, p)
     sq_rhs = (kmax + floor) * sq_norm
 

@@ -347,24 +347,23 @@ def sqrt_profile_atoms():
     return pos, M.ravel().copy()
 
 
-# built-in unit-scale families: name -> (constructor, beta, alpha, spacing)
+# built-in unit-scale families: name -> (atoms, beta, alpha, spacing)
+MEASURE_FAMILIES = {
+    "delta": (delta_atoms, 0.0, 0.0, None),
+    "line": (line_atoms, 1.0, 1.0, (1.0 / LINE_ATOMS, 0.0)),
+    "square": (unit_square_atoms, 3.0, 2.0,
+               (1.0 / SQUARE_ATOMS, 1.0 / SQUARE_ATOMS)),
+    "sqrt-profile": (sqrt_profile_atoms, 2.0, 1.5,
+                     (1.0 / SQUARE_ATOMS, 1.0 / SQUARE_ATOMS)),
+}
+
+
 def measure_family(name: str):
-    if name == "delta":
-        pos, m = delta_atoms()
-        return pos, m, 0.0, 0.0, None
-    if name == "line":
-        pos, m = line_atoms()
-        return pos, m, 1.0, 1.0, (1.0 / LINE_ATOMS, 0.0)
-    if name == "square":
-        pos, m = unit_square_atoms()
-        return pos, m, 3.0, 2.0, (1.0 / SQUARE_ATOMS, 1.0 / SQUARE_ATOMS)
-    if name == "sqrt-profile":
-        pos, m = sqrt_profile_atoms()
-        return pos, m, 2.0, 1.5, (1.0 / SQUARE_ATOMS, 1.0 / SQUARE_ATOMS)
-    raise ValueError(f"unknown measure family {name!r}")
-
-
-MEASURE_FAMILIES = ("delta", "line", "square", "sqrt-profile")
+    """(positions, masses, beta, alpha, spacing) of a built-in family."""
+    if name not in MEASURE_FAMILIES:
+        raise ValueError(f"unknown measure family {name!r}")
+    atoms, beta, alpha, spacing = MEASURE_FAMILIES[name]
+    return (*atoms(), beta, alpha, spacing)
 
 
 # ---------------------------------------------------------------------------

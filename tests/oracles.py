@@ -6,8 +6,10 @@ import numpy as np
 from scipy.fft import fft2
 
 from wavenvelope.decomp import CertificateError
+from wavenvelope.cli import make_field
 from wavenvelope.envelope import (W_BLOCK, W_EXPONENT, W_TAIL, _group_sums,
-                                  cap_decompose, envelope_area, kappa_table,
+                                  _window_weights, cap_decompose,
+                                  envelope_area, kappa_table,
                                   weighted_cell_integrals)
 from wavenvelope.geometry import (Cap, cap_index_for_abscissa, dyadic_scales,
                                   envelope_factor, envelope_index_of_tube,
@@ -16,7 +18,7 @@ from wavenvelope.geometry import (Cap, cap_index_for_abscissa, dyadic_scales,
                                   theta_scale, tube_lattice_dims,
                                   wrap_envelope_index)
 from wavenvelope.schrodinger import eta
-from wavenvelope.torus import square_sum
+from wavenvelope.torus import random_band_field, square_sum, synthesize
 
 
 def read_back_coeffs(field) -> np.ndarray:
@@ -112,14 +114,67 @@ def tube_local_coords(points, z, cap) -> np.ndarray:
     return pts @ L_inv.T - np.atleast_2d(z)
 
 
-def reconstruction(dec) -> dict:
-    """Coefficient-space sum of a CapDecomposition's pieces."""
+def reconstruction(pieces) -> dict:
+    """Coefficient-space sum of cap_decompose's pieces."""
     acc = {}
-    for piece in dec.pieces.values():
+    for piece in pieces.values():
         for fr, a in zip(piece.freqs, piece.amps):
             key = (int(fr[0]), int(fr[1]))
             acc[key] = acc.get(key, 0.0) + a
     return acc
+
+
+def branch_cap_decompose(field, scale: float) -> dict:
+    """cap_decompose one window branch at a time: the left, middle and
+    right branches in turn, one synthesize per (branch, cap) and one more
+    per cross-branch merge, so a piece lists its modes branch by branch,
+    each branch in field order."""
+    spec = field.spec
+    xi1 = spec.freq_step * field.freqs[:, 0].astype(float)
+    k_mid, w_left, w_mid, w_right = _window_weights(xi1, scale)
+    pieces = {}
+    for k_arr, w in ((k_mid - 1, w_left), (k_mid, w_mid),
+                     (k_mid + 1, w_right)):
+        live = w > 0.0
+        for k in np.unique(k_arr[live]):
+            sel = live & (k_arr == k)
+            fld = synthesize(field.freqs[sel], field.amps[sel] * w[sel], spec)
+            if int(k) in pieces:
+                prev = pieces[int(k)]
+                fld = synthesize(np.concatenate([prev.freqs, fld.freqs]),
+                                 np.concatenate([prev.amps, fld.amps]), spec)
+            pieces[int(k)] = fld
+    return dict(sorted(pieces.items()))
+
+
+def dict_merge_pieces(pieces, spec):
+    """decomp._merge_pieces as a per-mode dict loop: amplitudes of a mode
+    add in piece order, modes come out sorted."""
+    acc = {}
+    for pc in pieces:
+        for (n1, n2), a in zip(pc.freqs, pc.amps):
+            key = (int(n1), int(n2))
+            acc[key] = acc.get(key, 0.0) + a
+    fr = np.array(sorted(acc), dtype=np.int64).reshape(-1, 2)
+    am = np.array([acc[key] for key in sorted(acc)])
+    return synthesize(fr, am, spec)
+
+
+def pinned_fields(spec, scale: float) -> dict:
+    """The fields cap pieces are pinned on: random at density 0.5 and 1,
+    knapp, spread, and the one parabola mode nearest a cap boundary at
+    scale."""
+    step = spec.freq_step
+    n1 = np.arange(-int(1.0 / step), int(1.0 / step) + 1)
+    off = np.abs((n1 * step / scale) % 1.0 - 0.5)
+    b1 = int(n1[np.argmin(off)])
+    boundary = synthesize(
+        np.array([[b1, round((b1 * step) ** 2 / step)]]), [1.0 - 0.5j], spec)
+    return {"random-0.5": random_band_field(spec, spec.R, density=0.5),
+            "random-1": random_band_field(spec, spec.R),
+            "knapp": make_field("knapp", spec),
+            "spread": make_field("spread", spec, spec.R),
+            "boundary": boundary}
 
 
 def square_sum_samples(pieces, spec, m: int) -> np.ndarray:
@@ -137,7 +192,7 @@ def sq_norm_from_sq2(S2: np.ndarray, L: float, p: float) -> float:
 
 def square_function(field, scale: float, m: int | None = None) -> np.ndarray:
     """Pointwise (sum_tau |f_tau|^2)^(1/2) on the m x m grid."""
-    pieces = cap_decompose(field, scale).pieces.values()
+    pieces = cap_decompose(field, scale).values()
     return np.sqrt(square_sum_samples(pieces, field.spec, m or field.spec.M))
 
 
@@ -286,9 +341,8 @@ def subgrid_cell_integrals(field, m: int) -> dict:
     pieces, with S_tau^2 summed from per-theta samples on the m grid."""
     spec = field.spec
     s_theta = theta_scale(spec.R)
-    dec = cap_decompose(field, s_theta)
     sq = {k: np.abs(pc.samples_on(m, cache=False)) ** 2
-          for k, pc in dec.pieces.items()}
+          for k, pc in cap_decompose(field, s_theta).items()}
     out = {}
     for s in dyadic_scales(spec.R):
         acc = {}

@@ -12,6 +12,7 @@ import os
 import numpy as np
 import pytest
 
+from oracles import grid_lp
 from test_envelope import brute_kappa_max
 
 from wavenvelope.cli import (ExperimentConfig, PAIR_FAMILIES,
@@ -31,8 +32,10 @@ def test_criterion_01_quadrature_exactness():
         spec = GridSpec(R)
         for seed in range(10):
             f = random_band_field(spec, seed=seed, density=0.5)
-            # Parseval at p = 2
+            # Parseval at p = 2, by the coefficients and on the M grid
             assert lp_norm(f, 2.0) ** 2 == pytest.approx(
+                l2sq_coeff(f), rel=1e-9)
+            assert grid_lp(f.samples, spec.L, 2.0) ** 2 == pytest.approx(
                 l2sq_coeff(f), rel=1e-9)
             # quartic norm against the coefficient self-convolution
             conv = {}
@@ -42,6 +45,8 @@ def test_criterion_01_quadrature_exactness():
                     conv[key] = conv.get(key, 0.0) + ak * al
             oracle = spec.L ** 2 * sum(abs(c) ** 2 for c in conv.values())
             assert lp_norm(f, 4.0) ** 4 == pytest.approx(oracle, rel=1e-8)
+            assert grid_lp(f.samples, spec.L, 4.0) ** 4 == pytest.approx(
+                oracle, rel=1e-8)
 
 
 def test_criterion_02_kappa_identities():
@@ -254,7 +259,7 @@ def test_criterion_11_measure_rescaling_bounds():
 
 def test_criterion_12_deterministic_suite_reproducible(tmp_path):
     """Two deterministic example-suite runs emit byte-identical artifacts."""
-    cfg = ExperimentConfig(experiment="examples-suite", deterministic=True)
+    cfg = ExperimentConfig(experiment="examples-suite")
     reports = [run(cfg), run(cfg)]
     assert reports[0].to_json() == reports[1].to_json()
     assert reports[0].passed

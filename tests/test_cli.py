@@ -31,7 +31,7 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 def test_config_round_trip_byte_identical():
     cfg = ExperimentConfig(experiment="kappa-scan", R=(64, 256),
-                           p=(2.0, 2.5), c=0.3, deterministic=True)
+                           p=(2.0, 2.5), c=0.3)
     text = cfg.canonical()
     again = ExperimentConfig(**parse_config_text(text))
     assert again == cfg
@@ -56,8 +56,6 @@ def test_config_hash_tracks_content():
 def test_config_parse_rejections():
     with pytest.raises(ValueError, match="unknown config key"):
         parse_config_text("wat = 3")
-    with pytest.raises(ValueError, match="true or false"):
-        parse_config_text("deterministic = maybe")
     with pytest.raises(ValueError, match="key = value"):
         parse_config_text("just words")
 
@@ -67,7 +65,7 @@ _FIELD_TEXT = {
     "R": "16,64", "p": "2.5,3", "K": "3", "family": "ball",
     "kappa": "0.25", "alpha": "1.25", "c": "0.3", "lam": "0.5", "seed": "7",
     "trials": "3", "points": "50", "band": "0.05", "out": "runs/x",
-    "deterministic": "true", "mem_cap_mb": "100.5",
+    "mem_cap_mb": "100.5",
 }
 
 
@@ -79,9 +77,7 @@ def test_flags_parse_like_config_lines():
     cli._add_flags(parser)
     default = ExperimentConfig(experiment="kappa-scan")
     for key, text in _FIELD_TEXT.items():
-        flag = "--" + key.replace("_", "-")
-        argv = [flag] if key == "deterministic" else [flag, text]
-        args = parser.parse_args(argv)
+        args = parser.parse_args(["--" + key.replace("_", "-"), text])
         args.experiment = "kappa-scan"
         got = cli.config_from_args(args)
         want = ExperimentConfig(experiment="kappa-scan",

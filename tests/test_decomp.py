@@ -13,10 +13,10 @@ from wavenvelope.torus import (
 )
 from wavenvelope.geometry import Cap, theta_scale
 from wavenvelope.measures import in_ball
-from wavenvelope import decomp as dc
+from wavenvelope import decomp as dc, envelope as env, torus
 
-from oracles import (bg_split, direct_trig_sum, grid_points, l2sq,
-                     modulation, spectrum)
+from oracles import (bg_split, dict_merge_pieces, direct_trig_sum,
+                     grid_points, l2sq, modulation, pinned_fields, spectrum)
 
 SPEC64 = GridSpec(64)
 
@@ -316,6 +316,48 @@ def test_boundary_mode_merged_once():
     pair = dc.bilinear_pair(f, Cap(1.0, 0), Cap(0.25, 2), Cap(0.25, -2))
     assert pair.g1.n_modes == 2
     assert np.max(np.abs(pair.g1.amps - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("R", [16, 64, 256])
+@pytest.mark.parametrize("at_theta", [True, False])
+def test_merge_pieces_matches_dict_oracle_bit_for_bit(R, at_theta):
+    # adjacent windows share boundary modes; merging all pieces, a run of
+    # two and all in reverse order keeps the dict loop's modes and sums
+    spec = GridSpec(R)
+    scale = theta_scale(R) if at_theta else 0.25
+    for name, f in pinned_fields(spec, scale).items():
+        pieces = list(env.cap_decompose(f, scale).values())
+        for group in (pieces, pieces[1:3], pieces[::-1]):
+            if not group:
+                continue
+            got = dc._merge_pieces(group, spec)
+            want = dict_merge_pieces(group, spec)
+            assert np.array_equal(got.freqs, want.freqs), name
+            assert np.array_equal(got.amps, want.amps), name
+
+
+def test_derived_fields_never_synthesize(monkeypatch):
+    # a field is validated once, where it enters; cap pieces and merged
+    # children are selections of its modes, built directly
+    spec = SPEC64
+    f = random_band_field(spec, seed=11, density=0.5)
+    s_th = theta_scale(spec.R)
+    pair_field = cap_field(spec, [parabola_mode(spec, 3.5 * s_th),
+                                  parabola_mode(spec, 0.51),
+                                  parabola_mode(spec, -0.52)])
+    pts = np.random.default_rng(1).uniform(0, spec.L, size=(500, 2))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("synthesize on a derived field")
+
+    for mod in (torus, env, dc):
+        monkeypatch.setattr(mod, "synthesize", refuse, raising=False)
+    for scale in (s_th, 0.25):
+        env.cap_decompose(f, scale)
+    dc.broad_narrow(f, pts, p=4, K=4)
+    pair = dc.bilinear_pair(pair_field, Cap(1.0, 0), Cap(0.25, 2),
+                            Cap(0.25, -2))
+    assert pair.g1.n_modes == 2
 
 
 # ---------------------------------------------------------------------------

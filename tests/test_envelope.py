@@ -18,9 +18,9 @@ from wavenvelope.measures import (ball_weight, constant_weight, custom_weight,
 from wavenvelope.cli import make_field
 from wavenvelope import envelope as env
 
-from oracles import (constant_env_rhs, env_shift,
+from oracles import (branch_cap_decompose, constant_env_rhs, env_shift,
                      gathered_weighted_cell_integrals, kappa,
-                     per_cap_envelope_stats, reconstruction,
+                     per_cap_envelope_stats, pinned_fields, reconstruction,
                      sq_norm_from_sq2, square_function, square_sum_samples,
                      subgrid_cell_integrals)
 
@@ -85,8 +85,7 @@ def test_window_weights_partition_property(xs, s):
 
 def test_decompose_reconstructs_exactly():
     f = random_band_field(SPEC64, seed=7, density=0.5)
-    dec = env.cap_decompose(f, 0.25)
-    acc = reconstruction(dec)
+    acc = reconstruction(env.cap_decompose(f, 0.25))
     orig = {(int(a), int(b)): amp for (a, b), amp in zip(f.freqs, f.amps)}
     assert set(acc) == set(orig)
     for key in orig:
@@ -104,10 +103,26 @@ def test_decompose_rejects_bad_scale():
 def test_decompose_single_centered_mode_stays_whole():
     # mode at a cap center is far from both boundaries: one piece only
     f = synthesize(np.array([[0, 0]]), np.array([1.0 + 0j]), SPEC64)
-    dec = env.cap_decompose(f, 0.25)
-    assert dec.caps() == [0]
-    assert dec.pieces[0].n_modes == 1
-    assert dec.pieces[0].amps[0] == 1.0 + 0j
+    pieces = env.cap_decompose(f, 0.25)
+    assert list(pieces) == [0]
+    assert pieces[0].n_modes == 1
+    assert pieces[0].amps[0] == 1.0 + 0j
+
+
+@pytest.mark.parametrize("R", [16, 64, 256])
+@pytest.mark.parametrize("at_theta", [True, False])
+def test_decompose_matches_branch_oracle_bit_for_bit(R, at_theta):
+    # one pass over the three window branches keeps the oracle's pieces:
+    # the same caps and, per cap, the same modes in the same order
+    spec = GridSpec(R)
+    scale = theta_scale(R) if at_theta else 0.25
+    for name, f in pinned_fields(spec, scale).items():
+        got = env.cap_decompose(f, scale)
+        want = branch_cap_decompose(f, scale)
+        assert list(got) == list(want), name
+        for k, pc in want.items():
+            assert np.array_equal(got[k].freqs, pc.freqs), (name, k)
+            assert np.array_equal(got[k].amps, pc.amps), (name, k)
 
 
 def test_square_function_two_distant_caps():
@@ -129,10 +144,10 @@ def test_square_function_l2_within_window_slack():
     # sum_k chi_k^2 <= 1 with equality off the transition zones, and the
     # zones cover 1/8 of each cap, so ||S||_2 loses only a few percent
     f = random_band_field(SPEC64, seed=5, density=0.6)
-    dec = env.cap_decompose(f, theta_scale(64))
+    pieces = env.cap_decompose(f, theta_scale(64))
     total = float(np.sum(np.abs(f.amps) ** 2))
     split = sum(float(np.sum(np.abs(pc.amps) ** 2))
-                for pc in dec.pieces.values())
+                for pc in pieces.values())
     assert split <= total * (1 + 1e-12)
     assert split >= 0.93 * total
 
@@ -141,7 +156,7 @@ def test_square_sum_rejects_aliasing_grid():
     f = random_band_field(SPEC64, seed=1, density=0.5)
     with pytest.raises(ValueError, match="aliases"):
         square_function(f, theta_scale(64), m=8)
-    pieces = env.cap_decompose(f, theta_scale(64)).pieces.values()
+    pieces = env.cap_decompose(f, theta_scale(64)).values()
     with pytest.raises(ValueError, match="aliases"):
         power_integral(pieces, SPEC64, 3.0, 8)
 
@@ -151,8 +166,7 @@ def test_square_sum_rejects_aliasing_grid():
 
 def _tau_pieces(field, cap):
     s_theta = theta_scale(field.spec.R)
-    dec = env.cap_decompose(field, s_theta)
-    return [pc for k, pc in dec.pieces.items()
+    return [pc for k, pc in env.cap_decompose(field, s_theta).items()
             if int(cap_index_for_abscissa(k * s_theta, cap.s)) == cap.k]
 
 
@@ -614,10 +628,10 @@ def test_weighted_cell_integrals_match_gather_oracle(N1U, N2U):
 
 def test_weighted_cell_integrals_match_gather_oracle_on_caps():
     f = random_band_field(SPEC64, seed=2, density=0.5)
-    dec = env.cap_decompose(f, theta_scale(64))
+    thetas = env.cap_decompose(f, theta_scale(64))
     for s in dyadic_scales(64):
         for cap in caps_at_scale(s):
-            pieces = [pc for k, pc in dec.pieces.items()
+            pieces = [pc for k, pc in thetas.items()
                       if cap_index_for_abscissa(k * theta_scale(64), s)
                       == cap.k]
             if not pieces:
@@ -687,7 +701,7 @@ def test_atomic_weight_verify_takes_no_grid_at_p2_p4(monkeypatch):
 def test_verify_sq_norm_other_p_is_grid_quadrature():
     # away from p in {2, 4}, ||S||_p is the m = 2R grid sum, bit for bit
     f = random_band_field(SPEC64, seed=4, density=0.5)
-    pieces = env.cap_decompose(f, theta_scale(64)).pieces.values()
+    pieces = env.cap_decompose(f, theta_scale(64)).values()
     want = sq_norm_from_sq2(square_sum_samples(pieces, SPEC64, 128),
                             SPEC64.L, 3.0)
     rep = env.verify_weighted_sq(f, ball_weight(SPEC64, 4.0), 3.0)

@@ -259,7 +259,7 @@ def test_power_integral_exact_forms_match_grid(R, family):
     # whole field
     spec = GridSpec(R)
     f = make_field(family, spec, seed=R)
-    pieces = list(cap_decompose(f, theta_scale(R)).pieces.values())
+    pieces = list(cap_decompose(f, theta_scale(R)).values())
     cases = ((pieces, square_function(f, theta_scale(R))),
              ([f], np.abs(f.samples_on(spec.M, cache=False))))
     for pcs, S in cases:
@@ -274,7 +274,7 @@ def test_power_integral_other_p_is_grid_sum(R):
     # bit for bit the m-grid quadrature of the sampled sum of squares
     spec = GridSpec(R)
     f = random_band_field(spec, seed=R)
-    pieces = list(cap_decompose(f, theta_scale(R)).pieces.values())
+    pieces = list(cap_decompose(f, theta_scale(R)).values())
     for m in (2 * R, spec.M):
         S2 = square_sum_samples(pieces, spec, m)
         for p in (2.5, 3.0):
@@ -289,7 +289,7 @@ def test_power_integral_other_p_refines(R):
     # grid matches the 8R grid to roundoff
     spec = GridSpec(R)
     f = random_band_field(spec, seed=0)
-    pieces = list(cap_decompose(f, theta_scale(R)).pieces.values())
+    pieces = list(cap_decompose(f, theta_scale(R)).values())
     for p in (2.5, 3.0, 3.5):
         fine = power_integral(pieces, spec, p, 8 * R)
         assert power_integral(pieces, spec, p, 2 * R) == \
@@ -303,7 +303,7 @@ def test_square_sum_matches_concatenated_oracle(family, whole):
     spec = GridSpec(64)
     f = make_field(family, spec, seed=5)
     pieces = [f] if whole else \
-        list(cap_decompose(f, theta_scale(spec.R)).pieces.values())
+        list(cap_decompose(f, theta_scale(spec.R)).values())
     delta, coef = concatenated_square_sum(pieces)
     got = square_sum(pieces, spec)
     assert np.array_equal(got.freqs, delta)
