@@ -30,6 +30,16 @@ class CertificateError(ArithmeticError):
     """A certified inequality failed on the computed numbers."""
 
 
+# relative roundoff slack of a pointwise certificate: a point violates it
+# only where lhs exceeds the bound by more than this
+CERT_RTOL = 1e-9
+
+
+def over_bound(lhs, bound) -> np.ndarray:
+    """Mask of the points where lhs breaks the certified bound."""
+    return lhs > bound * (1 + CERT_RTOL)
+
+
 # ---------------------------------------------------------------------------
 # the pointwise iteration over a cap tree
 
@@ -137,10 +147,11 @@ def broad_narrow(field: TorusField, points, p: float, K: int,
 
     bilinear = float(K) ** p * pair_sum
     bound = C_stage ** tree.m * (narrow + cert_pairs)
-    bad = lhs > bound * (1 + 1e-9)
+    bad = over_bound(lhs, bound)
     if np.any(bad):
         raise CertificateError(
-            f"iteration bound violated at {pts[np.argmax(bad)]}")
+            f"iteration bound violated at {int(np.count_nonzero(bad))} of "
+            f"{npts} points, first {pts[np.argmax(bad)]}")
     denom = narrow + bilinear
     empirical = np.divide(lhs, denom, out=np.zeros(npts),
                           where=denom > 0)

@@ -16,10 +16,12 @@ import numpy as np
 import pytest
 
 import wavenvelope.cli as cli
+from oracles import serial_broad_narrow_rows
 from wavenvelope.cli import (ExperimentConfig, PAIR_FAMILIES, PreflightError,
                              Report, emit, make_field, pair_report,
                              parse_config_text, preflight_mb, read_config,
                              resolve, run)
+from wavenvelope.decomp import CertificateError
 from wavenvelope.geometry import mode_cap_index, theta_scale
 from wavenvelope.torus import GridSpec, parabola_band_modes
 
@@ -204,6 +206,67 @@ def test_broad_narrow_experiment():
                                trials=2, points=400, seed=4))
     assert rep.passed
     assert all(r["violations"] == 0 for r in rep.rows)
+
+
+@pytest.mark.parametrize("R", [64, 256])
+@pytest.mark.parametrize("seed,trials", [(0, 3), (1, 5), (7, 3)])
+def test_broad_narrow_rows_equal_the_serial_loop(R, seed, trials):
+    # odd trial counts: a pool of two threads does not divide them
+    cfg = resolve(ExperimentConfig(experiment="broad-narrow", R=(R,),
+                                   trials=trials, points=300, seed=seed))
+    assert run(cfg).rows == serial_broad_narrow_rows(cfg)
+
+
+def test_broad_narrow_violation_fails_the_check(monkeypatch, capsys):
+    # the second trial's points, drawn as the runner draws them
+    spec = GridSpec(64)
+    rng = np.random.default_rng(3 + 64)
+    for _ in range(2):
+        rng.integers(2 ** 31)
+        planted = rng.uniform(0.0, spec.L, size=(200, 2))
+    real = cli.broad_narrow
+
+    def failing(f, pts, p, K):
+        if np.array_equal(pts, planted):
+            raise CertificateError("planted violation")
+        return real(f, pts, p, K)
+
+    monkeypatch.setattr(cli, "broad_narrow", failing)
+    argv = ["broad-narrow", "--R", "64", "--trials", "4", "--points", "200",
+            "--seed", "3"]
+    rep = run(ExperimentConfig(experiment="broad-narrow", R=(64,), trials=4,
+                               points=200, seed=3))
+    check = rep.checks[0]
+    assert check["name"] == "pointwise-split-violations"
+    assert not check["passed"] and not rep.passed
+    assert "R 64 trial 1: planted violation" in check["detail"]
+    assert [r["trial"] for r in rep.rows] == [0, 2, 3]
+    assert cli.main(argv) == 1
+    assert "FAIL pointwise-split-violations" in capsys.readouterr().out
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="needs os.sched_setaffinity")
+def test_broad_narrow_bytes_independent_of_cpu_count(tmp_path):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    paths = [os.path.abspath(src), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    child = ("import os, sys\n"
+             "from wavenvelope import cli\n"
+             "if sys.argv[1] == 'pinned':\n"
+             "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+             "    assert cli._trial_workers(5) == 1\n"
+             "sys.exit(cli.main(sys.argv[2:]))\n")
+    reports = []
+    for mode in ("pinned", "unpinned"):
+        out = tmp_path / mode
+        proc = subprocess.run(
+            [sys.executable, "-c", child, mode, "broad-narrow", "--R", "64",
+             "--trials", "5", "--out", str(out), "--format", "json"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        reports.append((out / "broad-narrow.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_bilinear_experiment(tmp_path):

@@ -173,6 +173,13 @@ def test_broad_narrow_rejects_bad_p():
         dc.broad_narrow(f, [[0.0, 0.0]], p=0.5, K=4)
 
 
+def test_over_bound_spares_the_roundoff_sliver():
+    # the one rule of the certificate and of the runner's violation count
+    bound = np.full(3, 2.0)
+    lhs = bound * (1 + np.array([0.0, 0.5, 2.0]) * dc.CERT_RTOL)
+    assert dc.over_bound(lhs, bound).tolist() == [False, False, True]
+
+
 # ---------------------------------------------------------------------------
 # parabolic rescaling
 
