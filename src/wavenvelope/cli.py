@@ -36,7 +36,7 @@ from .decomp import (CertificateError, bilinear_peak_bytes, bilinear_trials,
                      broad_narrow, broad_narrow_peak_bytes, over_bound,
                      write_constants_csv)
 from .geometry import dyadic_scales, mode_cap_index, theta_scale
-from .measures import candidate_atoms, make_weight
+from .measures import candidate_atoms, make_weight, masses_at_bytes
 from .schrodinger import (FLS_DEFAULT_R, MEASURE_FAMILIES, fit_exponent,
                           fls_fits, fls_peak_bytes, measure_family,
                           rescale_measure)
@@ -416,6 +416,14 @@ def _broad_narrow_peak_bytes(cfg: "ExperimentConfig") -> float:
         + 16 * cfg.points * n_trials
 
 
+def _certificates_peak_bytes(cfg: "ExperimentConfig") -> float:
+    """The masses tables of the largest family's certificates, its atoms
+    as both centers and positions."""
+    names = (cfg.family,) if cfg.family else MEASURE_FAMILIES
+    n = max(len(measure_family(name)[1]) for name in names)
+    return masses_at_bytes(n, n)
+
+
 def preflight_mb(cfg: "ExperimentConfig") -> float:
     """Estimated peak allocation for the resolved config, in MiB."""
     return EXPERIMENTS[cfg.experiment][3](cfg) / 2 ** 20
@@ -716,7 +724,7 @@ EXPERIMENTS = {
                             for name in _fls_names(cfg)
                             for R in cfg.R or FLS_DEFAULT_R[name])),
     "certificates": (_run_certificates, "rescaled-measure dimension bounds",
-                     {"R": (64, 256)}, lambda cfg: 2e8),
+                     {"R": (64, 256)}, _certificates_peak_bytes),
     "examples-suite": (_run_examples_suite,
                        "every example family as one exponent fit", {},
                        lambda cfg: 4e8),

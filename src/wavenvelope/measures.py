@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .torus import GridSpec
+from .torus import GridSpec, block_rows, cell_blocks
 from .geometry import Cap, locate_scale_tubes, theta_scale
 
 GRID_FLOOR_EXP = 40  # pointwise floors cut at R^-40
@@ -409,6 +409,17 @@ def _dyadic_radii(r_min: float, r_max: float) -> np.ndarray:
     return 2.0 ** np.arange(lo, hi + 1)
 
 
+# traced peak bytes per (center, position) cell of a masses table block:
+# the offsets, their squares or moduli, the distances and a mask
+MASS_CELL_BYTES = 48
+
+
+def masses_at_bytes(n_centers: int, n_positions: int) -> int:
+    """Peak bytes of ball_masses_at or parbox_masses_at: one block of
+    their (center, position) cells."""
+    return MASS_CELL_BYTES * block_rows(n_centers, n_positions) * n_positions
+
+
 def ball_masses_at(centers: np.ndarray, positions: np.ndarray,
                    masses: np.ndarray, radii: np.ndarray,
                    L: float | None) -> np.ndarray:
@@ -417,15 +428,14 @@ def ball_masses_at(centers: np.ndarray, positions: np.ndarray,
     Closed balls; torus metric when L is given, plain Euclidean otherwise.
     """
     out = np.empty((len(centers), len(radii)))
-    block = max(1, int(4e6) // max(len(positions), 1))
-    for i in range(0, len(centers), block):
-        dd = positions[None, :, :] - centers[i:i + block, None, :]
+    for b in cell_blocks(len(centers), len(positions)):
+        dd = positions[None, :, :] - centers[b, None, :]
         if L is not None:
             dd = (dd + 0.5 * L) % L - 0.5 * L
         dist2 = np.sum(dd * dd, axis=2)
         for r, rho in enumerate(radii):
             r2 = (rho * (1 + 1e-12)) ** 2
-            out[i:i + block, r] = (dist2 <= r2) @ masses
+            out[b, r] = (dist2 <= r2) @ masses
     return out
 
 
@@ -434,15 +444,14 @@ def parbox_masses_at(centers: np.ndarray, positions: np.ndarray,
                      L: float | None) -> np.ndarray:
     """mu of parabolic boxes |y - z1| <= rho, |s - z2| <= rho^2."""
     out = np.empty((len(centers), len(radii)))
-    block = max(1, int(4e6) // max(len(positions), 1))
-    for i in range(0, len(centers), block):
-        dd = positions[None, :, :] - centers[i:i + block, None, :]
+    for b in cell_blocks(len(centers), len(positions)):
+        dd = positions[None, :, :] - centers[b, None, :]
         if L is not None:
             dd = (dd + 0.5 * L) % L - 0.5 * L
         ax, at = np.abs(dd[:, :, 0]), np.abs(dd[:, :, 1])
         for r, rho in enumerate(radii):
             inside = (ax <= rho * (1 + 1e-12)) & (at <= rho * rho * (1 + 1e-12))
-            out[i:i + block, r] = inside @ masses
+            out[b, r] = inside @ masses
     return out
 
 

@@ -184,13 +184,34 @@ def random_band_field(spec: GridSpec, seed, density: float = 1.0) -> TorusField:
     return synthesize(modes, np.exp(1j * phases), spec)
 
 
-# (point, mode) entries of one block of the scattered trig_sum path.  Peak
-# bytes per table entry: a scattered entry holds its real phase, that phase
-# times i and its exponential; a grid entry the exponential, then its copy
-# scaled by the amplitudes.
-TRIG_BLOCK = 2 ** 20
+# Cells of one block of every blocked evaluator: trig_sum's (point, mode)
+# entries at scattered points and its (x1, mode) exponentials on grid axes,
+# propagate's time slices and the certificates' masses tables.  Peak bytes
+# per exponential table entry: its real phase, that phase times i and its
+# exponential.
+CELL_BUDGET = 2 ** 18
 TRIG_ENTRY_BYTES = 40
-TRIG_GRID_ENTRY_BYTES = 32
+
+
+def cell_blocks(n_rows: int, row_cells: int) -> list:
+    """Slices of consecutive rows, about CELL_BUDGET cells of row_cells each.
+
+    A matrix product rounds an output row by where it falls in BLAS's row
+    tiles, and numpy takes a one-row product as a vector product.  So every
+    block but the last is a whole multiple of 64 rows, which keeps each
+    row in the tile it has in one unblocked product, and a lone last row
+    joins the block before it."""
+    step = max(1, CELL_BUDGET // max(1, row_cells) // 64) * 64
+    edges = [*range(0, n_rows, step), n_rows]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+
+def block_rows(n_rows: int, row_cells: int) -> int:
+    """Rows of the largest block of cell_blocks(n_rows, row_cells)."""
+    return max((b.stop - b.start for b in cell_blocks(n_rows, row_cells)),
+               default=0)
 
 
 def trig_sum(freqs, amps, points=None, axes=None) -> np.ndarray:
@@ -199,19 +220,23 @@ def trig_sum(freqs, amps, points=None, axes=None) -> np.ndarray:
     freqs is (n, 2) real, amps (n,) complex.  Give exactly one of
 
       points  (m, 2) scattered points; returns (m,).  A direct sum in
-              blocks of TRIG_BLOCK (point, mode) entries: one complex
+              blocks of CELL_BUDGET (point, mode) entries: one complex
               exponential per entry.
       axes    (x1, x2), the tensor grid x1 x x2; returns (n1, n2).  The
               exponential factors into e^{i xi^1 x_1} e^{i xi^2 x_2}, so
               each mode takes n1 + n2 exponentials, contracted as
-              (E1 a) E2^T.  amps may also be (r, n), r coefficient
-              vectors over the same modes; the result is then
-              (r, n1, n2) from one pair of exponential tables.
+              (E1 a) E2^T.  E2^T is built once and E1 for one block of
+              CELL_BUDGET (x1, mode) entries at a time.  amps may also be
+              (r, n), r coefficient vectors over the same modes; the
+              result is then (r, n1, n2) from the same tables.
 
     Either way each output entry is one product reduced over the modes,
     and BLAS splits such products across threads by output entries, never
     along the modes, so the bits do not depend on the thread count (a CLI
-    test compares reports under 1 and 2 OpenBLAS threads).
+    test compares reports under 1 and 2 OpenBLAS threads).  Nor do they
+    depend on the budget on grid axes (cell_blocks); at scattered points
+    the phases pts @ freqs^T can round their last rows by the block for
+    some mode counts.
     """
     freqs = np.asarray(freqs, dtype=float).reshape(-1, 2)
     amps = np.asarray(amps, dtype=np.complex128)
@@ -221,19 +246,21 @@ def trig_sum(freqs, amps, points=None, axes=None) -> np.ndarray:
         raise ValueError("freqs must be (n, 2) with matching amps")
     if axes is not None:
         x1, x2 = (np.asarray(x, dtype=float).ravel() for x in axes)
-        E1 = np.exp(1j * np.multiply.outer(x1, freqs[:, 0]))
         E2T = np.exp(1j * np.multiply.outer(freqs[:, 1], x2))
-        if amps.ndim == 1:
-            return (E1 * amps) @ E2T
-        return np.stack([(E1 * a) @ E2T for a in amps])
+        coeffs = amps.reshape(-1, len(freqs))
+        out = np.empty((len(coeffs), len(x1), len(x2)), dtype=np.complex128)
+        for b in cell_blocks(len(x1), len(freqs)):
+            E1 = np.exp(1j * np.multiply.outer(x1[b], freqs[:, 0]))
+            for o, a in zip(out, coeffs):
+                o[b] = (E1 * a) @ E2T
+        return out.reshape(amps.shape[:-1] + out.shape[1:])
     if amps.ndim != 1:
         raise ValueError("scattered points take one amplitude vector")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     out = np.empty(len(pts), dtype=np.complex128)
     fT = freqs.T
-    block = max(1, TRIG_BLOCK // max(1, len(amps)))
-    for i in range(0, len(pts), block):
-        out[i:i + block] = np.exp(1j * (pts[i:i + block] @ fT)) @ amps
+    for b in cell_blocks(len(pts), len(amps)):
+        out[b] = np.exp(1j * (pts[b] @ fT)) @ amps
     return out
 
 
@@ -241,12 +268,12 @@ def trig_sum_bytes(n_modes: int, n_points: int = 0, axes=None,
                    rows: int = 1) -> int:
     """Peak bytes of one trig_sum call over n_modes: at n_points scattered
     points, or on a grid of axis lengths axes = (n1, n2) with rows
-    amplitude vectors (the outputs are listed, then stacked)."""
+    amplitude vectors (one x1 block of E1, E2^T and the outputs)."""
     if axes is not None:
         n1, n2 = axes
-        return TRIG_GRID_ENTRY_BYTES * (n1 + n2) * n_modes \
-            + 32 * rows * n1 * n2
-    return TRIG_ENTRY_BYTES * min(n_points * n_modes, TRIG_BLOCK) \
+        return TRIG_ENTRY_BYTES * (block_rows(n1, n_modes) + n2) * n_modes \
+            + 16 * rows * n1 * n2
+    return TRIG_ENTRY_BYTES * block_rows(n_points, n_modes) * n_modes \
         + 16 * n_points
 
 

@@ -425,6 +425,29 @@ def pointwise_lattice_ratio(R: float, p: float, kappa: float = 1.0 / 3.0,
     return lhs / float(np.sum(np.sqrt(sq2) ** p) * dA) ** (1.0 / p)
 
 
+def nikodym_max_loop(g, R: int, dx: float) -> np.ndarray:
+    """The values of schrodinger.nikodym_max one slope at a time, each
+    slope's tube sums added row by row off the prefix sums."""
+    g = np.abs(np.asarray(g, dtype=float))
+    n_t, n_x = g.shape
+    hw = max(1, int(round((1.0 / R) / dx)))
+    t = (2.0 * (np.arange(n_t) + 0.5) / n_t) - 1.0
+    margin = int(math.ceil(2.0 / dx)) + hw + 1
+    n_y = n_x - 2 * margin
+    P = np.zeros((n_t, n_x + 1))
+    np.cumsum(g, axis=1, out=P[:, 1:])
+    best = np.zeros(n_y)
+    for w in np.arange(-R, R + 1) / R:
+        shifts = np.rint(-2.0 * t * w / dx).astype(np.int64)
+        acc = np.zeros(n_y)
+        for i in range(n_t):
+            base = margin + shifts[i]
+            acc += P[i, base + hw + 1: base + hw + 1 + n_y]
+            acc -= P[i, base - hw: base - hw + n_y]
+        np.maximum(best, acc, out=best)
+    return best / float(n_t * (2 * hw + 1))
+
+
 def concatenated_square_sum(pieces):
     """(offsets, coefficients) of torus.square_sum, from per-piece offset and
     product lists concatenated whole, keys built from full-length

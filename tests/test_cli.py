@@ -468,6 +468,8 @@ def test_kappa_scan_preflight_within_factor_two(family, R, params):
     dict(experiment="schrodinger-fls", family="chirp"),
     dict(experiment="schrodinger-fls", family="packet"),
     dict(experiment="schrodinger-fls", family="nikodym"),
+    dict(experiment="schrodinger-fls", family="lattice"),
+    dict(experiment="certificates"),
 ])
 def test_pointwise_preflight_within_factor_two(params):
     cfg = resolve(ExperimentConfig(**params))
@@ -551,6 +553,7 @@ def test_cli_import_loads_no_scipy():
     ["bilinear", "--R", "16"],
     ["envelope-verify", "--R", "256", "--family", "random:constant",
      "--p", "2,4"],
+    ["certificates", "--R", "64"],
 ])
 def test_report_bytes_independent_of_blas_threads(tmp_path, argv):
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")

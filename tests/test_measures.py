@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wavenvelope import torus
 from wavenvelope.torus import GridSpec
 from wavenvelope.geometry import Cap, locate_grid_tubes, theta_scale
 from wavenvelope import measures as ms
@@ -259,6 +260,21 @@ def test_witness_reproduces_value():
         assert at_witness == pytest.approx(cert.value, rel=1e-9)
         d = cert.to_dict()
         assert d["mode"] == mode and "witness" in d
+
+
+def test_masses_tables_bits_do_not_depend_on_budget(monkeypatch):
+    rng = np.random.default_rng(4)
+    pos = rng.uniform(0.0, SPEC.L, size=(300, 2))
+    mass = rng.uniform(0.1, 1.0, size=300)
+    radii = 2.0 ** np.arange(-1, 5)
+    cases = [(masses_at, L) for masses_at in (ms.ball_masses_at,
+                                             ms.parbox_masses_at)
+             for L in (None, SPEC.L)]
+    want = [f(pos[:200], pos, mass, radii, L) for f, L in cases]
+    # 200 centers take four blocks: 64, 64, 64 and 8
+    monkeypatch.setattr(torus, "CELL_BUDGET", 3)
+    for (f, L), ref in zip(cases, want):
+        assert np.array_equal(f(pos[:200], pos, mass, radii, L), ref)
 
 
 def test_parabolic_mode_sees_anisotropy():

@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavenvelope.measures import lattice_sites
+from wavenvelope import torus
 from wavenvelope.torus import trig_sum
 from wavenvelope import schrodinger as sch
 
-from oracles import direct_trig_sum, grid_points, pointwise_lattice_ratio
+from oracles import (direct_trig_sum, grid_points, nikodym_max_loop,
+                     pointwise_lattice_ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +146,16 @@ def test_maximal_average_contraction_and_monotone(seed):
     assert np.all(b >= a - 1e-12)
     _, c = sch.nikodym_max(3.0 * g, R, 1.0 / R)
     assert np.max(np.abs(c - 3.0 * a)) < 1e-9
+
+
+@pytest.mark.parametrize("R", [64, 256])
+def test_nikodym_max_blocks_match_slope_loop(monkeypatch, R):
+    x, t = sch.nikodym_grid(R)
+    g = np.random.default_rng(R).standard_normal((len(t), len(x)))
+    want = nikodym_max_loop(g, R, 1.0 / R)
+    for slopes in (sch.NIKODYM_SLOPES, 3):
+        monkeypatch.setattr(sch, "NIKODYM_SLOPES", slopes)
+        assert np.array_equal(sch.nikodym_max(g, R, 1.0 / R)[1], want)
 
 
 def test_coarse_grid_rejected_with_resolution():
@@ -310,8 +322,8 @@ def test_packet_family_slope_and_band():
     assert fit.prediction == pytest.approx(3.0 / 16.0)
     assert abs(fit.slope - fit.prediction) < 0.1
     # sqrt(R) |U g| stays within a factor 2 over the traveling slab
-    prop, mask = sch._packet_slab(256, 0.5, 65)
-    vals = math.sqrt(256) * np.abs(prop.samples[mask])
+    slab, _ = sch._packet_slab(256, 0.5, 65)
+    vals = math.sqrt(256) * slab
     lo, hi = float(np.min(vals)), float(np.max(vals))
     assert 0.0 < lo <= hi
     assert hi / lo < 2.0
@@ -394,6 +406,27 @@ def test_trig_sum_amplitude_rows_and_points():
         trig_sum(freqs, amps[0], pts, axes=(x1, x2))
     with pytest.raises(ValueError, match="one amplitude"):
         trig_sum(freqs, amps, pts)
+
+
+def test_blocked_evaluators_bits_do_not_depend_on_budget(monkeypatch):
+    rng = np.random.default_rng(5)
+    freqs = rng.uniform(-1.0, 1.0, size=(40, 2))
+    amps = rng.standard_normal((3, 40)) + 1j * rng.standard_normal((3, 40))
+    axes = (rng.uniform(-50, 50, size=200), rng.uniform(-50, 50, size=9))
+
+    def run():
+        return [trig_sum(freqs, amps[0], axes=axes),
+                trig_sum(freqs, amps, axes=axes),
+                sch.lattice_ratio(32768.0, (3.0, 4.0)),
+                sch.packet_ratio(1024, (3.0, 4.0), 1.5)]
+
+    want = run()
+    monkeypatch.setattr(torus, "CELL_BUDGET", 3)
+    # 200 x1 rows, 147 lattice sites and 129 packet time rows each take
+    # several blocks, and the packet's lone last row joins the one before
+    assert torus.cell_blocks(129, 2048) == [slice(0, 64), slice(64, 129)]
+    for got, ref in zip(run(), want):
+        assert np.array_equal(got, ref)
 
 
 @pytest.mark.parametrize("R", [4096, 32768, 262144])

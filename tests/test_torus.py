@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wavenvelope import torus
 from wavenvelope.torus import (
-    GridSpec, l2sq_coeff, lp_norm, parabola_band_modes, point_eval,
-    power_integral, random_band_field, square_sum, synthesize,
+    GridSpec, block_rows, cell_blocks, l2sq_coeff, lp_norm,
+    parabola_band_modes, point_eval, power_integral, random_band_field,
+    square_sum, synthesize,
 )
 from wavenvelope.cli import make_field
 from wavenvelope.envelope import cap_decompose
@@ -61,6 +63,22 @@ def test_parabola_band_count_oracle():
             if abs(x1) <= 1 + 1e-9 and abs(x2 - x1 * x1) <= 1 / SPEC4.R + 1e-9:
                 count += 1
     assert len(parabola_band_modes(SPEC4)) == count
+
+
+def test_cell_blocks_cover_rows_in_whole_tiles(monkeypatch):
+    for budget in (3, 64 * 7, 2 ** 18):
+        monkeypatch.setattr(torus, "CELL_BUDGET", budget)
+        for n_rows in (0, 1, 2, 63, 64, 65, 129, 1000):
+            for row_cells in (1, 7, 300):
+                blocks = cell_blocks(n_rows, row_cells)
+                sizes = [b.stop - b.start for b in blocks]
+                assert [i for b in blocks for i in range(b.start, b.stop)] \
+                    == list(range(n_rows))
+                assert all(n % 64 == 0 for n in sizes[:-1])
+                assert n_rows == 1 or 1 not in sizes
+                step = max(64, budget // row_cells // 64 * 64)
+                assert max(sizes, default=0) <= step + 1
+                assert block_rows(n_rows, row_cells) == max(sizes, default=0)
 
 
 def test_synthesize_rejections():
