@@ -362,11 +362,14 @@ class PreflightError(RuntimeError):
 
 
 def _verify_peak_bytes(cfg: "ExperimentConfig") -> float:
-    """At the largest R, the largest of the envelope integrals' theta-piece
-    autocorrelation (power_integral_bytes at p = 4), ||S||_p on the 2R
-    grid and the lhs (the atomic trig sum, or the constant weight's
-    power_integral on the M grid), plus 8 bytes for each of the 16/s
-    envelopes of every cap, held until the envelope sum."""
+    """At the largest R, the larger of the lhs (the atomic trig sum, or the
+    constant weight's power_integral on the M grid) and the envelope side:
+    the theta pieces' pair table (24 bytes a pair, held for the call) plus
+    the largest of its groupings (power_integral_bytes: by (tau, offset)
+    per scale as at p = 4, and ||S||_p on the 2R grid) and the theta
+    scale's pass, at 40 bytes an entry: its z_1 factor table, N1U = 4 R^1/2
+    rows over the thetas' offsets D1, and its stacked weighting, (N1U + 4)
+    (N2U + 4) padded cells a theta."""
     ffam, wfam, params, p_default = _pair_family(cfg.family)
     p_values = cfg.p or (p_default,)
     R = max(cfg.R)
@@ -374,14 +377,14 @@ def _verify_peak_bytes(cfg: "ExperimentConfig") -> float:
     field = make_field(ffam, spec, cfg.seed)
     pieces = cap_decompose(field, theta_scale(R)).values()
     est = [power_integral_bytes(pieces, p, 2 * R) for p in (4.0, *p_values)]
-    if wfam != "constant":
-        atoms = candidate_atoms(wfam, spec, **params)
-        est.append(trig_sum_bytes(field.n_modes, n_points=int(atoms)))
-    else:
-        est += [power_integral_bytes([field], p, spec.M) for p in p_values]
-    cells = sum(16 * round(1 / s) * (2 * round(1 / s) + 1)
-                for s in dyadic_scales(R))
-    return 8 * cells + max(est)
+    n1 = 4 * math.isqrt(R)
+    d1 = max((int(np.ptp(pc.freqs[:, 0])) for pc in pieces if pc.n_modes),
+             default=0)
+    est.append(40 * (n1 * (2 * d1 + 1) + (n1 + 4) * 8 * len(pieces)))
+    lhs = [power_integral_bytes([field], p, spec.M) for p in p_values] \
+        if wfam == "constant" else [trig_sum_bytes(field.n_modes, n_points=int(
+            candidate_atoms(wfam, spec, **params)))]
+    return max(24 * sum(pc.n_modes ** 2 for pc in pieces) + max(est), *lhs)
 
 
 # kappa-scan: traced allocation peaks run about 120 bytes per candidate

@@ -13,11 +13,11 @@ come from the integer location path, which locates a weight's atoms once
 per scale (envelope_stats).  The envelope integrals of the
 square functions are exact too: |f_theta|^2 has its Fourier support in
 theta - theta, so S_tau^2 = sum_{theta in tau} |f_theta|^2 is a small
-trigonometric polynomial, and its integral over an envelope has a closed
-form (envelope_cell_integrals).  ||S||_p is exact at p in {2, 4}, an
-identity in the coefficients of S^2 (torus.power_integral); other p take
-the one quadrature left, on the m = 2R grid, whose inverse FFT of those
-coefficients runs one axis at a time and never holds the grid whole.
+trigonometric polynomial, and its integrals over the envelopes of all
+caps of a scale have one closed form (scale_cell_integrals).  ||S||_p is
+exact at p in {2, 4}, an identity in the coefficients of S^2; other p
+take the one quadrature left, on the m = 2R grid, whose inverse FFT of
+those coefficients runs one axis at a time and never holds the grid.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .torus import TWO_PI, TorusField, lp_norm, power_integral, square_sum
+from .torus import (TWO_PI, TorusField, lp_norm, offset_sums, pair_products,
+                    power_integral, square_power_integral)
 # locate_grid_tubes is not called here; the benchmark's self-test
 # (perfbench/test_harness.py) reads it as envelope.locate_grid_tubes
 from .geometry import (
@@ -288,64 +289,82 @@ def kappa_max(H: GridMeasure, p: float):
 # ---------------------------------------------------------------------------
 # the envelope weight w_U and the theorem evaluation
 
-def envelope_cell_integrals(pieces, cap: Cap, spec) -> np.ndarray:
-    """integral of P = sum over pieces of |f_piece|^2 over every envelope
-    of cap, exactly, as an (N1U, N2U) array.
+def scale_cell_integrals(thetas: dict, pairs, s: float, spec):
+    """integral of S_tau^2 over every envelope of every cap tau at scale s
+    that holds theta pieces, exactly: (cap indices k, (caps, N1U, N2U)).
 
-    P = sum_D c_D e^{i xi_D . x} with xi_D = (2pi/L) D (square_sum).  In
-    tube coordinates y = L_tau^{-1} x the envelope with index z is the
-    box of side E = R s^2 centred at E z + o, o = -1/2 for even E and 0
-    for E = 1 (the shifted rounding of envelope_index_of_tube), so
+    pairs, the thetas' pair_products, are grouped by (tau, D): tau's
+    thetas are consecutive, so each c_D adds its products theta ascending.
+    S_tau^2 = sum_D c_D e^{i xi_D . x}, xi_D = (2pi/L) D, and in tube
+    coordinates y = L_tau^{-1} x envelope z is the box of side E = R s^2
+    centred at E z + o, o = -1/2 for even E and 0 for E = 1, so
 
         int_U e^{i xi.x} dx = |U| prod_j e^{i eta_j (E z_j + o)}
                               sinc(eta_j E / 2),   eta = L_tau^T xi,
 
-    i.e. eta_1 = xi_1 / s and eta_2 = (xi_2 - 2 c xi_1) / s^2.  A wrapped
-    envelope is the image of one plane envelope, so its torus integral is
-    this plane integral.  Every cell is one contraction of the two
-    per-axis factors against the coefficients.
+    eta_1 = xi_1 / s, eta_2 = (xi_2 - 2 c xi_1) / s^2 (a wrapped envelope
+    is the image of one plane envelope).  The z_1 factors depend on D1
+    alone, one table for the scale; the z_2 factors are N2U = 4 rows over
+    the scale's offsets.  Each cap's cells contract its own columns of
+    both, summed over D as for the cap alone.
     """
-    P = square_sum(pieces, spec)
-    N1U, N2U, _ = envelope_lattice_dims(cap, spec)
-    E = envelope_factor(cap, spec)
+    key, c, W = pairs
+    inv = round(1.0 / s)
+    tau = cap_index_for_abscissa(
+        np.array(list(thetas), dtype=np.int64) * theta_scale(spec.R), s)
+    g, delta, coef = offset_sums(
+        np.repeat((tau + inv) * W * W,
+                  [pc.n_modes ** 2 for pc in thetas.values()]) + key, c, W)
+    N1U, N2U, _ = envelope_lattice_dims(Cap(s, 0), spec)
+    E = envelope_factor(Cap(s, 0), spec)
     o = 0.0 if E == 1 else -0.5
-    xi = spec.freq_step * P.freqs
-    eta1 = xi[:, 0] / cap.s
-    eta2 = (xi[:, 1] - 2.0 * cap.c * xi[:, 0]) / (cap.s * cap.s)
+    xi = spec.freq_step * delta
+    eta2 = (xi[:, 1] - 2.0 * ((g - inv) * s) * xi[:, 0]) / (s * s)
 
     def axis(eta, n):
         y = E * np.arange(n, dtype=float) + o
         return np.exp(1j * np.outer(y, eta)) * np.sinc(eta * (E / TWO_PI))
 
-    C = np.einsum("ad,bd->ab", axis(eta1, N1U) * P.amps, axis(eta2, N2U))
+    B = int(np.abs(delta[:, 0]).max(initial=0))
+    axis1 = axis(spec.freq_step * np.arange(-B, B + 1) / s, N1U)
+    caps, starts = np.unique(g, return_index=True)
+    bounds = [*starts.tolist(), len(g)]
+    A2 = axis(eta2, N2U)
+    C = np.empty((len(caps), N1U, N2U), dtype=np.complex128)
+    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        A1 = axis1[:, delta[lo:hi, 0] + B]
+        A1 *= coef[lo:hi]
+        C[i] = np.einsum("ad,bd->ab", A1, A2[:, lo:hi])
     # P >= 0, so its integrals are; clip the roundoff below zero
-    return envelope_area(spec.R, cap.s) * np.maximum(C.real, 0.0)
+    return caps - inv, envelope_area(spec.R, s) * np.maximum(C.real, 0.0)
 
 
-def weighted_cell_integrals(C: np.ndarray, shear: int) -> np.ndarray:
-    """integral of S^2 w_U for every envelope U, from per-cell integrals C.
+def weighted_cell_integrals(C: np.ndarray, shear) -> np.ndarray:
+    """integral of S^2 w_U for every envelope U of a stack of caps, from
+    per-cell integrals C, (caps, N1U, N2U), and each cap's shear.
 
     w_U is cell-constant: (1 + |d|_inf)^-10 on the 5x5 block of envelope
     neighbors (periodized by the wrap), plus the exact lattice tail mass
-    spread uniformly (far cells at their average).
+    spread uniformly (far cells at their cap's average).
 
     The z2 axis wraps with a shear in z1 (the lattice is a sheared torus),
     so a straight np.roll is wrong across the z2 seam.  One padded copy
     holds C[z + d] for every z and |d|_inf <= W_BLOCK, wrapped that way,
-    and each neighbor d is a view into it.
+    and each neighbor d is a view into it, added for all caps at once.
     """
-    N1U, N2U = C.shape
+    n, N1U, N2U = C.shape
     b = W_BLOCK
     t1 = np.arange(-b, N1U + b)[:, None]
     t2 = np.arange(-b, N2U + b)[None, :]
     m = t2 // N2U
-    padded = C[(t1 + m * shear) % N1U, t2 - m * N2U]
+    rows = (t1 + m * np.array(shear, np.int64)[:, None, None]) % N1U
+    padded = C[np.arange(n)[:, None, None], rows, t2 - m * N2U]
     out = np.zeros_like(C)
     for d1 in range(-b, b + 1):
         for d2 in range(-b, b + 1):
             w = (1.0 + max(abs(d1), abs(d2))) ** -W_EXPONENT
-            out += w * padded[b + d1:b + d1 + N1U, b + d2:b + d2 + N2U]
-    return out + W_TAIL * C.mean()
+            out += w * padded[:, b + d1:b + d1 + N1U, b + d2:b + d2 + N2U]
+    return out + W_TAIL * C.reshape(n, N1U * N2U).mean(axis=1)[:, None, None]
 
 
 @dataclass
@@ -412,36 +431,26 @@ def verify_weighted_sq(field: TorusField, H: GridMeasure,
               kappa(U)^p |U|^(1-p/2) (int S_tau^2 w_U)^(p/2)
 
     The envelope integrals int_U S_tau^2 are exact: S_tau^2 is a trig
-    polynomial whose coefficients come from the theta pieces, and each
-    cell integral has a closed form (envelope_cell_integrals).
-    ||S_theta||_p is exact at p in {2, 4} (power_integral); other p take
-    the grid m = 2R, which clears twice the offsets of every |f_theta|^2
-    (O(R^1/2)).
+    polynomial whose coefficients come from the theta pieces' pair
+    products, formed once, and each scale takes the cells of all its caps
+    (scale_cell_integrals) and weights them in one pass.  ||S_theta||_p
+    is exact at p in {2, 4}; other p take the grid m = 2R, which clears
+    twice the offsets of every |f_theta|^2 (O(R^1/2)).
     """
     spec = field.spec
     R = spec.R
     m = 2 * R
     floor = float(R) ** -GRID_FLOOR_EXP
     scales = dyadic_scales(R)
-    s_theta = theta_scale(R)
 
     lhs = lp_norm(field, p, measure=H)
     zero_field = not np.any(np.abs(field.amps) > 0)
 
-    constant = H.is_full_constant
-
-    thetas = cap_decompose(field, s_theta)
-    cell = {}
-    for s in scales:
-        by_tau = {}
-        for k_theta, piece in thetas.items():
-            k_tau = int(cap_index_for_abscissa(k_theta * s_theta, s))
-            by_tau.setdefault(k_tau, []).append(piece)
-        for k_tau, pieces in by_tau.items():
-            cell[(s, k_tau)] = envelope_cell_integrals(pieces, Cap(s, k_tau),
-                                                       spec)
-
-    sq_norm = power_integral(thetas.values(), spec, p, m) ** (1.0 / p)
+    thetas = cap_decompose(field, theta_scale(R))
+    pairs = pair_products(thetas.values())
+    sq_norm = (power_integral(thetas.values(), spec, p, m) if p == 2.0 else
+               square_power_integral(TorusField(
+                   spec, *offset_sums(*pairs)[1:]), p, m)) ** (1.0 / p)
     kmax, kwitness = kappa_max(H, p)
     sq_rhs = (kmax + floor) * sq_norm
 
@@ -449,15 +458,14 @@ def verify_weighted_sq(field: TorusField, H: GridMeasure,
     env_by_scale = {s: 0.0 for s in scales}
     terms = []
     for s in scales:
-        U_area = envelope_area(R, s)
-        geom = U_area ** (1.0 - 0.5 * p)
-        for cap in caps_at_scale(s):
-            key = (s, cap.k)
-            if key not in cell:
-                continue
-            N1U, N2U, shearU = envelope_lattice_dims(cap, spec)
-            wint = weighted_cell_integrals(cell[key], shearU).ravel()
-            if constant:
+        ks, C = scale_cell_integrals(thetas, pairs, s, spec)
+        caps = [Cap(s, int(k)) for k in ks]
+        shears = [envelope_lattice_dims(cap, spec)[2] for cap in caps]
+        N1U, N2U = C.shape[1:]
+        wints = weighted_cell_integrals(C, shears).reshape(-1, N1U * N2U)
+        geom = envelope_area(R, s) ** (1.0 - 0.5 * p)
+        for cap, wint in zip(caps, wints):
+            if H.is_full_constant:
                 if kmax == 0.0:
                     continue
                 contrib = kmax ** p * geom * np.sum(wint ** (0.5 * p))
@@ -473,10 +481,9 @@ def verify_weighted_sq(field: TorusField, H: GridMeasure,
             tvals = kvals ** p * geom * wint[ekeys] ** (0.5 * p)
             env_rhs += float(tvals.sum())
             env_by_scale[s] += float(tvals.sum())
-            for i in range(len(ekeys)):
-                terms.append((s, cap.cap_id, int(ekeys[i] // N2U),
-                              int(ekeys[i] % N2U), float(kvals[i]),
-                              float(tvals[i])))
+            terms += zip([s] * len(ekeys), [cap.cap_id] * len(ekeys),
+                         (ekeys // N2U).tolist(), (ekeys % N2U).tolist(),
+                         kvals.tolist(), tvals.tolist())
 
     ratio_sq = lhs / sq_rhs if sq_rhs > 0 else 0.0
     ratio_env = lhs ** p / env_rhs if env_rhs > 0 else 0.0

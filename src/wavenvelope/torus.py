@@ -298,21 +298,12 @@ def l2sq_coeff(field: TorusField) -> float:
     return field.spec.L ** 2 * float(np.sum(a.real * a.real + a.imag * a.imag))
 
 
-def square_sum(pieces, spec) -> TorusField:
-    """sum over pieces of |f_piece|^2, as a trigonometric polynomial.
-
-    |f|^2 = sum_{n, n'} a_n conj(a_n') e^{i (2pi/L)(n - n').x}, so its
-    coefficient at the lattice offset D is the autocorrelation sum over
-    n - n' = D.  A cap piece has its offsets in the small box theta -
-    theta, whatever its position on the parabola.  Returns the field
-    whose modes are the distinct offsets, ascending (they lie off the
-    parabola band, so it is built directly, not through synthesize);
-    pieces add in the order given.
-
-    The products and the offset keys (D1 + B) W + D2 + B, W = 2B + 1 with
-    B the largest |D|, are written piece by piece into two arrays of one
-    entry per (mode, mode) pair, so no per-piece copy outlives its slot.
-    """
+def pair_products(pieces):
+    """(keys, products, W) of the (mode, mode) pairs of the pieces in turn,
+    each piece's row-major.  In |f|^2 = sum_{n, n'} a_n conj(a_n')
+    e^{i (2pi/L)(n - n').x} the pair adds a_n conj(a_n') at D = n - n',
+    keyed (D1 + B) W + D2 + B, W = 2B + 1, B the largest |D|.  Both arrays
+    are written piece by piece, so no per-piece copy outlives its slot."""
     pieces = list(pieces)
     B = max((int(np.ptp(pc.freqs, axis=0).max()) for pc in pieces
              if pc.n_modes), default=0)
@@ -335,12 +326,25 @@ def square_sum(pieces, spec) -> TorusField:
         np.multiply(a[:, None], a.conj()[None, :],
                     out=c[o:end].reshape(len(a), len(a)))
         o = end
+    return key, c, W
+
+
+def offset_sums(key, c, W):
+    """(g, offsets D, coefficients) of each distinct key g W^2 + (a
+    pair_products key), ascending; each adds its products in order."""
     keys, inv = np.unique(key, return_inverse=True)
-    del key  # freed before the bincounts copy out the real and imaginary parts
-    coef = np.bincount(inv, weights=c.real) \
-        + 1j * np.bincount(inv, weights=c.imag)
-    delta = np.stack([keys // W - B, keys % W - B], axis=1)
-    return TorusField(spec, delta, coef)
+    coef = np.empty(len(keys), np.complex128)
+    coef.real = np.bincount(inv, weights=c.real)
+    coef.imag = np.bincount(inv, weights=c.imag)
+    del inv  # freed before the decode: the caller still holds key
+    g, d = np.divmod(keys, W * W)
+    return g, np.stack(np.divmod(d, W), axis=1) - W // 2, coef
+
+
+def square_sum(pieces, spec) -> TorusField:
+    """sum over pieces of |f_piece|^2; its modes, the offsets, lie off the
+    band, so it is built directly."""
+    return TorusField(spec, *offset_sums(*pair_products(pieces))[1:])
 
 
 # Cells of each block of power_integral's grid pass.  Peak bytes per (mode,
@@ -353,19 +357,25 @@ SQUARE_PAIR_BYTES = 70
 def power_integral(pieces, spec, p: float, m: int) -> float:
     """integral over the torus of (sum over pieces of |f_piece|^2)^(p/2).
 
-    p = 2 is Parseval on each piece; p = 4 is Parseval on the sum of
-    squares P (square_sum): int P^2 = L^2 sum_D |c_D|^2, O(modes^2) work
-    and memory per piece.  Other p sum P^(p/2) on the m x m grid of
-    spacing L/m by ifft2's two passes, never holding the grid: along axis
-    1 over the rows P's offsets occupy (D1 mod m), in row chunks, then
-    along axis 0 per block of columns, clipped at 0 (P >= 0 up to
-    roundoff).  Both take at most GRID_BLOCK cells at a time; one block
-    (m <= 2048) sums to the bits of P.samples_on(m)."""
+    p = 2 is Parseval on each piece; other p integrate the sum of squares
+    P (square_sum) by square_power_integral."""
     if p == 2.0:
         return sum(l2sq_coeff(pc) for pc in pieces)
-    P = square_sum(pieces, spec)
+    return square_power_integral(square_sum(pieces, spec), p, m)
+
+
+def square_power_integral(P: TorusField, p: float, m: int) -> float:
+    """integral over the torus of P^(p/2), P a sum of squared moduli.
+
+    p = 4 is Parseval: int P^2 = L^2 sum_D |c_D|^2.  Other p sum P^(p/2)
+    on the m x m grid of spacing L/m by ifft2's two passes, never holding
+    the grid: along axis 1 over the rows P's offsets occupy (D1 mod m), in
+    row chunks, then along axis 0 per block of columns, clipped at 0 (P >=
+    0 up to roundoff).  Both take at most GRID_BLOCK cells at a time; one
+    block (m <= 2048) sums to the bits of P.samples_on(m)."""
     if p == 4.0:
         return l2sq_coeff(P)
+    L = P.spec.L
     _check_alias_free(P.freqs, m)
     rows, r = np.unique(P.freqs[:, 0] % m, return_inverse=True)
     A = np.zeros((len(rows), m), dtype=np.complex128)
@@ -380,7 +390,7 @@ def power_integral(pieces, spec, p: float, m: int) -> float:
         block[rows] = A[:, j:j + step]
         block = np.fft.ifft(block, axis=0)
         acc += float(np.sum(np.maximum(block.real * (m * m), 0.0) ** (p / 2)))
-    return (spec.L / m) ** 2 * acc
+    return (L / m) ** 2 * acc
 
 
 def power_integral_bytes(pieces, p: float, m: int) -> int:

@@ -9,17 +9,17 @@ from wavenvelope.decomp import CertificateError, broad_narrow
 from wavenvelope.cli import make_field
 from wavenvelope.envelope import (W_BLOCK, W_EXPONENT, W_TAIL, _group_sums,
                                   _window_weights, cap_decompose,
-                                  envelope_area, kappa_table,
-                                  weighted_cell_integrals)
-from wavenvelope.geometry import (Cap, cap_index_for_abscissa, dyadic_scales,
+                                  envelope_area, kappa_max, kappa_table)
+from wavenvelope.geometry import (Cap, cap_index_for_abscissa, caps_at_scale,
+                                  dyadic_scales,
                                   envelope_factor, envelope_index_of_tube,
                                   envelope_lattice_dims,
                                   locate_grid_envelopes,
                                   theta_scale, tube_lattice_dims,
                                   wrap_envelope_index)
 from wavenvelope.schrodinger import eta
-from wavenvelope.torus import (GridSpec, random_band_field, square_sum,
-                               synthesize)
+from wavenvelope.torus import (TWO_PI, GridSpec, random_band_field,
+                               square_sum, synthesize)
 
 
 def read_back_coeffs(field) -> np.ndarray:
@@ -280,14 +280,77 @@ def env_shift(C: np.ndarray, d1: int, d2: int, shear: int) -> np.ndarray:
 
 
 def gathered_weighted_cell_integrals(C: np.ndarray, shear: int) -> np.ndarray:
-    """envelope.weighted_cell_integrals with one env_shift gather per
-    neighbor, added in the same (d1, d2) order."""
+    """envelope.weighted_cell_integrals for one cap's (N1U, N2U) cells,
+    with one env_shift gather per neighbor, added in the same (d1, d2)
+    order."""
     out = np.zeros_like(C)
     for d1 in range(-W_BLOCK, W_BLOCK + 1):
         for d2 in range(-W_BLOCK, W_BLOCK + 1):
             w = (1.0 + max(abs(d1), abs(d2))) ** -W_EXPONENT
             out += w * env_shift(C, d1, d2, shear)
     return out + W_TAIL * C.mean()
+
+
+def envelope_cell_integrals(pieces, cap, spec) -> np.ndarray:
+    """integral of sum over pieces of |f_piece|^2 over every envelope of
+    one cap, as (N1U, N2U): the closed form of
+    envelope.scale_cell_integrals, evaluated for one cap from its own
+    square_sum and its own per-axis factors."""
+    P = square_sum(pieces, spec)
+    N1U, N2U, _ = envelope_lattice_dims(cap, spec)
+    E = envelope_factor(cap, spec)
+    o = 0.0 if E == 1 else -0.5
+    xi = spec.freq_step * P.freqs
+    eta1 = xi[:, 0] / cap.s
+    eta2 = (xi[:, 1] - 2.0 * cap.c * xi[:, 0]) / (cap.s * cap.s)
+
+    def axis(eta, n):
+        y = E * np.arange(n, dtype=float) + o
+        return np.exp(1j * np.outer(y, eta)) * np.sinc(eta * (E / TWO_PI))
+
+    C = np.einsum("ad,bd->ab", axis(eta1, N1U) * P.amps, axis(eta2, N2U))
+    return envelope_area(spec.R, cap.s) * np.maximum(C.real, 0.0)
+
+
+def per_cap_envelope_side(field, H, p: float):
+    """The envelope sum of verify_weighted_sq one (s, tau) at a time:
+    ({(s, k): weighted cells}, terms, env_by_scale), each cap's cells from
+    envelope_cell_integrals over its theta pieces."""
+    spec = field.spec
+    R = spec.R
+    s_theta = theta_scale(R)
+    thetas = cap_decompose(field, s_theta)
+    kmax = kappa_max(H, p)[0]
+    wcells, terms = {}, []
+    env_by_scale = {s: 0.0 for s in dyadic_scales(R)}
+    for s in dyadic_scales(R):
+        geom = envelope_area(R, s) ** (1.0 - 0.5 * p)
+        for cap in caps_at_scale(s):
+            pieces = [pc for k, pc in thetas.items()
+                      if int(cap_index_for_abscissa(k * s_theta, s)) == cap.k]
+            if not pieces:
+                continue
+            N1U, N2U, shear = envelope_lattice_dims(cap, spec)
+            wint = gathered_weighted_cell_integrals(
+                envelope_cell_integrals(pieces, cap, spec), shear)
+            wcells[(s, cap.k)] = wint
+            wint = wint.ravel()
+            if H.is_full_constant:
+                if kmax == 0.0:
+                    continue
+                env_by_scale[s] += kmax ** p * geom * np.sum(wint ** (0.5 * p))
+                top = int(np.argmax(wint))
+                terms.append((s, cap.cap_id, top // N2U, top % N2U, kmax,
+                              kmax ** p * geom * wint[top] ** (0.5 * p)))
+                continue
+            ekeys, kvals, _ = kappa_table(H, p, cap)
+            if len(ekeys) == 0:
+                continue
+            tvals = kvals ** p * geom * wint[ekeys] ** (0.5 * p)
+            env_by_scale[s] += float(tvals.sum())
+            terms += [(s, cap.cap_id, int(e // N2U), int(e % N2U), float(kv),
+                       float(t)) for e, kv, t in zip(ekeys, kvals, tvals)]
+    return wcells, terms, env_by_scale
 
 
 def grid_lp(samples: np.ndarray, L: float, p: float) -> float:
@@ -361,7 +424,7 @@ def constant_env_rhs(cells: dict, spec, p: float) -> float:
     total = 0.0
     for (s, k), C in sorted(cells.items()):
         shear = envelope_lattice_dims(Cap(s, k), spec)[2]
-        wint = weighted_cell_integrals(C, shear)
+        wint = gathered_weighted_cell_integrals(C, shear)
         geom = envelope_area(spec.R, s) ** (1.0 - 0.5 * p)
         total += geom * float(np.sum(wint ** (0.5 * p)))
     return total

@@ -418,7 +418,9 @@ def test_preflight_rejects_oversized_run():
 PREFLIGHT_CASES = [(64, "knapp:dual-tube", ()), (64, "knapp:constant", ()),
                    (256, "random:ball", ()), (256, "random:constant", ()),
                    (1024, "knapp:dual-tube", ()),
-                   (256, "random:constant", (3.0,))]
+                   (256, "random:constant", (3.0,)),
+                   (1024, "random:constant", (2.0,)),
+                   (256, "random:lattice", ())]
 
 
 @pytest.mark.parametrize("R,pair,p", PREFLIGHT_CASES, ids=[

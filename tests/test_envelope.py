@@ -7,20 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavenvelope.torus import (GridSpec, TorusField, point_eval,
-                               power_integral, random_band_field, synthesize,
-                               lp_norm)
+from wavenvelope.torus import (GridSpec, TorusField, pair_products,
+                               point_eval, power_integral, random_band_field,
+                               synthesize, lp_norm)
 from wavenvelope.geometry import (Cap, cap_index_for_abscissa, caps_at_scale,
                                   dyadic_scales, envelope_factor,
                                   envelope_lattice_dims, theta_scale)
 from wavenvelope.measures import (ball_weight, constant_weight, custom_weight,
                                   make_weight)
-from wavenvelope.cli import make_field
+from wavenvelope.cli import PAIR_FAMILIES, make_field
 from wavenvelope import envelope as env
+from wavenvelope import torus
 
 from oracles import (branch_cap_decompose, constant_env_rhs, env_shift,
                      gathered_weighted_cell_integrals, kappa,
-                     per_cap_envelope_stats, pinned_fields, reconstruction,
+                     per_cap_envelope_side, per_cap_envelope_stats,
+                     pinned_fields, reconstruction,
                      sq_norm_from_sq2, square_function, square_sum_samples,
                      subgrid_cell_integrals)
 
@@ -170,9 +172,20 @@ def _tau_pieces(field, cap):
             if int(cap_index_for_abscissa(k * s_theta, cap.s)) == cap.k]
 
 
+def _scale_cells(field, s):
+    """(cap indices, (caps, N1U, N2U) cells, shears) of the per-scale pass
+    at scale s."""
+    thetas = env.cap_decompose(field, theta_scale(field.spec.R))
+    ks, C = env.scale_cell_integrals(thetas, pair_products(thetas.values()),
+                                     s, field.spec)
+    shears = [envelope_lattice_dims(Cap(s, int(k)), field.spec)[2]
+              for k in ks]
+    return ks.tolist(), C, shears
+
+
 def _cells(field, cap):
-    return env.envelope_cell_integrals(_tau_pieces(field, cap), cap,
-                                       field.spec)
+    ks, C, _ = _scale_cells(field, cap.s)
+    return C[ks.index(cap.k)]
 
 
 def test_cell_integrals_add_up_to_l2_mass():
@@ -572,6 +585,16 @@ def test_verify_zero_field_flagged():
     assert rep.ratio_sq == 0.0 and rep.ratio_env == 0.0
 
 
+@pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
+def test_verify_field_without_modes(p):
+    # no theta pieces: every scale has no caps and the sums stay empty
+    f = synthesize(np.empty((0, 2), np.int64), np.empty(0), SPEC64)
+    for H in (constant_weight(SPEC64, 1.0), ball_weight(SPEC64, 4.0)):
+        rep = env.verify_weighted_sq(f, H, p)
+        assert rep.zero_field and rep.terms == []
+        assert rep.env_rhs == 0.0 and rep.sq_norm == 0.0
+
+
 def test_verify_single_packet_ratio_bounded():
     # all modes in one theta cap: S = |f| so the square side is tight
     fr = np.array([[0, 0], [1, 0], [2, 0]])
@@ -598,8 +621,8 @@ def test_report_json_and_csv(tmp_path):
 
 def test_weighted_cell_integrals_mass_conserving_weights():
     # a flat cell field picks up exactly the full window mass everywhere
-    C = np.full((8, 4), 2.0)
-    out = env.weighted_cell_integrals(C, shear=2)
+    C = np.full((3, 8, 4), 2.0)
+    out = env.weighted_cell_integrals(C, shear=[0, 2, 5])
     block = sum((1.0 + max(abs(a), abs(b))) ** -env.W_EXPONENT
                 for a in range(-2, 3) for b in range(-2, 3))
     assert np.allclose(out, 2.0 * (block + env.W_TAIL), rtol=1e-12)
@@ -619,27 +642,84 @@ def test_env_shift_wraps_with_shear():
                                      (5, 5), (8, 4), (16, 6), (7, 13)])
 def test_weighted_cell_integrals_match_gather_oracle(N1U, N2U):
     # the padded-view sum against one gather per neighbor, bit for bit,
-    # including lattices narrower than the 5x5 block and every shear
-    C = np.random.default_rng(N1U * 31 + N2U).random((N1U, N2U))
+    # including lattices narrower than the 5x5 block and every shear, one
+    # cap of the stack per shear
+    C = np.random.default_rng(N1U * 31 + N2U).random((8, N1U, N2U))
+    out = env.weighted_cell_integrals(C, range(8))
     for shear in range(8):
-        assert np.array_equal(env.weighted_cell_integrals(C, shear),
-                              gathered_weighted_cell_integrals(C, shear))
+        assert np.array_equal(out[shear],
+                              gathered_weighted_cell_integrals(C[shear],
+                                                               shear))
 
 
 def test_weighted_cell_integrals_match_gather_oracle_on_caps():
     f = random_band_field(SPEC64, seed=2, density=0.5)
-    thetas = env.cap_decompose(f, theta_scale(64))
     for s in dyadic_scales(64):
-        for cap in caps_at_scale(s):
-            pieces = [pc for k, pc in thetas.items()
-                      if cap_index_for_abscissa(k * theta_scale(64), s)
-                      == cap.k]
-            if not pieces:
-                continue
-            C = env.envelope_cell_integrals(pieces, cap, SPEC64)
-            shear = envelope_lattice_dims(cap, SPEC64)[2]
-            assert np.array_equal(env.weighted_cell_integrals(C, shear),
-                                  gathered_weighted_cell_integrals(C, shear))
+        _, C, shears = _scale_cells(f, s)
+        out = env.weighted_cell_integrals(C, shears)
+        for i, shear in enumerate(shears):
+            assert np.array_equal(out[i],
+                                  gathered_weighted_cell_integrals(C[i],
+                                                                   shear))
+
+
+@pytest.mark.parametrize("R", [16, 64])
+@pytest.mark.parametrize("pair", sorted(PAIR_FAMILIES))
+def test_per_scale_pass_matches_per_cap_oracle(monkeypatch, pair, R):
+    # every cap's weighted cells, every term and every scale's sum of the
+    # per-scale pass equal those of one (s, tau) at a time, bit for bit
+    ffam, wfam, params, _ = PAIR_FAMILIES[pair]
+    spec = GridSpec(R)
+    f = make_field(ffam, spec, 0)
+    H = make_weight(wfam, spec, **params)
+    seen = []
+    cells, weighted = env.scale_cell_integrals, env.weighted_cell_integrals
+
+    def record_cells(thetas, pairs, s, spec):
+        ks, C = cells(thetas, pairs, s, spec)
+        seen.append([s, ks])
+        return ks, C
+
+    def record_weighted(C, shear):
+        out = weighted(C, shear)
+        seen[-1].append(out)
+        return out
+
+    monkeypatch.setattr(env, "scale_cell_integrals", record_cells)
+    monkeypatch.setattr(env, "weighted_cell_integrals", record_weighted)
+    for p in (2.0, 3.0, 4.0):
+        seen.clear()
+        rep = env.verify_weighted_sq(f, H, p)
+        got = {(s, int(k)): w for s, ks, out in seen for k, w in zip(ks, out)}
+        want, terms, by_scale = per_cap_envelope_side(f, H, p)
+        assert got.keys() == want.keys()
+        for key, w in want.items():
+            assert np.array_equal(got[key], w)
+        assert rep.terms == terms
+        assert rep.env_by_scale == by_scale
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
+def test_theta_pair_products_formed_once(monkeypatch, p):
+    # the theta pieces' pair products are formed once per call, for every
+    # scale and for ||S||_p; only the constant-weight lhs forms the
+    # field's own at p != 2
+    f = random_band_field(SPEC64, seed=6, density=0.5)
+    formed = []
+    real = torus.pair_products
+
+    def counted(pieces):
+        pieces = list(pieces)
+        formed.extend(id(pc) for pc in pieces if pc is not f)
+        return real(pieces)
+
+    monkeypatch.setattr(torus, "pair_products", counted)
+    monkeypatch.setattr(env, "pair_products", counted)
+    for H in (constant_weight(SPEC64, 1.0), ball_weight(SPEC64, 4.0)):
+        formed.clear()
+        env.verify_weighted_sq(f, H, p)
+        assert len(formed) == len(set(formed))
+        assert len(formed) == len(env.cap_decompose(f, theta_scale(64)))
 
 
 def test_constant_weight_verify_never_synthesizes_full_grid(monkeypatch):
