@@ -40,9 +40,10 @@ from .measures import candidate_atoms, make_weight, masses_at_bytes
 from .schrodinger import (FLS_DEFAULT_R, MEASURE_FAMILIES, fit_exponent,
                           fls_fits, fls_peak_bytes, measure_family,
                           rescale_measure)
-from .torus import (GridSpec, lp_norm, parabola_band_modes, power_integral,
-                    power_integral_bytes, random_band_field, synthesize,
-                    trig_sum_bytes)
+from .torus import (GridSpec, lattice_sums_bytes, lp_norm,
+                    parabola_band_modes, power_integral, power_integral_bytes,
+                    random_band_field, square_power_integral, square_sum,
+                    synthesize)
 
 SCHEMA_VERSION = 1
 
@@ -286,8 +287,10 @@ def unit_ball_fits(p_values=(2.0, 3.0, 4.0), R_values=(64, 256, 1024),
         f = flat_field(spec)
         H = make_weight("ball", spec)
         pieces = cap_decompose(f, theta_scale(R)).values()
+        P = square_sum(pieces, spec)  # the theta pieces' pairs, once per R
         for p in p_values:
-            sq_norm = power_integral(pieces, spec, p, 2 * R) ** (1.0 / p)
+            sq_norm = (power_integral(pieces, spec, p, 2 * R) if p == 2.0
+                       else square_power_integral(P, p, 2 * R)) ** (1.0 / p)
             ratios[p].append(lp_norm(f, p, measure=H) / sq_norm)
             kappas[p].append(kappa_max(H, p)[0])
     fits = []
@@ -362,8 +365,9 @@ class PreflightError(RuntimeError):
 
 
 def _verify_peak_bytes(cfg: "ExperimentConfig") -> float:
-    """At the largest R, the larger of the lhs (the atomic trig sum, or the
-    constant weight's power_integral on the M grid) and the envelope side:
+    """At the largest R, the larger of the lhs (for an atomic weight its
+    kappa scan or the lattice sum at its atoms, for the constant weight
+    power_integral on the M grid) and the envelope side:
     the theta pieces' pair table (24 bytes a pair, held for the call) plus
     the largest of its groupings (power_integral_bytes: by (tau, offset)
     per scale as at p = 4, and ||S||_p on the 2R grid) and the theta
@@ -381,9 +385,14 @@ def _verify_peak_bytes(cfg: "ExperimentConfig") -> float:
     d1 = max((int(np.ptp(pc.freqs[:, 0])) for pc in pieces if pc.n_modes),
              default=0)
     est.append(40 * (n1 * (2 * d1 + 1) + (n1 + 4) * 8 * len(pieces)))
-    lhs = [power_integral_bytes([field], p, spec.M) for p in p_values] \
-        if wfam == "constant" else [trig_sum_bytes(field.n_modes, n_points=int(
-            candidate_atoms(wfam, spec, **params)))]
+    if wfam == "constant":
+        lhs = [power_integral_bytes([field], p, spec.M) for p in p_values]
+    else:
+        # the weight's kappa scan, and the atomic lhs: its points, values
+        # and their powers, and one lattice_sums block
+        atoms = int(candidate_atoms(wfam, spec, **params))
+        lhs = [_SCAN_ATOM_BYTES * atoms,
+               64 * atoms + lattice_sums_bytes(field.n_modes, atoms)]
     return max(24 * sum(pc.n_modes ** 2 for pc in pieces) + max(est), *lhs)
 
 

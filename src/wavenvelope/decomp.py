@@ -19,8 +19,8 @@ from functools import partial
 
 import numpy as np
 
-from .torus import (GridSpec, TorusField, point_eval, synthesize, trig_sum,
-                    trig_sum_bytes)
+from .torus import (GridSpec, TorusField, lattice_sums, lattice_sums_bytes,
+                    synthesize, trig_sum)
 from .geometry import Cap, build_cap_tree, cap_index_for_abscissa, theta_scale
 from .measures import in_ball, lattice_weight
 from .envelope import WINDOW_DELTA, cap_decompose
@@ -102,13 +102,16 @@ def broad_narrow(field: TorusField, points, p: float, K: int,
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     thetas = cap_decompose(field, theta_scale(spec.R))
 
-    vals = {}  # level -> {k: complex values at pts}
-    vals[tree.m] = {k: np.atleast_1d(point_eval(pc, pts))
-                    for k, pc in thetas.items()}
+    # level -> {k: complex values at pts}; every theta piece in one pass
+    vals = {tree.m: dict(zip(thetas, lattice_sums(thetas.values(), pts)))}
+    parents = {}  # level -> {k: parent cap index}
     for level in range(tree.m, 0, -1):
+        ks = list(vals[level])
+        parents[level] = dict(zip(ks, tree.parent_index(
+            level, np.array(ks, dtype=np.int64)).tolist()))
         up = {}
         for k, v in vals[level].items():
-            kp = int(tree.parent_index(level, k))
+            kp = parents[level][k]
             if kp in up:
                 up[kp] = up[kp] + v
             else:
@@ -129,18 +132,18 @@ def broad_narrow(field: TorusField, points, p: float, K: int,
         level_vals = vals[level]
         by_parent = {}
         for k in sorted(level_vals):
-            by_parent.setdefault(int(tree.parent_index(level, k)), []).append(k)
+            by_parent.setdefault(parents[level][k], []).append(k)
         N_level = max((len(tree.children_index(level - 1, kp))
                        for kp in by_parent), default=0)
         for kp in sorted(by_parent):
             kids = by_parent[kp]
+            mag = [np.abs(level_vals[k]) for k in kids]
             best = np.zeros(npts)
             for ai in range(len(kids)):
                 for bi in range(ai + 1, len(kids)):
                     if not _pair_gap_ok(kids[bi] - kids[ai], threshold):
                         continue
-                    term = (np.abs(level_vals[kids[ai]])
-                            * np.abs(level_vals[kids[bi]])) ** (0.5 * p)
+                    term = (mag[ai] * mag[bi]) ** (0.5 * p)
                     pair_sum += term
                     np.maximum(best, term, out=best)
             cert_pairs += float(N_level) ** p * best
@@ -165,17 +168,16 @@ def broad_narrow_peak_bytes(R: int, K: int, n_points: int) -> float:
     """Estimated peak allocation of broad_narrow at n_points points.
 
     The values of every cap piece of the tree at every point are held at
-    once; the theta pieces come from trig_sum blocks over a window's
-    modes: its frequency columns, widened by the smooth window edges, hold
-    4/pi band modes on average (the band is 2/R thick, the frequency step
-    pi/(2R)).
+    once; the theta pieces' come from one lattice_sums, whose fields are
+    the windows: a window's frequency columns, widened by the smooth
+    window edges, hold 4/pi band modes on average (the band is 2/R thick,
+    the frequency step pi/(2R)).
     """
     scales = build_cap_tree(R, K).scales
     caps = sum(2 * round(1 / s) + 1 for s in scales)
     columns = (1 + 2 * WINDOW_DELTA) * scales[-1] / GridSpec(R).freq_step
     window_modes = math.ceil(4 / math.pi * (columns + 1))
-    return 16 * n_points * caps \
-        + trig_sum_bytes(window_modes, n_points=n_points)
+    return 16 * n_points * caps + lattice_sums_bytes(window_modes, n_points)
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,8 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .torus import (TWO_PI, TorusField, lp_norm, offset_sums, pair_products,
-                    power_integral, square_power_integral)
+from .torus import (TWO_PI, TorusField, group_sums, lp_norm, offset_sums,
+                    pair_products, power_integral, square_power_integral)
 # locate_grid_tubes is not called here; the benchmark's self-test
 # (perfbench/test_harness.py) reads it as envelope.locate_grid_tubes
 from .geometry import (
@@ -146,26 +146,6 @@ def envelope_area(R: int, s: float) -> float:
     return float(R) * R * s
 
 
-# A wrapped key space at most this many times the key count is aggregated
-# with a dense bincount; a sparser one is sorted with np.unique.  Timed on
-# every aggregation of the benchmark's kappa-scan weights (2-vCPU VM), the
-# bincount is faster up to a ratio of 8 and slower from 8 to 32.
-DENSE_KEYS_PER_ATOM = 8
-
-
-def _group_sums(keys: np.ndarray, weights: np.ndarray, size: int):
-    """(distinct keys ascending, per-key weight sums) for keys in [0, size).
-
-    Both branches add the weights of one key in input order, so their sums
-    agree bit for bit.
-    """
-    if size <= DENSE_KEYS_PER_ATOM * len(keys):
-        uniq = np.flatnonzero(np.bincount(keys, minlength=size))
-        return uniq, np.bincount(keys, weights=weights, minlength=size)[uniq]
-    uniq, inv = np.unique(keys, return_inverse=True)
-    return uniq, np.bincount(inv, weights=weights)
-
-
 @dataclass(frozen=True, eq=False)
 class ScaleStats:
     """The p-independent envelope statistics of one weight at one scale.
@@ -218,12 +198,16 @@ def envelope_stats(H: GridMeasure, s: float) -> ScaleStats:
         mass = np.asarray(H.mass)
         keys = np.empty(H.n_atoms, dtype=np.int64)
         for i, cap in enumerate(caps):
-            tkeys, HT = _group_sums(tubes.keys(cap.k, out=keys), mass,
-                                    n_tubes)
+            tkeys, HT = group_sums(tubes.keys(cap.k, out=keys), mass,
+                                   n_tubes)
+            if E == 1:
+                # envelopes are the tubes: HU = max_T H(T) = H(T) exactly
+                parts[i] = (tkeys, HT, HT)
+                continue
             e1, e2 = envelope_index_of_tube(tkeys // N2, tkeys % N2, E)
             e1, e2 = wrap_envelope_index(e1, e2, cap, spec)
             eflat = e1 * dims[1] + e2
-            ekeys, HU = _group_sums(eflat, HT, dims[0] * dims[1])
+            ekeys, HU = group_sums(eflat, HT, dims[0] * dims[1])
             maxT = np.zeros(len(ekeys))
             np.maximum.at(maxT, np.searchsorted(ekeys, eflat), HT)
             parts[i] = (ekeys, HU, maxT)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .torus import GridSpec, block_rows, cell_blocks
+from .torus import GridSpec, block_rows, cell_blocks, distinct
 from .geometry import Cap, locate_scale_tubes, theta_scale
 
 GRID_FLOOR_EXP = 40  # pointwise floors cut at R^-40
@@ -279,7 +279,7 @@ def _fatten_sites(spec: GridSpec, sites: np.ndarray, c: float,
         dist = np.hypot(*(d * cand.astype(float) - site).T)
         out.append(cand[dist <= c * (1 + 1e-12)])
     if out:
-        ij = np.unique(np.concatenate(out) % M, axis=0)
+        ij = distinct(np.concatenate(out) % M)
     else:
         ij = np.empty((0, 2), dtype=np.int64)
     return GridMeasure(spec, ij, np.full(len(ij), d * d), "weight", label)
@@ -303,7 +303,7 @@ def truncated_lattice_weight(spec: GridSpec, alpha: float = 1.5,
     if not 1.0 < alpha < 2.0:
         raise ValueError("alpha in (1, 2)")
     sites = _site_points(*_truncated_sites(spec.R, alpha, c))
-    ij = np.unique(np.rint(sites / spec.delta).astype(np.int64) % spec.M, axis=0)
+    ij = distinct(np.rint(sites / spec.delta).astype(np.int64) % spec.M)
     mass = np.full(len(ij), math.pi * c * c)
     return GridMeasure(spec, ij, mass, "weight",
                        f"truncated_lattice(alpha={alpha},c={c})")
@@ -320,7 +320,7 @@ def parabolic_box_weight(spec: GridSpec, boxes) -> GridMeasure:
         I, J = np.meshgrid(i0 + np.arange(ni), j0 + np.arange(nj), indexing="ij")
         chunks.append(np.stack([I.ravel(), J.ravel()], axis=1))
     if chunks:
-        ij = np.unique(np.concatenate(chunks) % M, axis=0)
+        ij = distinct(np.concatenate(chunks) % M)
     else:
         ij = np.empty((0, 2), dtype=np.int64)
     return GridMeasure(spec, ij, np.full(len(ij), d * d), "weight",

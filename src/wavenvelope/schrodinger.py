@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import certificate_core, lattice_sites
-from .torus import block_rows, cell_blocks, trig_sum, trig_sum_bytes
+from .torus import (block_rows, cell_blocks, distinct, trig_sum,
+                    trig_sum_bytes)
 
 ETA_NAME = "squared half-sinc (sin(t/2)/(t/2))^2"
 
@@ -91,7 +92,7 @@ def _line_lattice(freqs, length: float):
         raise ValueError("frequencies must sit on the 2*pi/length lattice")
     if np.max(np.abs(freqs), initial=0.0) > 1.0 + 1e-12:
         raise ValueError("line spectrum must lie in [-1, 1]")
-    if len(np.unique(n)) != len(n):
+    if len(distinct(n)) != len(n):
         raise ValueError("duplicate frequencies")
     return freqs, n
 

@@ -17,7 +17,9 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -143,6 +145,20 @@ class TorusField:
         return self.samples_on(self.spec.M)
 
 
+def distinct(a) -> np.ndarray:
+    """The distinct entries of a 1-D array, or rows of a 2-D one, ascending:
+    np.unique(a, axis=0) by one sort.  A plain np.unique imports numpy.ma
+    (numpy 2.4), about 12 ms of every run."""
+    a = np.asarray(a)
+    if a.ndim == 1:
+        a = np.sort(a)
+        new = a[1:] != a[:-1]
+    else:
+        a = a[np.lexsort(a.T[::-1])]
+        new = np.any(a[1:] != a[:-1], axis=1)
+    return a[np.concatenate([[True], new])] if len(a) else a
+
+
 def synthesize(freqs, amps, spec: GridSpec) -> TorusField:
     """Build a TorusField from integer lattice modes and amplitudes.
 
@@ -160,7 +176,7 @@ def synthesize(freqs, amps, spec: GridSpec) -> TorusField:
             raise ValueError(f"off-lattice frequency {spec.freq_step * bad}")
         freqs = fint
     freqs = freqs.astype(np.int64)
-    if len(np.unique(freqs, axis=0)) != len(freqs):
+    if len(distinct(freqs)) != len(freqs):
         raise ValueError("duplicate modes in spectrum")
     if 2 * int(np.abs(freqs).max(initial=0)) >= spec.M:
         raise ValueError("mode bandwidth exceeds Nyquist for this M")
@@ -221,7 +237,8 @@ def trig_sum(freqs, amps, points=None, axes=None) -> np.ndarray:
 
       points  (m, 2) scattered points; returns (m,).  A direct sum in
               blocks of CELL_BUDGET (point, mode) entries: one complex
-              exponential per entry.
+              exponential per entry.  Only real frequencies take this
+              path; lattice fields take lattice_sums.
       axes    (x1, x2), the tensor grid x1 x x2; returns (n1, n2).  The
               exponential factors into e^{i xi^1 x_1} e^{i xi^2 x_2}, so
               each mode takes n1 + n2 exponentials, contracted as
@@ -264,28 +281,161 @@ def trig_sum(freqs, amps, points=None, axes=None) -> np.ndarray:
     return out
 
 
-def trig_sum_bytes(n_modes: int, n_points: int = 0, axes=None,
-                   rows: int = 1) -> int:
-    """Peak bytes of one trig_sum call over n_modes: at n_points scattered
-    points, or on a grid of axis lengths axes = (n1, n2) with rows
-    amplitude vectors (one x1 block of E1, E2^T and the outputs)."""
-    if axes is not None:
-        n1, n2 = axes
-        return TRIG_ENTRY_BYTES * (block_rows(n1, n_modes) + n2) * n_modes \
-            + 16 * rows * n1 * n2
-    return TRIG_ENTRY_BYTES * block_rows(n_points, n_modes) * n_modes \
-        + 16 * n_points
+def trig_sum_bytes(n_modes: int, axes, rows: int = 1) -> int:
+    """Peak bytes of one trig_sum call over n_modes on a grid of axis
+    lengths axes = (n1, n2) with rows amplitude vectors: one x1 block of
+    E1, E2^T and the outputs."""
+    n1, n2 = axes
+    return TRIG_ENTRY_BYTES * (block_rows(n1, n_modes) + n2) * n_modes \
+        + 16 * rows * n1 * n2
+
+
+# lattice_sums takes two np.exp per axis and point and builds every other
+# power of e^{i (2pi/L) x_j} by products.  A block of points holds its axis
+# tables and the terms and gathered factors of one chunk of whole fields,
+# at most SUM_CHUNK modes (or one larger field): CELL_BUDGET /
+# SUM_BLOCK_SHARE complex entries in all, 1 MiB, or 64 points.  Timed in
+# the benchmark's pointwise workload (2-vCPU VM), 2 MiB blocks were no
+# faster and 0.5 MiB ones about 15% slower.
+SUM_CHUNK = 64
+SUM_BLOCK_SHARE = 4
+
+
+def _powers(first, w, n: int):
+    """(n, *w.shape) table first w^j, j < n, by doubling: rows h..2h-1 are
+    rows 0..h-1 times w^h, and w^2h = (w^h)^2.  Row j takes the same
+    products whatever n is."""
+    T = np.empty((n, *w.shape), dtype=np.complex128)
+    T[0] = first
+    h = 1
+    while h < n:
+        np.multiply(T[:min(h, n - h)], w, out=T[h:2 * h])
+        w = w * w
+        h *= 2
+    return T
+
+
+def _axis_tables(span: int, top: int, n_pow: int, t):
+    """(anchors e^{i span q t_j}, |q| <= top, row q + top, and powers
+    e^{i r t_j}, r < n_pow), each (rows, 2, points), for t = (t_1, t_2).
+
+    Two np.exp per axis and point, of exact phases t and span t (span is a
+    power of two); e^{-i x} is the conjugate of e^{i x}."""
+    T = _powers(1.0, np.exp(1j * np.multiply.outer([float(span), 1.0], t)),
+                max(top + 1, n_pow))
+    A = T[:top + 1, 0]
+    return np.concatenate([A[:0:-1].conj(), A]), T[:n_pow, 1]
+
+
+def lattice_sums(fields, points) -> np.ndarray:
+    """(len(fields), len(points)) values of lattice fields at scattered
+    points: sum_n a_n e^{i (2pi/L) n.x} per field, all on one spec.
+
+    e^{i (2pi/L) n.x} = u_1^{n_1} u_2^{n_2} with u_j = e^{i (2pi/L) x_j},
+    and n_j = span q + r, 0 <= r < span, span a power of two near the root
+    of the modes' range (which about minimizes the tables).  Per block of
+    points _axis_tables gives every anchor u_j^{span q} and power u_j^r.
+    A mode's term is a_n times its anchor pair and its two powers, gathered
+    per (mode, point), and each field adds its terms in mode order, one row
+    at a time (np.add.reduce over a run of equal-size fields laid out mode
+    by mode).  No BLAS takes part, and every entry is computed alike in
+    whatever block or chunk it falls, so the bits depend neither on the
+    thread count nor on the blocks.  The mode-only work is done once for
+    all blocks."""
+    fields = list(fields)
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if len(pts) == 1:
+        # a second column keeps the reduction row by row: numpy sums a
+        # single column pairwise
+        return lattice_sums(fields, np.repeat(pts, 2, axis=0))[:, :1]
+    out = np.zeros((len(fields), len(pts)), dtype=np.complex128)
+    counts = np.array([f.n_modes for f in fields], dtype=int)
+    live = [i for i in np.argsort(counts, kind="stable") if counts[i]]
+    if not live or not len(pts):
+        return out
+    n = np.concatenate([fields[i].freqs for i in live])
+    amps = np.concatenate([fields[i].amps for i in live])
+    starts = np.cumsum([0] + [counts[i] for i in live])
+    span = 2 ** round(0.5 * math.log2(int(np.ptp(n, axis=0).max()) + 1))
+    q, r = np.divmod(n, span)
+    top, n_pow = int(np.abs(q).max()), int(r.max()) + 1
+    # the (anchor_1, anchor_2) pairs the modes use, and each mode's pair
+    key = (q[:, 0] + top) * (2 * top + 1) + q[:, 1] + top
+    pairs = np.flatnonzero(np.bincount(key))
+    pair_of = np.searchsorted(pairs, key)
+    q1, q2 = np.divmod(pairs, 2 * top + 1)
+    # fields in size order: a run of equal-size fields lays its modes out
+    # mode by mode (mode j of each field, then mode j + 1); runs of at most
+    # SUM_CHUNK modes (or one larger field) fill chunks of as many modes
+    runs = []
+    for size, group in groupby(range(len(live)), lambda g: counts[live[g]]):
+        group = list(group)
+        per_run = max(1, SUM_CHUNK // size)
+        for i in range(0, len(group), per_run):
+            run = group[i:i + per_run]
+            runs.append((np.add.outer(np.arange(size), starts[run]).ravel(),
+                         size, [live[g] for g in run]))
+    parts, filled = [[]], 0
+    for run in runs:
+        if parts[-1] and filled + len(run[0]) > SUM_CHUNK:
+            parts.append([])
+            filled = 0
+        parts[-1].append(run)
+        filled += len(run[0])
+    # per chunk its modes' pairs, powers and amplitudes, and per run its
+    # first row, size and fields
+    chunks = []
+    for part in parts:
+        slot = np.concatenate([m for m, _, _ in part])
+        first = np.cumsum([0] + [len(m) for m, _, _ in part])
+        chunks.append((pair_of[slot], r[slot, 0], r[slot, 1],
+                       amps[slot, None], [(o, size, fs) for o, (_, size, fs)
+                                          in zip(first, part)]))
+    widest = max(len(chunk[0]) for chunk in chunks)
+    row = 2 * (2 * top + 1 + n_pow) + len(pairs) + 2 * widest
+    # the terms and gathered factors of every chunk and block, reused
+    bufs = np.empty((2, widest * block_rows(len(pts), SUM_BLOCK_SHARE * row)),
+                    dtype=np.complex128)
+    step = fields[live[0]].spec.freq_step
+    for b in cell_blocks(len(pts), SUM_BLOCK_SHARE * row):
+        A, P = _axis_tables(span, top, n_pow, step * pts[b].T)
+        AA = A[q1, 0]
+        AA *= A[q2, 1]
+        del A
+        P1, P2 = P[:, 0], P[:, 1]
+        m = b.stop - b.start
+        for pair, pw1, pw2, a, chunk_runs in chunks:
+            terms, factor = (x[:len(a) * m].reshape(len(a), m) for x in bufs)
+            # mode="clip" takes into out unbuffered; the indices are valid
+            AA.take(pair, 0, terms, mode="clip")
+            terms *= P1.take(pw1, 0, factor, mode="clip")
+            terms *= P2.take(pw2, 0, factor, mode="clip")
+            terms *= a
+            for o, size, fs in chunk_runs:
+                run_terms = terms[o:o + size * len(fs)].reshape(size, -1)
+                out[fs, b] = np.add.reduce(run_terms, axis=0).reshape(
+                    len(fs), -1)
+    return out
+
+
+def lattice_sums_bytes(field_modes: int, n_points: int) -> int:
+    """Peak bytes of lattice_sums at n_points points, beyond its output,
+    for fields of at most field_modes modes each: one block of points, its
+    tables taken at 2 SUM_CHUNK entries a point (band fields' anchors,
+    powers and anchor pairs) and one chunk's terms and gathered factors."""
+    row = 2 * SUM_CHUNK + 2 * max(SUM_CHUNK, field_modes)
+    return 16 * row * block_rows(n_points, SUM_BLOCK_SHARE * row)
 
 
 def point_eval(field: TorusField, points) -> np.ndarray:
-    """Direct trigonometric summation at arbitrary points, O(modes) each.
+    """Direct trigonometric summation at arbitrary points, O(modes) each:
+    lattice_sums of the one field.
 
     The ground-truth oracle for synthesize, and the evaluator for sparse
     atomic integrals where a full grid would be wasteful.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    out = trig_sum(field.freqs, field.amps, field.spec.freq_step * pts)
-    return out if np.ndim(points) == 2 else out[0] if len(pts) == 1 else out
+    out = lattice_sums([field], points)[0]
+    return out if np.ndim(points) == 2 else out[0] if len(out) == 1 else out
 
 
 def l2sq_coeff(field: TorusField) -> float:
@@ -329,14 +479,53 @@ def pair_products(pieces):
     return key, c, W
 
 
+# A key space at most this many times the key count is grouped with a dense
+# bincount; a sparser one by a sort.  Timed on every aggregation of the
+# benchmark's kappa-scan weights (2-vCPU VM), the bincount is faster up to a
+# ratio of 8 and slower from 8 to 32.
+DENSE_KEYS_PER_ATOM = 8
+
+
+def group_sums(keys: np.ndarray, weights: np.ndarray, size: int):
+    """(distinct keys ascending, per-key sums of the real or complex
+    weights) for keys in [0, size).
+
+    Both branches bincount the weights, so each key adds its weights in
+    input order and the two agree bit for bit: the dense one by key, the
+    sparse one by the key's rank, read off a sort (any sort: equal keys
+    share a rank; numpy's default argsort was 3-4x faster than a stable
+    one on 2k-300k int64 keys)."""
+    if size <= DENSE_KEYS_PER_ATOM * len(keys):
+        uniq = np.flatnonzero(np.bincount(keys, minlength=size))
+        bins, pick = keys, uniq
+    else:
+        order = np.argsort(keys)
+        ranked = keys[order]
+        new = np.empty(len(keys), dtype=bool)
+        new[:1] = True
+        np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+        uniq = ranked[new]
+        del ranked
+        bins = np.empty(len(keys), dtype=np.intp)
+        bins[order] = np.cumsum(new) - 1
+        del order, new
+        size, pick = len(uniq), slice(None)
+
+    def add(w):
+        return np.bincount(bins, weights=w, minlength=size)[pick]
+
+    if not np.iscomplexobj(weights):
+        return uniq, add(weights)
+    sums = np.empty(len(uniq), dtype=np.complex128)
+    sums.real = add(weights.real)
+    sums.imag = add(weights.imag)
+    return uniq, sums
+
+
 def offset_sums(key, c, W):
     """(g, offsets D, coefficients) of each distinct key g W^2 + (a
     pair_products key), ascending; each adds its products in order."""
-    keys, inv = np.unique(key, return_inverse=True)
-    coef = np.empty(len(keys), np.complex128)
-    coef.real = np.bincount(inv, weights=c.real)
-    coef.imag = np.bincount(inv, weights=c.imag)
-    del inv  # freed before the decode: the caller still holds key
+    keys, coef = group_sums(key, c, int(key.max(initial=-1)) + 1)
     g, d = np.divmod(keys, W * W)
     return g, np.stack(np.divmod(d, W), axis=1) - W // 2, coef
 
@@ -404,8 +593,8 @@ def power_integral_bytes(pieces, p: float, m: int) -> int:
     if p == 4.0:
         return pairs
     d1 = [np.subtract.outer(u, u).ravel()
-          for u in (np.unique(pc.freqs[:, 0]) for pc in pieces)]
-    rows = len(np.unique(np.concatenate(d1))) if d1 else 0
+          for u in (distinct(pc.freqs[:, 0]) for pc in pieces)]
+    rows = len(distinct(np.concatenate(d1))) if d1 else 0
     cols = min(m, max(1, GRID_BLOCK // m))
     return max(pairs, 16 * m * (rows + 2 * cols))
 

@@ -7,7 +7,7 @@ from scipy.fft import fft2
 
 from wavenvelope.decomp import CertificateError, broad_narrow
 from wavenvelope.cli import make_field
-from wavenvelope.envelope import (W_BLOCK, W_EXPONENT, W_TAIL, _group_sums,
+from wavenvelope.envelope import (W_BLOCK, W_EXPONENT, W_TAIL,
                                   _window_weights, cap_decompose,
                                   envelope_area, kappa_max, kappa_table)
 from wavenvelope.geometry import (Cap, cap_index_for_abscissa, caps_at_scale,
@@ -18,8 +18,8 @@ from wavenvelope.geometry import (Cap, cap_index_for_abscissa, caps_at_scale,
                                   theta_scale, tube_lattice_dims,
                                   wrap_envelope_index)
 from wavenvelope.schrodinger import eta
-from wavenvelope.torus import (TWO_PI, GridSpec, random_band_field,
-                               square_sum, synthesize)
+from wavenvelope.torus import (TWO_PI, GridSpec, group_sums,
+                               random_band_field, square_sum, synthesize)
 
 
 def read_back_coeffs(field) -> np.ndarray:
@@ -96,12 +96,12 @@ def per_cap_envelope_stats(H, cap):
     if H.n_atoms == 0:
         return np.empty(0, np.int64), np.empty(0), np.empty(0), (N1U, N2U)
     z1, z2 = grid_tube_index(H.ij[:, 0], H.ij[:, 1], cap, spec)
-    tkeys, HT = _group_sums(z1 * N2 + z2, np.asarray(H.mass), N1 * N2)
+    tkeys, HT = group_sums(z1 * N2 + z2, np.asarray(H.mass), N1 * N2)
     e1, e2 = envelope_index_of_tube(tkeys // N2, tkeys % N2,
                                     envelope_factor(cap, spec))
     e1, e2 = wrap_envelope_index(e1, e2, cap, spec)
     eflat = e1 * N2U + e2
-    ekeys, HU = _group_sums(eflat, HT, N1U * N2U)
+    ekeys, HU = group_sums(eflat, HT, N1U * N2U)
     maxT = np.zeros(len(ekeys))
     np.maximum.at(maxT, np.searchsorted(ekeys, eflat), HT)
     return ekeys, HU, maxT, (N1U, N2U)
@@ -438,6 +438,26 @@ def direct_trig_sum(freqs, amps, points) -> np.ndarray:
     freqs = np.asarray(freqs, dtype=float).reshape(-1, 2)
     ph = pts[:, 0:1] * freqs[None, :, 0] + pts[:, 1:2] * freqs[None, :, 1]
     return np.exp(1j * ph) @ np.asarray(amps, dtype=complex)
+
+
+def longdouble_lattice_sum(field, points, rows: int = 256) -> np.ndarray:
+    """field at the points in long double: the phase (2pi/L) n.x, its cos
+    and sin and the sum over the modes, rounded to complex128 at the end.
+    An extended long double (64-bit mantissa) puts the phase error near
+    2^-64 |phase|, far below the double evaluators' rounding."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float)).astype(np.longdouble)
+    n = field.freqs.astype(np.longdouble)
+    step = 2 * np.arccos(np.longdouble(-1)) / np.longdouble(field.spec.L)
+    re = field.amps.real.astype(np.longdouble)
+    im = field.amps.imag.astype(np.longdouble)
+    out = np.empty(len(pts), dtype=np.complex128)
+    for i in range(0, len(pts), rows):
+        x = pts[i:i + rows]
+        ph = step * (x[:, 0:1] * n[None, :, 0] + x[:, 1:2] * n[None, :, 1])
+        c, s = np.cos(ph), np.sin(ph)
+        out[i:i + rows].real = (c * re - s * im).sum(axis=1)
+        out[i:i + rows].imag = (s * re + c * im).sum(axis=1)
+    return out
 
 
 def grid_points(x1, x2) -> np.ndarray:

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import wavenvelope.cli as cli
+from wavenvelope import torus
 from oracles import serial_broad_narrow_rows
 from wavenvelope.cli import (ExperimentConfig, PAIR_FAMILIES, PreflightError,
                              Report, emit, make_field, pair_report,
@@ -536,6 +537,24 @@ def test_main_preflight_exits_2(capsys):
     assert "exceeds" in capsys.readouterr().err
 
 
+def test_envelope_verify_loads_no_numpy_ma():
+    """A plain np.unique imports numpy.ma (numpy 2.4), about 12 ms of a
+    run; the run paths take sorts instead."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    paths = [os.path.abspath(src), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import contextlib, io, sys\n"
+         "from wavenvelope import cli\n"
+         "with contextlib.redirect_stdout(io.StringIO()):\n"
+         "    code = cli.main(['envelope-verify'])\n"
+         "print(code, 'numpy.ma' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
+
+
 def test_cli_import_loads_no_scipy():
     """numpy is the only runtime dependency: the CLI loads no scipy."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -556,6 +575,9 @@ def test_cli_import_loads_no_scipy():
     ["envelope-verify", "--R", "256", "--family", "random:constant",
      "--p", "2,4"],
     ["certificates", "--R", "64"],
+    # scattered lattice sums: the theta pieces and an atomic lhs
+    ["broad-narrow", "--R", "64,256", "--trials", "3", "--points", "2000"],
+    ["envelope-verify", "--R", "64,256", "--family", "random:ball"],
 ])
 def test_report_bytes_independent_of_blas_threads(tmp_path, argv):
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -573,6 +595,25 @@ def test_report_bytes_independent_of_blas_threads(tmp_path, argv):
         assert proc.returncode == 0, proc.stderr
         reports.append((out / f"{argv[0]}.json").read_bytes())
     assert reports[0] == reports[1]
+
+
+def test_unit_ball_fits_form_theta_pairs_once_per_R(monkeypatch):
+    # the theta pieces' pair products are formed once per R and serve
+    # ||S||_p at every p != 2
+    formed = []
+    real = torus.pair_products
+
+    def counted(pieces):
+        pieces = list(pieces)
+        formed.append(len(pieces))
+        return real(pieces)
+
+    monkeypatch.setattr(torus, "pair_products", counted)
+    R_values = (16, 64, 256)
+    cli.unit_ball_fits((2.0, 3.0, 4.0), R_values)
+    assert formed == [len(cli.cap_decompose(cli.flat_field(GridSpec(R)),
+                                            theta_scale(R)))
+                      for R in R_values]
 
 
 # ---------------------------------------------------------------------------

@@ -410,7 +410,7 @@ def test_envelope_stats_branches_agree(monkeypatch):
     mass[::7] = 0.0   # zero-mass atoms still mark their envelopes
     runs = []
     for ratio in (0, 10 ** 12):
-        monkeypatch.setattr(env, "DENSE_KEYS_PER_ATOM", ratio)
+        monkeypatch.setattr(torus, "DENSE_KEYS_PER_ATOM", ratio)
         H = custom_weight(spec, ij, mass)
         runs.append([env.envelope_stats(H, s)
                      for s in dyadic_scales(spec.R)])

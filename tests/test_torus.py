@@ -14,18 +14,19 @@ from hypothesis import given, settings, strategies as st
 
 from wavenvelope import torus
 from wavenvelope.torus import (
-    GridSpec, block_rows, cell_blocks, l2sq_coeff, lp_norm,
-    parabola_band_modes, point_eval, power_integral, random_band_field,
-    square_sum, synthesize,
+    GridSpec, TorusField, block_rows, cell_blocks, distinct, l2sq_coeff,
+    lattice_sums, lp_norm, parabola_band_modes, point_eval, power_integral,
+    random_band_field, square_sum, synthesize,
 )
 from wavenvelope.cli import make_field
 from wavenvelope.envelope import cap_decompose
 from wavenvelope.geometry import theta_scale
 from wavenvelope.measures import GridMeasure, constant_weight
 
-from oracles import (analyze, concatenated_square_sum, grid_constant_lp,
-                     grid_lp, read_back_coeffs, sq_norm_from_sq2,
-                     square_function, square_sum_samples)
+from oracles import (analyze, concatenated_square_sum, direct_trig_sum,
+                     grid_constant_lp, grid_lp, longdouble_lattice_sum,
+                     read_back_coeffs, sq_norm_from_sq2, square_function,
+                     square_sum_samples)
 
 SPEC4 = GridSpec(4)
 SPEC16 = GridSpec(16)
@@ -98,6 +99,115 @@ def test_point_eval_matches_fft_grid():
     pts = SPEC16.delta * jj.astype(float)
     direct = point_eval(f, pts)
     assert np.max(np.abs(direct - S[jj[:, 0], jj[:, 1]])) < 1e-10 * f.n_modes
+
+
+# the long-double reference is only a reference with an extended mantissa
+needs_long_double = pytest.mark.skipif(
+    np.finfo(np.longdouble).nmant < 63, reason="long double is double here")
+
+
+def _sum_errors(fields, points, values):
+    """Per field, max |error| / sum |a| of its values and of the direct
+    sum's (one exponential per entry), against the long-double sum."""
+    out = []
+    for f, got in zip(fields, values):
+        ref = longdouble_lattice_sum(f, points)
+        old = direct_trig_sum(f.freqs, f.amps, f.spec.freq_step * points)
+        scale = np.abs(f.amps).sum()
+        out.append((np.max(np.abs(got - ref)) / scale,
+                    np.max(np.abs(old - ref)) / scale))
+    return out
+
+
+@needs_long_double
+@pytest.mark.parametrize("R", [64, 256, 1024])
+def test_lattice_sums_of_theta_pieces_match_long_double(R):
+    # broad-narrow's shapes: a density-1/2 field's theta pieces at 4000
+    # uniform points, each within twice the direct sum's error (at most
+    # 1.7x for a piece here)
+    spec = GridSpec(R)
+    f = random_band_field(spec, seed=R + 1, density=0.5)
+    pieces = list(cap_decompose(f, theta_scale(R)).values())
+    pts = np.random.default_rng(R).uniform(0.0, spec.L, size=(4000, 2))
+    vals = lattice_sums(pieces, pts)
+    assert vals.shape == (len(pieces), 4000)
+    for new, old in _sum_errors(pieces, pts, vals):
+        assert new <= 2 * old and new < 1e-12
+
+
+@needs_long_double
+@pytest.mark.parametrize("family", ["random", "knapp", "flat"])
+def test_point_eval_at_grid_atoms_matches_long_double(family):
+    spec = GridSpec(256)
+    f = make_field(family, spec, 3)
+    ij = np.random.default_rng(9).integers(0, spec.M, size=(3000, 2))
+    pts = spec.delta * ij.astype(float)
+    [(new, old)] = _sum_errors([f], pts, [point_eval(f, pts)])
+    assert new <= 2 * old and new < 1e-12
+    assert np.allclose(point_eval(f, pts), f.samples[ij[:, 0], ij[:, 1]],
+                       rtol=0, atol=1e-10 * np.abs(f.amps).sum())
+
+
+def test_lattice_sums_bits_do_not_follow_the_blocks(monkeypatch):
+    # every entry is computed alike in any block, and numpy's complex
+    # products must round a SIMD body and its scalar tail alike: checked
+    # here, not assumed, at block rows 64 apart and far apart
+    spec = GridSpec(256)
+    f = random_band_field(spec, seed=2, density=0.5)
+    pieces = list(cap_decompose(f, theta_scale(spec.R)).values())
+    pts = np.random.default_rng(3).uniform(0.0, spec.L, size=(4001, 2))
+    runs = []
+    for budget in (2 ** 12, 2 ** 20):
+        monkeypatch.setattr(torus, "CELL_BUDGET", budget)
+        runs.append((lattice_sums(pieces, pts), point_eval(f, pts),
+                     point_eval(f, pts[:77])))
+    assert len(cell_blocks(4001, torus.SUM_BLOCK_SHARE * 300)) > 1
+    for a, b in zip(*runs):
+        assert np.array_equal(a, b)
+
+
+def test_lattice_sums_empty_pieces_and_fields():
+    spec = GridSpec(64)
+    f = random_band_field(spec, seed=4)
+    none = TorusField(spec, np.empty((0, 2), np.int64),
+                      np.empty(0, np.complex128))
+    pts = np.random.default_rng(5).uniform(0.0, spec.L, size=(50, 2))
+    vals = lattice_sums([none, f, none, f], pts)
+    assert np.array_equal(vals[[0, 2]], np.zeros((2, 50)))
+    assert np.array_equal(vals[1], vals[3])
+    assert np.array_equal(vals[1], lattice_sums([f], pts)[0])
+    assert np.array_equal(lattice_sums([none], pts), np.zeros((1, 50)))
+    assert lattice_sums([], pts).shape == (0, 50)
+    assert lattice_sums([f], np.empty((0, 2))).shape == (1, 0)
+    assert point_eval(none, pts[0]) == 0
+    assert point_eval(f, pts[0]) == point_eval(f, pts)[0]
+
+
+def test_offset_sums_branches_agree(monkeypatch):
+    # the dense bincount and the sort group the pairs alike, and as the
+    # np.unique grouping they replace, each key adding in input order
+    f = random_band_field(GridSpec(64), seed=8)
+    pieces = list(cap_decompose(f, theta_scale(64)).values())
+    key, c, W = torus.pair_products(pieces)
+    runs = []
+    for ratio in (0, 10 ** 12):
+        monkeypatch.setattr(torus, "DENSE_KEYS_PER_ATOM", ratio)
+        runs.append(torus.offset_sums(key, c, W))
+    for sort, dense in zip(*runs):
+        assert sort.dtype == dense.dtype and np.array_equal(sort, dense)
+    keys, inv = np.unique(key, return_inverse=True)
+    assert np.array_equal(runs[0][2].real, np.bincount(inv, weights=c.real))
+    assert np.array_equal(runs[0][2].imag, np.bincount(inv, weights=c.imag))
+    assert np.array_equal(runs[0][0] * W * W + (runs[0][1][:, 0] + W // 2) * W
+                          + runs[0][1][:, 1] + W // 2, keys)
+
+
+def test_distinct_is_np_unique():
+    rng = np.random.default_rng(6)
+    for shape in [(0,), (1,), (500,), (0, 2), (1, 2), (500, 2)]:
+        a = rng.integers(-5, 5, size=shape)
+        assert np.array_equal(distinct(a), np.unique(a, axis=0))
+        assert distinct(a).dtype == a.dtype
 
 
 def test_parseval_exact():
