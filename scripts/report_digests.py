@@ -6,9 +6,13 @@ temporary directory, one subdirectory per run:
   * the eight experiments at their default config;
   * envelope-verify and square-verify on every registered pair at
     R = 16, 64, 256 and p = 2, 3, 4;
-  * kappa-scan on each of its weight families.
+  * kappa-scan on each of its weight families at its default R;
+  * kappa-scan at the benchmark's sizes, where the sparse tube sums take
+    over: truncated-lattice at R = 4096, 16384, 65536 (alpha 1.5, c 0.25)
+    and dual-tube at R = 1024 (alpha 1, inside the benchmark's seeded
+    range), both at p = 2, 2.5, 3, 4.
 Lines are sorted by path, so the output of two checkouts can be compared
-with diff.  About 25 s on a 2-vCPU VM.  Run from the repository root:
+with diff.  About 8 s on a 2-vCPU VM.  Run from the repository root:
 
     PYTHONPATH=src python3 scripts/report_digests.py > digests.txt
 """
@@ -39,6 +43,13 @@ def sweep():
                     "--p", "2,3,4"])
     for family in _SCAN_PARAMS:
         yield f"kappa-scan/{family}", ["kappa-scan", "--family", family]
+    for family, flags in (("truncated-lattice", ["--R", "4096,16384,65536",
+                                                 "--alpha", "1.5",
+                                                 "--c", "0.25"]),
+                          ("dual-tube", ["--R", "1024", "--alpha", "1"])):
+        yield (f"kappa-scan-large/{family}",
+               ["kappa-scan", "--family", family, "--p", "2,2.5,3,4",
+                *flags])
 
 
 if __name__ == "__main__":

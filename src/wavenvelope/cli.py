@@ -396,9 +396,9 @@ def _verify_peak_bytes(cfg: "ExperimentConfig") -> float:
     return max(24 * sum(pc.n_modes ** 2 for pc in pieces) + max(est), *lhs)
 
 
-# kappa-scan: traced allocation peaks run about 120 bytes per candidate
-# atom of the weight (building it, then the per-scale location terms a, b
-# and z2, held across the caps of the scale, and one key buffer), plus the
+# kappa-scan: traced allocation peaks run 74-118 bytes per candidate atom
+# of the weight (building it, then per scale a, b, z2 and the running sum
+# v of the tube keys, held across the caps, and one key buffer), plus the
 # envelope tables cached on the weight: a few hundred bytes per cap and
 # about 4R entries of 24 bytes for the slab-shaped supports (dual tube,
 # truncated lattice), the widest-spread of the scanned families; a scale's
@@ -590,6 +590,13 @@ def _run_broad_narrow(cfg):
     return rows, [], checks
 
 
+def _median(pool) -> float:
+    """np.median of a pool, bit for bit, without numpy.ma (its NaN check)."""
+    s, h = np.sort(pool), len(pool) // 2
+    mid = s[h] if len(s) % 2 else np.mean(s[h - 1:h + 1])
+    return float(s[-1] if len(s) and np.isnan(s[-1]) else mid)
+
+
 def _run_bilinear(cfg):
     rows, checks = [], []
     by_scale = {}
@@ -615,7 +622,7 @@ def _run_bilinear(cfg):
                          "s": rep.s, "C_bil": rep.C_bil, "C_l4": rep.C_l4,
                          "max_cell_ratio": rep.max_cell_ratio,
                          "int_BY": rep.int_BY, "l4_holds": holds})
-        by_scale[R_s] = float(np.median(c_l4))
+        by_scale[R_s] = _median(c_l4)
     checks.append(_check("bilinear-constants-finite", all_finite,
                          f"{len(rows)} trials"))
     checks.append(_check("bilinear-l4-inequality", l4_ok,

@@ -33,9 +33,8 @@ from .torus import (TWO_PI, TorusField, group_sums, lp_norm, offset_sums,
 # (perfbench/test_harness.py) reads it as envelope.locate_grid_tubes
 from .geometry import (
     Cap, cap_index_for_abscissa, caps_at_scale, dyadic_scales,
-    envelope_factor, envelope_index_of_tube, envelope_lattice_dims,
-    locate_grid_tubes, locate_scale_tubes, theta_scale, wrap_envelope_index,
-)
+    envelope_factor, envelope_lattice_dims, locate_grid_tubes,
+    locate_scale_tubes, theta_scale)
 from .measures import GRID_FLOOR_EXP, GridMeasure
 
 # window transition half-width, in units of the cap width
@@ -176,11 +175,10 @@ def envelope_stats(H: GridMeasure, s: float) -> ScaleStats:
     """Envelope keys, H(U) and max_T H(T) of every cap at scale s.
 
     The atoms are located once for the scale (geometry.locate_scale_tubes);
-    each cap then makes its wrapped tube keys with a multiply-add and a
-    shift, sums tube masses on them, and gets envelope masses and
-    per-envelope tube maxima via the exact nesting (an envelope is a union
-    of whole tubes).  None of it depends on p or on the cap's level, so
-    the result is kept, read-only, on H, one entry per scale.
+    each cap then sums tube masses on its keys (ScaleTubes.cap_keys), and
+    envelope masses and tube maxima (in a row of all 16/s envelopes) by the
+    exact nesting (an envelope is a union of whole tubes).  None of it
+    depends on p or the cap's level, so it is kept, read-only, on H.
     """
     if H.is_full_constant:
         raise ValueError("constant weights take the closed-form path")
@@ -194,24 +192,20 @@ def envelope_stats(H: GridMeasure, s: float) -> ScaleStats:
     parts = [(np.empty(0, np.int64), np.empty(0), np.empty(0))] * len(caps)
     if H.n_atoms:
         tubes = locate_scale_tubes(H.ij[:, 0], H.ij[:, 1], s, spec)
-        N2, n_tubes = tubes.N2, tubes.N1 * tubes.N2
-        mass = np.asarray(H.mass)
-        keys = np.empty(H.n_atoms, dtype=np.int64)
-        for i, cap in enumerate(caps):
-            tkeys, HT = group_sums(tubes.keys(cap.k, out=keys), mass,
-                                   n_tubes)
+        for i, (cap, keys) in enumerate(zip(caps,
+                                            tubes.cap_keys(caps[0].k))):
+            tkeys, HT = group_sums(keys, H.mass, tubes.N1 * tubes.N2)
             if E == 1:
                 # envelopes are the tubes: HU = max_T H(T) = H(T) exactly
                 parts[i] = (tkeys, HT, HT)
                 continue
-            e1, e2 = envelope_index_of_tube(tkeys // N2, tkeys % N2, E)
-            e1, e2 = wrap_envelope_index(e1, e2, cap, spec)
-            eflat = e1 * dims[1] + e2
+            eflat = tubes.envelope_keys(tkeys, cap.k, E)
             ekeys, HU = group_sums(eflat, HT, dims[0] * dims[1])
-            maxT = np.zeros(len(ekeys))
-            np.maximum.at(maxT, np.searchsorted(ekeys, eflat), HT)
-            parts[i] = (ekeys, HU, maxT)
+            maxT = np.zeros(dims[0] * dims[1])
+            np.maximum.at(maxT, eflat, HT)
+            parts[i] = (ekeys, HU, maxT[ekeys])
     ekeys, HU, maxT = (np.concatenate(col) for col in zip(*parts))
+    maxT = HU if E == 1 else maxT
     offsets = np.cumsum([0] + [len(part[0]) for part in parts])
     for arr in (ekeys, HU, maxT, offsets):
         arr.setflags(write=False)

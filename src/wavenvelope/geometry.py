@@ -20,9 +20,9 @@ shear = 2k*N2 the wrapped index is
     z2 = (2*j2 + D) // 2D,  m = z2 // N2,  z2 - m*N2,
     z1 - m*shear = (a + k*b) // 2D,  a = 2P*j1 + D,  b = 4*(j2 - m*N2*D).
 Only the last line depends on the cap, and only through k: a weight's atoms
-are located once per scale (locate_scale_tubes), and each cap then costs a
-multiply-add and a shift, since 2D and N1 are powers of two for the
-power-of-four R of GridSpec.  This is the one place tube indices are made.
+are located once per scale (locate_scale_tubes), and each cap then costs an
+add, a shift, a mask and an or, since 2D, N1 and N2 are powers of two for
+the power-of-four R of GridSpec.  This is the one place tube indices are made.
 
 Envelope indices divide tube indices by the dyadic integer E = R s^2 with
 the same shifted rounding, so each envelope is a block of exactly E^2 whole
@@ -152,22 +152,39 @@ class ScaleTubes:
     z2: np.ndarray
     wrap: bool
 
-    def z1(self, k: int, out: np.ndarray | None = None) -> np.ndarray:
-        out = np.multiply(self.b, k, out=out)
-        out += self.a
-        out >>= self.shift
-        if self.wrap:
-            out &= self.N1 - 1
-        return out
+    def z1(self, k: int) -> np.ndarray:
+        z1 = (self.a + k * self.b) >> self.shift
+        return z1 & (self.N1 - 1) if self.wrap else z1
 
-    def keys(self, k: int, out: np.ndarray | None = None) -> np.ndarray:
+    def keys(self, k: int) -> np.ndarray:
         """Flat wrapped tube keys z1 * N2 + z2 of cap k, in [0, N1 N2)."""
+        return next(self.cap_keys(k))
+
+    def cap_keys(self, k: int):
+        """keys(k), keys(k + 1), ... in one buffer, from a running sum of b:
+        v = a + k b shifted so z1's bits sit above z2's, masked, or z2."""
         if not self.wrap:
             raise ValueError("flat tube keys need wrapped indices")
-        out = self.z1(k, out)
-        out *= self.N2
-        out += self.z2
-        return out
+        n2 = self.N2.bit_length() - 1
+        v, out = self.a + k * self.b, np.empty_like(self.a)
+        while True:
+            if n2 > self.shift:
+                np.multiply(v, 1 << (n2 - self.shift), out=out)
+            else:
+                np.right_shift(v, self.shift - n2, out=out)
+            out &= (self.N1 - 1) << n2
+            out |= self.z2
+            yield out
+            v += self.b
+
+    def envelope_keys(self, tkeys: np.ndarray, k: int, E: int) -> np.ndarray:
+        """Flat wrapped envelope keys of cap k's tube keys by shifts and
+        masks; e2 reaches N2U only past the seam, dragging e1 by 2k N2U."""
+        lE, nU2 = E.bit_length() - 1, self.N2.bit_length() - E.bit_length()
+        e1 = ((tkeys >> (nU2 + lE)) + E // 2) >> lE
+        e2 = ((tkeys & (self.N2 - 1)) + E // 2) >> lE
+        e1 -= (e2 >> nU2) * (2 * k << nU2)
+        return (e1 & (self.N1 // E - 1)) << nU2 | e2 & ((1 << nU2) - 1)
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -179,7 +196,7 @@ def locate_scale_tubes(j1, j2, s: float, spec: GridSpec,
     """Locate grid points x = Delta*(j1, j2) in the tubes of scale s.
 
     All the per-point work that does not depend on the cap is done here,
-    once; ScaleTubes.z1 and .keys then cost one multiply-add and one shift
+    once; ScaleTubes.cap_keys then costs an add, a shift, a mask and an or
     per point and cap.
     """
     j1 = np.asarray(j1, dtype=np.int64)

@@ -480,35 +480,42 @@ def pair_products(pieces):
 
 
 # A key space at most this many times the key count is grouped with a dense
-# bincount; a sparser one by a sort.  Timed on every aggregation of the
-# benchmark's kappa-scan weights (2-vCPU VM), the bincount is faster up to a
-# ratio of 8 and slower from 8 to 32.
+# bincount; a sparser one by a sort.  Re-timed on a 2-vCPU VM, the sort wins
+# from a ratio of 8.03 on complex offsets (three bincounts), while on
+# positive masses (one bincount) the bincount still wins at 9.4 to 25.
 DENSE_KEYS_PER_ATOM = 8
 
 
 def group_sums(keys: np.ndarray, weights: np.ndarray, size: int):
     """(distinct keys ascending, per-key sums of the real or complex
-    weights) for keys in [0, size).
-
-    Both branches bincount the weights, so each key adds its weights in
-    input order and the two agree bit for bit: the dense one by key, the
-    sparse one by the key's rank, read off a sort (any sort: equal keys
-    share a rank; numpy's default argsort was 3-4x faster than a stable
-    one on 2k-300k int64 keys)."""
+    weights) for int64 keys in [0, size).  Every branch bincounts in input
+    order, so all agree bit for bit: the dense ones by key (positive real
+    sums mark their keys; other weights count them first), the sparse one
+    by rank in one np.sort of (key << b) | index, b the index bits: equal
+    keys keep input order, and keys differ where entries differ above b."""
     if size <= DENSE_KEYS_PER_ATOM * len(keys):
-        uniq = np.flatnonzero(np.bincount(keys, minlength=size))
+        if weights.dtype.kind == "f" and weights.min(initial=np.inf) > 0:
+            sums = np.bincount(keys, weights=weights, minlength=size)
+            uniq = (sums > 0).nonzero()[0]
+            return uniq, sums[uniq]
+        uniq = np.bincount(keys, minlength=size).nonzero()[0]
         bins, pick = keys, uniq
     else:
-        order = np.argsort(keys)
-        ranked = keys[order]
-        new = np.empty(len(keys), dtype=bool)
-        new[:1] = True
-        np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
-        uniq = ranked[new]
-        del ranked
-        bins = np.empty(len(keys), dtype=np.intp)
-        bins[order] = np.cumsum(new) - 1
-        del order, new
+        b = max(len(keys) - 1, 0).bit_length()
+        if size > 1 << (63 - b):  # keys and indices need more than 63 bits
+            uniq, bins = np.unique(keys, return_inverse=True)
+        else:
+            bins = keys << b
+            bins |= np.arange(len(keys))
+            bins.sort()
+            new = np.ones(len(keys), dtype=bool)
+            np.greater(bins[1:] ^ bins[:-1], (1 << b) - 1, out=new[1:])
+            uniq = bins[new] >> b
+            bins &= (1 << b) - 1
+            weights = weights[bins]
+            new[:1] = False
+            np.copyto(bins, new)
+            bins.cumsum(out=bins)
         size, pick = len(uniq), slice(None)
 
     def add(w):

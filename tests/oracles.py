@@ -18,8 +18,8 @@ from wavenvelope.geometry import (Cap, cap_index_for_abscissa, caps_at_scale,
                                   theta_scale, tube_lattice_dims,
                                   wrap_envelope_index)
 from wavenvelope.schrodinger import eta
-from wavenvelope.torus import (TWO_PI, GridSpec, group_sums,
-                               random_band_field, square_sum, synthesize)
+from wavenvelope.torus import (TWO_PI, GridSpec, random_band_field,
+                               square_sum, synthesize)
 
 
 def read_back_coeffs(field) -> np.ndarray:
@@ -87,6 +87,21 @@ def grid_tube_index(j1, j2, cap, spec, wrap: bool = True):
     return wrap_tube_index(z1, z2, cap, spec) if wrap else (z1, z2)
 
 
+def unique_sums(keys, weights):
+    """torus.group_sums by np.unique: (distinct keys, per-key sums, each
+    key's weights added in input order by a bincount over the inverse)."""
+    uniq, inv = np.unique(keys, return_inverse=True)
+
+    def add(w):
+        return np.bincount(inv, weights=w, minlength=len(uniq))
+
+    if not np.iscomplexobj(weights):
+        return uniq, add(weights)
+    sums = np.empty(len(uniq), dtype=np.complex128)
+    sums.real, sums.imag = add(weights.real), add(weights.imag)
+    return uniq, sums
+
+
 def per_cap_envelope_stats(H, cap):
     """(flat envelope keys, H(U), max_T H(T), (N1U, N2U)) of one cap,
     locating and wrapping every atom for this cap alone."""
@@ -96,12 +111,12 @@ def per_cap_envelope_stats(H, cap):
     if H.n_atoms == 0:
         return np.empty(0, np.int64), np.empty(0), np.empty(0), (N1U, N2U)
     z1, z2 = grid_tube_index(H.ij[:, 0], H.ij[:, 1], cap, spec)
-    tkeys, HT = group_sums(z1 * N2 + z2, np.asarray(H.mass), N1 * N2)
+    tkeys, HT = unique_sums(z1 * N2 + z2, np.asarray(H.mass))
     e1, e2 = envelope_index_of_tube(tkeys // N2, tkeys % N2,
                                     envelope_factor(cap, spec))
     e1, e2 = wrap_envelope_index(e1, e2, cap, spec)
     eflat = e1 * N2U + e2
-    ekeys, HU = group_sums(eflat, HT, N1U * N2U)
+    ekeys, HU = unique_sums(eflat, HT)
     maxT = np.zeros(len(ekeys))
     np.maximum.at(maxT, np.searchsorted(ekeys, eflat), HT)
     return ekeys, HU, maxT, (N1U, N2U)

@@ -537,9 +537,9 @@ def test_main_preflight_exits_2(capsys):
     assert "exceeds" in capsys.readouterr().err
 
 
-def test_envelope_verify_loads_no_numpy_ma():
-    """A plain np.unique imports numpy.ma (numpy 2.4), about 12 ms of a
-    run; the run paths take sorts instead."""
+def _default_run_in_child(experiment: str) -> list:
+    """[exit code, whether numpy.ma was loaded] of a default run of
+    experiment in a fresh interpreter."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     paths = [os.path.abspath(src), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
@@ -548,11 +548,35 @@ def test_envelope_verify_loads_no_numpy_ma():
          "import contextlib, io, sys\n"
          "from wavenvelope import cli\n"
          "with contextlib.redirect_stdout(io.StringIO()):\n"
-         "    code = cli.main(['envelope-verify'])\n"
+         f"    code = cli.main([{experiment!r}])\n"
          "print(code, 'numpy.ma' in sys.modules)"],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "False"]
+    return proc.stdout.split()
+
+
+def test_envelope_verify_loads_no_numpy_ma():
+    """A plain np.unique imports numpy.ma (numpy 2.4), about 12 ms of a
+    run; the run paths take sorts instead."""
+    assert _default_run_in_child("envelope-verify") == ["0", "False"]
+
+
+def test_bilinear_loads_no_numpy_ma():
+    """np.median's NaN check imports numpy.ma; bilinear takes _median."""
+    assert _default_run_in_child("bilinear") == ["0", "False"]
+
+
+def test_median_is_np_median_bit_for_bit():
+    rng = np.random.default_rng(12)
+    pools = [[0.5], [0.0, 0.0], [-0.0, 0.0], [2.0, np.nan, 1.0],
+             [np.nan, 1.0], [3.0, 1.0, 3.0, 1.0]]
+    for n in range(1, 14):
+        pools += [rng.standard_normal(n).tolist(),
+                  rng.integers(0, 3, n).astype(float).tolist(),
+                  (rng.uniform(0.0, 1.0, n) * 1e-300).tolist()]
+    for pool in pools:
+        got, want = cli._median(pool), np.median(pool)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), pool
 
 
 def test_cli_import_loads_no_scipy():

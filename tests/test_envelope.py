@@ -469,6 +469,25 @@ def test_kappa_tables_bit_equal_per_cap_oracle(R):
                     assert np.array_equal(vals, want)
 
 
+@pytest.mark.parametrize("ratio", [0, 10 ** 12])
+@pytest.mark.parametrize("R", [16, 64, 256])
+def test_envelope_stats_every_branch_matches_oracle(monkeypatch, R, ratio):
+    # all tube and envelope sums by the packed sort, then all by dense
+    # bincounts, against the np.unique oracle with // and %
+    monkeypatch.setattr(torus, "DENSE_KEYS_PER_ATOM", ratio)
+    spec = GridSpec(R)
+    for H in _oracle_weights(spec):
+        for s in dyadic_scales(R):
+            st = env.envelope_stats(H, s)
+            for cap in caps_at_scale(s):
+                sl = st.cap_slice(cap.k)
+                want = per_cap_envelope_stats(H, cap)
+                for got, w in zip((st.ekeys[sl], st.HU[sl], st.maxT[sl]),
+                                  want):
+                    assert got.dtype == w.dtype
+                    assert got.tobytes() == w.tobytes(), (H.label, s, cap.k)
+
+
 @pytest.mark.parametrize("R", [16, 64])
 def test_kappa_max_is_the_first_per_cap_maximum(R):
     # the per-scale argmax keeps the per-cap scan's value and witness:

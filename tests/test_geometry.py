@@ -131,6 +131,36 @@ def test_scale_locator_matches_per_cap_oracle(R):
             raw.keys(0)
 
 
+@pytest.mark.parametrize("R", [4, 16, 64, 256])
+def test_running_sum_keys_match_each_cap(R):
+    # the running sum of cap_keys, started at the first cap (k < 0), at
+    # k = 0 and at the last cap, gives every cap's keys(k); each cap's
+    # envelope keys are the flat envelope_index_of_tube, wrap_envelope_index
+    spec = GridSpec(R)
+    rng = np.random.default_rng(R + 1)
+    j1 = rng.integers(0, spec.M, 2000)
+    j2 = np.concatenate([rng.integers(0, spec.M, 1000),
+                         spec.M - 1 - np.arange(1000) % spec.M])
+    for s in dyadic_scales(R):
+        tubes = locate_scale_tubes(j1, j2, s, spec)
+        caps = caps_at_scale(s)
+        for start in (0, len(caps) // 2, len(caps) - 1):
+            run = tubes.cap_keys(caps[start].k)
+            for cap in caps[start:]:
+                keys = next(run)
+                z1, z2 = grid_tube_index(j1, j2, cap, spec)
+                assert np.array_equal(keys, z1 * tubes.N2 + z2)
+                assert np.array_equal(keys, tubes.keys(cap.k))
+                if start:
+                    continue
+                E = envelope_factor(cap, spec)
+                N1U, N2U, _ = envelope_lattice_dims(cap, spec)
+                e1, e2 = wrap_envelope_index(
+                    *envelope_index_of_tube(z1, z2, E), cap, spec)
+                assert np.array_equal(tubes.envelope_keys(keys, cap.k, E),
+                                      e1 * N2U + e2)
+
+
 @pytest.mark.parametrize("L,delta", [(12.0, 1.0 / 3.0), (12.0, 0.5)])
 def test_scale_locator_needs_powers_of_two(L, delta):
     # 2D = 24 in the first grid, N1 = 6 in the second

@@ -26,7 +26,7 @@ from wavenvelope.measures import GridMeasure, constant_weight
 from oracles import (analyze, concatenated_square_sum, direct_trig_sum,
                      grid_constant_lp, grid_lp, longdouble_lattice_sum,
                      read_back_coeffs, sq_norm_from_sq2, square_function,
-                     square_sum_samples)
+                     square_sum_samples, unique_sums)
 
 SPEC4 = GridSpec(4)
 SPEC16 = GridSpec(16)
@@ -200,6 +200,60 @@ def test_offset_sums_branches_agree(monkeypatch):
     assert np.array_equal(runs[0][2].imag, np.bincount(inv, weights=c.imag))
     assert np.array_equal(runs[0][0] * W * W + (runs[0][1][:, 0] + W // 2) * W
                           + runs[0][1][:, 1] + W // 2, keys)
+
+
+def _group_sums_cases():
+    """(name, keys, weights, size) for group_sums against np.unique."""
+    rng = np.random.default_rng(19)
+    n = 1000
+    top = 1 << (63 - (n - 1).bit_length())  # the largest size that packs
+    w = rng.uniform(0.0, 1.0, n)
+    zeros = w.copy()
+    zeros[::3] = 0.0
+    signed = rng.standard_normal(n)
+    cplx = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    some = rng.integers(0, 5000, n)
+    return [
+        ("empty", np.empty(0, np.int64), np.empty(0), 10),
+        ("one", np.array([7]), np.array([0.25]), 10),
+        ("all-equal", np.full(n, 3), w, 10),
+        ("all-equal-sparse", np.full(n, 3), w, 10 ** 6),
+        ("top", top - 1 - rng.integers(0, 50, n), w, top),
+        ("top-one", np.array([(1 << 63) - 1]), np.array([1.0]), 1 << 63),
+        ("positive", some, w, 5000),
+        ("zero-weights", some, zeros, 5000),
+        ("signed", some, signed, 5000),
+        ("complex", some, cplx, 5000),
+        ("complex-zeros", some, np.where(zeros > 0, cplx, 0), 5000),
+    ]
+
+
+@pytest.mark.parametrize("ratio", [0, torus.DENSE_KEYS_PER_ATOM, 10 ** 18])
+def test_group_sums_match_unique_oracle(monkeypatch, ratio):
+    # every branch: the packed sort (ratio 0), the default split, and the
+    # dense bincounts wherever the key space allows; zero weights keep
+    # their keys, and each key adds its weights in input order
+    monkeypatch.setattr(torus, "DENSE_KEYS_PER_ATOM", ratio)
+    for name, keys, weights, size in _group_sums_cases():
+        if ratio * len(keys) >= size > 2 ** 24:
+            continue  # no dense bins that large
+        got = torus.group_sums(keys, weights, size)
+        want = unique_sums(keys, weights)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype, name
+            assert g.tobytes() == w.tobytes(), name
+
+
+def test_group_sums_past_the_packing_bound():
+    # keys that cannot fit 63 bits beside 10 index bits take np.unique,
+    # with the same sums; just below the bound they still pack
+    rng = np.random.default_rng(20)
+    w = rng.uniform(0.0, 1.0, 1000)
+    top = 1 << (63 - 10)
+    for size in (top, top + 1, 1 << 63):
+        keys = size - 1 - rng.integers(0, 300, 1000)
+        got, want = torus.group_sums(keys, w, size), unique_sums(keys, w)
+        assert all(g.tobytes() == v.tobytes() for g, v in zip(got, want))
 
 
 def test_distinct_is_np_unique():
