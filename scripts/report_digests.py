@@ -10,9 +10,12 @@ temporary directory, one subdirectory per run:
   * kappa-scan at the benchmark's sizes, where the sparse tube sums take
     over: truncated-lattice at R = 4096, 16384, 65536 (alpha 1.5, c 0.25)
     and dual-tube at R = 1024 (alpha 1, inside the benchmark's seeded
-    range), both at p = 2, 2.5, 3, 4.
+    range), both at p = 2, 2.5, 3, 4;
+  * certificates on each measure family at R = 16, 64, 256, bilinear at
+    R = 16 and at R = 64 with K = 2 over 4 trials, and broad-narrow at
+    R = 64 over 5 trials, so every sidecar kind is hashed.
 Lines are sorted by path, so the output of two checkouts can be compared
-with diff.  About 8 s on a 2-vCPU VM.  Run from the repository root:
+with diff.  About 10 s on a 2-vCPU VM.  Run from the repository root:
 
     PYTHONPATH=src python3 scripts/report_digests.py > digests.txt
 """
@@ -30,6 +33,7 @@ import tempfile  # noqa: E402
 
 from wavenvelope.cli import (EXPERIMENTS, PAIR_FAMILIES,  # noqa: E402
                              _SCAN_PARAMS, main)
+from wavenvelope.schrodinger import MEASURE_FAMILIES  # noqa: E402
 
 
 def sweep():
@@ -50,6 +54,13 @@ def sweep():
         yield (f"kappa-scan-large/{family}",
                ["kappa-scan", "--family", family, "--p", "2,2.5,3,4",
                 *flags])
+    for family in MEASURE_FAMILIES:
+        yield (f"certificates/{family}",
+               ["certificates", "--family", family, "--R", "16,64,256"])
+    yield "bilinear/R16", ["bilinear", "--R", "16"]
+    yield "bilinear/R64-K2", ["bilinear", "--R", "64", "--K", "2",
+                              "--trials", "4"]
+    yield "broad-narrow/R64", ["broad-narrow", "--R", "64", "--trials", "5"]
 
 
 if __name__ == "__main__":

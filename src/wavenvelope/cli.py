@@ -2,16 +2,16 @@
 
 A run resolves an ExperimentConfig (key = value file plus command-line
 overrides), preflights its memory footprint against a cap, executes the
-named pipeline, and reports a JSON summary with CSV sidecars and one
-PASS/FAIL line per checked property.  Exit status is 0 iff every check
-passed, 1 on a failed check, 2 on a rejected config.  Two runs of one
-config produce byte-identical reports, whatever the output directory,
-the BLAS thread count and the number of CPUs: nothing time- or
-path-dependent enters a report, every random stream is seeded from the
-config, and no reduction order follows the thread count.  broad-narrow
-runs its trials concurrently, one thread per CPU the process may use,
-with no option to set: the trials' inputs are drawn first, in the serial
-order, and each trial's arithmetic is unchanged.
+named pipeline, and prints one PASS/FAIL line per checked property.
+The pipelines compute and write nothing: a run returns its rows, fits,
+checks and sidecars as data, and main alone writes the files (the
+summary in each format asked for, and the sidecars) through one JSON
+and one CSV writer.  Exit status is 0 iff every check passed, 1 on a failed check,
+2 on a rejected config.  Two runs of one config produce byte-identical
+reports, whatever the output directory, the BLAS thread count and the
+number of CPUs: nothing time- or path-dependent enters a report, every
+random stream is seeded from the config, and no reduction order follows
+the thread count.
 
 The module also owns the built-in example families: the field families
 paired with weight families for the two-sided inequality sweeps, and the
@@ -26,15 +26,15 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields as dataclass_fields, replace
+from dataclasses import (dataclass, field as dataclass_field,
+                         fields as dataclass_fields, replace)
 
 import numpy as np
 
 from .envelope import (cap_decompose, kappa_max, verify_weighted_sq,
                        window_profile)
 from .decomp import (CertificateError, bilinear_peak_bytes, bilinear_trials,
-                     broad_narrow, broad_narrow_peak_bytes, over_bound,
-                     write_constants_csv)
+                     broad_narrow, broad_narrow_peak_bytes, over_bound)
 from .geometry import dyadic_scales, mode_cap_index, theta_scale
 from .measures import candidate_atoms, make_weight, masses_at_bytes
 from .schrodinger import (FLS_DEFAULT_R, MEASURE_FAMILIES, fit_exponent,
@@ -99,10 +99,6 @@ class ExperimentConfig:
             v = getattr(self, f.name)
             out[f.name] = list(v) if isinstance(v, tuple) else v
         return out
-
-    def write(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.canonical())
 
 
 def _parse_list(convert):
@@ -419,15 +415,6 @@ def _kappa_scan_peak_bytes(cfg: "ExperimentConfig") -> float:
     return est
 
 
-def _broad_narrow_peak_bytes(cfg: "ExperimentConfig") -> float:
-    """One trial's peak per concurrent trial, plus every trial's points,
-    drawn before any trial runs."""
-    n_trials = len(cfg.R) * cfg.trials
-    return _trial_workers(n_trials) * max(
-        broad_narrow_peak_bytes(R, cfg.K, cfg.points) for R in cfg.R) \
-        + 16 * cfg.points * n_trials
-
-
 def _certificates_peak_bytes(cfg: "ExperimentConfig") -> float:
     """The masses tables of the largest family's certificates, its atoms
     as both centers and positions."""
@@ -479,7 +466,7 @@ def _run_kappa_scan(cfg):
         checks.append(_check("kappa-finite", finite,
                              f"{len(rows)} values, all finite" if finite
                              else "non-finite functional value"))
-    return rows, [], checks
+    return rows, [], checks, {}
 
 
 # kappa-scan families and the config fields their builders take, by
@@ -503,8 +490,9 @@ def _scan_params(cfg) -> dict:
 
 
 def _pair_rows(cfg, ratio_key: str):
-    """Shared body of the two verification experiments."""
-    rows, fits, checks = [], [], []
+    """Shared body of the two verification experiments; envelope-verify
+    keeps each report's terms as a sidecar."""
+    rows, fits, checks, sidecars = [], [], [], {}
     p_values = cfg.p or (_pair_family(cfg.family)[3],)
     for p in p_values:
         ratios = []
@@ -518,10 +506,9 @@ def _pair_rows(cfg, ratio_key: str):
                          "ratio_env": rep.ratio_env,
                          "measured": getattr(rep, ratio_key),
                          "zero_field": rep.zero_field})
-            if cfg.out and ratio_key == "ratio_env":
-                rep.write_terms_csv(os.path.join(
-                    cfg.out, f"{cfg.experiment}_{cfg.family.replace(':', '-')}"
-                    f"_R{R}_p{p:g}_terms.csv"))
+            if ratio_key == "ratio_env":
+                sidecars[f"{cfg.experiment}_{cfg.family.replace(':', '-')}"
+                         f"_R{R}_p{p:g}_terms.csv"] = _terms_table(rep.terms)
         finite = all(math.isfinite(r) and r >= 0 for r in ratios)
         checks.append(_check(f"{ratio_key}-finite-p{p:g}", finite,
                              f"ratios {['%.3g' % r for r in ratios]}"))
@@ -531,53 +518,30 @@ def _pair_rows(cfg, ratio_key: str):
                 ratios, 0.0, band=cfg.band, sided="upper")
             fits.append(fit.to_dict())
             checks.append(_fit_check(fit))
-    return rows, fits, checks
-
-
-def _trial_workers(n_trials: int) -> int:
-    """Threads for independent trials: one per CPU the process may use."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, n_trials))
+    return rows, fits, checks, sidecars
 
 
 def _run_broad_narrow(cfg):
-    # imported here: at module level it would add to every run's startup
-    from concurrent.futures import ThreadPoolExecutor
-
     p = cfg.p[0]
-    # every trial's field seed and points, drawn in the serial order
-    trials = []
+    rows, failed = [], []
     for R in cfg.R:
         spec = GridSpec(R)
         rng = np.random.default_rng(cfg.seed + R)
         for t in range(cfg.trials):
-            seed = int(rng.integers(2 ** 31))
-            trials.append((spec, t, seed,
-                           rng.uniform(0.0, spec.L, size=(cfg.points, 2))))
-
-    def row(trial):
-        # the row, not the report: finished reports' arrays are not kept
-        spec, t, seed, pts = trial
-        f = random_band_field(spec, seed=seed, density=0.5)
-        try:
-            rep = broad_narrow(f, pts, p, cfg.K)
-        except CertificateError as exc:
-            return f"R {spec.R} trial {t}: {exc}"
-        return {"R": spec.R, "p": p, "K": cfg.K, "trial": t,
-                "points": cfg.points,
-                "violations": int(np.count_nonzero(
-                    over_bound(rep.lhs, rep.bound))),
-                "max_empirical": rep.max_empirical,
-                "C_certified": rep.C_certified}
-
-    # each trial's arithmetic is that of a serial run; map keeps trial order
-    with ThreadPoolExecutor(_trial_workers(len(trials))) as pool:
-        results = list(pool.map(row, trials))
-    rows = [r for r in results if isinstance(r, dict)]
-    failed = [r for r in results if isinstance(r, str)]
+            f = random_band_field(spec, seed=int(rng.integers(2 ** 31)),
+                                  density=0.5)
+            pts = rng.uniform(0.0, spec.L, size=(cfg.points, 2))
+            try:
+                rep = broad_narrow(f, pts, p, cfg.K)
+            except CertificateError as exc:
+                failed.append(f"R {R} trial {t}: {exc}")
+                continue
+            rows.append({"R": R, "p": p, "K": cfg.K, "trial": t,
+                         "points": cfg.points,
+                         "violations": int(np.count_nonzero(
+                             over_bound(rep.lhs, rep.bound))),
+                         "max_empirical": rep.max_empirical,
+                         "C_certified": rep.C_certified})
     total_violations = sum(r["violations"] for r in rows)
     worst = max((r["max_empirical"] for r in rows), default=0.0)
     detail = (f"{total_violations} violations over {len(rows)} fields, "
@@ -587,7 +551,7 @@ def _run_broad_narrow(cfg):
                    f"bound, first {failed[0]}")
     checks = [_check("pointwise-split-violations",
                      total_violations == 0 and not failed, detail)]
-    return rows, [], checks
+    return rows, [], checks, {}
 
 
 def _median(pool) -> float:
@@ -598,15 +562,14 @@ def _median(pool) -> float:
 
 
 def _run_bilinear(cfg):
-    rows, checks = [], []
+    rows, checks, sidecars = [], [], {}
     by_scale = {}
     all_finite = True
     l4_ok = True
     for R_s in cfg.R:
         reports = bilinear_trials(R_s, cfg.K, cfg.trials, seed=cfg.seed)
-        if cfg.out:
-            write_constants_csv(reports, os.path.join(
-                cfg.out, f"bilinear_R{R_s}_K{cfg.K}_constants.csv"))
+        sidecars[f"bilinear_R{R_s}_K{cfg.K}_constants.csv"] = \
+            _constants_table(reports)
         c_l4 = []
         for rep in reports:
             ok = all(math.isfinite(v) for v in
@@ -634,7 +597,7 @@ def _run_bilinear(cfg):
         checks.append(_check("bilinear-variation", var <= 4.0,
                              f"median constant varies x{var:.2f} across "
                              "R (cap x4)"))
-    return rows, [], checks
+    return rows, [], checks, sidecars
 
 
 def _fls_names(cfg) -> tuple:
@@ -645,17 +608,16 @@ def _fls_names(cfg) -> tuple:
     return names
 
 
-def _fit_report(cfg, fits):
-    """Rows, fit dicts and checks of a run made of exponent fits; with an
-    out directory each fit also goes to fit_<name>.json."""
+def _fit_report(fits):
+    """Rows, fit dicts, checks and sidecars of a run made of exponent
+    fits: each fit dict is also its own fit_<name>.json."""
     rows, checks = [], []
     for fit in fits:
         checks.append(_fit_check(fit))
         for R, lr in zip(fit.R_values, fit.log_ratios):
             rows.append({"R": R, "family": fit.name, "measured": math.exp(lr)})
-        if cfg.out:
-            fit.write_json(os.path.join(cfg.out, f"fit_{fit.name}.json"))
-    return rows, [fit.to_dict() for fit in fits], checks
+    dicts = [fit.to_dict() for fit in fits]
+    return rows, dicts, checks, {f"fit_{d['name']}.json": d for d in dicts}
 
 
 def _run_schrodinger_fls(cfg):
@@ -664,11 +626,11 @@ def _run_schrodinger_fls(cfg):
         fits += fls_fits(name, cfg.p, R_values=cfg.R or None,
                          alpha=cfg.alpha, kappa=cfg.kappa, band=cfg.band,
                          seed=cfg.seed)
-    return _fit_report(cfg, fits)
+    return _fit_report(fits)
 
 
 def _run_certificates(cfg):
-    rows, checks = [], []
+    rows, checks, sidecars = [], [], {}
     names = (cfg.family,) if cfg.family else MEASURE_FAMILIES
     ok = True
     for name in names:
@@ -685,15 +647,11 @@ def _run_certificates(cfg):
                              "base_norm": comp["base_norm"],
                              "measured": comp["measured"],
                              "ratio": comp["ratio"], "within": good})
-            if cfg.out:
-                path = os.path.join(cfg.out, f"certificates_{name}_R{R}.json")
-                with open(path, "w") as fh:
-                    json.dump(comps, fh, sort_keys=True, indent=1)
-                    fh.write("\n")
+            sidecars[f"certificates_{name}_R{R}.json"] = comps
     checks.append(_check("measure-bounds", ok,
                          f"{len(rows)} comparisons within x8" if ok
                          else "a comparison left (0, 8]"))
-    return rows, [], checks
+    return rows, [], checks, sidecars
 
 
 def _run_examples_suite(cfg):
@@ -709,7 +667,7 @@ def _run_examples_suite(cfg):
         fits += fls_fits("packet", (4.0,), alpha=alpha, band=cfg.band)
     fits += fls_fits("lattice", (3.0, 4.0), band=cfg.band)
     fits += fls_fits("nikodym", (2.0, 4.0), band=cfg.band, seed=cfg.seed)
-    return _fit_report(cfg, fits)
+    return _fit_report(fits)
 
 
 # name: (runner, help, defaults of the fields left empty, peak bytes)
@@ -730,7 +688,9 @@ EXPERIMENTS = {
     "broad-narrow": (_run_broad_narrow,
                      "pointwise split certificate on random fields",
                      {"R": (64, 256), "p": (4.0,)},
-                     _broad_narrow_peak_bytes),
+                     lambda cfg: max(broad_narrow_peak_bytes(R, cfg.K,
+                                                             cfg.points)
+                                     for R in cfg.R)),
     "bilinear": (_run_bilinear,
                  "bilinear constants over random separated pairs",
                  {"R": (64, 256)},
@@ -765,11 +725,35 @@ def resolve(cfg: ExperimentConfig) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # reports
 
+@dataclass(frozen=True)
+class Table:
+    """A CSV file as data: its columns in file order, its rows as value
+    sequences in that order, and the line end the table has always had."""
+
+    columns: tuple
+    rows: list
+    line_end: str
+
+
+def _terms_table(terms) -> Table:
+    """envelope-verify's terms sidecar: one row per charged envelope."""
+    return Table(("s", "cap_id", "z1", "z2", "kappa", "term"), terms, "\n")
+
+
+def _constants_table(reports) -> Table:
+    """bilinear's constants sidecar: one row per trial."""
+    return Table(("R", "K", "s", "pair_id", "constant", "x1", "x2"),
+                 [(r.R_s, r.K, r.s, r.pair_id, r.C_l4, *r.witness)
+                  for r in reports], "\n")
+
+
 @dataclass
 class Report:
     """One run's results.  preflight_mb, the memory estimate the run was
     admitted with, stays out of the report's bytes (to_dict, markdown),
-    so a recalibrated estimate leaves reports unchanged."""
+    so a recalibrated estimate leaves reports unchanged.  sidecars maps
+    a file name to a JSON value or a Table, files that main writes next
+    to the summary whatever the format; they stay out of to_dict."""
 
     experiment: str
     config: dict
@@ -779,6 +763,7 @@ class Report:
     fits: list
     checks: list
     schema: int = SCHEMA_VERSION
+    sidecars: dict = dataclass_field(default_factory=dict, repr=False)
 
     @property
     def passed(self) -> bool:
@@ -791,7 +776,7 @@ class Report:
                 "passed": self.passed}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=1) + "\n"
+        return _json_text(self.to_dict())
 
     def check_lines(self) -> list:
         return [f"{'PASS' if c['passed'] else 'FAIL'} {c['name']}: "
@@ -803,12 +788,10 @@ def run(cfg: ExperimentConfig) -> Report:
     est = preflight_mb(cfg)
     if est > cfg.mem_cap_mb:
         raise PreflightError(est, cfg.mem_cap_mb)
-    if cfg.out:
-        os.makedirs(cfg.out, exist_ok=True)
-    rows, fits, checks = EXPERIMENTS[cfg.experiment][0](cfg)
+    rows, fits, checks, sidecars = EXPERIMENTS[cfg.experiment][0](cfg)
     return Report(experiment=cfg.experiment, config=cfg.to_dict(),
                   config_hash=cfg.content_hash(), preflight_mb=est,
-                  rows=rows, fits=fits, checks=checks)
+                  rows=rows, fits=fits, checks=checks, sidecars=sidecars)
 
 
 _MD_COLUMNS = ("R", "p", "measured", "predicted", "ratio")
@@ -835,13 +818,10 @@ def emit(report: Report, fmt: str, out_dir) -> list:
     base = os.path.join(out_dir, report.experiment)
     paths = []
     if fmt == "json":
-        path = base + ".json"
-        with open(path, "w") as fh:
-            fh.write(report.to_json())
-        paths.append(path)
+        paths.append(_write_json(base + ".json", report.to_dict()))
     elif fmt == "csv":
-        paths.append(_write_rows_csv(base + "_rows.csv", report.rows))
-        paths.append(_write_rows_csv(base + "_fits.csv", report.fits))
+        paths.append(_write_csv(base + "_rows.csv", _dict_table(report.rows)))
+        paths.append(_write_csv(base + "_fits.csv", _dict_table(report.fits)))
     elif fmt == "md":
         path = base + ".md"
         with open(path, "w") as fh:
@@ -852,14 +832,36 @@ def emit(report: Report, fmt: str, out_dir) -> list:
     return paths
 
 
-def _write_rows_csv(path, rows) -> str:
+def _write_sidecars(report: Report, out_dir) -> None:
+    """Every sidecar into out_dir: a Table as CSV, other data as JSON."""
+    os.makedirs(out_dir, exist_ok=True)
+    for name, data in report.sidecars.items():
+        write = _write_csv if isinstance(data, Table) else _write_json
+        write(os.path.join(out_dir, name), data)
+
+
+def _json_text(data) -> str:
+    return json.dumps(data, sort_keys=True, indent=1) + "\n"
+
+
+def _write_json(path, data) -> str:
+    with open(path, "w") as fh:
+        fh.write(_json_text(data))
+    return path
+
+
+def _dict_table(rows) -> Table:
+    """A row or fit table: sorted keys as columns, csv's own line end."""
     cols = sorted({k for row in rows for k in row}) if rows \
         else list(_MD_COLUMNS)
+    return Table(cols, [[row.get(k) for k in cols] for row in rows], "\r\n")
+
+
+def _write_csv(path, table: Table) -> str:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for row in rows:
-            writer.writerow([_csv_cell(row.get(k)) for k in cols])
+        writer = csv.writer(fh, lineterminator=table.line_end)
+        writer.writerow(table.columns)
+        writer.writerows([_csv_cell(v) for v in row] for row in table.rows)
     return path
 
 
@@ -914,15 +916,10 @@ def _add_flags(sp):
 def config_from_args(args) -> ExperimentConfig:
     """The config file, if any, overridden by every flag given; the
     subcommand sets experiment."""
-    base = {}
-    if args.config:
-        with open(args.config) as fh:
-            base = parse_config_text(fh.read())
-    for f in dataclass_fields(ExperimentConfig):
-        text = getattr(args, f.name)
-        if text is not None:
-            base[f.name] = _parse_value(f.name, text)
-    return ExperimentConfig(**base)
+    cfg = read_config(args.config) if args.config else ExperimentConfig()
+    return replace(cfg, **{f.name: _parse_value(f.name, getattr(args, f.name))
+                           for f in dataclass_fields(cfg)
+                           if getattr(args, f.name) is not None})
 
 
 def main(argv=None) -> int:
@@ -936,15 +933,18 @@ def main(argv=None) -> int:
     try:
         cfg = config_from_args(args)
         report = run(cfg)
+        paths = []
+        if cfg.out:
+            _write_sidecars(report, cfg.out)
+            for fmt in args.format.split(","):
+                paths += emit(report, fmt.strip(), cfg.out)
     except (OSError, ValueError, PreflightError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for line in report.check_lines():
         print(line)
-    if cfg.out:
-        for fmt in args.format.split(","):
-            for path in emit(report, fmt.strip(), cfg.out):
-                print(f"wrote {path}")
+    for path in paths:
+        print(f"wrote {path}")
     return 0 if report.passed else 1
 
 

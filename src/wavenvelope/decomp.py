@@ -370,21 +370,6 @@ class BilinearReport:
     sigma: float
     witness: tuple
 
-    def csv_row(self) -> str:
-        x1, x2 = self.witness
-        return (f"{self.R_s:.17g},{self.K},{self.s:.17g},{self.pair_id},"
-                f"{self.C_l4:.17g},{x1:.17g},{x2:.17g}\n")
-
-
-CONSTANTS_CSV_HEADER = "R,K,s,pair_id,constant,x1,x2\n"
-
-
-def write_constants_csv(reports, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(CONSTANTS_CSV_HEADER)
-        for rep in reports:
-            fh.write(rep.csv_row())
-
 
 def bilinear_check(pair: BilinearPair, Y=None,
                    quad_per_unit: int = 4) -> BilinearReport:
@@ -521,7 +506,7 @@ def bilinear_trials(R_s: int, K: int, n_trials: int, seed=0):
     an s = 1/2 parent, exercising the rescaling; the rest use the unit
     parent at R = R_s directly.  Each trial draws its Y: the full plane,
     a ball through the pullback, or isolated lattice cells.  Returns the
-    reports (write_constants_csv serializes them).
+    reports.
     """
     quad_per_unit = _default_quad_per_unit(R_s)
     rng = np.random.default_rng(seed)

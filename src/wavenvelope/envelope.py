@@ -22,7 +22,6 @@ those coefficients runs one axis at a time and never holds the grid.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -384,17 +383,6 @@ class RatioReport:
             "zero_field": self.zero_field,
             "n_terms": len(self.terms),
         }
-
-    def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True, indent=1)
-            fh.write("\n")
-
-    def write_terms_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("s,cap_id,z1,z2,kappa,term\n")
-            for s, cap_id, z1, z2, kap, term in self.terms:
-                fh.write(f"{s:.17g},{cap_id},{z1},{z2},{kap:.17g},{term:.17g}\n")
 
 
 def verify_weighted_sq(field: TorusField, H: GridMeasure,

@@ -19,7 +19,6 @@ ExponentFit.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -423,11 +422,6 @@ class ExponentFit:
             "passed": bool(self.passed),
             "notes": self.notes,
         }
-
-    def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True, indent=1)
-            fh.write("\n")
 
 
 def fit_exponent(name: str, exponent: str, R_values, ratios,

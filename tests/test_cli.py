@@ -44,7 +44,7 @@ def test_config_round_trip_byte_identical():
 def test_config_file_round_trip(tmp_path):
     cfg = ExperimentConfig(experiment="bilinear", R=(64,), trials=3, seed=9)
     path = tmp_path / "run.cfg"
-    cfg.write(path)
+    path.write_text(cfg.canonical())
     assert read_config(path) == cfg
 
 
@@ -179,8 +179,9 @@ def test_kappa_scan_rejects_unknown_family():
 
 def test_envelope_verify_rows_and_sidecar(tmp_path):
     cfg = ExperimentConfig(experiment="envelope-verify", R=(64,),
-                           family="knapp:dual-tube", out=str(tmp_path))
+                           family="knapp:dual-tube")
     rep = run(cfg)
+    cli._write_sidecars(rep, str(tmp_path))
     assert rep.passed
     row = rep.rows[0]
     assert row["measured"] == row["ratio_env"] > 0
@@ -212,7 +213,6 @@ def test_broad_narrow_experiment():
 @pytest.mark.parametrize("R", [64, 256])
 @pytest.mark.parametrize("seed,trials", [(0, 3), (1, 5), (7, 3)])
 def test_broad_narrow_rows_equal_the_serial_loop(R, seed, trials):
-    # odd trial counts: a pool of two threads does not divide them
     cfg = resolve(ExperimentConfig(experiment="broad-narrow", R=(R,),
                                    trials=trials, points=300, seed=seed))
     assert run(cfg).rows == serial_broad_narrow_rows(cfg)
@@ -256,7 +256,6 @@ def test_broad_narrow_bytes_independent_of_cpu_count(tmp_path):
              "from wavenvelope import cli\n"
              "if sys.argv[1] == 'pinned':\n"
              "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
-             "    assert cli._trial_workers(5) == 1\n"
              "sys.exit(cli.main(sys.argv[2:]))\n")
     reports = []
     for mode in ("pinned", "unpinned"):
@@ -272,7 +271,8 @@ def test_broad_narrow_bytes_independent_of_cpu_count(tmp_path):
 
 def test_bilinear_experiment(tmp_path):
     rep = run(ExperimentConfig(experiment="bilinear", R=(64,), K=2,
-                               trials=4, out=str(tmp_path)))
+                               trials=4))
+    cli._write_sidecars(rep, str(tmp_path))
     assert rep.passed
     assert len(rep.rows) == 4
     assert (tmp_path / "bilinear_R64_K2_constants.csv").exists()
@@ -305,8 +305,9 @@ def test_bilinear_l4_check_fails_on_a_violation(monkeypatch):
 
 def test_schrodinger_fls_experiment(tmp_path):
     cfg = ExperimentConfig(experiment="schrodinger-fls", family="chirp",
-                           p=(3.0,), R=(64, 256, 1024), out=str(tmp_path))
+                           p=(3.0,), R=(64, 256, 1024))
     rep = run(cfg)
+    cli._write_sidecars(rep, str(tmp_path))
     assert rep.passed
     assert rep.fits[0]["name"] == "chirp-p3"
     assert (tmp_path / "fit_chirp-p3.json").exists()
@@ -330,8 +331,8 @@ def test_schrodinger_fls_nikodym_fits_carry_band():
 
 
 def test_certificates_experiment(tmp_path):
-    rep = run(ExperimentConfig(experiment="certificates", R=(64,),
-                               out=str(tmp_path)))
+    rep = run(ExperimentConfig(experiment="certificates", R=(64,)))
+    cli._write_sidecars(rep, str(tmp_path))
     assert rep.passed
     assert len(rep.rows) == 8  # four families, two norms each
     assert all(r["within"] for r in rep.rows)
@@ -514,6 +515,36 @@ def test_main_verify_with_growth_fit_writes_files(tmp_path, capsys):
     with open(os.path.join(out, "envelope-verify_fits.csv")) as fh:
         lines = fh.read().splitlines()
     assert len(lines) == 2 and "slope" in lines[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["envelope-verify", "--R", "64", "--family", "knapp:dual-tube",
+     "--p", "3,4"],
+    ["bilinear", "--R", "16", "--K", "2", "--trials", "2"],
+    ["schrodinger-fls", "--family", "chirp", "--p", "3",
+     "--R", "64,256,1024"],
+    ["certificates", "--R", "16", "--family", "delta"],
+])
+def test_sidecars_written_by_main_alone(tmp_path, argv, capsys,
+                                        monkeypatch):
+    # run() computes and writes nothing, even with out set
+    monkeypatch.chdir(tmp_path)
+    rep = run(ExperimentConfig(
+        experiment=argv[0], out=str(tmp_path / "run"),
+        **{a[2:]: cli._parse_value(a[2:], v)
+           for a, v in zip(argv[1::2], argv[2::2])}))
+    assert list(tmp_path.iterdir()) == []
+    assert rep.sidecars
+    # main writes the same sidecars whatever the format
+    written = []
+    for fmt in ("json", "md"):
+        out = tmp_path / fmt
+        assert cli.main(argv + ["--out", str(out), "--format", fmt]) == 0
+        written.append({p.name for p in out.iterdir()}
+                       - {f"{argv[0]}.{fmt}"})
+    assert written[0] == written[1] == set(rep.sidecars)
+    # stdout names the summary files only
+    assert capsys.readouterr().out.count("wrote ") == 2
 
 
 def test_main_config_file_with_overrides(tmp_path, capsys):

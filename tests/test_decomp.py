@@ -13,7 +13,7 @@ from wavenvelope.torus import (
 )
 from wavenvelope.geometry import Cap, theta_scale
 from wavenvelope.measures import in_ball
-from wavenvelope import decomp as dc, envelope as env, torus
+from wavenvelope import cli, decomp as dc, envelope as env, torus
 
 from oracles import (bg_split, dict_merge_pieces, direct_trig_sum,
                      grid_points, l2sq, modulation, pinned_fields, spectrum)
@@ -440,7 +440,7 @@ def test_constants_csv_format(tmp_path):
     pair = dc.bilinear_pair(f, Cap(1.0, 0), Cap(0.25, 1), Cap(0.25, -2))
     rep = dc.bilinear_check(pair)
     path = tmp_path / "constants.csv"
-    dc.write_constants_csv([rep, rep], path)
+    cli._write_csv(path, cli._constants_table([rep, rep]))
     lines = path.read_text().splitlines()
     assert lines[0] == "R,K,s,pair_id,constant,x1,x2"
     assert len(lines) == 3

@@ -16,7 +16,7 @@ from wavenvelope.geometry import (Cap, cap_index_for_abscissa, caps_at_scale,
 from wavenvelope.measures import (ball_weight, constant_weight, custom_weight,
                                   make_weight)
 from wavenvelope.cli import PAIR_FAMILIES, make_field
-from wavenvelope import envelope as env
+from wavenvelope import cli, envelope as env
 from wavenvelope import torus
 
 from oracles import (branch_cap_decompose, constant_env_rhs, env_shift,
@@ -627,8 +627,8 @@ def test_report_json_and_csv(tmp_path):
     rep = env.verify_weighted_sq(f, ball_weight(SPEC64, 2.0), 2.0)
     jpath = tmp_path / "report.json"
     cpath = tmp_path / "terms.csv"
-    rep.write_json(jpath)
-    rep.write_terms_csv(cpath)
+    cli._write_json(jpath, rep.to_dict())
+    cli._write_csv(cpath, cli._terms_table(rep.terms))
     data = json.loads(jpath.read_text())
     assert data["R"] == 64 and data["p"] == 2.0
     assert data["n_terms"] == len(rep.terms)

@@ -21,7 +21,6 @@ NO_CALLER_IN_SRC = {
     "fls_experiment": "acceptance criterion 10 fits one family at one p",
     "locate_grid_envelopes": "the benchmark's span counters trace it",
     "nikodym_experiment": "the benchmark's span counters trace it",
-    "read_config": "the public reader of key = value config files",
 }
 
 

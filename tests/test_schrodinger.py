@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from wavenvelope.measures import lattice_sites
 from wavenvelope import torus
 from wavenvelope.torus import trig_sum
-from wavenvelope import schrodinger as sch
+from wavenvelope import cli, schrodinger as sch
 
 from oracles import (direct_trig_sum, grid_points, nikodym_max_loop,
                      pointwise_lattice_ratio)
@@ -296,7 +296,7 @@ def test_fit_json_export(tmp_path):
     fit = sch.fit_exponent("toy", "sigma", [64, 256, 1024], [1.0, 1.1, 1.2],
                            prediction=0.0, notes="eta = test")
     pth = tmp_path / "fit.json"
-    fit.write_json(pth)
+    cli._write_json(pth, fit.to_dict())
     back = json.loads(pth.read_text())
     assert back["name"] == "toy" and back["exponent"] == "sigma"
     assert back["passed"] == fit.passed
