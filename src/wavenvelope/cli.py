@@ -213,7 +213,7 @@ FIELD_FAMILIES = {
 }
 
 
-def make_field(family: str, spec: GridSpec, seed=0):
+def make_field(family: str, spec: GridSpec, seed):
     if family not in FIELD_FAMILIES:
         raise ValueError(f"unknown field family {family!r}; "
                          f"have {tuple(FIELD_FAMILIES)}")
@@ -222,6 +222,12 @@ def make_field(family: str, spec: GridSpec, seed=0):
 
 # the dilated lattice of the random:lattice pair and of alpha_lattice_fits
 _ALPHA_LATTICE = {"kappa": 1.0 / 3.0, "c": 0.45}
+# the truncated lattice of y_lattice_fits and its scales
+_Y_LATTICE = {"alpha": 1.5, "c": 0.25}
+_Y_LATTICE_R = (4096, 16384, 65536)
+# the examples suite's scales and exponents when the config sets none
+_SUITE_R = (64, 256, 1024)
+_SUITE_P = (2.0, 3.0, 4.0)
 
 # Each pair fixes its weight parameters so a sweep is reproducible without
 # extra knobs.  p is the default exponent for the pair's ratio run.
@@ -268,8 +274,7 @@ def pair_growth_fit(pair: str, R_values=(64, 256, 1024)):
 # ---------------------------------------------------------------------------
 # weight-functional slope families
 
-def unit_ball_fits(p_values=(2.0, 3.0, 4.0), R_values=(64, 256, 1024),
-                   band: float = 0.1):
+def unit_ball_fits(p_values, R_values, band: float = 0.1):
     """Unit-ball weight against the flat field over a grid of R.
 
     Per p two fits: the norm ratio ||f||_{L^p(1_B)} / ||S||_p and the
@@ -311,8 +316,7 @@ def _kappa_fits(name, family, params, p_values, R_values, pred, band, sided):
     return fits
 
 
-def alpha_lattice_fits(p_values=(2.0, 3.0, 4.0), R_values=(64, 256, 1024),
-                       band: float = 0.1):
+def alpha_lattice_fits(p_values, R_values, band: float = 0.1):
     """Dilated-lattice weight: functional decay bounded by the dimension.
 
     The fattened lattice of pitch (R^kappa, R^(2 kappa)) in a ball of
@@ -327,7 +331,7 @@ def alpha_lattice_fits(p_values=(2.0, 3.0, 4.0), R_values=(64, 256, 1024),
                        band, "upper")
 
 
-def y_lattice_fits(R_values=(4096, 16384, 65536), band: float = 0.1):
+def y_lattice_fits(R_values=_Y_LATTICE_R, band: float = 0.1):
     """Two-branch exponents of the truncated corner-window lattice at
     alpha = 3/2 and p in {2, 2.5, 3, 4}.
 
@@ -335,7 +339,7 @@ def y_lattice_fits(R_values=(4096, 16384, 65536), band: float = 0.1):
     functional and the slope is -(2 - alpha)/(2p); above it the ball
     piece takes over with -((3 - alpha)/2)(1/p - 1/4).
     """
-    alpha, c = 1.5, 0.25
+    alpha = _Y_LATTICE["alpha"]
     p_cross = 4.0 / (3.0 - alpha)
 
     def pred(p):
@@ -344,7 +348,7 @@ def y_lattice_fits(R_values=(4096, 16384, 65536), band: float = 0.1):
         return -((3.0 - alpha) / 2.0) * (1.0 / p - 0.25)
 
     return _kappa_fits("y-lattice", "truncated-lattice",
-                       {"alpha": alpha, "c": c}, (2.0, 2.5, 3.0, 4.0),
+                       _Y_LATTICE, (2.0, 2.5, 3.0, 4.0),
                        R_values, pred, band, "two")
 
 
@@ -421,6 +425,21 @@ def _certificates_peak_bytes(cfg: "ExperimentConfig") -> float:
     names = (cfg.family,) if cfg.family else MEASURE_FAMILIES
     n = max(len(measure_family(name)[1]) for name in names)
     return masses_at_bytes(n, n)
+
+
+def _suite_peak_bytes(cfg: "ExperimentConfig") -> float:
+    """The largest of the examples suite's parts: the unit-ball fits as
+    the flat:ball pair at the suite's R and p, the two lattice fits as
+    their kappa scans, and each lower-bound family at its default R."""
+    R, p = cfg.R or _SUITE_R, cfg.p or _SUITE_P
+    return max(
+        _verify_peak_bytes(replace(cfg, family="flat:ball", R=R, p=p)),
+        _kappa_scan_peak_bytes(replace(cfg, family="lattice", R=R,
+                                       **_ALPHA_LATTICE)),
+        _kappa_scan_peak_bytes(replace(cfg, family="truncated-lattice",
+                                       R=_Y_LATTICE_R, **_Y_LATTICE)),
+        *(fls_peak_bytes(name, R_f) for name, R_values
+          in FLS_DEFAULT_R.items() for R_f in R_values))
 
 
 def preflight_mb(cfg: "ExperimentConfig") -> float:
@@ -656,8 +675,8 @@ def _run_certificates(cfg):
 
 def _run_examples_suite(cfg):
     """Every example family as one exponent fit each, canonical grids."""
-    R_kappa = cfg.R or (64, 256, 1024)
-    p_main = cfg.p or (2.0, 3.0, 4.0)
+    R_kappa = cfg.R or _SUITE_R
+    p_main = cfg.p or _SUITE_P
     fits = []
     fits += unit_ball_fits(p_main, R_kappa, band=cfg.band)
     fits += alpha_lattice_fits(p_main, R_kappa, band=cfg.band)
@@ -706,7 +725,7 @@ EXPERIMENTS = {
                      {"R": (64, 256)}, _certificates_peak_bytes),
     "examples-suite": (_run_examples_suite,
                        "every example family as one exponent fit", {},
-                       lambda cfg: 4e8),
+                       _suite_peak_bytes),
 }
 
 
@@ -774,9 +793,6 @@ class Report:
                 "config": self.config, "config_hash": self.config_hash,
                 "rows": self.rows, "fits": self.fits, "checks": self.checks,
                 "passed": self.passed}
-
-    def to_json(self) -> str:
-        return _json_text(self.to_dict())
 
     def check_lines(self) -> list:
         return [f"{'PASS' if c['passed'] else 'FAIL'} {c['name']}: "

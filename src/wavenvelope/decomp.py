@@ -393,8 +393,6 @@ def bilinear_check(pair: BilinearPair, Y=None,
     ceilings (CertificateError if above); everything else is recorded
     with witnesses.
     """
-    if pair.separation < pair.threshold * pair.child1.s - 1e-12:
-        raise ValueError("pair not separated")
     side = pair.R_s
     n_cells = int(round(side))
     npq = int(quad_per_unit)
@@ -499,7 +497,7 @@ def bilinear_peak_bytes(R_s: int) -> float:
     return _BILINEAR_POINT_BYTES * n * n
 
 
-def bilinear_trials(R_s: int, K: int, n_trials: int, seed=0):
+def bilinear_trials(R_s: int, K: int, n_trials: int, seed):
     """Measured bilinear constants for random separated pairs at R_s.
 
     For K >= 4 half the trials start from physical scale R = 4 R_s with

@@ -274,11 +274,6 @@ class CapTree:
     scales: tuple[float, ...]   # scales[j] for level j, scales[0] = 1.0
     mismatch: float
 
-    def caps(self, level: int) -> list[Cap]:
-        if level == 0:
-            return [Cap(1.0, 0, 0)]
-        return caps_at_scale(self.scales[level], level)
-
     def parent_index(self, level: int, k) -> np.ndarray:
         """Cap index at level-1 of the level-j cap(s) k."""
         if level <= 0:

@@ -95,17 +95,6 @@ class GridMeasure:
     def n_atoms(self) -> int:
         return self.spec.M ** 2 if self.ij is None else len(self.mass)
 
-    @property
-    def total(self) -> float:
-        if self.ij is None:
-            return float(self.mass) * self.spec.M ** 2
-        return float(self.mass.sum())
-
-    def positions(self) -> np.ndarray:
-        if self.ij is None:
-            raise ValueError("constant measure has no atom list; materialize first")
-        return self.spec.delta * self.ij.astype(float)
-
     def contains(self, points) -> np.ndarray:
         """Whether the grid cell of each physical point holds an atom."""
         if self.is_full_constant:
@@ -119,21 +108,6 @@ class GridMeasure:
         occupied = self.ij[:, 0] * M + self.ij[:, 1]
         pos = np.minimum(np.searchsorted(occupied, keys), len(occupied) - 1)
         return occupied[pos] == keys
-
-    def materialize(self) -> "GridMeasure":
-        """Explicit atom list for the constant representation (small R only)."""
-        if self.ij is not None:
-            return self
-        M = self.spec.M
-        jj = np.arange(M, dtype=np.int64)
-        ij = np.stack(np.meshgrid(jj, jj, indexing="ij"), axis=-1).reshape(-1, 2)
-        return GridMeasure(self.spec, ij, np.full(M * M, float(self.mass)),
-                           self.kind, self.label)
-
-    def scaled(self, c: float) -> "GridMeasure":
-        kind = self.kind if (self.kind == "measure" or c <= 1.0 + 1e-12) \
-            else "measure"
-        return GridMeasure(self.spec, self.ij, self.mass * c, kind, self.label)
 
 
 def _torus_disp(a, b, L: float):
@@ -327,12 +301,6 @@ def parabolic_box_weight(spec: GridSpec, boxes) -> GridMeasure:
                        f"parabolic_boxes({len(boxes)})")
 
 
-def custom_weight(spec: GridSpec, ij, mass, kind: str = "weight",
-                  label: str = "custom") -> GridMeasure:
-    return GridMeasure(spec, np.asarray(ij, dtype=np.int64),
-                       np.asarray(mass, dtype=float), kind, label)
-
-
 _FAMILIES = {
     "constant": constant_weight,
     "ball": ball_weight,
@@ -340,7 +308,6 @@ _FAMILIES = {
     "lattice": lattice_weight,
     "truncated-lattice": truncated_lattice_weight,
     "parabolic-box": parabolic_box_weight,
-    "custom": custom_weight,
 }
 
 

@@ -54,34 +54,6 @@ def smooth_bump(u, lo: float, hi: float):
 # ---------------------------------------------------------------------------
 # propagation
 
-@dataclass(frozen=True)
-class Propagation:
-    """Samples of eta(t/R) e^{it dxx} f on a periodic x-grid.
-
-    `samples[i]` is the slice at `times[i]` on the grid of `n_x` points
-    spanning one period of `length`.  The pre-cutoff slice norms are
-    checked against Parseval during construction; the worst relative
-    defect is stored.
-    """
-
-    R: float
-    length: float
-    freqs: np.ndarray          # (n,) float lattice frequencies in [-1, 1]
-    amps: np.ndarray           # (n,) complex128
-    times: np.ndarray          # (n_t,)
-    samples: np.ndarray        # (n_t, n_x) complex128
-    unitarity_defect: float
-    eta_name: str = ETA_NAME
-
-    @property
-    def n_x(self) -> int:
-        return self.samples.shape[1]
-
-    @property
-    def x(self) -> np.ndarray:
-        return np.arange(self.n_x) * (self.length / self.n_x)
-
-
 def _line_lattice(freqs, length: float):
     """Validate a [-1, 1] line spectrum on the 2*pi/length lattice."""
     freqs = np.atleast_1d(np.asarray(freqs, dtype=float))
@@ -97,13 +69,14 @@ def _line_lattice(freqs, length: float):
 
 
 def propagate(freqs, amps, R: float, length: float, n_x: int,
-              times) -> Propagation:
-    """Sample eta(t/R) e^{it dxx} f on the (x, t) grid.
+              times) -> np.ndarray:
+    """Sample eta(t/R) e^{it dxx} f on the (x, t) grid: the (n_t, n_x)
+    slices, row i at times[i] on the n_x points j length / n_x.
 
     Each slice is one inverse FFT of the coefficients after the phase
-    multiplication a_j -> a_j e^{i t xi_j^2}.  The x-grid has n_x points
-    on a period of `length`; n_x must strictly exceed twice the mode
-    bandwidth so the slices are alias-free.
+    multiplication a_j -> a_j e^{i t xi_j^2}.  n_x must strictly exceed
+    twice the mode bandwidth so the slices are alias-free.  The pre-cutoff
+    slice norms are checked against Parseval to UNITARITY_TOL.
     """
     freqs, n = _line_lattice(freqs, length)
     amps = np.atleast_1d(np.asarray(amps, dtype=complex))
@@ -137,8 +110,7 @@ def propagate(freqs, amps, R: float, length: float, n_x: int,
     if defect > UNITARITY_TOL:
         raise AssertionError(
             f"pre-cutoff slice norm drifts by {defect:.2e} > {UNITARITY_TOL}")
-    return Propagation(float(R), float(length), freqs, amps, times, rows,
-                       defect)
+    return rows
 
 
 def propagator_at(freqs, amps, R: float, points=None,
@@ -481,9 +453,8 @@ def chirp_ratio(R: int, p_values) -> list:
     """
     R = int(R)
     xi, amps, length, n_x = _chirp_setup(R)
-    prop = propagate(xi, amps, R, length, n_x, [0.0])
-    dx = length / prop.n_x
-    f_abs = np.abs(prop.samples[0])
+    dx = length / n_x
+    f_abs = np.abs(propagate(xi, amps, R, length, n_x, [0.0])[0])
 
     c, n_side = CHIRP_C, CHIRP_SIDE
     grid = c * (2.0 * (np.arange(n_side) + 0.5) / n_side - 1.0)
@@ -527,7 +498,7 @@ def _packet_slab(R: int, c: float, n_t: int):
                       - half)
         mask = dist <= c * math.sqrt(R)
         del dist
-        rows = propagate(xi, amps, R, length, n_x, times[b]).samples
+        rows = propagate(xi, amps, R, length, n_x, times[b])
         slab.append(np.abs(rows[mask]))
         del rows
     return np.concatenate(slab), (xi, amps, length, n_x)
@@ -545,7 +516,7 @@ def packet_ratio(R: int, p_values, alpha: float) -> list:
     dx = length / n_x
     dt = 2.0 * R / PACKET_ROWS
     weight = min(R ** ((alpha - 2.0) / 2.0), R ** (alpha - 1.5))
-    g0 = np.abs(propagate(xi, amps, R, length, n_x, [0.0]).samples[0])
+    g0 = np.abs(propagate(xi, amps, R, length, n_x, [0.0])[0])
     ratios = []
     for p in p_values:
         lhs = (weight * float(np.sum(slab ** p)) * dx * dt) ** (1.0 / p)

@@ -140,10 +140,6 @@ class TorusField:
             self._samples[m] = out
         return out
 
-    @property
-    def samples(self) -> np.ndarray:
-        return self.samples_on(self.spec.M)
-
 
 def distinct(a) -> np.ndarray:
     """The distinct entries of a 1-D array, or rows of a 2-D one, ascending:
@@ -281,7 +277,7 @@ def trig_sum(freqs, amps, points=None, axes=None) -> np.ndarray:
     return out
 
 
-def trig_sum_bytes(n_modes: int, axes, rows: int = 1) -> int:
+def trig_sum_bytes(n_modes: int, axes, rows: int) -> int:
     """Peak bytes of one trig_sum call over n_modes on a grid of axis
     lengths axes = (n1, n2) with rows amplitude vectors: one x1 block of
     E1, E2^T and the outputs."""
@@ -593,15 +589,24 @@ def power_integral_bytes(pieces, p: float, m: int) -> int:
     """Peak bytes of power_integral(pieces, spec, p, m) from the pieces'
     modes: square_sum's pairs at p != 2 and, at other p than 2 and 4, the
     grid pass's rows (the distinct n1 - n1' of a piece), one column block
-    and its transform."""
+    and its transform.  A piece's D1 are the support of the
+    autocorrelation of its n1 occupancy, a sum of exact 1.0s."""
     if p == 2.0:
         return 0
     pairs = SQUARE_PAIR_BYTES * sum(pc.n_modes ** 2 for pc in pieces)
     if p == 4.0:
         return pairs
-    d1 = [np.subtract.outer(u, u).ravel()
-          for u in (distinct(pc.freqs[:, 0]) for pc in pieces)]
-    rows = len(distinct(np.concatenate(d1))) if d1 else 0
+    B = max((int(np.ptp(pc.freqs[:, 0])) for pc in pieces if pc.n_modes),
+            default=0)
+    d1 = np.zeros(2 * B + 1, dtype=bool)
+    for pc in pieces:
+        if pc.n_modes:
+            n1 = pc.freqs[:, 0]
+            occ = np.zeros(int(np.ptp(n1)) + 1)
+            occ[n1 - n1.min()] = 1.0
+            w = len(occ) - 1
+            d1[B - w:B + w + 1] |= np.correlate(occ, occ, "full") > 0.5
+    rows = int(np.count_nonzero(d1))
     cols = min(m, max(1, GRID_BLOCK // m))
     return max(pairs, 16 * m * (rows + 2 * cols))
 

@@ -17,6 +17,7 @@ from wavenvelope.geometry import (Cap, cap_index_for_abscissa, caps_at_scale,
                                   locate_grid_envelopes,
                                   theta_scale, tube_lattice_dims,
                                   wrap_envelope_index)
+from wavenvelope.measures import GridMeasure
 from wavenvelope.schrodinger import eta
 from wavenvelope.torus import (TWO_PI, GridSpec, random_band_field,
                                square_sum, synthesize)
@@ -25,7 +26,7 @@ from wavenvelope.torus import (TWO_PI, GridSpec, random_band_field,
 def read_back_coeffs(field) -> np.ndarray:
     """Forward FFT of the samples, gathered at the field's own modes."""
     M = field.spec.M
-    A = fft2(field.samples, workers=1) / (M * M)
+    A = fft2(field.samples_on(M), workers=1) / (M * M)
     return A[field.freqs[:, 0] % M, field.freqs[:, 1] % M]
 
 
@@ -188,7 +189,7 @@ def pinned_fields(spec, scale: float) -> dict:
         np.array([[b1, round((b1 * step) ** 2 / step)]]), [1.0 - 0.5j], spec)
     return {"random-0.5": random_band_field(spec, spec.R, density=0.5),
             "random-1": random_band_field(spec, spec.R),
-            "knapp": make_field("knapp", spec),
+            "knapp": make_field("knapp", spec, 0),
             "spread": make_field("spread", spec, spec.R),
             "boundary": boundary}
 
@@ -639,3 +640,48 @@ def serial_broad_narrow_rows(cfg) -> list:
                          "max_empirical": rep.max_empirical,
                          "C_certified": rep.C_certified})
     return rows
+
+
+# ---------------------------------------------------------------------------
+# grid measures and the memory preflight
+
+def materialize(H) -> GridMeasure:
+    """H with an explicit atom list: the constant weight as its M^2 equal
+    atoms (small R only), an atomic measure as it is."""
+    if H.ij is not None:
+        return H
+    M = H.spec.M
+    jj = np.arange(M, dtype=np.int64)
+    ij = np.stack(np.meshgrid(jj, jj, indexing="ij"), axis=-1).reshape(-1, 2)
+    return GridMeasure(H.spec, ij, np.full(M * M, float(H.mass)), H.kind,
+                       H.label)
+
+
+def scaled(H, c: float) -> GridMeasure:
+    """c H; a weight scaled above 1 may exceed density 1, so it becomes a
+    measure."""
+    kind = H.kind if (H.kind == "measure" or c <= 1.0 + 1e-12) \
+        else "measure"
+    return GridMeasure(H.spec, H.ij, H.mass * c, kind, H.label)
+
+
+def measure_total(H) -> float:
+    """H of the whole torus."""
+    if H.ij is None:
+        return float(H.mass) * H.spec.M ** 2
+    return float(H.mass.sum())
+
+
+def atom_positions(H) -> np.ndarray:
+    """The physical points of H's atoms, (n, 2)."""
+    if H.ij is None:
+        raise ValueError("constant measure has no atom list; materialize first")
+    return H.spec.delta * H.ij.astype(float)
+
+
+def outer_difference_rows(pieces) -> int:
+    """The distinct n1 - n1' of the pieces' modes, each piece's by the
+    outer difference of its distinct n1: quadratic in their count."""
+    d1 = [np.subtract.outer(u, u).ravel()
+          for u in (np.unique(pc.freqs[:, 0]) for pc in pieces)]
+    return len(np.unique(np.concatenate(d1))) if d1 else 0

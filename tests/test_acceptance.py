@@ -12,15 +12,15 @@ import os
 import numpy as np
 import pytest
 
-from oracles import grid_lp
+from oracles import grid_lp, materialize, scaled
 from test_envelope import brute_kappa_max
 
-from wavenvelope.cli import (ExperimentConfig, PAIR_FAMILIES,
+from wavenvelope.cli import (ExperimentConfig, PAIR_FAMILIES, _json_text,
                              alpha_lattice_fits, emit, pair_growth_fit,
                              resolve, run, unit_ball_fits, y_lattice_fits)
 from wavenvelope.envelope import kappa_max, kappa_table
 from wavenvelope.geometry import caps_at_scale, dyadic_scales
-from wavenvelope.measures import constant_weight, make_weight
+from wavenvelope.measures import GridMeasure, constant_weight, make_weight
 from wavenvelope.schrodinger import (MEASURE_FAMILIES, fls_experiment,
                                      measure_family, rescale_measure)
 from wavenvelope.torus import GridSpec, l2sq_coeff, lp_norm, random_band_field
@@ -35,8 +35,8 @@ def test_criterion_01_quadrature_exactness():
             # Parseval at p = 2, by the coefficients and on the M grid
             assert lp_norm(f, 2.0) ** 2 == pytest.approx(
                 l2sq_coeff(f), rel=1e-9)
-            assert grid_lp(f.samples, spec.L, 2.0) ** 2 == pytest.approx(
-                l2sq_coeff(f), rel=1e-9)
+            assert grid_lp(f.samples_on(spec.M), spec.L, 2.0) ** 2 == \
+                pytest.approx(l2sq_coeff(f), rel=1e-9)
             # quartic norm against the coefficient self-convolution
             conv = {}
             for (k1, k2), ak in zip(f.freqs, f.amps):
@@ -45,15 +45,15 @@ def test_criterion_01_quadrature_exactness():
                     conv[key] = conv.get(key, 0.0) + ak * al
             oracle = spec.L ** 2 * sum(abs(c) ** 2 for c in conv.values())
             assert lp_norm(f, 4.0) ** 4 == pytest.approx(oracle, rel=1e-8)
-            assert grid_lp(f.samples, spec.L, 4.0) ** 4 == pytest.approx(
-                oracle, rel=1e-8)
+            assert grid_lp(f.samples_on(spec.M), spec.L, 4.0) ** 4 == \
+                pytest.approx(oracle, rel=1e-8)
 
 
 def test_criterion_02_kappa_identities():
     """kappa_{p,lam}(U) = lam^(1/p) for constant densities, every envelope."""
     for R in (64, 256):
         spec = GridSpec(R)
-        H = constant_weight(spec, 1.0).materialize()
+        H = materialize(constant_weight(spec, 1.0))
         for p in (2.0, 3.0, 4.0):
             for s in dyadic_scales(R):
                 for cap in caps_at_scale(s):
@@ -65,11 +65,11 @@ def test_criterion_02_kappa_identities():
         H = constant_weight(spec, lam)
         for p in (2.0, 3.0, 4.0):
             assert kappa_max(H, p)[0] == lam ** (1.0 / p)
-    H = constant_weight(spec, 1.0).scaled(2.5)
+    H = scaled(constant_weight(spec, 1.0), 2.5)
     for p in (2.0, 3.0, 4.0):
         assert kappa_max(H, p)[0] == 2.5 ** (1.0 / p)
     # scaled + materialized agrees with the sentinel through the full scan
-    Hm = constant_weight(spec, 0.25).materialize()
+    Hm = materialize(constant_weight(spec, 0.25))
     for p in (2.0, 3.0, 4.0):
         assert kappa_max(Hm, p)[0] == pytest.approx(0.25 ** (1.0 / p),
                                                     abs=1e-12)
@@ -88,13 +88,13 @@ def test_criterion_03_kappa_brute_force_equivalence():
     ij = np.unique(rng.integers(spec.M // 4, 3 * spec.M // 4, size=(60, 2)),
                    axis=0)
     weights = [
-        make_weight("constant", spec, lam=1.0).materialize(),
+        materialize(make_weight("constant", spec, lam=1.0)),
         make_weight("ball", spec, rho=2.0, center=(mid, mid)),
         make_weight("truncated-lattice", spec, alpha=1.5, c=0.25),
         make_weight("parabolic-box", spec,
                     boxes=((mid, mid, 2.0), (mid + 8.0, mid + 3.0, 1.0))),
-        make_weight("custom", spec, ij=ij,
-                    mass=spec.delta ** 2 * rng.uniform(0.1, 1.0, len(ij))),
+        GridMeasure(spec, ij, spec.delta ** 2 * rng.uniform(0.1, 1.0, len(ij)),
+                    "weight", "custom"),
     ]
     for H in weights:
         for p in (2.0, 3.0, 4.0):
@@ -261,7 +261,8 @@ def test_criterion_12_deterministic_suite_reproducible(tmp_path):
     """Two deterministic example-suite runs emit byte-identical artifacts."""
     cfg = ExperimentConfig(experiment="examples-suite")
     reports = [run(cfg), run(cfg)]
-    assert reports[0].to_json() == reports[1].to_json()
+    assert _json_text(reports[0].to_dict()) == \
+        _json_text(reports[1].to_dict())
     assert reports[0].passed
     assert len(reports[0].fits) == 21
     assert all(c["passed"] for c in reports[0].checks)

@@ -121,7 +121,7 @@ def test_field_families_synthesize():
 
 def test_knapp_field_is_one_cap_and_normalized():
     spec = GridSpec(64)
-    f = make_field("knapp", spec)
+    f = make_field("knapp", spec, 0)
     s = theta_scale(64)
     assert np.all(mode_cap_index(f.freqs, spec, s) == 0)
     assert np.sum(f.amps) == pytest.approx(1.0, rel=1e-12)
@@ -142,7 +142,7 @@ def test_spread_field_one_mode_per_cap():
 
 def test_make_field_rejects_unknown():
     with pytest.raises(ValueError, match="unknown field family"):
-        make_field("sawtooth", GridSpec(16))
+        make_field("sawtooth", GridSpec(16), 0)
 
 
 def test_pair_report_rejects_unknown():
@@ -348,7 +348,7 @@ def _tiny_report():
 
 def test_report_json_shape():
     rep = _tiny_report()
-    data = json.loads(rep.to_json())
+    data = json.loads(cli._json_text(rep.to_dict()))
     assert data["schema"] == cli.SCHEMA_VERSION
     assert data["config"]["experiment"] == "kappa-scan"
     assert data["config_hash"] == ExperimentConfig(
@@ -358,7 +358,8 @@ def test_report_json_shape():
 
 
 def test_two_runs_byte_identical():
-    assert _tiny_report().to_json() == _tiny_report().to_json()
+    assert cli._json_text(_tiny_report().to_dict()) == \
+        cli._json_text(_tiny_report().to_dict())
 
 
 def test_report_bytes_independent_of_out_dir(tmp_path):
@@ -474,6 +475,8 @@ def test_kappa_scan_preflight_within_factor_two(family, R, params):
     dict(experiment="schrodinger-fls", family="nikodym"),
     dict(experiment="schrodinger-fls", family="lattice"),
     dict(experiment="certificates"),
+    # the largest of the suite's parts
+    dict(experiment="examples-suite"),
 ])
 def test_pointwise_preflight_within_factor_two(params):
     cfg = resolve(ExperimentConfig(**params))

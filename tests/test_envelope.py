@@ -13,16 +13,17 @@ from wavenvelope.torus import (GridSpec, TorusField, pair_products,
 from wavenvelope.geometry import (Cap, cap_index_for_abscissa, caps_at_scale,
                                   dyadic_scales, envelope_factor,
                                   envelope_lattice_dims, theta_scale)
-from wavenvelope.measures import (ball_weight, constant_weight, custom_weight,
+from wavenvelope.measures import (GridMeasure, ball_weight, constant_weight,
                                   make_weight)
 from wavenvelope.cli import PAIR_FAMILIES, make_field
 from wavenvelope import cli, envelope as env
 from wavenvelope import torus
 
-from oracles import (branch_cap_decompose, constant_env_rhs, env_shift,
-                     gathered_weighted_cell_integrals, kappa,
-                     per_cap_envelope_side, per_cap_envelope_stats,
-                     pinned_fields, reconstruction,
+from oracles import (atom_positions, branch_cap_decompose, constant_env_rhs,
+                     env_shift, gathered_weighted_cell_integrals, kappa,
+                     materialize, per_cap_envelope_side,
+                     per_cap_envelope_stats, pinned_fields, reconstruction,
+                     scaled,
                      sq_norm_from_sq2, square_function, square_sum_samples,
                      subgrid_cell_integrals)
 
@@ -274,7 +275,7 @@ def test_kappa_constant_weight_exact():
 
 def test_kappa_materialized_constant_matches_sentinel():
     # the full streaming path over all-cell atoms reproduces the closed form
-    H = constant_weight(SPEC64, 1.0).materialize()
+    H = materialize(constant_weight(SPEC64, 1.0))
     for cap in (Cap(1.0, 0), Cap(0.25, 2), Cap(0.125, -5)):
         assert kappa(H, 2.0, cap, (0, 0)) == 1.0
     val, _ = env.kappa_max(H, 4.0)
@@ -300,13 +301,15 @@ def test_kappa_witness_reproduces_max():
 
 
 def test_kappa_empty_envelope_is_zero():
-    H = custom_weight(SPEC64, np.array([[0, 0]]), np.array([0.25]))
+    H = GridMeasure(SPEC64, np.array([[0, 0]]), np.array([0.25]), "weight",
+                    "custom")
     # an envelope far from the single atom carries nothing
     assert kappa(H, 2.0, Cap(1.0, 0), (40, 2)) == 0.0
 
 
 def test_kappa_zero_measure():
-    H = custom_weight(SPEC64, np.empty((0, 2), dtype=np.int64), np.empty(0))
+    H = GridMeasure(SPEC64, np.empty((0, 2), dtype=np.int64), np.empty(0),
+                    "weight", "custom")
     val, _ = env.kappa_max(H, 2.0)
     assert val == 0.0
 
@@ -314,7 +317,7 @@ def test_kappa_zero_measure():
 def test_kappa_scale_covariance():
     H = ball_weight(SPEC64, 1.5)
     c = 0.25
-    Hc = H.scaled(c)
+    Hc = scaled(H, c)
     for p in (2.0, 3.0, 4.0):
         v, _ = env.kappa_max(H, p)
         vc, _ = env.kappa_max(Hc, p)
@@ -323,8 +326,10 @@ def test_kappa_scale_covariance():
 
 def test_kappa_monotone_in_weight():
     ij = np.array([[10, 20], [100, 200], [30, 400]])
-    small = custom_weight(SPEC64, ij, np.array([0.05, 0.1, 0.15]))
-    large = custom_weight(SPEC64, ij, np.array([0.25, 0.1, 0.22]))
+    small = GridMeasure(SPEC64, ij, np.array([0.05, 0.1, 0.15]), "weight",
+                        "custom")
+    large = GridMeasure(SPEC64, ij, np.array([0.25, 0.1, 0.22]), "weight",
+                        "custom")
     for p in (2.0, 3.0):
         vs, _ = env.kappa_max(small, p)
         vl, _ = env.kappa_max(large, p)
@@ -372,7 +377,7 @@ def test_kappa_max_locates_atoms_once_per_scale(monkeypatch):
     scales = dyadic_scales(SPEC64.R)
     assert calls == scales
     # a new weight, even with the same atoms, starts with an empty cache
-    env.kappa_max(H.scaled(0.5), 2.0)
+    env.kappa_max(scaled(H, 0.5), 2.0)
     assert calls == 2 * scales
 
 
@@ -411,7 +416,7 @@ def test_envelope_stats_branches_agree(monkeypatch):
     runs = []
     for ratio in (0, 10 ** 12):
         monkeypatch.setattr(torus, "DENSE_KEYS_PER_ATOM", ratio)
-        H = custom_weight(spec, ij, mass)
+        H = GridMeasure(spec, ij, mass, "weight", "custom")
         runs.append([env.envelope_stats(H, s)
                      for s in dyadic_scales(spec.R)])
     for sort, dense in zip(*runs):
@@ -439,12 +444,13 @@ def _oracle_weights(spec):
         make_weight("dual-tube", spec, alpha=1.0, k=1),
         make_weight("parabolic-box", spec,
                     boxes=((mid, mid, 2.0), (L - 2.0, L - 3.0, 3.0))),
-        make_weight("custom", spec, ij=ij,
-                    mass=spec.delta ** 2 * rng.uniform(0.0, 1.0, len(ij))),
-        custom_weight(spec, np.empty((0, 2), dtype=np.int64), np.empty(0)),
+        GridMeasure(spec, ij, spec.delta ** 2 * rng.uniform(0.0, 1.0, len(ij)),
+                    "weight", "custom"),
+        GridMeasure(spec, np.empty((0, 2), dtype=np.int64), np.empty(0),
+                    "weight", "custom"),
     ]
     if R <= 64:
-        weights.append(constant_weight(spec, 0.5).materialize())
+        weights.append(materialize(constant_weight(spec, 0.5)))
     return weights
 
 
@@ -519,7 +525,7 @@ def _brute_envelope_tables(H):
         return _BRUTE_TABLES[H]
     spec = H.spec
     R = spec.R
-    pos = H.positions()
+    pos = atom_positions(H)
     mass = np.asarray(H.mass, dtype=float)
     tables = []
     for s in dyadic_scales(R):

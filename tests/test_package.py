@@ -2,7 +2,8 @@
 
 Every top-level function and class of src/wavenvelope must be used by the
 package itself, or carry a reason here for existing without a caller in
-src/.  And src/ holds no assert statement: python -O strips them, so a
+src/; so must every method and property but the dunders, which Python
+calls.  And src/ holds no assert statement: python -O strips them, so a
 check that matters has to raise.  And src/ imports no scipy: numpy is the
 package's only runtime dependency.
 """
@@ -15,12 +16,14 @@ import pytest
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                    "src", "wavenvelope")
 
-# top-level names with no caller in src/, each with the reason it stays
+# top-level names and Class.method names with no caller in src/, each with
+# the reason it stays
 NO_CALLER_IN_SRC = {
     "pair_growth_fit": "acceptance criterion 9 fits each pair's growth",
     "fls_experiment": "acceptance criterion 10 fits one family at one p",
     "locate_grid_envelopes": "the benchmark's span counters trace it",
     "nikodym_experiment": "the benchmark's span counters trace it",
+    "TorusField.samples_on": "the benchmark's span counters trace it",
 }
 
 
@@ -60,7 +63,26 @@ def test_every_top_level_definition_has_a_caller():
                 orphans.append(f"{fname}:{node.lineno} {node.name}")
     assert orphans == []
     # a stale reason outlives the definition it excused
-    assert set(NO_CALLER_IN_SRC) <= defined
+    assert {name for name in NO_CALLER_IN_SRC if "." not in name} <= defined
+
+
+def test_every_method_has_a_caller():
+    used = _used_names()
+    defined, orphans = set(), []
+    for fname, tree in MODULES.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(node, ast.FunctionDef) or \
+                        node.name.startswith("__"):
+                    continue
+                name = f"{cls.name}.{node.name}"
+                defined.add(name)
+                if node.name not in used and name not in NO_CALLER_IN_SRC:
+                    orphans.append(f"{fname}:{node.lineno} {name}")
+    assert orphans == []
+    assert {name for name in NO_CALLER_IN_SRC if "." in name} <= defined
 
 
 @pytest.mark.parametrize("fname", sorted(MODULES))

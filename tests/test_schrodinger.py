@@ -45,18 +45,19 @@ def test_bump_and_ring_profiles():
 
 def test_delta_mode_is_cutoff_times_constant():
     R = 64
-    prop = sch.propagate([0.0], [1.0], R, 8.0 * R, 32, np.linspace(0, R, 9))
-    mod = np.abs(prop.samples)
+    times = np.linspace(0, R, 9)
+    mod = np.abs(sch.propagate([0.0], [1.0], R, 8.0 * R, 32, times))
     assert np.max(np.ptp(mod, axis=1)) == 0.0
-    assert np.max(np.abs(mod[:, 0] - np.abs(sch.eta(prop.times / R)))) == 0.0
+    assert np.max(np.abs(mod[:, 0] - np.abs(sch.eta(times / R)))) == 0.0
 
 
 def test_single_mode_unimodular():
     R, L = 64, 512.0
     step = 2 * np.pi / L
-    prop = sch.propagate([40 * step], [1.0 + 0j], R, L, 128, [0.0, 10.0, 60.0])
-    target = np.abs(sch.eta(prop.times / R))[:, None]
-    assert np.max(np.abs(np.abs(prop.samples) - target)) < 1e-12
+    times = np.array([0.0, 10.0, 60.0])
+    rows = sch.propagate([40 * step], [1.0 + 0j], R, L, 128, times)
+    target = np.abs(sch.eta(times / R))[:, None]
+    assert np.max(np.abs(np.abs(rows) - target)) < 1e-12
 
 
 def test_slices_match_direct_evaluation():
@@ -64,10 +65,11 @@ def test_slices_match_direct_evaluation():
     step = 2 * np.pi / L
     freqs = step * np.array([-50, 3, 41])
     amps = np.array([0.3 - 1j, 1.0, -0.7j])
-    prop = sch.propagate(freqs, amps, R, L, 128, [5.0, 17.0])
-    pts = np.column_stack([prop.x[::13], np.full(len(prop.x[::13]), 17.0)])
+    rows = sch.propagate(freqs, amps, R, L, 128, [5.0, 17.0])
+    x = np.arange(128) * (L / 128)
+    pts = np.column_stack([x[::13], np.full(len(x[::13]), 17.0)])
     direct = sch.propagator_at(freqs, amps, R, pts)
-    assert np.max(np.abs(direct - prop.samples[1, ::13])) < 1e-10
+    assert np.max(np.abs(direct - rows[1, ::13])) < 1e-10
 
 
 def test_propagate_validations():
@@ -94,8 +96,12 @@ def test_unitarity_of_random_spectra(seed):
     n = rng.choice(np.arange(-81, 82), size=rng.integers(1, 24), replace=False)
     amps = rng.standard_normal(len(n)) + 1j * rng.standard_normal(len(n))
     times = rng.uniform(-R, R, size=5)
-    prop = sch.propagate(n * step, amps, R, L, 192, times)
-    assert prop.unitarity_defect <= 1e-10
+    rows = sch.propagate(n * step, amps, R, L, 192, times)
+    # eta(t/R) >= 0.91 on [-R, R], so the cutoff divides out
+    norms = (L / 192) * np.sum(np.abs(rows / sch.eta(times / R)[:, None]) ** 2,
+                               axis=1)
+    target = L * np.sum(np.abs(amps) ** 2)
+    assert np.max(np.abs(norms / target - 1.0)) <= 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -16,16 +16,16 @@ from wavenvelope import torus
 from wavenvelope.torus import (
     GridSpec, TorusField, block_rows, cell_blocks, distinct, l2sq_coeff,
     lattice_sums, lp_norm, parabola_band_modes, point_eval, power_integral,
-    random_band_field, square_sum, synthesize,
+    power_integral_bytes, random_band_field, square_sum, synthesize,
 )
-from wavenvelope.cli import make_field
+from wavenvelope.cli import PAIR_FAMILIES, make_field
 from wavenvelope.envelope import cap_decompose
 from wavenvelope.geometry import theta_scale
 from wavenvelope.measures import GridMeasure, constant_weight
 
 from oracles import (analyze, concatenated_square_sum, direct_trig_sum,
                      grid_constant_lp, grid_lp, longdouble_lattice_sum,
-                     read_back_coeffs, sq_norm_from_sq2, square_function,
+                     outer_difference_rows, read_back_coeffs, sq_norm_from_sq2, square_function,
                      square_sum_samples, unique_sums)
 
 SPEC4 = GridSpec(4)
@@ -93,7 +93,7 @@ def test_synthesize_rejections():
 
 def test_point_eval_matches_fft_grid():
     f = random_band_field(SPEC16, seed=0)
-    S = f.samples
+    S = f.samples_on(SPEC16.M)
     rng = np.random.default_rng(1)
     jj = rng.integers(0, SPEC16.M, size=(20, 2))
     pts = SPEC16.delta * jj.astype(float)
@@ -144,7 +144,8 @@ def test_point_eval_at_grid_atoms_matches_long_double(family):
     pts = spec.delta * ij.astype(float)
     [(new, old)] = _sum_errors([f], pts, [point_eval(f, pts)])
     assert new <= 2 * old and new < 1e-12
-    assert np.allclose(point_eval(f, pts), f.samples[ij[:, 0], ij[:, 1]],
+    S = f.samples_on(spec.M)
+    assert np.allclose(point_eval(f, pts), S[ij[:, 0], ij[:, 1]],
                        rtol=0, atol=1e-10 * np.abs(f.amps).sum())
 
 
@@ -266,7 +267,7 @@ def test_distinct_is_np_unique():
 
 def test_parseval_exact():
     f = random_band_field(SPEC16, seed=2)
-    grid = grid_lp(f.samples, SPEC16.L, 2.0) ** 2
+    grid = grid_lp(f.samples_on(SPEC16.M), SPEC16.L, 2.0) ** 2
     assert grid == pytest.approx(l2sq_coeff(f), rel=1e-12)
 
 
@@ -340,7 +341,7 @@ def test_read_back_coeffs_identity():
 
 def test_analyze_inverts_synthesize():
     f = random_band_field(SPEC4, seed=9)
-    freqs, amps = analyze(f.samples, SPEC4)
+    freqs, amps = analyze(f.samples_on(SPEC4.M), SPEC4)
     assert np.array_equal(freqs, f.freqs)
     assert np.max(np.abs(amps - f.amps)) < 1e-12
 
@@ -366,7 +367,7 @@ def test_density_thins_modes():
 
 def test_samples_on_finer_grid_consistent():
     f = random_band_field(SPEC4, seed=12)
-    coarse = f.samples
+    coarse = f.samples_on(SPEC4.M)
     fine = f.samples_on(2 * SPEC4.M)
     assert np.max(np.abs(fine[::2, ::2] - coarse)) < 1e-12
 
@@ -384,7 +385,7 @@ def test_synthesis_analyze_roundtrip_property(data):
     ph = data.draw(st.lists(st.floats(0, 6.28), min_size=n, max_size=n))
     amps = np.asarray(mag) * np.exp(1j * np.asarray(ph))
     f = synthesize(BAND4[list(idx)], amps, SPEC4)
-    freqs, back = analyze(f.samples, SPEC4, tol=1e-9)
+    freqs, back = analyze(f.samples_on(SPEC4.M), SPEC4, tol=1e-9)
     lookup = {tuple(fr): a for fr, a in zip(freqs, back)}
     for fr, a in zip(f.freqs, f.amps):
         assert abs(lookup.get(tuple(fr), 0.0) - a) < 1e-9 * max(1, abs(a))
@@ -431,6 +432,31 @@ def test_constant_weight_lhs_grid_pass_memory():
         tracemalloc.stop()
     assert val > 0
     assert peak < 2 ** 29
+
+
+@pytest.mark.parametrize("R", [16, 64, 256])
+def test_preflight_rows_match_outer_differences(R):
+    # at one column a block (m = GRID_BLOCK) the grid pass's rows outweigh
+    # the pairs, and the estimate is 16 m (rows + 2) bytes
+    spec, m = GridSpec(R), torus.GRID_BLOCK
+    for ffam, _, _, _ in PAIR_FAMILIES.values():
+        f = make_field(ffam, spec, 0)
+        for pieces in ([f], list(cap_decompose(f, theta_scale(R)).values())):
+            assert power_integral_bytes(pieces, 3.0, m) == \
+                16 * m * (outer_difference_rows(pieces) + 2)
+
+
+def test_preflight_rows_counted_in_small_memory():
+    # the outer differences of the field's 1305 distinct n1 trace 39 MiB
+    f = random_band_field(GridSpec(1024), 0)
+    tracemalloc.start()
+    try:
+        est = power_integral_bytes([f], 3.0, 8192)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert est == 475_660_288
+    assert peak < 4 * 2 ** 20
 
 
 @pytest.mark.parametrize("R", [16, 64, 256])
