@@ -225,9 +225,6 @@ _ALPHA_LATTICE = {"kappa": 1.0 / 3.0, "c": 0.45}
 # the truncated lattice of y_lattice_fits and its scales
 _Y_LATTICE = {"alpha": 1.5, "c": 0.25}
 _Y_LATTICE_R = (4096, 16384, 65536)
-# the examples suite's scales and exponents when the config sets none
-_SUITE_R = (64, 256, 1024)
-_SUITE_P = (2.0, 3.0, 4.0)
 
 # Each pair fixes its weight parameters so a sweep is reproducible without
 # extra knobs.  p is the default exponent for the pair's ratio run.
@@ -431,10 +428,9 @@ def _suite_peak_bytes(cfg: "ExperimentConfig") -> float:
     """The largest of the examples suite's parts: the unit-ball fits as
     the flat:ball pair at the suite's R and p, the two lattice fits as
     their kappa scans, and each lower-bound family at its default R."""
-    R, p = cfg.R or _SUITE_R, cfg.p or _SUITE_P
     return max(
-        _verify_peak_bytes(replace(cfg, family="flat:ball", R=R, p=p)),
-        _kappa_scan_peak_bytes(replace(cfg, family="lattice", R=R,
+        _verify_peak_bytes(replace(cfg, family="flat:ball")),
+        _kappa_scan_peak_bytes(replace(cfg, family="lattice",
                                        **_ALPHA_LATTICE)),
         _kappa_scan_peak_bytes(replace(cfg, family="truncated-lattice",
                                        R=_Y_LATTICE_R, **_Y_LATTICE)),
@@ -675,11 +671,9 @@ def _run_certificates(cfg):
 
 def _run_examples_suite(cfg):
     """Every example family as one exponent fit each, canonical grids."""
-    R_kappa = cfg.R or _SUITE_R
-    p_main = cfg.p or _SUITE_P
     fits = []
-    fits += unit_ball_fits(p_main, R_kappa, band=cfg.band)
-    fits += alpha_lattice_fits(p_main, R_kappa, band=cfg.band)
+    fits += unit_ball_fits(cfg.p, cfg.R, band=cfg.band)
+    fits += alpha_lattice_fits(cfg.p, cfg.R, band=cfg.band)
     fits += y_lattice_fits(band=cfg.band)
     fits += fls_fits("chirp", (3.0, 4.0), band=cfg.band)
     for alpha in (0.5, 1.5):
@@ -724,7 +718,8 @@ EXPERIMENTS = {
     "certificates": (_run_certificates, "rescaled-measure dimension bounds",
                      {"R": (64, 256)}, _certificates_peak_bytes),
     "examples-suite": (_run_examples_suite,
-                       "every example family as one exponent fit", {},
+                       "every example family as one exponent fit",
+                       {"R": (64, 256, 1024), "p": (2.0, 3.0, 4.0)},
                        _suite_peak_bytes),
 }
 
@@ -823,6 +818,14 @@ def _cell(value) -> str:
     return str(value)
 
 
+FORMATS = ("json", "csv", "md")
+
+
+def _check_format(fmt: str) -> None:
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown format {fmt!r}; have {', '.join(FORMATS)}")
+
+
 def emit(report: Report, fmt: str, out_dir) -> list:
     """Write the report in one format; returns the created paths.
 
@@ -830,6 +833,7 @@ def emit(report: Report, fmt: str, out_dir) -> list:
     fit tables as sidecars, md renders the measured-vs-predicted table.
     All three are byte-stable for a fixed resolved config.
     """
+    _check_format(fmt)
     os.makedirs(out_dir, exist_ok=True)
     base = os.path.join(out_dir, report.experiment)
     paths = []
@@ -838,13 +842,11 @@ def emit(report: Report, fmt: str, out_dir) -> list:
     elif fmt == "csv":
         paths.append(_write_csv(base + "_rows.csv", _dict_table(report.rows)))
         paths.append(_write_csv(base + "_fits.csv", _dict_table(report.fits)))
-    elif fmt == "md":
+    else:
         path = base + ".md"
         with open(path, "w") as fh:
             fh.write(_render_md(report))
         paths.append(path)
-    else:
-        raise ValueError(f"unknown format {fmt!r}; have json, csv, md")
     return paths
 
 
@@ -922,7 +924,7 @@ def _add_flags(sp):
     """--config, --format and one flag per config field but experiment."""
     sp.add_argument("--config", help="key = value config file")
     sp.add_argument("--format", default="json,csv",
-                    help="any of json,csv,md (comma-separated)")
+                    help=f"any of {','.join(FORMATS)} (comma-separated)")
     for f in dataclass_fields(ExperimentConfig):
         if f.name == "experiment":
             continue
@@ -947,13 +949,17 @@ def main(argv=None) -> int:
         _add_flags(sub.add_parser(name, help=text))
     args = parser.parse_args(argv)
     try:
+        # formats first, so a bad one neither runs nor writes anything
+        formats = [fmt.strip() for fmt in args.format.split(",")]
+        for fmt in formats:
+            _check_format(fmt)
         cfg = config_from_args(args)
         report = run(cfg)
         paths = []
         if cfg.out:
             _write_sidecars(report, cfg.out)
-            for fmt in args.format.split(","):
-                paths += emit(report, fmt.strip(), cfg.out)
+            for fmt in formats:
+                paths += emit(report, fmt, cfg.out)
     except (OSError, ValueError, PreflightError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

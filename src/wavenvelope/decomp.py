@@ -40,6 +40,14 @@ def over_bound(lhs, bound) -> np.ndarray:
     return lhs > bound * (1 + CERT_RTOL)
 
 
+# Two children of a cap count as separated when at least this fraction of
+# a child-cap width lies between them.  Siblings k, k' at scale s_c are
+# (|k - k'| - 1) s_c apart edge to edge, so each child's neighborhood of
+# unseparated siblings holds 2 ceil(SEPARATION) + 1 = 3 caps.
+SEPARATION = 0.5
+NEIGHBORHOOD = 2 * math.ceil(SEPARATION) + 1
+
+
 # ---------------------------------------------------------------------------
 # the pointwise iteration over a cap tree
 
@@ -57,7 +65,6 @@ class BroadNarrowReport:
     p: float
     K: int
     m: int
-    threshold: float
     C_stage: float
     points: np.ndarray
     lhs: np.ndarray
@@ -75,13 +82,8 @@ class BroadNarrowReport:
         return float(self.empirical.max()) if len(self.empirical) else 0.0
 
 
-def _pair_gap_ok(dk: int, threshold: float) -> bool:
-    # caps k, k' at scale s_c are (|dk|-1) s_c apart edge to edge
-    return abs(dk) - 1 >= threshold
-
-
-def broad_narrow(field: TorusField, points, p: float, K: int,
-                 threshold: float = 0.5) -> BroadNarrowReport:
+def broad_narrow(field: TorusField, points, p: float,
+                 K: int) -> BroadNarrowReport:
     """Evaluate the pointwise broad-narrow inequality at sample points.
 
     |f(x)|^p <= C^m sum_theta |f_theta(x)|^p
@@ -89,8 +91,8 @@ def broad_narrow(field: TorusField, points, p: float, K: int,
 
     with per-stage C = 2^(p-1) C1^p, the constant of the elementary split
     (sum a_i)^p <= C (max_i a_i^p + N^p max_pairs (a_i a_j)^(p/2)) over N
-    entries, C1 the neighborhood count excluded by the separation
-    threshold.  The honest certificate
+    entries, C1 = NEIGHBORHOOD the sibling count a child is not separated
+    from, itself included; so C = 2^(p-1) 3^p.  The honest certificate
     replaces K^p by each level's actual children count and the pair sum
     by the per-parent maximum; that bound is checked pointwise
     (CertificateError on a violation).
@@ -122,8 +124,7 @@ def broad_narrow(field: TorusField, points, p: float, K: int,
     lhs = np.abs(f_vals) ** p
     narrow = sum(np.abs(v) ** p for v in vals[tree.m].values())
 
-    C1 = 2 * int(np.ceil(1 + threshold) - 1) + 1
-    C_stage = 2.0 ** (p - 1) * max(float(C1) ** p, 1.0)
+    C_stage = 2.0 ** (p - 1) * float(NEIGHBORHOOD) ** p
 
     npts = len(pts)
     pair_sum = np.zeros(npts)
@@ -141,7 +142,9 @@ def broad_narrow(field: TorusField, points, p: float, K: int,
             best = np.zeros(npts)
             for ai in range(len(kids)):
                 for bi in range(ai + 1, len(kids)):
-                    if not _pair_gap_ok(kids[bi] - kids[ai], threshold):
+                    # kids ascend: the pair is kids[bi] - kids[ai] - 1
+                    # child widths apart
+                    if kids[bi] - kids[ai] - 1 < SEPARATION:
                         continue
                     term = (mag[ai] * mag[bi]) ** (0.5 * p)
                     pair_sum += term
@@ -159,7 +162,7 @@ def broad_narrow(field: TorusField, points, p: float, K: int,
     empirical = np.divide(lhs, denom, out=np.zeros(npts),
                           where=denom > 0)
     return BroadNarrowReport(
-        p=p, K=K, m=tree.m, threshold=threshold, C_stage=C_stage,
+        p=p, K=K, m=tree.m, C_stage=C_stage,
         points=pts, lhs=lhs, narrow=narrow, bilinear=bilinear,
         bound=bound, empirical=empirical)
 
@@ -251,7 +254,6 @@ class BilinearPair:
     g2: RescaledField
     g_thetas: tuple
     R: int
-    threshold: float = 0.5
 
     def __post_init__(self):
         if self.child1.s != self.child2.s:
@@ -259,10 +261,10 @@ class BilinearPair:
         ratio = self.parent.s / self.child1.s
         if abs(ratio - round(ratio)) > 1e-12 or round(ratio) < 2:
             raise ValueError("child scale must divide parent scale")
-        if self.separation < self.threshold * self.child1.s - 1e-12:
+        if self.separation < SEPARATION * self.child1.s - 1e-12:
             raise ValueError(
                 f"pair separation {self.separation:.4f} below "
-                f"{self.threshold} x {self.child1.s}")
+                f"{SEPARATION} x {self.child1.s}")
 
     @property
     def K(self) -> int:
@@ -319,16 +321,15 @@ def _collect_children(field: TorusField, parent: Cap, child1: Cap,
     return in_parent, per_child
 
 
-def bilinear_pair(field: TorusField, parent: Cap, child1: Cap, child2: Cap,
-                  threshold: float = 0.5) -> BilinearPair:
+def bilinear_pair(field: TorusField, parent: Cap, child1: Cap,
+                  child2: Cap) -> BilinearPair:
     """Assemble a separated pair from a field's theta pieces."""
     spec = field.spec
     in_parent, per_child = _collect_children(field, parent, child1, child2)
     g1 = parabolic_rescale(_merge_pieces(per_child[child1.k], spec), parent)
     g2 = parabolic_rescale(_merge_pieces(per_child[child2.k], spec), parent)
     gth = tuple(parabolic_rescale(pc, parent) for pc in in_parent)
-    return BilinearPair(parent, child1, child2, g1, g2, gth,
-                        spec.R, threshold)
+    return BilinearPair(parent, child1, child2, g1, g2, gth, spec.R)
 
 
 def _gauss_weighted_l2sq(g: RescaledField, center, sigma: float) -> float:
@@ -371,8 +372,7 @@ class BilinearReport:
     witness: tuple
 
 
-def bilinear_check(pair: BilinearPair, Y=None,
-                   quad_per_unit: int = 4) -> BilinearReport:
+def bilinear_check(pair: BilinearPair, Y) -> BilinearReport:
     """Measure the bilinear constants of a pair on one R_s ball.
 
     B is the axis cube of side R_s centered at the origin.  Y is None for
@@ -380,7 +380,8 @@ def bilinear_check(pair: BilinearPair, Y=None,
     to a bool mask, such as GridMeasure.contains or a bound measures.in_ball;
     it enters through its pullback by L_tau: a quadrature point x lands in
     Y-tilde when Y(L_tau x) holds.  int_B and int_BY are midpoint rules
-    on quad_per_unit^2 points per unit cell, not exact: at 4 points per
+    on quad_per_unit^2 points per unit cell, 4 per unit up to R_s = 64
+    and 2 above (_default_quad_per_unit), not exact: at 4 points per
     unit they are 5.5e-7 to 1.9e-5 relative off the values at 16 (8 trials
     at R_s = 64), about 4x less per halving.  The weighted norms use a
     Gaussian w_B with sigma = R_s / 2, evaluated in closed form.
@@ -395,7 +396,7 @@ def bilinear_check(pair: BilinearPair, Y=None,
     """
     side = pair.R_s
     n_cells = int(round(side))
-    npq = int(quad_per_unit)
+    npq = _default_quad_per_unit(side)
     n = n_cells * npq
     h = side / n
     ax = (np.arange(n) + 0.5) * h - side / 2
@@ -486,7 +487,7 @@ def _trial_modes(rng, spec: GridSpec, s_c: float, kc: int):
 _BILINEAR_POINT_BYTES = 80
 
 
-def _default_quad_per_unit(R_s: int) -> int:
+def _default_quad_per_unit(R_s: float) -> int:
     return 4 if R_s <= 64 else 2
 
 
@@ -506,7 +507,6 @@ def bilinear_trials(R_s: int, K: int, n_trials: int, seed):
     a ball through the pullback, or isolated lattice cells.  Returns the
     reports.
     """
-    quad_per_unit = _default_quad_per_unit(R_s)
     rng = np.random.default_rng(seed)
     reports = []
     for _ in range(n_trials):
@@ -546,6 +546,5 @@ def bilinear_trials(R_s: int, K: int, n_trials: int, seed):
         else:
             # isolated cells: the pullback cell ratio is genuinely < 1
             Y = lattice_weight(spec, kappa=1.0 / 3.0, c=0.45).contains
-        reports.append(bilinear_check(pair, Y=Y,
-                                      quad_per_unit=quad_per_unit))
+        reports.append(bilinear_check(pair, Y))
     return reports

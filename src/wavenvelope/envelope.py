@@ -177,7 +177,7 @@ def envelope_stats(H: GridMeasure, s: float) -> ScaleStats:
     each cap then sums tube masses on its keys (ScaleTubes.cap_keys), and
     envelope masses and tube maxima (in a row of all 16/s envelopes) by the
     exact nesting (an envelope is a union of whole tubes).  None of it
-    depends on p or the cap's level, so it is kept, read-only, on H.
+    depends on p, so it is kept, read-only, on H.
     """
     if H.is_full_constant:
         raise ValueError("constant weights take the closed-form path")

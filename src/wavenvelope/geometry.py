@@ -54,7 +54,6 @@ class Cap:
 
     s: float
     k: int
-    level: int = 0
 
     def __post_init__(self):
         inv = 1.0 / self.s
@@ -67,7 +66,9 @@ class Cap:
 
     @property
     def cap_id(self) -> str:
-        return f"L{self.level}C{self.k}"
+        # the L0 prefix is kept: ids are fields of the terms and constants
+        # sidecars and of pair ids
+        return f"L0C{self.k}"
 
     def transforms(self):
         """(A offset, A matrix, L_tau, L_tau^{-1}).
@@ -84,10 +85,10 @@ class Cap:
         return A_off, A_mat, L, L_inv
 
 
-def caps_at_scale(s: float, level: int = 0) -> list[Cap]:
+def caps_at_scale(s: float) -> list[Cap]:
     """All caps at scale s: k in [-1/s, 1/s], edge caps clipped to |c|<=1."""
     inv = int(round(1.0 / s))
-    return [Cap(s, k, level) for k in range(-inv, inv + 1)]
+    return [Cap(s, k) for k in range(-inv, inv + 1)]
 
 
 def cap_index_for_abscissa(xi1, s: float):

@@ -159,7 +159,7 @@ def ball_weight(spec: GridSpec, rho: float = 1.0, center=(0.0, 0.0)) -> GridMeas
                        f"ball({rho})")
 
 
-def in_ball(points, spec: GridSpec, rho: float, center=(0.0, 0.0)) -> np.ndarray:
+def in_ball(points, spec: GridSpec, rho: float, center) -> np.ndarray:
     """Whether the grid cell floor(x/Delta + 1/2) of each physical point x
     is an atom of ball_weight(spec, rho, center), bit for bit, without
     building the ball."""
@@ -382,49 +382,41 @@ MASS_CELL_BYTES = 48
 
 
 def masses_at_bytes(n_centers: int, n_positions: int) -> int:
-    """Peak bytes of ball_masses_at or parbox_masses_at: one block of
-    their (center, position) cells."""
+    """Peak bytes of masses_at: one block of its (center, position) cells."""
     return MASS_CELL_BYTES * block_rows(n_centers, n_positions) * n_positions
 
 
-def ball_masses_at(centers: np.ndarray, positions: np.ndarray,
-                   masses: np.ndarray, radii: np.ndarray,
-                   L: float | None) -> np.ndarray:
-    """mu(B_rho(z)) for each center z and radius rho; (n_centers, n_radii).
+def masses_at(centers: np.ndarray, positions: np.ndarray, masses: np.ndarray,
+              radii: np.ndarray, mode: str, L: float | None) -> np.ndarray:
+    """mu of the certificate mode's set around each center z at each radius
+    rho; (n_centers, n_radii).
 
-    Closed balls; torus metric when L is given, plain Euclidean otherwise.
+    mode "alpha-ball"  closed balls |x - z| <= rho;
+    mode "beta-par"    parabolic boxes |y - z1| <= rho, |s - z2| <= rho^2.
+    Torus metric when L is given, plain Euclidean otherwise.
     """
+    if mode not in ("alpha-ball", "beta-par"):
+        raise ValueError(f"unknown certificate mode {mode!r}")
     out = np.empty((len(centers), len(radii)))
     for b in cell_blocks(len(centers), len(positions)):
-        dd = positions[None, :, :] - centers[b, None, :]
-        if L is not None:
-            dd = (dd + 0.5 * L) % L - 0.5 * L
-        dist2 = np.sum(dd * dd, axis=2)
-        for r, rho in enumerate(radii):
-            r2 = (rho * (1 + 1e-12)) ** 2
-            out[b, r] = (dist2 <= r2) @ masses
-    return out
-
-
-def parbox_masses_at(centers: np.ndarray, positions: np.ndarray,
-                     masses: np.ndarray, radii: np.ndarray,
-                     L: float | None) -> np.ndarray:
-    """mu of parabolic boxes |y - z1| <= rho, |s - z2| <= rho^2."""
-    out = np.empty((len(centers), len(radii)))
-    for b in cell_blocks(len(centers), len(positions)):
-        dd = positions[None, :, :] - centers[b, None, :]
-        if L is not None:
-            dd = (dd + 0.5 * L) % L - 0.5 * L
-        ax, at = np.abs(dd[:, :, 0]), np.abs(dd[:, :, 1])
-        for r, rho in enumerate(radii):
-            inside = (ax <= rho * (1 + 1e-12)) & (at <= rho * rho * (1 + 1e-12))
-            out[b, r] = inside @ masses
+        a, z = positions[None, :, :], centers[b, None, :]
+        dd = a - z if L is None else _torus_disp(a, z, L)
+        if mode == "alpha-ball":
+            dist2 = np.sum(dd * dd, axis=2)
+            for r, rho in enumerate(radii):
+                out[b, r] = (dist2 <= (rho * (1 + 1e-12)) ** 2) @ masses
+        else:
+            ax, at = np.abs(dd[:, :, 0]), np.abs(dd[:, :, 1])
+            for r, rho in enumerate(radii):
+                inside = (ax <= rho * (1 + 1e-12)) \
+                    & (at <= rho * rho * (1 + 1e-12))
+                out[b, r] = inside @ masses
     return out
 
 
 def certificate_core(positions: np.ndarray, masses: np.ndarray, mode: str,
                      param, r_min: float, r_max: float,
-                     L: float | None = None) -> Certificate:
+                     L: float | None) -> Certificate:
     """Dyadic-radius certificate of a dimension norm over explicit points.
 
     mode "alpha-ball"  sup rho^-alpha mu(B_rho) over closed balls;
@@ -439,14 +431,8 @@ def certificate_core(positions: np.ndarray, masses: np.ndarray, mode: str,
     if len(positions) == 0:
         return Certificate(mode, param_t, 0.0, (0.0, 0.0), 1.0)
     radii = _dyadic_radii(r_min, r_max)
-    if mode == "alpha-ball":
-        table = ball_masses_at(positions, positions, masses, radii, L)
-        vals = table * radii[None, :] ** (-param_t[0])
-    elif mode == "beta-par":
-        table = parbox_masses_at(positions, positions, masses, radii, L)
-        vals = table * radii[None, :] ** (-param_t[0])
-    else:
-        raise ValueError(f"unknown certificate mode {mode!r}")
+    table = masses_at(positions, positions, masses, radii, mode, L)
+    vals = table * radii[None, :] ** (-param_t[0])
     flat = int(np.argmax(vals))
     ci, ri = divmod(flat, len(radii))
     return Certificate(mode, param_t, float(vals[ci, ri]),

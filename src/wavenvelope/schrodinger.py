@@ -133,12 +133,17 @@ def propagator_at(freqs, amps, R: float, points=None,
 # slopes per block of nikodym_max: at 32 a block's sums and window copies
 # stay in cache (0.16 s at R = 1024, against 0.31 s at 128)
 NIKODYM_SLOPES = 32
+# half width of the sampled x range and number of time rows of nikodym_grid
+NIKODYM_X_HALF = 3.0
+NIKODYM_ROWS = 33
 
 
-def nikodym_grid(R: int, x_half: float = 3.0, n_t: int = 33):
-    """Default sampling grid: dx = 1/R exactly, midpoint rows of [-1, 1]."""
-    m = int(round(x_half * R))
+def nikodym_grid(R: int):
+    """Sampling grid: dx = 1/R exactly on |x| <= NIKODYM_X_HALF, and
+    NIKODYM_ROWS midpoint rows of [-1, 1]."""
+    m = int(round(NIKODYM_X_HALF * R))
     x = np.arange(-m, m + 1) / R
+    n_t = NIKODYM_ROWS
     t = (2.0 * (np.arange(n_t) + 0.5) / n_t) - 1.0
     return x, t
 
@@ -306,8 +311,9 @@ def line_atoms():
     return pos, np.full(n, 1.0 / n)
 
 
-def unit_square_atoms(n: int = SQUARE_ATOMS):
+def unit_square_atoms():
     """Cell-center atomization of Lebesgue measure on [0, 1]^2."""
+    n = SQUARE_ATOMS
     c = (np.arange(n) + 0.5) / n
     X, T = np.meshgrid(c, c, indexing="ij")
     pos = np.column_stack([X.ravel(), T.ravel()])
@@ -536,7 +542,7 @@ def _lattice_modes(R: float, kappa: float, n_quad: int):
     return np.stack([xi, xi ** 2], axis=-1), wts / R
 
 
-def lattice_ratio(R: float, p_values, kappa: float = 1.0 / 3.0) -> list:
+def lattice_ratio(R: float, p_values, kappa: float) -> list:
     """Modulated lattice sum against its square function, one ratio per p.
 
     f sums frequency blocks of width 2/R at spacings R^{-kappa} in

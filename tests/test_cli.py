@@ -102,6 +102,10 @@ def test_resolve_fills_defaults():
     # explicit values survive resolution
     cfg = resolve(ExperimentConfig(experiment="kappa-scan", R=(16,)))
     assert cfg.R == (16,)
+    # the suite's report embeds the scales and exponents it runs at
+    cfg = resolve(ExperimentConfig(experiment="examples-suite"))
+    assert cfg.R == (64, 256, 1024)
+    assert cfg.p == (2.0, 3.0, 4.0)
 
 
 def test_resolve_rejects_unknown_experiment():
@@ -562,6 +566,16 @@ def test_main_bad_input_exits_2(capsys):
     code = cli.main(["envelope-verify", "--family", "flat:nope", "--R", "64"])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_main_bad_format_exits_2_before_running(tmp_path, capsys):
+    # every format is checked before the run, so no file is written
+    out = tmp_path / "r"
+    code = cli.main(["kappa-scan", "--R", "16", "--out", str(out),
+                     "--format", "json,xml"])
+    assert code == 2
+    assert "unknown format 'xml'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_main_preflight_exits_2(capsys):

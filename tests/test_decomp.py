@@ -108,17 +108,19 @@ def test_bg_split_certificate_property(a, p, rnd):
     assert C == 2.0 ** (p - 1) * max(C1 ** p, 1.0)
 
 
-@pytest.mark.parametrize("threshold", [0.5, 1.0, 1.5, 2.5])
-def test_broad_narrow_stage_constant_is_the_split_constant(threshold):
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_broad_narrow_stage_constant_is_the_split_constant(p):
     # neighborhoods of a row of sibling caps under the separation rule that
-    # broad_narrow pairs by; its per-stage constant is the split's C
+    # broad_narrow pairs by: caps |i - j| - 1 child widths apart are
+    # separated from SEPARATION on; its per-stage constant is the split's C
     f = random_band_field(GridSpec(16), seed=0)
-    rep = dc.broad_narrow(f, [[0.0, 0.0]], p=3, K=4, threshold=threshold)
+    rep = dc.broad_narrow(f, [[0.0, 0.0]], p=p, K=4)
     n = 12
-    hoods = [{j for j in range(n) if not dc._pair_gap_ok(j - i, threshold)}
+    hoods = [{j for j in range(n) if abs(j - i) - 1 < dc.SEPARATION}
              for i in range(n)]
     a = np.random.default_rng(0).uniform(0.0, 1.0, n)
-    assert bg_split(a, hoods, p=3)[2] == rep.C_stage
+    assert bg_split(a, hoods, p=p)[2] == rep.C_stage
+    assert rep.C_stage == 2.0 ** (p - 1) * 3.0 ** p
 
 
 # ---------------------------------------------------------------------------
@@ -156,15 +158,6 @@ def test_broad_narrow_random_field_empirical_constant():
     assert rep.max_empirical <= 10.0
     assert rep.C_certified == rep.C_stage ** rep.m
     assert np.all(rep.lhs <= rep.bound * (1 + 1e-9))
-
-
-def test_broad_narrow_threshold_widens_neighborhoods():
-    f = random_band_field(SPEC64, seed=3, density=0.2)
-    pts = np.random.default_rng(2).uniform(0, SPEC64.L, size=(50, 2))
-    near = dc.broad_narrow(f, pts, p=2, K=4, threshold=0.5)
-    far = dc.broad_narrow(f, pts, p=2, K=4, threshold=1.5)
-    assert far.C_stage > near.C_stage
-    assert np.all(far.bilinear <= near.bilinear + 1e-12)
 
 
 def test_broad_narrow_rejects_bad_p():
@@ -374,7 +367,7 @@ def test_bilinear_check_single_modes_closed_form():
     spec = SPEC64
     f = cap_field(spec, [parabola_mode(spec, 0.26), parabola_mode(spec, -0.51)])
     pair = dc.bilinear_pair(f, Cap(1.0, 0), Cap(0.25, 1), Cap(0.25, -2))
-    rep = dc.bilinear_check(pair)
+    rep = dc.bilinear_check(pair, None)
     # |g1 g2| is constant, so every quadrature is exact and the constant
     # is the Gaussian mass ratio (|B| / 2 pi sigma^2)^2 at sigma = R_s/2
     assert rep.C_bil == pytest.approx((2 / np.pi) ** 2, rel=1e-12)
@@ -398,7 +391,7 @@ pair = dc.bilinear_pair(f, Cap(1.0, 0), Cap(0.25, 1), Cap(0.25, -2))
 # the child norms far above the theta square sum break Cauchy-Schwarz
 dc._gauss_weighted_l2sq = lambda g, c, s: 1e6 if g is pair.g1 else 1.0
 try:
-    dc.bilinear_check(pair)
+    dc.bilinear_check(pair, None)
 except dc.CertificateError as exc:
     print("raised:", exc)
 """
@@ -438,7 +431,7 @@ def test_bilinear_check_restriction_shrinks():
 def test_constants_csv_format(tmp_path):
     f = two_child_field(SPEC64)
     pair = dc.bilinear_pair(f, Cap(1.0, 0), Cap(0.25, 1), Cap(0.25, -2))
-    rep = dc.bilinear_check(pair)
+    rep = dc.bilinear_check(pair, None)
     path = tmp_path / "constants.csv"
     cli._write_csv(path, cli._constants_table([rep, rep]))
     lines = path.read_text().splitlines()

@@ -392,19 +392,6 @@ def test_envelope_stats_cache_is_read_only():
             arr[...] = 0
 
 
-def test_kappa_table_ignores_cap_level():
-    # the cache is keyed by scale, so a tree cap (level 2) reads the entry
-    # that caps_at_scale (level 0) filled, and gets the same arrays
-    H = ball_weight(SPEC64, 3.0, center=(7.0, 2.0))
-    for cap in caps_at_scale(0.25):
-        flat = env.kappa_table(H, 3.0, cap)
-        tree = env.kappa_table(H, 3.0, Cap(cap.s, cap.k, level=2))
-        assert np.array_equal(flat[0], tree[0])
-        assert np.array_equal(flat[1], tree[1])
-        assert flat[2] == tree[2]
-    assert list(H._envelope_stats) == [0.25]
-
-
 def test_envelope_stats_branches_agree(monkeypatch):
     # dense bincount and sort aggregate the same tubes in the same order
     spec = SPEC64

@@ -241,11 +241,11 @@ def test_cap_tree_root_and_children():
 def test_cap_tree_parent_of_every_cap():
     t = build_cap_tree(1024, 4)
     for level in range(1, t.m + 1):
-        ks = np.array([cap.k for cap in caps_at_scale(t.scales[level], level)])
+        ks = np.array([cap.k for cap in caps_at_scale(t.scales[level])])
         parents = t.parent_index(level, ks)
-        # level 0 is the virtual root, the one cap Cap(1.0, 0, 0)
-        up_caps = caps_at_scale(t.scales[level - 1], level - 1) \
-            if level > 1 else [Cap(1.0, 0, 0)]
+        # level 0 is the virtual root, the one cap Cap(1.0, 0)
+        up_caps = caps_at_scale(t.scales[level - 1]) \
+            if level > 1 else [Cap(1.0, 0)]
         up = np.array([cap.k for cap in up_caps])
         assert np.isin(parents, up).all()
         # child lists partition the level

@@ -29,8 +29,8 @@ def brute_ball_sup(measure, alpha, spec, stride=1, r_min=1.0):
     G1, G2 = np.meshgrid(spec.delta * jj, spec.delta * jj, indexing="ij")
     centers = np.stack([G1.ravel(), G2.ravel()], axis=1)
     radii = ms._dyadic_radii(r_min, spec.L)
-    table = ms.ball_masses_at(centers, atom_positions(measure),
-                              np.asarray(measure.mass), radii, spec.L)
+    table = ms.masses_at(centers, atom_positions(measure),
+                         np.asarray(measure.mass), radii, "alpha-ball", spec.L)
     return float((table * radii[None, :] ** -alpha).max())
 
 
@@ -250,13 +250,12 @@ def test_certificate_brackets_brute_force():
 
 def test_witness_reproduces_value():
     w = ms.make_weight("ball", SPEC, rho=1.5)
-    for mode, param, masses_at in [("alpha-ball", 1.0, ms.ball_masses_at),
-                                   ("beta-par", 2.0, ms.parbox_masses_at)]:
+    for mode, param in [("alpha-ball", 1.0), ("beta-par", 2.0)]:
         cert = certify(w, mode, param)
         # the certified ratio, recomputed at the stored witness alone
-        table = masses_at(np.asarray([cert.witness_center]), atom_positions(w),
-                          np.asarray(w.mass), np.asarray([cert.witness_radius]),
-                          SPEC.L)
+        table = ms.masses_at(np.asarray([cert.witness_center]),
+                             atom_positions(w), np.asarray(w.mass),
+                             np.asarray([cert.witness_radius]), mode, SPEC.L)
         at_witness = float(table[0, 0]) * cert.witness_radius ** -param
         assert at_witness == pytest.approx(cert.value, rel=1e-9)
         d = cert.to_dict()
@@ -268,14 +267,15 @@ def test_masses_tables_bits_do_not_depend_on_budget(monkeypatch):
     pos = rng.uniform(0.0, SPEC.L, size=(300, 2))
     mass = rng.uniform(0.1, 1.0, size=300)
     radii = 2.0 ** np.arange(-1, 5)
-    cases = [(masses_at, L) for masses_at in (ms.ball_masses_at,
-                                             ms.parbox_masses_at)
+    cases = [(mode, L) for mode in ("alpha-ball", "beta-par")
              for L in (None, SPEC.L)]
-    want = [f(pos[:200], pos, mass, radii, L) for f, L in cases]
+    want = [ms.masses_at(pos[:200], pos, mass, radii, mode, L)
+            for mode, L in cases]
     # 200 centers take four blocks: 64, 64, 64 and 8
     monkeypatch.setattr(torus, "CELL_BUDGET", 3)
-    for (f, L), ref in zip(cases, want):
-        assert np.array_equal(f(pos[:200], pos, mass, radii, L), ref)
+    for (mode, L), ref in zip(cases, want):
+        assert np.array_equal(
+            ms.masses_at(pos[:200], pos, mass, radii, mode, L), ref)
 
 
 def test_parabolic_mode_sees_anisotropy():
@@ -289,10 +289,12 @@ def test_parabolic_mode_sees_anisotropy():
                                           np.arange(n, dtype=np.int64)], axis=1),
                           np.full(n, SPEC.delta))
     for rho in (1.0, 2.0, 4.0):
-        ch = ms.parbox_masses_at(np.zeros((1, 2)), atom_positions(horiz),
-                                 np.asarray(horiz.mass), np.array([rho]), SPEC.L)
-        cv = ms.parbox_masses_at(np.zeros((1, 2)), atom_positions(vert),
-                                 np.asarray(vert.mass), np.array([rho]), SPEC.L)
+        ch = ms.masses_at(np.zeros((1, 2)), atom_positions(horiz),
+                          np.asarray(horiz.mass), np.array([rho]), "beta-par",
+                          SPEC.L)
+        cv = ms.masses_at(np.zeros((1, 2)), atom_positions(vert),
+                          np.asarray(vert.mass), np.array([rho]), "beta-par",
+                          SPEC.L)
         assert ch[0, 0] == pytest.approx(rho + SPEC.delta, abs=SPEC.delta)
         assert cv[0, 0] == pytest.approx(rho * rho + SPEC.delta, abs=SPEC.delta)
 
@@ -312,5 +314,6 @@ def test_monotonicity_of_atomic_evaluation():
     w = ms.make_weight("ball", SPEC, rho=2.0)
     pos, mass = atom_positions(w), np.asarray(w.mass)
     radii = np.array([1.0, 2.0, 4.0])
-    table = ms.ball_masses_at(np.zeros((1, 2)), pos, mass, radii, SPEC.L)
+    table = ms.masses_at(np.zeros((1, 2)), pos, mass, radii, "alpha-ball",
+                         SPEC.L)
     assert table[0, 0] <= table[0, 1] <= table[0, 2]

@@ -5,16 +5,23 @@ package itself, or carry a reason here for existing without a caller in
 src/; so must every method and property but the dunders, which Python
 calls.  And src/ holds no assert statement: python -O strips them, so a
 check that matters has to raise.  And src/ imports no scipy: numpy is the
-package's only runtime dependency.
+package's only runtime dependency.  And src/ holds no more optional
+parameters than scripts/src_counts.py counted when the settings no
+experiment varies became constants.
 """
 
 import ast
+import importlib.util
 import os
 
 import pytest
 
-SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
-                   "src", "wavenvelope")
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+SRC = os.path.join(ROOT, "src", "wavenvelope")
+
+# the most optional parameters src/ may hold, as scripts/src_counts.py
+# counts them: a setting no experiment varies is a constant
+MAX_OPTIONAL_PARAMETERS = 47
 
 # top-level names and Class.method names with no caller in src/, each with
 # the reason it stays
@@ -101,3 +108,12 @@ def test_no_scipy_imports(fname):
         elif isinstance(node, ast.ImportFrom) and node.module:
             imported.append(node.module)
     assert [m for m in imported if m.split(".")[0] == "scipy"] == []
+
+
+def test_optional_parameters_do_not_grow():
+    spec = importlib.util.spec_from_file_location(
+        "src_counts", os.path.join(ROOT, "scripts", "src_counts.py"))
+    src_counts = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(src_counts)
+    _, optional = src_counts.counts()
+    assert optional <= MAX_OPTIONAL_PARAMETERS

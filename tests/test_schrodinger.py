@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -87,6 +90,33 @@ def test_propagate_validations():
         sch.propagate([step], [1.0, 2.0], R, L, 64, [0.0])
 
 
+_FORCED_DRIFT = """
+import numpy as np
+from wavenvelope import schrodinger as sch
+
+assert False, "asserts run"  # -O must strip this line
+ifft = np.fft.ifft
+# a transform that gains 1% in amplitude breaks Parseval by about 2%
+np.fft.ifft = lambda a, axis=-1: 1.01 * ifft(a, axis=axis)
+step = 2 * np.pi / 512.0
+try:
+    sch.propagate([3 * step, 40 * step], [1.0, 0.5j], 64, 512.0, 128, [0.0])
+except AssertionError as exc:
+    print("raised:", exc)
+"""
+
+
+def test_unitarity_guard_raises_under_optimize():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    paths = [os.path.abspath(src), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    out = subprocess.run([sys.executable, "-O", "-c", _FORCED_DRIFT],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert "raised: pre-cutoff slice norm drifts by 2.01e-02 > 1e-10" \
+        in out.stdout
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_unitarity_of_random_spectra(seed):
@@ -144,8 +174,9 @@ def test_tilted_tube_witness():
 def test_maximal_average_contraction_and_monotone(seed):
     rng = np.random.default_rng(seed)
     R = 16
-    x, t = sch.nikodym_grid(R, x_half=3.0, n_t=9)
-    g = rng.standard_normal((len(t), len(x)))
+    # nine time rows; nikodym_max places them as midpoints of [-1, 1]
+    x, _ = sch.nikodym_grid(R)
+    g = rng.standard_normal((9, len(x)))
     _, a = sch.nikodym_max(g, R, 1.0 / R)
     assert np.max(a) <= np.max(np.abs(g)) + 1e-12
     _, b = sch.nikodym_max(np.abs(g) + 0.25, R, 1.0 / R)
@@ -180,8 +211,9 @@ def test_maximal_ratio_slopes_stay_flat():
 # ---------------------------------------------------------------------------
 # anisotropic rescaling
 
-def test_rescale_positions_and_mass():
-    pos, m = sch.unit_square_atoms(8)
+def test_rescale_positions_and_mass(monkeypatch):
+    monkeypatch.setattr(sch, "SQUARE_ATOMS", 8)
+    pos, m = sch.unit_square_atoms()
     before = float(np.sum(m))
     pos_R, comps = sch.rescale_measure(pos, m, 64.0)
     assert comps == []
@@ -196,8 +228,9 @@ def test_delta_keeps_unit_certificate_at_every_index():
         assert comps[0]["measured"] == 1.0
 
 
-def test_lebesgue_ball_mass_change_of_variables():
-    pos, m = sch.unit_square_atoms(8)
+def test_lebesgue_ball_mass_change_of_variables(monkeypatch):
+    monkeypatch.setattr(sch, "SQUARE_ATOMS", 8)
+    pos, m = sch.unit_square_atoms()
     R = 4.0
     pos_R, _ = sch.rescale_measure(pos, m, R)
     for rho in (1.0, 2.0, 4.0, 8.0, 16.0, 64.0):
@@ -423,7 +456,7 @@ def test_blocked_evaluators_bits_do_not_depend_on_budget(monkeypatch):
     def run():
         return [trig_sum(freqs, amps[0], axes=axes),
                 trig_sum(freqs, amps, axes=axes),
-                sch.lattice_ratio(32768.0, (3.0, 4.0)),
+                sch.lattice_ratio(32768.0, (3.0, 4.0), 1.0 / 3.0),
                 sch.packet_ratio(1024, (3.0, 4.0), 1.5)]
 
     want = run()
@@ -437,7 +470,7 @@ def test_blocked_evaluators_bits_do_not_depend_on_budget(monkeypatch):
 
 @pytest.mark.parametrize("R", [4096, 32768, 262144])
 def test_lattice_ratio_matches_pointwise_sum(R):
-    got = sch.lattice_ratio(R, (3.0, 4.0))
+    got = sch.lattice_ratio(R, (3.0, 4.0), 1.0 / 3.0)
     for p, val in zip((3.0, 4.0), got):
         want = pointwise_lattice_ratio(R, p)
         assert abs(val - want) <= 1e-13 * want, (R, p)
