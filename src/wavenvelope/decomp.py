@@ -356,7 +356,6 @@ class BilinearReport:
     R_s: float
     K: int
     s: float
-    center: tuple
     int_B: float
     int_BY: float
     max_cell_ratio: float
@@ -367,8 +366,6 @@ class BilinearReport:
     C_l4: float
     C_orth1: float
     C_orth2: float
-    quad_per_unit: int
-    sigma: float
     witness: tuple
 
 
@@ -444,11 +441,9 @@ def bilinear_check(pair: BilinearPair, Y) -> BilinearReport:
     witness = (float(axes[0][i_w]), float(axes[1][j_w]))
     return BilinearReport(
         pair_id=pair.pair_id, R_s=side, K=pair.K, s=pair.parent.s,
-        center=tuple(center), int_B=int_B, int_BY=int_BY,
-        max_cell_ratio=max_cell_ratio, norm1_w=n1w, norm2_w=n2w,
-        sq_norm_w=sq_norm_w, C_bil=C_bil, C_l4=C_l4,
-        C_orth1=C_o1, C_orth2=C_o2, quad_per_unit=npq, sigma=sigma,
-        witness=witness)
+        int_B=int_B, int_BY=int_BY, max_cell_ratio=max_cell_ratio,
+        norm1_w=n1w, norm2_w=n2w, sq_norm_w=sq_norm_w, C_bil=C_bil,
+        C_l4=C_l4, C_orth1=C_o1, C_orth2=C_o2, witness=witness)
 
 
 # ---------------------------------------------------------------------------

@@ -150,13 +150,16 @@ class ScaleStats:
 
     ekeys, HU and maxT hold, for every cap k = -1/s .. 1/s in turn, the
     flat keys of the envelopes the weight charges (ascending), their H(U)
-    and their max_T H(T).  Cap k owns the entries offsets[i]:offsets[i+1],
-    i = k + 1/s.  dims is (N1U, N2U), the same for every cap of the scale.
+    and their max_T H(T); tubeT holds kappa's p-free factor
+    (max_T H(T)/|T|)^(1/4).  Cap k owns the entries
+    offsets[i]:offsets[i+1], i = k + 1/s.  dims is (N1U, N2U), the same
+    for every cap of the scale.
     """
 
     ekeys: np.ndarray
     HU: np.ndarray
     maxT: np.ndarray
+    tubeT: np.ndarray
     offsets: np.ndarray
     dims: tuple
 
@@ -174,7 +177,8 @@ def envelope_stats(H: GridMeasure, s: float) -> ScaleStats:
     """Envelope keys, H(U) and max_T H(T) of every cap at scale s.
 
     The atoms are located once for the scale (geometry.locate_scale_tubes);
-    each cap then sums tube masses on its keys (ScaleTubes.cap_keys), and
+    each cap then sums tube masses on its keys (ScaleTubes.cap_keys, whose
+    buffer group_sums may sort in place: the next cap rewrites it), and
     envelope masses and tube maxima (in a row of all 16/s envelopes) by the
     exact nesting (an envelope is a union of whole tubes).  None of it
     depends on p, so it is kept, read-only, on H.
@@ -193,7 +197,7 @@ def envelope_stats(H: GridMeasure, s: float) -> ScaleStats:
         tubes = locate_scale_tubes(H.ij[:, 0], H.ij[:, 1], s, spec)
         for i, (cap, keys) in enumerate(zip(caps,
                                             tubes.cap_keys(caps[0].k))):
-            tkeys, HT = group_sums(keys, H.mass, tubes.N1 * tubes.N2)
+            tkeys, HT = group_sums(keys, H.atom_mass, tubes.N1 * tubes.N2)
             if E == 1:
                 # envelopes are the tubes: HU = max_T H(T) = H(T) exactly
                 parts[i] = (tkeys, HT, HT)
@@ -203,20 +207,25 @@ def envelope_stats(H: GridMeasure, s: float) -> ScaleStats:
             maxT = np.zeros(dims[0] * dims[1])
             np.maximum.at(maxT, eflat, HT)
             parts[i] = (ekeys, HU, maxT[ekeys])
-    ekeys, HU, maxT = (np.concatenate(col) for col in zip(*parts))
-    maxT = HU if E == 1 else maxT
     offsets = np.cumsum([0] + [len(part[0]) for part in parts])
-    for arr in (ekeys, HU, maxT, offsets):
+    # join the columns and free the per-cap pieces before forming tubeT; at
+    # E == 1 maxT is HU, so its column is not joined
+    ekeys, HU, maxT = zip(*parts)
+    del parts
+    ekeys, HU = np.concatenate(ekeys), np.concatenate(HU)
+    maxT = HU if E == 1 else np.concatenate(maxT)
+    tubeT = maxT / tube_area(s)
+    tubeT **= 0.25
+    for arr in (ekeys, HU, maxT, tubeT, offsets):
         arr.setflags(write=False)
-    stats = ScaleStats(ekeys, HU, maxT, offsets, dims)
+    stats = ScaleStats(ekeys, HU, maxT, tubeT, offsets, dims)
     H._envelope_stats[s] = stats
     return stats
 
 
-def _kappa_values(maxT: np.ndarray, HU: np.ndarray, s: float, R: int,
+def _kappa_values(tubeT: np.ndarray, HU: np.ndarray, s: float, R: int,
                   p: float) -> np.ndarray:
-    return (maxT / tube_area(s)) ** 0.25 * \
-        (HU / envelope_area(R, s)) ** (1.0 / p - 0.25)
+    return tubeT * (HU / envelope_area(R, s)) ** (1.0 / p - 0.25)
 
 
 def kappa_table(H: GridMeasure, p: float, cap: Cap):
@@ -230,7 +239,7 @@ def kappa_table(H: GridMeasure, p: float, cap: Cap):
     st = envelope_stats(H, cap.s)
     sl = st.cap_slice(cap.k)
     return (st.ekeys[sl],
-            _kappa_values(st.maxT[sl], st.HU[sl], cap.s, H.spec.R, p),
+            _kappa_values(st.tubeT[sl], st.HU[sl], cap.s, H.spec.R, p),
             st.dims)
 
 
@@ -252,7 +261,7 @@ def kappa_max(H: GridMeasure, p: float):
         st = envelope_stats(H, s)
         if len(st.ekeys) == 0:
             continue
-        vals = _kappa_values(st.maxT, st.HU, s, R, p)
+        vals = _kappa_values(st.tubeT, st.HU, s, R, p)
         i = int(np.argmax(vals))
         if vals[i] > best:
             best = float(vals[i])

@@ -43,7 +43,10 @@ class GridMeasure:
     The p-independent envelope statistics of envelope.envelope_stats are
     cached on the instance, one read-only entry per scale holding every cap
     of it, so kappa at any number of exponents locates the atoms once per
-    scale and sums their masses once per cap.
+    scale and sums their masses once per cap.  atom_mass is the mass they
+    sum: one float when every atom carries the same mass (each family's
+    weight does), so a tube's mass follows from its atom count
+    (torus.group_sums), else the mass array.
     """
 
     spec: GridSpec
@@ -51,6 +54,7 @@ class GridMeasure:
     mass: np.ndarray | float   # (n,) float64, or a scalar when ij is None
     kind: str = "measure"      # "weight" densities obey h <= 1
     label: str = ""
+    atom_mass: np.ndarray | float = field(init=False, repr=False)
     _envelope_stats: dict = field(default_factory=dict, init=False,
                                   repr=False)
 
@@ -59,6 +63,7 @@ class GridMeasure:
         if self.ij is None:
             if not np.isscalar(self.mass) or self.mass < 0:
                 raise ValueError("constant measure needs one scalar mass")
+            top = one = float(self.mass)
         else:
             ij = np.asarray(self.ij, dtype=np.int64).reshape(-1, 2)
             mass = np.asarray(self.mass, dtype=np.float64).ravel()
@@ -68,20 +73,22 @@ class GridMeasure:
                 raise ValueError("atom off the sample grid")
             order = np.lexsort((ij[:, 1], ij[:, 0]))
             ij, mass = ij[order], mass[order]
-            if len(ij) > 1:
-                dup = np.all(np.diff(ij, axis=0) == 0, axis=1)
-                if dup.any():
-                    raise ValueError(f"duplicate atom at {ij[1:][dup][0]}")
-            if len(mass) and mass.min() < 0:
+            # lexsorted, so a duplicate follows its twin; compared column by
+            # column, no (n, 2) difference is held
+            dup = (ij[1:, 0] == ij[:-1, 0]) & (ij[1:, 1] == ij[:-1, 1])
+            if dup.any():
+                raise ValueError(f"duplicate atom at {ij[1:][dup][0]}")
+            lo, top = mass.min(initial=np.inf), mass.max(initial=0.0)
+            if lo < 0:
                 raise ValueError("negative mass")
+            one = float(lo) if lo == top else mass
             object.__setattr__(self, "ij", ij)
             object.__setattr__(self, "mass", mass)
             ij.setflags(write=False)
             mass.setflags(write=False)
+        object.__setattr__(self, "atom_mass", one)
         if self.kind == "weight":
             d2 = self.spec.delta ** 2
-            top = float(self.mass) if self.ij is None else \
-                (float(self.mass.max()) if len(self.mass) else 0.0)
             if top > d2 * (1 + 1e-9):
                 raise ValueError(f"weight density {top / d2} exceeds 1")
         elif self.kind != "measure":
@@ -197,6 +204,7 @@ def dual_tube_weight(spec: GridSpec, alpha: float = 1.0, k: int = 0) -> GridMeas
     j1, j2 = j1.ravel() % M, j2.ravel() % M
     keep = locate_scale_tubes(j1, j2, cap.s, spec).keys(k) == 0
     ij = np.stack([j1[keep], j2[keep]], axis=1)
+    del j1, j2, keep  # the candidates go before GridMeasure sorts the atoms
     h = spec.R ** (0.5 * (alpha - 2.0))
     return GridMeasure(spec, ij, np.full(len(ij), h * spec.delta ** 2),
                        "weight", f"dual_tube(alpha={alpha},k={k})")
@@ -428,10 +436,11 @@ def certificate_core(positions: np.ndarray, masses: np.ndarray, mode: str,
     None the Euclidean one.
     """
     param_t = tuple(float(p) for p in np.atleast_1d(param))
+    radii = _dyadic_radii(r_min, r_max)
+    # masses_at checks the mode, so an empty measure's mode is checked too
+    table = masses_at(positions, positions, masses, radii, mode, L)
     if len(positions) == 0:
         return Certificate(mode, param_t, 0.0, (0.0, 0.0), 1.0)
-    radii = _dyadic_radii(r_min, r_max)
-    table = masses_at(positions, positions, masses, radii, mode, L)
     vals = table * radii[None, :] ** (-param_t[0])
     flat = int(np.argmax(vals))
     ci, ri = divmod(flat, len(radii))

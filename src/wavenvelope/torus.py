@@ -476,20 +476,42 @@ def pair_products(pieces):
 
 
 # A key space at most this many times the key count is grouped with a dense
-# bincount; a sparser one by a sort.  Re-timed on a 2-vCPU VM, the sort wins
-# from a ratio of 8.03 on complex offsets (three bincounts), while on
-# positive masses (one bincount) the bincount still wins at 9.4 to 25.
+# bincount; a sparser one by a sort.  Re-timed on a 2-vCPU VM, the packed
+# sort wins from a ratio of 8.03 on complex offsets (three bincounts).  On
+# the kappa scan's one-mass tube keys, counting by an in-place sort breaks
+# even with counting by a bincount near a ratio of 8 at 28k keys (4 to 8
+# at 131k, 12 at 5k), and is 1.4-1.5x faster at 9.4.
 DENSE_KEYS_PER_ATOM = 8
 
 
-def group_sums(keys: np.ndarray, weights: np.ndarray, size: int):
+def group_sums(keys: np.ndarray, weights, size: int):
     """(distinct keys ascending, per-key sums of the real or complex
     weights) for int64 keys in [0, size).  Every branch bincounts in input
     order, so all agree bit for bit: the dense ones by key (positive real
     sums mark their keys; other weights count them first), the sparse one
     by rank in one np.sort of (key << b) | index, b the index bits: equal
-    keys keep input order, and keys differ where entries differ above b."""
-    if size <= DENSE_KEYS_PER_ATOM * len(keys):
+    keys keep input order, and keys differ where entries differ above b.
+
+    weights may be one float w, the weight of every key.  Each key's count
+    c then comes from a dense bincount or, on the sparse branch, from
+    sorting keys in place, and its sum is the running sum of w at c: a
+    bincount adds w to +0.0 c times, the same sums."""
+    dense = size <= DENSE_KEYS_PER_ATOM * len(keys)
+    if np.ndim(weights) == 0:
+        if dense:
+            counts = np.bincount(keys, minlength=size)
+            uniq = (counts > 0).nonzero()[0]
+            counts = counts[uniq]
+        else:
+            keys.sort()
+            new = np.empty(len(keys), dtype=bool)
+            new[:1] = True
+            np.not_equal(keys[1:], keys[:-1], out=new[1:])
+            starts = new.nonzero()[0]
+            uniq, counts = keys[starts], np.diff(starts, append=len(keys))
+        run = np.full(counts.max(initial=0), weights + 0.0).cumsum()
+        return uniq, run[counts - 1]
+    if dense:
         if weights.dtype.kind == "f" and weights.min(initial=np.inf) > 0:
             sums = np.bincount(keys, weights=weights, minlength=size)
             uniq = (sums > 0).nonzero()[0]

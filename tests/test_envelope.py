@@ -433,6 +433,9 @@ def _oracle_weights(spec):
                     boxes=((mid, mid, 2.0), (L - 2.0, L - 3.0, 3.0))),
         GridMeasure(spec, ij, spec.delta ** 2 * rng.uniform(0.0, 1.0, len(ij)),
                     "weight", "custom"),
+        # one mass that rounds on almost every add of its tube sums
+        GridMeasure(spec, ij, np.full(len(ij), 0.3 * spec.delta ** 2),
+                    "weight", "custom"),
         GridMeasure(spec, np.empty((0, 2), dtype=np.int64), np.empty(0),
                     "weight", "custom"),
     ]
@@ -479,6 +482,28 @@ def test_envelope_stats_every_branch_matches_oracle(monkeypatch, R, ratio):
                                   want):
                     assert got.dtype == w.dtype
                     assert got.tobytes() == w.tobytes(), (H.label, s, cap.k)
+
+
+def test_dual_tube_build_and_envelope_stats_traced_peaks():
+    # the dual tube at R = 1024 (131,072 atoms) sets the kappa scans' peak
+    # memory.  Its builder drops the candidate cells before GridMeasure
+    # sorts the atoms, and GridMeasure finds duplicates column by column,
+    # with no (n, 2) difference: the build traced 12,110,804 bytes before,
+    # and 7,935,856 after (numpy 2.4.6).  The count path sorts each cap's
+    # keys in place, with no packed copy and no gathered masses: the scan
+    # traced 8,853,973 bytes above the weight before it, and 7,649,979 after
+    tracemalloc.start()
+    try:
+        H = make_weight("dual-tube", GridSpec(1024), alpha=1.0)
+        held, build = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        for s in dyadic_scales(1024):
+            env.envelope_stats(H, s)
+        _, scan = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert build < 9 * 2 ** 20
+    assert scan - held <= 8_853_973
 
 
 @pytest.mark.parametrize("R", [16, 64])

@@ -211,6 +211,21 @@ def test_weight_validation():
         ms.GridMeasure(SPEC, np.array([[0, SPEC.M]]), np.array([1.0]))
 
 
+def test_atom_mass_is_one_float_where_every_atom_carries_it():
+    # kappa then sums each tube's mass from its atom count
+    for family, params in (("ball", {}), ("dual-tube", {}),
+                           ("lattice", {"c": 0.45}), ("truncated-lattice", {}),
+                           ("parabolic-box", {"boxes": ((1.0, 1.0, 2.0),)})):
+        H = ms.make_weight(family, SPEC, **params)
+        assert isinstance(H.atom_mass, float) and H.n_atoms
+        assert np.all(H.mass == H.atom_mass)
+    varied = ms.GridMeasure(SPEC, np.array([[0, 0], [3, 1]]),
+                            np.array([1.0, 0.5]))
+    empty = ms.GridMeasure(SPEC, np.empty((0, 2), np.int64), np.empty(0))
+    for H in (varied, empty):
+        assert H.atom_mass is H.mass
+
+
 def test_materialize_matches_constant():
     w = ms.make_weight("constant", SPEC4, lam=0.5)
     m = materialize(w)
@@ -227,6 +242,14 @@ def test_point_mass_certificate():
         cert = certify(mu, "alpha-ball", alpha)
         assert cert.value == pytest.approx(1.0)
         assert cert.witness_radius == 1.0
+
+
+def test_certificate_core_checks_the_mode_of_an_empty_measure():
+    empty = np.empty((0, 2)), np.empty(0)
+    with pytest.raises(ValueError, match="unknown certificate mode"):
+        ms.certificate_core(*empty, "bogus", 1.0, 1.0, 2.0, None)
+    cert = ms.certificate_core(*empty, "alpha-ball", 1.0, 1.0, 2.0, None)
+    assert (cert.value, cert.witness_radius) == (0.0, 1.0)
 
 
 def test_constant_weight_alpha2_is_disk_area():

@@ -245,6 +245,40 @@ def test_group_sums_match_unique_oracle(monkeypatch, ratio):
             assert g.tobytes() == w.tobytes(), name
 
 
+@pytest.mark.parametrize("ratio", [0, torus.DENSE_KEYS_PER_ATOM, 10 ** 18])
+def test_one_mass_group_sums_match_unique_oracle(monkeypatch, ratio):
+    # one float w weights every key: each sum is the running sum of w at
+    # the key's count, counted by a sort (ratio 0, whatever the key space:
+    # the top size that packs, and past it) or by a dense bincount; counts
+    # in the thousands, as a dual tube's tubes hold, and w = 0.1 and pi/16
+    # round on almost every add
+    monkeypatch.setattr(torus, "DENSE_KEYS_PER_ATOM", ratio)
+    rng = np.random.default_rng(21)
+    n = 1000
+    top = 1 << (63 - (n - 1).bit_length())
+    some = rng.integers(0, 5000, n)
+    crowd = rng.permutation(np.concatenate([
+        np.repeat([3, 2500, 4999], [4096, 1500, 2]),
+        rng.integers(0, 5000, 700)]))
+    for name, keys, w, size in [
+            ("one", np.array([7]), 0.1, 10),
+            ("crowd", crowd, 0.1, 5000),
+            ("crowd-sparse", crowd, math.pi / 16, 10 ** 7),
+            ("zero", some, 0.0, 5000),
+            ("negative-zero", some, -0.0, 5000),
+            ("top", top - 1 - rng.integers(0, 50, n), 0.1, top),
+            ("past-63-bits", (1 << 63) - 1 - crowd, 0.1, 1 << 63)]:
+        if ratio * len(keys) >= size > 2 ** 24:
+            continue  # no dense bins that large
+        got = torus.group_sums(keys.copy(), w, size)  # may sort in place
+        want = unique_sums(keys, np.full(len(keys), w))
+        for g, v in zip(got, want):
+            assert g.dtype == v.dtype and g.tobytes() == v.tobytes(), name
+    uniq, sums = torus.group_sums(np.empty(0, np.int64), 0.1, 10)
+    assert uniq.dtype == np.int64 and sums.dtype == np.float64
+    assert len(uniq) == len(sums) == 0
+
+
 def test_group_sums_past_the_packing_bound():
     # keys that cannot fit 63 bits beside 10 index bits take np.unique,
     # with the same sums; just below the bound they still pack
