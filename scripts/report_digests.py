@@ -5,7 +5,8 @@ The sweep writes json, csv and md reports with their sidecars into a
 temporary directory, one subdirectory per run:
   * the eight experiments at their default config;
   * envelope-verify and square-verify on every registered pair at
-    R = 16, 64, 256 and p = 2, 3, 4;
+    R = 16, 64, 256 and p = 2, 3, 4, and envelope-verify on
+    knapp:dual-tube at R = 64, 256, 1024 and p = 2, 3, 4;
   * kappa-scan on each of its weight families at its default R;
   * kappa-scan at the benchmark's sizes, where the sparse tube sums take
     over: truncated-lattice at R = 4096, 16384, 65536 (alpha 1.5, c 0.25)
@@ -15,15 +16,17 @@ temporary directory, one subdirectory per run:
     R = 16 and at R = 64 with K = 2 over 4 trials, and broad-narrow at
     R = 64 over 5 trials, so every sidecar kind is hashed.
 Lines are sorted by path, so the output of two checkouts can be compared
-with diff.  About 10 s on a 2-vCPU VM.  Run from the repository root:
+with diff.  About 12 s on a 2-vCPU VM.  Run from the repository root:
 
     PYTHONPATH=src python3 scripts/report_digests.py > digests.txt
 """
 
 import os
 
-# before numpy loads: the reports must not depend on the BLAS thread count
-os.environ["OPENBLAS_NUM_THREADS"] = "1"
+# before numpy loads: one BLAS thread unless the caller sets a count, so
+# the claim that reports do not depend on it can be rechecked with
+# OPENBLAS_NUM_THREADS=2
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import contextlib  # noqa: E402
 import hashlib  # noqa: E402
@@ -45,6 +48,9 @@ def sweep():
             yield (f"{name}/{pair.replace(':', '-')}",
                    [name, "--family", pair, "--R", "16,64,256",
                     "--p", "2,3,4"])
+    yield ("envelope-verify-large/knapp-dual-tube",
+           ["envelope-verify", "--family", "knapp:dual-tube",
+            "--R", "64,256,1024", "--p", "2,3,4"])
     for family in _SCAN_PARAMS:
         yield f"kappa-scan/{family}", ["kappa-scan", "--family", family]
     for family, flags in (("truncated-lattice", ["--R", "4096,16384,65536",

@@ -35,7 +35,7 @@ from .envelope import (cap_decompose, kappa_max, verify_weighted_sq,
                        window_profile)
 from .decomp import (CertificateError, bilinear_peak_bytes, bilinear_trials,
                      broad_narrow, broad_narrow_peak_bytes, over_bound)
-from .geometry import dyadic_scales, mode_cap_index, theta_scale
+from .geometry import cap_index_for_abscissa, dyadic_scales, theta_scale
 from .measures import candidate_atoms, make_weight, masses_at_bytes
 from .schrodinger import (FLS_DEFAULT_R, MEASURE_FAMILIES, fit_exponent,
                           fls_fits, fls_peak_bytes, measure_family,
@@ -190,8 +190,8 @@ def spread_field(spec: GridSpec, seed):
     """
     s = theta_scale(spec.R)
     modes = parabola_band_modes(spec)
-    ki = mode_cap_index(modes, spec, s)
     xi = spec.freq_step * modes
+    ki = cap_index_for_abscissa(xi[:, 0], s)
     score = np.abs(xi[:, 1] - xi[:, 0] ** 2) + np.abs(xi[:, 0] - ki * s)
     pick = {}
     for i in range(len(modes)):
@@ -248,13 +248,11 @@ def _pair_family(pair: str):
     return PAIR_FAMILIES[pair]
 
 
-def pair_report(pair: str, R: int, p: float | None = None, seed=0):
-    """verify_weighted_sq for one built-in (field, weight) pair."""
-    ffam, wfam, params, p_default = _pair_family(pair)
+def pair_inputs(pair: str, R: int, seed):
+    """(field, weight) of one built-in pair at R."""
+    ffam, wfam, params, _ = _pair_family(pair)
     spec = GridSpec(R)
-    field = make_field(ffam, spec, seed)
-    H = make_weight(wfam, spec, **params)
-    return verify_weighted_sq(field, H, p if p is not None else p_default)
+    return make_field(ffam, spec, seed), make_weight(wfam, spec, **params)
 
 
 def pair_growth_fit(pair: str, R_values=(64, 256, 1024)):
@@ -263,8 +261,10 @@ def pair_growth_fit(pair: str, R_values=(64, 256, 1024)):
     The theorem allows at most logarithmic growth, so the fitted slope
     is compared one-sidedly against 0.
     """
-    ratios = [pair_report(pair, R).ratio_env for R in R_values]
-    return fit_exponent(f"weighted-env-{pair}-p{PAIR_FAMILIES[pair][3]:g}",
+    p = _pair_family(pair)[3]
+    ratios = [verify_weighted_sq(*pair_inputs(pair, R, 0), p).ratio_env
+              for R in R_values]
+    return fit_exponent(f"weighted-env-{pair}-p{p:g}",
                         "gamma", R_values, ratios, 0.0, sided="upper")
 
 
@@ -506,13 +506,20 @@ def _scan_params(cfg) -> dict:
 
 def _pair_rows(cfg, ratio_key: str):
     """Shared body of the two verification experiments; envelope-verify
-    keeps each report's terms as a sidecar."""
+    keeps each report's terms as a sidecar.  Each R's field and weight
+    are built once and serve every p (the weight caches its envelope
+    statistics); rows, fits and checks come out p by p."""
     rows, fits, checks, sidecars = [], [], [], {}
     p_values = cfg.p or (_pair_family(cfg.family)[3],)
+    reports = {}
+    for R in cfg.R:
+        field, H = pair_inputs(cfg.family, R, cfg.seed)
+        for p in p_values:
+            reports[p, R] = verify_weighted_sq(field, H, p)
     for p in p_values:
         ratios = []
         for R in cfg.R:
-            rep = pair_report(cfg.family, R, p, cfg.seed)
+            rep = reports[p, R]
             ratios.append(getattr(rep, ratio_key))
             rows.append({"R": R, "p": p, "family": cfg.family,
                          "lhs": rep.lhs, "sq_norm": rep.sq_norm,

@@ -1,9 +1,10 @@
 """Broad-narrow decomposition, parabolic rescaling, bilinear tracking.
 
 Two layers of the multiscale reduction.  First, the pointwise iteration
-down a cap tree of the elementary split of (sum a_i)^p into a max term
-plus a separated bilinear term, with the constant carried explicitly and
-certified at every sample point.  Second, the rescaling of a cap to unit
+down the K-adic ladder of cap scales (geometry.cap_ladder, children from
+geometry.cap_children) of the elementary split of (sum a_i)^p into a max
+term plus a separated bilinear term, with the constant carried
+explicitly and certified at every sample point.  Second, the rescaling of a cap to unit
 scale and the measured constants of the local bilinear estimate on balls
 of the new radius R_s = R s^2.
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from .torus import (GridSpec, TorusField, lattice_sums, lattice_sums_bytes,
                     synthesize, trig_sum)
-from .geometry import Cap, build_cap_tree, cap_index_for_abscissa, theta_scale
+from .geometry import Cap, cap_children, cap_ladder, theta_scale
 from .measures import in_ball, lattice_weight
 from .envelope import WINDOW_DELTA, cap_decompose
 
@@ -48,8 +49,13 @@ SEPARATION = 0.5
 NEIGHBORHOOD = 2 * math.ceil(SEPARATION) + 1
 
 
+def separated(k1: int, k2: int) -> bool:
+    """Whether sibling caps k1, k2 of one scale are separated."""
+    return abs(k2 - k1) - 1 >= SEPARATION
+
+
 # ---------------------------------------------------------------------------
-# the pointwise iteration over a cap tree
+# the pointwise iteration down the cap ladder
 
 @dataclass
 class BroadNarrowReport:
@@ -100,51 +106,48 @@ def broad_narrow(field: TorusField, points, p: float,
     if p < 1:
         raise ValueError("p >= 1 required")
     spec = field.spec
-    tree = build_cap_tree(spec.R, K)
+    scales = cap_ladder(spec.R, K)
+    m = len(scales) - 1
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     thetas = cap_decompose(field, theta_scale(spec.R))
 
     # level -> {k: complex values at pts}; every theta piece in one pass
-    vals = {tree.m: dict(zip(thetas, lattice_sums(thetas.values(), pts)))}
-    parents = {}  # level -> {k: parent cap index}
-    for level in range(tree.m, 0, -1):
-        ks = list(vals[level])
-        parents[level] = dict(zip(ks, tree.parent_index(
-            level, np.array(ks, dtype=np.int64)).tolist()))
-        up = {}
-        for k, v in vals[level].items():
-            kp = parents[level][k]
-            if kp in up:
-                up[kp] = up[kp] + v
-            else:
-                up[kp] = v.copy()
-        vals[level - 1] = up
+    vals = {m: dict(zip(thetas, lattice_sums(thetas.values(), pts)))}
+    # level -> {k one level up: its children's k, ascending}; the one
+    # parent of level 1 is the virtual root.  A parent's value is the sum
+    # of its children's, in ascending order; childless parents are left out.
+    kids = {}
+    for level in range(m, 0, -1):
+        s_up = scales[level - 1]
+        ups = cap_children(1.0, 0, s_up).tolist() if level > 1 else [0]
+        kids[level] = {kp: cap_children(s_up, kp, scales[level]).tolist()
+                       for kp in ups}
+        vals[level - 1] = {}
+        for kp, ks in kids[level].items():
+            vs = [vals[level][k] for k in ks if k in vals[level]]
+            if vs:
+                vals[level - 1][kp] = sum(vs[1:], vs[0])
 
-    f_vals = sum(vals[tree.m].values())
+    f_vals = sum(vals[m].values())
     lhs = np.abs(f_vals) ** p
-    narrow = sum(np.abs(v) ** p for v in vals[tree.m].values())
+    narrow = sum(np.abs(v) ** p for v in vals[m].values())
 
     C_stage = 2.0 ** (p - 1) * float(NEIGHBORHOOD) ** p
 
     npts = len(pts)
     pair_sum = np.zeros(npts)
     cert_pairs = np.zeros(npts)
-    for level in range(1, tree.m + 1):
+    for level in range(1, m + 1):
         level_vals = vals[level]
-        by_parent = {}
-        for k in sorted(level_vals):
-            by_parent.setdefault(parents[level][k], []).append(k)
-        N_level = max((len(tree.children_index(level - 1, kp))
-                       for kp in by_parent), default=0)
-        for kp in sorted(by_parent):
-            kids = by_parent[kp]
-            mag = [np.abs(level_vals[k]) for k in kids]
+        N_level = max((len(kids[level][kp]) for kp in vals[level - 1]),
+                      default=0)
+        for kp in vals[level - 1]:
+            live = [k for k in kids[level][kp] if k in level_vals]
+            mag = [np.abs(level_vals[k]) for k in live]
             best = np.zeros(npts)
-            for ai in range(len(kids)):
-                for bi in range(ai + 1, len(kids)):
-                    # kids ascend: the pair is kids[bi] - kids[ai] - 1
-                    # child widths apart
-                    if kids[bi] - kids[ai] - 1 < SEPARATION:
+            for ai in range(len(live)):
+                for bi in range(ai + 1, len(live)):
+                    if not separated(live[ai], live[bi]):
                         continue
                     term = (mag[ai] * mag[bi]) ** (0.5 * p)
                     pair_sum += term
@@ -152,7 +155,7 @@ def broad_narrow(field: TorusField, points, p: float,
             cert_pairs += float(N_level) ** p * best
 
     bilinear = float(K) ** p * pair_sum
-    bound = C_stage ** tree.m * (narrow + cert_pairs)
+    bound = C_stage ** m * (narrow + cert_pairs)
     bad = over_bound(lhs, bound)
     if np.any(bad):
         raise CertificateError(
@@ -162,7 +165,7 @@ def broad_narrow(field: TorusField, points, p: float,
     empirical = np.divide(lhs, denom, out=np.zeros(npts),
                           where=denom > 0)
     return BroadNarrowReport(
-        p=p, K=K, m=tree.m, C_stage=C_stage,
+        p=p, K=K, m=m, C_stage=C_stage,
         points=pts, lhs=lhs, narrow=narrow, bilinear=bilinear,
         bound=bound, empirical=empirical)
 
@@ -170,14 +173,14 @@ def broad_narrow(field: TorusField, points, p: float,
 def broad_narrow_peak_bytes(R: int, K: int, n_points: int) -> float:
     """Estimated peak allocation of broad_narrow at n_points points.
 
-    The values of every cap piece of the tree at every point are held at
+    The values of every cap of every ladder scale at every point are held at
     once; the theta pieces' come from one lattice_sums, whose fields are
     the windows: a window's frequency columns, widened by the smooth
     window edges, hold 4/pi band modes on average (the band is 2/R thick,
     the frequency step pi/(2R)).
     """
-    scales = build_cap_tree(R, K).scales
-    caps = sum(2 * round(1 / s) + 1 for s in scales)
+    scales = cap_ladder(R, K)
+    caps = sum(len(cap_children(1.0, 0, s)) for s in scales)
     columns = (1 + 2 * WINDOW_DELTA) * scales[-1] / GridSpec(R).freq_step
     window_modes = math.ceil(4 / math.pi * (columns + 1))
     return 16 * n_points * caps + lattice_sums_bytes(window_modes, n_points)
@@ -261,7 +264,7 @@ class BilinearPair:
         ratio = self.parent.s / self.child1.s
         if abs(ratio - round(ratio)) > 1e-12 or round(ratio) < 2:
             raise ValueError("child scale must divide parent scale")
-        if self.separation < SEPARATION * self.child1.s - 1e-12:
+        if not separated(self.child1.k, self.child2.k):
             raise ValueError(
                 f"pair separation {self.separation:.4f} below "
                 f"{SEPARATION} x {self.child1.s}")
@@ -299,23 +302,21 @@ def _collect_children(field: TorusField, parent: Cap, child1: Cap,
                       child2: Cap):
     """(theta pieces in parent, theta pieces per child) by window center.
 
-    A unit-scale parent is read as the whole band (the virtual tree
-    root), not as the |xi_1| < 1/2 cap, so level-one pairs of the
+    A unit-scale parent is read as the whole band (the virtual root of
+    cap_children), not as the |xi_1| < 1/2 cap, so level-one pairs of the
     broad-narrow iteration are constructible.
     """
-    spec = field.spec
-    s_theta = theta_scale(spec.R)
-    full_band = parent.s >= 1.0
+    s_theta = theta_scale(field.spec.R)
+    in_parent_ks = set(cap_children(parent.s, parent.k, s_theta).tolist())
+    child_of = {k: cap.k for cap in (child1, child2)
+                for k in cap_children(cap.s, cap.k, s_theta).tolist()}
     in_parent, per_child = [], {child1.k: [], child2.k: []}
     for k, piece in cap_decompose(field, s_theta).items():
-        c_th = k * s_theta
-        if not full_band and \
-                int(cap_index_for_abscissa(c_th, parent.s)) != parent.k:
+        if k not in in_parent_ks:
             continue
         in_parent.append(piece)
-        kc = int(cap_index_for_abscissa(c_th, child1.s))
-        if kc in per_child:
-            per_child[kc].append(piece)
+        if k in child_of:
+            per_child[child_of[k]].append(piece)
     if not per_child[child1.k] or not per_child[child2.k]:
         raise ValueError("a child cap carries no modes")
     return in_parent, per_child
@@ -508,18 +509,15 @@ def bilinear_trials(R_s: int, K: int, n_trials: int, seed):
         half = K >= 4 and rng.random() < 0.5
         if half:
             spec = GridSpec(4 * R_s)
-            kp = int(rng.integers(-1, 2))
-            parent = Cap(0.5, kp)
-            s_c = 0.5 / K
-            kids = np.arange(K * kp - K // 2, K * kp + K // 2)
+            parent = Cap(0.5, int(rng.integers(-1, 2)))
         else:
             spec = GridSpec(R_s)
             parent = Cap(1.0, 0)
-            s_c = 1.0 / K
-            kids = np.arange(-K, K + 1)
+        s_c = parent.s / K
+        kids = cap_children(parent.s, parent.k, s_c)
         while True:
             k1, k2 = rng.choice(kids, size=2, replace=False)
-            if abs(int(k2) - int(k1)) >= 2:
+            if separated(int(k1), int(k2)):
                 break
         k1, k2 = int(min(k1, k2)), int(max(k1, k2))
         modes = _trial_modes(rng, spec, s_c, k1) + \

@@ -98,12 +98,6 @@ def cap_index_for_abscissa(xi1, s: float):
     return np.clip(k, -inv, inv)
 
 
-def mode_cap_index(freqs: np.ndarray, spec: GridSpec, s: float) -> np.ndarray:
-    """Cap index per lattice mode; the assignment is a partition by
-    construction (one k per mode)."""
-    return cap_index_for_abscissa(spec.freq_step * freqs[:, 0].astype(float), s)
-
-
 # ---------------------------------------------------------------------------
 # tube / envelope index arithmetic
 
@@ -257,58 +251,32 @@ def locate_grid_envelopes(j1, j2, cap: Cap, spec: GridSpec,
 
 
 # ---------------------------------------------------------------------------
-# the broad--narrow cap tree
+# the broad--narrow cap hierarchy
 
-@dataclass(frozen=True)
-class CapTree:
-    """Caps at scales K^0 > K^-1 > ... > ~R^-1/2 with parent links.
-
-    Levels 1..m hold canonical caps at scale s_j; level 0 is the virtual
-    root covering [-1,1] whose children are all 2K+1 caps of level 1.  The
-    finest level is clamped to the theta scale R^-1/2 when K^-m overshoots;
-    mismatch records the ratio K^m / sqrt(R) >= 1.
-    """
-
-    R: int
-    K: int
-    m: int
-    scales: tuple[float, ...]   # scales[j] for level j, scales[0] = 1.0
-    mismatch: float
-
-    def parent_index(self, level: int, k) -> np.ndarray:
-        """Cap index at level-1 of the level-j cap(s) k."""
-        if level <= 0:
-            raise ValueError("root has no parent")
-        if level == 1:
-            return np.zeros_like(np.asarray(k, dtype=np.int64))
-        c = np.asarray(k, dtype=np.int64) * self.scales[level]
-        return cap_index_for_abscissa(c, self.scales[level - 1])
-
-    def children_index(self, level: int, k: int) -> np.ndarray:
-        """k-indices of the children of cap (level, k)."""
-        if level >= self.m:
-            raise ValueError("finest level has no children")
-        s_child = self.scales[level + 1]
-        inv = int(round(1.0 / s_child))
-        kk = np.arange(-inv, inv + 1)
-        return kk[self.parent_index(level + 1, kk) == k] if level >= 1 else kk
-
-
-def build_cap_tree(R: int, K: int) -> CapTree:
-    """K-adic ladder of caps from scale 1 down to the theta scale.
+def cap_ladder(R: int, K: int) -> tuple[float, ...]:
+    """Scales 1 = K^0 > K^-1 > ... > K^-m of the broad-narrow iteration.
 
     m is the least integer with K^m >= sqrt(R); the finest scale is clamped
     to exactly R^-1/2 so the leaves coincide with the canonical thetas.
+    Scale 1 is the virtual root, the one cap covering [-1,1].
     """
     if not (isinstance(K, int) and K >= 2 and (K & (K - 1)) == 0):
         raise ValueError(f"K must be a power of 2, >= 2; got {K}")
     sqrtR = int(round(R ** 0.5))
     if K > sqrtR:
         raise ValueError(f"K = {K} exceeds sqrt(R) = {sqrtR}")
-    m = 1
-    while K ** m < sqrtR:
-        m += 1
     scales = [1.0]
-    for j in range(1, m + 1):
-        scales.append(max(float(K) ** (-j), 1.0 / sqrtR))
-    return CapTree(R, K, m, tuple(scales), mismatch=K ** m / sqrtR)
+    while scales[-1] > 1.0 / sqrtR:
+        scales.append(max(scales[-1] / K, 1.0 / sqrtR))
+    return tuple(scales)
+
+
+def cap_children(s: float, k: int, s_child: float) -> np.ndarray:
+    """k-indices, ascending, of the caps at the finer scale s_child inside
+    cap (s, k): every cap under the virtual root s = 1, else those whose
+    cap_index_for_abscissa parent at scale s is k."""
+    inv = int(round(1.0 / s_child))
+    kk = np.arange(-inv, inv + 1)
+    if s >= 1.0:
+        return kk
+    return kk[cap_index_for_abscissa(kk * s_child, s) == k]

@@ -19,11 +19,12 @@ import wavenvelope.cli as cli
 from wavenvelope import torus
 from oracles import serial_broad_narrow_rows
 from wavenvelope.cli import (ExperimentConfig, PAIR_FAMILIES, PreflightError,
-                             Report, emit, make_field, pair_report,
+                             Report, emit, make_field, pair_inputs,
                              parse_config_text, preflight_mb, read_config,
                              resolve, run)
 from wavenvelope.decomp import CertificateError
-from wavenvelope.geometry import mode_cap_index, theta_scale
+from wavenvelope.envelope import verify_weighted_sq
+from wavenvelope.geometry import cap_index_for_abscissa, theta_scale
 from wavenvelope.torus import GridSpec, parabola_band_modes
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -127,7 +128,8 @@ def test_knapp_field_is_one_cap_and_normalized():
     spec = GridSpec(64)
     f = make_field("knapp", spec, 0)
     s = theta_scale(64)
-    assert np.all(mode_cap_index(f.freqs, spec, s) == 0)
+    assert np.all(cap_index_for_abscissa(spec.freq_step * f.freqs[:, 0], s)
+                  == 0)
     assert np.sum(f.amps) == pytest.approx(1.0, rel=1e-12)
     # one mode per frequency column
     assert len(np.unique(f.freqs[:, 0])) == f.n_modes
@@ -137,9 +139,10 @@ def test_spread_field_one_mode_per_cap():
     spec = GridSpec(64)
     f = make_field("spread", spec, seed=3)
     s = theta_scale(64)
-    ki = mode_cap_index(f.freqs, spec, s)
+    ki = cap_index_for_abscissa(spec.freq_step * f.freqs[:, 0], s)
     assert len(np.unique(ki)) == f.n_modes
-    covered = np.unique(mode_cap_index(parabola_band_modes(spec), spec, s))
+    band = parabola_band_modes(spec)
+    covered = np.unique(cap_index_for_abscissa(spec.freq_step * band[:, 0], s))
     assert f.n_modes == len(covered)
     assert np.allclose(np.abs(f.amps), 1.0)
 
@@ -151,7 +154,7 @@ def test_make_field_rejects_unknown():
 
 def test_pair_report_rejects_unknown():
     with pytest.raises(ValueError, match="unknown pair"):
-        pair_report("random:nope", 64)
+        pair_inputs("random:nope", 64, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -686,6 +689,34 @@ def test_unit_ball_fits_form_theta_pairs_once_per_R(monkeypatch):
     assert formed == [len(cli.cap_decompose(cli.flat_field(GridSpec(R)),
                                             theta_scale(R)))
                       for R in R_values]
+
+
+def test_pair_rows_build_each_weight_once_per_R(monkeypatch):
+    # every p of a verify run reads one field and one weight per R, and
+    # the rows match separate runs of each (p, R), p by p
+    built = []
+    real = cli.make_weight
+
+    def counted(*args, **kwargs):
+        built.append(args[1].R)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "make_weight", counted)
+    cfg = resolve(ExperimentConfig(experiment="envelope-verify", R=(16, 64),
+                                   p=(2.0, 3.0, 4.0),
+                                   family="knapp:dual-tube"))
+    rows = cli._pair_rows(cfg, "ratio_env")[0]
+    assert built == [16, 64]
+    assert [(r["p"], r["R"]) for r in rows] == \
+        [(p, R) for p in cfg.p for R in cfg.R]
+    ffam, wfam, params, _ = PAIR_FAMILIES[cfg.family]
+    keys = ("lhs", "sq_norm", "kappa_max", "sq_rhs", "env_rhs", "ratio_sq",
+            "ratio_env", "zero_field")
+    for row in rows:
+        spec = GridSpec(row["R"])
+        rep = verify_weighted_sq(make_field(ffam, spec, cfg.seed),
+                                 real(wfam, spec, **params), row["p"])
+        assert [row[k] for k in keys] == [getattr(rep, k) for k in keys]
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from wavenvelope.torus import (
     GridSpec, point_eval, random_band_field, synthesize,
 )
-from wavenvelope.geometry import Cap, theta_scale
+from wavenvelope.geometry import Cap, cap_children, theta_scale
 from wavenvelope.measures import in_ball
 from wavenvelope import cli, decomp as dc, envelope as env, torus
 
@@ -116,7 +116,7 @@ def test_broad_narrow_stage_constant_is_the_split_constant(p):
     f = random_band_field(GridSpec(16), seed=0)
     rep = dc.broad_narrow(f, [[0.0, 0.0]], p=p, K=4)
     n = 12
-    hoods = [{j for j in range(n) if abs(j - i) - 1 < dc.SEPARATION}
+    hoods = [{j for j in range(n) if not dc.separated(i, j)}
              for i in range(n)]
     a = np.random.default_rng(0).uniform(0.0, 1.0, n)
     assert bg_split(a, hoods, p=p)[2] == rep.C_stage
@@ -458,6 +458,16 @@ def test_bilinear_trials_deterministic_and_sane():
         # the restricted integral is controlled by the occupancy ratio
         denom = r.max_cell_ratio * (r.norm1_w * r.norm2_w) ** 2 / r.R_s ** 2
         assert r.int_BY <= r.C_l4 * denom * (1 + 1e-9) + 1e-12
+
+
+@pytest.mark.parametrize("K", [2, 4, 8])
+def test_bilinear_trial_pools_are_the_parents_children(K):
+    # the pools bilinear_trials draws its pairs from: every child of the
+    # virtual root, and the K children of an s = 1/2 parent
+    assert cap_children(1.0, 0, 1.0 / K).tolist() == list(range(-K, K + 1))
+    for kp in (-1, 0, 1):
+        assert cap_children(0.5, kp, 0.5 / K).tolist() == \
+            list(range(K * kp - K // 2, K * kp + K // 2))
 
 
 def test_bilinear_trials_k2_uses_unit_parent():

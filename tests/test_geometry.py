@@ -1,4 +1,4 @@
-"""Cap/tube/envelope geometry: exact partitions, nesting, and the tree.
+"""Cap/tube/envelope geometry: exact partitions, nesting, and the ladder.
 
 The tiling claims are combinatorial, so the tests count: every tube at
 every scale holds exactly s^-3 / Delta^2 grid points, every envelope
@@ -14,11 +14,10 @@ from hypothesis import given, settings, strategies as st
 
 from wavenvelope.torus import GridSpec, parabola_band_modes
 from wavenvelope.geometry import (
-    Cap, build_cap_tree, cap_index_for_abscissa, caps_at_scale,
+    Cap, cap_children, cap_index_for_abscissa, cap_ladder, caps_at_scale,
     dyadic_scales, envelope_factor, envelope_lattice_dims,
     envelope_index_of_tube, locate_grid_envelopes, locate_grid_tubes,
-    locate_scale_tubes, mode_cap_index, theta_scale, tube_lattice_dims,
-    wrap_envelope_index,
+    locate_scale_tubes, theta_scale, tube_lattice_dims, wrap_envelope_index,
 )
 
 from oracles import (grid_tube_index, locate_points, tube_local_coords,
@@ -75,12 +74,12 @@ def test_affine_map_preserves_parabola():
 
 def test_mode_cap_index_covers_band():
     modes = parabola_band_modes(SPEC)
+    xi1 = SPEC.freq_step * modes[:, 0]
     for s in dyadic_scales(SPEC.R):
-        k = mode_cap_index(modes, SPEC, s)
+        k = cap_index_for_abscissa(xi1, s)
         assert np.all(np.abs(k) <= int(round(1 / s)))
         # half-open assignment: xi1 within s/2 of the cap center,
         # except at the clipped edges
-        xi1 = SPEC.freq_step * modes[:, 0]
         inner = np.abs(k) < int(round(1 / s))
         assert np.max(np.abs(xi1[inner] - k[inner] * s)) <= s / 2 + 1e-12
 
@@ -216,41 +215,41 @@ def test_tube_local_coords_half_open_cell():
 
 
 def test_cap_tree_shapes():
-    t = build_cap_tree(16, 2)
-    assert t.m == 2 and t.scales == (1.0, 0.5, 0.25) and t.mismatch == 1.0
-    t = build_cap_tree(1024, 4)
-    assert t.m == 3 and t.scales == (1.0, 0.25, 0.0625, 0.03125)
-    assert t.mismatch == 2.0  # finest level clamped to R^-1/2
+    assert cap_ladder(16, 2) == (1.0, 0.5, 0.25)
+    # finest level clamped to R^-1/2, not K^-3 = 1/64
+    assert cap_ladder(1024, 4) == (1.0, 0.25, 0.0625, 0.03125)
+    for R, K in ((2, 4), (1024, 3), (1024, 1)):
+        with pytest.raises(ValueError):
+            cap_ladder(R, K)
 
 
 def test_cap_tree_root_and_children():
-    t = build_cap_tree(256, 4)
-    root_kids = t.children_index(0, 0)
-    assert len(root_kids) == 2 * t.K + 1
+    K = 4
+    scales = cap_ladder(256, K)
+    root_kids = cap_children(1.0, 0, scales[1])
+    assert len(root_kids) == 2 * K + 1
     # inner parents have exactly K children; edge parents are clipped
-    for k in range(-t.K, t.K + 1):
-        kids = t.children_index(1, k)
-        if abs(k) < t.K:
-            assert len(kids) == t.K
+    for k in range(-K, K + 1):
+        kids = cap_children(scales[1], k, scales[2])
+        if abs(k) < K:
+            assert len(kids) == K
         else:
-            assert 1 <= len(kids) <= t.K // 2 + 1
+            assert 1 <= len(kids) <= K // 2 + 1
         for kk in kids:
-            assert t.parent_index(2, np.asarray([kk]))[0] == k
+            assert cap_index_for_abscissa(kk * scales[2], scales[1]) == k
 
 
 def test_cap_tree_parent_of_every_cap():
-    t = build_cap_tree(1024, 4)
-    for level in range(1, t.m + 1):
-        ks = np.array([cap.k for cap in caps_at_scale(t.scales[level])])
-        parents = t.parent_index(level, ks)
+    scales = cap_ladder(1024, 4)
+    for level in range(1, len(scales)):
+        ks = [cap.k for cap in caps_at_scale(scales[level])]
         # level 0 is the virtual root, the one cap Cap(1.0, 0)
-        up_caps = caps_at_scale(t.scales[level - 1]) \
+        up_caps = caps_at_scale(scales[level - 1]) \
             if level > 1 else [Cap(1.0, 0)]
-        up = np.array([cap.k for cap in up_caps])
-        assert np.isin(parents, up).all()
         # child lists partition the level
-        seen = np.concatenate([t.children_index(level - 1, int(k)) for k in up])
-        assert sorted(seen.tolist()) == sorted(ks.tolist())
+        seen = np.concatenate([cap_children(cap.s, cap.k, scales[level])
+                               for cap in up_caps])
+        assert sorted(seen.tolist()) == ks
 
 
 CAPS_POOL = [cap for s in dyadic_scales(64) for cap in caps_at_scale(s)]

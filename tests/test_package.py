@@ -21,7 +21,7 @@ SRC = os.path.join(ROOT, "src", "wavenvelope")
 
 # the most optional parameters src/ may hold, as scripts/src_counts.py
 # counts them: a setting no experiment varies is a constant
-MAX_OPTIONAL_PARAMETERS = 47
+MAX_OPTIONAL_PARAMETERS = 45
 
 # top-level names and Class.method names with no caller in src/, each with
 # the reason it stays
