@@ -22,6 +22,7 @@ two-branch truncated lattice).
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -397,11 +398,12 @@ def _verify_peak_bytes(cfg: "ExperimentConfig") -> float:
 # of the weight (building it, then per scale a, b, z2 and the running sum
 # v of the tube keys, held across the caps, and one key buffer), plus the
 # envelope tables cached on the weight: a few hundred bytes per cap and
-# about 4R entries of 24 bytes for the slab-shaped supports (dual tube,
-# truncated lattice), the widest-spread of the scanned families; a scale's
-# per-cap tables and their concatenation are briefly alive together.
+# about 3R entries of 24 bytes (key, H(U) and tube factor) for the
+# slab-shaped supports (dual tube, truncated lattice), the widest-spread
+# of the scanned families; a scale's per-cap tables and their
+# concatenation are briefly alive together.
 _SCAN_ATOM_BYTES = 128
-_SCAN_BYTES_PER_R = 96
+_SCAN_BYTES_PER_R = 72
 _SCAN_CAP_BYTES = 600
 
 
@@ -544,9 +546,9 @@ def _pair_rows(cfg, ratio_key: str):
 
 
 def _run_broad_narrow(cfg):
-    p = cfg.p[0]
+    """Every p in turn draws the same fields and points per R."""
     rows, failed = [], []
-    for R in cfg.R:
+    for p, R in itertools.product(cfg.p, cfg.R):
         spec = GridSpec(R)
         rng = np.random.default_rng(cfg.seed + R)
         for t in range(cfg.trials):
@@ -556,7 +558,7 @@ def _run_broad_narrow(cfg):
             try:
                 rep = broad_narrow(f, pts, p, cfg.K)
             except CertificateError as exc:
-                failed.append(f"R {R} trial {t}: {exc}")
+                failed.append(f"p {p:g} R {R} trial {t}: {exc}")
                 continue
             rows.append({"R": R, "p": p, "K": cfg.K, "trial": t,
                          "points": cfg.points,

@@ -199,8 +199,6 @@ class RescaledField:
     s^3 Jacobian lives in the spectral density convention only.
     """
 
-    cap: Cap
-    R_new: float
     freqs: np.ndarray
     amps: np.ndarray
 
@@ -233,9 +231,7 @@ def parabolic_rescale(field: TorusField, cap: Cap) -> RescaledField:
         i = int(np.argmax(np.abs(eta1)))
         raise ValueError(
             f"mode xi1 = {xi[i, 0]:.6f} outside cap {cap.cap_id}")
-    return RescaledField(cap, spec.R * s * s,
-                         np.column_stack([eta1, eta2]),
-                         field.amps.copy())
+    return RescaledField(np.column_stack([eta1, eta2]), field.amps.copy())
 
 
 # ---------------------------------------------------------------------------

@@ -148,17 +148,15 @@ def envelope_area(R: int, s: float) -> float:
 class ScaleStats:
     """The p-independent envelope statistics of one weight at one scale.
 
-    ekeys, HU and maxT hold, for every cap k = -1/s .. 1/s in turn, the
+    ekeys, HU and tubeT hold, for every cap k = -1/s .. 1/s in turn, the
     flat keys of the envelopes the weight charges (ascending), their H(U)
-    and their max_T H(T); tubeT holds kappa's p-free factor
-    (max_T H(T)/|T|)^(1/4).  Cap k owns the entries
+    and kappa's p-free factor (max_T H(T)/|T|)^(1/4).  Cap k owns the entries
     offsets[i]:offsets[i+1], i = k + 1/s.  dims is (N1U, N2U), the same
     for every cap of the scale.
     """
 
     ekeys: np.ndarray
     HU: np.ndarray
-    maxT: np.ndarray
     tubeT: np.ndarray
     offsets: np.ndarray
     dims: tuple
@@ -174,7 +172,8 @@ class ScaleStats:
 
 
 def envelope_stats(H: GridMeasure, s: float) -> ScaleStats:
-    """Envelope keys, H(U) and max_T H(T) of every cap at scale s.
+    """Envelope keys, H(U) and (max_T H(T)/|T|)^(1/4) of every cap at
+    scale s.
 
     The atoms are located once for the scale (geometry.locate_scale_tubes);
     each cap then sums tube masses on its keys (ScaleTubes.cap_keys, whose
@@ -216,9 +215,9 @@ def envelope_stats(H: GridMeasure, s: float) -> ScaleStats:
     maxT = HU if E == 1 else np.concatenate(maxT)
     tubeT = maxT / tube_area(s)
     tubeT **= 0.25
-    for arr in (ekeys, HU, maxT, tubeT, offsets):
+    for arr in (ekeys, HU, tubeT, offsets):
         arr.setflags(write=False)
-    stats = ScaleStats(ekeys, HU, maxT, tubeT, offsets, dims)
+    stats = ScaleStats(ekeys, HU, tubeT, offsets, dims)
     H._envelope_stats[s] = stats
     return stats
 

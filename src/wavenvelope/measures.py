@@ -8,14 +8,15 @@ consume measures through that sum, which removes every quadrature
 ambiguity from the inequalities being tested.
 
 Certificates (certificate_core, which schrodinger.rescale_measure runs on
-explicit point sets) approximate sup_{z, rho} rho^(-a) mu(B_rho(z)) over
-dyadic radii with centers restricted to atom locations.  The standard
-doubling argument (any ball meeting the support sits inside the double of
-an atom-centered ball of the next dyadic radius) pins the true supremum
-within a factor 4^a of the certified value.
+explicit point sets in the plane) approximate sup_{z, rho} rho^(-a)
+mu(B_rho(z)) over dyadic radii with centers restricted to atom locations,
+in the Euclidean metric.  The standard doubling argument (any ball meeting
+the support sits inside the double of an atom-centered ball of the next
+dyadic radius) pins the true supremum within a factor 4^a of the
+certified value.
 
-Atoms live on the torus, so distances are wrapped; families placed across
-the fundamental-domain boundary keep their geometry.
+The atoms of weights live on the torus, so their distances are wrapped;
+families placed across the fundamental-domain boundary keep their geometry.
 """
 
 from __future__ import annotations
@@ -362,20 +363,9 @@ def candidate_atoms(family: str, spec: GridSpec, **params) -> float:
 
 @dataclass(frozen=True)
 class Certificate:
-    mode: str                  # alpha-ball | beta-par
-    param: tuple               # (alpha,) | (beta,)
     value: float
     witness_center: tuple      # (x, t)
     witness_radius: float
-
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "param": [float(p) for p in self.param],
-            "value": float(self.value),
-            "witness": {"center": [float(c) for c in self.witness_center],
-                        "radius": float(self.witness_radius)},
-        }
 
 
 def _dyadic_radii(r_min: float, r_max: float) -> np.ndarray:
@@ -395,20 +385,18 @@ def masses_at_bytes(n_centers: int, n_positions: int) -> int:
 
 
 def masses_at(centers: np.ndarray, positions: np.ndarray, masses: np.ndarray,
-              radii: np.ndarray, mode: str, L: float | None) -> np.ndarray:
+              radii: np.ndarray, mode: str) -> np.ndarray:
     """mu of the certificate mode's set around each center z at each radius
     rho; (n_centers, n_radii).
 
     mode "alpha-ball"  closed balls |x - z| <= rho;
     mode "beta-par"    parabolic boxes |y - z1| <= rho, |s - z2| <= rho^2.
-    Torus metric when L is given, plain Euclidean otherwise.
     """
     if mode not in ("alpha-ball", "beta-par"):
         raise ValueError(f"unknown certificate mode {mode!r}")
     out = np.empty((len(centers), len(radii)))
     for b in cell_blocks(len(centers), len(positions)):
-        a, z = positions[None, :, :], centers[b, None, :]
-        dd = a - z if L is None else _torus_disp(a, z, L)
+        dd = positions[None, :, :] - centers[b, None, :]
         if mode == "alpha-ball":
             dist2 = np.sum(dd * dd, axis=2)
             for r, rho in enumerate(radii):
@@ -423,27 +411,29 @@ def masses_at(centers: np.ndarray, positions: np.ndarray, masses: np.ndarray,
 
 
 def certificate_core(positions: np.ndarray, masses: np.ndarray, mode: str,
-                     param, r_min: float, r_max: float,
-                     L: float | None) -> Certificate:
-    """Dyadic-radius certificate of a dimension norm over explicit points.
+                     params, r_min: float, r_max: float) -> list:
+    """Dyadic-radius certificates of a dimension norm over explicit points,
+    one per exponent a of params, all from one masses table.
 
-    mode "alpha-ball"  sup rho^-alpha mu(B_rho) over closed balls;
-    mode "beta-par"    sup rho^-beta mu over boxes rho x rho^2.
+    mode "alpha-ball"  sup rho^-a mu(B_rho) over closed balls;
+    mode "beta-par"    sup rho^-a mu over boxes rho x rho^2.
 
     The radii run over the powers of two from r_min to r_max and the
     centers over the atom positions; the unrestricted supremum is at
-    most 4^param times the certified value.  L gives the torus metric,
-    None the Euclidean one.
+    most 4^a times the certified value.
     """
-    param_t = tuple(float(p) for p in np.atleast_1d(param))
     radii = _dyadic_radii(r_min, r_max)
     # masses_at checks the mode, so an empty measure's mode is checked too
-    table = masses_at(positions, positions, masses, radii, mode, L)
+    table = masses_at(positions, positions, masses, radii, mode)
     if len(positions) == 0:
-        return Certificate(mode, param_t, 0.0, (0.0, 0.0), 1.0)
-    vals = table * radii[None, :] ** (-param_t[0])
-    flat = int(np.argmax(vals))
-    ci, ri = divmod(flat, len(radii))
-    return Certificate(mode, param_t, float(vals[ci, ri]),
-                       (float(positions[ci][0]), float(positions[ci][1])),
-                       float(radii[ri]))
+        return [Certificate(0.0, (0.0, 0.0), 1.0) for _ in params]
+    certs = []
+    for a in params:
+        vals = table * radii[None, :] ** (-float(a))
+        flat = int(np.argmax(vals))
+        ci, ri = divmod(flat, len(radii))
+        certs.append(Certificate(float(vals[ci, ri]),
+                                 (float(positions[ci][0]),
+                                  float(positions[ci][1])),
+                                 float(radii[ri])))
+    return certs

@@ -220,76 +220,73 @@ def nikodym_experiment(q: float, R_values, seed: int = 0) -> "ExponentFit":
 # ---------------------------------------------------------------------------
 # anisotropic rescaling of atomic measures
 
-def rescale_measure(positions, masses, R: float, beta: float | None = None,
-                    alpha: float | None = None, spacing=None):
+def rescale_measure(positions, masses, R: float, beta: float, alpha: float,
+                    spacing):
     """Map atoms (x, t) -> (Rx, R^2 t) and certify the dimension drop.
 
-    Returns (rescaled positions, comparisons).  For a parabolic-box norm
+    Returns (rescaled positions, comparisons).  For the parabolic-box norm
     parameter beta the rescaled measure is certified as a ball measure at
     index (beta+1)/2 (beta >= 1) or beta (beta <= 1) against the scale
-    bound R^-beta; for a ball-norm parameter alpha the index stays alpha
+    bound R^-beta; for the ball-norm parameter alpha the index stays alpha
     and the bound is R^{1-2 alpha} (alpha >= 1) or R^-alpha (alpha <= 1).
-    Each comparison reports measured / (base norm * bound).
+    Each comparison reports measured / (base norm * bound); both rescaled
+    certificates come from one masses table.
 
     `spacing` = (hx, ht) is the source grid resolution: certified radii
     for the rescaled measure start at the image of one source cell, since
-    the atomic model carries no information below it.  None means the
+    the atomic model carries no information below it.  (0, 0) means the
     atoms are exact (radii start at 1).
     """
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
     masses = np.atleast_1d(np.asarray(masses, dtype=float))
     if positions.shape[0] != masses.shape[0] or positions.shape[1] != 2:
         raise ValueError("positions must be (n, 2) with matching masses")
+    beta, alpha = float(beta), float(alpha)
+    if not 0.0 <= beta <= 3.0:
+        raise ValueError("parabolic parameter must lie in [0, 3]")
+    if not 0.0 <= alpha <= 2.0:
+        raise ValueError("ball parameter must lie in [0, 2]")
     R = float(R)
     pos_R = positions * np.array([R, R * R])
 
-    if spacing is None:
-        hx = ht = 0.0
-    else:
-        hx, ht = (float(spacing), float(spacing)) if np.isscalar(spacing) \
-            else (float(spacing[0]), float(spacing[1]))
+    hx, ht = float(spacing[0]), float(spacing[1])
+    h = max(hx, ht)
     r_min_out = max(1.0, R * hx, R * R * ht)
     span = float(np.max(np.abs(pos_R))) if len(pos_R) else 1.0
     r_max_out = max(2.0 * span, 2.0 * r_min_out)
     src_span = max(float(np.max(np.abs(positions))) if len(positions) else 1.0,
                    1.0)
 
-    comparisons = []
-
-    def compare(kind, base_mode, base_param, base_rmin, index, exponent):
-        base = certificate_core(positions, masses, base_mode, base_param,
-                                base_rmin, 2.0 * src_span, L=None)
+    # kind, base mode, parameter, base r_min, scale exponent
+    kinds = (("parabolic", "beta-par", beta,
+              max(math.sqrt(h), h) if h > 0 else 1e-9, -beta),
+             ("ball", "alpha-ball", alpha, h if h > 0 else 1e-9,
+              1.0 - 2.0 * alpha if alpha >= 1.0 else -alpha))
+    bases = []
+    for _, base_mode, param, base_rmin, _ in kinds:
+        base, = certificate_core(positions, masses, base_mode, (param,),
+                                 base_rmin, 2.0 * src_span)
         if base.value <= 0.0:
             raise ValueError("degenerate measure: zero base norm")
-        meas = certificate_core(pos_R, masses, "alpha-ball", index,
-                                r_min_out, r_max_out, L=None)
-        bound = base.value * R ** exponent
+        bases.append(base)
+    # the rescaled measure's ball indices, one table for both
+    targets = ((beta + 1.0) / 2.0 if beta >= 1.0 else beta, alpha)
+    measured = certificate_core(pos_R, masses, "alpha-ball", targets,
+                                r_min_out, r_max_out)
+    comparisons = []
+    for (kind, _, param, _, scale), target, base, meas in zip(
+            kinds, targets, bases, measured):
         comparisons.append({
             "kind": kind,
-            "param": float(base_param),
-            "target_index": float(index),
-            "base_norm": float(base.value),
-            "measured": float(meas.value),
-            "scale_exponent": float(exponent),
-            "ratio": float(meas.value / bound),
-            "witness": meas.to_dict()["witness"],
+            "param": param,
+            "target_index": target,
+            "base_norm": base.value,
+            "measured": meas.value,
+            "scale_exponent": scale,
+            "ratio": meas.value / (base.value * R ** scale),
+            "witness": {"center": list(meas.witness_center),
+                        "radius": meas.witness_radius},
         })
-
-    if beta is not None:
-        beta = float(beta)
-        if not 0.0 <= beta <= 3.0:
-            raise ValueError("parabolic parameter must lie in [0, 3]")
-        index = (beta + 1.0) / 2.0 if beta >= 1.0 else beta
-        compare("parabolic", "beta-par", beta,
-                max(math.sqrt(max(hx, ht)), hx, ht) if max(hx, ht) > 0 else
-                1e-9, index, -beta)
-    if alpha is not None:
-        alpha = float(alpha)
-        if not 0.0 <= alpha <= 2.0:
-            raise ValueError("ball parameter must lie in [0, 2]")
-        exponent = 1.0 - 2.0 * alpha if alpha >= 1.0 else -alpha
-        compare("ball", "alpha-ball", alpha,
-                max(hx, ht) if max(hx, ht) > 0 else 1e-9, alpha, exponent)
     return pos_R, comparisons
 
 
@@ -339,7 +336,7 @@ def sqrt_profile_atoms():
 
 # built-in unit-scale families: name -> (atoms, beta, alpha, spacing)
 MEASURE_FAMILIES = {
-    "delta": (delta_atoms, 0.0, 0.0, None),
+    "delta": (delta_atoms, 0.0, 0.0, (0.0, 0.0)),
     "line": (line_atoms, 1.0, 1.0, (1.0 / LINE_ATOMS, 0.0)),
     "square": (unit_square_atoms, 3.0, 2.0,
                (1.0 / SQUARE_ATOMS, 1.0 / SQUARE_ATOMS)),

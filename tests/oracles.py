@@ -228,20 +228,20 @@ def kappa(H, p: float, cap, z) -> float:
     return 0.0
 
 
-def modulation(g, points) -> np.ndarray:
-    """c_tau(x) with g(x) = c_tau(x) f_tau(L_tau x), |c_tau| = 1, for a
-    decomp.RescaledField g."""
+def modulation(g, cap, points) -> np.ndarray:
+    """c_tau(x) with g(x) = c_tau(x) f_tau(L_tau x), |c_tau| = 1, for the
+    decomp.RescaledField g of cap tau."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    s, c = g.cap.s, g.cap.c
+    s, c = cap.s, cap.c
     ph = -(c / s) * pts[:, 0] + (c * c / (s * s)) * pts[:, 1]
     out = np.exp(1j * ph)
     return out if np.ndim(points) > 1 else out[0]
 
 
-def spectrum(g):
-    """(model frequencies, continuum-density amplitudes s^3 a) of a
-    decomp.RescaledField g."""
-    return g.freqs, g.cap.s ** 3 * g.amps
+def spectrum(g, cap):
+    """(model frequencies, continuum-density amplitudes s^3 a) of the
+    decomp.RescaledField g of cap tau."""
+    return g.freqs, cap.s ** 3 * g.amps
 
 
 def l2sq(g) -> float:
@@ -620,25 +620,26 @@ def bg_split(a, neighborhoods, p: float):
 def serial_broad_narrow_rows(cfg) -> list:
     """The rows of the broad-narrow experiment from one serial loop.
 
-    Each trial draws its field seed and then its points from the R's
-    generator and is evaluated before the next draw; a point counts as a
-    violation wherever lhs exceeds the bound at all.
+    Every p runs every R afresh.  Each trial draws its field seed and then
+    its points from the R's generator and is evaluated before the next
+    draw; a point counts as a violation wherever lhs exceeds the bound at
+    all.
     """
     rows = []
-    p = cfg.p[0]
-    for R in cfg.R:
-        spec = GridSpec(R)
-        rng = np.random.default_rng(cfg.seed + R)
-        for t in range(cfg.trials):
-            f = random_band_field(spec, seed=int(rng.integers(2 ** 31)),
-                                  density=0.5)
-            pts = rng.uniform(0.0, spec.L, size=(cfg.points, 2))
-            rep = broad_narrow(f, pts, p, cfg.K)
-            rows.append({"R": R, "p": p, "K": cfg.K, "trial": t,
-                         "points": cfg.points,
-                         "violations": int(np.sum(rep.lhs > rep.bound)),
-                         "max_empirical": rep.max_empirical,
-                         "C_certified": rep.C_certified})
+    for p in cfg.p:
+        for R in cfg.R:
+            spec = GridSpec(R)
+            rng = np.random.default_rng(cfg.seed + R)
+            for t in range(cfg.trials):
+                f = random_band_field(spec, seed=int(rng.integers(2 ** 31)),
+                                      density=0.5)
+                pts = rng.uniform(0.0, spec.L, size=(cfg.points, 2))
+                rep = broad_narrow(f, pts, p, cfg.K)
+                rows.append({"R": R, "p": p, "K": cfg.K, "trial": t,
+                             "points": cfg.points,
+                             "violations": int(np.sum(rep.lhs > rep.bound)),
+                             "max_empirical": rep.max_empirical,
+                             "C_certified": rep.C_certified})
     return rows
 
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import wavenvelope.cli as cli
-from wavenvelope import torus
+from wavenvelope import measures, torus
 from oracles import serial_broad_narrow_rows
 from wavenvelope.cli import (ExperimentConfig, PAIR_FAMILIES, PreflightError,
                              Report, emit, make_field, pair_inputs,
@@ -225,6 +225,15 @@ def test_broad_narrow_rows_equal_the_serial_loop(R, seed, trials):
     assert run(cfg).rows == serial_broad_narrow_rows(cfg)
 
 
+def test_broad_narrow_runs_every_p():
+    # p-major, each p drawing the fields and points of a run at it alone
+    cfg = dict(experiment="broad-narrow", R=(64,), trials=2, points=50)
+    both = run(ExperimentConfig(p=(2.0, 4.0), **cfg)).rows
+    alone = run(ExperimentConfig(p=(4.0,), **cfg)).rows
+    assert [r["p"] for r in both] == [2.0, 2.0, 4.0, 4.0]
+    assert both[2:] == alone
+
+
 def test_broad_narrow_violation_fails_the_check(monkeypatch, capsys):
     # the second trial's points, drawn as the runner draws them
     spec = GridSpec(64)
@@ -344,6 +353,21 @@ def test_certificates_experiment(tmp_path):
     assert len(rep.rows) == 8  # four families, two norms each
     assert all(r["within"] for r in rep.rows)
     assert (tmp_path / "certificates_delta_R64.json").exists()
+
+
+def test_default_certificates_run_builds_24_masses_tables(monkeypatch):
+    # four families at two R, each comparing its two base certificates
+    # with two rescaled ones that share a table
+    real, calls = measures.masses_at, []
+
+    def counting(*args):
+        calls.append(args[4])
+        return real(*args)
+
+    monkeypatch.setattr(measures, "masses_at", counting)
+    assert run(ExperimentConfig(experiment="certificates")).passed
+    assert len(calls) == 24
+    assert calls.count("beta-par") == 8
 
 
 # ---------------------------------------------------------------------------

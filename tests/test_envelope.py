@@ -387,7 +387,7 @@ def test_envelope_stats_cache_is_read_only():
     assert env.envelope_stats(H, 0.5) is st
     ekeys = env.kappa_table(H, 2.0, Cap(0.5, 1))[0]
     assert np.shares_memory(ekeys, st.ekeys)
-    for arr in (st.ekeys, st.HU, st.maxT, st.offsets, ekeys):
+    for arr in (st.ekeys, st.HU, st.tubeT, st.offsets, ekeys):
         with pytest.raises(ValueError):
             arr[...] = 0
 
@@ -407,7 +407,7 @@ def test_envelope_stats_branches_agree(monkeypatch):
         runs.append([env.envelope_stats(H, s)
                      for s in dyadic_scales(spec.R)])
     for sort, dense in zip(*runs):
-        for name in ("ekeys", "HU", "maxT", "offsets"):
+        for name in ("ekeys", "HU", "tubeT", "offsets"):
             a, b = getattr(sort, name), getattr(dense, name)
             assert a.dtype == b.dtype
             assert np.array_equal(a, b)
@@ -454,13 +454,14 @@ def test_kappa_tables_bit_equal_per_cap_oracle(R):
                 st = env.envelope_stats(H, s)
                 sl = st.cap_slice(cap.k)
                 assert st.dims == dims
+                tubeT = (maxT / env.tube_area(s)) ** 0.25
                 for got, want in ((st.ekeys[sl], ekeys), (st.HU[sl], HU),
-                                  (st.maxT[sl], maxT)):
+                                  (st.tubeT[sl], tubeT)):
                     assert got.dtype == want.dtype
                     assert np.array_equal(got, want), (H.label, s, cap.k)
                 for p in (2.0, 3.0, 4.0):
                     vals = env.kappa_table(H, p, cap)[1]
-                    want = (maxT / env.tube_area(s)) ** 0.25 * \
+                    want = tubeT * \
                         (HU / env.envelope_area(R, s)) ** (1.0 / p - 0.25)
                     assert np.array_equal(vals, want)
 
@@ -477,8 +478,9 @@ def test_envelope_stats_every_branch_matches_oracle(monkeypatch, R, ratio):
             st = env.envelope_stats(H, s)
             for cap in caps_at_scale(s):
                 sl = st.cap_slice(cap.k)
-                want = per_cap_envelope_stats(H, cap)
-                for got, w in zip((st.ekeys[sl], st.HU[sl], st.maxT[sl]),
+                ekeys, HU, maxT, _ = per_cap_envelope_stats(H, cap)
+                want = (ekeys, HU, (maxT / env.tube_area(s)) ** 0.25)
+                for got, w in zip((st.ekeys[sl], st.HU[sl], st.tubeT[sl]),
                                   want):
                     assert got.dtype == w.dtype
                     assert got.tobytes() == w.tobytes(), (H.label, s, cap.k)

@@ -30,17 +30,19 @@ def brute_ball_sup(measure, alpha, spec, stride=1, r_min=1.0):
     centers = np.stack([G1.ravel(), G2.ravel()], axis=1)
     radii = ms._dyadic_radii(r_min, spec.L)
     table = ms.masses_at(centers, atom_positions(measure),
-                         np.asarray(measure.mass), radii, "alpha-ball", spec.L)
+                         np.asarray(measure.mass), radii, "alpha-ball")
     return float((table * radii[None, :] ** -alpha).max())
 
 
 def certify(mu, mode, param):
-    """certificate_core over a measure's atoms: atom centres, the torus
-    metric, dyadic radii from 1 (balls) or one cell (parabolic boxes) to L."""
+    """certificate_core over a measure's atoms at one exponent: atom
+    centres, dyadic radii from 1 (balls) or one cell (parabolic boxes) to
+    L."""
     mu = materialize(mu)
     r_min = 1.0 if mode == "alpha-ball" else mu.spec.delta
-    return ms.certificate_core(atom_positions(mu), np.asarray(mu.mass), mode,
-                               param, r_min, mu.spec.L, L=mu.spec.L)
+    cert, = ms.certificate_core(atom_positions(mu), np.asarray(mu.mass),
+                                mode, (param,), r_min, mu.spec.L)
+    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +249,22 @@ def test_point_mass_certificate():
 def test_certificate_core_checks_the_mode_of_an_empty_measure():
     empty = np.empty((0, 2)), np.empty(0)
     with pytest.raises(ValueError, match="unknown certificate mode"):
-        ms.certificate_core(*empty, "bogus", 1.0, 1.0, 2.0, None)
-    cert = ms.certificate_core(*empty, "alpha-ball", 1.0, 1.0, 2.0, None)
+        ms.certificate_core(*empty, "bogus", (1.0,), 1.0, 2.0)
+    cert, = ms.certificate_core(*empty, "alpha-ball", (1.0,), 1.0, 2.0)
     assert (cert.value, cert.witness_radius) == (0.0, 1.0)
+
+
+def test_certificates_of_two_exponents_equal_two_one_exponent_calls():
+    # one masses table serves every exponent, bit for bit
+    rng = np.random.default_rng(8)
+    pos = rng.uniform(-3.0, 3.0, size=(150, 2))
+    mass = rng.uniform(0.1, 1.0, size=150)
+    for mode in ("alpha-ball", "beta-par"):
+        pair = ms.certificate_core(pos, mass, mode, (0.6, 1.7), 0.25, 8.0)
+        one = [ms.certificate_core(pos, mass, mode, (a,), 0.25, 8.0)[0]
+               for a in (0.6, 1.7)]
+        assert pair == one
+        assert pair[0] != pair[1]
 
 
 def test_constant_weight_alpha2_is_disk_area():
@@ -278,11 +293,9 @@ def test_witness_reproduces_value():
         # the certified ratio, recomputed at the stored witness alone
         table = ms.masses_at(np.asarray([cert.witness_center]),
                              atom_positions(w), np.asarray(w.mass),
-                             np.asarray([cert.witness_radius]), mode, SPEC.L)
+                             np.asarray([cert.witness_radius]), mode)
         at_witness = float(table[0, 0]) * cert.witness_radius ** -param
         assert at_witness == pytest.approx(cert.value, rel=1e-9)
-        d = cert.to_dict()
-        assert d["mode"] == mode and "witness" in d
 
 
 def test_masses_tables_bits_do_not_depend_on_budget(monkeypatch):
@@ -290,15 +303,13 @@ def test_masses_tables_bits_do_not_depend_on_budget(monkeypatch):
     pos = rng.uniform(0.0, SPEC.L, size=(300, 2))
     mass = rng.uniform(0.1, 1.0, size=300)
     radii = 2.0 ** np.arange(-1, 5)
-    cases = [(mode, L) for mode in ("alpha-ball", "beta-par")
-             for L in (None, SPEC.L)]
-    want = [ms.masses_at(pos[:200], pos, mass, radii, mode, L)
-            for mode, L in cases]
+    modes = ("alpha-ball", "beta-par")
+    want = [ms.masses_at(pos[:200], pos, mass, radii, mode) for mode in modes]
     # 200 centers take four blocks: 64, 64, 64 and 8
     monkeypatch.setattr(torus, "CELL_BUDGET", 3)
-    for (mode, L), ref in zip(cases, want):
+    for mode, ref in zip(modes, want):
         assert np.array_equal(
-            ms.masses_at(pos[:200], pos, mass, radii, mode, L), ref)
+            ms.masses_at(pos[:200], pos, mass, radii, mode), ref)
 
 
 def test_parabolic_mode_sees_anisotropy():
@@ -313,11 +324,9 @@ def test_parabolic_mode_sees_anisotropy():
                           np.full(n, SPEC.delta))
     for rho in (1.0, 2.0, 4.0):
         ch = ms.masses_at(np.zeros((1, 2)), atom_positions(horiz),
-                          np.asarray(horiz.mass), np.array([rho]), "beta-par",
-                          SPEC.L)
+                          np.asarray(horiz.mass), np.array([rho]), "beta-par")
         cv = ms.masses_at(np.zeros((1, 2)), atom_positions(vert),
-                          np.asarray(vert.mass), np.array([rho]), "beta-par",
-                          SPEC.L)
+                          np.asarray(vert.mass), np.array([rho]), "beta-par")
         assert ch[0, 0] == pytest.approx(rho + SPEC.delta, abs=SPEC.delta)
         assert cv[0, 0] == pytest.approx(rho * rho + SPEC.delta, abs=SPEC.delta)
 
@@ -337,6 +346,5 @@ def test_monotonicity_of_atomic_evaluation():
     w = ms.make_weight("ball", SPEC, rho=2.0)
     pos, mass = atom_positions(w), np.asarray(w.mass)
     radii = np.array([1.0, 2.0, 4.0])
-    table = ms.masses_at(np.zeros((1, 2)), pos, mass, radii, "alpha-ball",
-                         SPEC.L)
+    table = ms.masses_at(np.zeros((1, 2)), pos, mass, radii, "alpha-ball")
     assert table[0, 0] <= table[0, 1] <= table[0, 2]

@@ -3,11 +3,13 @@
 Every top-level function and class of src/wavenvelope must be used by the
 package itself, or carry a reason here for existing without a caller in
 src/; so must every method and property but the dunders, which Python
-calls.  And src/ holds no assert statement: python -O strips them, so a
-check that matters has to raise.  And src/ imports no scipy: numpy is the
-package's only runtime dependency.  And src/ holds no more optional
-parameters than scripts/src_counts.py counted when the settings no
-experiment varies became constants.
+calls, and every dataclass field must be read as an attribute in src/ or
+carry a reason for having no reader there.  And src/ holds no assert
+statement: python -O strips them, so a check that matters has to raise.
+And src/ imports no scipy: numpy is the package's only runtime
+dependency.  And src/ holds no more optional parameters than
+scripts/src_counts.py counted when the dimension certificates took their
+family's parameters.
 """
 
 import ast
@@ -21,7 +23,7 @@ SRC = os.path.join(ROOT, "src", "wavenvelope")
 
 # the most optional parameters src/ may hold, as scripts/src_counts.py
 # counts them: a setting no experiment varies is a constant
-MAX_OPTIONAL_PARAMETERS = 45
+MAX_OPTIONAL_PARAMETERS = 42
 
 # top-level names and Class.method names with no caller in src/, each with
 # the reason it stays
@@ -31,6 +33,19 @@ NO_CALLER_IN_SRC = {
     "locate_grid_envelopes": "the benchmark's span counters trace it",
     "nikodym_experiment": "the benchmark's span counters trace it",
     "TorusField.samples_on": "the benchmark's span counters trace it",
+}
+
+
+# dataclass fields that src/ never reads as an attribute, each with the
+# reason it stays
+NO_READER_IN_SRC = {
+    "Report.preflight_mb": "the benchmark worker records the estimate",
+    "BroadNarrowReport.narrow": "tests check the split's narrow term",
+    "BroadNarrowReport.bilinear": "tests check the split's bilinear term",
+    "BilinearReport.int_B": "tests check int_BY <= int_B, equal on the plane",
+    "BilinearReport.norm1_w": "tests check C_l4 and C_orth1 against it",
+    "BilinearReport.norm2_w": "tests check C_l4 and C_orth2 against it",
+    "BilinearReport.sq_norm_w": "tests check C_orth1 and C_orth2 against it",
 }
 
 
@@ -71,6 +86,37 @@ def test_every_top_level_definition_has_a_caller():
     assert orphans == []
     # a stale reason outlives the definition it excused
     assert {name for name in NO_CALLER_IN_SRC if "." not in name} <= defined
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    for dec in cls.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def test_every_dataclass_field_has_a_reader():
+    read = {node.attr for tree in MODULES.values()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    defined, unread = set(), []
+    for fname, tree in MODULES.items():
+        for cls in tree.body:
+            if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
+                continue
+            for node in cls.body:
+                if not (isinstance(node, ast.AnnAssign)
+                        and isinstance(node.target, ast.Name)):
+                    continue
+                name = f"{cls.name}.{node.target.id}"
+                defined.add(name)
+                if node.target.id not in read and \
+                        name not in NO_READER_IN_SRC:
+                    unread.append(f"{fname}:{node.lineno} {name}")
+    assert unread == []
+    assert set(NO_READER_IN_SRC) <= defined
 
 
 def test_every_method_has_a_caller():

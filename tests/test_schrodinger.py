@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wavenvelope import measures as ms
 from wavenvelope.measures import lattice_sites
 from wavenvelope import torus
 from wavenvelope.torus import trig_sum
@@ -215,8 +216,7 @@ def test_rescale_positions_and_mass(monkeypatch):
     monkeypatch.setattr(sch, "SQUARE_ATOMS", 8)
     pos, m = sch.unit_square_atoms()
     before = float(np.sum(m))
-    pos_R, comps = sch.rescale_measure(pos, m, 64.0)
-    assert comps == []
+    pos_R, _ = sch.rescale_measure(pos, m, 64.0, 3.0, 2.0, (0.125, 0.125))
     assert np.array_equal(pos_R, pos * np.array([64.0, 4096.0]))
     assert float(np.sum(m)) == before
 
@@ -224,15 +224,16 @@ def test_rescale_positions_and_mass(monkeypatch):
 def test_delta_keeps_unit_certificate_at_every_index():
     pos, m = sch.delta_atoms()
     for alpha in (0.0, 0.7, 1.0, 1.4, 2.0):
-        _, comps = sch.rescale_measure(pos, m, 256.0, alpha=alpha)
-        assert comps[0]["measured"] == 1.0
+        _, comps = sch.rescale_measure(pos, m, 256.0, beta=0.0, alpha=alpha,
+                                       spacing=(0.0, 0.0))
+        assert comps[1]["measured"] == 1.0
 
 
 def test_lebesgue_ball_mass_change_of_variables(monkeypatch):
     monkeypatch.setattr(sch, "SQUARE_ATOMS", 8)
     pos, m = sch.unit_square_atoms()
     R = 4.0
-    pos_R, _ = sch.rescale_measure(pos, m, R)
+    pos_R, _ = sch.rescale_measure(pos, m, R, 3.0, 2.0, (0.125, 0.125))
     for rho in (1.0, 2.0, 4.0, 8.0, 16.0, 64.0):
         direct = float(np.sum(m[np.sum(pos_R ** 2, axis=1) <= rho ** 2]))
         # preimage of the ball is the ellipse with semi-axes rho/R, rho/R^2
@@ -256,7 +257,8 @@ def test_sqrt_profile_certificate_bounded_across_scales():
     pos, m, beta, alpha, spacing = sch.measure_family("sqrt-profile")
     vals = []
     for R in (64.0, 256.0):
-        _, comps = sch.rescale_measure(pos, m, R, beta=beta, spacing=spacing)
+        _, comps = sch.rescale_measure(pos, m, R, beta=beta, alpha=alpha,
+                                       spacing=spacing)
         assert comps[0]["target_index"] == 1.5
         vals.append(comps[0]["measured"] * R ** 2)
     assert max(vals) <= 8.0 * max(comps[0]["base_norm"], 1.0)
@@ -267,7 +269,8 @@ def test_certificate_matches_brute_force_at_small_scale():
     # same search space (atom centers x dyadic radii), independent arithmetic
     pos, m, beta, alpha, spacing = sch.measure_family("sqrt-profile")
     R = 64.0
-    pos_R, comps = sch.rescale_measure(pos, m, R, alpha=alpha, spacing=spacing)
+    pos_R, comps = sch.rescale_measure(pos, m, R, beta=beta, alpha=alpha,
+                                       spacing=spacing)
     r_min = max(1.0, R * spacing[0], R * R * spacing[1])
     r_max = 2.0 * float(np.max(np.abs(pos_R)))
     lo = int(math.floor(math.log2(r_min)))
@@ -279,19 +282,36 @@ def test_certificate_matches_brute_force_at_small_scale():
             rho = 2.0 ** e
             mass = float(np.sum(m[d2 <= (rho * (1 + 1e-12)) ** 2]))
             best = max(best, mass * rho ** (-alpha))
-    assert abs(best - comps[0]["measured"]) <= 1e-12 * best
+    assert abs(best - comps[1]["measured"]) <= 1e-12 * best
+
+
+def test_rescale_builds_three_masses_tables(monkeypatch):
+    # the two base certificates take one table each; both rescaled
+    # certificates share the third
+    real, shapes = ms.masses_at, []
+
+    def counting(centers, positions, *args):
+        shapes.append(len(positions))
+        return real(centers, positions, *args)
+
+    monkeypatch.setattr(ms, "masses_at", counting)
+    pos, m, beta, alpha, spacing = sch.measure_family("line")
+    sch.rescale_measure(pos, m, 64.0, beta, alpha, spacing)
+    assert shapes == [len(pos)] * 3
 
 
 def test_rescale_validations():
     pos, m = sch.delta_atoms()
+    exact = (0.0, 0.0)
     with pytest.raises(ValueError, match=r"\[0, 3\]"):
-        sch.rescale_measure(pos, m, 64.0, beta=3.5)
+        sch.rescale_measure(pos, m, 64.0, 3.5, 1.0, exact)
     with pytest.raises(ValueError, match=r"\[0, 2\]"):
-        sch.rescale_measure(pos, m, 64.0, alpha=2.5)
+        sch.rescale_measure(pos, m, 64.0, 1.0, 2.5, exact)
     with pytest.raises(ValueError, match="degenerate"):
-        sch.rescale_measure(pos, 0.0 * m, 64.0, alpha=1.0)
+        sch.rescale_measure(pos, 0.0 * m, 64.0, 1.0, 1.0, exact)
     with pytest.raises(ValueError, match="positions"):
-        sch.rescale_measure(np.zeros((2, 3)), np.ones(2), 64.0)
+        sch.rescale_measure(np.zeros((2, 3)), np.ones(2), 64.0, 1.0, 1.0,
+                            exact)
 
 
 def test_reduction_identity_is_exact():
@@ -304,7 +324,7 @@ def test_reduction_identity_is_exact():
     pos = np.array([[0.1, 0.2], [0.5, -0.3], [1.0, 0.7]])
     m = np.array([0.2, 0.3, 0.5])
     R = 64.0
-    pos_R, _ = sch.rescale_measure(pos, m, R)
+    pos_R, _ = sch.rescale_measure(pos, m, R, 1.0, 1.0, (0.0, 0.0))
     lhs = np.sum(m * np.abs(sch.propagator_at(freqs, amps, R, pos_R)) ** 3.0)
     mapped = pos * np.array([R, R * R])
     rhs = np.sum(m * np.abs(sch.propagator_at(freqs, amps, R, mapped)) ** 3.0)
