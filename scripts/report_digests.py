@@ -16,7 +16,9 @@ temporary directory, one subdirectory per run:
     R = 16 and at R = 64 with K = 2 over 4 trials, and broad-narrow at
     R = 64 over 5 trials, so every sidecar kind is hashed.
 Lines are sorted by path, so the output of two checkouts can be compared
-with diff.  About 12 s on a 2-vCPU VM.  Run from the repository root:
+with diff.  A run that is rejected (exit 2) or fails a check (exit 1) is
+named on stderr, and the script then exits 1.  About 12 s on a 2-vCPU
+VM.  Run from the repository root:
 
     PYTHONPATH=src python3 scripts/report_digests.py > digests.txt
 """
@@ -76,8 +78,8 @@ if __name__ == "__main__":
             with contextlib.redirect_stdout(io.StringIO()):
                 code = main(argv + ["--out", os.path.join(root, rel),
                                     "--format", "json,csv,md"])
-            if code == 2:
-                failed.append(rel)
+            if code:
+                failed.append((rel, code))
         lines = []
         for dirpath, _, files in os.walk(root):
             for name in files:
@@ -87,6 +89,7 @@ if __name__ == "__main__":
                 lines.append((os.path.relpath(path, root), digest))
     for rel, digest in sorted(lines):
         print(f"{digest}  {rel}")
-    for rel in failed:
-        print(f"error: run {rel} was rejected", file=sys.stderr)
+    for rel, code in failed:
+        what = "was rejected" if code == 2 else "failed a check"
+        print(f"error: run {rel} {what}", file=sys.stderr)
     sys.exit(1 if failed else 0)

@@ -37,7 +37,8 @@ from .envelope import (cap_decompose, kappa_max, verify_weighted_sq,
 from .decomp import (CertificateError, bilinear_peak_bytes, bilinear_trials,
                      broad_narrow, broad_narrow_peak_bytes, over_bound)
 from .geometry import cap_index_for_abscissa, dyadic_scales, theta_scale
-from .measures import candidate_atoms, make_weight, masses_at_bytes
+from .measures import (LATTICE_C, LATTICE_KAPPA, TRUNCATED_ALPHA, TRUNCATED_C,
+                       candidate_atoms, make_weight, masses_at_bytes)
 from .schrodinger import (FLS_DEFAULT_R, MEASURE_FAMILIES, fit_exponent,
                           fls_fits, fls_peak_bytes, measure_family,
                           rescale_measure)
@@ -58,7 +59,7 @@ class ExperimentConfig:
 
     Empty R/p/family fall back to per-experiment defaults during
     resolution, and the resolved values are what the report embeds.
-    c = None lets each weight family keep its own size default.  Each
+    c = None means the weight family's example size.  Each
     field's annotation is its kind in _KINDS, which parses and formats
     its config text and its command-line flag.
     """
@@ -68,7 +69,7 @@ class ExperimentConfig:
     p: tuple[float, ...] = ()
     K: int = 4
     family: str = ""
-    kappa: float = 1.0 / 3.0
+    kappa: float = LATTICE_KAPPA
     alpha: float = 1.5
     c: float | None = None
     lam: float = 1.0
@@ -103,7 +104,7 @@ class ExperimentConfig:
 
 
 def _parse_list(convert):
-    return lambda text: tuple(convert(float(x)) for x in text.split(",")) \
+    return lambda text: tuple(convert(x) for x in text.split(",")) \
         if text else ()
 
 
@@ -221,29 +222,24 @@ def make_field(family: str, spec: GridSpec, seed):
     return FIELD_FAMILIES[family](spec, seed)
 
 
-# the dilated lattice of the random:lattice pair and of alpha_lattice_fits
-_ALPHA_LATTICE = {"kappa": 1.0 / 3.0, "c": 0.45}
-# the truncated lattice of y_lattice_fits and its scales
-_Y_LATTICE = {"alpha": 1.5, "c": 0.25}
-_Y_LATTICE_R = (4096, 16384, 65536)
+_Y_LATTICE_R = (4096, 16384, 65536)  # the scales of y_lattice_fits
 
-# Each pair fixes its weight parameters so a sweep is reproducible without
-# extra knobs.  p is the default exponent for the pair's ratio run.
+# Each pair's weight is its family's example, so a sweep is reproducible
+# without extra knobs.  p is the default exponent for the pair's ratio run.
 PAIR_FAMILIES = {
-    "random:constant": ("random", "constant", {}, 4.0),
-    "random:ball": ("random", "ball", {}, 3.0),
-    "flat:ball": ("flat", "ball", {}, 3.0),
-    "knapp:constant": ("knapp", "constant", {}, 4.0),
-    "knapp:dual-tube": ("knapp", "dual-tube", {"alpha": 1.0, "k": 0}, 4.0),
-    "spread:constant": ("spread", "constant", {}, 4.0),
-    "random:lattice": ("random", "lattice", _ALPHA_LATTICE, 3.0),
-    "random:parabolic-box": ("random", "parabolic-box",
-                             {"boxes": ((0.0, 0.0, 2.0), (8.0, 3.0, 1.0))}, 4.0),
+    "random:constant": ("random", "constant", 4.0),
+    "random:ball": ("random", "ball", 3.0),
+    "flat:ball": ("flat", "ball", 3.0),
+    "knapp:constant": ("knapp", "constant", 4.0),
+    "knapp:dual-tube": ("knapp", "dual-tube", 4.0),
+    "spread:constant": ("spread", "constant", 4.0),
+    "random:lattice": ("random", "lattice", 3.0),
+    "random:parabolic-box": ("random", "parabolic-box", 4.0),
 }
 
 
 def _pair_family(pair: str):
-    """(field family, weight family, weight params, default p) of a pair."""
+    """(field family, weight family, default p) of a pair."""
     if pair not in PAIR_FAMILIES:
         raise ValueError(f"unknown pair {pair!r}; have {sorted(PAIR_FAMILIES)}")
     return PAIR_FAMILIES[pair]
@@ -251,18 +247,18 @@ def _pair_family(pair: str):
 
 def pair_inputs(pair: str, R: int, seed):
     """(field, weight) of one built-in pair at R."""
-    ffam, wfam, params, _ = _pair_family(pair)
+    ffam, wfam, _ = _pair_family(pair)
     spec = GridSpec(R)
-    return make_field(ffam, spec, seed), make_weight(wfam, spec, **params)
+    return make_field(ffam, spec, seed), make_weight(wfam, spec)
 
 
-def pair_growth_fit(pair: str, R_values=(64, 256, 1024)):
+def pair_growth_fit(pair: str, R_values):
     """Growth exponent of lhs^p / envelope sum for one pair at its own p.
 
     The theorem allows at most logarithmic growth, so the fitted slope
     is compared one-sidedly against 0.
     """
-    p = _pair_family(pair)[3]
+    p = _pair_family(pair)[2]
     ratios = [verify_weighted_sq(*pair_inputs(pair, R, 0), p).ratio_env
               for R in R_values]
     return fit_exponent(f"weighted-env-{pair}-p{p:g}",
@@ -302,10 +298,10 @@ def unit_ball_fits(p_values, R_values, band: float = 0.1):
     return fits
 
 
-def _kappa_fits(name, family, params, p_values, R_values, pred, band, sided):
-    """One fit per p of the functional maximum of one weight family over R;
-    pred(p) is the predicted slope."""
-    weights = {R: make_weight(family, GridSpec(R), **params) for R in R_values}
+def _kappa_fits(name, family, p_values, R_values, pred, band, sided):
+    """One fit per p of the functional maximum of one weight family's
+    example over R; pred(p) is the predicted slope."""
+    weights = {R: make_weight(family, GridSpec(R)) for R in R_values}
     fits = []
     for p in p_values:
         vals = [kappa_max(weights[R], p)[0] for R in R_values]
@@ -322,9 +318,8 @@ def alpha_lattice_fits(p_values, R_values, band: float = 0.1):
     maximum may fall faster than R^(-(2 - alpha)(1/p - 1/4)) but not
     slower, so the comparison is one-sided.
     """
-    alpha = 2.0 - 3.0 * _ALPHA_LATTICE["kappa"]
-    return _kappa_fits("alpha-lattice", "lattice", _ALPHA_LATTICE,
-                       p_values, R_values,
+    alpha = 2.0 - 3.0 * LATTICE_KAPPA
+    return _kappa_fits("alpha-lattice", "lattice", p_values, R_values,
                        lambda p: -(2.0 - alpha) * (1.0 / p - 0.25),
                        band, "upper")
 
@@ -337,7 +332,7 @@ def y_lattice_fits(R_values=_Y_LATTICE_R, band: float = 0.1):
     functional and the slope is -(2 - alpha)/(2p); above it the ball
     piece takes over with -((3 - alpha)/2)(1/p - 1/4).
     """
-    alpha = _Y_LATTICE["alpha"]
+    alpha = TRUNCATED_ALPHA
     p_cross = 4.0 / (3.0 - alpha)
 
     def pred(p):
@@ -345,8 +340,7 @@ def y_lattice_fits(R_values=_Y_LATTICE_R, band: float = 0.1):
             return -(2.0 - alpha) / (2.0 * p)
         return -((3.0 - alpha) / 2.0) * (1.0 / p - 0.25)
 
-    return _kappa_fits("y-lattice", "truncated-lattice",
-                       _Y_LATTICE, (2.0, 2.5, 3.0, 4.0),
+    return _kappa_fits("y-lattice", "truncated-lattice", (2.0, 2.5, 3.0, 4.0),
                        R_values, pred, band, "two")
 
 
@@ -372,7 +366,7 @@ def _verify_peak_bytes(cfg: "ExperimentConfig") -> float:
     scale's pass, at 40 bytes an entry: its z_1 factor table, N1U = 4 R^1/2
     rows over the thetas' offsets D1, and its stacked weighting, (N1U + 4)
     (N2U + 4) padded cells a theta."""
-    ffam, wfam, params, p_default = _pair_family(cfg.family)
+    ffam, wfam, p_default = _pair_family(cfg.family)
     p_values = cfg.p or (p_default,)
     R = max(cfg.R)
     spec = GridSpec(R)
@@ -388,7 +382,7 @@ def _verify_peak_bytes(cfg: "ExperimentConfig") -> float:
     else:
         # the weight's kappa scan, and the atomic lhs: its points, values
         # and their powers, and one lattice_sums block
-        atoms = int(candidate_atoms(wfam, spec, **params))
+        atoms = int(candidate_atoms(wfam, spec))
         lhs = [_SCAN_ATOM_BYTES * atoms,
                64 * atoms + lattice_sums_bytes(field.n_modes, atoms)]
     return max(24 * sum(pc.n_modes ** 2 for pc in pieces) + max(est), *lhs)
@@ -433,9 +427,10 @@ def _suite_peak_bytes(cfg: "ExperimentConfig") -> float:
     return max(
         _verify_peak_bytes(replace(cfg, family="flat:ball")),
         _kappa_scan_peak_bytes(replace(cfg, family="lattice",
-                                       **_ALPHA_LATTICE)),
+                                       kappa=LATTICE_KAPPA, c=LATTICE_C)),
         _kappa_scan_peak_bytes(replace(cfg, family="truncated-lattice",
-                                       R=_Y_LATTICE_R, **_Y_LATTICE)),
+                                       R=_Y_LATTICE_R, alpha=TRUNCATED_ALPHA,
+                                       c=TRUNCATED_C)),
         *(fls_peak_bytes(name, R_f) for name, R_values
           in FLS_DEFAULT_R.items() for R_f in R_values))
 
@@ -512,7 +507,7 @@ def _pair_rows(cfg, ratio_key: str):
     are built once and serve every p (the weight caches its envelope
     statistics); rows, fits and checks come out p by p."""
     rows, fits, checks, sidecars = [], [], [], {}
-    p_values = cfg.p or (_pair_family(cfg.family)[3],)
+    p_values = cfg.p or (_pair_family(cfg.family)[2],)
     reports = {}
     for R in cfg.R:
         field, H = pair_inputs(cfg.family, R, cfg.seed)
@@ -805,6 +800,8 @@ class Report:
 
 def run(cfg: ExperimentConfig) -> Report:
     cfg = resolve(cfg)
+    if not cfg.mem_cap_mb > 0:
+        raise ValueError(f"mem_cap_mb must be positive, got {cfg.mem_cap_mb}")
     est = preflight_mb(cfg)
     if est > cfg.mem_cap_mb:
         raise PreflightError(est, cfg.mem_cap_mb)

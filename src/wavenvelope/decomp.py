@@ -103,8 +103,8 @@ def broad_narrow(field: TorusField, points, p: float,
     by the per-parent maximum; that bound is checked pointwise
     (CertificateError on a violation).
     """
-    if p < 1:
-        raise ValueError("p >= 1 required")
+    if not 1 <= p < math.inf:
+        raise ValueError(f"finite p >= 1 required, got {p}")
     spec = field.spec
     scales = cap_ladder(spec.R, K)
     m = len(scales) - 1
@@ -534,6 +534,6 @@ def bilinear_trials(R_s: int, K: int, n_trials: int, seed):
                         center=(float(cx[0]), float(cx[1])))
         else:
             # isolated cells: the pullback cell ratio is genuinely < 1
-            Y = lattice_weight(spec, kappa=1.0 / 3.0, c=0.45).contains
+            Y = lattice_weight(spec).contains
         reports.append(bilinear_check(pair, Y))
     return reports

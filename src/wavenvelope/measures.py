@@ -17,6 +17,10 @@ certified value.
 
 The atoms of weights live on the torus, so their distances are wrapped;
 families placed across the fundamental-domain boundary keep their geometry.
+
+Each weight builder defaults to its example, declared once: the alpha = 1
+dilated lattice (LATTICE_KAPPA, LATTICE_C), the alpha = 3/2 corner lattice
+(TRUNCATED_ALPHA, TRUNCATED_C) and the parabolic boxes (PARABOLIC_BOXES).
 """
 
 from __future__ import annotations
@@ -31,6 +35,9 @@ from .torus import GridSpec, block_rows, cell_blocks, distinct
 from .geometry import Cap, locate_scale_tubes, theta_scale
 
 GRID_FLOOR_EXP = 40  # pointwise floors cut at R^-40
+LATTICE_KAPPA, LATTICE_C = 1.0 / 3.0, 0.45
+TRUNCATED_ALPHA, TRUNCATED_C = 1.5, 0.25
+PARABOLIC_BOXES = ((0, 0, 2), (8, 3, 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,6 +158,8 @@ def _in_ball_cells(cells, spec: GridSpec, rho: float, center) -> np.ndarray:
 def ball_weight(spec: GridSpec, rho: float = 1.0, center=(0.0, 0.0)) -> GridMeasure:
     """1 on the torus ball B_rho(center), atom mass Delta^2."""
     M, d = spec.M, spec.delta
+    if not rho >= 0:
+        raise ValueError(f"ball radius rho >= 0 required, got {rho}")
     if rho >= 0.5 * spec.L:
         return constant_weight(spec)
     r_cells = int(math.ceil(rho / d))
@@ -237,8 +246,8 @@ def _site_points(a, b, keep) -> np.ndarray:
     return np.stack([A[keep], B[keep]], axis=1)
 
 
-def lattice_weight(spec: GridSpec, kappa: float = 1.0 / 3.0,
-                   c: float = 0.125) -> GridMeasure:
+def lattice_weight(spec: GridSpec, kappa: float = LATTICE_KAPPA,
+                   c: float = LATTICE_C) -> GridMeasure:
     """1 on (2 pi R^kappa Z x 2 pi R^(2 kappa) Z) cap B_cR, fattened by B_c.
 
     Support = grid points within distance c of a lattice site.  With c
@@ -273,8 +282,8 @@ def _truncated_sites(R: int, alpha: float, c: float):
     return lattice_sites(R, (2.0 - alpha) / 6.0, c, "corner")
 
 
-def truncated_lattice_weight(spec: GridSpec, alpha: float = 1.5,
-                             c: float = 0.25) -> GridMeasure:
+def truncated_lattice_weight(spec: GridSpec, alpha: float = TRUNCATED_ALPHA,
+                             c: float = TRUNCATED_C) -> GridMeasure:
     """Corner-window parabolic lattice with each B_c ball lumped to one atom.
 
     Sites of 2 pi R^kappa Z x 2 pi R^(2 kappa) Z, kappa = (2 - alpha)/6,
@@ -292,7 +301,8 @@ def truncated_lattice_weight(spec: GridSpec, alpha: float = 1.5,
                        f"truncated_lattice(alpha={alpha},c={c})")
 
 
-def parabolic_box_weight(spec: GridSpec, boxes) -> GridMeasure:
+def parabolic_box_weight(spec: GridSpec,
+                         boxes=PARABOLIC_BOXES) -> GridMeasure:
     """1 on a union of parabolic boxes [x1, x1 + rho) x [x2, x2 + rho^2)."""
     M, d = spec.M, spec.delta
     chunks = []

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import certificate_core, lattice_sites
+from .measures import LATTICE_C, LATTICE_KAPPA, certificate_core, lattice_sites
 from .torus import (block_rows, cell_blocks, distinct, trig_sum,
                     trig_sum_bytes)
 
@@ -212,9 +212,9 @@ def nikodym_ratio(R: int, q_values, seed: int) -> list:
     return ratios
 
 
-def nikodym_experiment(q: float, R_values, seed: int = 0) -> "ExponentFit":
-    """The tube-maximal fit for one exponent q."""
-    return fls_fits("nikodym", (q,), R_values, seed=seed)[0]
+def nikodym_experiment(q: float, R_values, **params) -> "ExponentFit":
+    """The tube-maximal fit for one exponent q; params go to fls_fits."""
+    return fls_fits("nikodym", (q,), R_values, **params)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +247,8 @@ def rescale_measure(positions, masses, R: float, beta: float, alpha: float,
     if not 0.0 <= alpha <= 2.0:
         raise ValueError("ball parameter must lie in [0, 2]")
     R = float(R)
+    if not 0.0 < R < math.inf:
+        raise ValueError(f"scale R must be finite and positive, got {R:g}")
     pos_R = positions * np.array([R, R * R])
 
     hx, ht = float(spacing[0]), float(spacing[1])
@@ -432,7 +434,7 @@ def fit_exponent(name: str, exponent: str, R_values, ratios,
 # samples its square function on a LATTICE_SQ_GRID^2 grid.
 CHIRP_C, CHIRP_SIDE = 0.25, 9
 PACKET_C, PACKET_ROWS = 0.5, 129
-LATTICE_C, LATTICE_NODES, LATTICE_SQ_GRID = 0.45, 8, 65
+LATTICE_NODES, LATTICE_SQ_GRID = 8, 65
 
 
 def _chirp_setup(R: int):
@@ -612,7 +614,7 @@ _NIKODYM_SAMPLE_BYTES = 24
 _NIKODYM_BLOCK_BYTES = 8
 
 
-def fls_peak_bytes(family: str, R, kappa: float = 1.0 / 3.0) -> float:
+def fls_peak_bytes(family: str, R, kappa: float = LATTICE_KAPPA) -> float:
     """Estimated peak allocation of one scale R of a lower-bound family.
 
     The lattice holds trig_sum's exponential tables over the site axes
@@ -642,7 +644,7 @@ def fls_peak_bytes(family: str, R, kappa: float = 1.0 / 3.0) -> float:
 
 
 def fls_fits(family: str, p_values, R_values=None,
-             alpha: float | None = None, kappa: float = 1.0 / 3.0,
+             alpha: float | None = None, kappa: float = LATTICE_KAPPA,
              band: float = 0.1, seed: int = 0) -> list:
     """Fit the restricted-norm growth of a built-in family against R.
 
@@ -688,9 +690,6 @@ def fls_fits(family: str, p_values, R_values=None,
             for i, (name, exponent, prediction, sided) in enumerate(specs)]
 
 
-def fls_experiment(family: str, p: float, R_values=None,
-                   alpha: float | None = None, kappa: float = 1.0 / 3.0,
-                   band: float = 0.1, seed: int = 0) -> ExponentFit:
-    """fls_fits for one exponent p."""
-    return fls_fits(family, (p,), R_values=R_values, alpha=alpha,
-                    kappa=kappa, band=band, seed=seed)[0]
+def fls_experiment(family: str, p: float, **params) -> ExponentFit:
+    """fls_fits for one exponent p; params go to fls_fits."""
+    return fls_fits(family, (p,), **params)[0]

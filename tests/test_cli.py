@@ -178,6 +178,26 @@ def test_kappa_scan_ball_family():
     assert 0.0 < rep.rows[0]["measured"] < 1.0
 
 
+@pytest.mark.parametrize("family",
+                         sorted(set(cli._SCAN_PARAMS) - {"constant"}))
+def test_default_kappa_scan_weight_has_several_atoms(monkeypatch, family):
+    # with no other flag, kappa-scan scans the family's example weight,
+    # which holds more than one atom at each default R
+    built = []
+    real = cli.make_weight
+
+    def record(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "make_weight", record)
+    assert run(ExperimentConfig(experiment="kappa-scan",
+                                family=family)).passed
+    assert [H.spec.R for H in built] == [64, 256]
+    assert all(H.n_atoms > 1 for H in built), \
+        [(H.spec.R, H.n_atoms) for H in built]
+
+
 def test_kappa_scan_rejects_unknown_family():
     with pytest.raises(ValueError, match="no weight family"):
         run(ExperimentConfig(experiment="kappa-scan", R=(64,),
@@ -605,6 +625,25 @@ def test_main_bad_format_exits_2_before_running(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["kappa-scan", "--R", "64.9", "--p", "2"],
+    ["kappa-scan", "--R", "inf"],
+    ["envelope-verify", "--R", "64", "--mem-cap-mb", "nan"],
+    ["broad-narrow", "--R", "64", "--p", "nan", "--trials", "1",
+     "--points", "10"],
+    ["kappa-scan", "--family", "ball", "--c", "-1", "--R", "64"],
+    ["certificates", "--R", "0"],
+], ids=["fractional-R", "infinite-R", "nan-mem-cap", "nan-p", "negative-c",
+        "zero-R"])
+def test_main_refuses_bad_numbers(argv, capsys):
+    assert cli.main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_main_allows_an_infinite_memory_cap(capsys):
+    assert cli.main(["kappa-scan", "--R", "16", "--mem-cap-mb", "inf"]) == 0
+
+
 def test_main_preflight_exits_2(capsys):
     code = cli.main(["envelope-verify", "--R", "1024",
                      "--family", "random:constant", "--mem-cap-mb", "50"])
@@ -733,13 +772,13 @@ def test_pair_rows_build_each_weight_once_per_R(monkeypatch):
     assert built == [16, 64]
     assert [(r["p"], r["R"]) for r in rows] == \
         [(p, R) for p in cfg.p for R in cfg.R]
-    ffam, wfam, params, _ = PAIR_FAMILIES[cfg.family]
+    ffam, wfam, _ = PAIR_FAMILIES[cfg.family]
     keys = ("lhs", "sq_norm", "kappa_max", "sq_rhs", "env_rhs", "ratio_sq",
             "ratio_env", "zero_field")
     for row in rows:
         spec = GridSpec(row["R"])
         rep = verify_weighted_sq(make_field(ffam, spec, cfg.seed),
-                                 real(wfam, spec, **params), row["p"])
+                                 real(wfam, spec), row["p"])
         assert [row[k] for k in keys] == [getattr(rep, k) for k in keys]
 
 

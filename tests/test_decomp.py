@@ -166,6 +166,14 @@ def test_broad_narrow_rejects_bad_p():
         dc.broad_narrow(f, [[0.0, 0.0]], p=0.5, K=4)
 
 
+@pytest.mark.parametrize("p", [float("nan"), float("inf")])
+def test_broad_narrow_requires_finite_p(p):
+    # a NaN or infinite p gives NaN bounds, which no point can break
+    f = random_band_field(GridSpec(16), seed=0)
+    with pytest.raises(ValueError, match="finite p"):
+        dc.broad_narrow(f, [[0.0, 0.0]], p=p, K=4)
+
+
 def test_over_bound_spares_the_roundoff_sliver():
     # the one rule of the certificate and of the runner's violation count
     bound = np.full(3, 2.0)

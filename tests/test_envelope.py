@@ -707,10 +707,10 @@ def test_weighted_cell_integrals_match_gather_oracle_on_caps():
 def test_per_scale_pass_matches_per_cap_oracle(monkeypatch, pair, R):
     # every cap's weighted cells, every term and every scale's sum of the
     # per-scale pass equal those of one (s, tau) at a time, bit for bit
-    ffam, wfam, params, _ = PAIR_FAMILIES[pair]
+    ffam, wfam, _ = PAIR_FAMILIES[pair]
     spec = GridSpec(R)
     f = make_field(ffam, spec, 0)
-    H = make_weight(wfam, spec, **params)
+    H = make_weight(wfam, spec)
     seen = []
     cells, weighted = env.scale_cell_integrals, env.weighted_cell_integrals
 

@@ -56,6 +56,13 @@ def test_constant_total():
         pytest.approx(0.25 * SPEC.L ** 2)
 
 
+@pytest.mark.parametrize("rho", [-1.0, float("nan")])
+def test_ball_weight_rejects_negative_radius(rho):
+    # a negative radius would build an empty weight
+    with pytest.raises(ValueError, match="rho >= 0"):
+        ms.ball_weight(SPEC, rho)
+
+
 def test_ball_count_matches_full_scan():
     rho = 1.5
     w = ms.make_weight("ball", SPEC, rho=rho)

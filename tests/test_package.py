@@ -8,8 +8,8 @@ carry a reason for having no reader there.  And src/ holds no assert
 statement: python -O strips them, so a check that matters has to raise.
 And src/ imports no scipy: numpy is the package's only runtime
 dependency.  And src/ holds no more optional parameters than
-scripts/src_counts.py counted when the dimension certificates took their
-family's parameters.
+scripts/src_counts.py counted when each example weight became its
+builder's defaults.
 """
 
 import ast
@@ -23,7 +23,7 @@ SRC = os.path.join(ROOT, "src", "wavenvelope")
 
 # the most optional parameters src/ may hold, as scripts/src_counts.py
 # counts them: a setting no experiment varies is a constant
-MAX_OPTIONAL_PARAMETERS = 42
+MAX_OPTIONAL_PARAMETERS = 36
 
 # top-level names and Class.method names with no caller in src/, each with
 # the reason it stays

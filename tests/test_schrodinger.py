@@ -314,6 +314,13 @@ def test_rescale_validations():
                             exact)
 
 
+@pytest.mark.parametrize("R", [0.0, -64.0, float("inf"), float("nan")])
+def test_rescale_requires_finite_positive_R(R):
+    pos, m = sch.delta_atoms()
+    with pytest.raises(ValueError, match="finite and positive"):
+        sch.rescale_measure(pos, m, R, 1.0, 1.0, (0.0, 0.0))
+
+
 def test_reduction_identity_is_exact():
     # integrating |U f|^p against the rescaled atoms equals integrating the
     # composed samples |U f(Rx, R^2 t)|^p against the original atoms: both

@@ -473,7 +473,7 @@ def test_preflight_rows_match_outer_differences(R):
     # at one column a block (m = GRID_BLOCK) the grid pass's rows outweigh
     # the pairs, and the estimate is 16 m (rows + 2) bytes
     spec, m = GridSpec(R), torus.GRID_BLOCK
-    for ffam, _, _, _ in PAIR_FAMILIES.values():
+    for ffam, _, _ in PAIR_FAMILIES.values():
         f = make_field(ffam, spec, 0)
         for pieces in ([f], list(cap_decompose(f, theta_scale(R)).values())):
             assert power_integral_bytes(pieces, 3.0, m) == \
