@@ -11,13 +11,15 @@ temporary directory, one subdirectory per run:
   * kappa-scan at the benchmark's sizes, where the sparse tube sums take
     over: truncated-lattice at R = 4096, 16384, 65536 (alpha 1.5, c 0.25)
     and dual-tube at R = 1024 (alpha 1, inside the benchmark's seeded
-    range), both at p = 2, 2.5, 3, 4;
+    range), both at p = 2, 2.5, 3, 4, and dual-tube at R = 4096 (alpha 1,
+    p = 2, 4), whose 16,384 row runs of 64 atoms are counted per (run,
+    tube) piece;
   * certificates on each measure family at R = 16, 64, 256, bilinear at
     R = 16 and at R = 64 with K = 2 over 4 trials, and broad-narrow at
     R = 64 over 5 trials, so every sidecar kind is hashed.
 Lines are sorted by path, so the output of two checkouts can be compared
 with diff.  A run that is rejected (exit 2) or fails a check (exit 1) is
-named on stderr, and the script then exits 1.  About 12 s on a 2-vCPU
+named on stderr, and the script then exits 1.  About 7 s on a 2-vCPU
 VM.  Run from the repository root:
 
     PYTHONPATH=src python3 scripts/report_digests.py > digests.txt
@@ -62,6 +64,9 @@ def sweep():
         yield (f"kappa-scan-large/{family}",
                ["kappa-scan", "--family", family, "--p", "2,2.5,3,4",
                 *flags])
+    yield ("kappa-scan-large/dual-tube-R4096",
+           ["kappa-scan", "--family", "dual-tube", "--R", "4096",
+            "--alpha", "1", "--p", "2,4"])
     for family in MEASURE_FAMILIES:
         yield (f"certificates/{family}",
                ["certificates", "--family", family, "--R", "16,64,256"])

@@ -388,15 +388,18 @@ def _verify_peak_bytes(cfg: "ExperimentConfig") -> float:
     return max(24 * sum(pc.n_modes ** 2 for pc in pieces) + max(est), *lhs)
 
 
-# kappa-scan: traced allocation peaks run 74-118 bytes per candidate atom
-# of the weight (building it, then per scale a, b, z2 and the running sum
-# v of the tube keys, held across the caps, and one key buffer), plus the
-# envelope tables cached on the weight: a few hundred bytes per cap and
-# about 3R entries of 24 bytes (key, H(U) and tube factor) for the
-# slab-shaped supports (dual tube, truncated lattice), the widest-spread
-# of the scanned families; a scale's per-cap tables and their
-# concatenation are briefly alive together.
-_SCAN_ATOM_BYTES = 128
+# kappa-scan: traced allocation peaks run 47-101 bytes per candidate atom
+# of the weight, plus the envelope tables cached on the weight: a few
+# hundred bytes per cap and about 3R entries of 24 bytes (key, H(U) and
+# tube factor) for the slab-shaped supports (dual tube, truncated
+# lattice), the widest-spread of the scanned families; a scale's per-cap
+# tables and their concatenation are briefly alive together.  A weight
+# counted by atoms (101 for the truncated lattice at R = 4096) holds per
+# scale a, b, z2 and the running sum v of the tube keys across the caps,
+# and one key buffer; one counted by row runs (58-62 for the dual tube
+# at R = 64 to 4096, 47 for a ball of radius 20 at R = 256) peaks near
+# its build.
+_SCAN_ATOM_BYTES = 72
 _SCAN_BYTES_PER_R = 72
 _SCAN_CAP_BYTES = 600
 

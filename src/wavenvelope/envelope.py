@@ -23,17 +23,19 @@ those coefficients runs one axis at a time and never holds the grid.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from itertools import repeat
 
 import numpy as np
 
-from .torus import (TWO_PI, TorusField, group_sums, lp_norm, offset_sums,
-                    pair_products, power_integral, square_power_integral)
+from .torus import (TWO_PI, TorusField, count_sums, group_sums, lp_norm,
+                    offset_sums, pair_products, power_integral,
+                    square_power_integral)
 # locate_grid_tubes is not called here; the benchmark's self-test
 # (perfbench/test_harness.py) reads it as envelope.locate_grid_tubes
 from .geometry import (
     Cap, cap_index_for_abscissa, caps_at_scale, dyadic_scales,
     envelope_factor, envelope_lattice_dims, locate_grid_tubes,
-    locate_scale_tubes, theta_scale)
+    locate_scale_tubes, max_run_pieces, theta_scale)
 from .measures import GRID_FLOOR_EXP, GridMeasure
 
 # window transition half-width, in units of the cap width
@@ -175,12 +177,20 @@ def envelope_stats(H: GridMeasure, s: float) -> ScaleStats:
     """Envelope keys, H(U) and (max_T H(T)/|T|)^(1/4) of every cap at
     scale s.
 
-    The atoms are located once for the scale (geometry.locate_scale_tubes);
-    each cap then sums tube masses on its keys (ScaleTubes.cap_keys, whose
-    buffer group_sums may sort in place: the next cap rewrites it), and
-    envelope masses and tube maxima (in a row of all 16/s envelopes) by the
-    exact nesting (an envelope is a union of whole tubes).  None of it
-    depends on p, so it is kept, read-only, on H.
+    Tube masses come from one of two cuts of the weight, located once for
+    the scale (geometry.locate_scale_tubes).  A one-mass weight whose row
+    runs (GridMeasure._row_runs) each cap cuts into fewer (run, tube)
+    pieces than it has atoms (geometry.max_run_pieces) locates the runs'
+    first cells; each cap then sums its pieces' atom counts per tube
+    (ScaleTubes.cap_pieces), exact integers, and a tube's mass is the
+    running sum of the atom mass at its count (torus.count_sums), the bits
+    the atoms give.  Any other weight, and any scale where the runs would
+    not cut fewer pieces, locates the atoms, and each cap sums tube masses
+    on its keys (ScaleTubes.cap_keys, whose buffer group_sums may sort in
+    place: the next cap rewrites it).  Envelope masses and tube maxima (in
+    a row of all 16/s envelopes) follow by the exact nesting (an envelope
+    is a union of whole tubes).  None of it depends on p, so it is kept,
+    read-only, on H.
     """
     if H.is_full_constant:
         raise ValueError("constant weights take the closed-form path")
@@ -193,10 +203,19 @@ def envelope_stats(H: GridMeasure, s: float) -> ScaleStats:
     E = envelope_factor(caps[0], spec)
     parts = [(np.empty(0, np.int64), np.empty(0), np.empty(0))] * len(caps)
     if H.n_atoms:
-        tubes = locate_scale_tubes(H.ij[:, 0], H.ij[:, 1], s, spec)
-        for i, (cap, keys) in enumerate(zip(caps,
-                                            tubes.cap_keys(caps[0].k))):
-            tkeys, HT = group_sums(keys, H.atom_mass, tubes.N1 * tubes.N2)
+        runs = H._row_runs if isinstance(H.atom_mass, float) else None
+        by_runs = runs is not None and max_run_pieces(
+            H.n_atoms, len(runs[2]), s, spec) < H.n_atoms
+        if by_runs:
+            tubes = locate_scale_tubes(runs[0], runs[1], s, spec)
+            cuts = tubes.cap_pieces(caps[0].k, runs[2])
+        else:
+            tubes = locate_scale_tubes(H.ij[:, 0], H.ij[:, 1], s, spec)
+            cuts = zip(tubes.cap_keys(caps[0].k), repeat(H.atom_mass))
+        for i, (cap, (keys, w)) in enumerate(zip(caps, cuts)):
+            tkeys, HT = group_sums(keys, w, tubes.N1 * tubes.N2)
+            if by_runs:
+                HT = count_sums(H.atom_mass, HT)
             if E == 1:
                 # envelopes are the tubes: HU = max_T H(T) = H(T) exactly
                 parts[i] = (tkeys, HT, HT)

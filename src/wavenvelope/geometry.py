@@ -23,6 +23,10 @@ Only the last line depends on the cap, and only through k: a weight's atoms
 are located once per scale (locate_scale_tubes), and each cap then costs an
 add, a shift, a mask and an or, since 2D, N1 and N2 are powers of two for
 the power-of-four R of GridSpec.  This is the one place tube indices are made.
+Along a row (fixed j2) a grows by 2P per cell and z1 steps once every
+2D/2P = 1/(s Delta) cells, so a run of l consecutive j1 meets at most
+ceil(l s Delta) + 1 tubes of a cap, and its tube counts follow from its
+first cell (ScaleTubes.cap_pieces).
 
 Envelope indices divide tube indices by the dyadic integer E = R s^2 with
 the same shifted rounding, so each envelope is a block of exactly E^2 whole
@@ -136,12 +140,14 @@ class ScaleTubes:
     z2 does not depend on the cap, and z1 is affine in the cap index k
     before one floor division by 2D, a power of two: z1 = (a + k b) >> shift
     (see the module docstring).  With wrap, z1 is then reduced mod N1 (also
-    a power of two) and z2 is already reduced mod N2.
+    a power of two) and z2 is already reduced mod N2.  a grows by step = 2P
+    from one grid cell of a row to the next.
     """
 
     N1: int
     N2: int
     shift: int
+    step: int
     a: np.ndarray
     b: np.ndarray
     z2: np.ndarray
@@ -170,6 +176,47 @@ class ScaleTubes:
             out &= (self.N1 - 1) << n2
             out |= self.z2
             yield out
+            v += self.b
+
+    def cap_pieces(self, k: int, lengths: np.ndarray):
+        """(flat tube keys, atom counts as floats) of cap k, k + 1, ... for
+        runs of lengths consecutive j1 cells, each starting at its located
+        point, cut at the cap's tube boundaries into (run, tube) pieces.
+
+        Cell t of a run sits at a + t step, so g = (a + k b) >> log2(step)
+        numbers the run's cells g, g + 1, ... and cell g + t lies in tube
+        (g + t) >> log2(span), span = 2D / step cells per tube and row.  A
+        run's first and last pieces hold what the boundaries leave, those
+        between them span cells each.  A key may repeat (a run as long as
+        the row wraps onto its first tube); the caller sums per key.
+        """
+        if not self.wrap:
+            raise ValueError("flat tube keys need wrapped indices")
+        n2 = self.N2.bit_length() - 1
+        lg = self.step.bit_length() - 1
+        lq = self.shift - lg
+        mask, span = self.N1 * self.N2 - 1, 1 << lq
+        last_cell = lengths - 1
+        steps = np.empty(0, np.int64)
+        v = self.a + k * self.b
+        while True:
+            g = v >> lg
+            last = g + last_cell
+            first = g >> lq
+            n = (last >> lq) - first + 1
+            ends = np.cumsum(n)
+            starts = ends - n
+            if len(steps) < ends[-1]:
+                steps = np.arange(ends[-1]) << n2
+            # the tube of piece j of a run is first + j: one key per run,
+            # its pieces' offsets added as one ramp over all pieces
+            keys = np.repeat((first - starts) << n2 | self.z2, n)
+            keys += steps[:ends[-1]]
+            keys &= mask
+            counts = np.full(ends[-1], float(span))
+            counts[ends - 1] = (last & (span - 1)) + 1
+            counts[starts] = np.minimum(lengths, span - (g & (span - 1)))
+            yield keys, counts
             v += self.b
 
     def envelope_keys(self, tkeys: np.ndarray, k: int, E: int) -> np.ndarray:
@@ -212,7 +259,18 @@ def locate_scale_tubes(j1, j2, s: float, spec: GridSpec,
         b = 4 * (j2 - m * (N2 * D))
     else:
         b = 4 * j2
-    return ScaleTubes(N1, N2, shift, 2 * P * j1 + D, b, z2, wrap)
+    return ScaleTubes(N1, N2, shift, 2 * P, 2 * P * j1 + D, b, z2, wrap)
+
+
+def max_run_pieces(n_cells: int, n_runs: int, s: float,
+                   spec: GridSpec) -> int:
+    """The most (run, tube) pieces ScaleTubes.cap_pieces cuts n_runs runs
+    of n_cells cells in all into at one cap of scale s: a tube spans
+    span = 1/(s Delta) cells of a row, so a run of l cells meets at most
+    (l - 1) // span + 2 tubes, and the runs at most
+    (n_cells - n_runs) // span + 2 n_runs."""
+    span = int(round(1.0 / (s * spec.delta)))
+    return (n_cells - n_runs) // span + 2 * n_runs
 
 
 def locate_grid_tubes(j1, j2, cap: Cap, spec: GridSpec,

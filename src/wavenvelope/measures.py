@@ -28,6 +28,7 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -54,7 +55,9 @@ class GridMeasure:
     scale and sums their masses once per cap.  atom_mass is the mass they
     sum: one float when every atom carries the same mass (each family's
     weight does), so a tube's mass follows from its atom count
-    (torus.group_sums), else the mass array.
+    (torus.count_sums), else the mass array.  Such a weight's atoms are
+    also kept as row runs (_row_runs), found on the first kappa call, from
+    which envelope_stats counts tubes per (run, tube) piece.
     """
 
     spec: GridSpec
@@ -101,6 +104,20 @@ class GridMeasure:
                 raise ValueError(f"weight density {top / d2} exceeds 1")
         elif self.kind != "measure":
             raise ValueError(f"kind must be weight or measure, got {self.kind!r}")
+
+    @cached_property
+    def _row_runs(self):
+        """(j1, j2, lengths) of the maximal runs of consecutive j1 at fixed
+        j2 among the atoms, j2 ascending, then j1.  Keys j2 (M + 1) + j1 put
+        rows M + 1 apart, so a run stops at the j1 = M - 1 -> 0 seam."""
+        key = self.ij[:, 1] * (self.spec.M + 1) + self.ij[:, 0]
+        key.sort()
+        new = np.empty(len(key), dtype=bool)
+        new[:1] = True
+        np.not_equal(key[1:], key[:-1] + 1, out=new[1:])
+        starts = new.nonzero()[0]
+        j2, j1 = np.divmod(key[starts], self.spec.M + 1)
+        return j1, j2, np.diff(starts, append=len(key))
 
     @property
     def is_full_constant(self) -> bool:

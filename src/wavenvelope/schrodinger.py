@@ -20,6 +20,7 @@ ExponentFit.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -246,9 +247,12 @@ def rescale_measure(positions, masses, R: float, beta: float, alpha: float,
         raise ValueError("parabolic parameter must lie in [0, 3]")
     if not 0.0 <= alpha <= 2.0:
         raise ValueError("ball parameter must lie in [0, 2]")
+    # compared before float(R), which overflows past the largest float;
+    # an int R compares exactly
+    if not (0 < R and R * R <= sys.float_info.max):
+        raise ValueError(f"scale R must be finite and positive, with R^2 a "
+                         f"finite float; got {R!r}")
     R = float(R)
-    if not 0.0 < R < math.inf:
-        raise ValueError(f"scale R must be finite and positive, got {R:g}")
     pos_R = positions * np.array([R, R * R])
 
     hx, ht = float(spacing[0]), float(spacing[1])

@@ -494,8 +494,7 @@ def group_sums(keys: np.ndarray, weights, size: int):
 
     weights may be one float w, the weight of every key.  Each key's count
     c then comes from a dense bincount or, on the sparse branch, from
-    sorting keys in place, and its sum is the running sum of w at c: a
-    bincount adds w to +0.0 c times, the same sums."""
+    sorting keys in place, and its sum is count_sums(w, c)."""
     dense = size <= DENSE_KEYS_PER_ATOM * len(keys)
     if np.ndim(weights) == 0:
         if dense:
@@ -509,8 +508,7 @@ def group_sums(keys: np.ndarray, weights, size: int):
             np.not_equal(keys[1:], keys[:-1], out=new[1:])
             starts = new.nonzero()[0]
             uniq, counts = keys[starts], np.diff(starts, append=len(keys))
-        run = np.full(counts.max(initial=0), weights + 0.0).cumsum()
-        return uniq, run[counts - 1]
+        return uniq, count_sums(weights, counts)
     if dense:
         if weights.dtype.kind == "f" and weights.min(initial=np.inf) > 0:
             sums = np.bincount(keys, weights=weights, minlength=size)
@@ -545,6 +543,14 @@ def group_sums(keys: np.ndarray, weights, size: int):
     sums.real = add(weights.real)
     sums.imag = add(weights.imag)
     return uniq, sums
+
+
+def count_sums(w: float, counts: np.ndarray) -> np.ndarray:
+    """The sum of c copies of w for each count c >= 1 (integers, of any
+    dtype): the running sum of w at c, the bits a bincount that adds w to
+    +0.0 c times gives."""
+    counts = counts.astype(np.int64, copy=False)
+    return np.full(counts.max(initial=0), w + 0.0).cumsum()[counts - 1]
 
 
 def offset_sums(key, c, W):

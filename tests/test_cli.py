@@ -633,8 +633,11 @@ def test_main_bad_format_exits_2_before_running(tmp_path, capsys):
      "--points", "10"],
     ["kappa-scan", "--family", "ball", "--c", "-1", "--R", "64"],
     ["certificates", "--R", "0"],
+    ["certificates", "--R", "1" + "0" * 400],
+    ["bilinear", "--R", "16", "--K", "0"],
+    ["bilinear", "--R", "16", "--K", "1"],
 ], ids=["fractional-R", "infinite-R", "nan-mem-cap", "nan-p", "negative-c",
-        "zero-R"])
+        "zero-R", "401-digit-R", "zero-K", "one-K"])
 def test_main_refuses_bad_numbers(argv, capsys):
     assert cli.main(argv) == 2
     assert "error:" in capsys.readouterr().err

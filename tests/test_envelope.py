@@ -414,6 +414,41 @@ def test_envelope_stats_branches_agree(monkeypatch):
         assert sort.dims == dense.dims
 
 
+def _rows(spec, starts, rows, lengths):
+    """Atoms on runs of lengths consecutive j1 (wrapped mod M) from each
+    start, in the given rows."""
+    j1 = np.concatenate([(a + np.arange(n)) % spec.M
+                         for a, n in zip(starts, lengths)])
+    return np.stack([j1, np.repeat(rows, lengths)], axis=1)
+
+
+def _run_weights(spec):
+    """One-mass weights of long row runs, which envelope_stats counts per
+    (run, tube) piece at every scale, and the last support with varied
+    masses, which it sums per atom."""
+    M, P = spec.M, int(round(spec.R ** 0.5))
+    rng = np.random.default_rng(spec.R + 7)
+    rows = rng.choice(M - 1, 12, replace=False)
+    # across the j1 seam, two whole rows (which wrap onto their first
+    # tube), and the z2 seam's last row
+    seam = _rows(spec, [M - 3 * P] * 4 + [0, 5, M - P],
+                 [*rows[:6], M - 1], [6 * P] * 4 + [M, M, 2 * P])
+    # longer than 2P, the cells of a row in one tube at the finest scale
+    cut = _rows(spec, rng.integers(0, M, 6), rows[6:],
+                rng.integers(2 * P + 1, 8 * P, 6))
+    lone = rng.integers(0, M, (4 * P, 2))
+    mixed = np.unique(np.concatenate([cut, lone]), axis=0)
+    d2 = spec.delta ** 2
+    return [
+        GridMeasure(spec, seam, np.full(len(seam), d2), "weight", "seam"),
+        GridMeasure(spec, cut, np.full(len(cut), 0.3 * d2), "weight", "cut"),
+        GridMeasure(spec, mixed, np.full(len(mixed), 0.3 * d2), "weight",
+                    "mixed"),
+        GridMeasure(spec, mixed, d2 * rng.uniform(0.0, 1.0, len(mixed)),
+                    "weight", "mixed, varied"),
+    ]
+
+
 def _oracle_weights(spec):
     R, L, M = spec.R, spec.L, spec.M
     mid = 0.5 * L
@@ -438,6 +473,7 @@ def _oracle_weights(spec):
                     "weight", "custom"),
         GridMeasure(spec, np.empty((0, 2), dtype=np.int64), np.empty(0),
                     "weight", "custom"),
+        *_run_weights(spec),
     ]
     if R <= 64:
         weights.append(materialize(constant_weight(spec, 0.5)))
@@ -486,6 +522,55 @@ def test_envelope_stats_every_branch_matches_oracle(monkeypatch, R, ratio):
                     assert got.tobytes() == w.tobytes(), (H.label, s, cap.k)
 
 
+@pytest.mark.parametrize("R", [16, 64, 256])
+def test_run_weights_are_counted_per_piece(monkeypatch, R):
+    # the oracle tests above see the run path: each one-mass run weight is
+    # cut into fewer pieces than it has atoms at every cap of every scale,
+    # and the varied masses of the same support are summed per atom
+    seen = []
+    real = env.group_sums
+
+    def recording(keys, weights, size):
+        seen.append((len(keys), np.ndim(weights)))
+        return real(keys, weights, size)
+
+    monkeypatch.setattr(env, "group_sums", recording)
+    *one_mass, varied = _run_weights(GridSpec(R))
+    for H in one_mass:
+        for s in dyadic_scales(R):
+            seen.clear()
+            env.envelope_stats(H, s)
+            tube_sums = seen[::1 if envelope_factor(Cap(s, 0), H.spec) == 1
+                             else 2]
+            assert len(tube_sums) == len(caps_at_scale(s))
+            assert all(n < H.n_atoms and ndim == 1 for n, ndim in tube_sums)
+    seen.clear()
+    env.envelope_stats(varied, 1.0)
+    assert seen[0] == (varied.n_atoms, 1)
+
+
+def test_dual_tube_is_counted_in_fewer_pieces_than_atoms(monkeypatch):
+    # the kappa scans' dual tube at R = 1024 (131,072 atoms in 4,096 runs
+    # of 32) takes the run path at every scale: no tube sum sees as many
+    # keys as there are atoms, and all of them together see fewer than a
+    # tenth of the 131,072 x 132 (atom, cap) visits of the atom path
+    sizes = []
+    real = env.group_sums
+
+    def recording(keys, weights, size):
+        sizes.append(len(keys))
+        return real(keys, weights, size)
+
+    monkeypatch.setattr(env, "group_sums", recording)
+    H = make_weight("dual-tube", GridSpec(1024), alpha=1.0)
+    scales = dyadic_scales(1024)
+    for s in scales:
+        env.envelope_stats(H, s)
+    assert max(sizes) < H.n_atoms
+    caps = sum(len(caps_at_scale(s)) for s in scales)
+    assert 10 * sum(sizes) < H.n_atoms * caps
+
+
 def test_dual_tube_build_and_envelope_stats_traced_peaks():
     # the dual tube at R = 1024 (131,072 atoms) sets the kappa scans' peak
     # memory.  Its builder drops the candidate cells before GridMeasure
@@ -493,7 +578,9 @@ def test_dual_tube_build_and_envelope_stats_traced_peaks():
     # with no (n, 2) difference: the build traced 12,110,804 bytes before,
     # and 7,935,856 after (numpy 2.4.6).  The count path sorts each cap's
     # keys in place, with no packed copy and no gathered masses: the scan
-    # traced 8,853,973 bytes above the weight before it, and 7,649,979 after
+    # traced 8,853,973 bytes above the weight before it, and 7,649,979
+    # after.  Counted per (run, tube) piece, finding the runs included, it
+    # traces 5,813,678, at s = 1, whose caps cut about 70,000 pieces each
     tracemalloc.start()
     try:
         H = make_weight("dual-tube", GridSpec(1024), alpha=1.0)
@@ -505,7 +592,7 @@ def test_dual_tube_build_and_envelope_stats_traced_peaks():
     finally:
         tracemalloc.stop()
     assert build < 9 * 2 ** 20
-    assert scan - held <= 8_853_973
+    assert scan - held <= 5_813_678
 
 
 @pytest.mark.parametrize("R", [16, 64])
@@ -656,6 +743,22 @@ def test_report_json_and_csv(tmp_path):
     lines = cpath.read_text().strip().split("\n")
     assert lines[0] == "s,cap_id,z1,z2,kappa,term"
     assert len(lines) == 1 + len(rep.terms)
+
+
+def test_envelope_weight_is_its_stated_formula():
+    # w_U from the module comment's numbers, not the module's constants:
+    # (1 + |d|_inf)^-10 over the 5 x 5 neighbour block, and the cells
+    # beyond it, 8 r of them at distance r, folded into a uniform tail
+    tail = sum(8.0 * r * (1.0 + r) ** -10 for r in range(10 ** 4, 2, -1))
+    C = np.zeros((1, 8, 6))
+    C[0, 3, 4] = 48.0
+    want = np.full((8, 6), tail)
+    for d1 in range(-2, 3):
+        for d2 in range(-2, 3):
+            want[3 - d1, (4 - d2) % 6] += 48.0 * \
+                (1.0 + max(abs(d1), abs(d2))) ** -10
+    got = env.weighted_cell_integrals(C, [0])[0]
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
 
 def test_weighted_cell_integrals_mass_conserving_weights():

@@ -17,7 +17,8 @@ from wavenvelope.geometry import (
     Cap, cap_children, cap_index_for_abscissa, cap_ladder, caps_at_scale,
     dyadic_scales, envelope_factor, envelope_lattice_dims,
     envelope_index_of_tube, locate_grid_envelopes, locate_grid_tubes,
-    locate_scale_tubes, theta_scale, tube_lattice_dims, wrap_envelope_index,
+    locate_scale_tubes, max_run_pieces, theta_scale, tube_lattice_dims,
+    wrap_envelope_index,
 )
 
 from oracles import (grid_tube_index, locate_points, tube_local_coords,
@@ -158,6 +159,41 @@ def test_running_sum_keys_match_each_cap(R):
                     *envelope_index_of_tube(z1, z2, E), cap, spec)
                 assert np.array_equal(tubes.envelope_keys(keys, cap.k, E),
                                       e1 * N2U + e2)
+
+
+@pytest.mark.parametrize("R", [4, 16, 64, 256])
+def test_run_pieces_count_each_caps_atoms(R):
+    # runs of 1 to 8 R^1/2 cells from any j1, four whole rows (which wrap
+    # onto their first tube), some in rows on the z2 seam: per cap, the
+    # pieces' counts add up to each tube's atom count, a cap cuts at most
+    # max_run_pieces pieces, and the running sum gives the same pieces
+    # started at any cap
+    spec = GridSpec(R)
+    rng = np.random.default_rng(R + 2)
+    n = 40
+    j1 = rng.integers(0, spec.M, n)
+    j2 = np.concatenate([rng.integers(0, spec.M, n // 2),
+                         spec.M - 1 - np.arange(n // 2)])
+    lengths = rng.integers(1, 8 * int(R ** 0.5), n)
+    lengths[:4] = spec.M
+    a1 = (np.repeat(j1, lengths)
+          + np.concatenate([np.arange(m) for m in lengths])) % spec.M
+    a2 = np.repeat(j2, lengths)
+    for s in dyadic_scales(R):
+        atoms = locate_scale_tubes(a1, a2, s, spec)
+        runs = locate_scale_tubes(j1, j2, s, spec)
+        size = runs.N1 * runs.N2
+        caps = caps_at_scale(s)
+        pieces = runs.cap_pieces(caps[0].k, lengths)
+        for cap, (keys, counts) in zip(caps, pieces):
+            assert len(keys) <= max_run_pieces(len(a1), n, s, spec)
+            assert counts.min() >= 1
+            assert np.array_equal(
+                np.bincount(keys, weights=counts, minlength=size),
+                np.bincount(atoms.keys(cap.k), minlength=size))
+            mid = next(runs.cap_pieces(cap.k, lengths))
+            assert all(np.array_equal(x, y)
+                       for x, y in zip(mid, (keys, counts)))
 
 
 @pytest.mark.parametrize("L,delta", [(12.0, 1.0 / 3.0), (12.0, 0.5)])

@@ -314,7 +314,11 @@ def test_rescale_validations():
                             exact)
 
 
-@pytest.mark.parametrize("R", [0.0, -64.0, float("inf"), float("nan")])
+@pytest.mark.parametrize("R", [
+    0.0, -64.0, float("inf"), float("nan"),
+    # float(R) would overflow; R^2 would
+    pytest.param(10 ** 400, id="401-digits"),
+    pytest.param(10 ** 200, id="201-digits")])
 def test_rescale_requires_finite_positive_R(R):
     pos, m = sch.delta_atoms()
     with pytest.raises(ValueError, match="finite and positive"):
