@@ -5,8 +5,10 @@ The sweep writes json, csv and md reports with their sidecars into a
 temporary directory, one subdirectory per run:
   * the eight experiments at their default config;
   * envelope-verify and square-verify on every registered pair at
-    R = 16, 64, 256 and p = 2, 3, 4, and envelope-verify on
-    knapp:dual-tube at R = 64, 256, 1024 and p = 2, 3, 4;
+    R = 16, 64, 256 and p = 2, 3, 4, envelope-verify on
+    knapp:dual-tube at R = 64, 256, 1024 and p = 2, 3, 4, and on
+    random:constant at R = 1024 and p = 3, 4, whose field's (mode, mode)
+    pairs come in 84 blocks to the sum of squares and the p = 4 sum;
   * kappa-scan on each of its weight families at its default R;
   * kappa-scan at the benchmark's sizes, where the sparse tube sums take
     over: truncated-lattice at R = 4096, 16384, 65536 (alpha 1.5, c 0.25)
@@ -19,7 +21,7 @@ temporary directory, one subdirectory per run:
     R = 64 over 5 trials, so every sidecar kind is hashed.
 Lines are sorted by path, so the output of two checkouts can be compared
 with diff.  A run that is rejected (exit 2) or fails a check (exit 1) is
-named on stderr, and the script then exits 1.  About 7 s on a 2-vCPU
+named on stderr, and the script then exits 1.  About 10 s on a 2-vCPU
 VM.  Run from the repository root:
 
     PYTHONPATH=src python3 scripts/report_digests.py > digests.txt
@@ -55,6 +57,9 @@ def sweep():
     yield ("envelope-verify-large/knapp-dual-tube",
            ["envelope-verify", "--family", "knapp:dual-tube",
             "--R", "64,256,1024", "--p", "2,3,4"])
+    yield ("envelope-verify-large/random-constant",
+           ["envelope-verify", "--family", "random:constant",
+            "--R", "1024", "--p", "3,4"])
     for family in _SCAN_PARAMS:
         yield f"kappa-scan/{family}", ["kappa-scan", "--family", family]
     for family, flags in (("truncated-lattice", ["--R", "4096,16384,65536",

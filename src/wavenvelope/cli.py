@@ -38,11 +38,12 @@ from .decomp import (CertificateError, bilinear_peak_bytes, bilinear_trials,
                      broad_narrow, broad_narrow_peak_bytes, over_bound)
 from .geometry import cap_index_for_abscissa, dyadic_scales, theta_scale
 from .measures import (LATTICE_C, LATTICE_KAPPA, TRUNCATED_ALPHA, TRUNCATED_C,
-                       candidate_atoms, make_weight, masses_at_bytes)
+                       candidate_atoms, make_weight, masses_at_bytes,
+                       support_box)
 from .schrodinger import (FLS_DEFAULT_R, MEASURE_FAMILIES, fit_exponent,
                           fls_fits, fls_peak_bytes, measure_family,
                           rescale_measure)
-from .torus import (GridSpec, lattice_sums_bytes, lp_norm,
+from .torus import (SQUARE_PAIR_BYTES, GridSpec, lattice_sums_bytes, lp_norm,
                     parabola_band_modes, power_integral, power_integral_bytes,
                     random_band_field, square_power_integral, square_sum,
                     synthesize)
@@ -360,11 +361,13 @@ def _verify_peak_bytes(cfg: "ExperimentConfig") -> float:
     """At the largest R, the larger of the lhs (for an atomic weight its
     kappa scan or the lattice sum at its atoms, for the constant weight
     power_integral on the M grid) and the envelope side:
-    the theta pieces' pair table (24 bytes a pair, held for the call) plus
-    the largest of its groupings (power_integral_bytes: by (tau, offset)
-    per scale as at p = 4, and ||S||_p on the 2R grid) and the theta
-    scale's pass, at 40 bytes an entry: its z_1 factor table, N1U = 4 R^1/2
-    rows over the thetas' offsets D1, and its stacked weighting, (N1U + 4)
+    the theta pieces' joined pair table (24 bytes a pair, held for the
+    call) plus the largest of its groupings (by (tau, offset) per scale,
+    half of SQUARE_PAIR_BYTES a pair: a block's grouping without forming
+    its products, traced at 62-94 bytes a pair for R = 256 to 4096; and
+    ||S||_p on the 2R grid, power_integral_bytes) and the theta scale's
+    pass, at 40 bytes an entry: its z_1 factor table, N1U = 4 R^1/2 rows
+    over the thetas' offsets D1, and its stacked weighting, (N1U + 4)
     (N2U + 4) padded cells a theta."""
     ffam, wfam, p_default = _pair_family(cfg.family)
     p_values = cfg.p or (p_default,)
@@ -372,7 +375,9 @@ def _verify_peak_bytes(cfg: "ExperimentConfig") -> float:
     spec = GridSpec(R)
     field = make_field(ffam, spec, cfg.seed)
     pieces = cap_decompose(field, theta_scale(R)).values()
-    est = [power_integral_bytes(pieces, p, 2 * R) for p in (4.0, *p_values)]
+    pairs = sum(pc.n_modes ** 2 for pc in pieces)
+    est = [SQUARE_PAIR_BYTES // 2 * pairs,
+           *(power_integral_bytes(pieces, p, 2 * R) for p in p_values)]
     n1 = 4 * math.isqrt(R)
     d1 = max((int(np.ptp(pc.freqs[:, 0])) for pc in pieces if pc.n_modes),
              default=0)
@@ -385,33 +390,51 @@ def _verify_peak_bytes(cfg: "ExperimentConfig") -> float:
         atoms = int(candidate_atoms(wfam, spec))
         lhs = [_SCAN_ATOM_BYTES * atoms,
                64 * atoms + lattice_sums_bytes(field.n_modes, atoms)]
-    return max(24 * sum(pc.n_modes ** 2 for pc in pieces) + max(est), *lhs)
+    return max(24 * pairs + max(est), *lhs)
 
 
 # kappa-scan: traced allocation peaks run 47-101 bytes per candidate atom
-# of the weight, plus the envelope tables cached on the weight: a few
-# hundred bytes per cap and about 3R entries of 24 bytes (key, H(U) and
-# tube factor) for the slab-shaped supports (dual tube, truncated
-# lattice), the widest-spread of the scanned families; a scale's per-cap
-# tables and their concatenation are briefly alive together.  A weight
-# counted by atoms (101 for the truncated lattice at R = 4096) holds per
-# scale a, b, z2 and the running sum v of the tube keys across the caps,
-# and one key buffer; one counted by row runs (58-62 for the dual tube
-# at R = 64 to 4096, 47 for a ball of radius 20 at R = 256) peaks near
-# its build.
+# of the weight, plus the envelope tables cached on the weight: about 300
+# bytes per cap (335-280 for a ball of 13 atoms at R = 1024 to 16384) and
+# 24 bytes (key, H(U) and tube factor) per envelope of a cap that holds
+# atoms; a scale's per-cap tables and their concatenation are briefly
+# alive together.  A weight counted by atoms
+# (101 for the truncated lattice at R = 4096) holds per scale a, b, z2 and
+# the running sum v of the tube keys across the caps, and one key buffer;
+# one counted by row runs (58-62 for the dual tube at R = 64 to 4096, 47
+# for a ball of radius 20 at R = 256) peaks near its build.
 _SCAN_ATOM_BYTES = 72
-_SCAN_BYTES_PER_R = 72
-_SCAN_CAP_BYTES = 600
+_SCAN_CAP_BYTES = 300
+
+
+def _scan_envelopes(cfg, spec: GridSpec, atoms: float) -> float:
+    """Envelopes of all caps holding atoms of the weight.  Per cap (s, k)
+    at most its atoms and the envelopes its support's box b1 x b2 meets:
+    they lie in rows R high, each row's envelopes R s wide along x1 + 2c
+    x2, c = k s, so the box meets b2/R + 1 rows and in each (b1 + 2|c|
+    min(b2, R))/(R s) + 1 envelopes, on average over where it falls.  In
+    all at most about 3R, as the slab-shaped supports (dual tube,
+    truncated lattice), the widest-spread of the scanned families, hold
+    (2.8-4.0 R at R = 64 to 4096): a sparse lattice meets fewer envelopes
+    than its box."""
+    b1, b2 = support_box(cfg.family, spec, **_scan_params(cfg))
+    R, n = spec.R, 0.0
+    for s in dyadic_scales(R):
+        c = s * np.abs(np.arange(-round(1 / s), round(1 / s) + 1))
+        met = (b2 / R + 1) * ((b1 + 2 * c * min(b2, R)) / (R * s) + 1)
+        n += float(np.minimum(met, atoms).sum())
+    return min(n, 3 * R)
 
 
 def _kappa_scan_peak_bytes(cfg: "ExperimentConfig") -> float:
     est = 0.0
     for R in cfg.R:
-        atoms = candidate_atoms(cfg.family, GridSpec(R), **_scan_params(cfg))
+        spec = GridSpec(R)
+        atoms = candidate_atoms(cfg.family, spec, **_scan_params(cfg))
         if atoms:
             caps = sum(2 * round(1 / s) + 1 for s in dyadic_scales(R))
-            est = max(est, _SCAN_ATOM_BYTES * atoms + _SCAN_BYTES_PER_R * R
-                      + _SCAN_CAP_BYTES * caps)
+            est = max(est, _SCAN_ATOM_BYTES * atoms + _SCAN_CAP_BYTES * caps
+                      + 24 * _scan_envelopes(cfg, spec, atoms))
     return est
 
 

@@ -203,7 +203,7 @@ def envelope_stats(H: GridMeasure, s: float) -> ScaleStats:
     E = envelope_factor(caps[0], spec)
     parts = [(np.empty(0, np.int64), np.empty(0), np.empty(0))] * len(caps)
     if H.n_atoms:
-        runs = H._row_runs if isinstance(H.atom_mass, float) else None
+        runs = H._row_runs
         by_runs = runs is not None and max_run_pieces(
             H.n_atoms, len(runs[2]), s, spec) < H.n_atoms
         if by_runs:
@@ -293,12 +293,21 @@ def kappa_max(H: GridMeasure, p: float):
 # ---------------------------------------------------------------------------
 # the envelope weight w_U and the theorem evaluation
 
+def theta_pairs(thetas: dict):
+    """The thetas' pair_products joined into one table, held for a verify
+    call: (keys, products, pairs per (block, theta), W)."""
+    W, blocks = pair_products(thetas.values())
+    key, c, counts = zip(*blocks)
+    return np.concatenate(key), np.concatenate(c), np.stack(counts), W
+
+
 def scale_cell_integrals(thetas: dict, pairs, s: float, spec):
     """integral of S_tau^2 over every envelope of every cap tau at scale s
     that holds theta pieces, exactly: (cap indices k, (caps, N1U, N2U)).
 
-    pairs, the thetas' pair_products, are grouped by (tau, D): tau's
-    thetas are consecutive, so each c_D adds its products theta ascending.
+    pairs, the thetas' theta_pairs, are grouped by (tau, D): an offset's
+    pairs share a block, where tau's thetas are consecutive, so each c_D
+    adds its products theta ascending.
     S_tau^2 = sum_D c_D e^{i xi_D . x}, xi_D = (2pi/L) D, and in tube
     coordinates y = L_tau^{-1} x envelope z is the box of side E = R s^2
     centred at E z + o, o = -1/2 for even E and 0 for E = 1, so
@@ -312,13 +321,13 @@ def scale_cell_integrals(thetas: dict, pairs, s: float, spec):
     the scale's offsets.  Each cap's cells contract its own columns of
     both, summed over D as for the cap alone.
     """
-    key, c, W = pairs
+    key, c, counts, W = pairs
     inv = round(1.0 / s)
     tau = cap_index_for_abscissa(
         np.array(list(thetas), dtype=np.int64) * theta_scale(spec.R), s)
     g, delta, coef = offset_sums(
-        np.repeat((tau + inv) * W * W,
-                  [pc.n_modes ** 2 for pc in thetas.values()]) + key, c, W)
+        np.repeat(np.tile((tau + inv) * W * W, len(counts)), counts.ravel())
+        + key, c, W)
     N1U, N2U, _ = envelope_lattice_dims(Cap(s, 0), spec)
     E = envelope_factor(Cap(s, 0), spec)
     o = 0.0 if E == 1 else -0.5
@@ -440,10 +449,11 @@ def verify_weighted_sq(field: TorusField, H: GridMeasure,
     zero_field = not np.any(np.abs(field.amps) > 0)
 
     thetas = cap_decompose(field, theta_scale(R))
-    pairs = pair_products(thetas.values())
+    pairs = theta_pairs(thetas)
+    key, c, _, W = pairs
     sq_norm = (power_integral(thetas.values(), spec, p, m) if p == 2.0 else
                square_power_integral(TorusField(
-                   spec, *offset_sums(*pairs)[1:]), p, m)) ** (1.0 / p)
+                   spec, *offset_sums(key, c, W)[1:]), p, m)) ** (1.0 / p)
     kmax, kwitness = kappa_max(H, p)
     sq_rhs = (kmax + floor) * sq_norm
 

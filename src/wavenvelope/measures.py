@@ -33,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from .torus import GridSpec, block_rows, cell_blocks, distinct
-from .geometry import Cap, locate_scale_tubes, theta_scale
+from .geometry import Cap, locate_scale_tubes, max_run_pieces, theta_scale
 
 GRID_FLOOR_EXP = 40  # pointwise floors cut at R^-40
 LATTICE_KAPPA, LATTICE_C = 1.0 / 3.0, 0.45
@@ -57,7 +57,8 @@ class GridMeasure:
     weight does), so a tube's mass follows from its atom count
     (torus.count_sums), else the mass array.  Such a weight's atoms are
     also kept as row runs (_row_runs), found on the first kappa call, from
-    which envelope_stats counts tubes per (run, tube) piece.
+    which envelope_stats counts tubes per (run, tube) piece, when they
+    would cut fewer pieces than there are atoms at some scale.
     """
 
     spec: GridSpec
@@ -108,14 +109,23 @@ class GridMeasure:
     @cached_property
     def _row_runs(self):
         """(j1, j2, lengths) of the maximal runs of consecutive j1 at fixed
-        j2 among the atoms, j2 ascending, then j1.  Keys j2 (M + 1) + j1 put
-        rows M + 1 apart, so a run stops at the j1 = M - 1 -> 0 seam."""
+        j2 among the atoms of a one-mass weight, j2 ascending, then j1.
+        Keys j2 (M + 1) + j1 put rows M + 1 apart, so a run stops at the
+        j1 = M - 1 -> 0 seam.  None for varied masses, and where even the
+        finest scale, whose tubes span the most cells, would not cut the
+        runs into fewer pieces than atoms (max_run_pieces): no scale counts
+        by them."""
+        if not isinstance(self.atom_mass, float):
+            return None
         key = self.ij[:, 1] * (self.spec.M + 1) + self.ij[:, 0]
         key.sort()
         new = np.empty(len(key), dtype=bool)
         new[:1] = True
         np.not_equal(key[1:], key[:-1] + 1, out=new[1:])
         starts = new.nonzero()[0]
+        if max_run_pieces(len(key), len(starts), theta_scale(self.spec.R),
+                          self.spec) >= len(key):
+            return None
         j2, j1 = np.divmod(key[starts], self.spec.M + 1)
         return j1, j2, np.diff(starts, append=len(key))
 
@@ -383,6 +393,23 @@ def candidate_atoms(family: str, spec: GridSpec, **params) -> float:
         return float(sum(math.ceil(rho / d) * math.ceil(rho * rho / d)
                          for _, _, rho in kw["boxes"]))
     raise ValueError(f"no candidate count for family {family!r}")
+
+
+def support_box(family: str, spec: GridSpec, **params) -> tuple:
+    """(b1, b2), the x1 and x2 extents of the support of the weight family
+    builds, without building it: a ball's diameter, a lattice's window of
+    sites (fattened by c), a dual tube's R^(1/2) x R slab (k = 0, upright)
+    and the truncated lattice's corner window."""
+    args = inspect.signature(_FAMILIES[family]).bind(spec, **params)
+    args.apply_defaults()
+    kw, R = args.arguments, spec.R
+    if family == "ball":
+        return 2.0 * kw["rho"], 2.0 * kw["rho"]
+    if family == "lattice":
+        return (2.0 * kw["c"] * (R + 1),) * 2
+    if family in ("dual-tube", "truncated-lattice"):
+        return math.sqrt(R), float(R)
+    raise ValueError(f"no support box for family {family!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -444,35 +444,93 @@ def l2sq_coeff(field: TorusField) -> float:
     return field.spec.L ** 2 * float(np.sum(a.real * a.real + a.imag * a.imag))
 
 
-def pair_products(pieces):
-    """(keys, products, W) of the (mode, mode) pairs of the pieces in turn,
-    each piece's row-major.  In |f|^2 = sum_{n, n'} a_n conj(a_n')
-    e^{i (2pi/L)(n - n').x} the pair adds a_n conj(a_n') at D = n - n',
-    keyed (D1 + B) W + D2 + B, W = 2B + 1, B the largest |D|.  Both arrays
-    are written piece by piece, so no per-piece copy outlives its slot."""
-    pieces = list(pieces)
-    B = max((int(np.ptp(pc.freqs, axis=0).max()) for pc in pieces
-             if pc.n_modes), default=0)
-    W = 2 * B + 1
-    total = sum(pc.n_modes ** 2 for pc in pieces)
-    key = np.empty(total, np.int64)
-    c = np.empty(total, np.complex128)
-    o = 0
+def _pair_rows(pieces, B: int) -> np.ndarray:
+    """Pairs per row D1 = n1 - n1' = -B..B of pair_products: the
+    autocorrelations of the pieces' n1 histograms, summed (exact: sums of
+    integer products)."""
+    rows = np.zeros(2 * B + 1)
     for pc in pieces:
-        n, a = pc.freqs, pc.amps
-        end = o + len(a) ** 2
-        k = key[o:end].reshape(len(a), len(a))
-        np.subtract.outer(n[:, 0], n[:, 0], out=k)
-        k *= W
-        k += n[:, 1, None]
-        k -= n[None, :, 1]
-        k += B * W + B
-        # a broadcast product, as np.outer takes it: np.multiply.outer
-        # rounds the products differently (a conj(a) comes out exactly real)
-        np.multiply(a[:, None], a.conj()[None, :],
-                    out=c[o:end].reshape(len(a), len(a)))
-        o = end
-    return key, c, W
+        if pc.n_modes:
+            n1 = pc.freqs[:, 0]
+            h = np.bincount(n1 - n1.min()).astype(float)
+            w = len(h) - 1
+            rows[B - w:B + w + 1] += np.correlate(h, h, "full")
+    return rows.astype(np.int64)
+
+
+def _row_blocks(rows) -> list:
+    """(first, stop) slices of consecutive D1 rows, each as many rows as
+    keep it within 16 CELL_BUDGET / SQUARE_PAIR_BYTES pairs (2^15: as many
+    bytes as CELL_BUDGET complex entries), or one row alone."""
+    budget = 16 * CELL_BUDGET // SQUARE_PAIR_BYTES
+    edges, held = [0], 0
+    for i, n in enumerate(rows.tolist()):
+        if held and held + n > budget:
+            edges.append(i)
+            held = 0
+        held += n
+    return list(zip(edges, edges[1:] + [len(rows)]))
+
+
+def _pair_width(pieces) -> int:
+    """B, the largest |D| of a pair of modes of one piece."""
+    return max((int(np.ptp(pc.freqs, axis=0).max()) for pc in pieces
+                if pc.n_modes), default=0)
+
+
+def pair_products(pieces):
+    """(W, blocks): the (mode, mode) pairs of the pieces, one block of
+    consecutive rows D1 = n1 - n1' at a time, D1 ascending.  In |f|^2 =
+    sum_{n, n'} a_n conj(a_n') e^{i (2pi/L)(n - n').x} the pair adds
+    a_n conj(a_n') at D = n - n', keyed (D1 + B) W + D2 + B, W = 2B + 1,
+    B the largest |D|; a block's keys lie in its own rows x W range.
+
+    Each block is (keys, products, pairs of each piece): the pieces in
+    turn, and in a piece mode n in piece order with its partners n', whose
+    D1 fall in the block: one contiguous run of the piece's n1-sorted
+    modes.  An offset D takes at most one pair per n, so each c_D meets
+    its products in the order of the whole table, piece by piece and mode
+    by mode, whatever the blocks.  Blocks are formed as they are taken."""
+    pieces = list(pieces)
+    B = _pair_width(pieces)
+    W = 2 * B + 1
+    rows = _pair_rows(pieces, B)
+    modes = []
+    for pc in pieces:
+        n1 = pc.freqs[:, 0]
+        order = np.argsort(n1, kind="stable")
+        modes.append((n1, n1[order], order, n1 * W + pc.freqs[:, 1],
+                      pc.amps, pc.amps.conj()))
+
+    def blocks():
+        # blocks ascend in D1, so a mode's partners in one block end where
+        # they begin in the block before; in the first, where n1' <= n1 + B
+        ends = [np.full(len(m[0]), len(m[0])) for m in modes]
+        for first, stop in _row_blocks(rows):
+            total = int(rows[first:stop].sum())
+            key = np.empty(total, np.int64)
+            c = np.empty(total, np.complex128)
+            counts = np.empty(len(modes), np.int64)
+            o = 0
+            for k, (n1, s1, order, u, a, ca) in enumerate(modes):
+                lo = np.searchsorted(s1, n1 - (stop - 1 - B))
+                run = ends[k] - lo
+                ends[k] = lo
+                end = o + int(run.sum())
+                i = np.repeat(np.arange(len(a)), run)
+                j = order[np.repeat(lo - np.cumsum(run) + run, run)
+                          + np.arange(end - o)]
+                np.subtract(u[i], u[j], out=key[o:end])
+                key[o:end] += B * W + B
+                # a_n conj(a_n') of contiguous gathered operands, rounded
+                # as numpy rounds a broadcast row product; np.multiply.outer
+                # rounds differently (a conj(a) comes out exactly real)
+                np.multiply(a[i], ca[j], out=c[o:end])
+                counts[k] = end - o
+                o = end
+            yield key, c, counts
+
+    return W, blocks()
 
 
 # A key space at most this many times the key count is grouped with a dense
@@ -553,35 +611,59 @@ def count_sums(w: float, counts: np.ndarray) -> np.ndarray:
     return np.full(counts.max(initial=0), w + 0.0).cumsum()[counts - 1]
 
 
+def _key_sums(key, c):
+    """group_sums of the products c by key over the keys' own range."""
+    lo = int(key.min()) if len(key) else 0
+    keys, coef = group_sums(key - lo, c, int(key.max(initial=lo)) + 1 - lo)
+    return keys + lo, coef
+
+
 def offset_sums(key, c, W):
     """(g, offsets D, coefficients) of each distinct key g W^2 + (a
     pair_products key), ascending; each adds its products in order."""
-    keys, coef = group_sums(key, c, int(key.max(initial=-1)) + 1)
+    keys, coef = _key_sums(key, c)
     g, d = np.divmod(keys, W * W)
     return g, np.stack(np.divmod(d, W), axis=1) - W // 2, coef
 
 
 def square_sum(pieces, spec) -> TorusField:
-    """sum over pieces of |f_piece|^2; its modes, the offsets, lie off the
-    band, so it is built directly."""
-    return TorusField(spec, *offset_sums(*pair_products(pieces))[1:])
+    """sum over pieces of |f_piece|^2, its offsets joined block by block;
+    they lie off the band, so it is built directly."""
+    W, blocks = pair_products(pieces)
+    parts = [offset_sums(key, c, W)[1:] for key, c, _ in blocks]
+    return TorusField(spec, *(np.concatenate(x) for x in zip(*parts)))
 
 
 # Cells of each block of power_integral's grid pass.  Peak bytes per (mode,
-# mode) pair of square_sum: the products, their offset keys and the sort
-# (traced: 11.5 MiB for 415 modes at R = 256, 179.0 MiB for 1637 at 1024).
+# mode) pair of one block of pair_products, formed and grouped: its keys,
+# products, gathered amplitudes and indices, and the grouping's bincounts
+# (traced: 110-115 bytes a pair for the largest block of the whole field
+# at R = 256, 1024 and 4096).
 GRID_BLOCK = 2 ** 22
-SQUARE_PAIR_BYTES = 70
+SQUARE_PAIR_BYTES = 128
 
 
 def power_integral(pieces, spec, p: float, m: int) -> float:
     """integral over the torus of (sum over pieces of |f_piece|^2)^(p/2).
 
-    p = 2 is Parseval on each piece; other p integrate the sum of squares
-    P (square_sum) by square_power_integral."""
+    p = 2 is Parseval on each piece.  p = 4 is Parseval on the sum of
+    squares P: L^2 sum_D |c_D|^2, each block's |c_D|^2 joined in one
+    buffer of an entry a pair (an offset has at least one) and summed by
+    one np.sum, the bits of l2sq_coeff(P).  Other p integrate P
+    (square_sum) by square_power_integral."""
     if p == 2.0:
         return sum(l2sq_coeff(pc) for pc in pieces)
-    return square_power_integral(square_sum(pieces, spec), p, m)
+    if p != 4.0:
+        return square_power_integral(square_sum(pieces, spec), p, m)
+    sq = np.empty(sum(pc.n_modes ** 2 for pc in pieces))
+    n = 0
+    for key, c, _ in pair_products(pieces)[1]:
+        coef = _key_sums(key, c)[1]
+        out = sq[n:n + len(coef)]
+        np.multiply(coef.real, coef.real, out=out)
+        out += coef.imag * coef.imag
+        n += len(coef)
+    return spec.L ** 2 * float(np.sum(sq[:n]))
 
 
 def square_power_integral(P: TorusField, p: float, m: int) -> float:
@@ -615,28 +697,24 @@ def square_power_integral(P: TorusField, p: float, m: int) -> float:
 
 def power_integral_bytes(pieces, p: float, m: int) -> int:
     """Peak bytes of power_integral(pieces, spec, p, m) from the pieces'
-    modes: square_sum's pairs at p != 2 and, at other p than 2 and 4, the
-    grid pass's rows (the distinct n1 - n1' of a piece), one column block
-    and its transform.  A piece's D1 are the support of the
-    autocorrelation of its n1 occupancy, a sum of exact 1.0s."""
+    modes.  At p != 2 one block of pair_products and the offsets of all
+    blocks, at most one a pair: the buffer of their |c_D|^2 at p = 4 (8
+    bytes a pair), otherwise square_sum's offsets and coefficients and
+    their join (64 bytes); at other p than 2 and 4 also the grid pass's
+    rows (the D1 rows holding pairs), one column block and its
+    transform."""
     if p == 2.0:
         return 0
-    pairs = SQUARE_PAIR_BYTES * sum(pc.n_modes ** 2 for pc in pieces)
+    B = _pair_width(pieces)
+    rows = _pair_rows(pieces, B)
+    block = SQUARE_PAIR_BYTES * max(int(rows[lo:hi].sum())
+                                    for lo, hi in _row_blocks(rows))
+    pairs = sum(pc.n_modes ** 2 for pc in pieces)
     if p == 4.0:
-        return pairs
-    B = max((int(np.ptp(pc.freqs[:, 0])) for pc in pieces if pc.n_modes),
-            default=0)
-    d1 = np.zeros(2 * B + 1, dtype=bool)
-    for pc in pieces:
-        if pc.n_modes:
-            n1 = pc.freqs[:, 0]
-            occ = np.zeros(int(np.ptp(n1)) + 1)
-            occ[n1 - n1.min()] = 1.0
-            w = len(occ) - 1
-            d1[B - w:B + w + 1] |= np.correlate(occ, occ, "full") > 0.5
-    rows = int(np.count_nonzero(d1))
+        return block + 8 * pairs
     cols = min(m, max(1, GRID_BLOCK // m))
-    return max(pairs, 16 * m * (rows + 2 * cols))
+    return max(block + 64 * pairs,
+               16 * m * (int(np.count_nonzero(rows)) + 2 * cols))
 
 
 def lp_norm(field: TorusField, p: float, measure=None) -> float:

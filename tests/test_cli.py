@@ -461,7 +461,7 @@ def test_emit_empty_report_valid(tmp_path):
 # preflight
 
 def test_preflight_rejects_oversized_run():
-    cfg = ExperimentConfig(experiment="envelope-verify", R=(64, 1024),
+    cfg = ExperimentConfig(experiment="envelope-verify", R=(64, 4096),
                            family="random:constant", mem_cap_mb=100.0)
     with pytest.raises(PreflightError) as err:
         run(cfg)
@@ -474,6 +474,7 @@ PREFLIGHT_CASES = [(64, "knapp:dual-tube", ()), (64, "knapp:constant", ()),
                    (1024, "knapp:dual-tube", ()),
                    (256, "random:constant", (3.0,)),
                    (1024, "random:constant", (2.0,)),
+                   (1024, "random:constant", (4.0,)),
                    (256, "random:lattice", ())]
 
 
@@ -498,6 +499,7 @@ def test_preflight_within_factor_two(R, pair, p):
     ("ball", 256, {"c": 20.0}),
     ("lattice", 1024, {"c": 0.45}),
     ("truncated-lattice", 4096, {}),
+    ("ball", 1024, {"c": 1.0}),
 ])
 def test_kappa_scan_preflight_within_factor_two(family, R, params):
     cfg = resolve(ExperimentConfig(experiment="kappa-scan", R=(R,),
@@ -648,7 +650,7 @@ def test_main_allows_an_infinite_memory_cap(capsys):
 
 
 def test_main_preflight_exits_2(capsys):
-    code = cli.main(["envelope-verify", "--R", "1024",
+    code = cli.main(["envelope-verify", "--R", "4096",
                      "--family", "random:constant", "--mem-cap-mb", "50"])
     assert code == 2
     assert "exceeds" in capsys.readouterr().err

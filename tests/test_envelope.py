@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavenvelope.torus import (GridSpec, TorusField, pair_products,
-                               point_eval, power_integral, random_band_field,
-                               synthesize, lp_norm)
+from wavenvelope.torus import (GridSpec, TorusField, point_eval,
+                               power_integral, random_band_field, synthesize,
+                               lp_norm)
 from wavenvelope.geometry import (Cap, cap_index_for_abscissa, caps_at_scale,
                                   dyadic_scales, envelope_factor,
                                   envelope_lattice_dims, theta_scale)
@@ -177,8 +177,8 @@ def _scale_cells(field, s):
     """(cap indices, (caps, N1U, N2U) cells, shears) of the per-scale pass
     at scale s."""
     thetas = env.cap_decompose(field, theta_scale(field.spec.R))
-    ks, C = env.scale_cell_integrals(thetas, pair_products(thetas.values()),
-                                     s, field.spec)
+    ks, C = env.scale_cell_integrals(thetas, env.theta_pairs(thetas), s,
+                                     field.spec)
     shears = [envelope_lattice_dims(Cap(s, int(k)), field.spec)[2]
               for k in ks]
     return ks.tolist(), C, shears
@@ -547,6 +547,22 @@ def test_run_weights_are_counted_per_piece(monkeypatch, R):
     seen.clear()
     env.envelope_stats(varied, 1.0)
     assert seen[0] == (varied.n_atoms, 1)
+
+
+def test_row_runs_kept_only_where_a_scale_counts_by_them():
+    # a kappa scan keeps the runs of the dual tube, cut into fewer pieces
+    # than atoms at the finest scale, and none for the truncated lattice's
+    # one-atom runs (978 at R = 4096) or for varied masses
+    tube = make_weight("dual-tube", SPEC64)
+    varied = GridMeasure(SPEC64, tube.ij, tube.mass * np.linspace(
+        0.5, 1.0, tube.n_atoms), "weight")
+    lattices = [make_weight("truncated-lattice", GridSpec(R))
+                for R in (64, 4096)]
+    for H in (tube, varied, *lattices):
+        env.kappa_max(H, 4.0)
+    assert tube._row_runs is not None
+    assert varied._row_runs is None
+    assert [H._row_runs for H in lattices] == [None, None]
 
 
 def test_dual_tube_is_counted_in_fewer_pieces_than_atoms(monkeypatch):

@@ -19,8 +19,9 @@ from wavenvelope.torus import (
     power_integral_bytes, random_band_field, square_sum, synthesize,
 )
 from wavenvelope.cli import PAIR_FAMILIES, make_field
-from wavenvelope.envelope import cap_decompose
-from wavenvelope.geometry import theta_scale
+from wavenvelope.envelope import (cap_decompose, scale_cell_integrals,
+                                  theta_pairs)
+from wavenvelope.geometry import dyadic_scales, theta_scale
 from wavenvelope.measures import GridMeasure, constant_weight
 
 from oracles import (analyze, concatenated_square_sum, direct_trig_sum,
@@ -188,8 +189,7 @@ def test_offset_sums_branches_agree(monkeypatch):
     # the dense bincount and the sort group the pairs alike, and as the
     # np.unique grouping they replace, each key adding in input order
     f = random_band_field(GridSpec(64), seed=8)
-    pieces = list(cap_decompose(f, theta_scale(64)).values())
-    key, c, W = torus.pair_products(pieces)
+    key, c, _, W = theta_pairs(cap_decompose(f, theta_scale(64)))
     runs = []
     for ratio in (0, 10 ** 12):
         monkeypatch.setattr(torus, "DENSE_KEYS_PER_ATOM", ratio)
@@ -552,18 +552,79 @@ def test_square_sum_matches_concatenated_oracle(family, whole):
     assert np.array_equal(got.amps, coef)
 
 
+# (family, CELL_BUDGET): the budget's 2^15 pairs a block cut the random and
+# flat fields at R = 256 into 6 blocks; 2^8 cells, 32 pairs a block, cut
+# every family into several
+BLOCKED_FIELDS = [("random", None), ("flat", None), ("random", 2 ** 8),
+                  ("flat", 2 ** 8), ("knapp", 2 ** 8), ("spread", 2 ** 8)]
+
+
+@pytest.mark.parametrize("family,budget", BLOCKED_FIELDS)
+def test_square_sum_blocks_match_concatenated_oracle(monkeypatch, family,
+                                                     budget):
+    # the whole field at R = 256, in more than one block of D1 rows, bit
+    # for bit; p = 4 sums the blocks' |c_D|^2 to the bits of l2sq_coeff
+    if budget:
+        monkeypatch.setattr(torus, "CELL_BUDGET", budget)
+    spec = GridSpec(256)
+    f = make_field(family, spec, seed=5)
+    assert len(list(torus.pair_products([f])[1])) > 1
+    delta, coef = concatenated_square_sum([f])
+    got = square_sum([f], spec)
+    assert np.array_equal(got.freqs, delta)
+    assert np.array_equal(got.amps, coef)
+    assert power_integral([f], spec, 4.0, spec.M) == \
+        l2sq_coeff(TorusField(spec, delta, coef))
+
+
+@pytest.mark.parametrize("family", ["random", "flat"])
+def test_theta_pairs_blocks_match_concatenated_oracle(monkeypatch, family):
+    # theta pieces list their modes branch by branch, not by n1; in blocks
+    # of 32 pairs a block edge falls inside a piece, and the pieces' sum
+    # of squares, its p = 4 integral and the thetas' joined table (every
+    # scale's cells) keep their bits
+    spec = GridSpec(256)
+    f = make_field(family, spec, seed=5)
+    thetas = cap_decompose(f, theta_scale(spec.R))
+    pieces = list(thetas.values())
+    assert any(np.any(np.diff(pc.freqs[:, 0]) < 0) for pc in pieces)
+    one = theta_pairs(thetas)
+    assert len(one[2]) == 1
+    monkeypatch.setattr(torus, "CELL_BUDGET", 2 ** 8)
+    blocked = theta_pairs(thetas)
+    assert np.any(np.count_nonzero(blocked[2], axis=0) > 1)
+    delta, coef = concatenated_square_sum(pieces)
+    got = square_sum(pieces, spec)
+    assert np.array_equal(got.freqs, delta)
+    assert np.array_equal(got.amps, coef)
+    assert power_integral(pieces, spec, 4.0, 2 * spec.R) == \
+        l2sq_coeff(TorusField(spec, delta, coef))
+    for s in dyadic_scales(spec.R):
+        want = scale_cell_integrals(thetas, one, s, spec)
+        for a, b in zip(scale_cell_integrals(thetas, blocked, s, spec), want):
+            assert np.array_equal(a, b)
+
+
 def test_square_sum_peak_per_mode_pair():
-    # the whole-field autocorrelation of the constant-weight lhs at p = 4:
-    # at most 80 bytes per (mode, mode) pair at its traced peak
+    # the whole-field autocorrelation of the constant-weight lhs, 6 blocks
+    # at R = 256: square_sum's traced peak is one block of pairs and its
+    # joined offsets, and p = 4 holds one block and the |c_D|^2 buffer
+    # (power_integral_bytes), not 70 bytes a (mode, mode) pair
     spec = GridSpec(256)
     f = random_band_field(spec, seed=0)
     tracemalloc.start()
     try:
         got = square_sum([f], spec)
-        _, peak = tracemalloc.get_traced_memory()
+        base, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        power_integral([f], spec, 4.0, spec.M)
+        peak4 = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 80 * f.n_modes ** 2
+    largest = max(len(key) for key, _, _ in torus.pair_products([f])[1])
+    assert peak <= torus.SQUARE_PAIR_BYTES * largest + 64 * len(got.amps)
+    assert peak4 <= power_integral_bytes([f], 4.0, spec.M) \
+        <= 40 * f.n_modes ** 2
     delta, coef = concatenated_square_sum([f])
     assert np.array_equal(got.freqs, delta)
     assert np.array_equal(got.amps, coef)
