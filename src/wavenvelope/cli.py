@@ -32,11 +32,13 @@ from dataclasses import (dataclass, field as dataclass_field,
 
 import numpy as np
 
-from .envelope import (cap_decompose, kappa_max, verify_weighted_sq,
+from .envelope import (W_BLOCK, cap_decompose, kappa_max, square_grid,
+                       square_norm, theta_pairs, verify_weighted_sq,
                        window_profile)
 from .decomp import (CertificateError, bilinear_peak_bytes, bilinear_trials,
                      broad_narrow, broad_narrow_peak_bytes, over_bound)
-from .geometry import cap_index_for_abscissa, dyadic_scales, theta_scale
+from .geometry import (Cap, cap_index_for_abscissa, dyadic_scales,
+                       envelope_lattice_dims, theta_scale)
 from .measures import (LATTICE_C, LATTICE_KAPPA, TRUNCATED_ALPHA, TRUNCATED_C,
                        candidate_atoms, make_weight, masses_at_bytes,
                        support_box)
@@ -44,9 +46,8 @@ from .schrodinger import (FLS_DEFAULT_R, MEASURE_FAMILIES, fit_exponent,
                           fls_fits, fls_peak_bytes, measure_family,
                           rescale_measure)
 from .torus import (SQUARE_PAIR_BYTES, GridSpec, lattice_sums_bytes, lp_norm,
-                    parabola_band_modes, power_integral, power_integral_bytes,
-                    random_band_field, square_power_integral, square_sum,
-                    synthesize)
+                    parabola_band_modes, power_integral_bytes,
+                    random_band_field, synthesize)
 
 SCHEMA_VERSION = 1
 
@@ -282,12 +283,11 @@ def unit_ball_fits(p_values, R_values, band: float = 0.1):
         spec = GridSpec(R)
         f = flat_field(spec)
         H = make_weight("ball", spec)
-        pieces = cap_decompose(f, theta_scale(R)).values()
-        P = square_sum(pieces, spec)  # the theta pieces' pairs, once per R
+        thetas = cap_decompose(f, theta_scale(R))
+        pairs = theta_pairs(thetas)  # the theta pieces' pairs, once per R
         for p in p_values:
-            sq_norm = (power_integral(pieces, spec, p, 2 * R) if p == 2.0
-                       else square_power_integral(P, p, 2 * R)) ** (1.0 / p)
-            ratios[p].append(lp_norm(f, p, measure=H) / sq_norm)
+            ratios[p].append(lp_norm(f, p, measure=H)
+                             / square_norm(thetas, pairs, spec, p))
             kappas[p].append(kappa_max(H, p)[0])
     fits = []
     for p in p_values:
@@ -365,10 +365,10 @@ def _verify_peak_bytes(cfg: "ExperimentConfig") -> float:
     call) plus the largest of its groupings (by (tau, offset) per scale,
     half of SQUARE_PAIR_BYTES a pair: a block's grouping without forming
     its products, traced at 62-94 bytes a pair for R = 256 to 4096; and
-    ||S||_p on the 2R grid, power_integral_bytes) and the theta scale's
-    pass, at 40 bytes an entry: its z_1 factor table, N1U = 4 R^1/2 rows
-    over the thetas' offsets D1, and its stacked weighting, (N1U + 4)
-    (N2U + 4) padded cells a theta."""
+    ||S||_p on the square_grid, power_integral_bytes) and the theta
+    scale's pass, at 40 bytes an entry: its z_1 factor table, N1U rows
+    over the thetas' offsets D1, and its stacked weighting, N1U x N2U
+    cells a theta padded by W_BLOCK on every side."""
     ffam, wfam, p_default = _pair_family(cfg.family)
     p_values = cfg.p or (p_default,)
     R = max(cfg.R)
@@ -377,11 +377,13 @@ def _verify_peak_bytes(cfg: "ExperimentConfig") -> float:
     pieces = cap_decompose(field, theta_scale(R)).values()
     pairs = sum(pc.n_modes ** 2 for pc in pieces)
     est = [SQUARE_PAIR_BYTES // 2 * pairs,
-           *(power_integral_bytes(pieces, p, 2 * R) for p in p_values)]
-    n1 = 4 * math.isqrt(R)
+           *(power_integral_bytes(pieces, p, square_grid(R))
+             for p in p_values)]
+    N1U, N2U, _ = envelope_lattice_dims(Cap(theta_scale(R), 0), spec)
     d1 = max((int(np.ptp(pc.freqs[:, 0])) for pc in pieces if pc.n_modes),
              default=0)
-    est.append(40 * (n1 * (2 * d1 + 1) + (n1 + 4) * 8 * len(pieces)))
+    cells = (N1U + 2 * W_BLOCK) * (N2U + 2 * W_BLOCK)
+    est.append(40 * (N1U * (2 * d1 + 1) + cells * len(pieces)))
     if wfam == "constant":
         lhs = [power_integral_bytes([field], p, spec.M) for p in p_values]
     else:

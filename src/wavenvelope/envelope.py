@@ -27,9 +27,9 @@ from itertools import repeat
 
 import numpy as np
 
-from .torus import (TWO_PI, TorusField, count_sums, group_sums, lp_norm,
-                    offset_sums, pair_products, power_integral,
-                    square_power_integral)
+from .torus import (TWO_PI, TorusField, coef_power_integral, count_sums,
+                    group_sums, key_sums, lp_norm, pair_products,
+                    power_integral)
 # locate_grid_tubes is not called here; the benchmark's self-test
 # (perfbench/test_harness.py) reads it as envelope.locate_grid_tubes
 from .geometry import (
@@ -114,7 +114,7 @@ def cap_decompose(field: TorusField, scale: float) -> dict:
     summing to 1 exactly.  A piece is a selection of the field's already
     validated modes, built directly.  Piece k lists its modes branch by
     branch (those cap k + 1 hands on, its own, those cap k - 1 hands on),
-    each branch in field order: the order square_sum and trig_sum add
+    each branch in field order: the order pair_products and trig_sum add
     them in.
     """
     spec = field.spec
@@ -295,10 +295,27 @@ def kappa_max(H: GridMeasure, p: float):
 
 def theta_pairs(thetas: dict):
     """The thetas' pair_products joined into one table, held for a verify
-    call: (keys, products, pairs per (block, theta), W)."""
-    W, blocks = pair_products(thetas.values())
+    call: (keys, products, pairs per (block, theta), pairs per row D1)."""
+    rows, blocks = pair_products(thetas.values())
     key, c, counts = zip(*blocks)
-    return np.concatenate(key), np.concatenate(c), np.stack(counts), W
+    return np.concatenate(key), np.concatenate(c), np.stack(counts), rows
+
+
+def square_grid(R: int) -> int:
+    """m = 2R, the grid of ||S||_p at p outside {2, 4}: it clears twice
+    the offsets of every |f_theta|^2 (O(R^1/2))."""
+    return 2 * R
+
+
+def square_norm(thetas: dict, pairs, spec, p: float) -> float:
+    """||S||_p, S^2 = sum_theta |f_theta|^2: Parseval on the pieces at
+    p = 2, else coef_power_integral of S^2's coefficients, the thetas'
+    theta_pairs grouped whole, on the square_grid."""
+    m = square_grid(spec.R)
+    key, c, _, rows = pairs
+    P = (power_integral(thetas.values(), spec, p, m) if p == 2.0 else
+         coef_power_integral([key_sums(key, c)], rows, spec.L, p, m))
+    return P ** (1.0 / p)
 
 
 def scale_cell_integrals(thetas: dict, pairs, s: float, spec):
@@ -321,13 +338,16 @@ def scale_cell_integrals(thetas: dict, pairs, s: float, spec):
     the scale's offsets.  Each cap's cells contract its own columns of
     both, summed over D as for the cap alone.
     """
-    key, c, counts, W = pairs
+    key, c, counts, rows = pairs
+    W = len(rows)
     inv = round(1.0 / s)
     tau = cap_index_for_abscissa(
         np.array(list(thetas), dtype=np.int64) * theta_scale(spec.R), s)
-    g, delta, coef = offset_sums(
+    keys, coef = key_sums(
         np.repeat(np.tile((tau + inv) * W * W, len(counts)), counts.ravel())
-        + key, c, W)
+        + key, c)
+    g, d = np.divmod(keys, W * W)
+    delta = np.stack(np.divmod(d, W), axis=1) - W // 2
     N1U, N2U, _ = envelope_lattice_dims(Cap(s, 0), spec)
     E = envelope_factor(Cap(s, 0), spec)
     o = 0.0 if E == 1 else -0.5
@@ -436,12 +456,11 @@ def verify_weighted_sq(field: TorusField, H: GridMeasure,
     polynomial whose coefficients come from the theta pieces' pair
     products, formed once, and each scale takes the cells of all its caps
     (scale_cell_integrals) and weights them in one pass.  ||S_theta||_p
-    is exact at p in {2, 4}; other p take the grid m = 2R, which clears
-    twice the offsets of every |f_theta|^2 (O(R^1/2)).
+    is exact at p in {2, 4}; other p take the square_grid (square_norm).
     """
     spec = field.spec
     R = spec.R
-    m = 2 * R
+    m = square_grid(R)
     floor = float(R) ** -GRID_FLOOR_EXP
     scales = dyadic_scales(R)
 
@@ -450,10 +469,7 @@ def verify_weighted_sq(field: TorusField, H: GridMeasure,
 
     thetas = cap_decompose(field, theta_scale(R))
     pairs = theta_pairs(thetas)
-    key, c, _, W = pairs
-    sq_norm = (power_integral(thetas.values(), spec, p, m) if p == 2.0 else
-               square_power_integral(TorusField(
-                   spec, *offset_sums(key, c, W)[1:]), p, m)) ** (1.0 / p)
+    sq_norm = square_norm(thetas, pairs, spec, p)
     kmax, kwitness = kappa_max(H, p)
     sq_rhs = (kmax + floor) * sq_norm
 

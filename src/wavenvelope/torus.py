@@ -96,9 +96,9 @@ def _band_violations(freqs: np.ndarray, spec: GridSpec) -> np.ndarray:
         np.abs(xi[:, 1] - xi[:, 0] ** 2) > (1.0 + _BAND_TOL) / spec.R)
 
 
-def _check_alias_free(freqs, m: int) -> None:
-    """Reject an m x m grid on which the placement n mod m aliases modes."""
-    bw = int(np.abs(freqs).max(initial=0))
+def _check_alias_free(bw: int, m: int) -> None:
+    """Reject an m x m grid on which the placement n mod m aliases modes
+    of bandwidth bw."""
     if 2 * bw >= m:
         raise ValueError(f"grid m={m} aliases modes of bandwidth {bw}")
 
@@ -130,7 +130,7 @@ class TorusField:
         """
         if m in self._samples:
             return self._samples[m]
-        _check_alias_free(self.freqs, m)
+        _check_alias_free(int(np.abs(self.freqs).max(initial=0)), m)
         A = np.zeros((m, m), dtype=np.complex128)
         A[self.freqs[:, 0] % m, self.freqs[:, 1] % m] = self.amps
         out = np.fft.ifft2(A)
@@ -444,10 +444,12 @@ def l2sq_coeff(field: TorusField) -> float:
     return field.spec.L ** 2 * float(np.sum(a.real * a.real + a.imag * a.imag))
 
 
-def _pair_rows(pieces, B: int) -> np.ndarray:
-    """Pairs per row D1 = n1 - n1' = -B..B of pair_products: the
-    autocorrelations of the pieces' n1 histograms, summed (exact: sums of
-    integer products)."""
+def _pair_rows(pieces) -> np.ndarray:
+    """Pairs per row D1 = n1 - n1' = -B..B of pair_products, B the largest
+    |D| of a pair of modes of one piece: the autocorrelations of the
+    pieces' n1 histograms, summed (exact: sums of integer products)."""
+    B = max((int(np.ptp(pc.freqs, axis=0).max()) for pc in pieces
+             if pc.n_modes), default=0)
     rows = np.zeros(2 * B + 1)
     for pc in pieces:
         if pc.n_modes:
@@ -472,18 +474,13 @@ def _row_blocks(rows) -> list:
     return list(zip(edges, edges[1:] + [len(rows)]))
 
 
-def _pair_width(pieces) -> int:
-    """B, the largest |D| of a pair of modes of one piece."""
-    return max((int(np.ptp(pc.freqs, axis=0).max()) for pc in pieces
-                if pc.n_modes), default=0)
-
-
 def pair_products(pieces):
-    """(W, blocks): the (mode, mode) pairs of the pieces, one block of
-    consecutive rows D1 = n1 - n1' at a time, D1 ascending.  In |f|^2 =
-    sum_{n, n'} a_n conj(a_n') e^{i (2pi/L)(n - n').x} the pair adds
-    a_n conj(a_n') at D = n - n', keyed (D1 + B) W + D2 + B, W = 2B + 1,
-    B the largest |D|; a block's keys lie in its own rows x W range.
+    """(rows, blocks): the (mode, mode) pairs of the pieces, one block of
+    consecutive rows D1 = n1 - n1' at a time, D1 ascending, and the pairs
+    of each row D1 = -B..B (_pair_rows).  In |f|^2 = sum_{n, n'} a_n
+    conj(a_n') e^{i (2pi/L)(n - n').x} the pair adds a_n conj(a_n') at
+    D = n - n', keyed (D1 + B) W + D2 + B, W = 2B + 1 = len(rows), B the
+    largest |D|; a block's keys lie in its own rows x W range.
 
     Each block is (keys, products, pairs of each piece): the pieces in
     turn, and in a piece mode n in piece order with its partners n', whose
@@ -492,9 +489,9 @@ def pair_products(pieces):
     its products in the order of the whole table, piece by piece and mode
     by mode, whatever the blocks.  Blocks are formed as they are taken."""
     pieces = list(pieces)
-    B = _pair_width(pieces)
-    W = 2 * B + 1
-    rows = _pair_rows(pieces, B)
+    rows = _pair_rows(pieces)
+    W = len(rows)
+    B = W // 2
     modes = []
     for pc in pieces:
         n1 = pc.freqs[:, 0]
@@ -530,7 +527,7 @@ def pair_products(pieces):
                 o = end
             yield key, c, counts
 
-    return W, blocks()
+    return rows, blocks()
 
 
 # A key space at most this many times the key count is grouped with a dense
@@ -611,85 +608,74 @@ def count_sums(w: float, counts: np.ndarray) -> np.ndarray:
     return np.full(counts.max(initial=0), w + 0.0).cumsum()[counts - 1]
 
 
-def _key_sums(key, c):
+def key_sums(key, c):
     """group_sums of the products c by key over the keys' own range."""
     lo = int(key.min()) if len(key) else 0
     keys, coef = group_sums(key - lo, c, int(key.max(initial=lo)) + 1 - lo)
     return keys + lo, coef
 
 
-def offset_sums(key, c, W):
-    """(g, offsets D, coefficients) of each distinct key g W^2 + (a
-    pair_products key), ascending; each adds its products in order."""
-    keys, coef = _key_sums(key, c)
-    g, d = np.divmod(keys, W * W)
-    return g, np.stack(np.divmod(d, W), axis=1) - W // 2, coef
-
-
-def square_sum(pieces, spec) -> TorusField:
-    """sum over pieces of |f_piece|^2, its offsets joined block by block;
-    they lie off the band, so it is built directly."""
-    W, blocks = pair_products(pieces)
-    parts = [offset_sums(key, c, W)[1:] for key, c, _ in blocks]
-    return TorusField(spec, *(np.concatenate(x) for x in zip(*parts)))
-
-
-# Cells of each block of power_integral's grid pass.  Peak bytes per (mode,
-# mode) pair of one block of pair_products, formed and grouped: its keys,
-# products, gathered amplitudes and indices, and the grouping's bincounts
-# (traced: 110-115 bytes a pair for the largest block of the whole field
-# at R = 256, 1024 and 4096).
+# Cells of each block of coef_power_integral's grid pass.  Peak bytes per
+# (mode, mode) pair of one block of pair_products, formed and grouped: its
+# keys, products, gathered amplitudes and indices, and the grouping's
+# bincounts (traced: 110-115 bytes a pair for the largest block of the
+# whole field at R = 256, 1024 and 4096).
 GRID_BLOCK = 2 ** 22
 SQUARE_PAIR_BYTES = 128
 
 
 def power_integral(pieces, spec, p: float, m: int) -> float:
-    """integral over the torus of (sum over pieces of |f_piece|^2)^(p/2).
-
-    p = 2 is Parseval on each piece.  p = 4 is Parseval on the sum of
-    squares P: L^2 sum_D |c_D|^2, each block's |c_D|^2 joined in one
-    buffer of an entry a pair (an offset has at least one) and summed by
-    one np.sum, the bits of l2sq_coeff(P).  Other p integrate P
-    (square_sum) by square_power_integral."""
+    """integral over the torus of (sum over pieces of |f_piece|^2)^(p/2):
+    Parseval on each piece at p = 2, else coef_power_integral of each
+    block of pair_products, grouped as it is formed."""
     if p == 2.0:
         return sum(l2sq_coeff(pc) for pc in pieces)
-    if p != 4.0:
-        return square_power_integral(square_sum(pieces, spec), p, m)
-    sq = np.empty(sum(pc.n_modes ** 2 for pc in pieces))
-    n = 0
-    for key, c, _ in pair_products(pieces)[1]:
-        coef = _key_sums(key, c)[1]
-        out = sq[n:n + len(coef)]
-        np.multiply(coef.real, coef.real, out=out)
-        out += coef.imag * coef.imag
-        n += len(coef)
-    return spec.L ** 2 * float(np.sum(sq[:n]))
+    rows, blocks = pair_products(pieces)
+    return coef_power_integral((key_sums(key, c) for key, c, _ in blocks),
+                               rows, spec.L, p, m)
 
 
-def square_power_integral(P: TorusField, p: float, m: int) -> float:
-    """integral over the torus of P^(p/2), P a sum of squared moduli.
+def coef_power_integral(parts, rows, L: float, p: float, m: int) -> float:
+    """integral over the torus [0, L)^2 of P^(p/2), p != 2, P = sum_D c_D
+    e^{i (2pi/L) D.x} a sum of squared moduli, from its parts (keys of
+    pair_products, c_D), each key once and ascending over all parts, and
+    rows, the pairs per row D1 of pair_products.
 
-    p = 4 is Parseval: int P^2 = L^2 sum_D |c_D|^2.  Other p sum P^(p/2)
-    on the m x m grid of spacing L/m by ifft2's two passes, never holding
-    the grid: along axis 1 over the rows P's offsets occupy (D1 mod m), in
-    row chunks, then along axis 0 per block of columns, clipped at 0 (P >=
-    0 up to roundoff).  Both take at most GRID_BLOCK cells at a time; one
-    block (m <= 2048) sums to the bits of P.samples_on(m)."""
+    p = 4 is Parseval, int P^2 = L^2 sum_D |c_D|^2: the parts' |c_D|^2
+    fill one buffer of an entry a pair (an offset has at least one) that
+    one np.sum adds, the bits of l2sq_coeff(P).  Other p decode the keys
+    and sum P^(p/2) on the m x m grid of spacing L/m by ifft2's two
+    passes, never holding the grid: along axis 1 over a table of the rows
+    P's offsets occupy (D1 mod m, ascending), which each part's c_D goes
+    straight into, in row chunks, then along axis 0 per block of columns,
+    clipped at 0 (P >= 0 up to roundoff).  Both take at most GRID_BLOCK
+    cells at a time; one block (m <= 2048) sums to the bits of
+    P.samples_on(m)."""
     if p == 4.0:
-        return l2sq_coeff(P)
-    L = P.spec.L
-    _check_alias_free(P.freqs, m)
-    rows, r = np.unique(P.freqs[:, 0] % m, return_inverse=True)
-    A = np.zeros((len(rows), m), dtype=np.complex128)
-    A[r, P.freqs[:, 1] % m] = P.amps
-    del P, r
+        sq = np.empty(int(rows.sum()))
+        n = 0
+        for keys, coef in parts:
+            del keys  # not held while the next part forms
+            out = sq[n:n + len(coef)]
+            np.multiply(coef.real, coef.real, out=out)
+            out += coef.imag * coef.imag
+            n += len(coef)
+        return L ** 2 * float(np.sum(sq[:n]))
+    B = len(rows) // 2
+    _check_alias_free(B, m)
+    table = np.sort((np.flatnonzero(rows) - B) % m)
+    slot = np.searchsorted(table, (np.arange(len(rows)) - B) % m)
+    A = np.zeros((len(table), m), dtype=np.complex128)
+    for key, coef in parts:
+        d1, d2 = np.divmod(key, len(rows))
+        A[slot[d1], (d2 - B) % m] = coef
     step = max(1, GRID_BLOCK // m)
-    for i in range(0, len(rows), step):
+    for i in range(0, len(table), step):
         A[i:i + step] = np.fft.ifft(A[i:i + step], axis=1)
     acc = 0.0
     for j in range(0, m, step):
         block = np.zeros((m, min(step, m - j)), dtype=np.complex128)
-        block[rows] = A[:, j:j + step]
+        block[table] = A[:, j:j + step]
         block = np.fft.ifft(block, axis=0)
         acc += float(np.sum(np.maximum(block.real * (m * m), 0.0) ** (p / 2)))
     return (L / m) ** 2 * acc
@@ -697,24 +683,19 @@ def square_power_integral(P: TorusField, p: float, m: int) -> float:
 
 def power_integral_bytes(pieces, p: float, m: int) -> int:
     """Peak bytes of power_integral(pieces, spec, p, m) from the pieces'
-    modes.  At p != 2 one block of pair_products and the offsets of all
-    blocks, at most one a pair: the buffer of their |c_D|^2 at p = 4 (8
-    bytes a pair), otherwise square_sum's offsets and coefficients and
-    their join (64 bytes); at other p than 2 and 4 also the grid pass's
-    rows (the D1 rows holding pairs), one column block and its
-    transform."""
+    modes.  At p != 2 one block of pair_products beside the buffer of all
+    blocks' |c_D|^2 at p = 4 (8 bytes a pair), and at other p beside the
+    grid pass's rows (the D1 rows holding pairs), which then take one
+    column block and its transform in the block's place."""
     if p == 2.0:
         return 0
-    B = _pair_width(pieces)
-    rows = _pair_rows(pieces, B)
+    rows = _pair_rows(pieces)
     block = SQUARE_PAIR_BYTES * max(int(rows[lo:hi].sum())
                                     for lo, hi in _row_blocks(rows))
-    pairs = sum(pc.n_modes ** 2 for pc in pieces)
     if p == 4.0:
-        return block + 8 * pairs
+        return block + 8 * int(rows.sum())
     cols = min(m, max(1, GRID_BLOCK // m))
-    return max(block + 64 * pairs,
-               16 * m * (int(np.count_nonzero(rows)) + 2 * cols))
+    return 16 * m * int(np.count_nonzero(rows)) + max(block, 32 * m * cols)
 
 
 def lp_norm(field: TorusField, p: float, measure=None) -> float:

@@ -19,8 +19,8 @@ from wavenvelope.geometry import (Cap, cap_index_for_abscissa, caps_at_scale,
                                   wrap_envelope_index)
 from wavenvelope.measures import GridMeasure
 from wavenvelope.schrodinger import eta
-from wavenvelope.torus import (TWO_PI, GridSpec, random_band_field,
-                               square_sum, synthesize)
+from wavenvelope.torus import (TWO_PI, GridSpec, TorusField,
+                               random_band_field, synthesize)
 
 
 def read_back_coeffs(field) -> np.ndarray:
@@ -197,7 +197,8 @@ def pinned_fields(spec, scale: float) -> dict:
 def square_sum_samples(pieces, spec, m: int) -> np.ndarray:
     """sum over pieces of |f_piece|^2 on the m x m grid of spacing L/m,
     from one inverse FFT of the summed coefficients, clipped at 0."""
-    vals = square_sum(pieces, spec).samples_on(m, cache=False).real
+    P = TorusField(spec, *concatenated_square_sum(pieces))
+    vals = P.samples_on(m, cache=False).real
     return np.maximum(vals, 0.0)
 
 
@@ -311,8 +312,8 @@ def envelope_cell_integrals(pieces, cap, spec) -> np.ndarray:
     """integral of sum over pieces of |f_piece|^2 over every envelope of
     one cap, as (N1U, N2U): the closed form of
     envelope.scale_cell_integrals, evaluated for one cap from its own
-    square_sum and its own per-axis factors."""
-    P = square_sum(pieces, spec)
+    concatenated_square_sum and its own per-axis factors."""
+    P = TorusField(spec, *concatenated_square_sum(pieces))
     N1U, N2U, _ = envelope_lattice_dims(cap, spec)
     E = envelope_factor(cap, spec)
     o = 0.0 if E == 1 else -0.5
@@ -548,9 +549,10 @@ def nikodym_max_loop(g, R: int, dx: float) -> np.ndarray:
 
 
 def concatenated_square_sum(pieces):
-    """(offsets, coefficients) of torus.square_sum, from per-piece offset and
-    product lists concatenated whole, keys built from full-length
-    temporaries (about 118 bytes per mode pair at its peak)."""
+    """(offsets, coefficients) of the sum of squares over pieces of
+    |f_piece|^2, offsets ascending, from per-piece offset and product lists
+    concatenated whole, keys built from full-length temporaries (about 118
+    bytes per mode pair at its peak)."""
     diffs, prods = [np.empty((0, 2), np.int64)], [np.empty(0, complex)]
     for piece in pieces:
         n, a = piece.freqs, piece.amps

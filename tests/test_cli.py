@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import wavenvelope.cli as cli
-from wavenvelope import measures, torus
+from wavenvelope import envelope, measures, torus
 from oracles import serial_broad_narrow_rows
 from wavenvelope.cli import (ExperimentConfig, PAIR_FAMILIES, PreflightError,
                              Report, emit, make_field, pair_inputs,
@@ -752,6 +752,7 @@ def test_unit_ball_fits_form_theta_pairs_once_per_R(monkeypatch):
         return real(pieces)
 
     monkeypatch.setattr(torus, "pair_products", counted)
+    monkeypatch.setattr(envelope, "pair_products", counted)
     R_values = (16, 64, 256)
     cli.unit_ball_fits((2.0, 3.0, 4.0), R_values)
     assert formed == [len(cli.cap_decompose(cli.flat_field(GridSpec(R)),

@@ -16,11 +16,11 @@ from wavenvelope import torus
 from wavenvelope.torus import (
     GridSpec, TorusField, block_rows, cell_blocks, distinct, l2sq_coeff,
     lattice_sums, lp_norm, parabola_band_modes, point_eval, power_integral,
-    power_integral_bytes, random_band_field, square_sum, synthesize,
+    power_integral_bytes, random_band_field, synthesize,
 )
 from wavenvelope.cli import PAIR_FAMILIES, make_field
 from wavenvelope.envelope import (cap_decompose, scale_cell_integrals,
-                                  theta_pairs)
+                                  square_norm, theta_pairs)
 from wavenvelope.geometry import dyadic_scales, theta_scale
 from wavenvelope.measures import GridMeasure, constant_weight
 
@@ -189,18 +189,17 @@ def test_offset_sums_branches_agree(monkeypatch):
     # the dense bincount and the sort group the pairs alike, and as the
     # np.unique grouping they replace, each key adding in input order
     f = random_band_field(GridSpec(64), seed=8)
-    key, c, _, W = theta_pairs(cap_decompose(f, theta_scale(64)))
+    key, c, _, _ = theta_pairs(cap_decompose(f, theta_scale(64)))
     runs = []
     for ratio in (0, 10 ** 12):
         monkeypatch.setattr(torus, "DENSE_KEYS_PER_ATOM", ratio)
-        runs.append(torus.offset_sums(key, c, W))
+        runs.append(torus.key_sums(key, c))
     for sort, dense in zip(*runs):
         assert sort.dtype == dense.dtype and np.array_equal(sort, dense)
     keys, inv = np.unique(key, return_inverse=True)
-    assert np.array_equal(runs[0][2].real, np.bincount(inv, weights=c.real))
-    assert np.array_equal(runs[0][2].imag, np.bincount(inv, weights=c.imag))
-    assert np.array_equal(runs[0][0] * W * W + (runs[0][1][:, 0] + W // 2) * W
-                          + runs[0][1][:, 1] + W // 2, keys)
+    assert np.array_equal(runs[0][1].real, np.bincount(inv, weights=c.real))
+    assert np.array_equal(runs[0][1].imag, np.bincount(inv, weights=c.imag))
+    assert np.array_equal(runs[0][0], keys)
 
 
 def _group_sums_cases():
@@ -538,18 +537,43 @@ def test_power_integral_other_p_refines(R):
             pytest.approx(fine, rel=1e-14, abs=0)
 
 
+def _consumed_parts(monkeypatch, pieces, spec, p, m):
+    """(power_integral(pieces, spec, p, m), offsets D, coefficients, parts):
+    the parts it hands coef_power_integral, checked to hold each key once
+    and ascending, decoded and joined."""
+    seen = []
+    real = torus.coef_power_integral
+
+    def spy(parts, rows, L, p, m):
+        parts = list(parts)
+        seen.append((parts, rows))
+        return real(parts, rows, L, p, m)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(torus, "coef_power_integral", spy)
+        value = power_integral(pieces, spec, p, m)
+    [(parts, rows)] = seen
+    keys, coef = (np.concatenate(x) for x in zip(*parts))
+    assert np.all(np.diff(keys) > 0)
+    W = len(rows)
+    return value, np.stack(np.divmod(keys, W), axis=1) - W // 2, coef, \
+        len(parts)
+
+
 @pytest.mark.parametrize("family", ["random", "flat", "knapp", "spread"])
 @pytest.mark.parametrize("whole", [True, False])
-def test_square_sum_matches_concatenated_oracle(family, whole):
-    # bit for bit, on the whole field and on its theta pieces
+def test_square_sum_matches_concatenated_oracle(monkeypatch, family, whole):
+    # the sum of squares' parts the grid pass takes, bit for bit, on the
+    # whole field and on its theta pieces
     spec = GridSpec(64)
     f = make_field(family, spec, seed=5)
     pieces = [f] if whole else \
         list(cap_decompose(f, theta_scale(spec.R)).values())
     delta, coef = concatenated_square_sum(pieces)
-    got = square_sum(pieces, spec)
-    assert np.array_equal(got.freqs, delta)
-    assert np.array_equal(got.amps, coef)
+    _, got_delta, got_coef, _ = _consumed_parts(monkeypatch, pieces, spec,
+                                                3.0, spec.M)
+    assert np.array_equal(got_delta, delta)
+    assert np.array_equal(got_coef, coef)
 
 
 # (family, CELL_BUDGET): the budget's 2^15 pairs a block cut the random and
@@ -570,19 +594,44 @@ def test_square_sum_blocks_match_concatenated_oracle(monkeypatch, family,
     f = make_field(family, spec, seed=5)
     assert len(list(torus.pair_products([f])[1])) > 1
     delta, coef = concatenated_square_sum([f])
-    got = square_sum([f], spec)
-    assert np.array_equal(got.freqs, delta)
-    assert np.array_equal(got.amps, coef)
-    assert power_integral([f], spec, 4.0, spec.M) == \
-        l2sq_coeff(TorusField(spec, delta, coef))
+    val, got_delta, got_coef, n_parts = _consumed_parts(monkeypatch, [f],
+                                                        spec, 4.0, spec.M)
+    assert n_parts > 1
+    assert np.array_equal(got_delta, delta)
+    assert np.array_equal(got_coef, coef)
+    assert val == l2sq_coeff(TorusField(spec, delta, coef))
+
+
+@pytest.mark.parametrize("family", ["random", "flat", "knapp", "spread"])
+def test_power_integral_grid_pass_blocks_match_oracle(monkeypatch, family):
+    # the grid pass places each block's parts as they come: in blocks of
+    # 32 pairs (CELL_BUDGET = 2^8) it sums to the bits of one block and of
+    # the oracle's sampled sum of squares, on every grid m <= 2048 that
+    # clears the whole field's offsets at R = 256
+    spec = GridSpec(256)
+    f = make_field(family, spec, seed=5)
+    grids = [m for m in (256, 512, 1024, 2048)
+             if m > len(torus._pair_rows([f])) - 1]
+    assert grids
+    runs = []
+    for budget in (2 ** 8, 2 ** 30):
+        monkeypatch.setattr(torus, "CELL_BUDGET", budget)
+        runs.append([power_integral([f], spec, 3.0, m) for m in grids])
+    assert len(list(torus.pair_products([f])[1])) == 1
+    monkeypatch.setattr(torus, "CELL_BUDGET", 2 ** 8)
+    assert len(list(torus.pair_products([f])[1])) > 1
+    assert runs[0] == runs[1]
+    for m, val in zip(grids, runs[0]):
+        S2 = square_sum_samples([f], spec, m)
+        assert val ** (1.0 / 3.0) == sq_norm_from_sq2(S2, spec.L, 3.0)
 
 
 @pytest.mark.parametrize("family", ["random", "flat"])
 def test_theta_pairs_blocks_match_concatenated_oracle(monkeypatch, family):
     # theta pieces list their modes branch by branch, not by n1; in blocks
     # of 32 pairs a block edge falls inside a piece, and the pieces' sum
-    # of squares, its p = 4 integral and the thetas' joined table (every
-    # scale's cells) keep their bits
+    # of squares, its p = 4 integral, ||S||_4 from the thetas' joined
+    # table and the table's cells at every scale keep their bits
     spec = GridSpec(256)
     f = make_field(family, spec, seed=5)
     thetas = cap_decompose(f, theta_scale(spec.R))
@@ -594,37 +643,35 @@ def test_theta_pairs_blocks_match_concatenated_oracle(monkeypatch, family):
     blocked = theta_pairs(thetas)
     assert np.any(np.count_nonzero(blocked[2], axis=0) > 1)
     delta, coef = concatenated_square_sum(pieces)
-    got = square_sum(pieces, spec)
-    assert np.array_equal(got.freqs, delta)
-    assert np.array_equal(got.amps, coef)
-    assert power_integral(pieces, spec, 4.0, 2 * spec.R) == \
-        l2sq_coeff(TorusField(spec, delta, coef))
+    val, got_delta, got_coef, _ = _consumed_parts(monkeypatch, pieces, spec,
+                                                  4.0, 2 * spec.R)
+    assert np.array_equal(got_delta, delta)
+    assert np.array_equal(got_coef, coef)
+    want = l2sq_coeff(TorusField(spec, delta, coef))
+    assert val == want
+    assert square_norm(thetas, blocked, spec, 4.0) == want ** 0.25
     for s in dyadic_scales(spec.R):
         want = scale_cell_integrals(thetas, one, s, spec)
         for a, b in zip(scale_cell_integrals(thetas, blocked, s, spec), want):
             assert np.array_equal(a, b)
 
 
-def test_square_sum_peak_per_mode_pair():
+def test_square_sum_peak_per_mode_pair(monkeypatch):
     # the whole-field autocorrelation of the constant-weight lhs, 6 blocks
-    # at R = 256: square_sum's traced peak is one block of pairs and its
-    # joined offsets, and p = 4 holds one block and the |c_D|^2 buffer
+    # at R = 256: p = 4 holds one block and the |c_D|^2 buffer
     # (power_integral_bytes), not 70 bytes a (mode, mode) pair
     spec = GridSpec(256)
     f = random_band_field(spec, seed=0)
     tracemalloc.start()
     try:
-        got = square_sum([f], spec)
-        base, peak = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
         power_integral([f], spec, 4.0, spec.M)
-        peak4 = tracemalloc.get_traced_memory()[1] - base
+        peak4 = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    largest = max(len(key) for key, _, _ in torus.pair_products([f])[1])
-    assert peak <= torus.SQUARE_PAIR_BYTES * largest + 64 * len(got.amps)
     assert peak4 <= power_integral_bytes([f], 4.0, spec.M) \
         <= 40 * f.n_modes ** 2
     delta, coef = concatenated_square_sum([f])
-    assert np.array_equal(got.freqs, delta)
-    assert np.array_equal(got.amps, coef)
+    _, got_delta, got_coef, _ = _consumed_parts(monkeypatch, [f], spec, 4.0,
+                                                spec.M)
+    assert np.array_equal(got_delta, delta)
+    assert np.array_equal(got_coef, coef)
