@@ -570,6 +570,9 @@ def _pair_rows(cfg, ratio_key: str):
 
 def _run_broad_narrow(cfg):
     """Every p in turn draws the same fields and points per R."""
+    if cfg.trials < 1 or cfg.points < 1:
+        raise ValueError(f"trials and points must be >= 1; got "
+                         f"{cfg.trials} and {cfg.points}")
     rows, failed = [], []
     for p, R in itertools.product(cfg.p, cfg.R):
         spec = GridSpec(R)

@@ -497,11 +497,13 @@ def bilinear_trials(R_s: int, K: int, n_trials: int, seed):
     an s = 1/2 parent, exercising the rescaling; the rest use the unit
     parent at R = R_s directly.  Each trial draws its Y: the full plane,
     a ball through the pullback, or isolated lattice cells.  Returns the
-    reports.  K >= 2 children per parent width; K need not be a power of
-    two, since a trial splits its parent once.
+    n_trials >= 1 reports.  K >= 2 children per parent width; K need not
+    be a power of two, since a trial splits its parent once.
     """
     if not (isinstance(K, int) and K >= 2):
         raise ValueError(f"K must be an integer >= 2; got {K!r}")
+    if n_trials < 1:
+        raise ValueError(f"trials must be >= 1; got {n_trials}")
     rng = np.random.default_rng(seed)
     reports = []
     for _ in range(n_trials):

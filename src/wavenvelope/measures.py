@@ -247,6 +247,26 @@ def dual_tube_weight(spec: GridSpec, alpha: float = 1.0, k: int = 0) -> GridMeas
                        "weight", f"dual_tube(alpha={alpha},k={k})")
 
 
+def _lattice_axis_ranges(R: float, kappa: float, c: float, window: str):
+    """(pitch, first index, length) of each axis of the smallest tensor
+    grid of 2 pi R^kappa Z x 2 pi R^(2 kappa) Z holding the window's sites
+    (see lattice_sites), found without forming the axes."""
+    g1 = 2.0 * math.pi * R ** kappa
+    g2 = 2.0 * math.pi * R ** (2.0 * kappa)
+    if window == "ball":
+        m1, m2 = int(c * R / g1), int(c * R / g2)
+        return (g1, -m1, 2 * m1 + 1), (g2, -m2, 2 * m2 + 1)
+    if window == "corner":
+        return (g1, 0, int(R ** 0.5 / g1) + 1), (g2, 0, int(R / g2) + 1)
+    raise ValueError(f"unknown window {window!r}")
+
+
+def lattice_axis_lengths(R: float, kappa: float, c: float, window: str):
+    """Lengths of the axes a, b of lattice_sites, as integers: no axis or
+    mask is formed, so an estimate can refuse a grid too large to build."""
+    return tuple(n for _, _, n in _lattice_axis_ranges(R, kappa, c, window))
+
+
 def lattice_sites(R: float, kappa: float, c: float, window: str):
     """Sites of 2 pi R^kappa Z x 2 pi R^(2 kappa) Z inside the window.
 
@@ -254,17 +274,11 @@ def lattice_sites(R: float, kappa: float, c: float, window: str):
     Returns the axes a, b of the smallest tensor grid a x b holding the
     window's sites and the mask keep of those sites in it.
     """
-    g1 = 2.0 * math.pi * R ** kappa
-    g2 = 2.0 * math.pi * R ** (2.0 * kappa)
+    a, b = (np.arange(lo, lo + n) * g
+            for g, lo, n in _lattice_axis_ranges(R, kappa, c, window))
     if window == "ball":
-        a = np.arange(-int(c * R / g1), int(c * R / g1) + 1) * g1
-        b = np.arange(-int(c * R / g2), int(c * R / g2) + 1) * g2
         return a, b, np.hypot(a[:, None], b[None, :]) <= c * R
-    if window == "corner":
-        a = np.arange(0, int(R ** 0.5 / g1) + 1) * g1
-        b = np.arange(0, int(R / g2) + 1) * g2
-        return a, b, np.ones((len(a), len(b)), dtype=bool)
-    raise ValueError(f"unknown window {window!r}")
+    return a, b, np.ones((len(a), len(b)), dtype=bool)
 
 
 def _site_points(a, b, keep) -> np.ndarray:

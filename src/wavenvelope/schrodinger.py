@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import LATTICE_C, LATTICE_KAPPA, certificate_core, lattice_sites
+from .measures import (LATTICE_C, LATTICE_KAPPA, certificate_core,
+                       lattice_axis_lengths, lattice_sites)
 from .torus import (block_rows, cell_blocks, distinct, trig_sum,
                     trig_sum_bytes)
 
@@ -131,8 +132,9 @@ def propagator_at(freqs, amps, R: float, points=None,
 # ---------------------------------------------------------------------------
 # maximal average along tilted tubes
 
-# slopes per block of nikodym_max: at 32 a block's sums and window copies
-# stay in cache (0.16 s at R = 1024, against 0.31 s at 128)
+# slopes per block of nikodym_max: at 32 a block's sums and gathered
+# windows stay in cache up to R = 1024 (0.064 s there, against 0.12 s at
+# 128 and 0.063 s at 16)
 NIKODYM_SLOPES = 32
 # half width of the sampled x range and number of time rows of nikodym_grid
 NIKODYM_X_HALF = 3.0
@@ -175,23 +177,26 @@ def nikodym_max(g, R: int, dx: float):
             f"x range too small: need more than {2 * margin} columns "
             f"at dx = {dx:.6g} so every tilted tube stays inside")
 
-    P = np.zeros((n_t, n_x + 1))
-    np.cumsum(g, axis=1, out=P[:, 1:])
+    # box[i, c] = g[i, c] + ... + g[i, c + 2 hw], added left to right
+    n_box = n_x - 2 * hw
+    box = g[:, :n_box].copy()
+    for d in range(1, 2 * hw + 1):
+        box += g[:, d:d + n_box]
     denom = float(n_t * (2 * hw + 1))
     best = np.zeros(n_y)
     ws = np.arange(-R, R + 1) / R
     # base[k, i]: the tube's first column in row i at slope ws[k]
-    base = margin + np.rint(np.multiply.outer(ws, -2.0 * t) / dx).astype(
-        np.int64)
-    # window k of row i is P[i, k:k + n_y]; a block of slopes adds its rows
-    # of windows in the same order, one slope per row of acc
-    windows = [np.lib.stride_tricks.sliding_window_view(row, n_y) for row in P]
+    base = margin - hw + np.rint(
+        np.multiply.outer(ws, -2.0 * t) / dx).astype(np.int64)
+    # window k of row i is box[i, k:k + n_y]; a block of slopes adds its
+    # rows of windows in row order, one slope per row of acc
+    windows = [np.lib.stride_tricks.sliding_window_view(row, n_y)
+               for row in box]
     for j in range(0, len(ws), NIKODYM_SLOPES):
         rows = base[j:j + NIKODYM_SLOPES]
-        acc = np.zeros((len(rows), n_y))
-        for i, win in enumerate(windows):
-            acc += win[rows[:, i] + hw + 1]
-            acc -= win[rows[:, i] - hw]
+        acc = windows[0][rows[:, 0]]
+        for i in range(1, n_t):
+            acc += windows[i][rows[:, i]]
         np.maximum(best, acc.max(axis=0), out=best)
     return np.arange(margin, margin + n_y), best / denom
 
@@ -537,7 +542,10 @@ def packet_ratio(R: int, p_values, alpha: float) -> list:
 def _lattice_modes(R: float, kappa: float, n_quad: int):
     """Modes (xi, xi^2) of the lattice sum, (block, node, 2), and the node
     weights: Gauss-Legendre over [-1/R, 1/R] around each block center
-    l R^{-kappa} in [-1/2, 1/2]."""
+    l R^{-kappa} in [-1/2, 1/2].  kappa must lie in [0, 2/3], where the
+    fattened lattice's dimension 2 - 3 kappa lies in [0, 2]."""
+    if not 0.0 <= kappa <= 2.0 / 3.0:
+        raise ValueError(f"lattice kappa in [0, 2/3] required, got {kappa}")
     n_half = int(math.floor(0.5 * R ** kappa))
     ells = np.arange(-n_half, n_half + 1) * R ** -kappa
     nodes, wts = np.polynomial.legendre.leggauss(n_quad)
@@ -610,12 +618,12 @@ FLS_DEFAULT_R = {
 # Traced peak bytes of the arrays a family holds: per sample of the one
 # propagated chirp slice, with its FFT bins and moduli; per cell of a packet
 # block of time rows, its row entry, FFT bins and transform; per nikodym
-# sample, the sample and its prefix sum; per (slope, column) of a nikodym
-# block, its sums and two window copies over about a third of the columns.
+# sample, the sample, its modulus and its box sum; per (slope, tube column)
+# of a nikodym block, its sums and one gathered window.
 _CHIRP_SAMPLE_BYTES = 72
 _PACKET_CELL_BYTES = 48
 _NIKODYM_SAMPLE_BYTES = 24
-_NIKODYM_BLOCK_BYTES = 8
+_NIKODYM_BLOCK_BYTES = 16
 
 
 def fls_peak_bytes(family: str, R, kappa: float = LATTICE_KAPPA) -> float:
@@ -629,9 +637,8 @@ def fls_peak_bytes(family: str, R, kappa: float = LATTICE_KAPPA) -> float:
     """
     if family == "lattice":
         modes, _ = _lattice_modes(float(R), kappa, LATTICE_NODES)
-        a, b, _ = lattice_sites(float(R), kappa, LATTICE_C, "ball")
-        return trig_sum_bytes(modes.size // 2, axes=(len(a), len(b)),
-                              rows=5)
+        axes = lattice_axis_lengths(float(R), kappa, LATTICE_C, "ball")
+        return trig_sum_bytes(modes.size // 2, axes=axes, rows=5)
     if family == "chirp":
         return _CHIRP_SAMPLE_BYTES * _chirp_setup(int(R))[3]
     if family == "packet":
@@ -643,7 +650,7 @@ def fls_peak_bytes(family: str, R, kappa: float = LATTICE_KAPPA) -> float:
         x, t = nikodym_grid(int(R))
         return _NIKODYM_SAMPLE_BYTES * len(x) * len(t) \
             + 16 * (2 * int(R) + 1) * len(t) \
-            + _NIKODYM_BLOCK_BYTES * NIKODYM_SLOPES * len(x)
+            + _NIKODYM_BLOCK_BYTES * NIKODYM_SLOPES * 2 * int(R)
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -662,10 +669,13 @@ def fls_fits(family: str, p_values, R_values=None,
 
     One fit per p, in the order of p_values; each R is evaluated once for
     all of them, since only the final sums depend on p.  Each family reads
-    only its own parameters.
+    only its own parameters.  Every p must be finite and >= 1.
     """
     if family not in FLS_DEFAULT_R:
         raise ValueError(f"unknown family {family!r}")
+    for p in p_values:
+        if not 1 <= p < math.inf:
+            raise ValueError(f"finite p >= 1 required, got {p}")
     if R_values is None:
         R_values = FLS_DEFAULT_R[family]
     notes = f"eta = {ETA_NAME}"

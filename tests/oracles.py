@@ -526,25 +526,48 @@ def pointwise_lattice_ratio(R: float, p: float, kappa: float = 1.0 / 3.0,
 
 
 def nikodym_max_loop(g, R: int, dx: float) -> np.ndarray:
-    """The values of schrodinger.nikodym_max one slope at a time, each
-    slope's tube sums added row by row off the prefix sums."""
+    """The values of schrodinger.nikodym_max one slope at a time: each
+    row's box sums g[c] + ... + g[c + 2 hw] added left to right, and each
+    slope's tube sums added off them row by row, first row first."""
     g = np.abs(np.asarray(g, dtype=float))
     n_t, n_x = g.shape
     hw = max(1, int(round((1.0 / R) / dx)))
     t = (2.0 * (np.arange(n_t) + 0.5) / n_t) - 1.0
     margin = int(math.ceil(2.0 / dx)) + hw + 1
     n_y = n_x - 2 * margin
-    P = np.zeros((n_t, n_x + 1))
-    np.cumsum(g, axis=1, out=P[:, 1:])
+    box = g[:, :n_x - 2 * hw].copy()
+    for d in range(1, 2 * hw + 1):
+        box += g[:, d:n_x - 2 * hw + d]
     best = np.zeros(n_y)
     for w in np.arange(-R, R + 1) / R:
         shifts = np.rint(-2.0 * t * w / dx).astype(np.int64)
         acc = np.zeros(n_y)
         for i in range(n_t):
-            base = margin + shifts[i]
-            acc += P[i, base + hw + 1: base + hw + 1 + n_y]
-            acc -= P[i, base - hw: base - hw + n_y]
+            first = margin + shifts[i] - hw
+            acc += box[i, first:first + n_y]
         np.maximum(best, acc, out=best)
+    return best / float(n_t * (2 * hw + 1))
+
+
+def nikodym_max_fsum(g, R: int, dx: float, columns) -> np.ndarray:
+    """nikodym_max's values at the given output columns, each tube sum a
+    math.fsum of its samples (correctly rounded), one slope at a time."""
+    g = np.abs(np.asarray(g, dtype=float))
+    n_t, n_x = g.shape
+    hw = max(1, int(round((1.0 / R) / dx)))
+    t = (2.0 * (np.arange(n_t) + 0.5) / n_t) - 1.0
+    margin = int(math.ceil(2.0 / dx)) + hw + 1
+    columns = np.asarray(columns)
+    # the columns of the tube piece at output column 0 in an unshifted row
+    offsets = margin + np.arange(-hw, hw + 1)[None, :]
+    best = np.zeros(len(columns))
+    for w in np.arange(-R, R + 1) / R:
+        shifts = np.rint(-2.0 * t * w / dx).astype(np.int64)
+        cols = columns[:, None, None] + (shifts[:, None] + offsets)[None]
+        samples = g[np.arange(n_t)[None, :, None], cols]
+        sums = np.array(list(map(math.fsum,
+                                 samples.reshape(len(columns), -1).tolist())))
+        np.maximum(best, sums, out=best)
     return best / float(n_t * (2 * hw + 1))
 
 

@@ -638,8 +638,22 @@ def test_main_bad_format_exits_2_before_running(tmp_path, capsys):
     ["certificates", "--R", "1" + "0" * 400],
     ["bilinear", "--R", "16", "--K", "0"],
     ["bilinear", "--R", "16", "--K", "1"],
+    ["schrodinger-fls", "--family", "nikodym", "--p", "0"],
+    ["schrodinger-fls", "--family", "packet", "--p", "inf"],
+    ["schrodinger-fls", "--p", "-1"],
+    ["bilinear", "--R", "16", "--trials", "0"],
+    ["broad-narrow", "--R", "64", "--trials", "0", "--points", "10"],
+    ["broad-narrow", "--R", "64", "--trials", "1", "--points", "0"],
+    ["schrodinger-fls", "--family", "lattice", "--kappa", "0"],
+    ["schrodinger-fls", "--family", "lattice", "--kappa", "-1"],
+    ["schrodinger-fls", "--family", "lattice", "--kappa", "2"],
+    ["schrodinger-fls", "--family", "lattice", "--kappa", "nan"],
 ], ids=["fractional-R", "infinite-R", "nan-mem-cap", "nan-p", "negative-c",
-        "zero-R", "401-digit-R", "zero-K", "one-K"])
+        "zero-R", "401-digit-R", "zero-K", "one-K", "fls-zero-p",
+        "fls-infinite-p", "fls-negative-p", "bilinear-zero-trials",
+        "broad-narrow-zero-trials", "broad-narrow-zero-points",
+        "lattice-zero-kappa", "lattice-negative-kappa", "lattice-kappa-two",
+        "lattice-nan-kappa"])
 def test_main_refuses_bad_numbers(argv, capsys):
     assert cli.main(argv) == 2
     assert "error:" in capsys.readouterr().err

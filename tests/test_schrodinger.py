@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from wavenvelope import torus
 from wavenvelope.torus import trig_sum
 from wavenvelope import cli, schrodinger as sch
 
-from oracles import (direct_trig_sum, grid_points, nikodym_max_loop,
-                     pointwise_lattice_ratio)
+from oracles import (direct_trig_sum, grid_points, nikodym_max_fsum,
+                     nikodym_max_loop, pointwise_lattice_ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +197,40 @@ def test_nikodym_max_blocks_match_slope_loop(monkeypatch, R):
         assert np.array_equal(sch.nikodym_max(g, R, 1.0 / R)[1], want)
 
 
+@pytest.mark.parametrize("R, n_columns", [(64, None), (256, None),
+                                           (1024, 48)])
+def test_nikodym_max_is_near_the_fsum_of_each_tube(R, n_columns):
+    # every tube sum against the correctly rounded sum of its samples;
+    # differences of row prefix sums miss 2e-15 at each of these R
+    x, t = sch.nikodym_grid(R)
+    g = np.random.default_rng(R).standard_normal((len(t), len(x)))
+    idx, vals = sch.nikodym_max(g, R, 1.0 / R)
+    columns = np.arange(len(idx)) if n_columns is None else \
+        np.random.default_rng(R + 1).choice(len(idx), n_columns, replace=False)
+    want = nikodym_max_fsum(g, R, 1.0 / R, columns)
+    assert np.max(np.abs(vals[columns] / want - 1.0)) <= 2e-15
+
+
+def _half_step_grid(R):
+    """|x| <= 3 at spacing dx = 1/(2R): each tube piece spans 2 hw + 1 = 5
+    columns."""
+    dx = 0.5 / R
+    return np.arange(-6 * R, 6 * R + 1) * dx, dx
+
+
+def test_nikodym_max_at_half_step_matches_both_oracles(monkeypatch):
+    R = 64
+    x, dx = _half_step_grid(R)
+    g = np.random.default_rng(5).standard_normal((sch.NIKODYM_ROWS, len(x)))
+    idx, vals = sch.nikodym_max(g, R, dx)
+    want = nikodym_max_loop(g, R, dx)
+    assert np.array_equal(vals, want)
+    monkeypatch.setattr(sch, "NIKODYM_SLOPES", 3)
+    assert np.array_equal(sch.nikodym_max(g, R, dx)[1], want)
+    fsum = nikodym_max_fsum(g, R, dx, np.arange(len(idx)))
+    assert np.max(np.abs(vals / fsum - 1.0)) <= 2e-15
+
+
 def test_coarse_grid_rejected_with_resolution():
     R = 64
     with pytest.raises(ValueError, match="1/R"):
@@ -207,6 +242,39 @@ def test_maximal_ratio_slopes_stay_flat():
         fit = sch.nikodym_experiment(q, [64, 256, 1024], seed=1)
         assert fit.slope <= 0.1
         assert fit.passed
+
+
+def test_schrodinger_fls_checks_every_p_before_any_family_runs(monkeypatch,
+                                                               capsys):
+    def ran(*args):
+        raise AssertionError("a family ran")
+
+    for name in ("chirp_ratio", "packet_ratio", "lattice_ratio",
+                 "nikodym_ratio"):
+        monkeypatch.setattr(sch, name, ran)
+    assert cli.main(["schrodinger-fls", "--p", "3,0.5"]) == 2
+    assert "finite p >= 1 required, got 0.5" in capsys.readouterr().err
+
+
+def test_lattice_preflight_builds_no_site_mask():
+    # kappa = 0 puts 37,549 sites on each axis at R = 8^6: the estimate
+    # must come from the axis lengths, not from a 37,549^2 mask
+    tracemalloc.start()
+    est = sch.fls_peak_bytes("lattice", 8 ** 6, 0.0)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert est / 2 ** 20 > cli.ExperimentConfig().mem_cap_mb
+    assert peak < 2 ** 22
+
+
+@pytest.mark.parametrize("kappa", [0.25, 1.0 / 3.0, 0.5])
+def test_lattice_preflight_counts_the_site_axes(kappa):
+    for R in (4096, 32768, 262144, 8 ** 6):
+        modes, _ = sch._lattice_modes(float(R), kappa, sch.LATTICE_NODES)
+        a, b, _ = lattice_sites(float(R), kappa, sch.LATTICE_C, "ball")
+        want = torus.trig_sum_bytes(modes.size // 2, axes=(len(a), len(b)),
+                                    rows=5)
+        assert sch.fls_peak_bytes("lattice", R, kappa) == want
 
 
 # ---------------------------------------------------------------------------
