@@ -44,6 +44,15 @@ MUTANTS = [
     # nikodym_max: the average counts one row fewer
     ("schrodinger", "denom = float(n_t * (2 * hw + 1))",
      "denom = float((n_t - 1) * (2 * hw + 1))"),
+    # _packet_slab: the candidate window reaches one cell less on either
+    # side, so rows lose the slab cells at its ends
+    ("schrodinger", "k = int(reach / dx) + 1", "k = int(reach / dx)"),
+    # trig_sum: the amplitudes conjugated in the folded table
+    ("torus", "o[b] = E1 @ (a[:, None] * E2T)",
+     "o[b] = E1 @ (a[:, None].conj() * E2T)"),
+    # trig_sum: E2^T's phase with the wrong sign
+    ("torus", "E2T = phase_table(freqs[:, 1], x2)",
+     "E2T = phase_table(-freqs[:, 1], x2)"),
 ]
 
 _FIRST_FAILURE = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)

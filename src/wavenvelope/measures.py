@@ -247,6 +247,13 @@ def dual_tube_weight(spec: GridSpec, alpha: float = 1.0, k: int = 0) -> GridMeas
                        "weight", f"dual_tube(alpha={alpha},k={k})")
 
 
+def check_lattice_kappa(kappa: float) -> None:
+    """Refuse a lattice kappa outside [0, 2/3] (nan included), the range
+    where the fattened lattice's dimension 2 - 3 kappa lies in [0, 2]."""
+    if not 0.0 <= kappa <= 2.0 / 3.0:
+        raise ValueError(f"lattice kappa in [0, 2/3] required, got {kappa}")
+
+
 def _lattice_axis_ranges(R: float, kappa: float, c: float, window: str):
     """(pitch, first index, length) of each axis of the smallest tensor
     grid of 2 pi R^kappa Z x 2 pi R^(2 kappa) Z holding the window's sites
@@ -295,6 +302,7 @@ def lattice_weight(spec: GridSpec, kappa: float = LATTICE_KAPPA,
     below the cell size most sites trap no grid point at all; an empty
     result is legal and signalled by n_atoms == 0.
     """
+    check_lattice_kappa(kappa)
     sites = _site_points(*lattice_sites(spec.R, kappa, c, "ball"))
     return _fatten_sites(spec, sites, c, f"lattice(kappa={kappa},c={c})")
 
@@ -399,6 +407,7 @@ def candidate_atoms(family: str, spec: GridSpec, **params) -> float:
     if family == "dual-tube":
         return (spec.R / d + 5) * (math.isqrt(spec.R) / d + 5)
     if family == "lattice":
+        check_lattice_kappa(kw["kappa"])
         _, _, keep = lattice_sites(spec.R, kw["kappa"], kw["c"], "ball")
         return np.count_nonzero(keep) * (math.pi * (kw["c"] / d) ** 2 + 1)
     if family == "truncated-lattice":

@@ -26,9 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import (LATTICE_C, LATTICE_KAPPA, certificate_core,
-                       lattice_axis_lengths, lattice_sites)
-from .torus import (block_rows, cell_blocks, distinct, trig_sum,
-                    trig_sum_bytes)
+                       check_lattice_kappa, lattice_axis_lengths,
+                       lattice_sites)
+from .torus import (CELL_BUDGET, cell_blocks, distinct, phase_table,
+                    trig_sum, trig_sum_bytes)
 
 ETA_NAME = "squared half-sinc (sin(t/2)/(t/2))^2"
 
@@ -132,9 +133,10 @@ def propagator_at(freqs, amps, R: float, points=None,
 # ---------------------------------------------------------------------------
 # maximal average along tilted tubes
 
-# slopes per block of nikodym_max: at 32 a block's sums and gathered
-# windows stay in cache up to R = 1024 (0.064 s there, against 0.12 s at
-# 128 and 0.063 s at 16)
+# slopes per block of nikodym_max, at most CELL_BUDGET // 4 tube sums a
+# block: a block's sums and gathered windows stay in cache, 32 slopes up
+# to R = 1024 (0.064 s there, against 0.12 s at 128 and 0.063 s at 16)
+# and 8 at R = 4096 (1.10 s, against 2.07 s at 32)
 NIKODYM_SLOPES = 32
 # half width of the sampled x range and number of time rows of nikodym_grid
 NIKODYM_X_HALF = 3.0
@@ -149,6 +151,11 @@ def nikodym_grid(R: int):
     n_t = NIKODYM_ROWS
     t = (2.0 * (np.arange(n_t) + 0.5) / n_t) - 1.0
     return x, t
+
+
+def nikodym_block(n_y: int) -> int:
+    """Slopes per block of nikodym_max over n_y tube columns."""
+    return min(NIKODYM_SLOPES, max(1, CELL_BUDGET // 4 // n_y))
 
 
 def nikodym_max(g, R: int, dx: float):
@@ -192,8 +199,9 @@ def nikodym_max(g, R: int, dx: float):
     # rows of windows in row order, one slope per row of acc
     windows = [np.lib.stride_tricks.sliding_window_view(row, n_y)
                for row in box]
-    for j in range(0, len(ws), NIKODYM_SLOPES):
-        rows = base[j:j + NIKODYM_SLOPES]
+    step = nikodym_block(n_y)
+    for j in range(0, len(ws), step):
+        rows = base[j:j + step]
         acc = windows[0][rows[:, 0]]
         for i in range(1, n_t):
             acc += windows[i][rows[:, i]]
@@ -498,24 +506,40 @@ def _packet_setup(R: int):
 
 def _packet_slab(R: int, c: float, n_t: int):
     """Moduli of the propagated packet on its slab |x - 2t| <= c sqrt(R),
-    row by row over n_t time rows, and its modes, amplitudes, period and
-    grid size.  The rows are propagated CELL_BUDGET cells at a time and
-    only the slab moduli are kept."""
+    row by row over n_t time rows, each row's cells in grid order, and its
+    modes, amplitudes, period and grid size.
+
+    A row's slab is one run of consecutive cells of the period, so only a
+    window of reach/dx + 1 cells on either side of the row's center cell
+    is tested and summed: eta(t/R) sum_n a_n e^{i t xi_n^2} e^{i xi_n x}
+    at x = (first + m) dx is (row coefficients a_n e^{i t xi_n^2}
+    e^{i xi_n first dx}) @ (window table e^{i xi_n m dx}).  Both xi_n j dx
+    phases are 2 pi (n j mod n_x) / n_x, reduced in integers."""
     xi, amps, length, n_x = _packet_setup(R)
+    _, n = _line_lattice(xi, length)
     times = R * (2.0 * (np.arange(n_t) + 0.5) / n_t - 1.0)
-    x = np.arange(n_x) * (length / n_x)
+    dx = length / n_x
     half = length / 2.0
-    slab = []
-    for b in cell_blocks(n_t, n_x):
-        centers = np.mod(2.0 * times[b], length)
-        dist = np.abs(np.mod(x[None, :] - centers[:, None] + half, length)
-                      - half)
-        mask = dist <= c * math.sqrt(R)
-        del dist
-        rows = propagate(xi, amps, R, length, n_x, times[b])
-        slab.append(np.abs(rows[mask]))
-        del rows
-    return np.concatenate(slab), (xi, amps, length, n_x)
+    reach = c * math.sqrt(R)
+    centers = np.mod(2.0 * times, length)
+    k = int(reach / dx) + 1
+    first = np.rint(centers / dx).astype(np.int64) - k
+    cells = np.mod(first[:, None] + np.arange(2 * k + 1), n_x)
+    dist = np.abs(np.mod(cells * dx - centers[:, None] + half, length) - half)
+    turn = 2.0 * np.pi / n_x
+    rows = phase_table(times, xi ** 2)
+    rows *= np.exp(1j * turn * np.mod(np.multiply.outer(first, n), n_x))
+    rows *= amps
+    rows *= eta(times / R)[:, None]
+    window = np.exp(1j * turn * np.mod(
+        np.multiply.outer(n, np.arange(2 * k + 1)), n_x))
+    vals = np.abs(rows @ window)
+    # each row's cells in grid order, as a whole-row mask takes them: a
+    # window that wraps past the period's end is a rotation of that order
+    order = np.argsort(cells, axis=1)
+    keep = np.take_along_axis(dist <= reach, order, axis=1)
+    slab = np.take_along_axis(vals, order, axis=1)[keep]
+    return slab, (xi, amps, length, n_x)
 
 
 def packet_ratio(R: int, p_values, alpha: float) -> list:
@@ -542,10 +566,9 @@ def packet_ratio(R: int, p_values, alpha: float) -> list:
 def _lattice_modes(R: float, kappa: float, n_quad: int):
     """Modes (xi, xi^2) of the lattice sum, (block, node, 2), and the node
     weights: Gauss-Legendre over [-1/R, 1/R] around each block center
-    l R^{-kappa} in [-1/2, 1/2].  kappa must lie in [0, 2/3], where the
-    fattened lattice's dimension 2 - 3 kappa lies in [0, 2]."""
-    if not 0.0 <= kappa <= 2.0 / 3.0:
-        raise ValueError(f"lattice kappa in [0, 2/3] required, got {kappa}")
+    l R^{-kappa} in [-1/2, 1/2], for kappa in [0, 2/3]
+    (check_lattice_kappa)."""
+    check_lattice_kappa(kappa)
     n_half = int(math.floor(0.5 * R ** kappa))
     ells = np.arange(-n_half, n_half + 1) * R ** -kappa
     nodes, wts = np.polynomial.legendre.leggauss(n_quad)
@@ -616,12 +639,13 @@ FLS_DEFAULT_R = {
 
 
 # Traced peak bytes of the arrays a family holds: per sample of the one
-# propagated chirp slice, with its FFT bins and moduli; per cell of a packet
-# block of time rows, its row entry, FFT bins and transform; per nikodym
-# sample, the sample, its modulus and its box sum; per (slope, tube column)
-# of a nikodym block, its sums and one gathered window.
+# propagated chirp slice, with its FFT bins and moduli; per cell of the
+# packet's slab windows, its index, distance, sum and modulus, their grid
+# order and the slab moduli (56.2 at R = 4096, 52-61 at R = 1024 to
+# 65536); per nikodym sample, the sample, its modulus and its box sum; per
+# (slope, tube column) of a nikodym block, its sums and one gathered window.
 _CHIRP_SAMPLE_BYTES = 72
-_PACKET_CELL_BYTES = 48
+_PACKET_WINDOW_BYTES = 56
 _NIKODYM_SAMPLE_BYTES = 24
 _NIKODYM_BLOCK_BYTES = 16
 
@@ -631,9 +655,10 @@ def fls_peak_bytes(family: str, R, kappa: float = LATTICE_KAPPA) -> float:
 
     The lattice holds trig_sum's exponential tables over the site axes
     (its square-function grid is smaller); the chirp one propagated period
-    and its moduli; the packet one block of time rows and the slab moduli
-    (g0, one row, comes after the blocks); nikodym the nikodym_grid
-    samples, the tube offsets of every slope and one block of slopes.
+    and its moduli; the packet the windows of its slab rows (g0, one
+    propagated row beside the slab moduli, is smaller at every R); nikodym
+    the nikodym_grid samples, the tube offsets of every slope and one block
+    of slopes.
     """
     if family == "lattice":
         modes, _ = _lattice_modes(float(R), kappa, LATTICE_NODES)
@@ -643,14 +668,14 @@ def fls_peak_bytes(family: str, R, kappa: float = LATTICE_KAPPA) -> float:
         return _CHIRP_SAMPLE_BYTES * _chirp_setup(int(R))[3]
     if family == "packet":
         _, _, length, n_x = _packet_setup(int(R))
-        slab = PACKET_ROWS * (2.0 * PACKET_C * math.sqrt(R) * n_x / length + 1)
-        return _PACKET_CELL_BYTES * block_rows(PACKET_ROWS, n_x) * n_x \
-            + 8 * slab
+        k = int(PACKET_C * math.sqrt(R) / (length / n_x)) + 1
+        return _PACKET_WINDOW_BYTES * PACKET_ROWS * (2 * k + 1)
     if family == "nikodym":
         x, t = nikodym_grid(int(R))
+        n_y = 2 * int(R)
         return _NIKODYM_SAMPLE_BYTES * len(x) * len(t) \
-            + 16 * (2 * int(R) + 1) * len(t) \
-            + _NIKODYM_BLOCK_BYTES * NIKODYM_SLOPES * 2 * int(R)
+            + 16 * (n_y + 1) * len(t) \
+            + _NIKODYM_BLOCK_BYTES * nikodym_block(n_y) * n_y
     raise ValueError(f"unknown family {family!r}")
 
 

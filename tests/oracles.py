@@ -18,8 +18,8 @@ from wavenvelope.geometry import (Cap, cap_index_for_abscissa, caps_at_scale,
                                   theta_scale, tube_lattice_dims,
                                   wrap_envelope_index)
 from wavenvelope.measures import GridMeasure
-from wavenvelope.schrodinger import eta
-from wavenvelope.torus import (TWO_PI, GridSpec, TorusField,
+from wavenvelope.schrodinger import _packet_setup, eta, propagate
+from wavenvelope.torus import (TWO_PI, GridSpec, TorusField, cell_blocks,
                                random_band_field, synthesize)
 
 
@@ -455,6 +455,50 @@ def direct_trig_sum(freqs, amps, points) -> np.ndarray:
     freqs = np.asarray(freqs, dtype=float).reshape(-1, 2)
     ph = pts[:, 0:1] * freqs[None, :, 0] + pts[:, 1:2] * freqs[None, :, 1]
     return np.exp(1j * ph) @ np.asarray(amps, dtype=complex)
+
+
+def fsum_grid_trig_sum(freqs, amps, axes) -> np.ndarray:
+    """torus.trig_sum on the grid x1 x x2, entry by entry: the terms
+    a_k E1[j, k] E2T[k, l] of its double tables np.exp(1j * outer),
+    multiplied in long double and added by math.fsum of their double high
+    and low parts.  Each entry is then the sum of the same terms rounded
+    once, to about 1e-19 relative, where a double contraction rounds each
+    term's products and every addition."""
+    freqs = np.asarray(freqs, dtype=float).reshape(-1, 2)
+    x1, x2 = (np.asarray(x, dtype=float).ravel() for x in axes)
+    E1 = np.exp(1j * np.multiply.outer(x1, freqs[:, 0]))
+    E2T = np.exp(1j * np.multiply.outer(freqs[:, 1], x2))
+    a = np.asarray(amps, dtype=np.complex128).astype(np.clongdouble)
+    out = np.empty((len(x1), len(x2)), dtype=np.complex128)
+    for j, row in enumerate(E1.astype(np.clongdouble)):
+        terms = (row * a)[:, None] * E2T.astype(np.clongdouble)
+        for part, dst in ((terms.real, out.real), (terms.imag, out.imag)):
+            hi = part.astype(float)
+            lo = (part - hi).astype(float)
+            dst[j] = [math.fsum(np.concatenate([h, g]))
+                      for h, g in zip(hi.T, lo.T)]
+    return out
+
+
+def fft_packet_slab(R: int, c: float, n_t: int):
+    """schrodinger._packet_slab by whole propagated rows: each block of
+    time rows is one propagate call (an inverse FFT per row), and the slab
+    |x - 2t| <= c sqrt(R) is masked out of a whole-row distance table.
+    Returns the slab moduli, row by row in grid order, and the mask."""
+    xi, amps, length, n_x = _packet_setup(R)
+    times = R * (2.0 * (np.arange(n_t) + 0.5) / n_t - 1.0)
+    x = np.arange(n_x) * (length / n_x)
+    half = length / 2.0
+    slab, masks = [], []
+    for b in cell_blocks(n_t, n_x):
+        centers = np.mod(2.0 * times[b], length)
+        dist = np.abs(np.mod(x[None, :] - centers[:, None] + half, length)
+                      - half)
+        mask = dist <= c * math.sqrt(R)
+        rows = propagate(xi, amps, R, length, n_x, times[b])
+        slab.append(np.abs(rows[mask]))
+        masks.append(mask)
+    return np.concatenate(slab), np.concatenate(masks)
 
 
 def longdouble_lattice_sum(field, points, rows: int = 256) -> np.ndarray:

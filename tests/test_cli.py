@@ -648,12 +648,15 @@ def test_main_bad_format_exits_2_before_running(tmp_path, capsys):
     ["schrodinger-fls", "--family", "lattice", "--kappa", "-1"],
     ["schrodinger-fls", "--family", "lattice", "--kappa", "2"],
     ["schrodinger-fls", "--family", "lattice", "--kappa", "nan"],
+    ["kappa-scan", "--family", "lattice", "--kappa", "-1"],
+    ["kappa-scan", "--family", "lattice", "--kappa", "nan"],
 ], ids=["fractional-R", "infinite-R", "nan-mem-cap", "nan-p", "negative-c",
         "zero-R", "401-digit-R", "zero-K", "one-K", "fls-zero-p",
         "fls-infinite-p", "fls-negative-p", "bilinear-zero-trials",
         "broad-narrow-zero-trials", "broad-narrow-zero-points",
         "lattice-zero-kappa", "lattice-negative-kappa", "lattice-kappa-two",
-        "lattice-nan-kappa"])
+        "lattice-nan-kappa", "scan-lattice-negative-kappa",
+        "scan-lattice-nan-kappa"])
 def test_main_refuses_bad_numbers(argv, capsys):
     assert cli.main(argv) == 2
     assert "error:" in capsys.readouterr().err

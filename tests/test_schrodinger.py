@@ -16,8 +16,9 @@ from wavenvelope import torus
 from wavenvelope.torus import trig_sum
 from wavenvelope import cli, schrodinger as sch
 
-from oracles import (direct_trig_sum, grid_points, nikodym_max_fsum,
-                     nikodym_max_loop, pointwise_lattice_ratio)
+from oracles import (direct_trig_sum, fft_packet_slab, fsum_grid_trig_sum,
+                     grid_points, nikodym_max_fsum, nikodym_max_loop,
+                     pointwise_lattice_ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +230,16 @@ def test_nikodym_max_at_half_step_matches_both_oracles(monkeypatch):
     assert np.array_equal(sch.nikodym_max(g, R, dx)[1], want)
     fsum = nikodym_max_fsum(g, R, dx, np.arange(len(idx)))
     assert np.max(np.abs(vals / fsum - 1.0)) <= 2e-15
+
+
+def test_nikodym_slope_blocks_hold_a_quarter_budget_of_sums():
+    # 32 slopes up to R = 1024 and 8 at R = 4096, where 32 slopes' sums
+    # (2 MiB) fall out of cache
+    for R, slopes in ((64, 32), (256, 32), (1024, 32), (4096, 8)):
+        x, _ = sch.nikodym_grid(R)
+        n_y = len(x) - 2 * (2 * R + 2)  # the tube columns at dx = 1/R
+        assert sch.nikodym_block(n_y) == slopes
+        assert slopes * n_y <= torus.CELL_BUDGET // 4
 
 
 def test_coarse_grid_rejected_with_resolution():
@@ -467,6 +478,32 @@ def test_packet_family_slope_and_band():
     assert hi / lo < 2.0
 
 
+@pytest.mark.parametrize("R", [64, 256, 1024, 4096])
+def test_packet_slab_is_the_fft_rows_on_the_mask(R):
+    # as many cells as the whole-row mask, each within 1e-13 of the
+    # propagated row's value at the mask's cell in the mask's order; the
+    # windows of the rows near t = 0 wrap past the period's end, where the
+    # grid order is a rotation of the window's
+    got, _ = sch._packet_slab(R, sch.PACKET_C, sch.PACKET_ROWS)
+    want, mask = fft_packet_slab(R, sch.PACKET_C, sch.PACKET_ROWS)
+    assert len(got) == np.count_nonzero(mask)
+    assert np.max(np.abs(got - want) / want) <= 1e-13
+
+
+def test_packet_and_lattice_ratios_trace_small_peaks():
+    # the packet held its blocks of whole propagated rows (12.5 MiB at
+    # R = 4096) and the lattice a second E1-sized table (8.5 MiB)
+    for run, bound_mib in (
+            (lambda: sch.packet_ratio(4096, (3.0, 4.0), 1.5), 1.0),
+            (lambda: sch.lattice_ratio(262144, (3.0, 4.0), 1.0 / 3.0), 7.0)):
+        run()
+        tracemalloc.start()
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak <= bound_mib * 2 ** 20
+
+
 def test_lattice_family_slope():
     fit = sch.fls_experiment("lattice", 3.0,
                              R_values=(6 ** 6, 8 ** 6, 10 ** 6))
@@ -526,6 +563,51 @@ def test_lattice_grids_match_direct_sum(R, sq_tol):
         assert _max_rel(got, direct_trig_sum(block, w, pts)) <= sq_tol
 
 
+def test_phase_table_is_the_bits_of_exp_of_the_outer_phase():
+    rng = np.random.default_rng(3)
+    u = np.concatenate([rng.uniform(-1e5, 1e5, 50), [0.0, -0.0, 1e-300]])
+    v = np.concatenate([rng.uniform(-1.0, 1.0, 20), [0.0, -0.0, 1.0]])
+    got = torus.phase_table(u, v)
+    want = np.exp(1j * np.multiply.outer(u, v))
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_grid_trig_sum_is_as_near_fsum_as_the_old_contraction():
+    # E1 (a E2^T) rounds each term twice and then the additions, as
+    # (E1 a) E2^T did, so against the fsum of the same terms their errors
+    # are alike: pooled over these grids the RMS errors are 1.21e-16 and
+    # 1.19e-16 of each grid's largest entry, and the largest 8.0e-16 both.
+    # The bounds leave room for that spread, not for a coarser contraction
+    # (one single-precision rounding alone is 6e-8).
+    grid = 0.25 * (2.0 * (np.arange(9) + 0.5) / 9 - 1.0)
+    cases = []
+    for R in (256, 1024, 4096):
+        xi, amps, _, _ = sch._chirp_setup(R)
+        cases.append((np.column_stack([xi, xi ** 2]), amps, (grid, R + grid)))
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        cases.append((rng.uniform(-1.0, 1.0, size=(40, 2)),
+                      rng.standard_normal(40) + 1j * rng.standard_normal(40),
+                      (rng.uniform(-50, 50, 200), rng.uniform(-50, 50, 9))))
+    modes, w = sch._lattice_modes(32768.0, 1.0 / 3.0, 8)
+    a, b, _ = lattice_sites(32768.0, 1.0 / 3.0, 0.45, "ball")
+    cases.append((modes.reshape(-1, 2), np.tile(w, len(modes)), (a, b)))
+    new_sq = old_sq = new_max = old_max = 0.0
+    entries = 0
+    for freqs, amps, axes in cases:
+        want = fsum_grid_trig_sum(freqs, amps, axes)
+        E1 = np.exp(1j * np.multiply.outer(axes[0], freqs[:, 0]))
+        E2T = np.exp(1j * np.multiply.outer(freqs[:, 1], axes[1]))
+        scale = np.max(np.abs(want))
+        new = np.abs(trig_sum(freqs, amps, axes=axes) - want) / scale
+        old = np.abs((E1 * amps) @ E2T - want) / scale
+        new_sq, old_sq = new_sq + np.sum(new ** 2), old_sq + np.sum(old ** 2)
+        new_max, old_max = max(new_max, new.max()), max(old_max, old.max())
+        entries += want.size
+    assert math.sqrt(new_sq / entries) <= 1.1 * math.sqrt(old_sq / entries)
+    assert new_max <= 1.25 * old_max
+
+
 def test_trig_sum_amplitude_rows_and_points():
     rng = np.random.default_rng(2)
     freqs = rng.uniform(-1.0, 1.0, size=(7, 2))
@@ -560,8 +642,8 @@ def test_blocked_evaluators_bits_do_not_depend_on_budget(monkeypatch):
 
     want = run()
     monkeypatch.setattr(torus, "CELL_BUDGET", 3)
-    # 200 x1 rows, 147 lattice sites and 129 packet time rows each take
-    # several blocks, and the packet's lone last row joins the one before
+    # 200 x1 rows and 147 lattice sites each take several blocks, and a
+    # lone last row, as of 129 rows of 2048 cells, joins the one before
     assert torus.cell_blocks(129, 2048) == [slice(0, 64), slice(64, 129)]
     for got, ref in zip(run(), want):
         assert np.array_equal(got, ref)
