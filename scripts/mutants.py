@@ -53,6 +53,17 @@ MUTANTS = [
     # trig_sum: E2^T's phase with the wrong sign
     ("torus", "E2T = phase_table(freqs[:, 1], x2)",
      "E2T = phase_table(-freqs[:, 1], x2)"),
+    # group_sums: keys up to 2^32 - 1 sorted as int32, so those of 2^31
+    # and above wrap negative
+    ("torus", "return np.int32 if bound <= 1 << 31 else np.int64",
+     "return np.int32 if bound <= 1 << 32 else np.int64"),
+    # ScaleTubes: a cap's place in its block packed one bit short, onto
+    # the top bit of its tube keys
+    ("geometry", "places = np.arange(c) << self.key_bits",
+     "places = np.arange(c) << self.key_bits - 1"),
+    # ScaleTubes: the running key sum advanced by one cap per block, not
+    # by the block's caps
+    ("geometry", "else per_block * self.b", "else self.b"),
 ]
 
 _FIRST_FAILURE = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)

@@ -32,13 +32,14 @@ from dataclasses import (dataclass, field as dataclass_field,
 
 import numpy as np
 
-from .envelope import (W_BLOCK, cap_decompose, kappa_max, square_grid,
-                       square_norm, theta_pairs, verify_weighted_sq,
-                       window_profile)
+from .envelope import (W_BLOCK, cap_decompose, caps_per_block, kappa_max,
+                       square_grid, square_norm, theta_pairs,
+                       verify_weighted_sq, window_profile)
 from .decomp import (CertificateError, bilinear_peak_bytes, bilinear_trials,
                      broad_narrow, broad_narrow_peak_bytes, over_bound)
-from .geometry import (Cap, cap_index_for_abscissa, dyadic_scales,
-                       envelope_lattice_dims, theta_scale)
+from .geometry import (Cap, cap_index_for_abscissa, caps_at_scale,
+                       dyadic_scales, envelope_factor, envelope_lattice_dims,
+                       max_run_pieces, theta_scale)
 from .measures import (LATTICE_C, LATTICE_KAPPA, TRUNCATED_ALPHA, TRUNCATED_C,
                        candidate_atoms, make_weight, masses_at_bytes,
                        support_box)
@@ -395,18 +396,25 @@ def _verify_peak_bytes(cfg: "ExperimentConfig") -> float:
     return max(24 * pairs + max(est), *lhs)
 
 
-# kappa-scan: traced allocation peaks run 47-101 bytes per candidate atom
-# of the weight, plus the envelope tables cached on the weight: about 300
-# bytes per cap (335-280 for a ball of 13 atoms at R = 1024 to 16384) and
-# 24 bytes (key, H(U) and tube factor) per envelope of a cap that holds
-# atoms; a scale's per-cap tables and their concatenation are briefly
-# alive together.  A weight counted by atoms
+# kappa-scan: traced allocation peaks of a scan one cap at a time ran
+# 47-101 bytes per candidate atom of the weight, plus the envelope tables
+# cached on the weight: about 300 bytes per cap (335-280 for a ball of 13
+# atoms at R = 1024 to 16384) and 24 bytes (key, H(U) and tube factor) per
+# envelope of a cap that holds atoms; a scale's per-block tables and their
+# concatenation are briefly alive together.  A weight counted by atoms
 # (101 for the truncated lattice at R = 4096) holds per scale a, b, z2 and
 # the running sum v of the tube keys across the caps, and one key buffer;
 # one counted by row runs (58-62 for the dual tube at R = 64 to 4096, 47
-# for a ball of radius 20 at R = 256) peaks near its build.
+# for a ball of radius 20 at R = 256) peaks near its build.  A block of caps
+# (envelope_stats) holds its running sums, keys, group_sums's sort and
+# gather copies and the envelope keys' temporaries, and 8 bytes per tube
+# maximum at scales whose envelopes hold several tubes: re-traced, the
+# peak rose 31-59 bytes per block key above the per-cap scan's (the dual
+# tube at R = 256 and 64), taken as 24 since the estimate counts block
+# keys from candidate atoms, 1.3-2.1 times the atoms built.
 _SCAN_ATOM_BYTES = 72
 _SCAN_CAP_BYTES = 300
+_SCAN_BLOCK_KEY_BYTES = 24
 
 
 def _scan_envelopes(cfg, spec: GridSpec, atoms: float) -> float:
@@ -428,15 +436,36 @@ def _scan_envelopes(cfg, spec: GridSpec, atoms: float) -> float:
     return min(n, 3 * R)
 
 
+def _scan_block_bytes(cfg, spec: GridSpec, atoms: float) -> float:
+    """The largest block of caps of envelope_stats: its keys, the atoms or
+    the (run, tube) pieces of each cap, where a one-mass weight cut into
+    runs along the rows of its support box (b2/Delta + 1 rows, at most
+    one run per atom) gives fewer, and its tube maxima, all envelopes of
+    each cap where they hold several tubes."""
+    b2 = support_box(cfg.family, spec, **_scan_params(cfg))[1]
+    runs = min(atoms, b2 / spec.delta + 1)
+    most = 0.0
+    for s in dyadic_scales(spec.R):
+        caps = caps_at_scale(s)
+        per_cap = min(atoms, max_run_pieces(atoms, runs, s, spec))
+        N1U, N2U, _ = envelope_lattice_dims(caps[0], spec)
+        n_env = N1U * N2U if envelope_factor(caps[0], spec) > 1 else 0
+        block = min(len(caps), caps_per_block(int(per_cap), n_env))
+        most = max(most, block * (_SCAN_BLOCK_KEY_BYTES * per_cap
+                                  + 8 * n_env))
+    return most
+
+
 def _kappa_scan_peak_bytes(cfg: "ExperimentConfig") -> float:
     est = 0.0
     for R in cfg.R:
         spec = GridSpec(R)
         atoms = candidate_atoms(cfg.family, spec, **_scan_params(cfg))
         if atoms:
-            caps = sum(2 * round(1 / s) + 1 for s in dyadic_scales(R))
+            caps = sum(len(caps_at_scale(s)) for s in dyadic_scales(R))
             est = max(est, _SCAN_ATOM_BYTES * atoms + _SCAN_CAP_BYTES * caps
-                      + 24 * _scan_envelopes(cfg, spec, atoms))
+                      + 24 * _scan_envelopes(cfg, spec, atoms)
+                      + _scan_block_bytes(cfg, spec, atoms))
     return est
 
 

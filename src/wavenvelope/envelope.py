@@ -23,17 +23,16 @@ those coefficients runs one axis at a time and never holds the grid.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from itertools import repeat
 
 import numpy as np
 
-from .torus import (TWO_PI, TorusField, coef_power_integral, count_sums,
-                    group_sums, key_sums, lp_norm, pair_products,
-                    power_integral)
+from .torus import (CELL_BUDGET, TWO_PI, TorusField, coef_power_integral,
+                    count_sums, group_sums, key_sums, lp_norm,
+                    pair_products, power_integral)
 # locate_grid_tubes is not called here; the benchmark's self-test
 # (perfbench/test_harness.py) reads it as envelope.locate_grid_tubes
 from .geometry import (
-    Cap, cap_index_for_abscissa, caps_at_scale, dyadic_scales,
+    Cap, cap_index_for_abscissa, dyadic_scales,
     envelope_factor, envelope_lattice_dims, locate_grid_tubes,
     locate_scale_tubes, max_run_pieces, theta_scale)
 from .measures import GRID_FLOOR_EXP, GridMeasure
@@ -173,6 +172,19 @@ class ScaleStats:
         return c - (len(self.offsets) - 2) // 2
 
 
+# tube keys, and tube maxima, per block of caps of envelope_stats: 2^14,
+# whose int64 columns of 128 KiB were faster on a 2-vCPU VM than blocks of
+# 2^13 or 2^15 keys (ROADMAP's measured dead ends)
+BLOCK_KEYS = CELL_BUDGET // 16
+
+
+def caps_per_block(keys_per_cap: int, envelopes_per_cap: int) -> int:
+    """Caps in one block of envelope_stats: at most BLOCK_KEYS tube keys
+    and BLOCK_KEYS tube maxima (one per envelope of each cap, none where
+    the envelopes are the tubes), and at least one cap."""
+    return max(1, BLOCK_KEYS // max(keys_per_cap, envelopes_per_cap, 1))
+
+
 def envelope_stats(H: GridMeasure, s: float) -> ScaleStats:
     """Envelope keys, H(U) and (max_T H(T)/|T|)^(1/4) of every cap at
     scale s.
@@ -181,16 +193,26 @@ def envelope_stats(H: GridMeasure, s: float) -> ScaleStats:
     the scale (geometry.locate_scale_tubes).  A one-mass weight whose row
     runs (GridMeasure._row_runs) each cap cuts into fewer (run, tube)
     pieces than it has atoms (geometry.max_run_pieces) locates the runs'
-    first cells; each cap then sums its pieces' atom counts per tube
-    (ScaleTubes.cap_pieces), exact integers, and a tube's mass is the
-    running sum of the atom mass at its count (torus.count_sums), the bits
-    the atoms give.  Any other weight, and any scale where the runs would
-    not cut fewer pieces, locates the atoms, and each cap sums tube masses
-    on its keys (ScaleTubes.cap_keys, whose buffer group_sums may sort in
-    place: the next cap rewrites it).  Envelope masses and tube maxima (in
-    a row of all 16/s envelopes) follow by the exact nesting (an envelope
-    is a union of whole tubes).  None of it depends on p, so it is kept,
-    read-only, on H.
+    first cells, and its caps cut them into pieces with exact integer atom
+    counts (ScaleTubes.block_pieces); a tube's mass is the running sum of
+    the atom mass at its count (torus.count_sums), the bits the atoms
+    give.  Any other weight, and any scale where the runs would not cut
+    fewer pieces, locates the atoms, and its caps sum tube masses on their
+    keys (ScaleTubes.block_keys, whose buffer group_sums may sort in
+    place: the next block rewrites it).
+
+    Consecutive caps go in blocks of at most BLOCK_KEYS keys (one cap if
+    it holds more), each cap's place i in its block packed above its flat
+    keys: i N1 N2 + key.  N1 N2 and the envelope lattice are powers of
+    two, so packing and unpacking are shifts and masks, and one group_sums
+    call sums a whole block's tubes, on int32 copies of the keys wherever
+    they fit in 31 bits.  Within a cap the keys keep atom order, and every
+    group_sums branch adds in input order, so each sum has the bits the
+    cap alone gives.  Envelope masses and tube maxima (in a row of all
+    16/s envelopes of each cap of the block) follow by the exact nesting
+    (an envelope is a union of whole tubes) on envelope keys that keep the
+    places, and the places of the distinct envelope keys count each cap's
+    entries.  None of it depends on p, so it is kept, read-only, on H.
     """
     if H.is_full_constant:
         raise ValueError("constant weights take the closed-form path")
@@ -198,38 +220,56 @@ def envelope_stats(H: GridMeasure, s: float) -> ScaleStats:
     if hit is not None:
         return hit
     spec = H.spec
-    caps = caps_at_scale(s)
-    dims = envelope_lattice_dims(caps[0], spec)[:2]
-    E = envelope_factor(caps[0], spec)
-    parts = [(np.empty(0, np.int64), np.empty(0), np.empty(0))] * len(caps)
+    inv = int(round(1.0 / s))
+    first, n_caps = Cap(s, -inv), 2 * inv + 1
+    dims = envelope_lattice_dims(first, spec)[:2]
+    E = envelope_factor(first, spec)
+    n_env = dims[0] * dims[1]
+    env_bits = n_env.bit_length() - 1
+    parts = [(np.empty(0, np.int64), np.empty(0), np.empty(0),
+              np.zeros(n_caps, np.int64))]
     if H.n_atoms:
+        parts = []
         runs = H._row_runs
-        by_runs = runs is not None and max_run_pieces(
-            H.n_atoms, len(runs[2]), s, spec) < H.n_atoms
+        per_cap = H.n_atoms
+        if runs is not None:
+            per_cap = min(per_cap, max_run_pieces(H.n_atoms, len(runs[2]),
+                                                  s, spec))
+        by_runs = per_cap < H.n_atoms
+        per_block = caps_per_block(per_cap, n_env if E > 1 else 0)
         if by_runs:
             tubes = locate_scale_tubes(runs[0], runs[1], s, spec)
-            cuts = tubes.cap_pieces(caps[0].k, runs[2])
+            blocks = tubes.block_pieces(first.k, n_caps, per_block, runs[2])
         else:
             tubes = locate_scale_tubes(H.ij[:, 0], H.ij[:, 1], s, spec)
-            cuts = zip(tubes.cap_keys(caps[0].k), repeat(H.atom_mass))
-        for i, (cap, (keys, w)) in enumerate(zip(caps, cuts)):
-            tkeys, HT = group_sums(keys, w, tubes.N1 * tubes.N2)
+            w = H.atom_mass
+            if np.ndim(w):
+                w = np.tile(w, min(per_block, n_caps))
+            blocks = ((k, c, keys, w if np.ndim(w) == 0 else w[:len(keys)])
+                      for k, c, keys in tubes.block_keys(first.k, n_caps,
+                                                         per_block))
+        for k, c, keys, w in blocks:
+            ekeys, HT = group_sums(keys, w, c << tubes.key_bits)
             if by_runs:
                 HT = count_sums(H.atom_mass, HT)
-            if E == 1:
-                # envelopes are the tubes: HU = max_T H(T) = H(T) exactly
-                parts[i] = (tkeys, HT, HT)
-                continue
-            eflat = tubes.envelope_keys(tkeys, cap.k, E)
-            ekeys, HU = group_sums(eflat, HT, dims[0] * dims[1])
-            maxT = np.zeros(dims[0] * dims[1])
-            np.maximum.at(maxT, eflat, HT)
-            parts[i] = (ekeys, HU, maxT[ekeys])
-    offsets = np.cumsum([0] + [len(part[0]) for part in parts])
-    # join the columns and free the per-cap pieces before forming tubeT; at
-    # E == 1 maxT is HU, so its column is not joined
-    ekeys, HU, maxT = zip(*parts)
+            # at E == 1 the envelopes are the tubes: HU = max_T H(T) = H(T)
+            HU = maxT = HT
+            if E > 1:
+                eflat = tubes.envelope_keys(ekeys, k, c, E)
+                ekeys, HU = group_sums(eflat, HT, c << env_bits)
+                maxT = np.zeros(c << env_bits)
+                np.maximum.at(maxT, eflat, HT)
+                maxT = maxT[ekeys]
+            counts = (len(ekeys),)
+            if c > 1:
+                counts = np.bincount(ekeys >> env_bits, minlength=c)
+                ekeys &= n_env - 1
+            parts.append((ekeys, HU, maxT, counts))
+    # join the columns and free the per-block pieces before forming tubeT;
+    # at E == 1 maxT is HU, so its column is not joined
+    ekeys, HU, maxT, counts = zip(*parts)
     del parts
+    offsets = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
     ekeys, HU = np.concatenate(ekeys), np.concatenate(HU)
     maxT = HU if E == 1 else np.concatenate(maxT)
     tubeT = maxT / tube_area(s)

@@ -26,7 +26,7 @@ the power-of-four R of GridSpec.  This is the one place tube indices are made.
 Along a row (fixed j2) a grows by 2P per cell and z1 steps once every
 2D/2P = 1/(s Delta) cells, so a run of l consecutive j1 meets at most
 ceil(l s Delta) + 1 tubes of a cap, and its tube counts follow from its
-first cell (ScaleTubes.cap_pieces).
+first cell (ScaleTubes.block_pieces).
 
 Envelope indices divide tube indices by the dyadic integer E = R s^2 with
 the same shifted rounding, so each envelope is a block of exactly E^2 whole
@@ -157,31 +157,67 @@ class ScaleTubes:
         z1 = (self.a + k * self.b) >> self.shift
         return z1 & (self.N1 - 1) if self.wrap else z1
 
+    @property
+    def key_bits(self) -> int:
+        """log2(N1 N2): a cap's place in a block of caps sits above these
+        bits of its flat tube keys."""
+        return (self.N1 * self.N2).bit_length() - 1
+
     def keys(self, k: int) -> np.ndarray:
         """Flat wrapped tube keys z1 * N2 + z2 of cap k, in [0, N1 N2)."""
-        return next(self.cap_keys(k))
+        return next(self.block_keys(k, 1, 1))[2]
 
-    def cap_keys(self, k: int):
-        """keys(k), keys(k + 1), ... in one buffer, from a running sum of b:
-        v = a + k b shifted so z1's bits sit above z2's, masked, or z2."""
+    def _block_sums(self, k: int, n_caps: int, per_block: int):
+        """(first cap k', caps c, v, places) of caps k .. k + n_caps - 1 in
+        blocks of per_block consecutive caps (the last may hold fewer): v
+        holds a + (k' + i) b in row i, the running sum advanced by
+        per_block b from one block to the next, and places[i] = i << key_bits
+        marks cap k' + i's keys."""
         if not self.wrap:
             raise ValueError("flat tube keys need wrapped indices")
-        n2 = self.N2.bit_length() - 1
-        v, out = self.a + k * self.b, np.empty_like(self.a)
-        while True:
-            if n2 > self.shift:
-                np.multiply(v, 1 << (n2 - self.shift), out=out)
-            else:
-                np.right_shift(v, self.shift - n2, out=out)
-            out &= (self.N1 - 1) << n2
-            out |= self.z2
-            yield out
-            v += self.b
+        c = min(per_block, n_caps)
+        places = np.arange(c) << self.key_bits
+        v = np.tile(self.b, (c, 1))
+        v *= (k + np.arange(c))[:, None]
+        v += self.a
+        stride = self.b if per_block == 1 else per_block * self.b
+        for first in range(k, k + n_caps, per_block):
+            c = min(per_block, k + n_caps - first)
+            yield first, c, v[:c], places[:c]
+            v += stride
 
-    def cap_pieces(self, k: int, lengths: np.ndarray):
-        """(flat tube keys, atom counts as floats) of cap k, k + 1, ... for
+    def block_keys(self, k: int, n_caps: int, per_block: int):
+        """(first cap, caps c, keys) of caps k .. k + n_caps - 1 in blocks
+        of per_block consecutive caps (the last may hold fewer).  A block's
+        keys are i N1 N2 + keys(k' + i) of its caps k' + i in turn, i the
+        place of each in the block, made in one buffer from the running
+        sum v = a + k b: shifted so z1's bits sit above z2's, masked, and
+        or'd with z2 and the place, held for the block's caps."""
+        n2 = self.N2.bit_length() - 1
+        out = None
+        for first, c, v, places in self._block_sums(k, n_caps, per_block):
+            if out is None:
+                out = np.empty_like(v)
+                # each cap's z2 and place; one cap takes z2 as it is
+                low = self.z2[None]
+                if c > 1:
+                    low = np.tile(self.z2, (c, 1))
+                    low |= places[:, None]
+            if n2 > self.shift:
+                np.multiply(v, 1 << (n2 - self.shift), out=out[:c])
+            else:
+                np.right_shift(v, self.shift - n2, out=out[:c])
+            out[:c] &= (self.N1 - 1) << n2
+            out[:c] |= low[:c]
+            yield first, c, out[:c].reshape(-1)
+
+    def block_pieces(self, k: int, n_caps: int, per_block: int,
+                     lengths: np.ndarray):
+        """(first cap, caps c, flat tube keys, atom counts as floats) of
         runs of lengths consecutive j1 cells, each starting at its located
-        point, cut at the cap's tube boundaries into (run, tube) pieces.
+        point, cut at the tube boundaries of caps k .. k + n_caps - 1 into
+        (run, tube) pieces, in blocks of per_block consecutive caps as in
+        block_keys: a block's keys carry each cap's place above key_bits.
 
         Cell t of a run sits at a + t step, so g = (a + k b) >> log2(step)
         numbers the run's cells g, g + 1, ... and cell g + t lies in tube
@@ -190,43 +226,72 @@ class ScaleTubes:
         between them span cells each.  A key may repeat (a run as long as
         the row wraps onto its first tube); the caller sums per key.
         """
-        if not self.wrap:
-            raise ValueError("flat tube keys need wrapped indices")
         n2 = self.N2.bit_length() - 1
         lg = self.step.bit_length() - 1
         lq = self.shift - lg
         mask, span = self.N1 * self.N2 - 1, 1 << lq
         last_cell = lengths - 1
         steps = np.empty(0, np.int64)
-        v = self.a + k * self.b
-        while True:
+        for first_cap, c, v, places in self._block_sums(k, n_caps,
+                                                        per_block):
+            # one row of runs per cap of the block
             g = v >> lg
             last = g + last_cell
             first = g >> lq
-            n = (last >> lq) - first + 1
+            n = ((last >> lq) - first + 1).reshape(-1)
             ends = np.cumsum(n)
             starts = ends - n
             if len(steps) < ends[-1]:
                 steps = np.arange(ends[-1]) << n2
             # the tube of piece j of a run is first + j: one key per run,
             # its pieces' offsets added as one ramp over all pieces
-            keys = np.repeat((first - starts) << n2 | self.z2, n)
+            first -= starts.reshape(c, -1)
+            first <<= n2
+            first |= self.z2
+            keys = np.repeat(first.reshape(-1), n)
             keys += steps[:ends[-1]]
             keys &= mask
+            if c > 1:
+                cap_ends = ends[len(self.a) - 1::len(self.a)]
+                keys |= np.repeat(places, np.diff(cap_ends, prepend=0))
             counts = np.full(ends[-1], float(span))
-            counts[ends - 1] = (last & (span - 1)) + 1
-            counts[starts] = np.minimum(lengths, span - (g & (span - 1)))
-            yield keys, counts
-            v += self.b
+            last &= span - 1
+            last += 1
+            counts[ends - 1] = last.reshape(-1)
+            g &= span - 1
+            np.subtract(span, g, out=g)
+            np.minimum(g, lengths, out=g)
+            counts[starts] = g.reshape(-1)
+            yield first_cap, c, keys, counts
 
-    def envelope_keys(self, tkeys: np.ndarray, k: int, E: int) -> np.ndarray:
-        """Flat wrapped envelope keys of cap k's tube keys by shifts and
-        masks; e2 reaches N2U only past the seam, dragging e1 by 2k N2U."""
+    def envelope_keys(self, tkeys: np.ndarray, k: int, caps: int,
+                      E: int) -> np.ndarray:
+        """Flat wrapped envelope keys of a block of caps k .. k + caps - 1
+        from its tube keys by shifts and masks, each cap's place i kept
+        above log2(N1U N2U) bits; e2 reaches N2U only past the seam,
+        dragging e1 by 2(k + i) N2U."""
         lE, nU2 = E.bit_length() - 1, self.N2.bit_length() - E.bit_length()
-        e1 = ((tkeys >> (nU2 + lE)) + E // 2) >> lE
-        e2 = ((tkeys & (self.N2 - 1)) + E // 2) >> lE
-        e1 -= (e2 >> nU2) * (2 * k << nU2)
-        return (e1 & (self.N1 // E - 1)) << nU2 | e2 & ((1 << nU2) - 1)
+        n2 = self.N2.bit_length() - 1
+        e1 = tkeys >> n2
+        if caps > 1:
+            place = tkeys >> self.key_bits
+            e1 &= self.N1 - 1
+            k = place + k
+        e1 += E // 2
+        e1 >>= lE
+        e2 = tkeys & (self.N2 - 1)
+        e2 += E // 2
+        e2 >>= lE
+        drag = e2 >> nU2
+        drag *= 2 * k << nU2
+        e1 -= drag
+        e1 &= self.N1 // E - 1
+        e1 <<= nU2
+        e2 &= (1 << nU2) - 1
+        e1 |= e2
+        if caps > 1:
+            e1 |= place << self.key_bits - 2 * lE
+        return e1
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -238,7 +303,7 @@ def locate_scale_tubes(j1, j2, s: float, spec: GridSpec,
     """Locate grid points x = Delta*(j1, j2) in the tubes of scale s.
 
     All the per-point work that does not depend on the cap is done here,
-    once; ScaleTubes.cap_keys then costs an add, a shift, a mask and an or
+    once; ScaleTubes.block_keys then costs an add, a shift, a mask and an or
     per point and cap.
     """
     j1 = np.asarray(j1, dtype=np.int64)
@@ -264,7 +329,7 @@ def locate_scale_tubes(j1, j2, s: float, spec: GridSpec,
 
 def max_run_pieces(n_cells: int, n_runs: int, s: float,
                    spec: GridSpec) -> int:
-    """The most (run, tube) pieces ScaleTubes.cap_pieces cuts n_runs runs
+    """The most (run, tube) pieces ScaleTubes.block_pieces cuts n_runs runs
     of n_cells cells in all into at one cap of scale s: a tube spans
     span = 1/(s Delta) cells of a row, so a run of l cells meets at most
     (l - 1) // span + 2 tubes, and the runs at most

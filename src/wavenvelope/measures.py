@@ -326,9 +326,12 @@ def _fatten_sites(spec: GridSpec, sites: np.ndarray, c: float,
     return GridMeasure(spec, ij, np.full(len(ij), d * d), "weight", label)
 
 
-def _truncated_sites(R: int, alpha: float, c: float):
-    """Corner-window sites of the truncated lattice, kappa = (2 - alpha)/6."""
-    return lattice_sites(R, (2.0 - alpha) / 6.0, c, "corner")
+def check_truncated_alpha(alpha: float) -> None:
+    """Refuse a truncated-lattice alpha outside (1, 2) (nan included)
+    before any site axis or mask is formed."""
+    if not 1.0 < alpha < 2.0:
+        raise ValueError(f"truncated lattice alpha in (1, 2) required, "
+                         f"got {alpha}")
 
 
 def truncated_lattice_weight(spec: GridSpec, alpha: float = TRUNCATED_ALPHA,
@@ -341,9 +344,9 @@ def truncated_lattice_weight(spec: GridSpec, alpha: float = TRUNCATED_ALPHA,
     R-independent, which is what the two-branch weight exponents see;
     c <= 0.28 keeps the lumped density a legal weight on the default grid.
     """
-    if not 1.0 < alpha < 2.0:
-        raise ValueError("alpha in (1, 2)")
-    sites = _site_points(*_truncated_sites(spec.R, alpha, c))
+    check_truncated_alpha(alpha)
+    sites = _site_points(*lattice_sites(spec.R, (2.0 - alpha) / 6.0, c,
+                                        "corner"))
     ij = distinct(np.rint(sites / spec.delta).astype(np.int64) % spec.M)
     mass = np.full(len(ij), math.pi * c * c)
     return GridMeasure(spec, ij, mass, "weight",
@@ -411,7 +414,9 @@ def candidate_atoms(family: str, spec: GridSpec, **params) -> float:
         _, _, keep = lattice_sites(spec.R, kw["kappa"], kw["c"], "ball")
         return np.count_nonzero(keep) * (math.pi * (kw["c"] / d) ** 2 + 1)
     if family == "truncated-lattice":
-        return float(_truncated_sites(spec.R, kw["alpha"], kw["c"])[2].size)
+        check_truncated_alpha(kw["alpha"])
+        return float(math.prod(lattice_axis_lengths(
+            spec.R, (2.0 - kw["alpha"]) / 6.0, kw["c"], "corner")))
     if family == "parabolic-box":
         return float(sum(math.ceil(rho / d) * math.ceil(rho * rho / d)
                          for _, _, rho in kw["boxes"]))

@@ -650,16 +650,27 @@ def test_main_bad_format_exits_2_before_running(tmp_path, capsys):
     ["schrodinger-fls", "--family", "lattice", "--kappa", "nan"],
     ["kappa-scan", "--family", "lattice", "--kappa", "-1"],
     ["kappa-scan", "--family", "lattice", "--kappa", "nan"],
+    # refused by the alpha range before the preflight forms any site mask
+    ["kappa-scan", "--family", "truncated-lattice", "--alpha", "100",
+     "--R", "4096", "--p", "2"],
+    ["kappa-scan", "--family", "truncated-lattice", "--alpha", "3",
+     "--R", "65536", "--p", "2"],
+    ["kappa-scan", "--family", "truncated-lattice", "--alpha", "nan",
+     "--R", "4096", "--p", "2"],
 ], ids=["fractional-R", "infinite-R", "nan-mem-cap", "nan-p", "negative-c",
         "zero-R", "401-digit-R", "zero-K", "one-K", "fls-zero-p",
         "fls-infinite-p", "fls-negative-p", "bilinear-zero-trials",
         "broad-narrow-zero-trials", "broad-narrow-zero-points",
         "lattice-zero-kappa", "lattice-negative-kappa", "lattice-kappa-two",
         "lattice-nan-kappa", "scan-lattice-negative-kappa",
-        "scan-lattice-nan-kappa"])
+        "scan-lattice-nan-kappa", "scan-truncated-alpha-100",
+        "scan-truncated-alpha-3", "scan-truncated-alpha-nan"])
 def test_main_refuses_bad_numbers(argv, capsys):
     assert cli.main(argv) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    if "truncated-lattice" in argv:
+        assert "alpha in (1, 2) required" in err
 
 
 def test_main_allows_an_infinite_memory_cap(capsys):

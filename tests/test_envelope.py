@@ -12,7 +12,8 @@ from wavenvelope.torus import (GridSpec, TorusField, point_eval,
                                lp_norm)
 from wavenvelope.geometry import (Cap, cap_index_for_abscissa, caps_at_scale,
                                   dyadic_scales, envelope_factor,
-                                  envelope_lattice_dims, theta_scale)
+                                  envelope_lattice_dims, theta_scale,
+                                  tube_lattice_dims)
 from wavenvelope.measures import (GridMeasure, ball_weight, constant_weight,
                                   make_weight)
 from wavenvelope.cli import PAIR_FAMILIES, make_field
@@ -480,21 +481,44 @@ def _oracle_weights(spec):
     return weights
 
 
+# caps per block of envelope_stats: its own choice (None), one cap, two and
+# three (which do not divide the 2/s + 1 caps of a scale below s = 1, nor
+# of most scales), and every cap of the scale in one block
+BLOCKS = (None, 1, 2, 3, 10 ** 9)
+
+
+def _block_stats(monkeypatch, H, s):
+    """envelope_stats(H, s) with each of BLOCKS caps per block, computed
+    anew for each; the last, envelope_stats' own choice, stays cached."""
+    out = []
+    for per_block in BLOCKS[1:] + BLOCKS[:1]:
+        with monkeypatch.context() as m:
+            if per_block is not None:
+                m.setattr(env, "caps_per_block", lambda *_: per_block)
+            H._envelope_stats.pop(s, None)
+            out.append(env.envelope_stats(H, s))
+    return out
+
+
 @pytest.mark.parametrize("R", [16, 64, 256])
-def test_kappa_tables_bit_equal_per_cap_oracle(R):
+def test_kappa_tables_bit_equal_per_cap_oracle(monkeypatch, R):
+    # every cap, the seam caps k = -1/s and 1/s among them, of every weight,
+    # varied masses among them, in blocks of each of BLOCKS caps
     spec = GridSpec(R)
     for H in _oracle_weights(spec):
         for s in dyadic_scales(R):
+            blocks = _block_stats(monkeypatch, H, s)
             for cap in caps_at_scale(s):
                 ekeys, HU, maxT, dims = per_cap_envelope_stats(H, cap)
-                st = env.envelope_stats(H, s)
-                sl = st.cap_slice(cap.k)
-                assert st.dims == dims
                 tubeT = (maxT / env.tube_area(s)) ** 0.25
-                for got, want in ((st.ekeys[sl], ekeys), (st.HU[sl], HU),
-                                  (st.tubeT[sl], tubeT)):
-                    assert got.dtype == want.dtype
-                    assert np.array_equal(got, want), (H.label, s, cap.k)
+                for st in blocks:
+                    sl = st.cap_slice(cap.k)
+                    assert st.dims == dims
+                    for got, want in ((st.ekeys[sl], ekeys),
+                                      (st.HU[sl], HU),
+                                      (st.tubeT[sl], tubeT)):
+                        assert got.dtype == want.dtype
+                        assert np.array_equal(got, want), (H.label, s, cap.k)
                 for p in (2.0, 3.0, 4.0):
                     vals = env.kappa_table(H, p, cap)[1]
                     want = tubeT * \
@@ -506,33 +530,44 @@ def test_kappa_tables_bit_equal_per_cap_oracle(R):
 @pytest.mark.parametrize("R", [16, 64, 256])
 def test_envelope_stats_every_branch_matches_oracle(monkeypatch, R, ratio):
     # all tube and envelope sums by the packed sort, then all by dense
-    # bincounts, against the np.unique oracle with // and %
+    # bincounts, against the np.unique oracle with // and %, in blocks of
+    # each of BLOCKS caps
     monkeypatch.setattr(torus, "DENSE_KEYS_PER_ATOM", ratio)
     spec = GridSpec(R)
     for H in _oracle_weights(spec):
         for s in dyadic_scales(R):
-            st = env.envelope_stats(H, s)
+            blocks = _block_stats(monkeypatch, H, s)
             for cap in caps_at_scale(s):
-                sl = st.cap_slice(cap.k)
                 ekeys, HU, maxT, _ = per_cap_envelope_stats(H, cap)
                 want = (ekeys, HU, (maxT / env.tube_area(s)) ** 0.25)
-                for got, w in zip((st.ekeys[sl], st.HU[sl], st.tubeT[sl]),
-                                  want):
-                    assert got.dtype == w.dtype
-                    assert got.tobytes() == w.tobytes(), (H.label, s, cap.k)
+                for st in blocks:
+                    sl = st.cap_slice(cap.k)
+                    for got, w in zip((st.ekeys[sl], st.HU[sl],
+                                       st.tubeT[sl]), want):
+                        assert got.dtype == w.dtype
+                        assert got.tobytes() == w.tobytes(), \
+                            (H.label, s, cap.k)
 
 
 @pytest.mark.parametrize("R", [16, 64, 256])
 def test_run_weights_are_counted_per_piece(monkeypatch, R):
     # the oracle tests above see the run path: each one-mass run weight is
     # cut into fewer pieces than it has atoms at every cap of every scale,
-    # and the varied masses of the same support are summed per atom
+    # and the varied masses of the same support are summed per atom.  A
+    # block's tube keys carry each cap's place above log2(N1 N2) bits, so
+    # the places count each cap's pieces
     seen = []
     real = env.group_sums
 
     def recording(keys, weights, size):
-        seen.append((len(keys), np.ndim(weights)))
+        seen.append((keys.copy(), np.ndim(weights), size))
         return real(keys, weights, size)
+
+    def per_cap(s, tube_sums):
+        N1, N2, _ = tube_lattice_dims(Cap(s, 0), GridSpec(R))
+        return np.concatenate([np.bincount(keys // (N1 * N2),
+                                           minlength=size // (N1 * N2))
+                               for keys, _, size in tube_sums])
 
     monkeypatch.setattr(env, "group_sums", recording)
     *one_mass, varied = _run_weights(GridSpec(R))
@@ -542,11 +577,14 @@ def test_run_weights_are_counted_per_piece(monkeypatch, R):
             env.envelope_stats(H, s)
             tube_sums = seen[::1 if envelope_factor(Cap(s, 0), H.spec) == 1
                              else 2]
-            assert len(tube_sums) == len(caps_at_scale(s))
-            assert all(n < H.n_atoms and ndim == 1 for n, ndim in tube_sums)
+            pieces = per_cap(s, tube_sums)
+            assert len(pieces) == len(caps_at_scale(s))
+            assert pieces.max() < H.n_atoms
+            assert all(ndim == 1 for _, ndim, _ in tube_sums)
     seen.clear()
     env.envelope_stats(varied, 1.0)
-    assert seen[0] == (varied.n_atoms, 1)
+    assert seen[0][1] == 1
+    assert list(per_cap(1.0, seen[:1])) == [varied.n_atoms] * 3
 
 
 def test_row_runs_kept_only_where_a_scale_counts_by_them():

@@ -131,11 +131,19 @@ def test_scale_locator_matches_per_cap_oracle(R):
             raw.keys(0)
 
 
+def _block_sizes(n_caps):
+    """Caps per block: one, two, three (which does not divide 2/s + 1 for
+    s < 1), and every cap of the scale."""
+    return sorted({1, 2, 3, n_caps})
+
+
 @pytest.mark.parametrize("R", [4, 16, 64, 256])
 def test_running_sum_keys_match_each_cap(R):
-    # the running sum of cap_keys, started at the first cap (k < 0), at
-    # k = 0 and at the last cap, gives every cap's keys(k); each cap's
-    # envelope keys are the flat envelope_index_of_tube, wrap_envelope_index
+    # the running sum of block_keys, started at the first cap (k < 0), at
+    # k = 0 and at the last cap, in blocks of 1, 2, 3 and all caps, gives
+    # every cap's keys(k) at its place in its block; each block's envelope
+    # keys are the flat envelope_index_of_tube, wrap_envelope_index at the
+    # same places
     spec = GridSpec(R)
     rng = np.random.default_rng(R + 1)
     j1 = rng.integers(0, spec.M, 2000)
@@ -143,22 +151,34 @@ def test_running_sum_keys_match_each_cap(R):
                          spec.M - 1 - np.arange(1000) % spec.M])
     for s in dyadic_scales(R):
         tubes = locate_scale_tubes(j1, j2, s, spec)
+        size = tubes.N1 * tubes.N2
+        assert size == 1 << tubes.key_bits
         caps = caps_at_scale(s)
-        for start in (0, len(caps) // 2, len(caps) - 1):
-            run = tubes.cap_keys(caps[start].k)
-            for cap in caps[start:]:
-                keys = next(run)
-                z1, z2 = grid_tube_index(j1, j2, cap, spec)
-                assert np.array_equal(keys, z1 * tubes.N2 + z2)
-                assert np.array_equal(keys, tubes.keys(cap.k))
-                if start:
-                    continue
-                E = envelope_factor(cap, spec)
-                N1U, N2U, _ = envelope_lattice_dims(cap, spec)
-                e1, e2 = wrap_envelope_index(
-                    *envelope_index_of_tube(z1, z2, E), cap, spec)
-                assert np.array_equal(tubes.envelope_keys(keys, cap.k, E),
-                                      e1 * N2U + e2)
+        E = envelope_factor(caps[0], spec)
+        N1U, N2U, _ = envelope_lattice_dims(caps[0], spec)
+        for per_block in _block_sizes(len(caps)):
+            for start in (0, len(caps) // 2, len(caps) - 1):
+                seen = []
+                for k, c, keys in tubes.block_keys(
+                        caps[start].k, len(caps) - start, per_block):
+                    assert keys.dtype == np.int64
+                    assert c == min(per_block, caps[-1].k + 1 - k)
+                    ekeys = tubes.envelope_keys(keys, k, c, E)
+                    for i in range(c):
+                        cap = Cap(s, k + i)
+                        own = keys[i * len(j1):(i + 1) * len(j1)]
+                        z1, z2 = grid_tube_index(j1, j2, cap, spec)
+                        assert np.array_equal(own, i * size + z1 * tubes.N2
+                                              + z2)
+                        assert np.array_equal(own - i * size,
+                                              tubes.keys(cap.k))
+                        e1, e2 = wrap_envelope_index(
+                            *envelope_index_of_tube(z1, z2, E), cap, spec)
+                        assert np.array_equal(
+                            ekeys[i * len(j1):(i + 1) * len(j1)],
+                            (i * N1U + e1) * N2U + e2)
+                        seen.append(cap.k)
+                assert seen == [cap.k for cap in caps[start:]]
 
 
 @pytest.mark.parametrize("R", [4, 16, 64, 256])
@@ -167,7 +187,7 @@ def test_run_pieces_count_each_caps_atoms(R):
     # onto their first tube), some in rows on the z2 seam: per cap, the
     # pieces' counts add up to each tube's atom count, a cap cuts at most
     # max_run_pieces pieces, and the running sum gives the same pieces
-    # started at any cap
+    # started at any cap, in blocks of 1, 2, 3 and all caps
     spec = GridSpec(R)
     rng = np.random.default_rng(R + 2)
     n = 40
@@ -184,16 +204,35 @@ def test_run_pieces_count_each_caps_atoms(R):
         runs = locate_scale_tubes(j1, j2, s, spec)
         size = runs.N1 * runs.N2
         caps = caps_at_scale(s)
-        pieces = runs.cap_pieces(caps[0].k, lengths)
-        for cap, (keys, counts) in zip(caps, pieces):
-            assert len(keys) <= max_run_pieces(len(a1), n, s, spec)
-            assert counts.min() >= 1
-            assert np.array_equal(
-                np.bincount(keys, weights=counts, minlength=size),
-                np.bincount(atoms.keys(cap.k), minlength=size))
-            mid = next(runs.cap_pieces(cap.k, lengths))
-            assert all(np.array_equal(x, y)
-                       for x, y in zip(mid, (keys, counts)))
+        alone = {}
+        for per_block in _block_sizes(len(caps)):
+            seen = []
+            for k, c, keys, counts in runs.block_pieces(
+                    caps[0].k, len(caps), per_block, lengths):
+                assert keys.dtype == np.int64
+                place = keys >> runs.key_bits
+                assert np.all(np.diff(place) >= 0)
+                assert counts.min() >= 1
+                for i in range(c):
+                    cap = Cap(s, k + i)
+                    own = place == i
+                    assert own.sum() <= max_run_pieces(len(a1), n, s, spec)
+                    assert np.array_equal(
+                        np.bincount(keys[own] - i * size,
+                                    weights=counts[own], minlength=size),
+                        np.bincount(atoms.keys(cap.k), minlength=size))
+                    if per_block == 1:
+                        alone[cap.k] = keys, counts
+                        mid = next(runs.block_pieces(cap.k, 1, 1,
+                                                     lengths))[2:]
+                        assert all(np.array_equal(x, y) for x, y
+                                   in zip(mid, (keys, counts)))
+                    else:
+                        assert np.array_equal(keys[own] - i * size,
+                                              alone[cap.k][0])
+                        assert np.array_equal(counts[own], alone[cap.k][1])
+                    seen.append(cap.k)
+            assert seen == [cap.k for cap in caps]
 
 
 @pytest.mark.parametrize("L,delta", [(12.0, 1.0 / 3.0), (12.0, 0.5)])

@@ -6,6 +6,7 @@ within the documented doubling factor.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -159,6 +160,34 @@ def test_candidate_atoms_follow_the_builders():
         == ms.make_weight("truncated-lattice", spec).n_atoms
     with pytest.raises(TypeError):
         ms.candidate_atoms("ball", SPEC, radius=1.0)
+
+
+def test_truncated_lattice_estimate_forms_no_mask():
+    # the count is the product of the corner window's axis lengths, the
+    # size of the all-true site mask, and no mask is formed: at R = 4^15
+    # and alpha = 1.01 the mask would hold about 30M sites.  An alpha
+    # outside (1, 2) is refused by both the count and the builder before
+    # any axis exists (alpha = 3 at R = 65536 once formed a 259 x 420,527
+    # mask before the estimate refused it)
+    for R in (64, 4096, 65536):
+        for alpha in (1.01, 1.5, 1.99):
+            _, _, keep = ms.lattice_sites(R, (2.0 - alpha) / 6.0, 0.25,
+                                          "corner")
+            assert ms.candidate_atoms("truncated-lattice", GridSpec(R),
+                                      alpha=alpha) == keep.size
+    big = GridSpec(4 ** 15)
+    tracemalloc.start()
+    try:
+        n = ms.candidate_atoms("truncated-lattice", big, alpha=1.01)
+        for alpha in (3.0, 100.0, float("nan"), 1.0, 2.0):
+            for build in (ms.candidate_atoms, ms.make_weight):
+                with pytest.raises(ValueError, match="alpha in"):
+                    build("truncated-lattice", GridSpec(65536), alpha=alpha)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert n > 2.5e7
+    assert peak < 2 ** 16
 
 
 def test_lattice_support_oracle():

@@ -290,6 +290,35 @@ def test_group_sums_past_the_packing_bound():
         assert all(g.tobytes() == v.tobytes() for g, v in zip(got, want))
 
 
+def test_group_sums_on_both_sides_of_the_int32_bound():
+    # keys sort as int32 where they fit in 31 bits: key spaces of 2^31 - 1
+    # and 2^31 (keys up to 2^31 - 1), and 2^31 + 1 (a key of 2^31 needs
+    # int64); packed with 10 index bits, size << 10 on both sides of 2^31.
+    # One-mass, real and complex weights, keys at the top of the space and
+    # in the middle: the keys are int64, and keys and sums are the
+    # np.unique oracle's
+    rng = np.random.default_rng(23)
+    n = 1000
+    assert torus.sort_dtype(2 ** 31) == np.int32
+    assert torus.sort_dtype(2 ** 31 + 1) == np.int64
+    w = rng.uniform(0.0, 1.0, n)
+    cplx = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    bound = 2 ** 31 >> (n - 1).bit_length()
+    for size in (2 ** 31 - 1, 2 ** 31, 2 ** 31 + 1,
+                 bound - 1, bound, bound + 1):
+        for keys in (size - 1 - rng.integers(0, 300, n),
+                     rng.integers(0, size, n)):
+            for weights in (0.1, w, cplx):
+                got = torus.group_sums(keys.copy(), weights, size)
+                ones = np.full(n, weights) if np.ndim(weights) == 0 \
+                    else weights
+                want = unique_sums(keys, ones)
+                assert got[0].dtype == np.int64, size
+                for g, v in zip(got, want):
+                    assert g.dtype == v.dtype
+                    assert g.tobytes() == v.tobytes(), size
+
+
 def test_distinct_is_np_unique():
     rng = np.random.default_rng(6)
     for shape in [(0,), (1,), (500,), (0, 2), (1, 2), (500, 2)]:
