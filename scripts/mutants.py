@@ -44,6 +44,8 @@ MUTANTS = [
     # nikodym_max: the average counts one row fewer
     ("schrodinger", "denom = float(n_t * (2 * hw + 1))",
      "denom = float((n_t - 1) * (2 * hw + 1))"),
+    # nikodym_max: each worker thread skips the last of its slope blocks
+    ("schrodinger", "for j in starts:", "for j in starts[:-1]:"),
     # _packet_slab: the candidate window reaches one cell less on either
     # side, so rows lose the slab cells at its ends
     ("schrodinger", "k = int(reach / dx) + 1", "k = int(reach / dx)"),
@@ -57,6 +59,9 @@ MUTANTS = [
     # and above wrap negative
     ("torus", "return np.int32 if bound <= 1 << 31 else np.int64",
      "return np.int32 if bound <= 1 << 32 else np.int64"),
+    # in_ball: the per-cell displacement table starts one cell late
+    ("measures", "table = _axis_disp(np.arange(lo, hi + 1), spec, c)",
+     "table = _axis_disp(np.arange(lo + 1, hi + 2), spec, c)"),
     # ScaleTubes: a cap's place in its block packed one bit short, onto
     # the top bit of its tube keys
     ("geometry", "places = np.arange(c) << self.key_bits",

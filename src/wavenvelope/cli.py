@@ -408,64 +408,69 @@ def _verify_peak_bytes(cfg: "ExperimentConfig") -> float:
 # for a ball of radius 20 at R = 256) peaks near its build.  A block of caps
 # (envelope_stats) holds its running sums, keys, group_sums's sort and
 # gather copies and the envelope keys' temporaries, and 8 bytes per tube
-# maximum at scales whose envelopes hold several tubes: re-traced, the
-# peak rose 31-59 bytes per block key above the per-cap scan's (the dual
-# tube at R = 256 and 64), taken as 24 since the estimate counts block
-# keys from candidate atoms, 1.3-2.1 times the atoms built.
+# maximum at scales whose envelopes hold several tubes: traced per scale,
+# a block rose 55 (lattice at R = 1024) to 75 (truncated lattice at
+# R = 4096) bytes per key above the tables before it, taken as 48 since
+# the per-atom and per-cap terms charge the rest.
 _SCAN_ATOM_BYTES = 72
 _SCAN_CAP_BYTES = 300
-_SCAN_BLOCK_KEY_BYTES = 24
+_SCAN_BLOCK_KEY_BYTES = 48
 
 
-def _scan_envelopes(cfg, spec: GridSpec, atoms: float) -> float:
-    """Envelopes of all caps holding atoms of the weight.  Per cap (s, k)
-    at most its atoms and the envelopes its support's box b1 x b2 meets:
-    they lie in rows R high, each row's envelopes R s wide along x1 + 2c
-    x2, c = k s, so the box meets b2/R + 1 rows and in each (b1 + 2|c|
-    min(b2, R))/(R s) + 1 envelopes, on average over where it falls.  In
-    all at most about 3R, as the slab-shaped supports (dual tube,
-    truncated lattice), the widest-spread of the scanned families, hold
-    (2.8-4.0 R at R = 64 to 4096): a sparse lattice meets fewer envelopes
-    than its box."""
+def _scan_envelopes(cfg, spec: GridSpec, atoms: float) -> list:
+    """Envelopes of all caps holding atoms of the weight, per scale, coarse
+    to fine.  Per cap (s, k) at most its atoms and the envelopes its
+    support's box b1 x b2 meets: they lie in rows R high, each row's
+    envelopes R s wide along x1 + 2c x2, c = k s, so the box meets b2/R + 1
+    rows and in each (b1 + 2|c| min(b2, R))/(R s) + 1 envelopes, on average
+    over where it falls."""
     b1, b2 = support_box(cfg.family, spec, **_scan_params(cfg))
-    R, n = spec.R, 0.0
+    R, out = spec.R, []
     for s in dyadic_scales(R):
         c = s * np.abs(np.arange(-round(1 / s), round(1 / s) + 1))
         met = (b2 / R + 1) * ((b1 + 2 * c * min(b2, R)) / (R * s) + 1)
-        n += float(np.minimum(met, atoms).sum())
-    return min(n, 3 * R)
+        out.append(float(np.minimum(met, atoms).sum()))
+    return out
 
 
-def _scan_block_bytes(cfg, spec: GridSpec, atoms: float) -> float:
-    """The largest block of caps of envelope_stats: its keys, the atoms or
-    the (run, tube) pieces of each cap, where a one-mass weight cut into
-    runs along the rows of its support box (b2/Delta + 1 rows, at most
-    one run per atom) gives fewer, and its tube maxima, all envelopes of
-    each cap where they hold several tubes."""
+def _scan_block_bytes(cfg, spec: GridSpec, atoms: float) -> list:
+    """The largest block of caps of envelope_stats at each scale, coarse
+    to fine: its keys, the atoms or the (run, tube) pieces of each cap,
+    where a one-mass weight cut into runs along the rows of its support box
+    (b2/Delta + 1 rows, at most one run per atom) gives fewer, and its tube
+    maxima, all envelopes of each cap where they hold several tubes."""
     b2 = support_box(cfg.family, spec, **_scan_params(cfg))[1]
     runs = min(atoms, b2 / spec.delta + 1)
-    most = 0.0
+    out = []
     for s in dyadic_scales(spec.R):
         caps = caps_at_scale(s)
         per_cap = min(atoms, max_run_pieces(atoms, runs, s, spec))
         N1U, N2U, _ = envelope_lattice_dims(caps[0], spec)
         n_env = N1U * N2U if envelope_factor(caps[0], spec) > 1 else 0
         block = min(len(caps), caps_per_block(int(per_cap), n_env))
-        most = max(most, block * (_SCAN_BLOCK_KEY_BYTES * per_cap
-                                  + 8 * n_env))
-    return most
+        out.append(block * (_SCAN_BLOCK_KEY_BYTES * per_cap + 8 * n_env))
+    return out
 
 
 def _kappa_scan_peak_bytes(cfg: "ExperimentConfig") -> float:
+    """The weight's atoms and cap tables, and the most the scan holds at
+    once: the scales run coarse to fine, each keeping its envelope tables,
+    so a scale's largest block lives beside the tables of the coarser
+    scales, and the last scale's beside all of them (at most about 3R
+    envelopes, as the slab-shaped supports, the widest-spread of the
+    scanned families, hold: 2.8-4.0 R at R = 64 to 4096)."""
     est = 0.0
     for R in cfg.R:
         spec = GridSpec(R)
         atoms = candidate_atoms(cfg.family, spec, **_scan_params(cfg))
         if atoms:
             caps = sum(len(caps_at_scale(s)) for s in dyadic_scales(R))
-            est = max(est, _SCAN_ATOM_BYTES * atoms + _SCAN_CAP_BYTES * caps
-                      + 24 * _scan_envelopes(cfg, spec, atoms)
-                      + _scan_block_bytes(cfg, spec, atoms))
+            kept = np.minimum(np.cumsum(
+                [0.0, *_scan_envelopes(cfg, spec, atoms)]), 3 * R)
+            blocks = [*_scan_block_bytes(cfg, spec, atoms), 0.0]
+            live = max(24 * n + b for n, b in zip(kept, blocks))
+            est = max(est, _SCAN_ATOM_BYTES * atoms
+                      + _SCAN_CAP_BYTES * caps + live)
     return est
 
 

@@ -130,11 +130,11 @@ def broad_narrow(field: TorusField, points, p: float,
 
     f_vals = sum(vals[m].values())
     lhs = np.abs(f_vals) ** p
-    narrow = sum(np.abs(v) ** p for v in vals[m].values())
 
     C_stage = 2.0 ** (p - 1) * float(NEIGHBORHOOD) ** p
 
     npts = len(pts)
+    narrow = np.zeros(npts)
     pair_sum = np.zeros(npts)
     cert_pairs = np.zeros(npts)
     for level in range(1, m + 1):
@@ -144,6 +144,11 @@ def broad_narrow(field: TorusField, points, p: float,
         for kp in vals[level - 1]:
             live = [k for k in kids[level][kp] if k in level_vals]
             mag = [np.abs(level_vals[k]) for k in live]
+            if level == m:
+                # every theta lies under one parent and the parents run in
+                # ascending k, so narrow adds |f_theta|^p in theta order
+                for a in mag:
+                    narrow += a ** p
             best = np.zeros(npts)
             for ai in range(len(live)):
                 for bi in range(ai + 1, len(live)):
@@ -288,10 +293,14 @@ def _merge_pieces(pieces, spec) -> TorusField:
     whose halves add in piece order; modes come out ascending."""
     freqs = np.concatenate([pc.freqs for pc in pieces])
     amps = np.concatenate([pc.amps for pc in pieces])
-    modes, inv = np.unique(freqs, axis=0, return_inverse=True)
+    # one int64 key per mode, ascending as the (n1, n2) rows are
+    lo = freqs.min(axis=0)
+    key = (freqs[:, 0] - lo[0]) * (int(np.ptp(freqs[:, 1])) + 1) \
+        + (freqs[:, 1] - lo[1])
+    _, first, inv = np.unique(key, return_index=True, return_inverse=True)
     coef = np.bincount(inv, weights=amps.real) \
         + 1j * np.bincount(inv, weights=amps.imag)
-    return TorusField(spec, modes, coef)
+    return TorusField(spec, freqs[first], coef)
 
 
 def _collect_children(field: TorusField, parent: Cap, child1: Cap,
@@ -402,17 +411,25 @@ def bilinear_check(pair: BilinearPair, Y) -> BilinearReport:
     int_B = float(prod2.sum()) * h * h
 
     if Y is None:
-        mask = np.ones(n * n, dtype=bool)
+        # the whole plane: B and Y-tilde is B, every cell full
+        int_BY, max_cell_ratio = int_B, 1.0
     else:
         # physical point is L_tau x; Y-tilde = L_tau^{-1}(Y)
         L = pair.parent.transforms()[2]
-        mask = Y(np.column_stack([np.repeat(axes[0], n), np.tile(axes[1], n)])
-                 @ np.asarray(L).T)
-    int_BY = float(prod2[mask].sum()) * h * h
-
-    # per-unit-cell occupancy of Y-tilde
-    counts = mask.reshape(n_cells, npq, n_cells, npq).sum(axis=(1, 3))
-    max_cell_ratio = float(counts.max()) / (npq * npq)
+        grid = np.empty((n, n, 2))
+        grid[:, :, 0] = axes[0][:, None]
+        grid[:, :, 1] = axes[1]
+        phys = grid.reshape(n * n, 2) @ np.asarray(L).T
+        del grid
+        mask = Y(phys)
+        del phys
+        int_BY = float(prod2[mask].sum()) * h * h
+        # per-unit-cell occupancy of Y-tilde, summed slice by slice on
+        # uint8 (at most npq^2 per cell)
+        cells = mask.view(np.uint8).reshape(n_cells, npq, n_cells, npq)
+        counts = sum(cells[:, a, :, b] for a in range(npq)
+                     for b in range(npq))
+        max_cell_ratio = float(counts.max()) / (npq * npq)
 
     sigma = side / 2
     n1w = np.sqrt(max(_gauss_weighted_l2sq(pair.g1, center, sigma), 0.0))

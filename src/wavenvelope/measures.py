@@ -144,12 +144,21 @@ class GridMeasure:
         if self.n_atoms == 0:
             return np.zeros(len(points), dtype=bool)
         M = self.spec.M
-        jj = np.floor(points / self.spec.delta + 0.5).astype(np.int64) % M
-        keys = jj[:, 0] * M + jj[:, 1]
+        j1, j2 = (_grid_cells(x, self.spec) for x in np.asarray(points).T)
+        keys = j1 * M + j2
         # ij is lexsorted, so its keys i * M + j are already ascending
         occupied = self.ij[:, 0] * M + self.ij[:, 1]
         pos = np.minimum(np.searchsorted(occupied, keys), len(occupied) - 1)
         return occupied[pos] == keys
+
+
+def _grid_cells(x, spec: GridSpec) -> np.ndarray:
+    """The grid cell floor(x/Delta + 1/2) mod M of each coordinate x, as
+    int64; reduced by a floor division, which numpy does several times
+    faster than its int64 %."""
+    j = np.floor(x / spec.delta + 0.5).astype(np.int64)
+    j -= spec.M * (j // spec.M)
+    return j
 
 
 def _torus_disp(a, b, L: float):
@@ -167,19 +176,15 @@ def constant_weight(spec: GridSpec, lam: float = 1.0) -> GridMeasure:
                        f"constant({lam})")
 
 
-def _in_ball_cells(cells, spec: GridSpec, rho: float, center) -> np.ndarray:
-    """The ball test of ball_weight on grid cells, given as one array of
-    exact integers per axis (any dtype; they broadcast).  Each cell is
-    taken to the builder's candidate, the center cell plus an offset in
-    [-M/2, M/2), and kept when its wrapped distance to center is at most
-    rho."""
+def _axis_disp(j, spec: GridSpec, c: float) -> np.ndarray:
+    """One axis of the ball test of ball_weight on grid cells j (exact
+    integers, any dtype): each cell is taken to the builder's candidate,
+    the center cell plus an offset in [-M/2, M/2), and its wrapped
+    displacement from the center coordinate c returned."""
     M, d = spec.M, spec.delta
-    disp = []
-    for j, c in zip(cells, center):
-        c_idx = np.rint(c / d)
-        j = c_idx + (j - c_idx + M // 2) % M - M // 2
-        disp.append(_torus_disp(d * j, c, spec.L))
-    return np.hypot(*disp) <= rho * (1 + 1e-12)
+    c_idx = np.rint(c / d)
+    j = c_idx + (j - c_idx + M // 2) % M - M // 2
+    return _torus_disp(d * j, c, spec.L)
 
 
 def ball_weight(spec: GridSpec, rho: float = 1.0, center=(0.0, 0.0)) -> GridMeasure:
@@ -197,7 +202,9 @@ def ball_weight(spec: GridSpec, rho: float = 1.0, center=(0.0, 0.0)) -> GridMeas
     lo = min(r_cells + 1, M // 2)
     jj = np.arange(-lo, min(r_cells + 2, M - lo), dtype=np.int64)
     j1, j2 = jj + c_idx[0], jj + c_idx[1]
-    i1, i2 = np.nonzero(_in_ball_cells((j1[:, None], j2), spec, rho, cz))
+    disp1, disp2 = _axis_disp(j1, spec, cz[0]), _axis_disp(j2, spec, cz[1])
+    i1, i2 = np.nonzero(np.hypot(disp1[:, None], disp2)
+                        <= rho * (1 + 1e-12))
     ij = np.stack([j1[i1], j2[i2]], axis=1) % M
     return GridMeasure(spec, ij, np.full(len(ij), d * d), "weight",
                        f"ball({rho})")
@@ -206,13 +213,24 @@ def ball_weight(spec: GridSpec, rho: float = 1.0, center=(0.0, 0.0)) -> GridMeas
 def in_ball(points, spec: GridSpec, rho: float, center) -> np.ndarray:
     """Whether the grid cell floor(x/Delta + 1/2) of each physical point x
     is an atom of ball_weight(spec, rho, center), bit for bit, without
-    building the ball."""
+    building the ball.
+
+    An axis's displacement depends only on its cell mod M, so the cells
+    are reduced mod M and each distinct one's displacement is taken once,
+    from a table over the range they occupy; the distance test stays per
+    point."""
     points = np.asarray(points, dtype=float)
     if rho >= 0.5 * spec.L:
         return np.ones(len(points), dtype=bool)
-    # one axis at a time, so no (n, 2) temporary is held
-    cells = (np.floor(x / spec.delta + 0.5) for x in points.T)
-    return _in_ball_cells(cells, spec, rho, np.asarray(center, dtype=float))
+    if not len(points):
+        return np.zeros(0, dtype=bool)
+    disp = []
+    for x, c in zip(points.T, np.asarray(center, dtype=float)):
+        cells = _grid_cells(x, spec)
+        lo, hi = cells.min(), cells.max()
+        table = _axis_disp(np.arange(lo, hi + 1), spec, c)
+        disp.append(table[cells - lo])
+    return np.hypot(*disp) <= rho * (1 + 1e-12)
 
 
 def dual_tube_weight(spec: GridSpec, alpha: float = 1.0, k: int = 0) -> GridMeasure:
@@ -307,23 +325,28 @@ def lattice_weight(spec: GridSpec, kappa: float = LATTICE_KAPPA,
     return _fatten_sites(spec, sites, c, f"lattice(kappa={kappa},c={c})")
 
 
+def _fatten_offsets(spec: GridSpec, sites: np.ndarray, c: float):
+    """The fattening test of each site, one offset of the (2r + 1)^2 box
+    of cells around its nearest cell at a time, r = ceil(c/Delta): yields
+    (cells, within), the (n, 2) cell indices (integer-valued floats) and
+    whether each lies at most c from its site (one offset, finding none,
+    at c < 0)."""
+    d = spec.delta
+    r = max(int(math.ceil(c / d)), 0)
+    base = np.rint(sites / d)
+    for a in range(-r, r + 1):
+        for b in range(-r, r + 1):
+            cells = base + (a, b)
+            yield cells, np.hypot(*(d * cells - sites).T) <= c * (1 + 1e-12)
+
+
 def _fatten_sites(spec: GridSpec, sites: np.ndarray, c: float,
                   label: str) -> GridMeasure:
-    M, d = spec.M, spec.delta
-    r_cells = int(math.ceil(c / d))
-    jj = np.arange(-r_cells, r_cells + 1, dtype=np.int64)
-    DJ1, DJ2 = np.meshgrid(jj, jj, indexing="ij")
-    dj = np.stack([DJ1.ravel(), DJ2.ravel()], axis=1)
-    out = []
-    for site in sites:
-        cand = np.rint(site / d).astype(np.int64) + dj
-        dist = np.hypot(*(d * cand.astype(float) - site).T)
-        out.append(cand[dist <= c * (1 + 1e-12)])
-    if out:
-        ij = distinct(np.concatenate(out) % M)
-    else:
-        ij = np.empty((0, 2), dtype=np.int64)
-    return GridMeasure(spec, ij, np.full(len(ij), d * d), "weight", label)
+    kept = [cells[within] for cells, within
+            in _fatten_offsets(spec, sites, c)]
+    ij = distinct(np.concatenate(kept).astype(np.int64) % spec.M)
+    return GridMeasure(spec, ij, np.full(len(ij), spec.delta ** 2),
+                       "weight", label)
 
 
 def check_truncated_alpha(alpha: float) -> None:
@@ -391,8 +414,9 @@ def make_weight(family: str, spec: GridSpec, **params) -> GridMeasure:
 def candidate_atoms(family: str, spec: GridSpec, **params) -> float:
     """Grid points the builder of family holds at once, without building it.
 
-    A ball or dual tube tests a box of candidates; a lattice keeps about
-    pi (c/Delta)^2 + 1 points per site and a truncated lattice one; a
+    A ball or dual tube tests a box of candidates; a lattice keeps the
+    points within c of each site, counted by its builder's own test
+    without joining them, and a truncated lattice one per site; a
     parabolic box of side rho covers at most ceil(rho/Delta) x
     ceil(rho^2/Delta) points.  The parameters, and their defaults, are the
     builder's; the constant weight holds no atoms.
@@ -411,8 +435,10 @@ def candidate_atoms(family: str, spec: GridSpec, **params) -> float:
         return (spec.R / d + 5) * (math.isqrt(spec.R) / d + 5)
     if family == "lattice":
         check_lattice_kappa(kw["kappa"])
-        _, _, keep = lattice_sites(spec.R, kw["kappa"], kw["c"], "ball")
-        return np.count_nonzero(keep) * (math.pi * (kw["c"] / d) ** 2 + 1)
+        sites = _site_points(*lattice_sites(spec.R, kw["kappa"], kw["c"],
+                                            "ball"))
+        return float(sum(np.count_nonzero(within) for _, within
+                         in _fatten_offsets(spec, sites, kw["c"])))
     if family == "truncated-lattice":
         check_truncated_alpha(kw["alpha"])
         return float(math.prod(lattice_axis_lengths(

@@ -20,8 +20,10 @@ ExponentFit.
 from __future__ import annotations
 
 import math
+import os
 import sys
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -138,6 +140,12 @@ def propagator_at(freqs, amps, R: float, points=None,
 # to R = 1024 (0.064 s there, against 0.12 s at 128 and 0.063 s at 16)
 # and 8 at R = 4096 (1.10 s, against 2.07 s at 32)
 NIKODYM_SLOPES = 32
+# blocks of fewer tube sums than this stay on the calling thread: on a
+# 2-vCPU VM two threads took nikodym_max from 73 to 48-54 ms at R = 1024
+# (blocks of 2^16 sums) and from 39 to 31 ms at 768, left it at 18 ms at
+# 512 (2^15), and took it from 5.7 to 9.4 ms at 256 (2^14), whose small
+# gathers wait on each other
+NIKODYM_THREAD_SUMS = CELL_BUDGET // 8
 # half width of the sampled x range and number of time rows of nikodym_grid
 NIKODYM_X_HALF = 3.0
 NIKODYM_ROWS = 33
@@ -158,6 +166,24 @@ def nikodym_block(n_y: int) -> int:
     return min(NIKODYM_SLOPES, max(1, CELL_BUDGET // 4 // n_y))
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    reports one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def nikodym_threads(n_slopes: int, n_y: int) -> int:
+    """Worker threads of nikodym_max over n_slopes slopes and n_y tube
+    columns: one per usable CPU and at most one per block of slopes, or
+    one where a block holds fewer than NIKODYM_THREAD_SUMS tube sums."""
+    step = nikodym_block(n_y)
+    if step * n_y < NIKODYM_THREAD_SUMS:
+        return 1
+    return min(usable_cpus(), -(-n_slopes // step))
+
+
 def nikodym_max(g, R: int, dx: float):
     """Maximal tube average sup_w avg_{T_w + (y,0)} |g|.
 
@@ -166,6 +192,11 @@ def nikodym_max(g, R: int, dx: float):
     |x - y + 2 t w| <= 1/R, and the average counts samples (so a constant
     g averages to that constant exactly).  w runs over [-1, 1] with
     spacing 1/R.  Returns (column indices usable as y, values).
+
+    The blocks of slopes are dealt out to nikodym_threads worker threads,
+    each with its own block buffer and running maximum; a maximum is
+    exact in any order, so the values are the same bits on any number of
+    CPUs.
     """
     g = np.abs(np.asarray(g, dtype=float))
     if g.ndim != 2:
@@ -190,7 +221,6 @@ def nikodym_max(g, R: int, dx: float):
     for d in range(1, 2 * hw + 1):
         box += g[:, d:d + n_box]
     denom = float(n_t * (2 * hw + 1))
-    best = np.zeros(n_y)
     ws = np.arange(-R, R + 1) / R
     # base[k, i]: the tube's first column in row i at slope ws[k]
     base = margin - hw + np.rint(
@@ -200,12 +230,27 @@ def nikodym_max(g, R: int, dx: float):
     windows = [np.lib.stride_tricks.sliding_window_view(row, n_y)
                for row in box]
     step = nikodym_block(n_y)
-    for j in range(0, len(ws), step):
-        rows = base[j:j + step]
-        acc = windows[0][rows[:, 0]]
-        for i in range(1, n_t):
-            acc += windows[i][rows[:, i]]
-        np.maximum(best, acc.max(axis=0), out=best)
+
+    def worker(starts):
+        best = np.zeros(n_y)
+        for j in starts:
+            rows = base[j:j + step]
+            acc = windows[0][rows[:, 0]]
+            for i in range(1, n_t):
+                acc += windows[i][rows[:, i]]
+            np.maximum(best, acc.max(axis=0), out=best)
+        return best
+
+    starts = range(0, len(ws), step)
+    n_threads = nikodym_threads(len(ws), n_y)
+    if n_threads == 1:
+        best = worker(starts)
+    else:
+        # imported here, so that only a threaded run pays its import
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(n_threads) as pool:
+            best = reduce(np.maximum, pool.map(
+                worker, [starts[w::n_threads] for w in range(n_threads)]))
     return np.arange(margin, margin + n_y), best / denom
 
 
@@ -643,7 +688,8 @@ FLS_DEFAULT_R = {
 # packet's slab windows, its index, distance, sum and modulus, their grid
 # order and the slab moduli (56.2 at R = 4096, 52-61 at R = 1024 to
 # 65536); per nikodym sample, the sample, its modulus and its box sum; per
-# (slope, tube column) of a nikodym block, its sums and one gathered window.
+# (slope, tube column) of a nikodym block, its sums and one gathered window,
+# held by each worker thread at once.
 _CHIRP_SAMPLE_BYTES = 72
 _PACKET_WINDOW_BYTES = 56
 _NIKODYM_SAMPLE_BYTES = 24
@@ -658,7 +704,7 @@ def fls_peak_bytes(family: str, R, kappa: float = LATTICE_KAPPA) -> float:
     and its moduli; the packet the windows of its slab rows (g0, one
     propagated row beside the slab moduli, is smaller at every R); nikodym
     the nikodym_grid samples, the tube offsets of every slope and one block
-    of slopes.
+    of slopes per worker thread of nikodym_max.
     """
     if family == "lattice":
         modes, _ = _lattice_modes(float(R), kappa, LATTICE_NODES)
@@ -675,7 +721,8 @@ def fls_peak_bytes(family: str, R, kappa: float = LATTICE_KAPPA) -> float:
         n_y = 2 * int(R)
         return _NIKODYM_SAMPLE_BYTES * len(x) * len(t) \
             + 16 * (n_y + 1) * len(t) \
-            + _NIKODYM_BLOCK_BYTES * nikodym_block(n_y) * n_y
+            + _NIKODYM_BLOCK_BYTES * nikodym_block(n_y) * n_y \
+            * nikodym_threads(n_y + 1, n_y)
     raise ValueError(f"unknown family {family!r}")
 
 

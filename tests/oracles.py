@@ -1,11 +1,13 @@
 """Slow reference computations the fast package paths are tested against."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from scipy.fft import fft2
 
-from wavenvelope.decomp import CertificateError, broad_narrow
+from wavenvelope.decomp import (CertificateError, _default_quad_per_unit,
+                               bilinear_check, broad_narrow)
 from wavenvelope.cli import make_field
 from wavenvelope.envelope import (W_BLOCK, W_EXPONENT, W_TAIL,
                                   _window_weights, cap_decompose,
@@ -755,3 +757,38 @@ def outer_difference_rows(pieces) -> int:
     d1 = [np.subtract.outer(u, u).ravel()
           for u in (np.unique(pc.freqs[:, 0]) for pc in pieces)]
     return len(np.unique(np.concatenate(d1))) if d1 else 0
+
+
+def per_point_bilinear_check(pair, Y):
+    """decomp.bilinear_check with Y tested point by point: the grid's
+    physical image from repeat, tile and column_stack, the whole plane as
+    an all-true mask, and the cell occupancy summed on the bool mask.  The
+    Gaussian norms and orthogonality ratios, which no mask reaches, are
+    bilinear_check's own."""
+    rep = bilinear_check(pair, None)
+    side = pair.R_s
+    n_cells = int(round(side))
+    npq = _default_quad_per_unit(side)
+    n = n_cells * npq
+    h = side / n
+    ax = (np.arange(n) + 0.5) * h - side / 2
+    prod2 = (np.abs(pair.g1.point_eval(axes=(ax, ax)).ravel())
+             * np.abs(pair.g2.point_eval(axes=(ax, ax)).ravel())) ** 2
+    if Y is None:
+        mask = np.ones(n * n, dtype=bool)
+    else:
+        L = pair.parent.transforms()[2]
+        mask = Y(np.column_stack([np.repeat(ax, n), np.tile(ax, n)])
+                 @ np.asarray(L).T)
+    int_B = float(prod2.sum()) * h * h
+    int_BY = float(prod2[mask].sum()) * h * h
+    counts = mask.reshape(n_cells, npq, n_cells, npq).sum(axis=(1, 3))
+    ratio = float(counts.max()) / (npq * npq)
+    area = side * side
+    denom = (rep.norm1_w * rep.norm2_w) ** 2
+    l4_denom = ratio * denom / area
+    i_w, j_w = divmod(int(np.argmax(prod2)), n)
+    return replace(rep, int_B=int_B, int_BY=int_BY, max_cell_ratio=ratio,
+                   C_bil=int_B * area / denom if denom > 0 else 0.0,
+                   C_l4=int_BY / l4_denom if l4_denom > 0 else 0.0,
+                   witness=(float(ax[i_w]), float(ax[j_w])))

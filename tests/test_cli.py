@@ -282,9 +282,20 @@ def test_broad_narrow_violation_fails_the_check(monkeypatch, capsys):
     assert "FAIL pointwise-split-violations" in capsys.readouterr().out
 
 
+# runs whose report bytes must not depend on how many CPUs the process
+# may use: broad-narrow's serial trials, and the nikodym family, whose
+# slope blocks nikodym_max deals out to one thread per usable CPU
+CPU_COUNT_RUNS = {
+    "broad-narrow": ["broad-narrow", "--R", "64", "--trials", "5"],
+    "nikodym": ["schrodinger-fls", "--family", "nikodym",
+                "--R", "64,256,1024"],
+}
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                     reason="needs os.sched_setaffinity")
-def test_broad_narrow_bytes_independent_of_cpu_count(tmp_path):
+@pytest.mark.parametrize("name", sorted(CPU_COUNT_RUNS))
+def test_broad_narrow_bytes_independent_of_cpu_count(tmp_path, name):
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     paths = [os.path.abspath(src), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
@@ -296,12 +307,13 @@ def test_broad_narrow_bytes_independent_of_cpu_count(tmp_path):
     reports = []
     for mode in ("pinned", "unpinned"):
         out = tmp_path / mode
+        argv = CPU_COUNT_RUNS[name]
         proc = subprocess.run(
-            [sys.executable, "-c", child, mode, "broad-narrow", "--R", "64",
-             "--trials", "5", "--out", str(out), "--format", "json"],
+            [sys.executable, "-c", child, mode, *argv, "--out", str(out),
+             "--format", "json"],
             env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        reports.append((out / "broad-narrow.json").read_bytes())
+        reports.append((out / f"{argv[0]}.json").read_bytes())
     assert reports[0] == reports[1]
 
 
@@ -500,6 +512,8 @@ def test_preflight_within_factor_two(R, pair, p):
     ("lattice", 1024, {"c": 0.45}),
     ("truncated-lattice", 4096, {}),
     ("ball", 1024, {"c": 1.0}),
+    ("lattice", 256, {"c": 0.45}),
+    ("truncated-lattice", 1024, {}),
 ])
 def test_kappa_scan_preflight_within_factor_two(family, R, params):
     cfg = resolve(ExperimentConfig(experiment="kappa-scan", R=(R,),

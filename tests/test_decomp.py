@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import astuple
 from functools import partial
 
 import numpy as np
@@ -12,11 +13,12 @@ from wavenvelope.torus import (
     GridSpec, point_eval, random_band_field, synthesize,
 )
 from wavenvelope.geometry import Cap, cap_children, theta_scale
-from wavenvelope.measures import in_ball
+from wavenvelope.measures import ball_weight, in_ball, lattice_weight
 from wavenvelope import cli, decomp as dc, envelope as env, torus
 
 from oracles import (bg_split, dict_merge_pieces, direct_trig_sum,
-                     grid_points, l2sq, modulation, pinned_fields, spectrum)
+                     grid_points, l2sq, modulation, per_point_bilinear_check,
+                     pinned_fields, spectrum)
 
 SPEC64 = GridSpec(64)
 
@@ -422,6 +424,40 @@ def test_bilinear_check_full_plane_reduces_to_plain():
     assert rep.max_cell_ratio == 1.0
     assert rep.int_BY == rep.int_B
     assert rep.C_l4 == rep.C_bil
+
+
+@pytest.mark.parametrize("R_s", [16, 64])
+def test_bilinear_check_matches_per_point_masks(R_s):
+    # every report field, bit for bit, against Y tested point by point on
+    # the grid's physical image: no Y, a ball (in_ball against the built
+    # ball's atom list) and a lattice, for the unit parent at R = R_s and
+    # the three s = 1/2 parents rescaled from R = 4 R_s
+    setups = [(R_s, Cap(1.0, 0), (1, -2))] + [
+        (4 * R_s, Cap(0.5, kp), (4 * kp - 2, 4 * kp + 1))
+        for kp in (-1, 0, 1)]
+    for R, parent, kids in setups:
+        spec = GridSpec(R)
+        f = random_band_field(spec, seed=R_s, density=0.5)
+        s_c = parent.s / 4
+        pair = dc.bilinear_pair(f, parent, Cap(s_c, kids[0]),
+                                Cap(s_c, kids[1]))
+        L = np.asarray(parent.transforms()[2])
+        center = tuple(float(x) for x in L @ np.array([0.2, -0.1]) * R_s)
+        rho = spec.L / 8.0
+        lattice = lattice_weight(spec).contains
+        ball = partial(in_ball, spec=spec, rho=rho, center=center)
+        for Y, per_point in ((None, None),
+                             (ball, ball_weight(spec, rho, center).contains),
+                             (lattice, lattice)):
+            got = dc.bilinear_check(pair, Y)
+            assert astuple(got) == astuple(per_point_bilinear_check(
+                pair, per_point)), (R, parent, Y)
+            if Y is None:
+                assert got.int_BY == got.int_B
+                assert got.max_cell_ratio == 1.0
+            elif Y is ball:
+                # the ball cuts the pulled-back square
+                assert 0.0 < got.int_BY < got.int_B
 
 
 def test_bilinear_check_restriction_shrinks():

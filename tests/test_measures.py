@@ -104,7 +104,10 @@ def test_in_ball_matches_built_ball(R):
             # points near the center or one of its periodic images
             near = np.asarray(center) + rng.uniform(-1.2, 1.2, (4000, 2)) \
                 * rho + L * rng.integers(-2, 3, (4000, 1))
-            pts = np.concatenate([far, near])
+            # and images many periods away on either axis, whose cells
+            # in_ball reduces mod M before its per-cell table
+            images = near + L * rng.integers(-10 ** 6, 10 ** 6, (4000, 2))
+            pts = np.concatenate([far, near, images])
             got = ms.in_ball(pts, spec, rho, center)
             assert np.array_equal(got, ms.ball_weight(spec, rho, center)
                                   .contains(pts)), (rho, center)
@@ -147,6 +150,7 @@ def test_dual_tube_matches_full_grid_scan(R):
 def test_candidate_atoms_follow_the_builders():
     # the count reads the builder's own parameters and defaults
     for fam, kw in (("ball", {}), ("ball", {"rho": 5.0}), ("lattice", {}),
+                    ("lattice", {"c": -1.0}),
                     ("dual-tube", {}), ("dual-tube", {"k": 3}),
                     ("parabolic-box",
                      {"boxes": ((0.0, 0.0, 2.0), (8.3, 3.1, 1.7))})):

@@ -193,9 +193,15 @@ def test_nikodym_max_blocks_match_slope_loop(monkeypatch, R):
     x, t = sch.nikodym_grid(R)
     g = np.random.default_rng(R).standard_normal((len(t), len(x)))
     want = nikodym_max_loop(g, R, 1.0 / R)
+    # the blocks dealt out to one to three worker threads, whatever CPUs
+    # the machine has and however small the blocks; at most one thread
+    # per block
+    monkeypatch.setattr(sch, "NIKODYM_THREAD_SUMS", 1)
     for slopes in (sch.NIKODYM_SLOPES, 3):
         monkeypatch.setattr(sch, "NIKODYM_SLOPES", slopes)
-        assert np.array_equal(sch.nikodym_max(g, R, 1.0 / R)[1], want)
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(sch, "usable_cpus", lambda: cpus)
+            assert np.array_equal(sch.nikodym_max(g, R, 1.0 / R)[1], want)
 
 
 @pytest.mark.parametrize("R, n_columns", [(64, None), (256, None),
