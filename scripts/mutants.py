@@ -62,6 +62,14 @@ MUTANTS = [
     # in_ball: the per-cell displacement table starts one cell late
     ("measures", "table = _axis_disp(np.arange(lo, hi + 1), spec, c)",
      "table = _axis_disp(np.arange(lo + 1, hi + 2), spec, c)"),
+    # _run_broad_narrow: the pool's results taken in completion order, so
+    # rows follow whichever trial finished first
+    ("cli", "results = list(pool.map(_inherited_trial, range(len(trials))))",
+     "results = [f.result() for f in sys.modules['concurrent.futures']"
+     ".as_completed([pool.submit(_inherited_trial, i)"
+     " for i in range(len(trials))])]"),
+    # _run_broad_narrow: the pool never runs the last trial
+    ("cli", "range(len(trials))))", "range(len(trials) - 1)))"),
     # ScaleTubes: a cap's place in its block packed one bit short, onto
     # the top bit of its tube keys
     ("geometry", "places = np.arange(c) << self.key_bits",

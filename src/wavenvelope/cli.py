@@ -11,7 +11,10 @@ and one CSV writer.  Exit status is 0 iff every check passed, 1 on a failed chec
 reports, whatever the output directory, the BLAS thread count and the
 number of CPUs: nothing time- or path-dependent enters a report, every
 random stream is seeded from the config, and no reduction order follows
-the thread count.
+the thread count.  broad-narrow runs its trials on one forked worker
+process per usable CPU where the platform can fork, with no option to
+set: every trial's inputs are drawn first, in the serial order, each
+trial's arithmetic is unchanged, and the rows come back in trial order.
 
 The module also owns the built-in example families: the field families
 paired with weight families for the two-sided inequality sweeps, and the
@@ -45,7 +48,7 @@ from .measures import (LATTICE_C, LATTICE_KAPPA, TRUNCATED_ALPHA, TRUNCATED_C,
                        support_box)
 from .schrodinger import (FLS_DEFAULT_R, MEASURE_FAMILIES, fit_exponent,
                           fls_fits, fls_peak_bytes, measure_family,
-                          rescale_measure)
+                          rescale_measure, usable_cpus)
 from .torus import (SQUARE_PAIR_BYTES, GridSpec, lattice_sums_bytes, lp_norm,
                     parabola_band_modes, power_integral_bytes,
                     random_band_field, synthesize)
@@ -474,6 +477,15 @@ def _kappa_scan_peak_bytes(cfg: "ExperimentConfig") -> float:
     return est
 
 
+def _broad_narrow_peak_bytes(cfg: "ExperimentConfig") -> float:
+    """One trial's peak per worker, plus every trial's points, drawn
+    before any trial runs."""
+    n_trials = len(cfg.p) * len(cfg.R) * cfg.trials
+    return _trial_workers(n_trials) * max(
+        broad_narrow_peak_bytes(R, cfg.K, cfg.points) for R in cfg.R) \
+        + 16 * cfg.points * n_trials
+
+
 def _certificates_peak_bytes(cfg: "ExperimentConfig") -> float:
     """The masses tables of the largest family's certificates, its atoms
     as both centers and positions."""
@@ -602,30 +614,88 @@ def _pair_rows(cfg, ratio_key: str):
     return rows, fits, checks, sidecars
 
 
-def _run_broad_narrow(cfg):
-    """Every p in turn draws the same fields and points per R."""
-    if cfg.trials < 1 or cfg.points < 1:
-        raise ValueError(f"trials and points must be >= 1; got "
-                         f"{cfg.trials} and {cfg.points}")
-    rows, failed = [], []
+def _broad_narrow_trials(cfg) -> list:
+    """Every trial's (p, R, t, field seed, points) in the serial order: every
+    p in turn draws the same fields and points per R, each trial its field
+    seed and then its points from the R's generator."""
+    trials = []
     for p, R in itertools.product(cfg.p, cfg.R):
         spec = GridSpec(R)
         rng = np.random.default_rng(cfg.seed + R)
         for t in range(cfg.trials):
-            f = random_band_field(spec, seed=int(rng.integers(2 ** 31)),
-                                  density=0.5)
-            pts = rng.uniform(0.0, spec.L, size=(cfg.points, 2))
-            try:
-                rep = broad_narrow(f, pts, p, cfg.K)
-            except CertificateError as exc:
-                failed.append(f"p {p:g} R {R} trial {t}: {exc}")
-                continue
-            rows.append({"R": R, "p": p, "K": cfg.K, "trial": t,
-                         "points": cfg.points,
-                         "violations": int(np.count_nonzero(
-                             over_bound(rep.lhs, rep.bound))),
-                         "max_empirical": rep.max_empirical,
-                         "C_certified": rep.C_certified})
+            seed = int(rng.integers(2 ** 31))
+            trials.append((p, R, t, seed,
+                           rng.uniform(0.0, spec.L, size=(cfg.points, 2))))
+    return trials
+
+
+def _trial_workers(n_trials: int) -> int:
+    """Processes over n_trials broad-narrow trials: one per usable CPU and
+    at most one per trial where the platform can fork, else 1, the
+    calling process."""
+    return min(usable_cpus(), n_trials) if hasattr(os, "fork") else 1
+
+
+def _broad_narrow_trial(trial, K):
+    """One trial's row values (violations, max_empirical, C_certified), or
+    the message of the CertificateError it raised."""
+    p, R, _, seed, pts = trial
+    f = random_band_field(GridSpec(R), seed=seed, density=0.5)
+    try:
+        rep = broad_narrow(f, pts, p, K)
+    except CertificateError as exc:
+        return str(exc)
+    return (int(np.count_nonzero(over_bound(rep.lhs, rep.bound))),
+            rep.max_empirical, rep.C_certified)
+
+
+# a forked broad-narrow worker's trials and K: fork passes the pool's
+# initializer arguments unpickled, so each worker reads the parent's draws
+_inherited = ()
+
+
+def _inherit(trials, K):
+    global _inherited
+    _inherited = trials, K
+
+
+def _inherited_trial(i):
+    trials, K = _inherited
+    return _broad_narrow_trial(trials[i], K)
+
+
+def _run_broad_narrow(cfg):
+    """The trials' inputs are drawn first, in the serial order; one forked
+    worker per usable CPU then runs them, and their rows come back in
+    trial order."""
+    if cfg.trials < 1 or cfg.points < 1:
+        raise ValueError(f"trials and points must be >= 1; got "
+                         f"{cfg.trials} and {cfg.points}")
+    trials = _broad_narrow_trials(cfg)
+    n_workers = _trial_workers(len(trials))
+    if n_workers == 1:
+        results = [_broad_narrow_trial(trial, cfg.K) for trial in trials]
+    else:
+        # imported here, so that only a pooled run pays their import; a
+        # worker that dies raises BrokenProcessPool here, and the pool's
+        # exit joins every worker, on errors too
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(n_workers, mp_context=fork,
+                                 initializer=_inherit,
+                                 initargs=(trials, cfg.K)) as pool:
+            results = list(pool.map(_inherited_trial, range(len(trials))))
+    rows, failed = [], []
+    for (p, R, t, _, _), result in zip(trials, results):
+        if isinstance(result, str):
+            failed.append(f"p {p:g} R {R} trial {t}: {result}")
+            continue
+        violations, max_empirical, C_certified = result
+        rows.append({"R": R, "p": p, "K": cfg.K, "trial": t,
+                     "points": cfg.points, "violations": violations,
+                     "max_empirical": max_empirical,
+                     "C_certified": C_certified})
     total_violations = sum(r["violations"] for r in rows)
     worst = max((r["max_empirical"] for r in rows), default=0.0)
     detail = (f"{total_violations} violations over {len(rows)} fields, "
@@ -770,9 +840,7 @@ EXPERIMENTS = {
     "broad-narrow": (_run_broad_narrow,
                      "pointwise split certificate on random fields",
                      {"R": (64, 256), "p": (4.0,)},
-                     lambda cfg: max(broad_narrow_peak_bytes(R, cfg.K,
-                                                             cfg.points)
-                                     for R in cfg.R)),
+                     _broad_narrow_peak_bytes),
     "bilinear": (_run_bilinear,
                  "bilinear constants over random separated pairs",
                  {"R": (64, 256)},

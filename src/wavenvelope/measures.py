@@ -217,8 +217,10 @@ def in_ball(points, spec: GridSpec, rho: float, center) -> np.ndarray:
 
     An axis's displacement depends only on its cell mod M, so the cells
     are reduced mod M and each distinct one's displacement is taken once,
-    from a table over the range they occupy; the distance test stays per
-    point."""
+    from a table over the range they occupy.  The distance test decides
+    by the squared distance wherever it is clear of rho^2 by a relative
+    1e-9, far above its rounding, and by np.hypot, as the builder does,
+    for the points inside that margin."""
     points = np.asarray(points, dtype=float)
     if rho >= 0.5 * spec.L:
         return np.ones(len(points), dtype=bool)
@@ -230,7 +232,15 @@ def in_ball(points, spec: GridSpec, rho: float, center) -> np.ndarray:
         lo, hi = cells.min(), cells.max()
         table = _axis_disp(np.arange(lo, hi + 1), spec, c)
         disp.append(table[cells - lo])
-    return np.hypot(*disp) <= rho * (1 + 1e-12)
+    a, b = disp
+    bound = rho * (1 + 1e-12)
+    r2 = bound * bound
+    sq = a * a
+    sq += b * b
+    inside = sq < r2 * (1 - 1e-9)
+    near = np.flatnonzero(~inside & (sq <= r2 * (1 + 1e-9)))
+    inside[near] = np.hypot(a[near], b[near]) <= bound
+    return inside
 
 
 def dual_tube_weight(spec: GridSpec, alpha: float = 1.0, k: int = 0) -> GridMeasure:

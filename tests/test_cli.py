@@ -7,9 +7,11 @@ grids live in test_acceptance.py.
 import argparse
 import dataclasses
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -282,9 +284,83 @@ def test_broad_narrow_violation_fails_the_check(monkeypatch, capsys):
     assert "FAIL pointwise-split-violations" in capsys.readouterr().out
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("fault", [None, CertificateError, LookupError])
+def test_broad_narrow_leaves_no_worker(monkeypatch, fault):
+    # the last trial raises fault, in the calling process (one CPU) and in
+    # a forked worker (two); neither run leaves a child process behind
+    cfg = resolve(ExperimentConfig(experiment="broad-narrow", R=(64,),
+                                   trials=4, points=200, seed=3))
+    planted = cli._broad_narrow_trials(cfg)[-1][-1]
+    real = cli.broad_narrow
+
+    def planted_fault(f, pts, p, K):
+        if fault is not None and np.array_equal(pts, planted):
+            raise fault("planted fault")
+        return real(f, pts, p, K)
+
+    monkeypatch.setattr(cli, "broad_narrow", planted_fault)
+    reports = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
+        if fault is LookupError:
+            with pytest.raises(LookupError, match="planted fault"):
+                run(cfg)
+        else:
+            reports.append(run(cfg))
+        assert multiprocessing.active_children() == []
+    if fault is LookupError:
+        return
+    assert reports[0].rows == reports[1].rows
+    assert reports[0].checks == reports[1].checks
+    assert reports[0].passed == (fault is None)
+    if fault is CertificateError:
+        assert "R 64 trial 3: planted fault" in reports[0].checks[0]["detail"]
+        assert [r["trial"] for r in reports[0].rows] == [0, 1, 2]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_broad_narrow_rows_in_trial_order(monkeypatch):
+    # two workers, and the first trial finishes after all the others
+    cfg = resolve(ExperimentConfig(experiment="broad-narrow", R=(64,),
+                                   trials=4, points=200, seed=5))
+    first = cli._broad_narrow_trials(cfg)[0][-1]
+    real = cli.broad_narrow
+
+    def slow_first(f, pts, p, K):
+        if np.array_equal(pts, first):
+            time.sleep(0.5)
+        return real(f, pts, p, K)
+
+    monkeypatch.setattr(cli, "broad_narrow", slow_first)
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
+    assert run(cfg).rows == serial_broad_narrow_rows(cfg)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_broad_narrow_worker_death_raises(monkeypatch):
+    # a worker that dies mid-trial fails the run instead of hanging it
+    from concurrent.futures.process import BrokenProcessPool
+    parent = os.getpid()
+    real = cli.broad_narrow
+
+    def dying(f, pts, p, K):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real(f, pts, p, K)
+
+    monkeypatch.setattr(cli, "broad_narrow", dying)
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
+    with pytest.raises(BrokenProcessPool):
+        run(ExperimentConfig(experiment="broad-narrow", R=(64,), trials=4,
+                             points=200, seed=3))
+    assert multiprocessing.active_children() == []
+
+
 # runs whose report bytes must not depend on how many CPUs the process
-# may use: broad-narrow's serial trials, and the nikodym family, whose
-# slope blocks nikodym_max deals out to one thread per usable CPU
+# may use: broad-narrow's trials, which one forked worker per usable CPU
+# runs, and the nikodym family, whose slope blocks nikodym_max deals out
+# to one thread per usable CPU
 CPU_COUNT_RUNS = {
     "broad-narrow": ["broad-narrow", "--R", "64", "--trials", "5"],
     "nikodym": ["schrodinger-fls", "--family", "nikodym",
@@ -480,6 +556,15 @@ def test_preflight_rejects_oversized_run():
     assert err.value.estimate_mb > 100.0
 
 
+def traced_peak_mb(fn) -> float:
+    """The tracemalloc peak of one call of fn, in MiB."""
+    tracemalloc.start()
+    fn()
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    return peak / 2 ** 20
+
+
 # (R, pair, p); an empty p runs the pair's default exponent
 PREFLIGHT_CASES = [(64, "knapp:dual-tube", ()), (64, "knapp:constant", ()),
                    (256, "random:ball", ()), (256, "random:constant", ()),
@@ -497,11 +582,7 @@ def test_preflight_within_factor_two(R, pair, p):
     cfg = resolve(ExperimentConfig(experiment="envelope-verify", R=(R,),
                                    p=p, family=pair))
     est = preflight_mb(cfg)
-    tracemalloc.start()
-    run(cfg)
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    peak_mb = peak / 2 ** 20
+    peak_mb = traced_peak_mb(lambda: run(cfg))
     assert peak_mb / 2 <= est <= peak_mb * 2
 
 
@@ -519,11 +600,7 @@ def test_kappa_scan_preflight_within_factor_two(family, R, params):
     cfg = resolve(ExperimentConfig(experiment="kappa-scan", R=(R,),
                                    p=(2.0, 4.0), family=family, **params))
     est = preflight_mb(cfg)
-    tracemalloc.start()
-    run(cfg)
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    peak_mb = peak / 2 ** 20
+    peak_mb = traced_peak_mb(lambda: run(cfg))
     assert peak_mb / 2 <= est <= peak_mb * 2
 
 
@@ -548,11 +625,16 @@ def test_kappa_scan_preflight_within_factor_two(family, R, params):
 def test_pointwise_preflight_within_factor_two(params):
     cfg = resolve(ExperimentConfig(**params))
     est = preflight_mb(cfg)
-    tracemalloc.start()
-    run(cfg)
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    peak_mb = peak / 2 ** 20
+    peak_mb = traced_peak_mb(lambda: run(cfg))
+    if cfg.experiment == "broad-narrow":
+        # the forked workers' allocations are not traced here: add, for
+        # each worker, the largest peak of one trial run in-process
+        trials = cli._broad_narrow_trials(cfg)
+        workers = cli._trial_workers(len(trials))
+        if workers > 1:
+            peak_mb += workers * max(
+                traced_peak_mb(lambda: cli._broad_narrow_trial(trial, cfg.K))
+                for trial in trials)
     assert peak_mb / 2 <= est <= peak_mb * 2
 
 

@@ -114,6 +114,37 @@ def test_in_ball_matches_built_ball(R):
             assert got.all() == (rho >= 0.5 * L)
 
 
+@pytest.mark.parametrize("R", [16, 64])
+def test_in_ball_on_and_next_to_the_circle(R):
+    # radii that put cells' distances from the center on the circle, a few
+    # ulps off it and at the edge of in_ball's 1e-9 margin, where it turns
+    # from the squared distance to np.hypot: it answers as the built ball
+    spec = GridSpec(R)
+    d, L = spec.delta, spec.L
+    center = np.array([0.3, -0.2])
+    c_idx = np.rint(center / d)
+    j = c_idx + np.stack(np.meshgrid(np.arange(-7, 8), np.arange(-7, 8)),
+                         axis=-1).reshape(-1, 2)
+    cells = d * j
+    pts = np.concatenate([cells, cells + 0.49 * d, cells + [L, -3 * L]])
+    dist = np.unique(np.hypot(*(ms._axis_disp(j[:, i], spec, center[i])
+                                for i in (0, 1))))
+    ulp = 2.0 ** -52
+    flips = 0
+    for r in dist[1::4] / (1 + 1e-12):
+        masks = []
+        for scale in (1 - 1e-9, 1.0, 1 + 1e-9):
+            for k in range(-4, 5):
+                rho = r * scale * (1 + k * ulp)
+                got = ms.in_ball(pts, spec, rho, center)
+                assert np.array_equal(got, ms.ball_weight(spec, rho, center)
+                                      .contains(pts)), rho
+        for k in (-4, 4):
+            masks.append(ms.in_ball(pts, spec, r * (1 + k * ulp), center))
+        flips += int(not np.array_equal(*masks))
+    assert flips == len(dist[1::4])
+
+
 def test_ball_translation_invariance_with_wrap():
     a = ms.make_weight("ball", SPEC, rho=2.0, center=(0.0, 0.0))
     b = ms.make_weight("ball", SPEC, rho=2.0, center=(SPEC.L - 1.0, 3.0))
