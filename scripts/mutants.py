@@ -64,12 +64,12 @@ MUTANTS = [
      "table = _axis_disp(np.arange(lo + 1, hi + 2), spec, c)"),
     # _run_broad_narrow: the pool's results taken in completion order, so
     # rows follow whichever trial finished first
-    ("cli", "results = list(pool.map(_inherited_trial, range(len(trials))))",
+    ("cli", "results = list(pool.map(run_trial, trials))",
      "results = [f.result() for f in sys.modules['concurrent.futures']"
-     ".as_completed([pool.submit(_inherited_trial, i)"
-     " for i in range(len(trials))])]"),
+     ".as_completed([pool.submit(run_trial, t) for t in trials])]"),
     # _run_broad_narrow: the pool never runs the last trial
-    ("cli", "range(len(trials))))", "range(len(trials) - 1)))"),
+    ("cli", "results = list(pool.map(run_trial, trials))",
+     "results = list(pool.map(run_trial, trials[:-1]))"),
     # ScaleTubes: a cap's place in its block packed one bit short, onto
     # the top bit of its tube keys
     ("geometry", "places = np.arange(c) << self.key_bits",

@@ -32,25 +32,22 @@ import os
 import sys
 from dataclasses import (dataclass, field as dataclass_field,
                          fields as dataclass_fields, replace)
+from functools import partial
 
 import numpy as np
 
-from .envelope import (W_BLOCK, cap_decompose, caps_per_block, kappa_max,
-                       square_grid, square_norm, theta_pairs,
+from .envelope import (cap_decompose, kappa_max, kappa_scan_peak_bytes,
+                       square_norm, theta_pairs, verify_peak_bytes,
                        verify_weighted_sq, window_profile)
 from .decomp import (CertificateError, bilinear_peak_bytes, bilinear_trials,
                      broad_narrow, broad_narrow_peak_bytes, over_bound)
-from .geometry import (Cap, cap_index_for_abscissa, caps_at_scale,
-                       dyadic_scales, envelope_factor, envelope_lattice_dims,
-                       max_run_pieces, theta_scale)
+from .geometry import cap_index_for_abscissa, theta_scale
 from .measures import (LATTICE_C, LATTICE_KAPPA, TRUNCATED_ALPHA, TRUNCATED_C,
-                       candidate_atoms, make_weight, masses_at_bytes,
-                       support_box)
+                       make_weight, masses_at_bytes)
 from .schrodinger import (FLS_DEFAULT_R, MEASURE_FAMILIES, fit_exponent,
                           fls_fits, fls_peak_bytes, measure_family,
                           rescale_measure, usable_cpus)
-from .torus import (SQUARE_PAIR_BYTES, GridSpec, lattice_sums_bytes, lp_norm,
-                    parabola_band_modes, power_integral_bytes,
+from .torus import (GridSpec, lp_norm, parabola_band_modes,
                     random_band_field, synthesize)
 
 SCHEMA_VERSION = 1
@@ -362,119 +359,16 @@ class PreflightError(RuntimeError):
 
 
 def _verify_peak_bytes(cfg: "ExperimentConfig") -> float:
-    """At the largest R, the larger of the lhs (for an atomic weight its
-    kappa scan or the lattice sum at its atoms, for the constant weight
-    power_integral on the M grid) and the envelope side:
-    the theta pieces' joined pair table (24 bytes a pair, held for the
-    call) plus the largest of its groupings (by (tau, offset) per scale,
-    half of SQUARE_PAIR_BYTES a pair: a block's grouping without forming
-    its products, traced at 62-94 bytes a pair for R = 256 to 4096; and
-    ||S||_p on the square_grid, power_integral_bytes) and the theta
-    scale's pass, at 40 bytes an entry: its z_1 factor table, N1U rows
-    over the thetas' offsets D1, and its stacked weighting, N1U x N2U
-    cells a theta padded by W_BLOCK on every side."""
+    """The pair's verify_peak_bytes at the largest R."""
     ffam, wfam, p_default = _pair_family(cfg.family)
-    p_values = cfg.p or (p_default,)
-    R = max(cfg.R)
-    spec = GridSpec(R)
-    field = make_field(ffam, spec, cfg.seed)
-    pieces = cap_decompose(field, theta_scale(R)).values()
-    pairs = sum(pc.n_modes ** 2 for pc in pieces)
-    est = [SQUARE_PAIR_BYTES // 2 * pairs,
-           *(power_integral_bytes(pieces, p, square_grid(R))
-             for p in p_values)]
-    N1U, N2U, _ = envelope_lattice_dims(Cap(theta_scale(R), 0), spec)
-    d1 = max((int(np.ptp(pc.freqs[:, 0])) for pc in pieces if pc.n_modes),
-             default=0)
-    cells = (N1U + 2 * W_BLOCK) * (N2U + 2 * W_BLOCK)
-    est.append(40 * (N1U * (2 * d1 + 1) + cells * len(pieces)))
-    if wfam == "constant":
-        lhs = [power_integral_bytes([field], p, spec.M) for p in p_values]
-    else:
-        # the weight's kappa scan, and the atomic lhs: its points, values
-        # and their powers, and one lattice_sums block
-        atoms = int(candidate_atoms(wfam, spec))
-        lhs = [_SCAN_ATOM_BYTES * atoms,
-               64 * atoms + lattice_sums_bytes(field.n_modes, atoms)]
-    return max(24 * pairs + max(est), *lhs)
-
-
-# kappa-scan: traced allocation peaks of a scan one cap at a time ran
-# 47-101 bytes per candidate atom of the weight, plus the envelope tables
-# cached on the weight: about 300 bytes per cap (335-280 for a ball of 13
-# atoms at R = 1024 to 16384) and 24 bytes (key, H(U) and tube factor) per
-# envelope of a cap that holds atoms; a scale's per-block tables and their
-# concatenation are briefly alive together.  A weight counted by atoms
-# (101 for the truncated lattice at R = 4096) holds per scale a, b, z2 and
-# the running sum v of the tube keys across the caps, and one key buffer;
-# one counted by row runs (58-62 for the dual tube at R = 64 to 4096, 47
-# for a ball of radius 20 at R = 256) peaks near its build.  A block of caps
-# (envelope_stats) holds its running sums, keys, group_sums's sort and
-# gather copies and the envelope keys' temporaries, and 8 bytes per tube
-# maximum at scales whose envelopes hold several tubes: traced per scale,
-# a block rose 55 (lattice at R = 1024) to 75 (truncated lattice at
-# R = 4096) bytes per key above the tables before it, taken as 48 since
-# the per-atom and per-cap terms charge the rest.
-_SCAN_ATOM_BYTES = 72
-_SCAN_CAP_BYTES = 300
-_SCAN_BLOCK_KEY_BYTES = 48
-
-
-def _scan_envelopes(cfg, spec: GridSpec, atoms: float) -> list:
-    """Envelopes of all caps holding atoms of the weight, per scale, coarse
-    to fine.  Per cap (s, k) at most its atoms and the envelopes its
-    support's box b1 x b2 meets: they lie in rows R high, each row's
-    envelopes R s wide along x1 + 2c x2, c = k s, so the box meets b2/R + 1
-    rows and in each (b1 + 2|c| min(b2, R))/(R s) + 1 envelopes, on average
-    over where it falls."""
-    b1, b2 = support_box(cfg.family, spec, **_scan_params(cfg))
-    R, out = spec.R, []
-    for s in dyadic_scales(R):
-        c = s * np.abs(np.arange(-round(1 / s), round(1 / s) + 1))
-        met = (b2 / R + 1) * ((b1 + 2 * c * min(b2, R)) / (R * s) + 1)
-        out.append(float(np.minimum(met, atoms).sum()))
-    return out
-
-
-def _scan_block_bytes(cfg, spec: GridSpec, atoms: float) -> list:
-    """The largest block of caps of envelope_stats at each scale, coarse
-    to fine: its keys, the atoms or the (run, tube) pieces of each cap,
-    where a one-mass weight cut into runs along the rows of its support box
-    (b2/Delta + 1 rows, at most one run per atom) gives fewer, and its tube
-    maxima, all envelopes of each cap where they hold several tubes."""
-    b2 = support_box(cfg.family, spec, **_scan_params(cfg))[1]
-    runs = min(atoms, b2 / spec.delta + 1)
-    out = []
-    for s in dyadic_scales(spec.R):
-        caps = caps_at_scale(s)
-        per_cap = min(atoms, max_run_pieces(atoms, runs, s, spec))
-        N1U, N2U, _ = envelope_lattice_dims(caps[0], spec)
-        n_env = N1U * N2U if envelope_factor(caps[0], spec) > 1 else 0
-        block = min(len(caps), caps_per_block(int(per_cap), n_env))
-        out.append(block * (_SCAN_BLOCK_KEY_BYTES * per_cap + 8 * n_env))
-    return out
+    field = make_field(ffam, GridSpec(max(cfg.R)), cfg.seed)
+    return verify_peak_bytes(field, wfam, cfg.p or (p_default,))
 
 
 def _kappa_scan_peak_bytes(cfg: "ExperimentConfig") -> float:
-    """The weight's atoms and cap tables, and the most the scan holds at
-    once: the scales run coarse to fine, each keeping its envelope tables,
-    so a scale's largest block lives beside the tables of the coarser
-    scales, and the last scale's beside all of them (at most about 3R
-    envelopes, as the slab-shaped supports, the widest-spread of the
-    scanned families, hold: 2.8-4.0 R at R = 64 to 4096)."""
-    est = 0.0
-    for R in cfg.R:
-        spec = GridSpec(R)
-        atoms = candidate_atoms(cfg.family, spec, **_scan_params(cfg))
-        if atoms:
-            caps = sum(len(caps_at_scale(s)) for s in dyadic_scales(R))
-            kept = np.minimum(np.cumsum(
-                [0.0, *_scan_envelopes(cfg, spec, atoms)]), 3 * R)
-            blocks = [*_scan_block_bytes(cfg, spec, atoms), 0.0]
-            live = max(24 * n + b for n, b in zip(kept, blocks))
-            est = max(est, _SCAN_ATOM_BYTES * atoms
-                      + _SCAN_CAP_BYTES * caps + live)
-    return est
+    """The largest kappa_scan_peak_bytes over the scan's R."""
+    return max(kappa_scan_peak_bytes(cfg.family, GridSpec(R),
+                                     **_scan_params(cfg)) for R in cfg.R)
 
 
 def _broad_narrow_peak_bytes(cfg: "ExperimentConfig") -> float:
@@ -649,21 +543,6 @@ def _broad_narrow_trial(trial, K):
             rep.max_empirical, rep.C_certified)
 
 
-# a forked broad-narrow worker's trials and K: fork passes the pool's
-# initializer arguments unpickled, so each worker reads the parent's draws
-_inherited = ()
-
-
-def _inherit(trials, K):
-    global _inherited
-    _inherited = trials, K
-
-
-def _inherited_trial(i):
-    trials, K = _inherited
-    return _broad_narrow_trial(trials[i], K)
-
-
 def _run_broad_narrow(cfg):
     """The trials' inputs are drawn first, in the serial order; one forked
     worker per usable CPU then runs them, and their rows come back in
@@ -672,9 +551,10 @@ def _run_broad_narrow(cfg):
         raise ValueError(f"trials and points must be >= 1; got "
                          f"{cfg.trials} and {cfg.points}")
     trials = _broad_narrow_trials(cfg)
+    run_trial = partial(_broad_narrow_trial, K=cfg.K)
     n_workers = _trial_workers(len(trials))
     if n_workers == 1:
-        results = [_broad_narrow_trial(trial, cfg.K) for trial in trials]
+        results = list(map(run_trial, trials))
     else:
         # imported here, so that only a pooled run pays their import; a
         # worker that dies raises BrokenProcessPool here, and the pool's
@@ -682,10 +562,8 @@ def _run_broad_narrow(cfg):
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         fork = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(n_workers, mp_context=fork,
-                                 initializer=_inherit,
-                                 initargs=(trials, cfg.K)) as pool:
-            results = list(pool.map(_inherited_trial, range(len(trials))))
+        with ProcessPoolExecutor(n_workers, mp_context=fork) as pool:
+            results = list(pool.map(run_trial, trials))
     rows, failed = [], []
     for (p, R, t, _, _), result in zip(trials, results):
         if isinstance(result, str):

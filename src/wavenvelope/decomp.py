@@ -20,8 +20,8 @@ from functools import partial
 
 import numpy as np
 
-from .torus import (GridSpec, TorusField, lattice_sums, lattice_sums_bytes,
-                    synthesize, trig_sum)
+from .torus import (GridSpec, TorusField, key_sums, lattice_sums,
+                    lattice_sums_bytes, synthesize, trig_sum)
 from .geometry import Cap, cap_children, cap_ladder, theta_scale
 from .measures import in_ball, lattice_weight
 from .envelope import WINDOW_DELTA, cap_decompose
@@ -294,13 +294,11 @@ def _merge_pieces(pieces, spec) -> TorusField:
     freqs = np.concatenate([pc.freqs for pc in pieces])
     amps = np.concatenate([pc.amps for pc in pieces])
     # one int64 key per mode, ascending as the (n1, n2) rows are
-    lo = freqs.min(axis=0)
-    key = (freqs[:, 0] - lo[0]) * (int(np.ptp(freqs[:, 1])) + 1) \
-        + (freqs[:, 1] - lo[1])
-    _, first, inv = np.unique(key, return_index=True, return_inverse=True)
-    coef = np.bincount(inv, weights=amps.real) \
-        + 1j * np.bincount(inv, weights=amps.imag)
-    return TorusField(spec, freqs[first], coef)
+    lo = int(freqs[:, 1].min())
+    width = int(freqs[:, 1].max()) + 1 - lo
+    keys, coef = key_sums(freqs[:, 0] * width + (freqs[:, 1] - lo), amps)
+    n1, n2 = np.divmod(keys, width)
+    return TorusField(spec, np.stack([n1, n2 + lo], axis=1), coef)
 
 
 def _collect_children(field: TorusField, parent: Cap, child1: Cap,

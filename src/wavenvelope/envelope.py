@@ -26,16 +26,18 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .torus import (CELL_BUDGET, TWO_PI, TorusField, coef_power_integral,
-                    count_sums, group_sums, key_sums, lp_norm,
-                    pair_products, power_integral)
+from .torus import (CELL_BUDGET, SQUARE_PAIR_BYTES, TWO_PI, GridSpec,
+                    TorusField, coef_power_integral, count_sums, group_sums,
+                    key_sums, lattice_sums_bytes, lp_norm, pair_products,
+                    power_integral, power_integral_bytes)
 # locate_grid_tubes is not called here; the benchmark's self-test
 # (perfbench/test_harness.py) reads it as envelope.locate_grid_tubes
 from .geometry import (
-    Cap, cap_index_for_abscissa, dyadic_scales,
+    Cap, cap_index_for_abscissa, caps_at_scale, dyadic_scales,
     envelope_factor, envelope_lattice_dims, locate_grid_tubes,
     locate_scale_tubes, max_run_pieces, theta_scale)
-from .measures import GRID_FLOOR_EXP, GridMeasure
+from .measures import (GRID_FLOOR_EXP, GridMeasure, candidate_atoms,
+                       support_box)
 
 # window transition half-width, in units of the cap width
 WINDOW_DELTA = 0.0625
@@ -185,6 +187,22 @@ def caps_per_block(keys_per_cap: int, envelopes_per_cap: int) -> int:
     return max(1, BLOCK_KEYS // max(keys_per_cap, envelopes_per_cap, 1))
 
 
+def scan_plan(n_atoms, n_runs, s: float, spec: GridSpec) -> tuple:
+    """(pieces per cap, tube maxima per cap, caps per block) of
+    envelope_stats at scale s, for a weight of n_atoms atoms in n_runs row
+    runs (n_runs = n_atoms for a weight without row runs).  A cap cuts the
+    runs into (run, tube) pieces where that gives fewer pieces than atoms
+    (geometry.max_run_pieces), else it takes the atoms; it holds one tube
+    maximum per envelope where the envelopes hold several tubes, else none.
+    The counts may be estimates: a block is sized on whole pieces."""
+    caps = caps_at_scale(s)
+    per_cap = min(n_atoms, max_run_pieces(n_atoms, n_runs, s, spec))
+    N1U, N2U, _ = envelope_lattice_dims(caps[0], spec)
+    maxima = N1U * N2U if envelope_factor(caps[0], spec) > 1 else 0
+    return per_cap, maxima, min(len(caps),
+                                caps_per_block(int(per_cap), maxima))
+
+
 def envelope_stats(H: GridMeasure, s: float) -> ScaleStats:
     """Envelope keys, H(U) and (max_T H(T)/|T|)^(1/4) of every cap at
     scale s.
@@ -231,12 +249,9 @@ def envelope_stats(H: GridMeasure, s: float) -> ScaleStats:
     if H.n_atoms:
         parts = []
         runs = H._row_runs
-        per_cap = H.n_atoms
-        if runs is not None:
-            per_cap = min(per_cap, max_run_pieces(H.n_atoms, len(runs[2]),
-                                                  s, spec))
+        per_cap, _, per_block = scan_plan(
+            H.n_atoms, H.n_atoms if runs is None else len(runs[2]), s, spec)
         by_runs = per_cap < H.n_atoms
-        per_block = caps_per_block(per_cap, n_env if E > 1 else 0)
         if by_runs:
             tubes = locate_scale_tubes(runs[0], runs[1], s, spec)
             blocks = tubes.block_pieces(first.k, n_caps, per_block, runs[2])
@@ -244,7 +259,7 @@ def envelope_stats(H: GridMeasure, s: float) -> ScaleStats:
             tubes = locate_scale_tubes(H.ij[:, 0], H.ij[:, 1], s, spec)
             w = H.atom_mass
             if np.ndim(w):
-                w = np.tile(w, min(per_block, n_caps))
+                w = np.tile(w, per_block)
             blocks = ((k, c, keys, w if np.ndim(w) == 0 else w[:len(keys)])
                       for k, c, keys in tubes.block_keys(first.k, n_caps,
                                                          per_block))
@@ -328,6 +343,63 @@ def kappa_max(H: GridMeasure, p: float):
                        "z1": int(st.ekeys[i] // N2U),
                        "z2": int(st.ekeys[i] % N2U)}
     return best, witness
+
+
+# kappa scan memory: traced allocation peaks of a scan one cap at a time ran
+# 47-101 bytes per candidate atom of the weight, plus the envelope tables
+# cached on the weight: about 300 bytes per cap (335-280 for a ball of 13
+# atoms at R = 1024 to 16384) and 24 bytes (key, H(U) and tube factor) per
+# envelope of a cap that holds atoms; a scale's per-block tables and their
+# concatenation are briefly alive together.  A weight counted by atoms
+# (101 for the truncated lattice at R = 4096) holds per scale a, b, z2 and
+# the running sum v of the tube keys across the caps, and one key buffer;
+# one counted by row runs (58-62 for the dual tube at R = 64 to 4096, 47
+# for a ball of radius 20 at R = 256) peaks near its build.  A block of caps
+# (envelope_stats) holds its running sums, keys, group_sums's sort and
+# gather copies and the envelope keys' temporaries, and 8 bytes per tube
+# maximum at scales whose envelopes hold several tubes: traced per scale,
+# a block rose 55 (lattice at R = 1024) to 75 (truncated lattice at
+# R = 4096) bytes per key above the tables before it, taken as 48 since
+# the per-atom and per-cap terms charge the rest.
+_SCAN_ATOM_BYTES = 72
+_SCAN_CAP_BYTES = 300
+_SCAN_BLOCK_KEY_BYTES = 48
+
+
+def kappa_scan_peak_bytes(family: str, spec: GridSpec, **params) -> float:
+    """Peak bytes of kappa_max on make_weight(family, spec, **params),
+    without building the weight: its atoms and cap tables, and the most
+    the scan holds at once.  The scales run coarse to fine, each keeping
+    its envelope tables, so a scale's largest block (scan_plan) lives
+    beside the tables of the coarser scales, and the last scale's beside
+    all of them (at most about 3R envelopes, as the slab-shaped supports,
+    the widest-spread of the scanned families, hold: 2.8-4.0 R at R = 64
+    to 4096).
+
+    Per cap (s, k) the tables hold at most its atoms and the envelopes its
+    support's box b1 x b2 meets: they lie in rows R high, each row's
+    envelopes R s wide along x1 + 2c x2, c = k s, so the box meets
+    b2/R + 1 rows and in each (b1 + 2|c| min(b2, R))/(R s) + 1 envelopes,
+    on average over where it falls.  A one-mass weight cut into runs along
+    the rows of its support box has b2/Delta + 1 rows, at most one run per
+    atom."""
+    atoms = candidate_atoms(family, spec, **params)
+    if not atoms:
+        return 0.0
+    b1, b2 = support_box(family, spec, **params)
+    R, runs = spec.R, min(atoms, b2 / spec.delta + 1)
+    caps, envelopes, blocks = 0, [0.0], []
+    for s in dyadic_scales(R):
+        c = s * np.abs(np.arange(-round(1 / s), round(1 / s) + 1))
+        met = (b2 / R + 1) * ((b1 + 2 * c * min(b2, R)) / (R * s) + 1)
+        envelopes.append(float(np.minimum(met, atoms).sum()))
+        per_cap, maxima, per_block = scan_plan(atoms, runs, s, spec)
+        blocks.append(per_block * (_SCAN_BLOCK_KEY_BYTES * per_cap
+                                   + 8 * maxima))
+        caps += len(c)
+    kept = np.minimum(np.cumsum(envelopes), 3 * R)
+    live = max(24 * n + b for n, b in zip(kept, [*blocks, 0.0]))
+    return _SCAN_ATOM_BYTES * atoms + _SCAN_CAP_BYTES * caps + live
 
 
 # ---------------------------------------------------------------------------
@@ -552,3 +624,38 @@ def verify_weighted_sq(field: TorusField, H: GridMeasure,
         sq_rhs=sq_rhs, env_rhs=env_rhs, ratio_sq=ratio_sq,
         ratio_env=ratio_env, env_by_scale=env_by_scale,
         zero_field=zero_field, terms=terms)
+
+
+def verify_peak_bytes(field: TorusField, weight: str, p_values) -> float:
+    """Peak bytes of verify_weighted_sq(field, H, p) over p_values, H the
+    example of the weight family on field's spec: the larger of the lhs (for
+    an atomic weight its kappa scan, at _SCAN_ATOM_BYTES a candidate atom, or
+    the lattice sum at its atoms: their points, values and powers and one
+    lattice_sums block; for the constant weight power_integral on the M
+    grid) and the envelope side: the theta pieces' joined pair table (24
+    bytes a pair, held for the call) plus the largest of its groupings (by
+    (tau, offset) per scale, half of SQUARE_PAIR_BYTES a pair: a block's
+    grouping without forming its products, traced at 62-94 bytes a pair for
+    R = 256 to 4096; and ||S||_p on the square_grid, power_integral_bytes)
+    and the theta scale's pass, at 40 bytes an entry: its z_1 factor table,
+    N1U rows over the thetas' offsets D1, and its stacked weighting,
+    N1U x N2U cells a theta padded by W_BLOCK on every side."""
+    spec = field.spec
+    R = spec.R
+    pieces = cap_decompose(field, theta_scale(R)).values()
+    pairs = sum(pc.n_modes ** 2 for pc in pieces)
+    est = [SQUARE_PAIR_BYTES // 2 * pairs,
+           *(power_integral_bytes(pieces, p, square_grid(R))
+             for p in p_values)]
+    N1U, N2U, _ = envelope_lattice_dims(Cap(theta_scale(R), 0), spec)
+    d1 = max((int(np.ptp(pc.freqs[:, 0])) for pc in pieces if pc.n_modes),
+             default=0)
+    cells = (N1U + 2 * W_BLOCK) * (N2U + 2 * W_BLOCK)
+    est.append(40 * (N1U * (2 * d1 + 1) + cells * len(pieces)))
+    if weight == "constant":
+        lhs = [power_integral_bytes([field], p, spec.M) for p in p_values]
+    else:
+        atoms = int(candidate_atoms(weight, spec))
+        lhs = [_SCAN_ATOM_BYTES * atoms,
+               64 * atoms + lattice_sums_bytes(field.n_modes, atoms)]
+    return max(24 * pairs + max(est), *lhs)

@@ -30,8 +30,8 @@ import numpy as np
 from .measures import (LATTICE_C, LATTICE_KAPPA, certificate_core,
                        check_lattice_kappa, lattice_axis_lengths,
                        lattice_sites)
-from .torus import (CELL_BUDGET, cell_blocks, distinct, phase_table,
-                    trig_sum, trig_sum_bytes)
+from .torus import (CELL_BUDGET, _check_alias_free, cell_blocks, distinct,
+                    phase_table, trig_sum, trig_sum_bytes)
 
 ETA_NAME = "squared half-sinc (sin(t/2)/(t/2))^2"
 
@@ -87,9 +87,7 @@ def propagate(freqs, amps, R: float, length: float, n_x: int,
     amps = np.atleast_1d(np.asarray(amps, dtype=complex))
     if amps.shape != freqs.shape:
         raise ValueError("frequency/amplitude length mismatch")
-    bw = int(np.max(np.abs(n), initial=0))
-    if n_x <= 2 * bw:
-        raise ValueError(f"grid n_x={n_x} aliases modes of bandwidth {bw}")
+    _check_alias_free(int(np.max(np.abs(n), initial=0)), n_x)
     times = np.atleast_1d(np.asarray(times, dtype=float))
     target = float(length * np.sum(np.abs(amps) ** 2))
 

@@ -174,8 +174,7 @@ def synthesize(freqs, amps, spec: GridSpec) -> TorusField:
     freqs = freqs.astype(np.int64)
     if len(distinct(freqs)) != len(freqs):
         raise ValueError("duplicate modes in spectrum")
-    if 2 * int(np.abs(freqs).max(initial=0)) >= spec.M:
-        raise ValueError("mode bandwidth exceeds Nyquist for this M")
+    _check_alias_free(int(np.abs(freqs).max(initial=0)), spec.M)
     bad = _band_violations(freqs, spec)
     if bad.any():
         xi = spec.freq_step * freqs[bad][0]

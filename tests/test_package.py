@@ -9,7 +9,8 @@ statement: python -O strips them, so a check that matters has to raise.
 And src/ imports no scipy: numpy is the package's only runtime
 dependency.  And src/ holds no more optional parameters than
 scripts/src_counts.py counted when each example weight became its
-builder's defaults.
+builder's defaults.  And every mutant of scripts/mutants.py still finds
+the one line it edits.
 """
 
 import ast
@@ -156,10 +157,22 @@ def test_no_scipy_imports(fname):
     assert [m for m in imported if m.split(".")[0] == "scipy"] == []
 
 
-def test_optional_parameters_do_not_grow():
+def _script(name: str):
+    """scripts/<name>.py loaded as a module; its main is not run."""
     spec = importlib.util.spec_from_file_location(
-        "src_counts", os.path.join(ROOT, "scripts", "src_counts.py"))
-    src_counts = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(src_counts)
-    _, optional = src_counts.counts()
+        name, os.path.join(ROOT, "scripts", name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_optional_parameters_do_not_grow():
+    _, optional = _script("src_counts").counts()
     assert optional <= MAX_OPTIONAL_PARAMETERS
+
+
+def test_every_mutant_applies():
+    # each mutant's old text is one line found once in its module, so an
+    # edit of a mutated line fails here, not only in a full mutant run
+    mutants = _script("mutants")
+    assert mutants.check_mutants(mutants.MUTANTS) == []
